@@ -243,38 +243,6 @@ pub fn xzy_fast(src: &[Complex64], dst: &mut [Complex64], sd: Dims3) {
     }
 }
 
-/// [`xzy_fast`] spread over up to `threads` workers: the `n0` plane
-/// transposes are independent, so contiguous groups of planes go to
-/// separate workers via `chunks_mut`. Bit-identical to the sequential path.
-pub fn xzy_fast_threaded(src: &[Complex64], dst: &mut [Complex64], sd: Dims3, threads: usize) {
-    assert_eq!(src.len(), sd.len(), "source buffer does not match dims");
-    assert_eq!(
-        dst.len(),
-        sd.len(),
-        "destination buffer does not match dims"
-    );
-    if threads <= 1 || sd.n0 <= 1 {
-        xzy_fast(src, dst, sd);
-        return;
-    }
-    let plane = sd.n1 * sd.n2;
-    if plane == 0 {
-        return;
-    }
-    let per = sd.n0.div_ceil(threads.min(sd.n0));
-    rayon::scope(|s| {
-        for (c, part) in dst.chunks_mut(per * plane).enumerate() {
-            let base = c * per;
-            s.spawn(move |_| {
-                for (p, dplane) in part.chunks_mut(plane).enumerate() {
-                    let i0 = base + p;
-                    transpose2(&src[i0 * plane..(i0 + 1) * plane], dplane, sd.n1, sd.n2);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,20 +346,6 @@ mod tests {
                     permute3_threaded(&src, &mut par, sd, perm, threads);
                     assert_eq!(seq, par, "sd={sd:?} perm={perm:?} threads={threads}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_xzy_fast_is_bit_identical() {
-        for sd in [Dims3::new(4, 6, 7), Dims3::new(17, 5, 3)] {
-            let src = fill(sd);
-            let mut seq = vec![Complex64::ZERO; sd.len()];
-            xzy_fast(&src, &mut seq, sd);
-            for threads in [1, 2, 5, 8] {
-                let mut par = vec![Complex64::ZERO; sd.len()];
-                xzy_fast_threaded(&src, &mut par, sd, threads);
-                assert_eq!(seq, par, "sd={sd:?} threads={threads}");
             }
         }
     }

@@ -15,15 +15,12 @@ use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder, TraceEvent};
 use crate::xplan::{ExchangeGeometry, TileExchange, TransformPlanCache};
-use cfft::batch::{
-    execute_batch_threaded, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
-    BatchLayout,
-};
+use cfft::batch::{execute_lines_threaded, for_each_part_threaded, for_each_row_threaded};
 use cfft::planner::{Plan1d, Rigor};
-use cfft::transpose::{permute3_threaded, xzy_fast_threaded, Dims3, XYZ_TO_ZXY};
 use cfft::{Complex64, Direction, PlanCache};
 use faultplan::{checksum, flip_seeded_bit};
 use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,9 +60,13 @@ enum TransposeStyle {
     Fast,
     /// Cache-blocked generic `z-x-y` (the "FFTW guru" quality path).
     Generic,
-    /// Unblocked triple loop — models TH's non-optimized rearrangement.
+    /// Unblocked `z-x-y` loop nest — models TH's non-optimized rearrangement.
     Naive,
 }
+
+/// Tile edge of the blocked plane transpose (every style but
+/// [`TransposeStyle::Naive`]).
+const TRANSPOSE_BLOCK: usize = 16;
 
 /// Output memory layout of the distributed transform (y-slab local array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,6 +205,51 @@ impl BufferPool {
     }
 }
 
+/// Per-rank working memory of the slab pipeline: everything one transform
+/// touches besides the caller's input and the output it returns. An
+/// [`FftSession`] owns one for its lifetime, so a steady-state execution
+/// allocates nothing but its output; the one-shot entry points build one per
+/// call. Every buffer is fully rewritten before it is read, so nothing of
+/// one execution can reach the next one's result (DESIGN.md §15).
+#[derive(Default)]
+struct Workspace {
+    /// Transposed slab: z-x-y (standard) or x-z-y (fast).
+    zxy: Vec<Complex64>,
+    /// Per-destination-block staging for the current tile's pack.
+    send: Vec<Complex64>,
+    /// FFTz scratch: one x-plane (`Ny·Nz`) per worker thread.
+    planes: Vec<Complex64>,
+    plan_scratch: Vec<Complex64>,
+    /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
+    /// in-place transform and transformed alongside it (DESIGN.md §16).
+    abft_line: Vec<Complex64>,
+    /// Post-transform batch sum, compared against the transformed
+    /// [`Self::abft_line`].
+    abft_post: Vec<Complex64>,
+    /// Offsets of the current sub-tile's lines (FFTy's and FFTx's alike).
+    rows: Vec<usize>,
+    /// Receive buffers, bounded to the pipeline's working set of `W + 1`.
+    /// Ad-hoc exchanges and persistent per-tile plans both borrow from it
+    /// at post time and return the buffer after unpack, so an idle plan
+    /// holds no staging.
+    recv_pool: BufferPool,
+}
+
+impl Workspace {
+    /// Sizes the buffers for one run; changes nothing from a session's
+    /// second execution on.
+    fn prepare(&mut self, slab: usize, planes: usize, plan_scratch: usize, pool: (usize, usize)) {
+        if self.zxy.len() != slab {
+            self.zxy = vec![Complex64::ZERO; slab];
+        }
+        self.planes.resize(planes, Complex64::ZERO);
+        self.plan_scratch.resize(plan_scratch, Complex64::ZERO);
+        if (self.recv_pool.max_buffers, self.recv_pool.max_len) != pool {
+            self.recv_pool = BufferPool::new(pool.0, pool.1);
+        }
+    }
+}
+
 struct RealEnv<'a> {
     comm: &'a Comm,
     spec: ProblemSpec,
@@ -226,34 +272,19 @@ struct RealEnv<'a> {
     plan_z: Arc<Plan1d>,
     plan_y: Arc<Plan1d>,
     plan_x: Arc<Plan1d>,
-    plan_scratch: Vec<Complex64>,
-    /// Input slab (x-y-z), consumed by FFTz+Transpose.
-    input: Vec<Complex64>,
-    /// Transposed slab: z-x-y (standard) or x-z-y (fast).
-    zxy: Vec<Complex64>,
+    /// The caller's slab (x-y-z), read once by FFTz+Transpose.
+    input: &'a [Complex64],
+    ws: &'a mut Workspace,
     /// Output slab: z-y-x or y-z-x.
     out: Vec<Complex64>,
-    /// Per-destination-block staging for the current tile's pack.
-    send: Vec<Complex64>,
-    /// Elements the largest tile's pack can need; `send` never exceeds it.
+    /// Elements the largest tile's pack can need; `ws.send` never exceeds it.
     send_cap: usize,
     /// Resident hash over the packed staging buffer, set by the pack and
     /// re-verified at post time — memory SDC on the pack→post boundary is
     /// caught before the bytes reach any peer.
     send_hash: u64,
-    /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
-    /// in-place transform and transformed alongside it (DESIGN.md §16).
-    abft_line: Vec<Complex64>,
-    /// Post-transform batch sum, compared against the transformed
-    /// [`Self::abft_line`].
-    abft_post: Vec<Complex64>,
-    /// Recycled receive buffers, bounded to the pipeline's working set.
-    recv_pool: BufferPool,
     /// Receive data of the most recently waited tile, awaiting unpack.
     pending_recv: Option<Vec<Complex64>>,
-    /// When `pending_recv` was taken from a persistent plan, the tile whose
-    /// plan must get the buffer back after unpack (pool-recycled otherwise).
-    pending_plan: Option<usize>,
     /// Watchdog timeout for waits; `None` blocks forever (legacy).
     stall_timeout: Option<Duration>,
     /// `F*` multiplier applied by the ladder's boost-polls rung.
@@ -271,22 +302,6 @@ impl<'a> RealEnv<'a> {
         let z0 = tile * self.params.t;
         let z1 = (z0 + self.params.t).min(self.spec.nz);
         (z0, z1)
-    }
-
-    /// Routes a consumed receive buffer back to its owner: the waited
-    /// tile's persistent plan (session mode) or the recycle pool.
-    fn finish_recv(&mut self, recv: Vec<Complex64>) {
-        match self.pending_plan.take() {
-            Some(tile) => {
-                let plan = self
-                    .plans
-                    .as_mut()
-                    .and_then(|p| p[tile].as_mut())
-                    .expect("plan-owned recv buffer without its plan");
-                plan.restore_recv(recv);
-            }
-            None => self.recv_pool.put(recv),
-        }
     }
 
     /// One `MPI_Test` on `req`, whichever exchange mode it belongs to.
@@ -380,6 +395,29 @@ impl<'a> RealEnv<'a> {
         }
     }
 
+    /// Copies the y-runs of the transposed slab's rows `(z, xl)` into the
+    /// staging buffer's per-destination blocks, each laid out
+    /// (z_local, x_local, y_local): the sequential Pack of one sub-tile,
+    /// and — over a whole tile — the re-pack of [`OverlapEnv::retransmit`].
+    fn pack_rows(&mut self, xg: &TileExchange, z0: usize, zs: Range<usize>, xs: Range<usize>) {
+        let nxl = self.nxl;
+        for z in zs {
+            let zl = z - z0;
+            for xl in xs.clone() {
+                let row = self.zxy_idx(z, xl, 0);
+                let in_block_row = zl * nxl + xl;
+                for (q, &q_displ) in xg.send_displs.iter().enumerate() {
+                    let nyl_q = self.decomp.y.count(q);
+                    let yoff = self.decomp.y.offset(q);
+                    let dst = q_displ + in_block_row * nyl_q;
+                    let src = row + yoff;
+                    // Contiguous y-run copy.
+                    self.ws.send[dst..dst + nyl_q].copy_from_slice(&self.ws.zxy[src..src + nyl_q]);
+                }
+            }
+        }
+    }
+
     /// Posts `tile`'s exchange from the current staging buffer. Shared by
     /// the normal post path and [`OverlapEnv::retransmit`]; deliberately
     /// free of the crash/bit-flip injection points so a retransmitted
@@ -387,31 +425,29 @@ impl<'a> RealEnv<'a> {
     fn post_exchange(&mut self, tile: usize, xg: &TileExchange) -> RealReq {
         let comm = self.comm;
         let t0 = Instant::now();
+        let recv = self.ws.recv_pool.take(xg.total_recv);
+        let send = &self.ws.send[..xg.total_send];
         let req = match self.plans.as_mut() {
             Some(plans) => {
                 // Session mode: init the tile's persistent plan lazily on
-                // its first execution; every later execution just starts it
-                // — zero per-execution negotiation.
-                if plans[tile].is_none() {
-                    let recv = vec![Complex64::ZERO; xg.total_recv];
-                    plans[tile] = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
-                    self.setups += 1;
+                // its first execution; every later execution lends it a
+                // pool buffer and starts it — zero per-execution negotiation.
+                match &mut plans[tile] {
+                    Some(plan) => plan.restore_recv(recv),
+                    slot => {
+                        *slot = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
+                        self.setups += 1;
+                    }
                 }
                 plans[tile]
                     .as_mut()
                     .expect("just initialised")
-                    .start(comm, &self.send[..xg.total_send]);
+                    .start(comm, send);
                 RealReq::Persistent(tile)
             }
             None => {
-                let recv = self.recv_pool.take(xg.total_recv);
                 self.setups += 1;
-                RealReq::AdHoc(comm.ialltoallv(
-                    &self.send[..xg.total_send],
-                    &xg.send_counts,
-                    &xg.recv_counts,
-                    recv,
-                ))
+                RealReq::AdHoc(comm.ialltoallv(send, &xg.send_counts, &xg.recv_counts, recv))
             }
         };
         let t1 = Instant::now();
@@ -465,51 +501,102 @@ impl<'a> OverlapEnv for RealEnv<'a> {
     }
 
     fn fftz_transpose(&mut self) {
-        let (nx_l, ny, nz) = (self.nxl, self.spec.ny, self.spec.nz);
-        let threads = self.params.threads;
-        // FFTz: z lines are contiguous in the x-y-z input.
+        // One x-plane at a time, straight from the caller's slab: copy the
+        // plane (Ny·Nz — cache-resident) into scratch, FFTz its Ny lines
+        // there, and write it transposed to its place in `zxy`. The slab is
+        // read once and written once; `threads > 1` splits the planes across
+        // workers, each with a plane scratch of its own.
+        let (nxl, ny, nz) = (self.nxl, self.spec.ny, self.spec.nz);
+        let plane_len = ny * nz;
         let t0 = Instant::now();
-        if threads > 1 {
-            execute_batch_threaded(
-                &self.plan_z,
-                &mut self.input,
-                BatchLayout::contiguous(nz, nx_l * ny),
-                threads,
-            );
-        } else {
-            for line in 0..nx_l * ny {
-                let s = line * nz;
-                self.plan_z
-                    .execute(&mut self.input[s..s + nz], &mut self.plan_scratch);
-            }
-        }
-        let t1 = Instant::now();
-        self.steps.fftz += (t1 - t0).as_secs_f64();
-        self.record_span(t0, t1, EventKind::Fftz);
-
-        // Transpose into the tile-friendly layout. The `_threaded` kernels
-        // fall back to the sequential blocked code at `threads = 1`.
-        let t0 = Instant::now();
-        let sd = Dims3::new(nx_l, ny, nz);
-        match self.transpose_style {
-            TransposeStyle::Fast => xzy_fast_threaded(&self.input, &mut self.zxy, sd, threads),
-            TransposeStyle::Generic => {
-                permute3_threaded(&self.input, &mut self.zxy, sd, XYZ_TO_ZXY, threads)
-            }
-            TransposeStyle::Naive => {
-                // Deliberately unblocked: models a straightforward loop nest.
-                for x in 0..nx_l {
-                    for y in 0..ny {
-                        for z in 0..nz {
-                            self.zxy[(z * nx_l + x) * ny + y] = self.input[(x * ny + y) * nz + z];
-                        }
+        let mut spent = (Duration::ZERO, Duration::ZERO);
+        if nxl * plane_len > 0 {
+            let per = nxl.div_ceil(self.params.threads.clamp(1, nxl));
+            let (input, plan_z, style) = (self.input, &*self.plan_z, self.transpose_style);
+            let ws = &mut *self.ws;
+            // Worker `w` owns planes `w·per..`, and with them these parts of
+            // `zxy` — x-z-y: its planes, one contiguous run; z-x-y: for each
+            // `z`, its planes' `Ny`-rows.
+            let mut dsts: Vec<Vec<&mut [Complex64]>> = Vec::new();
+            if style == TransposeStyle::Fast {
+                dsts.extend(ws.zxy.chunks_mut(per * plane_len).map(|run| vec![run]));
+            } else {
+                dsts.resize_with(nxl.div_ceil(per), || Vec::with_capacity(nz));
+                for z_rows in ws.zxy.chunks_mut(nxl * ny) {
+                    for (dst, rows) in dsts.iter_mut().zip(z_rows.chunks_mut(per * ny)) {
+                        dst.push(rows);
                     }
                 }
             }
+            let work = |w: usize,
+                        mut dst: Vec<&mut [Complex64]>,
+                        plane: &mut [Complex64],
+                        scratch: &mut [Complex64]| {
+                let block = match style {
+                    TransposeStyle::Naive => ny.max(nz),
+                    _ => TRANSPOSE_BLOCK,
+                };
+                let mut spent = (Duration::ZERO, Duration::ZERO);
+                let x0 = w * per;
+                for x in x0..(x0 + per).min(nxl) {
+                    let a = Instant::now();
+                    plane.copy_from_slice(&input[x * plane_len..(x + 1) * plane_len]);
+                    for line in plane.chunks_exact_mut(nz) {
+                        plan_z.execute(line, scratch);
+                    }
+                    let b = Instant::now();
+                    let xi = x - x0;
+                    // Row `z` of the transposed plane: `Ny` contiguous
+                    // elements in either layout.
+                    for bz in (0..nz).step_by(block) {
+                        for by in (0..ny).step_by(block) {
+                            for z in bz..(bz + block).min(nz) {
+                                let row = match style {
+                                    TransposeStyle::Fast => &mut dst[0][(xi * nz + z) * ny..],
+                                    _ => &mut dst[z][xi * ny..],
+                                };
+                                for (y, v) in (by..(by + block).min(ny)).zip(&mut row[by..]) {
+                                    *v = plane[y * nz + z];
+                                }
+                            }
+                        }
+                    }
+                    spent.0 += b - a;
+                    spent.1 += b.elapsed();
+                }
+                spent
+            };
+            // This thread takes the first share, spawned workers the rest.
+            let mut tasks = dsts.into_iter().zip(ws.planes.chunks_mut(plane_len));
+            let (dst, plane) = tasks.next().expect("at least one plane");
+            let (work, scratch_len) = (&work, ws.plan_scratch.len());
+            spent = std::thread::scope(|s| {
+                let others: Vec<_> = (1..)
+                    .zip(tasks)
+                    .map(|(w, (dst, plane))| {
+                        s.spawn(move || {
+                            work(w, dst, plane, &mut vec![Complex64::ZERO; scratch_len])
+                        })
+                    })
+                    .collect();
+                let mut spent = work(0, dst, plane, &mut ws.plan_scratch);
+                for h in others {
+                    let (fz, tr) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                    spent = (spent.0 + fz, spent.1 + tr);
+                }
+                spent
+            });
         }
+        // The two steps interleave plane by plane (and run concurrently
+        // across workers), so each gets its measured share of the interval.
         let t1 = Instant::now();
-        self.steps.transpose += (t1 - t0).as_secs_f64();
-        self.record_span(t0, t1, EventKind::Transpose);
+        let share =
+            spent.0.as_secs_f64() / (spent.0 + spent.1).as_secs_f64().max(f64::MIN_POSITIVE);
+        let mid = t0 + (t1 - t0).mul_f64(share);
+        self.steps.fftz += (mid - t0).as_secs_f64();
+        self.record_span(t0, mid, EventKind::Fftz);
+        self.steps.transpose += (t1 - mid).as_secs_f64();
+        self.record_span(mid, t1, EventKind::Transpose);
     }
 
     fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
@@ -535,16 +622,17 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let mut sched_y = PollSchedule::new(subtiles, self.params.fy);
         let mut sched_p = PollSchedule::new(subtiles, self.params.fp);
 
-        let xg = self.geom.tiles[tile].clone();
+        let geom = Arc::clone(&self.geom);
+        let xg = &*geom.tiles[tile];
         let send_displs = &xg.send_displs;
         let total_send = xg.total_send;
-        if self.send.len() < total_send {
-            self.send.resize(total_send, Complex64::ZERO);
+        if self.ws.send.len() < total_send {
+            self.ws.send.resize(total_send, Complex64::ZERO);
         }
-        if self.send.capacity() > self.send_cap {
+        if self.ws.send.capacity() > self.send_cap {
             // Never retain more staging than the largest tile needs.
-            self.send.truncate(self.send_cap);
-            self.send.shrink_to(self.send_cap);
+            self.ws.send.truncate(self.send_cap);
+            self.ws.send.shrink_to(self.send_cap);
         }
 
         for zb in 0..zblocks {
@@ -557,10 +645,11 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 // Row starts of the sub-tile's y lines (disjoint whichever
                 // layout `zxy_idx` uses), shared by the transform paths and
                 // the ABFT sums below.
-                let mut row_starts: Vec<usize> = Vec::with_capacity((ze - zs) * (xe - xs));
+                self.ws.rows.clear();
                 for z in zs..ze {
                     for xl in xs..xe {
-                        row_starts.push(self.zxy_idx(z, xl, 0));
+                        let row = self.zxy_idx(z, xl, 0);
+                        self.ws.rows.push(row);
                     }
                 }
 
@@ -569,26 +658,25 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 // FFT(Σ lines) = Σ FFT(lines) within roundoff, so a compute
                 // or memory fault inside the transform window breaks the
                 // equality far beyond tolerance.
-                let mut line = std::mem::take(&mut self.abft_line);
-                abft_sum_rows(&mut line, &self.zxy, &row_starts, ny);
+                abft_sum_rows(&mut self.ws.abft_line, &self.ws.zxy, &self.ws.rows, ny);
 
                 // FFTy on every y line of the sub-tile.
                 let t0 = Instant::now();
                 if self.params.threads > 1 {
                     // Rows are only sorted for one of the layouts — sort for
                     // the splitter.
-                    let mut starts = row_starts.clone();
+                    let mut starts = self.ws.rows.clone();
                     starts.sort_unstable();
                     execute_lines_threaded(
                         &self.plan_y,
-                        &mut self.zxy,
+                        &mut self.ws.zxy,
                         &starts,
                         self.params.threads,
                     );
                 } else {
-                    for &s in &row_starts {
+                    for &s in &self.ws.rows {
                         self.plan_y
-                            .execute(&mut self.zxy[s..s + ny], &mut self.plan_scratch);
+                            .execute(&mut self.ws.zxy[s..s + ny], &mut self.ws.plan_scratch);
                     }
                 }
                 let t1 = Instant::now();
@@ -604,13 +692,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 
                 // Transform the checksum line and compare with the batch sum
                 // of the transformed lines.
-                self.plan_y.execute(&mut line, &mut self.plan_scratch);
-                let mut post = std::mem::take(&mut self.abft_post);
-                abft_sum_rows(&mut post, &self.zxy, &row_starts, ny);
-                let agrees = abft_agrees(&line, &post, row_starts.len());
-                self.abft_line = line;
-                self.abft_post = post;
-                if !agrees {
+                self.plan_y
+                    .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
+                abft_sum_rows(&mut self.ws.abft_post, &self.ws.zxy, &self.ws.rows, ny);
+                if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
                     let now = Instant::now();
                     self.record_span(now, now, EventKind::Corrupt { tile });
                     return Err(Error::IntegrityFailed {
@@ -631,7 +716,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     // the shared transposed slab.
                     let mut bounds = send_displs.to_vec();
                     bounds.push(total_send);
-                    let zxy = &self.zxy;
+                    let zxy = &self.ws.zxy;
                     let decomp = &self.decomp;
                     let style = self.transpose_style;
                     let (snz, sny, snxl) = (self.spec.nz, ny, nxl);
@@ -640,7 +725,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         _ => (z * snxl + xl) * sny,
                     };
                     for_each_part_threaded(
-                        &mut self.send[..total_send],
+                        &mut self.ws.send[..total_send],
                         &bounds,
                         self.params.threads,
                         |q, part| {
@@ -657,22 +742,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         },
                     );
                 } else {
-                    for z in zs..ze {
-                        let zl = z - z0;
-                        for xl in xs..xe {
-                            let row = self.zxy_idx(z, xl, 0);
-                            let in_block_row = zl * nxl + xl;
-                            for (q, &q_displ) in send_displs.iter().enumerate() {
-                                let nyl_q = self.decomp.y.count(q);
-                                let yoff = self.decomp.y.offset(q);
-                                let dst = q_displ + in_block_row * nyl_q;
-                                let src = row + yoff;
-                                // Contiguous y-run copy.
-                                self.send[dst..dst + nyl_q]
-                                    .copy_from_slice(&self.zxy[src..src + nyl_q]);
-                            }
-                        }
-                    }
+                    self.pack_rows(xg, z0, zs..ze, xs..xe);
                 }
                 let t1 = Instant::now();
                 self.steps.pack += (t1 - t0).as_secs_f64();
@@ -691,7 +761,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         // Seal the staged payload: post time re-verifies this hash, so any
         // memory corruption on the pack→post boundary is caught before the
         // bytes reach a peer.
-        self.send_hash = checksum(&self.send[..total_send]);
+        self.send_hash = checksum(&self.ws.send[..total_send]);
         Ok(())
     }
 
@@ -701,22 +771,23 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         // may already hold this tile's pre-crash sends (and must still be
         // able to complete tiles that need nothing more from us).
         self.comm.crash_point(tile);
-        let xg = self.geom.tiles[tile].clone();
+        let geom = Arc::clone(&self.geom);
+        let xg = &*geom.tiles[tile];
         // Fault-plan memory-SDC injection: flip one seeded bit of the
         // packed staging buffer on the same pack→post boundary.
         if let Some(site) = self.comm.bitflip_point(tile) {
-            flip_seeded_bit(&mut self.send[..xg.total_send], site);
+            flip_seeded_bit(&mut self.ws.send[..xg.total_send], site);
         }
         // Resident hash check: the staged payload must still be the bytes
         // the pack sealed, or the exchange is withheld — the poisoned
         // request surfaces at wait time and the driver re-packs from the
         // pristine transformed slab (no peer sequenced anything).
-        if checksum(&self.send[..xg.total_send]) != self.send_hash {
+        if checksum(&self.ws.send[..xg.total_send]) != self.send_hash {
             let now = Instant::now();
             self.record_span(now, now, EventKind::Corrupt { tile });
             return RealReq::Poisoned(IntegrityStage::Pack);
         }
-        self.post_exchange(tile, &xg)
+        self.post_exchange(tile, xg)
     }
 
     fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
@@ -732,16 +803,16 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let t0 = Instant::now();
         // Resolve the exchange to a completed receive buffer (or a
         // retryable error); the timing and trace bookkeeping is shared.
-        type WaitOutcome<R> = Result<(Vec<Complex64>, Option<usize>), (R, CollError)>;
+        type WaitOutcome<R> = Result<Vec<Complex64>, (R, CollError)>;
         let outcome: WaitOutcome<Self::Req> = match req {
             RealReq::AdHoc(mut r) => match self.stall_timeout {
                 None => {
                     // Legacy blocking wait: spins (with parking) until
                     // complete, panics on an unrecoverable collective fault.
-                    Ok((r.wait(comm), None))
+                    Ok(r.wait(comm))
                 }
                 Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok((r.take_recv(), None)),
+                    Ok(()) => Ok(r.take_recv()),
                     // Hand the live request back: the driver may retry it
                     // after a degradation step, or cancel it.
                     Err(e) => Err((RealReq::AdHoc(r), e)),
@@ -756,10 +827,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 match self.stall_timeout {
                     None => {
                         plan.wait(comm);
-                        Ok((plan.take_recv(), Some(pt)))
+                        Ok(plan.take_recv())
                     }
                     Some(timeout) => match plan.wait_timeout(comm, timeout) {
-                        Ok(()) => Ok((plan.take_recv(), Some(pt))),
+                        Ok(()) => Ok(plan.take_recv()),
                         // The execution stays alive inside the plan; the
                         // handle going back to the driver is just the tile.
                         Err(e) => Err((RealReq::Persistent(pt), e)),
@@ -772,9 +843,8 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         self.steps.wait += (t1 - t0).as_secs_f64();
         self.record_span(t0, t1, EventKind::Wait { tile });
         match outcome {
-            Ok((recv, from_plan)) => {
+            Ok(recv) => {
                 self.pending_recv = Some(recv);
-                self.pending_plan = from_plan;
                 Ok(())
             }
             Err((req, e)) => {
@@ -804,13 +874,13 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let nx = self.spec.nx;
         let nyl = self.nyl;
         if nyl == 0 || tz == 0 {
-            self.finish_recv(recv);
+            self.ws.recv_pool.put(recv);
             return Ok(());
         }
         let (uy, uz) = (self.params.uy.min(nyl), self.params.uz.min(tz));
 
-        let xg = self.geom.tiles[tile].clone();
-        let recv_displs = &xg.recv_displs;
+        let geom = Arc::clone(&self.geom);
+        let recv_displs = &geom.tiles[tile].recv_displs;
 
         // Sub-tile grid (Figure 4, right): Nx × Uy × Uz blocks.
         let yblocks = nyl.div_ceil(uy);
@@ -895,14 +965,14 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 
                 // ABFT checksum line through FFTx — same linearity identity
                 // as the FFTy check in `ffty_pack`.
-                let mut fx_rows: Vec<usize> = Vec::with_capacity((ze - zs) * (ye - ys));
+                self.ws.rows.clear();
                 for z in zs..ze {
                     for yl in ys..ye {
-                        fx_rows.push(self.out_idx(z, yl, 0));
+                        let row = self.out_idx(z, yl, 0);
+                        self.ws.rows.push(row);
                     }
                 }
-                let mut line = std::mem::take(&mut self.abft_line);
-                abft_sum_rows(&mut line, &self.out, &fx_rows, nx);
+                abft_sum_rows(&mut self.ws.abft_line, &self.out, &self.ws.rows, nx);
 
                 // FFTx on the unpacked x lines.
                 let t0 = Instant::now();
@@ -915,9 +985,9 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         self.params.threads,
                     );
                 } else {
-                    for &s in &fx_rows {
+                    for &s in &self.ws.rows {
                         self.plan_x
-                            .execute(&mut self.out[s..s + nx], &mut self.plan_scratch);
+                            .execute(&mut self.out[s..s + nx], &mut self.ws.plan_scratch);
                     }
                 }
                 let t1 = Instant::now();
@@ -931,13 +1001,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     },
                 );
 
-                self.plan_x.execute(&mut line, &mut self.plan_scratch);
-                let mut post = std::mem::take(&mut self.abft_post);
-                abft_sum_rows(&mut post, &self.out, &fx_rows, nx);
-                let agrees = abft_agrees(&line, &post, fx_rows.len());
-                self.abft_line = line;
-                self.abft_post = post;
-                if !agrees {
+                self.plan_x
+                    .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
+                abft_sum_rows(&mut self.ws.abft_post, &self.out, &self.ws.rows, nx);
+                if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
                     let now = Instant::now();
                     self.record_span(now, now, EventKind::Corrupt { tile });
                     return Err(Error::IntegrityFailed {
@@ -950,7 +1017,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 self.poll_inflight(inflight, due)?;
             }
         }
-        self.finish_recv(recv);
+        self.ws.recv_pool.put(recv);
         Ok(())
     }
 
@@ -1008,29 +1075,14 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         // copies — healing is off the hot path. The injection points are
         // deliberately not revisited, so a planned fault fires once.
         let (z0, z1) = self.tile_range(tile);
-        let nxl = self.nxl;
-        let xg = self.geom.tiles[tile].clone();
-        if nxl > 0 && z1 > z0 {
-            if self.send.len() < xg.total_send {
-                self.send.resize(xg.total_send, Complex64::ZERO);
-            }
-            for z in z0..z1 {
-                let zl = z - z0;
-                for xl in 0..nxl {
-                    let row = self.zxy_idx(z, xl, 0);
-                    let in_block_row = zl * nxl + xl;
-                    for (q, &q_displ) in xg.send_displs.iter().enumerate() {
-                        let nyl_q = self.decomp.y.count(q);
-                        let yoff = self.decomp.y.offset(q);
-                        let dst = q_displ + in_block_row * nyl_q;
-                        let src = row + yoff;
-                        self.send[dst..dst + nyl_q].copy_from_slice(&self.zxy[src..src + nyl_q]);
-                    }
-                }
-            }
+        let geom = Arc::clone(&self.geom);
+        let xg = &*geom.tiles[tile];
+        if self.ws.send.len() < xg.total_send {
+            self.ws.send.resize(xg.total_send, Complex64::ZERO);
         }
-        self.send_hash = checksum(&self.send[..xg.total_send]);
-        Some(self.post_exchange(tile, &xg))
+        self.pack_rows(xg, z0, z0..z1, 0..self.nxl);
+        self.send_hash = checksum(&self.ws.send[..xg.total_send]);
+        Some(self.post_exchange(tile, xg))
     }
 
     fn post_poisoned(&self, req: &Self::Req) -> Option<IntegrityStage> {
@@ -1158,13 +1210,23 @@ pub fn try_fft3_dist_traced(
     recorder: &mut dyn Recorder,
 ) -> Result<RunOutput, Error> {
     run_dist(
-        comm, spec, variant, params, dir, rigor, input, resilience, recorder, None,
+        comm,
+        spec,
+        variant,
+        params,
+        dir,
+        rigor,
+        input,
+        resilience,
+        recorder,
+        &mut Workspace::default(),
+        None,
     )
 }
 
-/// Shared implementation behind the one-shot entry points (`plans: None` —
-/// ad-hoc exchanges) and [`FftSession::execute`] (`plans: Some` — the
-/// session's per-tile persistent plans).
+/// Shared implementation behind the one-shot entry points (a workspace for
+/// this call, `plans: None` — ad-hoc exchanges) and [`FftSession::execute`]
+/// (the session's workspace and per-tile persistent plans).
 #[allow(clippy::too_many_arguments)]
 fn run_dist(
     comm: &Comm,
@@ -1176,8 +1238,11 @@ fn run_dist(
     input: &[Complex64],
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
+    ws: &mut Workspace,
     mut plans: Option<&mut TilePlans>,
 ) -> Result<RunOutput, Error> {
+    // The clock covers everything the call does, set-up included.
+    let started = Instant::now();
     assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
     // A zero-extent axis has no transform; planning a size-1 stand-in (as
     // this path once did via `.max(1)`) would silently "succeed" on an
@@ -1284,6 +1349,15 @@ fn run_dist(
             p.resize_with(geom.tiles.len(), || None);
         }
     }
+    let plane_len = spec.ny * spec.nz;
+    ws.prepare(
+        nxl * plane_len,
+        params.threads.clamp(1, nxl.max(1)) * plane_len,
+        scratch_len,
+        // The windowed pipeline never has more than `W + 1` tiles between
+        // post and unpack; no tile receives more than a full one.
+        (params.w + 1, params.t * spec.nx * nyl),
+    );
     let mut env = RealEnv {
         comm,
         spec,
@@ -1299,24 +1373,18 @@ fn run_dist(
         plan_z,
         plan_y,
         plan_x,
-        plan_scratch: vec![Complex64::ZERO; scratch_len],
-        input: input.to_vec(),
-        zxy: vec![Complex64::ZERO; nxl * spec.ny * spec.nz],
+        input,
+        ws,
         out: vec![Complex64::ZERO; spec.nz * nyl * spec.nx],
-        send: Vec::new(),
         send_cap: params.t * nxl * spec.ny,
         send_hash: 0,
-        abft_line: Vec::new(),
-        abft_post: Vec::new(),
-        recv_pool: BufferPool::new(params.w + 1, params.t * spec.nx * nyl),
         pending_recv: None,
-        pending_plan: None,
         stall_timeout: resilience.stall_timeout,
         poll_boost: resilience.poll_boost,
         boosted: false,
         steps: StepTimes::default(),
         tests: 0,
-        started: Instant::now(),
+        started,
         recorder,
     };
 
@@ -1344,12 +1412,15 @@ fn run_dist(
 /// the user-facing face of the persistent all-to-all plans.
 ///
 /// A session pins `(comm, spec, variant, params, dir, rigor)` and owns one
-/// [`PersistentAlltoall`] per communication tile. The first
+/// [`PersistentAlltoall`] per communication tile plus the pipeline's
+/// working memory (transposed slab, pack staging, scratch, and a pool of
+/// `W + 1` receive buffers the plans borrow while in flight). The first
 /// [`FftSession::execute`] initialises each tile's plan as it is first
 /// posted (and plans the FFT kernels, unless already cached); every
 /// execution after that does **zero planning and zero exchange setup** —
 /// [`RunOutput::planning`] is [`Duration::ZERO`] and
-/// [`RunOutput::exchange_setups`] is `0`. Dropping the session frees every
+/// [`RunOutput::exchange_setups`] is `0` — and allocates nothing
+/// slab-sized but the output it returns. Dropping the session frees every
 /// plan (so no MC006 lint fires); [`FftSession::free`] does the same
 /// explicitly.
 pub struct FftSession<'a> {
@@ -1360,6 +1431,7 @@ pub struct FftSession<'a> {
     dir: Direction,
     rigor: Rigor,
     plans: TilePlans,
+    workspace: Workspace,
     executions: u64,
     checkpoint_interval: Option<u64>,
     checkpoint: Option<crate::recover::Checkpoint>,
@@ -1385,6 +1457,7 @@ impl<'a> FftSession<'a> {
             dir,
             rigor,
             plans: Vec::new(),
+            workspace: Workspace::default(),
             executions: 0,
             checkpoint_interval: None,
             checkpoint: None,
@@ -1447,6 +1520,7 @@ impl<'a> FftSession<'a> {
             input,
             resilience,
             recorder,
+            &mut self.workspace,
             Some(&mut self.plans),
         )
     }
@@ -1758,6 +1832,198 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+        data.iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    /// Executions 2 and 3 of a session run on a reused workspace; neither
+    /// may differ by a bit from a one-shot call on fresh memory.
+    fn check_session_repeats_match_fresh(
+        spec: ProblemSpec,
+        variant: Variant,
+        params: TuningParams,
+        dir: Direction,
+    ) {
+        mpisim::run(spec.p, move |comm| {
+            let input = local_test_slab(&spec, comm.rank());
+            let fresh = try_fft3_dist(&comm, spec, variant, params, dir, Rigor::Estimate, &input)
+                .expect("clean run");
+            let mut session = FftSession::new(&comm, spec, variant, params, dir, Rigor::Estimate);
+            for exec in 1..=3 {
+                let out = session.execute(&input).expect("clean run");
+                assert_eq!(out.layout, fresh.layout);
+                assert!(
+                    bits(&out.data) == bits(&fresh.data),
+                    "rank {} execution {exec} differs ({spec:?}, {variant:?})",
+                    comm.rank()
+                );
+            }
+            session.free();
+        });
+    }
+
+    #[test]
+    fn session_repeats_are_bit_identical_to_a_fresh_call_on_every_path() {
+        let cube = ProblemSpec::cube(16, 4);
+        let seed = TuningParams::seed(&cube);
+        let fwd = Direction::Forward;
+        // Cube → fast transpose; TH → naive; FFTW-style → one blocking tile.
+        check_session_repeats_match_fresh(cube, Variant::New, seed, fwd);
+        check_session_repeats_match_fresh(cube, Variant::Th, seed, fwd);
+        check_session_repeats_match_fresh(cube, Variant::Fftw, seed, fwd);
+        check_session_repeats_match_fresh(cube, Variant::New, seed, Direction::Backward);
+        let two_threads = TuningParams { threads: 2, ..seed };
+        check_session_repeats_match_fresh(cube, Variant::New, two_threads, fwd);
+        // Nx ≠ Ny → generic transpose, with Nx mod p ≠ 0 and a ragged last
+        // tile; at two threads the planes split 2 + 1 on the wide ranks.
+        let ragged = ProblemSpec {
+            nx: 10,
+            ny: 9,
+            nz: 7,
+            p: 4,
+        };
+        let params = TuningParams {
+            t: 3,
+            w: 2,
+            px: 2,
+            pz: 2,
+            uy: 2,
+            uz: 2,
+            fy: 1,
+            fp: 1,
+            fu: 1,
+            fx: 1,
+            threads: 1,
+        };
+        check_session_repeats_match_fresh(ragged, Variant::New, params, fwd);
+        let two_threads = TuningParams {
+            threads: 2,
+            ..params
+        };
+        check_session_repeats_match_fresh(ragged, Variant::New, two_threads, fwd);
+    }
+
+    #[test]
+    fn a_session_carries_nothing_from_one_input_to_the_next() {
+        // A then B on one session must equal B on a fresh session.
+        for spec in [
+            ProblemSpec::cube(16, 4),
+            ProblemSpec {
+                nx: 12,
+                ny: 8,
+                nz: 10,
+                p: 4,
+            },
+        ] {
+            let params = TuningParams::seed(&spec);
+            mpisim::run(spec.p, move |comm| {
+                let a = local_test_slab(&spec, comm.rank());
+                let b: Vec<Complex64> = a
+                    .iter()
+                    .rev()
+                    .map(|c| Complex64::new(c.im - 0.25, 3.0 * c.re))
+                    .collect();
+                let session = || {
+                    FftSession::new(
+                        &comm,
+                        spec,
+                        Variant::New,
+                        params,
+                        Direction::Forward,
+                        Rigor::Estimate,
+                    )
+                };
+                let mut used = session();
+                used.execute(&a).expect("clean run");
+                let after_a = used.execute(&b).expect("clean run");
+                let mut fresh = session();
+                let alone = fresh.execute(&b).expect("clean run");
+                assert!(bits(&after_a.data) == bits(&alone.data), "{spec:?}");
+                used.free();
+                fresh.free();
+            });
+        }
+    }
+
+    #[test]
+    fn session_pools_receive_staging_and_idle_plans_hold_none() {
+        let spec = ProblemSpec::cube(16, 2);
+        let params = TuningParams {
+            t: 2,
+            ..TuningParams::seed(&spec)
+        };
+        assert!(
+            params.tiles(&spec) > params.w + 1,
+            "more plans than buffers"
+        );
+        mpisim::run(spec.p, move |comm| {
+            let input = local_test_slab(&spec, comm.rank());
+            let mut session = FftSession::new(
+                &comm,
+                spec,
+                Variant::New,
+                params,
+                Direction::Forward,
+                Rigor::Estimate,
+            );
+            for _ in 0..3 {
+                session.execute(&input).expect("clean run");
+            }
+            assert_eq!(session.live_plans(), params.tiles(&spec));
+            for plan in session.plans.iter().flatten() {
+                assert!(plan.recv().is_empty(), "an idle plan holds staging");
+            }
+            let pool = &session.workspace.recv_pool;
+            assert!(
+                pool.retained() <= params.w + 1,
+                "{} buffers",
+                pool.retained()
+            );
+            let tile_recv = params.t * spec.nx * (spec.ny / spec.p);
+            assert!(pool.retained_capacity() <= (params.w + 1) * tile_recv);
+            session.free();
+        });
+    }
+
+    #[test]
+    fn memory_bitflip_on_a_reused_workspace_is_detected_and_healed() {
+        // The fault plan flips a staged bit at the victim's tile 1 on every
+        // execution; from the second one on, the staging buffer, the slab
+        // it is re-packed from and the receive pool are all reused memory.
+        let spec = ProblemSpec::cube(8, 2);
+        let params = TuningParams::seed(&spec);
+        let dir = Direction::Forward;
+        let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
+        fft3_serial(&mut reference, spec.nx, spec.ny, spec.nz, dir);
+        let reference = std::sync::Arc::new(reference);
+        let victim = 0;
+        let faults = faultplan::FaultPlan::seeded(0x5eed).with_memory_bitflip(victim, 1);
+        mpisim::run_with_faults(spec.p, faults, move |comm| {
+            let input = local_test_slab(&spec, comm.rank());
+            let mut session =
+                FftSession::new(&comm, spec, Variant::New, params, dir, Rigor::Estimate);
+            for exec in 1..=3 {
+                let out = session
+                    .execute(&input)
+                    .expect("a detected pack corruption heals in place");
+                let err = compare_with_serial(&spec, comm.rank(), &out, &reference);
+                assert!(
+                    err < 1e-9 * spec.len() as f64,
+                    "execution {exec}: err {err}"
+                );
+                let healed = out.recovery.corruptions_healed;
+                if comm.rank() == victim {
+                    assert!(healed >= 1, "execution {exec}: victim heals");
+                } else {
+                    assert_eq!(healed, 0, "execution {exec}");
+                }
+            }
+            session.free();
+        });
     }
 
     #[test]

@@ -471,13 +471,38 @@ impl PayloadBits for f64 {
     }
 }
 
-/// Checksum of a payload slice: a seeded fold over every element's bit
-/// pattern plus the length, so both a flipped bit and a truncated block
-/// change the sum. Order-sensitive by construction ([`mix`] chains).
+/// Independent fold chains of [`checksum`]. One [`mix`] chain runs at the
+/// multiplier's *latency*; eight interleaved chains keep it busy, so the
+/// sum streams at close to its throughput.
+const LANES: usize = 8;
+
+/// Checksum of a payload slice: element `i` folds into lane `i mod LANES`
+/// ([`PayloadBits::fold_bits`]), the lanes start from distinct seeds, and
+/// the length and the lanes are folded into the result by one [`mix`] chain.
+///
+/// Deterministic, and sensitive to length and order (within a lane by the
+/// chain, across lanes by the seeds and the final fold). Every step is a
+/// bijection of its lane's state and `fold_bits` never maps two values of
+/// one word to the same state, so a change confined to one word of one
+/// element — any single flipped bit in particular — changes that lane and
+/// therefore the sum *with certainty*, not merely with high probability.
 pub fn checksum<T: PayloadBits>(data: &[T]) -> u64 {
+    let mut lanes = [0u64; LANES];
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        *lane = mix(0x5ca1_ab1e ^ ((j as u64 + 1) << 32));
+    }
+    let mut groups = data.chunks_exact(LANES);
+    for group in &mut groups {
+        for (lane, v) in lanes.iter_mut().zip(group) {
+            *lane = v.fold_bits(*lane);
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(groups.remainder()) {
+        *lane = v.fold_bits(*lane);
+    }
     let mut h = mix(0x5ca1_ab1e ^ data.len() as u64);
-    for v in data {
-        h = v.fold_bits(h);
+    for lane in lanes {
+        h = mix(h ^ lane);
     }
     h
 }
@@ -703,6 +728,66 @@ mod tests {
         assert_ne!(checksum(&a), checksum(&b));
         assert_ne!(checksum(&a), checksum(&c));
         assert_eq!(checksum::<u64>(&[]), checksum::<u64>(&[]));
+    }
+
+    /// Distinct, nonzero words with every byte populated.
+    fn lane_test_data(len: usize) -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| mix(i.wrapping_mul(0x9e37_79b9)) | 1)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_sees_every_single_bit_flip_at_every_length() {
+        // The certainty contract, exhaustively: partial groups, whole
+        // groups, and every lane position.
+        for len in 0..=4 * LANES + 1 {
+            let mut data = lane_test_data(len);
+            let clean = checksum(&data);
+            assert_eq!(clean, checksum(&data.clone()), "equal input, equal sum");
+            for idx in 0..len {
+                for bit in 0..u64::BITS {
+                    data[idx].flip_bit(bit);
+                    assert_ne!(
+                        checksum(&data),
+                        clean,
+                        "len {len}: flip ({idx}, {bit}) missed"
+                    );
+                    data[idx].flip_bit(bit);
+                }
+            }
+            assert_eq!(checksum(&data), clean, "len {len}: flips restored");
+        }
+    }
+
+    #[test]
+    fn checksum_is_order_sensitive_within_and_across_lanes() {
+        let data = lane_test_data(4 * LANES + 1);
+        let clean = checksum(&data);
+        // Same lane: indices congruent mod LANES.
+        let mut same_lane = data.clone();
+        same_lane.swap(1, 1 + 2 * LANES);
+        assert_ne!(checksum(&same_lane), clean);
+        // Different lanes, adjacent and far apart.
+        for (a, b) in [(0, 1), (2, LANES + 5), (LANES - 1, 4 * LANES)] {
+            let mut swapped = data.clone();
+            swapped.swap(a, b);
+            assert_ne!(checksum(&swapped), clean, "swap ({a}, {b}) missed");
+        }
+    }
+
+    #[test]
+    fn checksum_sees_an_appended_zero_element() {
+        for len in 0..=2 * LANES + 1 {
+            let mut data = vec![0u64; len];
+            let all_zero = checksum(&data);
+            data.push(0);
+            assert_ne!(checksum(&data), all_zero, "zeros: {len} vs {}", len + 1);
+            let mut data = lane_test_data(len);
+            let clean = checksum(&data);
+            data.push(0);
+            assert_ne!(checksum(&data), clean, "{len} vs {}", len + 1);
+        }
     }
 
     #[test]

@@ -124,7 +124,8 @@ pub(crate) fn displs(counts: &[usize]) -> Vec<usize> {
 /// laid out as contiguous per-source blocks in rank order.
 pub struct IAlltoall<T> {
     seq: u64,
-    /// Per-destination staged send blocks (`None` once pushed).
+    /// Per-destination staged send blocks (`None` once pushed, and always
+    /// for the self block, which never needs a wire copy).
     send_blocks: Vec<Option<Vec<T>>>,
     recv: Vec<T>,
     /// Shared with a [`crate::PersistentAlltoall`] plan when this execution
@@ -220,51 +221,59 @@ impl Comm {
         assert_eq!(send.len(), total_send, "send buffer length mismatch");
         assert_eq!(recv.len(), total_recv, "recv buffer length mismatch");
 
-        let sd = displs(send_counts);
-        let send_blocks: Vec<Option<Vec<T>>> = (0..p)
-            .map(|d| Some(send[sd[d]..sd[d] + send_counts[d]].to_vec()))
-            .collect();
-
         self.start_alltoall(
-            send_blocks,
+            send,
+            &displs(send_counts),
+            send_counts,
             recv,
             displs(recv_counts).into(),
             recv_counts.to_vec().into(),
         )
     }
 
-    /// Kicks off one execution over pre-staged blocks and shared schedule
-    /// vectors — the common tail of [`Comm::ialltoallv`] and a persistent
-    /// plan's `start()`. Draws a fresh collective sequence number so
-    /// concurrent (or repeated) executions can never cross-match.
+    /// Kicks off one execution over shared schedule vectors — the common
+    /// tail of [`Comm::ialltoallv`] and a persistent plan's `start()`.
+    /// Stages one wire copy per peer and copies the self block straight from
+    /// `send` into `recv` (round 0, done eagerly like real NBC
+    /// implementations do, and immune to faults). Draws a fresh collective
+    /// sequence number so concurrent (or repeated) executions can never
+    /// cross-match.
     pub(crate) fn start_alltoall<T: PayloadBits + Clone + Send + 'static>(
         &self,
-        send_blocks: Vec<Option<Vec<T>>>,
-        recv: Vec<T>,
+        send: &[T],
+        send_displs: &[usize],
+        send_counts: &[usize],
+        mut recv: Vec<T>,
         recv_displs: Arc<[usize]>,
         recv_counts: Arc<[usize]>,
     ) -> IAlltoall<T> {
+        let me = self.rank();
+        let block = |d: usize| &send[send_displs[d]..send_displs[d] + send_counts[d]];
+        let send_blocks: Vec<Option<Vec<T>>> = (0..self.size())
+            .map(|d| (d != me).then(|| block(d).to_vec()))
+            .collect();
+        let off = recv_displs[me];
+        recv[off..off + send_counts[me]].clone_from_slice(block(me));
         let mut req = IAlltoall {
             seq: self.next_coll_seq(),
             send_blocks,
             recv,
             recv_displs,
             recv_counts,
-            round: 0,
-            sent: 0,
+            round: 1,
+            sent: 1,
             size: self.size(),
-            rank: self.rank(),
+            rank: me,
             send_attempts: 0,
             corrupt_attempts: 0,
             failed: None,
             tests: 0,
             cancelled: false,
-            world_rank: self.world_rank(self.rank()),
+            world_rank: self.world_rank(me),
             check: self.world.check.clone(),
         };
-        // Round 0 is the local block: complete it at post time, like real
-        // NBC implementations do the self-copy eagerly. A fault error this
-        // early is remembered and surfaced by the first test/wait.
+        // Push the first peer round at post time. A fault error this early
+        // is remembered and surfaced by the first test/wait.
         let _ = req.progress(self);
         req
     }
@@ -410,15 +419,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
             let r = self.round;
             if self.sent == r {
                 let dest = (self.rank + r) % p;
-                if dest == self.rank {
-                    // Self block: copy directly, immune to faults.
-                    let block = self.send_blocks[dest].take().expect("block sent twice");
-                    let off = self.recv_displs[self.rank];
-                    self.recv[off..off + block.len()].clone_from_slice(&block);
-                    self.sent = r + 1;
-                    self.round = r + 1;
-                    continue;
-                }
+                debug_assert_ne!(dest, self.rank, "self round done at post time");
                 match self.post_send(comm, r, dest) {
                     Ok(true) => self.sent = r + 1,
                     Ok(false) => return self.stuck(comm),

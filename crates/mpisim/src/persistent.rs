@@ -53,7 +53,6 @@ pub struct PersistentAlltoall<T> {
     /// Executions started over this plan's lifetime.
     executions: u64,
     freed: bool,
-    size: usize,
     /// World rank of the owner (diagnostics in the leak lint).
     world_rank: usize,
     /// Verification state of a checked run (`None` otherwise).
@@ -144,7 +143,6 @@ impl Comm {
             active: None,
             executions: 0,
             freed: false,
-            size: p,
             world_rank: self.world_rank(self.rank()),
             check: self.world.check.clone(),
         }
@@ -173,12 +171,11 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
             self.recv_counts.iter().sum::<usize>(),
             "receive staging taken (take_recv) but not restored before start"
         );
-        let send_blocks: Vec<Option<Vec<T>>> = (0..self.size)
-            .map(|d| Some(send[self.send_displs[d]..][..self.send_counts[d]].to_vec()))
-            .collect();
         let recv = std::mem::take(&mut self.recv);
         let exec = comm.start_alltoall(
-            send_blocks,
+            send,
+            &self.send_displs,
+            &self.send_counts,
             recv,
             self.recv_displs.clone(),
             self.recv_counts.clone(),
