@@ -10,9 +10,17 @@
 //! cargo run -p fft-bench --release --bin decomp_crossover [-- N]
 //! ```
 
-use fft3d::pencil::{pencil_overlap_simulated, pencil_simulated, PencilGrid};
-use fft3d::{auto_select, fft3_simulated, Decomposition, ProblemSpec, TuningParams, Variant};
+use fft3d::{
+    auto_select, fft3_simulated, pencil_overlap_simulated_params, pencil_seed, pencil_simulated,
+    Decomposition, PencilGrid, ProblemSpec, TuningParams, Variant,
+};
 use simnet::model::hopper;
+
+/// The overlapped pencil pipeline at its seed parameters — what
+/// `auto_select` prices.
+fn pencil_overlapped(spec: ProblemSpec, grid: PencilGrid) -> f64 {
+    pencil_overlap_simulated_params(hopper(), spec, grid, &pencil_seed(&spec, grid))
+}
 
 fn main() {
     let n: usize = std::env::args()
@@ -33,7 +41,7 @@ fn main() {
             let grid = PencilGrid::near_square(p);
             let spec = ProblemSpec::cube(n, p);
             let pencil = pencil_simulated(hopper(), spec, grid);
-            let ovl = pencil_overlap_simulated(hopper(), spec, grid, 2, 32);
+            let ovl = pencil_overlapped(spec, grid);
             println!(
                 "{p:>6} | {:>12} | {pencil:>12.4} | {ovl:>14.4} | {:>10}",
                 "n/a", "pencil"
@@ -51,7 +59,7 @@ fn main() {
         .time;
         let grid = PencilGrid::near_square(p);
         let pencil = pencil_simulated(hopper(), spec, grid);
-        let ovl = pencil_overlap_simulated(hopper(), spec, grid, 2, 32);
+        let ovl = pencil_overlapped(spec, grid);
         let best_pencil = pencil.min(ovl);
         let winner = if slab <= best_pencil {
             "slab"
@@ -86,28 +94,27 @@ fn main() {
             Ok(Decomposition::Pencil(_)) => "pencil",
             Err(e) => panic!("auto_select({n}, {p}) refused: {e}"),
         };
-        let measured =
-            if p > n {
-                "pencil" // slabs cannot even be formed past p = N
+        let measured = if p > n {
+            "pencil" // slabs cannot even be formed past p = N
+        } else {
+            let spec = ProblemSpec::cube(n, p);
+            let slab = fft3_simulated(
+                hopper(),
+                spec,
+                Variant::New,
+                TuningParams::seed(&spec),
+                false,
+            )
+            .time;
+            let grid = PencilGrid::near_square(p);
+            let best_pencil =
+                pencil_simulated(hopper(), spec, grid).min(pencil_overlapped(spec, grid));
+            if slab <= best_pencil {
+                "slab"
             } else {
-                let spec = ProblemSpec::cube(n, p);
-                let slab = fft3_simulated(
-                    hopper(),
-                    spec,
-                    Variant::New,
-                    TuningParams::seed(&spec),
-                    false,
-                )
-                .time;
-                let grid = PencilGrid::near_square(p);
-                let best_pencil = pencil_simulated(hopper(), spec, grid)
-                    .min(pencil_overlap_simulated(hopper(), spec, grid, 2, 32));
-                if slab <= best_pencil {
-                    "slab"
-                } else {
-                    "pencil"
-                }
-            };
+                "pencil"
+            }
+        };
         println!("{p:>6} | {measured:>10} | {selected:>10}");
         if i == 0 || p > n {
             endpoints.push((p, measured, selected));

@@ -6,8 +6,7 @@
 //! cargo run -p fft-bench --release --bin multi_array [-- N p]
 //! ```
 
-use fft3d::multi::multi_simulated;
-use fft3d::{ProblemSpec, TuningParams};
+use fft3d::{try_multi_simulated, ProblemSpec, Resilience, TuningParams};
 use simnet::model::umd_cluster;
 
 fn main() {
@@ -22,7 +21,8 @@ fn main() {
         "arrays", "sequential (s)", "fused (s)", "gain"
     );
     for narrays in [1usize, 2, 3, 4, 6, 8] {
-        let rep = multi_simulated(umd_cluster(), spec, params, narrays);
+        let rep = try_multi_simulated(umd_cluster(), spec, params, narrays, &Resilience::default())
+            .unwrap_or_else(|e| panic!("multi-array pipeline failed: {e}"));
         println!(
             "{narrays:>7} | {:>14.4} | {:>12.4} | {:>7.2}×",
             rep.sequential_time,

@@ -14,9 +14,9 @@
 
 use crate::error::Error;
 use crate::params::{ParamError, ProblemSpec, TuningParams};
-use crate::pencil::{pencil_overlap_simulated_params, pencil_seed, PencilGrid};
+use crate::pencil::{pencil_seed, PencilGrid};
 use crate::real_env::Variant;
-use crate::sim_env::fft3_simulated;
+use crate::sim_env::{fft3_simulated, pencil_overlap_simulated_params};
 use simnet::Platform;
 
 /// How one axis of length `n` is divided among `p` ranks.

@@ -85,9 +85,7 @@ pub enum Error {
     /// hold within tolerance: the recomputed result is not trusted.
     VerificationFailed,
     /// A batched entry point was handed zero work items (`narrays == 0`,
-    /// an empty job train): there is nothing to transform. The legacy
-    /// `multi_simulated` turned this caller error into an `assert!` panic;
-    /// the `try_` path reports it as a value.
+    /// an empty job train): there is nothing to transform.
     EmptyBatch,
     /// An invariant the pipeline relies on was violated (a bug, not an
     /// environmental fault); carries a static description.

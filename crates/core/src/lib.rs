@@ -44,7 +44,6 @@
 pub mod breakdown;
 pub mod decomp;
 pub mod error;
-pub mod multi;
 pub mod params;
 pub mod pencil;
 pub mod pipeline;
@@ -53,6 +52,7 @@ pub mod recover;
 pub mod serial;
 pub mod service;
 pub mod sim_env;
+mod stage;
 pub mod trace;
 pub mod xplan;
 
@@ -60,12 +60,10 @@ pub use breakdown::{RunStats, StepTimes};
 pub use decomp::{auto_select, Decomposition};
 pub use error::Error;
 pub use error::IntegrityStage;
-pub use multi::{multi_simulated, try_multi_simulated, MultiReport};
 pub use params::{ProblemSpec, ThParams, TuningParams};
 pub use pencil::{
-    compare_pencil_with_serial, fft3_pencil, fft3_pencil_overlapped, pencil_feasible,
-    pencil_overlap_simulated, pencil_overlap_simulated_params, pencil_overlap_simulated_repeated,
-    pencil_seed, pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
+    compare_pencil_with_serial, fft3_pencil, fft3_pencil_overlapped, pencil_feasible, pencil_seed,
+    pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
     try_fft3_pencil_overlapped_traced, PencilGrid, PencilOutput, PencilRunOutput, PencilSession,
 };
 pub use pipeline::{Recovery, Resilience};
@@ -82,8 +80,9 @@ pub use service::{
     JobSpec, RejectReason, Service, ServiceConfig, ServiceReport, TenantStats,
 };
 pub use sim_env::{
-    fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced, th_simulated,
-    try_fft3_simulated, SimReport,
+    fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
+    pencil_overlap_simulated_params, pencil_overlap_simulated_repeated, pencil_simulated,
+    th_simulated, try_fft3_simulated, try_multi_simulated, MultiReport, SimReport,
 };
 pub use trace::{
     derive_step_times, overlap_summary, trace_to_json, DegradeAction, EventKind, MemRecorder,

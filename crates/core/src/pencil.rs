@@ -11,9 +11,12 @@
 //!   driven by the same resilient pipeline ([`crate::pipeline::try_run_new`])
 //!   as the slab backend, with the degradation ladder, tracing, and
 //!   persistent-plan reuse via [`PencilSession`];
-//! * [`pencil_simulated`] / [`pencil_overlap_simulated`] — their cost
-//!   models on `simnet`, used by the `decomp_crossover` bench and by
-//!   [`crate::decomp::auto_select`] to locate the slab-vs-pencil crossover.
+//!
+//! Their cost models on `simnet` ([`crate::sim_env::pencil_simulated`],
+//! [`crate::sim_env::pencil_overlap_simulated_params`]) price the same two
+//! stages from `crate::stage::pencil`; the `decomp_crossover` bench and
+//! [`crate::decomp::auto_select`] use them to locate the slab-vs-pencil
+//! crossover.
 //!
 //! The process grid is `pr × pc` (`p = pr · pc`). Distributions:
 //!
@@ -44,7 +47,6 @@ use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
 use simnet::model::ELEM_BYTES;
-use simnet::{run_sim, Platform};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1215,332 +1217,6 @@ pub fn pencil_feasible(spec: &ProblemSpec, grid: PencilGrid, params: &TuningPara
 }
 
 // ---------------------------------------------------------------------------
-// Cost models
-// ---------------------------------------------------------------------------
-
-/// Simulated cost of the (blocking) pencil transform: three FFT sweeps,
-/// two pack/exchange/unpack stages over `√p`-sized subgroups.
-pub fn pencil_simulated(platform: Platform, spec: ProblemSpec, grid: PencilGrid) -> f64 {
-    assert_eq!(grid.len(), spec.p);
-    let times = run_sim(platform, spec.p, move |sim| {
-        let m = sim.platform().machine.clone();
-        let net = sim.platform().net.clone();
-        let (pr, pc) = (grid.pr, grid.pc);
-        let nxl = spec.nx.div_ceil(pr);
-        let nyc = spec.ny.div_ceil(pc);
-        let nzl = spec.nz.div_ceil(pc);
-        let ny2l = spec.ny.div_ceil(pr);
-
-        // FFTz + pack/unpack + row exchange.
-        sim.compute(m.fft_batch(spec.nz, (nxl * nyc) as u64));
-        let stage1_bytes = (nxl * nyc * spec.nz) as u64 * ELEM_BYTES;
-        sim.compute(m.pack(stage1_bytes, m.subtile_cache_bytes, nzl as u64 * ELEM_BYTES));
-        // Row exchange rendezvous is only among pc ranks, but the engine's
-        // collectives are global; model the subgroup exchange as a global
-        // rendezvous with the subgroup's transfer cost (symmetric rows run
-        // in parallel on disjoint links).
-        let per_peer = stage1_bytes / pc.max(1) as u64;
-        let (_, _end) = sim.blocking_alltoall(0); // rendezvous
-        sim.compute(net.blocking_duration(pc, per_peer).as_secs_f64());
-        sim.compute(m.pack(
-            stage1_bytes,
-            m.subtile_cache_bytes,
-            (spec.ny / pc.max(1)).max(1) as u64 * ELEM_BYTES,
-        ));
-
-        // FFTy + pack/unpack + column exchange.
-        sim.compute(m.fft_batch(spec.ny, (nxl * nzl) as u64));
-        let stage2_bytes = (nxl * spec.ny * nzl) as u64 * ELEM_BYTES;
-        let per_peer = stage2_bytes / pr.max(1) as u64;
-        sim.compute(m.pack(
-            stage2_bytes,
-            m.subtile_cache_bytes,
-            (spec.ny / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-        ));
-        let (_, _end) = sim.blocking_alltoall(0);
-        sim.compute(net.blocking_duration(pr, per_peer).as_secs_f64());
-        sim.compute(m.pack(
-            stage2_bytes,
-            m.subtile_cache_bytes,
-            (spec.nx / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-        ));
-
-        // FFTx.
-        sim.compute(m.fft_batch(spec.nx, (ny2l * nzl) as u64));
-        sim.now().as_secs_f64()
-    });
-    times.into_iter().fold(0.0, f64::max)
-}
-
-/// Simulated cost of the pencil transform **with the paper's overlap
-/// applied to both exchanges** — §7's main future-work item realised on
-/// the model.
-///
-/// Stage 1 (z↔y within rows) tiles along x: each x-slice's FFTz/Pack
-/// overlaps the previous slices' row exchanges; Unpack/FFTy overlap the
-/// next ones. Stage 2 (y↔x within columns) tiles along z the same way,
-/// ending in FFTx. `w` windows and `f` polls per phase mirror the slab
-/// pipeline's `W`/`F*`.
-pub fn pencil_overlap_simulated(
-    platform: Platform,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    w: usize,
-    f: u32,
-) -> f64 {
-    assert_eq!(grid.len(), spec.p);
-    assert!(w >= 1);
-    let times = run_sim(platform, spec.p, move |sim| {
-        let m = sim.platform().machine.clone();
-        let (pr, pc) = (grid.pr, grid.pc);
-        let nxl = spec.nx.div_ceil(pr).max(1);
-        let nyc = spec.ny.div_ceil(pc).max(1);
-        let nzl = spec.nz.div_ceil(pc).max(1);
-        let ny2l = spec.ny.div_ceil(pr).max(1);
-        let cache = m.subtile_cache_bytes;
-
-        // ---- Stage 1: tiles along x, exchange within rows (size pc) ----
-        let k1 = nxl.clamp(1, 16);
-        let xt = nxl.div_ceil(k1); // x-planes per tile
-        let tile_bytes = (xt * nyc * spec.nz) as u64 * ELEM_BYTES;
-        let per_peer = tile_bytes / pc.max(1) as u64;
-        let mut window: Vec<simnet::OpId> = Vec::new();
-        let drain = |sim: &mut simnet::SimRank, window: &mut Vec<simnet::OpId>, keep: usize| {
-            while window.len() > keep {
-                let op = window.remove(0);
-                sim.wait(op);
-                // Unpack + FFTy of the drained tile.
-                let unpack = m.pack(
-                    tile_bytes,
-                    cache,
-                    (spec.ny / pc.max(1)).max(1) as u64 * ELEM_BYTES,
-                );
-                let ffty = m.fft_batch(spec.ny, (xt * nzl) as u64);
-                sim.compute_with_polls(unpack + ffty, f, window);
-            }
-        };
-        for _i in 0..k1 {
-            let fftz = m.fft_batch(spec.nz, (xt * nyc) as u64);
-            let pack = m.pack(tile_bytes, cache, nzl as u64 * ELEM_BYTES);
-            sim.compute_with_polls(fftz + pack, f, &window);
-            drain(sim, &mut window, w.saturating_sub(1));
-            window.push(sim.post_alltoall_in_group(pc, per_peer));
-        }
-        drain(sim, &mut window, 0);
-
-        // ---- Stage 2: tiles along z, exchange within columns (size pr) --
-        let k2 = nzl.clamp(1, 16);
-        let zt = nzl.div_ceil(k2);
-        let tile_bytes = (nxl * spec.ny * zt) as u64 * ELEM_BYTES;
-        let per_peer = tile_bytes / pr.max(1) as u64;
-        let mut window: Vec<simnet::OpId> = Vec::new();
-        let drain2 = |sim: &mut simnet::SimRank, window: &mut Vec<simnet::OpId>, keep: usize| {
-            while window.len() > keep {
-                let op = window.remove(0);
-                sim.wait(op);
-                let unpack = m.pack(
-                    tile_bytes,
-                    cache,
-                    (spec.nx / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-                );
-                let fftx = m.fft_batch(spec.nx, (ny2l * zt) as u64);
-                sim.compute_with_polls(unpack + fftx, f, window);
-            }
-        };
-        for _j in 0..k2 {
-            let pack = m.pack(
-                tile_bytes,
-                cache,
-                (spec.ny / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-            );
-            sim.compute_with_polls(pack, f, &window);
-            drain2(sim, &mut window, w.saturating_sub(1));
-            window.push(sim.post_alltoall_in_group(pr, per_peer));
-        }
-        drain2(sim, &mut window, 0);
-
-        sim.now().as_secs_f64()
-    });
-    times.into_iter().fold(0.0, f64::max)
-}
-
-/// Per-stage persistent-plan slots for the simulated backend.
-#[derive(Default)]
-struct PencilSimPlans {
-    row: Vec<Option<simnet::PlanId>>,
-    col: Vec<Option<simnet::PlanId>>,
-}
-
-/// One simulated overlapped pencil transform on one rank, honouring the
-/// full tuning vector the way the real backend does: `t` sizes the tiles,
-/// `w` windows (0 = post-then-wait, no overlap), `fp` polls during the
-/// pre-exchange compute, `fu + fy` / `fu + fx` during the post-exchange
-/// compute of stage 1 / stage 2. With `plans`, each tile's exchange is a
-/// persistent plan: `alltoall_init` (setup charged) on first use,
-/// `start` (no setup) afterwards.
-fn pencil_overlap_rank_sim(
-    sim: &mut simnet::SimRank,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    mut plans: Option<&mut PencilSimPlans>,
-) {
-    let m = sim.platform().machine.clone();
-    let (pr, pc) = (grid.pr, grid.pc);
-    let nxl = spec.nx.div_ceil(pr).max(1);
-    let nyc = spec.ny.div_ceil(pc).max(1);
-    let nzl = spec.nz.div_ceil(pc).max(1);
-    let ny2l = spec.ny.div_ceil(pr).max(1);
-    let cache = m.subtile_cache_bytes;
-    let w = params.w;
-
-    // ---- Stage 1: tiles along x, exchange within rows (size pc) --------
-    let xt = params.t.clamp(1, nxl);
-    let k1 = nxl.div_ceil(xt);
-    let tile_bytes = (xt * nyc * spec.nz) as u64 * ELEM_BYTES;
-    let per_peer = tile_bytes / pc.max(1) as u64;
-    let f_post = params.fu + params.fy;
-    let mut window: Vec<simnet::OpId> = Vec::new();
-    let drain = |sim: &mut simnet::SimRank, window: &mut Vec<simnet::OpId>, keep: usize| {
-        while window.len() > keep {
-            let op = window.remove(0);
-            sim.wait(op);
-            let unpack = m.pack(
-                tile_bytes,
-                cache,
-                (spec.ny / pc.max(1)).max(1) as u64 * ELEM_BYTES,
-            );
-            let ffty = m.fft_batch(spec.ny, (xt * nzl) as u64);
-            sim.compute_with_polls(unpack + ffty, f_post, window);
-        }
-    };
-    for i in 0..k1 {
-        let fftz = m.fft_batch(spec.nz, (xt * nyc) as u64);
-        let pack = m.pack(tile_bytes, cache, nzl as u64 * ELEM_BYTES);
-        sim.compute_with_polls(fftz + pack, params.fp, &window);
-        if w > 0 {
-            drain(sim, &mut window, w - 1);
-        }
-        let op = match plans.as_deref_mut() {
-            Some(p) => {
-                let plan =
-                    *p.row[i].get_or_insert_with(|| sim.alltoall_init_in_group(pc, per_peer));
-                sim.start(plan)
-            }
-            None => sim.post_alltoall_in_group(pc, per_peer),
-        };
-        window.push(op);
-        if w == 0 {
-            drain(sim, &mut window, 0);
-        }
-    }
-    drain(sim, &mut window, 0);
-
-    // ---- Stage 2: tiles along z, exchange within columns (size pr) ------
-    let zt = params.t.clamp(1, nzl);
-    let k2 = nzl.div_ceil(zt);
-    let tile_bytes = (nxl * spec.ny * zt) as u64 * ELEM_BYTES;
-    let per_peer = tile_bytes / pr.max(1) as u64;
-    let f_post = params.fu + params.fx;
-    let mut window: Vec<simnet::OpId> = Vec::new();
-    let drain2 = |sim: &mut simnet::SimRank, window: &mut Vec<simnet::OpId>, keep: usize| {
-        while window.len() > keep {
-            let op = window.remove(0);
-            sim.wait(op);
-            let unpack = m.pack(
-                tile_bytes,
-                cache,
-                (spec.nx / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-            );
-            let fftx = m.fft_batch(spec.nx, (ny2l * zt) as u64);
-            sim.compute_with_polls(unpack + fftx, f_post, window);
-        }
-    };
-    for j in 0..k2 {
-        let pack = m.pack(
-            tile_bytes,
-            cache,
-            (spec.ny / pr.max(1)).max(1) as u64 * ELEM_BYTES,
-        );
-        sim.compute_with_polls(pack, params.fp, &window);
-        if w > 0 {
-            drain2(sim, &mut window, w - 1);
-        }
-        let op = match plans.as_deref_mut() {
-            Some(p) => {
-                let plan =
-                    *p.col[j].get_or_insert_with(|| sim.alltoall_init_in_group(pr, per_peer));
-                sim.start(plan)
-            }
-            None => sim.post_alltoall_in_group(pr, per_peer),
-        };
-        window.push(op);
-        if w == 0 {
-            drain2(sim, &mut window, 0);
-        }
-    }
-    drain2(sim, &mut window, 0);
-}
-
-/// [`pencil_overlap_simulated`] honouring a full [`TuningParams`] vector —
-/// what the tuner's pencil objective evaluates. Unlike the two-knob
-/// variant, `t` sizes the tiles directly (the real backend's semantics)
-/// and the four polling knobs map to the stages exactly as
-/// [`try_fft3_pencil_overlapped`] applies them.
-pub fn pencil_overlap_simulated_params(
-    platform: Platform,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: &TuningParams,
-) -> f64 {
-    assert_eq!(grid.len(), spec.p);
-    let params = *params;
-    let times = run_sim(platform, spec.p, move |sim| {
-        pencil_overlap_rank_sim(sim, spec, grid, params, None);
-        sim.now().as_secs_f64()
-    });
-    times.into_iter().fold(0.0, f64::max)
-}
-
-/// `reps` back-to-back simulated overlapped pencil transforms with
-/// persistent exchange plans: the first repetition pays every tile's
-/// `alltoall_init` setup charge, later ones only `start`. Returns the
-/// per-repetition makespans (max across ranks).
-pub fn pencil_overlap_simulated_repeated(
-    platform: Platform,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: &TuningParams,
-    reps: usize,
-) -> Vec<f64> {
-    assert_eq!(grid.len(), spec.p);
-    let params = *params;
-    let times: Vec<Vec<f64>> = run_sim(platform, spec.p, move |sim| {
-        let nxl = spec.nx.div_ceil(grid.pr).max(1);
-        let nzl = spec.nz.div_ceil(grid.pc).max(1);
-        let k1 = nxl.div_ceil(params.t.clamp(1, nxl));
-        let k2 = nzl.div_ceil(params.t.clamp(1, nzl));
-        let mut plans = PencilSimPlans {
-            row: vec![None; k1],
-            col: vec![None; k2],
-        };
-        let mut out = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            // Rendezvous so per-rep spans measure the transform, not drift
-            // accumulated by earlier repetitions.
-            let (_, _end) = sim.blocking_alltoall(0);
-            let t0 = sim.now().as_secs_f64();
-            pencil_overlap_rank_sim(sim, spec, grid, params, Some(&mut plans));
-            out.push(sim.now().as_secs_f64() - t0);
-        }
-        out
-    });
-    (0..reps)
-        .map(|r| times.iter().map(|t| t[r]).fold(0.0, f64::max))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Test/verification helpers (shared with mpicheck and the test suites)
 // ---------------------------------------------------------------------------
 
@@ -1594,7 +1270,6 @@ mod tests {
     use super::*;
     use crate::serial::{fft3_serial, full_test_array};
     use crate::trace::MemRecorder;
-    use simnet::model::umd_cluster;
     use std::sync::Arc;
 
     fn serial_reference(spec: ProblemSpec, dir: Direction) -> Arc<Vec<Complex64>> {
@@ -1916,63 +1591,6 @@ mod tests {
                 &|k| matches!(k, EventKind::Fftx { tile, .. } if *tile >= 2)
             ));
         }
-    }
-
-    #[test]
-    fn simulated_pencil_runs_and_is_positive() {
-        let spec = ProblemSpec::cube(256, 16);
-        let t = pencil_simulated(umd_cluster(), spec, PencilGrid::near_square(16));
-        assert!(t > 0.0 && t.is_finite());
-    }
-
-    #[test]
-    fn overlapped_pencil_beats_blocking_pencil() {
-        // §7 realised: applying the overlap method to the 2-D decomposition
-        // hides exchange time on the communication-bound UMD model.
-        let spec = ProblemSpec::cube(256, 16);
-        let grid = PencilGrid::near_square(16);
-        let blocking = pencil_simulated(umd_cluster(), spec, grid);
-        let overlapped = pencil_overlap_simulated(umd_cluster(), spec, grid, 2, 16);
-        assert!(
-            overlapped < blocking,
-            "overlap must help the pencil path too: {overlapped:.3} vs {blocking:.3}"
-        );
-    }
-
-    #[test]
-    fn overlapped_pencil_is_deterministic() {
-        let spec = ProblemSpec::cube(128, 8);
-        let grid = PencilGrid::near_square(8);
-        let a = pencil_overlap_simulated(umd_cluster(), spec, grid, 2, 8);
-        let b = pencil_overlap_simulated(umd_cluster(), spec, grid, 2, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn params_cost_model_is_deterministic_and_positive() {
-        let spec = ProblemSpec::cube(128, 8);
-        let grid = PencilGrid::near_square(8);
-        let params = pencil_seed(&spec, grid);
-        let a = pencil_overlap_simulated_params(umd_cluster(), spec, grid, &params);
-        let b = pencil_overlap_simulated_params(umd_cluster(), spec, grid, &params);
-        assert!(a > 0.0 && a.is_finite());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn repeated_simulated_transforms_amortise_plan_setup() {
-        let spec = ProblemSpec::cube(128, 8);
-        let grid = PencilGrid::near_square(8);
-        let params = pencil_seed(&spec, grid);
-        let reps = pencil_overlap_simulated_repeated(umd_cluster(), spec, grid, &params, 3);
-        assert_eq!(reps.len(), 3);
-        assert!(reps.iter().all(|t| *t > 0.0 && t.is_finite()));
-        // Repetition 0 pays every tile's alltoall_init setup charge.
-        assert!(
-            reps[1] < reps[0],
-            "persistent plans must amortise setup: {reps:?}"
-        );
-        assert_eq!(reps[1], reps[2]);
     }
 
     #[test]

@@ -2,17 +2,13 @@
 //! the two backends (real execution on `mpisim`, modeled execution on
 //! `simnet`) so both run the *same* schedule.
 //!
-//! Two families of entry points run that schedule:
-//!
-//! * [`run_new`] / [`run_th`] — the original infallible drivers; any fault
-//!   escalates to a panic.
-//! * [`try_run_new`] / [`try_run_th`] — resilient drivers that climb a
-//!   **degradation ladder** when a tile's all-to-all stalls: first boost the
-//!   `MPI_Test` polling frequencies, then shrink the window `W`, then fall
-//!   back to blocking (FFTW-style) exchanges, and only after the per-wait
-//!   strike budget is spent surface a typed [`Error`]. The climb is reported
-//!   in the returned [`Recovery`] and mirrored to the backend via
-//!   [`OverlapEnv::on_degrade`] so traces show the recovery.
+//! [`try_run_new`] / [`try_run_th`] are resilient drivers: they climb a
+//! **degradation ladder** when a tile's all-to-all stalls — first boost the
+//! `MPI_Test` polling frequencies, then shrink the window `W`, then fall
+//! back to blocking (FFTW-style) exchanges — and only after the per-wait
+//! strike budget is spent surface a typed [`Error`]. The climb is reported
+//! in the returned [`Recovery`] and mirrored to the backend via
+//! [`OverlapEnv::on_degrade`] so traces show the recovery.
 
 use crate::error::{Error, IntegrityStage};
 use crate::trace::DegradeAction;
@@ -108,7 +104,7 @@ pub trait OverlapEnv {
 pub struct Resilience {
     /// Watchdog timeout a backend's `wait` applies before reporting
     /// [`Error::Stalled`]. `None` disables the watchdog: waits block
-    /// forever, as the legacy drivers did.
+    /// forever.
     pub stall_timeout: Option<Duration>,
     /// Multiplier applied to the `F*` polling frequencies by the ladder's
     /// first rung.
@@ -300,19 +296,30 @@ fn cancel_all<E: OverlapEnv>(
 /// post immediately followed by wait (lines 6–7 "replaced with
 /// `MPI_Ialltoall` and `MPI_Wait` on tile i"), no polls.
 ///
-/// # Panics
-/// On any pipeline fault; use [`try_run_new`] for the typed error path.
-pub fn run_new<E: OverlapEnv>(env: &mut E) {
-    try_run_new(env, &Resilience::default())
-        .unwrap_or_else(|e| panic!("overlap pipeline failed: {e}"));
+/// On a detected stall the driver climbs the degradation ladder (boost
+/// polls → shrink window → blocking fallback) and keeps going; it returns
+/// what it had to do, or the fault that exhausted the ladder. All in-flight
+/// requests are cancelled on the error path — nothing leaks.
+pub fn try_run_new<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
+    try_run(env, res, drive_new)
 }
 
-/// [`run_new`] with stall recovery: on a detected stall the driver climbs
-/// the degradation ladder (boost polls → shrink window → blocking fallback)
-/// and keeps going; it returns what it had to do, or the fault that
-/// exhausted the ladder. All in-flight requests are cancelled on the error
-/// path — nothing leaks.
-pub fn try_run_new<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
+/// A windowed schedule over `k` tiles: [`drive_new`] or [`drive_th`].
+type Drive<E> = fn(
+    &mut E,
+    usize,
+    &mut Ladder<'_>,
+    &mut Vec<(usize, <E as OverlapEnv>::Req)>,
+) -> Result<(), Error>;
+
+/// What both schedules share: the fixed steps, the `W = 0` degenerate case
+/// (per tile, post immediately followed by wait — no overlap, no polls), and
+/// the error path.
+fn try_run<E: OverlapEnv>(
+    env: &mut E,
+    res: &Resilience,
+    drive: Drive<E>,
+) -> Result<Recovery, Error> {
     env.fftz_transpose();
     let k = env.num_tiles();
     let w = env.window();
@@ -330,7 +337,7 @@ pub fn try_run_new<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recov
     }
 
     let mut inflight: Vec<(usize, E::Req)> = Vec::with_capacity(w);
-    match drive_new(env, k, &mut ladder, &mut inflight) {
+    match drive(env, k, &mut ladder, &mut inflight) {
         Ok(()) => Ok(ladder.recovery),
         Err(e) => Err(cancel_all(env, &mut inflight, e)),
     }
@@ -398,38 +405,9 @@ fn drive_new<E: OverlapEnv>(
 /// Runs the TH comparator's schedule (Hoefler et al. [18]): only FFTy and
 /// Pack overlap with communication; Unpack and FFTx happen after the wait,
 /// with no progression polls — the reason TH's Wait bar dwarfs NEW's in
-/// Figure 8.
-///
-/// # Panics
-/// On any pipeline fault; use [`try_run_th`] for the typed error path.
-pub fn run_th<E: OverlapEnv>(env: &mut E) {
-    try_run_th(env, &Resilience::default())
-        .unwrap_or_else(|e| panic!("overlap pipeline failed: {e}"));
-}
-
-/// [`run_th`] with the same stall-recovery ladder as [`try_run_new`].
+/// Figure 8. Same stall-recovery ladder as [`try_run_new`].
 pub fn try_run_th<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
-    env.fftz_transpose();
-    let k = env.num_tiles();
-    let w = env.window();
-    let mut ladder = Ladder::new(res, w);
-
-    if w == 0 {
-        for i in 0..k {
-            env.sched_point();
-            env.ffty_pack(i, &mut [])?;
-            let req = ladder.post_recover(env, i)?;
-            ladder.wait_recover(env, i, req)?;
-            env.unpack_fftx(i, &mut [])?;
-        }
-        return Ok(ladder.recovery);
-    }
-
-    let mut inflight: Vec<(usize, E::Req)> = Vec::with_capacity(w);
-    match drive_th(env, k, &mut ladder, &mut inflight) {
-        Ok(()) => Ok(ladder.recovery),
-        Err(e) => Err(cancel_all(env, &mut inflight, e)),
-    }
+    try_run(env, res, drive_th)
 }
 
 /// The TH schedule: owed waits drain (wait + no-poll unpack) *before* the
@@ -587,7 +565,7 @@ mod tests {
     fn new_schedule_matches_algorithm_1() {
         // k = 3 tiles, W = 2: figure 3's interleaving.
         let mut env = Recorder::new(3, 2);
-        run_new(&mut env);
+        try_run_new(&mut env, &Resilience::default()).unwrap();
         assert_eq!(
             env.log,
             vec![
@@ -600,7 +578,7 @@ mod tests {
     #[test]
     fn new_with_window_zero_is_sequential_per_tile() {
         let mut env = Recorder::new(2, 0);
-        run_new(&mut env);
+        try_run_new(&mut env, &Resilience::default()).unwrap();
         assert_eq!(
             env.log,
             vec!["zT", "yP0(w0)", "A0", "W0", "uX0(w0)", "yP1(w0)", "A1", "W1", "uX1(w0)"]
@@ -610,7 +588,7 @@ mod tests {
     #[test]
     fn th_does_not_poll_during_unpack() {
         let mut env = Recorder::new(3, 1);
-        run_th(&mut env);
+        try_run_th(&mut env, &Resilience::default()).unwrap();
         // Every uX entry must report an empty window.
         for entry in env.log.iter().filter(|e| e.starts_with("uX")) {
             assert!(entry.ends_with("(w0)"), "TH polled during unpack: {entry}");
@@ -626,7 +604,7 @@ mod tests {
     fn every_tile_is_waited_exactly_once() {
         for (k, w) in [(1, 1), (4, 1), (4, 2), (4, 4), (5, 3), (8, 2)] {
             let mut env = Recorder::new(k, w);
-            run_new(&mut env);
+            try_run_new(&mut env, &Resilience::default()).unwrap();
             for t in 0..k {
                 let waits = env.log.iter().filter(|e| **e == format!("W{t}")).count();
                 assert_eq!(waits, 1, "k={k} w={w} tile={t}");
@@ -640,7 +618,7 @@ mod tests {
     fn window_never_exceeds_w() {
         for (k, w) in [(6, 1), (6, 2), (6, 3)] {
             let mut env = Recorder::new(k, w);
-            run_new(&mut env);
+            try_run_new(&mut env, &Resilience::default()).unwrap();
             for e in &env.log {
                 if let Some(pos) = e.find("(w") {
                     let n: usize = e[pos + 2..e.len() - 1].parse().unwrap();
@@ -653,7 +631,7 @@ mod tests {
     #[test]
     fn wait_precedes_unpack_for_same_tile() {
         let mut env = Recorder::new(5, 2);
-        run_new(&mut env);
+        try_run_new(&mut env, &Resilience::default()).unwrap();
         for t in 0..5 {
             let wi = env.log.iter().position(|e| *e == format!("W{t}")).unwrap();
             let ui = env
@@ -668,7 +646,7 @@ mod tests {
     #[test]
     fn th_matches_legacy_sequence() {
         let mut env = Recorder::new(3, 1);
-        run_th(&mut env);
+        try_run_th(&mut env, &Resilience::default()).unwrap();
         assert_eq!(
             env.log,
             vec![

@@ -15,9 +15,9 @@
 //! The robustness core:
 //!
 //! * **Admission control** — completion time is predicted from the same
-//!   [`SlabCosts`]/pencil cost tables the pipelines themselves are priced
-//!   with, so the controller can never disagree with the simulation it
-//!   gates. Jobs that cannot meet their deadline, or that would overflow
+//!   cost table (`crate::stage`) and the same windowed driver
+//!   ([`crate::pipeline`]) the simulated pipelines run on, so the
+//!   controller can never disagree with the simulation it gates. Jobs that cannot meet their deadline, or that would overflow
 //!   their tenant's bounded queue, are shed with a typed
 //!   [`Admission::Rejected`] reason instead of being accepted and killed
 //!   later (backpressure, not unbounded growth).
@@ -42,8 +42,9 @@
 //! plan (§15's setup-once/execute-many, lifted to the service layer), the
 //! scheduler-level analogue of sharing `PlanCache`/`TransformPlanCache`.
 //! A tenant's same-geometry job train can also be submitted as one fused
-//! [`JobSpec::arrays`] batch, which routes through the
-//! [`crate::multi`] inter-array pipeline shape.
+//! [`JobSpec::arrays`] batch, whose program keeps the window open across
+//! array boundaries — the inter-array pipeline shape of
+//! [`crate::sim_env::try_multi_simulated`].
 //!
 //! Everything on the timing layer is a pure function of (jobs, config):
 //! no wall clock, no hash-map iteration, no thread scheduling — the same
@@ -51,18 +52,19 @@
 
 use crate::decomp::{auto_select, Decomposition};
 use crate::error::Error;
-use crate::multi::SlabCosts;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::{compare_pencil_with_serial, pencil_seed, pencil_test_input, try_fft3_pencil};
+use crate::pipeline::{try_run_new, OverlapEnv, Resilience};
 use crate::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
 use crate::recover::{run_recoverable, RecoverConfig, ReplicaSource};
 use crate::serial::{fft3_serial, full_test_array};
+use crate::stage::{self, Phase, StageCosts};
 use crate::trace::NoopRecorder;
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use faultplan::FaultKind;
 use mpisim::{Backoff, FaultPlan};
-use simnet::model::{MachineModel, NetModel, ELEM_BYTES};
+use simnet::model::NetModel;
 use simnet::Platform;
 use std::sync::Arc;
 
@@ -93,8 +95,8 @@ pub struct JobSpec {
     pub deadline: Option<f64>,
     /// Submission time (virtual seconds from the epoch of the batch).
     pub arrival: f64,
-    /// Arrays in this job train (> 1 routes through the fused multi-array
-    /// pipeline shape of [`crate::multi`]).
+    /// Arrays in this job train (> 1 fuses them into one pipeline, as
+    /// [`crate::sim_env::try_multi_simulated`] does).
     pub arrays: usize,
     /// Faults this job brings with it (crashes, stragglers, slow links) —
     /// scoped to this job alone, never to other tenants.
@@ -532,7 +534,7 @@ struct CrashMark {
 
 /// A job compiled to the engine's step/flow program, priced on the same
 /// cost model the pipelines run on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct JobProfile {
     steps: Vec<Step>,
     flows: Vec<FlowSpec>,
@@ -547,217 +549,131 @@ struct JobProfile {
 /// `(grid rows or 0 for slab, nx, ny, nz, p, t)`.
 type GeomKey = (usize, usize, usize, usize, usize, usize);
 
-/// Emits the step/flow program of one pipeline, mirroring the constant
-/// window logic of [`crate::pipeline`]'s driver: post until the window is
-/// full, then wait-oldest / post-next / drain-oldest per tile.
+/// Records the step/flow program of a job from the calls
+/// [`crate::pipeline::try_run_new`] makes while it drives each
+/// [`StageCosts`] of the job: when a tile is posted and when it is waited is
+/// the driver's decision, here as on every other backend.
 struct Emitter<'a> {
     net: &'a NetModel,
-    steps: Vec<Step>,
-    flows: Vec<FlowSpec>,
-    drains: Vec<f64>,
-    inflight: Vec<usize>,
-    w: usize,
+    /// The program so far.
+    out: JobProfile,
     compute_scale: f64,
     link_scale: f64,
     /// Per-post exchange-setup cost (0 once the geometry's plan is shared).
     setup: f64,
-    compute_total: f64,
-    net_total: f64,
+    /// `(tile, rank)` of the job's injected crash; tiles count the job's
+    /// posts, across stages and arrays.
     crash_tile: Option<(usize, usize)>,
-    tile_no: usize,
-    crash: Option<CrashMark>,
+    posts: usize,
 }
 
-impl<'a> Emitter<'a> {
-    fn new(
-        net: &'a NetModel,
-        compute_scale: f64,
-        link_scale: f64,
-        setup: f64,
-        crash_tile: Option<(usize, usize)>,
-    ) -> Self {
-        Emitter {
-            net,
-            steps: Vec::new(),
-            flows: Vec::new(),
-            drains: Vec::new(),
-            inflight: Vec::new(),
-            w: 1,
-            compute_scale,
-            link_scale,
-            setup,
-            compute_total: 0.0,
-            net_total: 0.0,
-            crash_tile,
-            tile_no: 0,
-            crash: None,
-        }
-    }
-
+impl Emitter<'_> {
     fn compute(&mut self, secs: f64) {
         let s = secs * self.compute_scale;
         if s > 0.0 {
-            self.steps.push(Step::Compute(s));
-            self.compute_total += s;
+            self.out.steps.push(Step::Compute(s));
+            self.out.compute_total += s;
         }
     }
 
-    fn make_flow(&mut self, group: usize, bytes_per_peer: u64, drain: f64) -> usize {
-        let wire = self.net.exchange_bytes(group, bytes_per_peer);
-        let fluid = wire as f64 * self.link_scale;
-        let latency = self.net.exchange_latency(group, bytes_per_peer) * self.link_scale;
-        let serial = fluid / self.net.effective_bw(group, 1) + latency;
-        self.flows.push(FlowSpec {
+    /// Appends the program of `arrays` back-to-back arrays through one
+    /// exchange stage (array boundaries keep the window open — the fused
+    /// job-train shape of [`crate::sim_env::try_multi_simulated`]).
+    fn emit(&mut self, stage: &StageCosts, arrays: usize) -> Result<(), Error> {
+        let mut run = StageProgram {
+            em: self,
+            stage,
+            arrays,
+        };
+        try_run_new(&mut run, &Resilience::default()).map(drop)
+    }
+
+    fn into_profile(mut self) -> JobProfile {
+        // A crash tile past the end of the job bites at the last post.
+        if let (Some((tile, rank)), None) = (self.crash_tile, self.out.crash) {
+            let is_post = |s: &Step| matches!(s, Step::Post(_));
+            if let Some(step) = self.out.steps.iter().rposition(is_post) {
+                self.out.crash = Some(CrashMark { step, tile, rank });
+            }
+        }
+        self.out
+    }
+}
+
+/// One stage of a job under the pipeline driver; a request is the index of
+/// the tile's flow. Compute phases become CPU steps (the engine arbitrates
+/// them; polling is free at this level).
+struct StageProgram<'e, 'a> {
+    em: &'e mut Emitter<'a>,
+    stage: &'e StageCosts,
+    arrays: usize,
+}
+
+impl OverlapEnv for StageProgram<'_, '_> {
+    type Req = usize;
+
+    fn num_tiles(&self) -> usize {
+        self.arrays * self.stage.tiles
+    }
+
+    fn window(&self) -> usize {
+        self.stage.window
+    }
+
+    fn fftz_transpose(&mut self) {
+        for part in self.stage.fixed.iter().flat_map(|ph| &ph.parts) {
+            self.em.compute(part.secs);
+        }
+    }
+
+    fn ffty_pack(&mut self, tile: usize, _inflight: &mut [(usize, usize)]) -> Result<(), Error> {
+        if tile != 0 && tile % self.stage.tiles == 0 {
+            self.fftz_transpose();
+        }
+        for part in self.stage.tile(tile).pre.iter().flat_map(|ph| &ph.parts) {
+            self.em.compute(part.secs);
+        }
+        Ok(())
+    }
+
+    fn post_a2a(&mut self, tile: usize) -> usize {
+        let em = &mut *self.em;
+        let group = self.stage.group;
+        let per_peer = self.stage.tile(tile).bytes_per_peer;
+        let wire = em.net.exchange_bytes(group, per_peer);
+        let fluid = wire as f64 * em.link_scale;
+        let latency = em.net.exchange_latency(group, per_peer) * em.link_scale;
+        let serial = fluid / em.net.effective_bw(group, 1) + latency;
+        em.out.flows.push(FlowSpec {
             fluid,
             latency,
             logical: wire,
             group,
             serial,
         });
-        self.drains.push(drain);
-        self.net_total += serial;
-        self.flows.len() - 1
-    }
-
-    fn push_post(&mut self, f: usize) {
-        self.compute(self.setup);
-        if let Some((tile, rank)) = self.crash_tile {
-            if self.tile_no == tile && self.crash.is_none() {
-                self.crash = Some(CrashMark {
-                    step: self.steps.len(),
-                    tile,
-                    rank,
-                });
+        em.out.net_total += serial;
+        em.compute(em.setup);
+        if let Some((tile, rank)) = em.crash_tile {
+            if em.posts == tile && em.out.crash.is_none() {
+                let step = em.out.steps.len();
+                em.out.crash = Some(CrashMark { step, tile, rank });
             }
         }
-        self.steps.push(Step::Post(f));
-        self.inflight.push(f);
+        em.posts += 1;
+        let flow = em.out.flows.len() - 1;
+        em.out.steps.push(Step::Post(flow));
+        flow
     }
 
-    fn wait_oldest(&mut self) -> usize {
-        let oldest = self.inflight.remove(0);
-        self.steps.push(Step::Wait(oldest));
-        oldest
+    fn wait(&mut self, _tile: usize, flow: usize) -> Result<(), (usize, Error)> {
+        self.em.out.steps.push(Step::Wait(flow));
+        Ok(())
     }
 
-    /// One communication tile: post its exchange under the window
-    /// discipline, draining (unpack + FFTx compute) as tiles retire.
-    fn exchange(&mut self, group: usize, bytes_per_peer: u64, drain: f64) {
-        let f = self.make_flow(group, bytes_per_peer, drain);
-        if self.w == 0 {
-            self.push_post(f);
-            let done = self.wait_oldest();
-            self.compute(self.drains[done]);
-        } else if self.inflight.len() >= self.w {
-            let done = self.wait_oldest();
-            self.push_post(f);
-            self.compute(self.drains[done]);
-        } else {
-            self.push_post(f);
-        }
-        self.tile_no += 1;
-    }
-
-    /// Drain every exchange still in flight.
-    fn finish(&mut self) {
-        while !self.inflight.is_empty() {
-            let done = self.wait_oldest();
-            self.compute(self.drains[done]);
-        }
-    }
-
-    fn into_profile(mut self) -> JobProfile {
-        // A crash tile past the end of the job bites at the last post.
-        if let (Some((tile, rank)), None) = (self.crash_tile, self.crash) {
-            let last_post = self.steps.iter().rposition(|s| matches!(s, Step::Post(_)));
-            if let Some(step) = last_post {
-                self.crash = Some(CrashMark { step, tile, rank });
-            }
-        }
-        JobProfile {
-            steps: self.steps,
-            flows: self.flows,
-            compute_total: self.compute_total,
-            net_total: self.net_total,
-            crash: self.crash,
-        }
-    }
-}
-
-/// The slab pipeline program: per array, FFTz + transpose, then per tile
-/// FFTy + pack, the windowed exchange, and unpack + FFTx on drain. Array
-/// boundaries keep the window open — the fused job-train shape of
-/// [`crate::multi`].
-fn emit_slab(
-    em: &mut Emitter<'_>,
-    machine: &MachineModel,
-    spec: ProblemSpec,
-    params: TuningParams,
-    arrays: usize,
-) {
-    let costs = SlabCosts::worst_rank(machine.clone(), spec, params);
-    let k = costs.tiles();
-    em.w = params.w.min(k.max(1));
-    for _ in 0..arrays {
-        em.compute(costs.fftz());
-        em.compute(costs.transpose());
-        for i in 0..k {
-            let tz = costs.tile_len(i);
-            em.compute(costs.ffty(tz));
-            em.compute(costs.pack(tz));
-            em.exchange(
-                spec.p,
-                costs.bytes_per_peer(tz),
-                costs.unpack(tz) + costs.fftx(tz),
-            );
-        }
-    }
-    em.finish();
-}
-
-/// The pencil pipeline program: two exchange stages over the row/column
-/// subgroups, mirroring the overlapped 2-D backend's cost structure.
-fn emit_pencil(
-    em: &mut Emitter<'_>,
-    machine: &MachineModel,
-    spec: ProblemSpec,
-    pr: usize,
-    pc: usize,
-    params: TuningParams,
-    arrays: usize,
-) {
-    let (pr, pc) = (pr.max(1), pc.max(1));
-    let cache = machine.subtile_cache_bytes;
-    let nxl = spec.nx.div_ceil(pr).max(1);
-    let nyc = spec.ny.div_ceil(pc).max(1);
-    let nzl = spec.nz.div_ceil(pc).max(1);
-    let ny2l = spec.ny.div_ceil(pr).max(1);
-    for _ in 0..arrays {
-        // Stage 1: FFTz + pack per x-tile, exchange within the pc-column.
-        let xt = params.t.clamp(1, nxl);
-        let k1 = nxl.div_ceil(xt);
-        em.w = params.w.min(k1.max(1));
-        for _ in 0..k1 {
-            let tile_bytes = (xt * nyc * spec.nz) as u64 * ELEM_BYTES;
-            em.compute(machine.fft_batch(spec.nz, (xt * nyc) as u64));
-            em.compute(machine.pack(tile_bytes, cache, nzl as u64 * ELEM_BYTES));
-            let drain = machine.pack(tile_bytes, cache, (spec.ny / pc).max(1) as u64 * ELEM_BYTES)
-                + machine.fft_batch(spec.ny, (xt * nzl) as u64);
-            em.exchange(pc, tile_bytes / pc as u64, drain);
-        }
-        em.finish();
-        // Stage 2: pack per z-tile, exchange within the pr-row.
-        let zt = params.t.clamp(1, nzl);
-        let k2 = nzl.div_ceil(zt);
-        em.w = params.w.min(k2.max(1));
-        for _ in 0..k2 {
-            let tile_bytes = (nxl * spec.ny * zt) as u64 * ELEM_BYTES;
-            em.compute(machine.pack(tile_bytes, cache, (spec.ny / pr).max(1) as u64 * ELEM_BYTES));
-            let drain = machine.pack(tile_bytes, cache, (spec.nx / pr).max(1) as u64 * ELEM_BYTES)
-                + machine.fft_batch(spec.nx, (ny2l * zt) as u64);
-            em.exchange(pr, tile_bytes / pr as u64, drain);
-        }
-        em.finish();
+    fn unpack_fftx(&mut self, tile: usize, _inflight: &mut [(usize, usize)]) -> Result<(), Error> {
+        let post = &self.stage.tile(tile).post;
+        self.em.compute(post.iter().map(Phase::secs).sum());
+        Ok(())
     }
 }
 
@@ -791,16 +707,30 @@ fn build_profile(
         net.post_overhead(cfg.ranks).as_secs_f64()
     };
     let arrays = job.arrays.max(1);
-    let mut em = Emitter::new(net, compute_scale, link_scale, setup, crash_tile);
+    let mut em = Emitter {
+        net,
+        out: JobProfile::default(),
+        compute_scale,
+        link_scale,
+        setup,
+        crash_tile,
+        posts: 0,
+    };
     let key = match decomp {
         Decomposition::Slab => {
             let params = TuningParams::seed(&spec);
-            emit_slab(&mut em, machine, spec, params, arrays);
+            // Rank 0 carries the biggest blocks: the conservative price.
+            let tier = stage::transpose_tier(&spec);
+            em.emit(&stage::slab(machine, &spec, &params, 0, tier), arrays)?;
             (0, spec.nx, spec.ny, spec.nz, cfg.ranks, params.t)
         }
         Decomposition::Pencil(grid) => {
             let params = pencil_seed(&spec, grid);
-            emit_pencil(&mut em, machine, spec, grid.pr, grid.pc, params, arrays);
+            let [row, col] = stage::pencil(machine, &spec, grid, &params);
+            for _ in 0..arrays {
+                em.emit(&row, 1)?;
+                em.emit(&col, 1)?;
+            }
             (grid.pr, spec.nx, spec.ny, spec.nz, cfg.ranks, params.t)
         }
     };

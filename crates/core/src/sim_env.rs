@@ -1,48 +1,87 @@
-//! Simulated execution backend: the same pipeline schedule running against
-//! [`simnet`]'s calibrated cost models.
+//! Simulated execution backend: the pipeline schedule of
+//! [`crate::pipeline`] interpreted against [`simnet`], charging the costs of
+//! `crate::stage`.
 //!
 //! This backend regenerates the paper's evaluation at full scale (up to
 //! p = 256, N = 2048³) without the data: compute phases charge the machine
 //! model, all-to-alls run the manual-progression round model, and the
-//! breakdown accounting mirrors Figure 8's categories.
+//! breakdown accounting mirrors Figure 8's categories. One interpreter,
+//! `SimEnv`, runs every simulated pipeline: the slab variants (one stage
+//! over all ranks), the fused multi-array train of §7 (the same stage with
+//! the tile stream spanning several arrays), and the pencil decomposition
+//! (two stages over the grid's rows and columns, run back to back).
 
 use crate::breakdown::{RunStats, StepTimes};
-use crate::decomp::Decomp;
 use crate::error::Error;
-use crate::params::{ProblemSpec, ThParams, TuningParams};
-use crate::pipeline::{run_new, run_th, OverlapEnv};
+use crate::params::{ParamError, ProblemSpec, ThParams, TuningParams};
+use crate::pencil::{pencil_seed, PencilGrid};
+use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::real_env::Variant;
+use crate::stage::{self, Phase, StageCosts, Step};
 use crate::trace::{EventKind, TraceEvent};
-use simnet::model::{TransposeCost, ELEM_BYTES};
-use simnet::{run_sim, OpId, PlanId, Platform, SimRank};
+use simnet::model::TransposeCost;
+use simnet::{run_sim, OpId, PlanId, Platform, SimRank, SimTime};
 
-/// One rank's view of the simulated pipeline.
-struct SimEnv<'a, 'b> {
+/// One rank's view of one simulated exchange stage.
+struct SimEnv<'a> {
     sim: &'a mut SimRank,
-    spec: ProblemSpec,
-    params: TuningParams,
-    decomp: &'b Decomp,
-    transpose_cost: TransposeCost,
-    /// Skip FFTz and Transpose — the §4.4 tuning-speed technique ("the AH
-    /// client does not execute FFTz and Transpose during auto-tuning").
+    stage: &'a StageCosts,
+    /// Arrays in the tile stream: tiles `a·k ..< (a+1)·k` belong to array
+    /// `a`, whose fixed phases run (polling the previous array's in-flight
+    /// tail) at the boundary — the inter-array overlap of §7.
+    arrays: usize,
+    /// Skip array 0's fixed phases — the §4.4 tuning-speed technique ("the
+    /// AH client does not execute FFTz and Transpose during auto-tuning").
     skip_fixed_steps: bool,
     /// Persistent per-tile all-to-all plans shared across repeated
     /// executions: inited lazily at a tile's first post (paying
     /// `post_overhead` once), started with zero setup thereafter. `None`
     /// posts ad-hoc collectives (the one-shot path).
-    plans: Option<&'b mut Vec<Option<PlanId>>>,
+    plans: Option<&'a mut Vec<Option<PlanId>>>,
     steps: StepTimes,
     /// Event log for the timeline view, virtual-time stamped; `None`
     /// disables collection (and the rank's poll log stays off).
     events: Option<Vec<TraceEvent>>,
+    /// Virtual-time stall watchdog: a single wait longer than this many
+    /// seconds is reported to the degradation ladder as [`Error::Stalled`].
+    /// `None` disarms it.
+    stall_timeout: Option<f64>,
+    /// Poll multiplier the ladder's BoostPolls rung switches to.
+    poll_boost: u32,
+    /// Current poll multiplier (1 until the ladder boosts).
+    boost: u32,
+    /// Tiles already reported as stalled — `simnet`'s `wait` is idempotent,
+    /// so the ladder's retry of the same (completed) op returns instantly;
+    /// this guard turns that into exactly one climb per slow tile.
+    reported: Vec<usize>,
+    /// The in-flight ops a phase polls (scratch, refilled per phase).
+    ops: Vec<OpId>,
 }
 
-impl SimEnv<'_, '_> {
+impl<'a> SimEnv<'a> {
+    /// A one-array, ad-hoc, untraced, unwatched run of `stage`.
+    fn new(sim: &'a mut SimRank, stage: &'a StageCosts) -> Self {
+        SimEnv {
+            sim,
+            stage,
+            arrays: 1,
+            skip_fixed_steps: false,
+            plans: None,
+            steps: StepTimes::default(),
+            events: None,
+            stall_timeout: None,
+            poll_boost: 1,
+            boost: 1,
+            reported: Vec::new(),
+            ops: Vec::new(),
+        }
+    }
+
     /// Records a span from `start` to the current virtual time.
-    fn record(&mut self, kind: EventKind, start: f64) {
+    fn record(&mut self, kind: EventKind, start: SimTime) {
         if let Some(ev) = &mut self.events {
             ev.push(TraceEvent {
-                start,
+                start: start.as_secs_f64(),
                 end: self.sim.now().as_secs_f64(),
                 kind,
             });
@@ -52,12 +91,10 @@ impl SimEnv<'_, '_> {
     /// Converts the rank's freshly logged polls into `Test` events, mapping
     /// each polled op back to its tile via the in-flight window.
     fn drain_polls(&mut self, inflight: &[(usize, OpId)]) {
-        if self.events.is_none() {
+        let Some(events) = &mut self.events else {
             return;
-        }
-        let polls = self.sim.take_poll_log();
-        let events = self.events.as_mut().expect("checked above");
-        for rec in polls {
+        };
+        for rec in self.sim.take_poll_log() {
             let tile = inflight
                 .iter()
                 .find(|&&(_, op)| op == rec.op)
@@ -73,172 +110,168 @@ impl SimEnv<'_, '_> {
             });
         }
     }
-}
 
-impl SimEnv<'_, '_> {
-    fn nxl(&self) -> usize {
-        self.decomp.x.count(self.sim.rank())
-    }
-
-    fn nyl(&self) -> usize {
-        self.decomp.y.count(self.sim.rank())
-    }
-
-    fn tile_len(&self, tile: usize) -> usize {
-        let z0 = tile * self.params.t;
-        (z0 + self.params.t).min(self.spec.nz) - z0
-    }
-
-    fn bytes_per_peer(&self, tile: usize) -> u64 {
-        // Uniform-block approximation of the v-variant: peers receive the
-        // average y-share. Exact for the divisible cases the paper reports.
-        let tz = self.tile_len(tile) as u64;
-        tz * self.nxl() as u64 * (self.spec.ny / self.spec.p.max(1)) as u64 * ELEM_BYTES
-    }
-
-    /// Modeled duration of an intra-rank batched kernel spread over `Th`
-    /// workers: perfect scaling. Deliberately optimistic — the real kernels
-    /// are memory-bound, so this is the model's upper bound on what the
-    /// `threads` knob can buy; the real backend reports what it actually
-    /// bought.
-    fn kernel_time(&self, secs: f64) -> f64 {
-        secs / self.params.threads.max(1) as f64
-    }
-
-    /// Runs one modeled compute phase with polls, splitting the elapsed
-    /// virtual time between the phase's category and Test.
-    fn phase(&mut self, secs: f64, polls: u32, inflight: &[(usize, OpId)]) -> (f64, f64) {
-        let ops: Vec<OpId> = inflight.iter().map(|&(_, op)| op).collect();
+    /// Runs one compute phase with its polls over the in-flight window,
+    /// splitting the elapsed virtual time between Test and the phase's
+    /// categories (by modeled share).
+    fn phase(&mut self, ph: &Phase, tile: usize, inflight: &[(usize, OpId)]) {
+        self.ops.clear();
+        self.ops.extend(inflight.iter().map(|&(_, op)| op));
+        let polls = ph.polls.saturating_mul(self.boost);
+        let secs = ph.secs();
         let t0 = self.sim.now();
-        let test_cost = self.sim.compute_with_polls(secs, polls, &ops);
-        let elapsed = (self.sim.now() - t0).as_secs_f64();
-        let test = test_cost.as_secs_f64();
-        (elapsed - test, test)
+        let test = self
+            .sim
+            .compute_with_polls(secs, polls, &self.ops)
+            .as_secs_f64();
+        let busy = (self.sim.now() - t0).as_secs_f64() - test;
+        // The timeline labels a stretch by its first kernel.
+        self.record(event_kind(ph.parts[0].kind, tile), t0);
+        self.drain_polls(inflight);
+        for part in &ph.parts {
+            let share = if secs > 0.0 { part.secs / secs } else { 0.0 };
+            *step_slot(&mut self.steps, part.kind) += busy * share;
+        }
+        self.steps.test += test;
     }
 }
 
-impl OverlapEnv for SimEnv<'_, '_> {
+/// The trace event a phase of `kind` on `tile` shows up as.
+fn event_kind(kind: Step, tile: usize) -> EventKind {
+    match kind {
+        Step::Fftz => EventKind::Fftz,
+        Step::Transpose => EventKind::Transpose,
+        Step::Ffty => EventKind::Ffty { tile, subtile: 0 },
+        Step::Pack => EventKind::Pack { tile, subtile: 0 },
+        Step::Unpack => EventKind::Unpack { tile, subtile: 0 },
+        Step::Fftx => EventKind::Fftx { tile, subtile: 0 },
+    }
+}
+
+/// The breakdown category a phase of `kind` is booked under.
+fn step_slot(steps: &mut StepTimes, kind: Step) -> &mut f64 {
+    match kind {
+        Step::Fftz => &mut steps.fftz,
+        Step::Transpose => &mut steps.transpose,
+        Step::Ffty => &mut steps.ffty,
+        Step::Pack => &mut steps.pack,
+        Step::Unpack => &mut steps.unpack,
+        Step::Fftx => &mut steps.fftx,
+    }
+}
+
+impl OverlapEnv for SimEnv<'_> {
     type Req = OpId;
 
     fn num_tiles(&self) -> usize {
-        self.params.tiles(&self.spec)
+        self.arrays * self.stage.tiles
     }
 
     fn window(&self) -> usize {
-        self.params.w
+        self.stage.window
     }
 
     fn fftz_transpose(&mut self) {
         if self.skip_fixed_steps {
             return;
         }
-        let lines = (self.nxl() * self.spec.ny) as u64;
-        let m = &self.sim.platform().machine;
-        let fftz = self.kernel_time(m.fft_batch(self.spec.nz, lines));
-        let bytes = self.nxl() as u64 * self.spec.ny as u64 * self.spec.nz as u64 * ELEM_BYTES;
-        let transpose = self.kernel_time(m.transpose(bytes, self.transpose_cost));
-        let t0 = self.sim.now().as_secs_f64();
-        self.sim.compute(fftz);
-        self.record(EventKind::Fftz, t0);
-        let t0 = self.sim.now().as_secs_f64();
-        self.sim.compute(transpose);
-        self.record(EventKind::Transpose, t0);
-        self.steps.fftz += fftz;
-        self.steps.transpose += transpose;
+        // Nothing is in flight yet, so the phases run unpolled and are
+        // booked at their modeled cost.
+        let stage = self.stage;
+        for part in stage.fixed.iter().flat_map(|ph| &ph.parts) {
+            let t0 = self.sim.now();
+            self.sim.compute(part.secs);
+            self.record(event_kind(part.kind, 0), t0);
+            *step_slot(&mut self.steps, part.kind) += part.secs;
+        }
     }
 
     fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, OpId)]) -> Result<(), Error> {
-        let tz = self.tile_len(tile);
-        let m = self.sim.platform().machine.clone();
-        let nxl = self.nxl();
-        let ffty = self.kernel_time(m.fft_batch(self.spec.ny, (nxl * tz) as u64));
-        let t0 = self.sim.now().as_secs_f64();
-        let (c, t) = self.phase(ffty, self.params.fy, inflight);
-        self.record(EventKind::Ffty { tile, subtile: 0 }, t0);
-        self.drain_polls(inflight);
-        self.steps.ffty += c;
-        self.steps.test += t;
-
-        let tile_bytes = (tz * nxl * self.spec.ny) as u64 * ELEM_BYTES;
-        let subtile_bytes =
-            (self.params.px.min(nxl.max(1)) * self.spec.ny * self.params.pz.min(tz.max(1))) as u64
-                * ELEM_BYTES;
-        // The innermost contiguous run of Pack is the per-destination y
-        // share.
-        let run_bytes = (self.spec.ny / self.spec.p.max(1)).max(1) as u64 * ELEM_BYTES;
-        let pack = self.kernel_time(m.pack(tile_bytes, subtile_bytes, run_bytes));
-        let t0 = self.sim.now().as_secs_f64();
-        let (c, t) = self.phase(pack, self.params.fp, inflight);
-        self.record(EventKind::Pack { tile, subtile: 0 }, t0);
-        self.drain_polls(inflight);
-        self.steps.pack += c;
-        self.steps.test += t;
+        let stage = self.stage;
+        if tile != 0 && tile % stage.tiles == 0 {
+            for ph in &stage.fixed {
+                self.phase(ph, tile, inflight);
+            }
+        }
+        for ph in &stage.tile(tile).pre {
+            self.phase(ph, tile, inflight);
+        }
         Ok(())
     }
 
     fn post_a2a(&mut self, tile: usize) -> OpId {
-        let per_peer = self.bytes_per_peer(tile);
+        let group = self.stage.group;
+        let per_peer = self.stage.tile(tile).bytes_per_peer;
         let t0 = self.sim.now();
         let op = match self.plans.as_mut() {
             Some(plans) => {
-                if plans[tile].is_none() {
-                    plans[tile] = Some(self.sim.alltoall_init(per_peer));
-                }
-                let plan = plans[tile].expect("just initialised");
-                self.sim.start(plan)
+                let sim = &mut *self.sim;
+                let plan =
+                    *plans[tile].get_or_insert_with(|| sim.alltoall_init_in_group(group, per_peer));
+                sim.start(plan)
             }
-            None => self.sim.post_alltoall(per_peer),
+            None => self.sim.post_alltoall_in_group(group, per_peer),
         };
         self.steps.ialltoall += (self.sim.now() - t0).as_secs_f64();
-        let bytes = per_peer * self.spec.p.saturating_sub(1) as u64;
-        self.record(EventKind::PostA2a { tile, bytes }, t0.as_secs_f64());
+        let bytes = per_peer * group.saturating_sub(1) as u64;
+        self.record(EventKind::PostA2a { tile, bytes }, t0);
         op
     }
 
     fn wait(&mut self, tile: usize, req: OpId) -> Result<(), (OpId, Error)> {
         // The simulator charges fault costs (stragglers, degraded links)
         // into the round model, so waits always complete — slower, never
-        // wedged. Stall semantics are the real backend's department.
+        // wedged.
         let t0 = self.sim.now();
         self.sim.wait(req);
-        self.steps.wait += (self.sim.now() - t0).as_secs_f64();
-        self.record(EventKind::Wait { tile }, t0.as_secs_f64());
+        let waited = (self.sim.now() - t0).as_secs_f64();
+        self.steps.wait += waited;
+        self.record(EventKind::Wait { tile }, t0);
+        // Virtual-time watchdog: the exchange *did* complete, but it took
+        // longer than the armed budget — report it so the ladder degrades
+        // instead of letting a straggler silently serialise the pipeline.
+        // The ladder's retry re-waits the same op, which returns instantly;
+        // the `reported` guard makes this exactly one strike per slow tile.
+        if self.stall_timeout.is_some_and(|limit| waited > limit) && !self.reported.contains(&tile)
+        {
+            self.reported.push(tile);
+            // Blame the platform's worst straggler.
+            let faults = &self.sim.platform().faults;
+            let peer = (0..self.sim.size())
+                .max_by(|&a, &b| {
+                    faults
+                        .compute_factor(a)
+                        .total_cmp(&faults.compute_factor(b))
+                })
+                .unwrap_or(0);
+            return Err((
+                req,
+                Error::Stalled {
+                    tile,
+                    round: 0,
+                    peer,
+                },
+            ));
+        }
         Ok(())
     }
 
     fn unpack_fftx(&mut self, tile: usize, inflight: &mut [(usize, OpId)]) -> Result<(), Error> {
-        let tz = self.tile_len(tile);
-        let m = self.sim.platform().machine.clone();
-        let nyl = self.nyl();
-
-        let tile_bytes = (tz * nyl * self.spec.nx) as u64 * ELEM_BYTES;
-        let subtile_bytes =
-            (self.spec.nx * self.params.uy.min(nyl.max(1)) * self.params.uz.min(tz.max(1))) as u64
-                * ELEM_BYTES;
-        // Unpack reads per-source x runs (stride nyl between elements), so
-        // the effective contiguous run is one element per read burst but a
-        // whole x-slab per source in the write stream; model the read side.
-        let run_bytes = (self.spec.nx / self.spec.p.max(1)).max(1) as u64 * ELEM_BYTES;
-        let unpack = self.kernel_time(m.pack(tile_bytes, subtile_bytes, run_bytes));
-        let t0 = self.sim.now().as_secs_f64();
-        let (c, t) = self.phase(unpack, self.params.fu, inflight);
-        self.record(EventKind::Unpack { tile, subtile: 0 }, t0);
-        self.drain_polls(inflight);
-        self.steps.unpack += c;
-        self.steps.test += t;
-
-        let fftx = self.kernel_time(m.fft_batch(self.spec.nx, (nyl * tz) as u64));
-        let t0 = self.sim.now().as_secs_f64();
-        let (c, t) = self.phase(fftx, self.params.fx, inflight);
-        self.record(EventKind::Fftx { tile, subtile: 0 }, t0);
-        self.drain_polls(inflight);
-        self.steps.fftx += c;
-        self.steps.test += t;
+        let stage = self.stage;
+        for ph in &stage.tile(tile).post {
+            self.phase(ph, tile, inflight);
+        }
         Ok(())
     }
 
-    fn threads(&self) -> usize {
-        self.params.threads
+    fn boost_polls(&mut self) {
+        self.boost = self.poll_boost.max(1);
+    }
+
+    fn escalate_watchdog(&mut self) {
+        if let Some(limit) = self.stall_timeout.as_mut() {
+            *limit *= 2.0;
+        }
     }
 }
 
@@ -266,23 +299,15 @@ fn resolve(
     variant: Variant,
     params: TuningParams,
 ) -> (TuningParams, TransposeCost) {
-    let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
     match variant {
-        Variant::New => {
-            let style = if spec.square_xy() {
-                TransposeCost::Fast
-            } else {
-                TransposeCost::Generic
-            };
-            (params, style)
-        }
+        Variant::New => (params, stage::transpose_tier(spec)),
         Variant::Th => {
             let p = TuningParams {
                 t: params.t,
                 w: params.w,
-                px: decomp.x.max_count().max(1),
+                px: spec.nx.div_ceil(spec.p).max(1),
                 pz: params.t,
-                uy: decomp.y.max_count().max(1),
+                uy: spec.ny.div_ceil(spec.p).max(1),
                 uz: params.t,
                 fy: params.fy,
                 fp: params.fp,
@@ -314,12 +339,7 @@ fn resolve(
             // Figure 8 shows NEW-0's Transpose equal to NEW's, and the
             // paper treats FFTW ≈ NEW-0; FFTW's rearrangement is equally
             // optimised, so it gets the same tier as NEW.
-            let style = if spec.square_xy() {
-                TransposeCost::Fast
-            } else {
-                TransposeCost::Generic
-            };
-            (p, style)
+            (p, stage::transpose_tier(spec))
         }
     }
 }
@@ -353,7 +373,7 @@ pub fn try_fft3_simulated(
 ) -> Result<SimReport, Error> {
     for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
         if n == 0 {
-            return Err(Error::from(crate::params::ParamError::ZeroExtent(axis)));
+            return Err(Error::from(ParamError::ZeroExtent(axis)));
         }
     }
     match variant {
@@ -367,7 +387,7 @@ pub fn try_fft3_simulated(
         }
         Variant::Th | Variant::Fftw => {
             if params.t == 0 || params.t > spec.nz.max(1) {
-                return Err(Error::from(crate::params::ParamError::TileSize(params.t)));
+                return Err(Error::from(ParamError::TileSize(params.t)));
             }
         }
     }
@@ -390,7 +410,7 @@ pub fn fft3_simulated_with(
     skip_fixed_steps: bool,
     transpose_override: Option<TransposeCost>,
 ) -> SimReport {
-    simulate(
+    let mut runs = simulate(
         platform,
         spec,
         variant,
@@ -398,8 +418,9 @@ pub fn fft3_simulated_with(
         skip_fixed_steps,
         transpose_override,
         false,
-    )
-    .0
+        1,
+    );
+    runs.swap_remove(0).0
 }
 
 /// [`fft3_simulated`] additionally returning every rank's per-tile event
@@ -411,80 +432,7 @@ pub fn fft3_simulated_traced(
     variant: Variant,
     params: TuningParams,
 ) -> (SimReport, Vec<Vec<TraceEvent>>) {
-    simulate(platform, spec, variant, params, false, None, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    skip_fixed_steps: bool,
-    transpose_override: Option<TransposeCost>,
-    trace: bool,
-) -> (SimReport, Vec<Vec<TraceEvent>>) {
-    let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-    let (eff, mut tcost) = resolve(&spec, variant, params);
-    if let Some(t) = transpose_override {
-        tcost = t;
-    }
-    let results = run_sim(platform, spec.p, move |sim| {
-        let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-        let start = sim.now();
-        let tests0 = sim.test_calls();
-        let setups0 = sim.setup_charges();
-        if trace {
-            sim.enable_poll_log();
-        }
-        let mut env = SimEnv {
-            sim,
-            spec,
-            params: eff,
-            decomp: &decomp,
-            transpose_cost: tcost,
-            skip_fixed_steps,
-            plans: None,
-            steps: StepTimes::default(),
-            events: if trace { Some(Vec::new()) } else { None },
-        };
-        match variant {
-            Variant::Th => run_th(&mut env),
-            _ => run_new(&mut env),
-        }
-        let steps = env.steps;
-        let events = env.events.take().unwrap_or_default();
-        (
-            RunStats {
-                steps,
-                elapsed: (sim.now() - start).as_secs_f64(),
-                tests: sim.test_calls() - tests0,
-            },
-            sim.setup_charges() - setups0,
-            events,
-        )
-    });
-    let _ = decomp;
-    let mut per_rank = Vec::with_capacity(results.len());
-    let mut events = Vec::with_capacity(results.len());
-    let mut setup_charges = 0;
-    for (i, (stats, setups, ev)) in results.into_iter().enumerate() {
-        if i == 0 {
-            setup_charges = setups;
-        }
-        per_rank.push(stats);
-        events.push(ev);
-    }
-    let time = per_rank.iter().map(|r| r.elapsed).fold(0.0, f64::max);
-    (
-        SimReport {
-            time,
-            steps: per_rank[0].steps,
-            per_rank,
-            setup_charges,
-        },
-        events,
-    )
+    simulate(platform, spec, variant, params, false, None, true, 1).swap_remove(0)
 }
 
 /// Simulates `reps` back-to-back executions of the same transform over
@@ -504,53 +452,86 @@ pub fn fft3_simulated_repeated(
     skip_fixed_steps: bool,
     reps: usize,
 ) -> Vec<SimReport> {
-    let (eff, tcost) = resolve(&spec, variant, params);
-    let k = eff.tiles(&spec);
+    let runs = simulate(
+        platform,
+        spec,
+        variant,
+        params,
+        skip_fixed_steps,
+        None,
+        false,
+        reps,
+    );
+    runs.into_iter().map(|(report, _)| report).collect()
+}
+
+/// `reps` back-to-back slab transforms on every rank; one `(report, per-rank
+/// events)` pair per execution. A single execution posts ad-hoc collectives;
+/// several share persistent per-tile plans.
+#[allow(clippy::too_many_arguments)]
+fn simulate(
+    platform: Platform,
+    spec: ProblemSpec,
+    variant: Variant,
+    params: TuningParams,
+    skip_fixed_steps: bool,
+    transpose_override: Option<TransposeCost>,
+    trace: bool,
+    reps: usize,
+) -> Vec<(SimReport, Vec<Vec<TraceEvent>>)> {
+    let (params, tier) = resolve(&spec, variant, params);
+    let tier = transpose_override.unwrap_or(tier);
     let results = run_sim(platform, spec.p, move |sim| {
-        let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-        let mut plans: Vec<Option<PlanId>> = vec![None; k];
-        let mut iterations = Vec::with_capacity(reps);
+        let machine = sim.platform().machine.clone();
+        let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
+        let mut plans: Vec<Option<PlanId>> = vec![None; costs.tiles];
+        if trace {
+            sim.enable_poll_log();
+        }
+        let mut executions = Vec::with_capacity(reps);
         for _ in 0..reps {
             let start = sim.now();
             let tests0 = sim.test_calls();
             let setups0 = sim.setup_charges();
             let mut env = SimEnv {
-                sim,
-                spec,
-                params: eff,
-                decomp: &decomp,
-                transpose_cost: tcost,
                 skip_fixed_steps,
-                plans: Some(&mut plans),
-                steps: StepTimes::default(),
-                events: None,
+                plans: (reps > 1).then_some(&mut plans),
+                events: trace.then(Vec::new),
+                ..SimEnv::new(sim, &costs)
             };
+            let res = Resilience::default();
             match variant {
-                Variant::Th => run_th(&mut env),
-                _ => run_new(&mut env),
+                Variant::Th => try_run_th(&mut env, &res),
+                _ => try_run_new(&mut env, &res),
             }
-            let steps = env.steps;
-            iterations.push((
-                RunStats {
-                    steps,
-                    elapsed: (sim.now() - start).as_secs_f64(),
-                    tests: sim.test_calls() - tests0,
-                },
-                sim.setup_charges() - setups0,
-            ));
+            .expect("a simulated wait cannot fail with the watchdog disarmed");
+            let (steps, events) = (env.steps, env.events.unwrap_or_default());
+            let stats = RunStats {
+                steps,
+                elapsed: (sim.now() - start).as_secs_f64(),
+                tests: sim.test_calls() - tests0,
+            };
+            executions.push((stats, sim.setup_charges() - setups0, events));
         }
-        iterations
+        executions
     });
+    let mut per_rank: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
     (0..reps)
-        .map(|it| {
-            let per_rank: Vec<RunStats> = results.iter().map(|r| r[it].0.clone()).collect();
-            let time = per_rank.iter().map(|r| r.elapsed).fold(0.0, f64::max);
-            SimReport {
-                time,
+        .map(|_| {
+            let ranks: Vec<_> = per_rank
+                .iter_mut()
+                .map(|rank| rank.next().expect("one entry per execution"))
+                .collect();
+            let setup_charges = ranks[0].1;
+            let (per_rank, events): (Vec<RunStats>, Vec<_>) =
+                ranks.into_iter().map(|(s, _, ev)| (s, ev)).unzip();
+            let report = SimReport {
+                time: per_rank.iter().map(|r| r.elapsed).fold(0.0, f64::max),
                 steps: per_rank[0].steps,
                 per_rank,
-                setup_charges: results[0][it].1,
-            }
+                setup_charges,
+            };
+            (report, events)
         })
         .collect()
 }
@@ -580,10 +561,167 @@ pub fn th_simulated(
     fft3_simulated(platform, spec, Variant::Th, params, skip_fixed_steps)
 }
 
+/// Result of a multi-array simulated run.
+#[derive(Debug, Clone)]
+pub struct MultiReport {
+    /// Slowest rank's completion for the fused pipeline.
+    pub fused_time: f64,
+    /// The same workload as back-to-back single-array transforms.
+    pub sequential_time: f64,
+    /// Rank-0 breakdown of the fused pipeline.
+    pub steps: StepTimes,
+    /// What the degradation ladder had to do (rank 0's view); clean when
+    /// no watchdog was armed or nothing stalled.
+    pub recovery: Recovery,
+}
+
+/// Inter-array + intra-array overlap — the paper's §7 third extension.
+///
+/// Scientific simulations often transform a *sequence* of arrays per time
+/// step (e.g. three velocity components). Kandalla et al. overlap only
+/// *between* arrays; the paper overlaps only *within* one array; §7 plans
+/// to combine both. Here the communication tiles of `narrays` consecutive
+/// arrays form one long pipeline, so array `a+1`'s FFTz/Transpose/FFTy/Pack
+/// also hide the tail of array `a`'s all-to-alls — the fill/drain bubbles
+/// between arrays disappear. The result is compared against running the
+/// arrays back to back.
+///
+/// Arm `res.stall_timeout` — interpreted in **virtual seconds** — to let
+/// the degradation ladder react to stragglers mid-train. Zero arrays is
+/// [`Error::EmptyBatch`]; an invalid `(spec, params)` pair is
+/// [`Error::InfeasibleParams`] from the fallible single-array baseline.
+pub fn try_multi_simulated(
+    platform: Platform,
+    spec: ProblemSpec,
+    params: TuningParams,
+    narrays: usize,
+    res: &Resilience,
+) -> Result<MultiReport, Error> {
+    if narrays == 0 {
+        return Err(Error::EmptyBatch);
+    }
+    // Fallible baseline first: validates extents and tuning parameters
+    // before any simulated rank spins up.
+    let single = try_fft3_simulated(platform.clone(), spec, Variant::New, params, false)?;
+    let res = *res;
+
+    let per_rank = run_sim(platform, spec.p, move |sim| {
+        let start = sim.now();
+        let machine = sim.platform().machine.clone();
+        let tier = stage::transpose_tier(&spec);
+        let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
+        let mut env = SimEnv {
+            arrays: narrays,
+            stall_timeout: res.stall_timeout.map(|d| d.as_secs_f64()),
+            poll_boost: res.poll_boost,
+            ..SimEnv::new(sim, &costs)
+        };
+        let recovery = try_run_new(&mut env, &res)?;
+        Ok::<_, Error>((env.steps, recovery, (env.sim.now() - start).as_secs_f64()))
+    });
+
+    let per_rank = per_rank.into_iter().collect::<Result<Vec<_>, Error>>()?;
+    let fused_time = per_rank.iter().map(|r| r.2).fold(0.0, f64::max);
+    let (steps, recovery, _) = per_rank
+        .into_iter()
+        .next()
+        .ok_or(Error::Internal("multi run produced no ranks"))?;
+    Ok(MultiReport {
+        fused_time,
+        sequential_time: single.time * narrays as f64,
+        steps,
+        recovery,
+    })
+}
+
+/// One simulated overlapped pencil transform on one rank: the row stage,
+/// then the column stage, each under the windowed driver. `plans` holds the
+/// stages' persistent per-tile plans (see [`SimEnv::plans`]).
+fn pencil_rank(
+    sim: &mut SimRank,
+    stages: &[StageCosts; 2],
+    mut plans: Option<&mut [Vec<Option<PlanId>>; 2]>,
+) {
+    for (i, costs) in stages.iter().enumerate() {
+        let mut env = SimEnv {
+            plans: plans.as_deref_mut().map(|p| &mut p[i]),
+            ..SimEnv::new(sim, costs)
+        };
+        try_run_new(&mut env, &Resilience::default())
+            .expect("a simulated wait cannot fail with the watchdog disarmed");
+    }
+}
+
+/// Simulated cost of the pencil transform **with the paper's overlap
+/// applied to both exchanges** — §7's main future-work item realised on
+/// the model, and what the tuner's pencil objective and
+/// [`crate::decomp::auto_select`] evaluate. The tuning vector is honoured
+/// the way [`crate::pencil::try_fft3_pencil_overlapped`] applies it (see
+/// `stage::pencil`).
+pub fn pencil_overlap_simulated_params(
+    platform: Platform,
+    spec: ProblemSpec,
+    grid: PencilGrid,
+    params: &TuningParams,
+) -> f64 {
+    assert_eq!(grid.len(), spec.p);
+    let stages = stage::pencil(&platform.machine, &spec, grid, params);
+    let times = run_sim(platform, spec.p, move |sim| {
+        pencil_rank(sim, &stages, None);
+        sim.now().as_secs_f64()
+    });
+    times.into_iter().fold(0.0, f64::max)
+}
+
+/// Simulated cost of the blocking pencil transform: three FFT sweeps and
+/// two pack/exchange/unpack rounds with nothing overlapped — the point of
+/// [`pencil_overlap_simulated_params`] with one tile per stage, no window
+/// and no polls (as [`Variant::Fftw`] is for the slab pipeline).
+pub fn pencil_simulated(platform: Platform, spec: ProblemSpec, grid: PencilGrid) -> f64 {
+    let blocking = TuningParams {
+        t: spec.nx.max(spec.nz).max(1),
+        ..pencil_seed(&spec, grid).without_overlap()
+    };
+    pencil_overlap_simulated_params(platform, spec, grid, &blocking)
+}
+
+/// `reps` back-to-back simulated overlapped pencil transforms with
+/// persistent exchange plans: the first repetition pays every tile's
+/// `alltoall_init` setup charge, later ones only `start`. Returns the
+/// per-repetition makespans (max across ranks).
+pub fn pencil_overlap_simulated_repeated(
+    platform: Platform,
+    spec: ProblemSpec,
+    grid: PencilGrid,
+    params: &TuningParams,
+    reps: usize,
+) -> Vec<f64> {
+    assert_eq!(grid.len(), spec.p);
+    let stages = stage::pencil(&platform.machine, &spec, grid, params);
+    let times: Vec<Vec<f64>> = run_sim(platform, spec.p, move |sim| {
+        let mut plans = [vec![None; stages[0].tiles], vec![None; stages[1].tiles]];
+        (0..reps)
+            .map(|_| {
+                // Rendezvous so per-rep spans measure the transform, not
+                // drift accumulated by earlier repetitions.
+                sim.barrier();
+                let start = sim.now();
+                pencil_rank(sim, &stages, Some(&mut plans));
+                (sim.now() - start).as_secs_f64()
+            })
+            .collect()
+    });
+    (0..reps)
+        .map(|r| times.iter().map(|t| t[r]).fold(0.0, f64::max))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::DegradeAction;
     use simnet::model::{hopper, umd_cluster};
+    use std::time::Duration;
 
     fn paper_spec() -> ProblemSpec {
         ProblemSpec::cube(256, 16)
@@ -731,5 +869,176 @@ mod tests {
             b > a * 1.2,
             "tiny tiles with no polling must be much slower: {a:.3} vs {b:.3}"
         );
+    }
+
+    fn multi(platform: Platform, spec: ProblemSpec, narrays: usize) -> MultiReport {
+        let params = TuningParams::seed(&spec);
+        try_multi_simulated(platform, spec, params, narrays, &Resilience::default())
+            .expect("multi-array pipeline")
+    }
+
+    #[test]
+    fn fused_multi_array_beats_sequential() {
+        let rep = multi(umd_cluster(), paper_spec(), 4);
+        assert!(
+            rep.fused_time < rep.sequential_time,
+            "fused {:.3}s must beat sequential {:.3}s",
+            rep.fused_time,
+            rep.sequential_time
+        );
+        assert!(
+            rep.recovery.clean(),
+            "nothing should degrade on a clean run"
+        );
+    }
+
+    #[test]
+    fn one_array_is_close_to_the_single_pipeline() {
+        // Same work, slightly different poll placement during fixed steps —
+        // at every thread count: the train and the sequential baseline it
+        // is compared against are priced from the same `Th`-scaled table.
+        // (Hopper's fast network does not hide a mis-scaled compute phase
+        // the way UMD's exchange does.)
+        let spec = paper_spec();
+        for (platform, threads) in [(umd_cluster(), 1), (hopper(), 1), (hopper(), 4)] {
+            let params = TuningParams {
+                threads,
+                ..TuningParams::seed(&spec)
+            };
+            let rep = try_multi_simulated(platform, spec, params, 1, &Resilience::default())
+                .expect("one-array train");
+            let ratio = rep.fused_time / rep.sequential_time;
+            assert!(
+                (0.8..=1.05).contains(&ratio),
+                "threads {threads}: ratio {ratio}"
+            );
+        }
+    }
+
+    #[test]
+    fn gain_grows_with_array_count() {
+        let gain = |n| {
+            let r = multi(umd_cluster(), paper_spec(), n);
+            r.sequential_time / r.fused_time
+        };
+        let (g2, g6) = (gain(2), gain(6));
+        assert!(g6 >= g2 * 0.99, "g2={g2:.3} g6={g6:.3}");
+    }
+
+    /// Pinned regression (ISSUE #10 satellite 1): zero arrays is a typed
+    /// [`Error::EmptyBatch`], not an `assert!` panic.
+    #[test]
+    fn zero_arrays_is_a_typed_error() {
+        let spec = ProblemSpec::cube(64, 4);
+        let params = TuningParams::seed(&spec);
+        match try_multi_simulated(umd_cluster(), spec, params, 0, &Resilience::default()) {
+            Err(Error::EmptyBatch) => {}
+            other => panic!("expected EmptyBatch, got {other:?}"),
+        }
+    }
+
+    /// Pinned regression (ISSUE #10 satellite 1): infeasible tuning
+    /// parameters surface as [`Error::InfeasibleParams`] through the
+    /// fallible baseline, not as a garbage cost estimate or a panic.
+    #[test]
+    fn infeasible_params_are_a_typed_error() {
+        let spec = ProblemSpec::cube(64, 4);
+        let mut params = TuningParams::seed(&spec);
+        params.t = spec.nz + 1; // tile taller than the axis
+        match try_multi_simulated(umd_cluster(), spec, params, 2, &Resilience::default()) {
+            Err(Error::InfeasibleParams(ParamError::TileSize(_))) => {}
+            other => panic!("expected InfeasibleParams(TileSize), got {other:?}"),
+        }
+    }
+
+    /// With a watchdog armed, a severe straggler mid-train trips the
+    /// degradation ladder (BoostPolls first) instead of silently
+    /// serialising the whole batch — and the run still completes.
+    #[test]
+    fn straggler_during_job_train_degrades_instead_of_hanging() {
+        let spec = paper_spec();
+        let params = TuningParams::seed(&spec);
+        // Budget each wait at the *whole* clean run's duration: no single
+        // clean wait can exceed it, so a clean run never trips…
+        let clean = multi(umd_cluster(), spec, 2);
+        let res = Resilience {
+            stall_timeout: Some(Duration::from_secs_f64(clean.fused_time)),
+            ..Resilience::default()
+        };
+        let calm = try_multi_simulated(umd_cluster(), spec, params, 2, &res)
+            .unwrap_or_else(|e| panic!("clean run failed under watchdog: {e}"));
+        assert_eq!(calm.recovery.stalls_detected, 0, "{:?}", calm.recovery);
+
+        // …while a 200× compute straggler makes individual exchanges dwarf
+        // the whole clean run and must be caught.
+        let slow = umd_cluster().with_straggler(1, 200.0);
+        let rep = try_multi_simulated(slow, spec, params, 2, &res)
+            .unwrap_or_else(|e| panic!("straggled run failed to degrade: {e}"));
+        assert!(
+            rep.recovery.stalls_detected > 0,
+            "a 200x straggler must trip a whole-run-length watchdog"
+        );
+        assert_eq!(
+            rep.recovery.actions.first(),
+            Some(&DegradeAction::BoostPolls),
+            "ladder must start at its gentlest rung: {:?}",
+            rep.recovery.actions
+        );
+        assert!(
+            rep.fused_time > clean.fused_time,
+            "straggled run should still be slower end to end"
+        );
+    }
+
+    /// The disarmed default never reports, even under a straggler: no
+    /// stalls detected, no ladder actions.
+    #[test]
+    fn disarmed_watchdog_never_reports() {
+        let slow = umd_cluster().with_straggler(1, 50.0);
+        let rep = multi(slow, paper_spec(), 2);
+        assert!(rep.recovery.clean(), "{:?}", rep.recovery);
+    }
+
+    #[test]
+    fn overlapped_pencil_beats_blocking_pencil() {
+        // §7 realised: applying the overlap method to the 2-D decomposition
+        // hides exchange time on the communication-bound UMD model.
+        let spec = paper_spec();
+        let grid = PencilGrid::near_square(16);
+        let blocking = pencil_simulated(umd_cluster(), spec, grid);
+        assert!(blocking > 0.0 && blocking.is_finite());
+        let overlapped =
+            pencil_overlap_simulated_params(umd_cluster(), spec, grid, &pencil_seed(&spec, grid));
+        assert!(
+            overlapped < blocking,
+            "overlap must help the pencil path too: {overlapped:.3} vs {blocking:.3}"
+        );
+    }
+
+    #[test]
+    fn pencil_cost_model_is_deterministic_and_positive() {
+        let spec = ProblemSpec::cube(128, 8);
+        let grid = PencilGrid::near_square(8);
+        let params = pencil_seed(&spec, grid);
+        let a = pencil_overlap_simulated_params(umd_cluster(), spec, grid, &params);
+        let b = pencil_overlap_simulated_params(umd_cluster(), spec, grid, &params);
+        assert!(a > 0.0 && a.is_finite());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn repeated_simulated_pencil_transforms_amortise_plan_setup() {
+        let spec = ProblemSpec::cube(128, 8);
+        let grid = PencilGrid::near_square(8);
+        let params = pencil_seed(&spec, grid);
+        let reps = pencil_overlap_simulated_repeated(umd_cluster(), spec, grid, &params, 3);
+        assert_eq!(reps.len(), 3);
+        assert!(reps.iter().all(|t| *t > 0.0 && t.is_finite()));
+        // Repetition 0 pays every tile's alltoall_init setup charge.
+        assert!(
+            reps[1] < reps[0],
+            "persistent plans must amortise setup: {reps:?}"
+        );
+        assert_eq!(reps[1], reps[2]);
     }
 }

@@ -342,12 +342,16 @@ fn is_geometry_ident(s: &str) -> bool {
 }
 
 /// Files whose determinism SL010 protects: the simulated network, the
-/// checker, and the simulation overlap environment. (The real-time stall
-/// watchdog in mpisim's NBC engine is deliberately out of scope.)
+/// checker, the stage cost table and its two interpreters (the simnet
+/// overlap environment and the service's emitter and engine). (The
+/// real-time stall watchdog in mpisim's NBC engine is deliberately out of
+/// scope.)
 fn in_deterministic_scope(rel: &str) -> bool {
     rel.starts_with("crates/simnet/src")
         || rel == "crates/mpisim/src/check.rs"
+        || rel == "crates/core/src/stage.rs"
         || rel == "crates/core/src/sim_env.rs"
+        || rel == "crates/core/src/service.rs"
 }
 
 fn push(out: &mut Vec<SrcFinding>, rel: &str, line: usize, id: SrcLintId, message: String) {
@@ -1627,14 +1631,15 @@ mod tests {
     #[test]
     fn sl010_wall_clock_in_sim_scope_only() {
         let src = "fn f() -> Instant { Instant::now() }\n";
-        assert_eq!(
-            codes(&lint_one("crates/simnet/src/latency.rs", src)),
-            vec!["SL010"]
-        );
-        assert_eq!(
-            codes(&lint_one("crates/mpisim/src/check.rs", src)),
-            vec!["SL010"]
-        );
+        for scoped in [
+            "crates/simnet/src/latency.rs",
+            "crates/mpisim/src/check.rs",
+            "crates/core/src/stage.rs",
+            "crates/core/src/sim_env.rs",
+            "crates/core/src/service.rs",
+        ] {
+            assert_eq!(codes(&lint_one(scoped, src)), vec!["SL010"], "{scoped}");
+        }
         // The NBC stall watchdog and bench timing legitimately read real
         // time.
         assert!(lint_one("crates/mpisim/src/nbc.rs", src).is_empty());

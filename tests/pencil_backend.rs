@@ -9,7 +9,7 @@
 use cfft::{Complex64, Direction};
 use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::{
-    auto_select, compare_pencil_with_serial, pencil_overlap_simulated, pencil_seed,
+    auto_select, compare_pencil_with_serial, pencil_overlap_simulated_params, pencil_seed,
     pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
     try_fft3_pencil_overlapped_traced, Decomposition, Error, NoopRecorder, PencilGrid, ProblemSpec,
     Resilience,
@@ -113,7 +113,8 @@ fn overlapped_pencil_beats_blocking_at_256_ranks() {
     let grid = PencilGrid::near_square(256);
     assert_eq!((grid.pr, grid.pc), (16, 16));
     let blocking = pencil_simulated(umd_cluster(), spec, grid);
-    let overlapped = pencil_overlap_simulated(umd_cluster(), spec, grid, 2, 64);
+    let overlapped =
+        pencil_overlap_simulated_params(umd_cluster(), spec, grid, &pencil_seed(&spec, grid));
     assert!(
         overlapped < blocking,
         "overlap {overlapped:.6}s does not beat blocking {blocking:.6}s at 256 ranks"

@@ -1,7 +1,12 @@
 //! Cross-crate integration on the simulated backend: the qualitative
 //! claims of the paper's evaluation must hold as model-level invariants.
 
-use fft3d::{fft3_simulated, th_simulated, ProblemSpec, ThParams, TuningParams, Variant};
+use cfft::Direction;
+use fft3d::{
+    fft3_simulated, fft3_simulated_repeated, th_simulated, try_multi_simulated, Decomposition,
+    JobSpec, ProblemSpec, Resilience, Service, ServiceConfig, StepTimes, ThParams, TuningParams,
+    Variant,
+};
 use simnet::model::{hopper, umd_cluster};
 use tuner::driver::{tune_new, tune_th};
 
@@ -173,4 +178,174 @@ fn determinism_across_repetitions() {
         assert_eq!(x.elapsed, y.elapsed);
         assert_eq!(x.tests, y.tests);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden table: values captured at the commit before the simulators were
+// moved onto one stage cost table and one window driver (ISSUE 13). The slab
+// pipeline, the multi-array train at one thread and the service price and
+// schedule exactly what they did, so these compare with `==`.
+// ---------------------------------------------------------------------------
+
+/// `[fftz, transpose, ffty, pack, unpack, fftx, ialltoall, wait, test]`.
+fn steps(v: [f64; 9]) -> StepTimes {
+    StepTimes {
+        fftz: v[0],
+        transpose: v[1],
+        ffty: v[2],
+        pack: v[3],
+        unpack: v[4],
+        fftx: v[5],
+        ialltoall: v[6],
+        wait: v[7],
+        test: v[8],
+    }
+}
+
+#[test]
+fn golden_slab_variants() {
+    let ragged = ProblemSpec {
+        nx: 100,
+        ny: 72,
+        nz: 90,
+        p: 7,
+    };
+    #[rustfmt::skip]
+    let table = [
+        (umd_cluster(), ProblemSpec::cube(256, 16), [
+            (Variant::New, 0.239280555, [0.04369066666666667, 0.02178859220779221, 0.04369067199999999, 0.024012256000000006, 0.024012256000000006, 0.04369067199999999, 8.96e-5, 0.036923279, 0.0008352000000000009]),
+            (Variant::Th, 0.429944034, [0.04369066666666667, 0.08830113684210526, 0.04369067199999999, 0.057070960000000004, 0.05707096, 0.04369067199999999, 8.96e-5, 0.09592176599999999, 0.0004176000000000003]),
+            (Variant::Fftw, 0.330344925, [0.04369066666666667, 0.02178859220779221, 0.043690667, 0.024012251, 0.024012251, 0.043690667, 5.6e-6, 0.12945423, 0.0]),
+        ]),
+        (hopper(), ProblemSpec::cube(384, 32), [
+            (Variant::New, 0.146147915, [0.03390814903141979, 0.013677078260869566, 0.03390814399999999, 0.014765200000000004, 0.014765200000000004, 0.03390814399999999, 0.00010239999999999997, 0.0, 0.0011136000000000008]),
+            (Variant::Th, 0.221924501, [0.03390814903141979, 0.0524288, 0.03390814399999999, 0.032602224000000006, 0.032602224000000006, 0.03390814399999999, 0.00010239999999999997, 0.001907616, 0.0005567999999999999]),
+            (Variant::Fftw, 0.174716425, [0.03390814903141979, 0.013677078260869566, 0.033908149, 0.014765198, 0.014765198, 0.033908149, 6.4e-6, 0.029778104, 0.0]),
+        ]),
+        (umd_cluster(), ragged, [
+            (Variant::New, 0.019485443, [0.003286500630016898, 0.003616744186046512, 0.0031235219999999997, 0.0022280220000000005, 0.0022691519999999995, 0.003425742, 4.409999999999999e-5, 0.0011352600000000001, 0.00035640000000000037]),
+            (Variant::Th, 0.033104575, [0.003286500630016898, 0.008185263157894737, 0.0031235219999999997, 0.0022280220000000005, 0.0022691519999999995, 0.003425742, 4.409999999999999e-5, 0.010278745999999998, 0.00017819999999999994]),
+            (Variant::Fftw, 0.027218463, [0.003286500630016898, 0.003616744186046512, 0.003123525, 0.002228014, 0.002269157, 0.003425738, 2.45e-6, 0.009266334, 0.0]),
+        ]),
+    ];
+    for (platform, spec, variants) in table {
+        let seed = TuningParams::seed(&spec);
+        for (variant, time, breakdown) in variants {
+            let rep = fft3_simulated(platform.clone(), spec, variant, seed, false);
+            assert_eq!(rep.time, time, "{spec:?} {variant:?}");
+            assert_eq!(rep.steps, steps(breakdown), "{spec:?} {variant:?}");
+        }
+    }
+}
+
+#[test]
+fn golden_repeated_executions() {
+    let spec = ProblemSpec::cube(128, 8);
+    let seed = TuningParams::seed(&spec);
+    let reps = fft3_simulated_repeated(umd_cluster(), spec, Variant::New, seed, false, 3);
+    // Execution 0 pays the 16 per-tile setups; the steady state pays none
+    // and is otherwise identical.
+    #[rustfmt::skip]
+    let mut want = steps([0.009557333333333333, 0.005447148051948052, 0.009557328000000002, 0.006003056000000001, 0.006003056000000001, 0.009557328000000002, 4.48e-5, 0.003015477, 0.00041760000000000045]);
+    assert_eq!(reps[0].time, 0.049603126);
+    assert_eq!(reps[0].steps, want);
+    assert_eq!(reps[0].setup_charges, 16);
+    want.ialltoall = 0.0;
+    for rep in &reps[1..] {
+        assert_eq!(rep.time, 0.049558326);
+        assert_eq!(rep.steps, want);
+        assert_eq!(rep.setup_charges, 0);
+    }
+}
+
+#[test]
+fn golden_multi_array_trains() {
+    let spec = ProblemSpec::cube(256, 16);
+    let seed = TuningParams::seed(&spec);
+    #[rustfmt::skip]
+    let table = [
+        (1, 0.239280555, 0.239280555, [0.043690667, 0.021788592, 0.04369067199999999, 0.024012256000000006, 0.024012256000000006, 0.04369067199999999, 8.96e-5, 0.036923279, 0.0008352000000000009]),
+        (3, 0.671466591, 0.717841665, [0.131072001, 0.065365776, 0.1310720160000001, 0.07203676800000001, 0.07203676800000001, 0.1310720160000001, 0.00026879999999999987, 0.065359432, 0.0027359999999999915]),
+    ];
+    for (arrays, fused, sequential, breakdown) in table {
+        let rep = try_multi_simulated(umd_cluster(), spec, seed, arrays, &Resilience::default())
+            .expect("multi-array train");
+        assert_eq!(rep.fused_time, fused, "{arrays} arrays");
+        assert_eq!(rep.sequential_time, sequential, "{arrays} arrays");
+        // Array 0's FFTz and Transpose run with nothing in flight and are
+        // booked at their modeled cost, as the single-array pipeline books
+        // them; the train used to book the nanosecond-rounded clock
+        // advance. The clock itself (`fused_time`) is unchanged.
+        let want = steps(breakdown);
+        assert!((rep.steps.fftz - want.fftz).abs() < 1e-9);
+        assert!((rep.steps.transpose - want.transpose).abs() < 1e-9);
+        let tiles = StepTimes {
+            fftz: want.fftz,
+            transpose: want.transpose,
+            ..rep.steps
+        };
+        assert_eq!(tiles, want, "{arrays} arrays");
+    }
+}
+
+/// SplitMix64, for a seeded trace that needs no other crate.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn golden_service_trace_with_slab_and_pencil_jobs() {
+    // 24 jobs of three geometries from four tenants at twice the service
+    // rate on 16 ranks, every eighth a two-array train. On this cluster
+    // `auto_select` sits on both sides of the slab/pencil crossover: 128³
+    // goes pencil, the two larger geometries slab.
+    let svc = Service::new(ServiceConfig::new(umd_cluster(), 16));
+    let geometries = [(128, 128, 128), (256, 256, 256), (256, 256, 128)];
+    let job = |tenant, (nx, ny, nz): (usize, usize, usize)| {
+        JobSpec::new(tenant, ProblemSpec { nx, ny, nz, p: 1 }, Direction::Forward)
+    };
+    let isolated: Vec<f64> = geometries
+        .iter()
+        .map(|g| svc.isolated_run(&job(0, *g)).expect("feasible").time)
+        .collect();
+    let gap = isolated.iter().sum::<f64>() / 3.0 / 2.0;
+    let mut rng = 20140216u64;
+    let mut at = 0.0;
+    let jobs: Vec<JobSpec> = (0..24)
+        .map(|i| {
+            let g = i % 3;
+            let spec = job(i % 4, geometries[g])
+                .with_priority((i / 3 % 3) as u8)
+                .with_deadline(1.5 * isolated[g])
+                .with_arrays(if i % 8 == 5 { 2 } else { 1 })
+                .at(at);
+            let unit = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
+            at += gap * (0.9 + 0.2 * unit);
+            spec
+        })
+        .collect();
+    let rep = svc.run(&jobs);
+    for (i, rec) in rep.jobs.iter().enumerate() {
+        match rec.decomp {
+            Some(Decomposition::Pencil(_)) => assert_eq!(i % 3, 0, "job {i} went pencil"),
+            Some(Decomposition::Slab) => assert_ne!(i % 3, 0, "job {i} went slab"),
+            None => panic!("job {i} is feasible"),
+        }
+    }
+    assert_eq!(
+        (
+            rep.makespan,
+            rep.fct.p50,
+            rep.completed(),
+            rep.rejected(),
+            rep.cancelled()
+        ),
+        (1.5013699668623317, 0.24817480623972876, 8, 12, 4)
+    );
+    assert_eq!(rep.slowdown.p99, 1.4708738423317882);
+    assert_eq!(rep.jain, 0.9971322968932311);
 }
