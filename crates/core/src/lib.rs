@@ -19,8 +19,12 @@
 //! Two interchangeable backends run the same pipeline schedule
 //! ([`pipeline::OverlapEnv`]):
 //!
-//! * [`real_env::fft3_dist`] executes on real data over the [`mpisim`]
-//!   runtime (correctness; verified against [`serial::fft3_serial`]);
+//! * the real executors run on real data over the [`mpisim`] runtime
+//!   (correctness; verified against [`serial::fft3_serial`]), slab and
+//!   pencil through one tile-exchange transport: [`fft3_dist`] /
+//!   [`try_fft3_dist`] / [`try_fft3_dist_traced`] / [`FftSession`], and
+//!   [`try_fft3_pencil`] / [`try_fft3_pencil_overlapped`] /
+//!   [`try_fft3_pencil_overlapped_traced`] / [`PencilSession`];
 //! * [`sim_env::fft3_simulated`] charges [`simnet`]'s calibrated cost
 //!   models (performance studies at the paper's scales).
 //!
@@ -54,6 +58,7 @@ pub mod service;
 pub mod sim_env;
 mod stage;
 pub mod trace;
+mod transport;
 pub mod xplan;
 
 pub use breakdown::{RunStats, StepTimes};
@@ -62,14 +67,13 @@ pub use error::Error;
 pub use error::IntegrityStage;
 pub use params::{ProblemSpec, ThParams, TuningParams};
 pub use pencil::{
-    compare_pencil_with_serial, fft3_pencil, fft3_pencil_overlapped, pencil_feasible, pencil_seed,
-    pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
-    try_fft3_pencil_overlapped_traced, PencilGrid, PencilOutput, PencilRunOutput, PencilSession,
+    compare_pencil_with_serial, pencil_feasible, pencil_seed, pencil_test_input, try_fft3_pencil,
+    try_fft3_pencil_overlapped, try_fft3_pencil_overlapped_traced, PencilGrid, PencilOutput,
+    PencilRunOutput, PencilSession,
 };
 pub use pipeline::{Recovery, Resilience};
 pub use real_env::{
-    fft3_dist, fft3_dist_traced, try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout,
-    RunOutput, Variant,
+    fft3_dist, try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout, RunOutput, Variant,
 };
 pub use recover::{
     run_recoverable, Checkpoint, ComputeSource, NoSource, ParitySource, RecoverConfig,

@@ -2,15 +2,19 @@
 //!
 //! §2.2 explains the trade-off: pencils scale to `N²` processes but need
 //! *two* all-to-all exchanges with more complex patterns, so slabs can win
-//! at moderate scale. This module provides both pencil paths:
+//! at moderate scale. This module is one executor with these entry points:
 //!
-//! * [`fft3_pencil`] — the blocking reference transform over `mpisim`
-//!   (one `alltoallv` per exchange within row/column subcommunicators);
-//! * [`fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped`] — the
-//!   paper's tile-window overlap applied to **both** pencil exchanges,
-//!   driven by the same resilient pipeline ([`crate::pipeline::try_run_new`])
-//!   as the slab backend, with the degradation ladder, tracing, and
-//!   persistent-plan reuse via [`PencilSession`];
+//! * [`try_fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped_traced`]
+//!   — the paper's tile-window overlap applied to **both** pencil
+//!   exchanges, driven by the same resilient pipeline
+//!   ([`crate::pipeline::try_run_new`]) over the same tile-exchange
+//!   transport (`crate::transport`) as the slab backend, with the
+//!   degradation ladder and tracing;
+//! * [`PencilSession`] — the same transform with persistent per-tile plans
+//!   and session-owned staging (setup once, execute many);
+//! * [`try_fft3_pencil`] — the blocking reference transform: the one tile
+//!   per stage, `W = 0`, no-poll point of the overlapped executor (one
+//!   all-to-all per exchange within the row/column subcommunicators).
 //!
 //! Their cost models on `simnet` ([`crate::sim_env::pencil_simulated`],
 //! [`crate::sim_env::pencil_overlap_simulated_params`]) price the same two
@@ -39,16 +43,15 @@ use crate::decomp::AxisSplit;
 use crate::error::Error;
 use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{try_run_new, OverlapEnv, Recovery, Resilience};
-use crate::real_env::coll_to_error;
 use crate::serial::test_field;
-use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder, TraceEvent};
+use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
+use crate::transport::{Req, Staging, TilePlans, Transport};
 use crate::xplan::{TileExchange, TransformPlanCache};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
-use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
-use simnet::model::ELEM_BYTES;
+use mpisim::Comm;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The pencil process grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +143,7 @@ pub struct PencilOutput {
     pub nzl: usize,
 }
 
-/// Per-rank pencil decomposition geometry, shared by the blocking and
-/// overlapped paths.
+/// Per-rank pencil decomposition geometry.
 #[derive(Debug, Clone)]
 struct PencilDims {
     /// X split across rows (input distribution).
@@ -199,30 +201,16 @@ fn split_pencil(comm: &Comm, grid: PencilGrid) -> (Comm, Comm) {
     (row_comm, col_comm)
 }
 
-/// Distributed 3-D FFT with 2-D (pencil) decomposition, blocking exchanges.
+/// Distributed 3-D FFT with 2-D (pencil) decomposition, blocking exchanges:
+/// the overlapped executor at one tile per stage, no window and no polls
+/// (what [`crate::Variant::Fftw`] is for the slab pipeline), so each
+/// exchange is one `ialltoallv` + wait within its subcommunicator.
 ///
 /// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
 /// layout. Collective over `comm`; `grid.len()` must equal `comm.size()`.
-///
-/// # Panics
-/// On a zero-extent axis or a mis-sized grid; use [`try_fft3_pencil`] for
-/// the typed error path.
-pub fn fft3_pencil(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    dir: Direction,
-    input: &[Complex64],
-) -> PencilOutput {
-    // Display keeps the "infeasible parameters: …" wording the panicking
-    // entry points share.
-    try_fft3_pencil(comm, spec, grid, dir, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fft3_pencil`]: a zero-extent axis comes back as
-/// [`Error::InfeasibleParams`], a grid that disagrees with the
-/// communicator or `spec.p` as [`Error::GridMismatch`] — never a panic
-/// from inside a collective.
+/// A zero-extent axis comes back as [`Error::InfeasibleParams`], a grid
+/// that disagrees with the communicator or `spec.p` as
+/// [`Error::GridMismatch`] — never a panic from inside a collective.
 pub fn try_fft3_pencil(
     comm: &Comm,
     spec: ProblemSpec,
@@ -230,159 +218,16 @@ pub fn try_fft3_pencil(
     dir: Direction,
     input: &[Complex64],
 ) -> Result<PencilOutput, Error> {
-    grid.validate(comm.size())?;
-    grid.validate(spec.p)?;
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
-    let d = PencilDims::new(&spec, grid, comm.rank());
-    assert_eq!(
-        input.len(),
-        d.nxl * d.nyc * spec.nz,
-        "input must be the rank's pencil"
-    );
-
-    let (row_comm, col_comm) = split_pencil(comm, grid);
-
-    // Shared plans: repeated pencil transforms of one geometry never replan.
-    let cache = PlanCache::global();
-    let plan_z = cache.plan(spec.nz, dir, Rigor::Estimate);
-    let plan_y = cache.plan(spec.ny, dir, Rigor::Estimate);
-    let plan_x = cache.plan(spec.nx, dir, Rigor::Estimate);
-    let mut scratch = vec![
-        Complex64::ZERO;
-        plan_z
-            .scratch_len()
-            .max(plan_y.scratch_len())
-            .max(plan_x.scratch_len())
-    ];
-
-    // ---- Stage 0: FFTz on contiguous z lines -----------------------------
-    let mut a = input.to_vec();
-    for line in 0..d.nxl * d.nyc {
-        let s = line * spec.nz;
-        plan_z.execute(&mut a[s..s + spec.nz], &mut scratch);
-    }
-
-    // ---- Row exchange: z ↔ y ---------------------------------------------
-    // Send to row-peer j its z-range; receive every peer's y-range for ours.
-    let send_counts: Vec<usize> = (0..grid.pc)
-        .map(|j| d.nxl * d.nyc * d.zs.count(j))
-        .collect();
-    let recv_counts: Vec<usize> = (0..grid.pc)
-        .map(|i| d.nxl * d.ys.count(i) * d.nzl)
-        .collect();
-    let mut send = vec![Complex64::ZERO; send_counts.iter().sum()];
-    {
-        let mut off = 0;
-        for j in 0..grid.pc {
-            let (z0, zc) = (d.zs.offset(j), d.zs.count(j));
-            for x in 0..d.nxl {
-                for y in 0..d.nyc {
-                    let src = (x * d.nyc + y) * spec.nz + z0;
-                    send[off..off + zc].copy_from_slice(&a[src..src + zc]);
-                    off += zc;
-                }
-            }
-        }
-    }
-    let mut recv = vec![Complex64::ZERO; recv_counts.iter().sum()];
-    row_comm.alltoallv(&send, &send_counts, &recv_counts, &mut recv);
-
-    // Unpack to (nxl, nzl, ny) in x-z-y layout (y contiguous).
-    let mut b = vec![Complex64::ZERO; d.nxl * d.nzl * spec.ny];
-    {
-        let mut off = 0;
-        for i in 0..grid.pc {
-            let (y0, yc) = (d.ys.offset(i), d.ys.count(i));
-            for x in 0..d.nxl {
-                for yl in 0..yc {
-                    for zl in 0..d.nzl {
-                        b[(x * d.nzl + zl) * spec.ny + y0 + yl] = recv[off];
-                        off += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Stage 1: FFTy on contiguous y lines ------------------------------
-    for line in 0..d.nxl * d.nzl {
-        let s = line * spec.ny;
-        plan_y.execute(&mut b[s..s + spec.ny], &mut scratch);
-    }
-
-    // ---- Column exchange: y ↔ x -------------------------------------------
-    let send_counts: Vec<usize> = (0..grid.pr)
-        .map(|j| d.nxl * d.y2s.count(j) * d.nzl)
-        .collect();
-    let recv_counts: Vec<usize> = (0..grid.pr)
-        .map(|i| d.xs.count(i) * d.ny2l * d.nzl)
-        .collect();
-    let mut send = vec![Complex64::ZERO; send_counts.iter().sum()];
-    {
-        let mut off = 0;
-        for j in 0..grid.pr {
-            let (y0, yc) = (d.y2s.offset(j), d.y2s.count(j));
-            for x in 0..d.nxl {
-                for zl in 0..d.nzl {
-                    let src = (x * d.nzl + zl) * spec.ny + y0;
-                    send[off..off + yc].copy_from_slice(&b[src..src + yc]);
-                    off += yc;
-                }
-            }
-        }
-    }
-    let mut recv = vec![Complex64::ZERO; recv_counts.iter().sum()];
-    col_comm.alltoallv(&send, &send_counts, &recv_counts, &mut recv);
-
-    // Unpack to (ny2l, nzl, nx) in y-z-x layout (x contiguous).
-    let mut cbuf = vec![Complex64::ZERO; d.ny2l * d.nzl * spec.nx];
-    {
-        let mut off = 0;
-        for i in 0..grid.pr {
-            let (x0, xc) = (d.xs.offset(i), d.xs.count(i));
-            for xl in 0..xc {
-                for zl in 0..d.nzl {
-                    for yl in 0..d.ny2l {
-                        cbuf[(yl * d.nzl + zl) * spec.nx + x0 + xl] = recv[off];
-                        off += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Stage 2: FFTx on contiguous x lines ------------------------------
-    for line in 0..d.ny2l * d.nzl {
-        let s = line * spec.nx;
-        plan_x.execute(&mut cbuf[s..s + spec.nx], &mut scratch);
-    }
-
-    Ok(PencilOutput {
-        data: cbuf,
-        ny2l: d.ny2l,
-        nzl: d.nzl,
-    })
+    let blocking = TuningParams {
+        t: spec.nx.max(spec.nz).max(1),
+        ..pencil_seed(&spec, grid).without_overlap()
+    };
+    try_fft3_pencil_overlapped(comm, spec, grid, blocking, dir, input).map(|run| run.output)
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped backend
+// The executor
 // ---------------------------------------------------------------------------
-
-/// Persistent exchange plans for one pencil stage, one slot per tile.
-type TilePlans = Vec<Option<PersistentAlltoall<Complex64>>>;
-
-/// Request handle for one pencil tile's subcommunicator all-to-all.
-enum PencilReq {
-    /// A freshly posted `ialltoallv`.
-    AdHoc(IAlltoall<Complex64>),
-    /// An execution of the tile's persistent plan; the handle is the tile
-    /// index (the execution lives inside the plan).
-    Persistent(usize),
-}
 
 /// Which exchange a [`StageEnv`] drives.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -398,10 +243,10 @@ enum StageKind {
 /// One pencil exchange as an [`OverlapEnv`], so
 /// [`crate::pipeline::try_run_new`] drives it with the same windowed
 /// schedule — and the same degradation ladder — as the slab backend. Two
-/// instances run per transform (Row then Col); the second numbers its
-/// tiles after the first (`tile_base`) so errors, traces, and recovery
-/// actions name globally unique tiles.
-struct StageEnv<'a, R: Recorder> {
+/// instances run per transform (Row then Col), each over a [`Transport`] on
+/// its subcommunicator; the second's numbers its tiles after the first's so
+/// errors, traces, and recovery actions name globally unique tiles.
+struct StageEnv<'a> {
     comm: &'a Comm,
     kind: StageKind,
     spec: ProblemSpec,
@@ -416,10 +261,8 @@ struct StageEnv<'a, R: Recorder> {
     f_pre: u32,
     /// Polls during the post-exchange compute of each tile.
     f_post: u32,
-    /// Poll multiplier; raised by the ladder's first rung.
-    boost: u32,
+    /// Multiplier the ladder's first rung applies to both poll counts.
     poll_boost: u32,
-    stall_timeout: Option<Duration>,
     src: &'a mut Vec<Complex64>,
     dst: &'a mut Vec<Complex64>,
     /// FFT applied before packing (FFTz for Row; none for Col, whose input
@@ -428,82 +271,21 @@ struct StageEnv<'a, R: Recorder> {
     /// FFT applied after unpacking (FFTy for Row, FFTx for Col).
     plan_post: Arc<Plan1d>,
     scratch: &'a mut Vec<Complex64>,
-    /// Packed send buffers awaiting their post.
-    staged: Vec<Option<Vec<Complex64>>>,
-    /// Completed receive buffers awaiting their unpack; the flag marks a
-    /// buffer borrowed from a persistent plan (returned via
-    /// `restore_recv` once unpacked).
-    arrived: Vec<Option<(Vec<Complex64>, bool)>>,
-    plans: Option<&'a mut TilePlans>,
-    recorder: &'a mut R,
-    epoch: Instant,
-    tile_base: usize,
+    /// Posts, polls, waits and pools the stage's tiles over `comm`.
+    net: Transport<'a>,
     threads_n: usize,
-    /// Exchange setups this stage performed: one per ad-hoc post, one per
-    /// persistent-plan init (plan reuse does not count).
-    setups: u64,
 }
 
-impl<R: Recorder> StageEnv<'_, R> {
-    fn record_span(&mut self, t0: Instant, t1: Instant, kind: EventKind) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                start: (t0 - self.epoch).as_secs_f64(),
-                end: (t1 - self.epoch).as_secs_f64(),
-                kind,
-            });
-        }
-    }
-
+impl StageEnv<'_> {
     /// `(start, count)` of `tile`'s plane range along the tiled axis.
     fn tile_range(&self, tile: usize) -> (usize, usize) {
         let start = tile * self.tsize;
         (start, self.tsize.min(self.extent - start))
     }
-
-    fn try_test_req(&mut self, req: &mut PencilReq) -> Result<bool, CollError> {
-        match req {
-            PencilReq::AdHoc(r) => r.try_test(self.comm),
-            PencilReq::Persistent(pt) => self
-                .plans
-                .as_deref_mut()
-                .and_then(|p| p[*pt].as_mut())
-                .expect("in-flight persistent execution without its plan")
-                .try_test(self.comm),
-        }
-    }
-
-    /// Polls every in-flight exchange `n` times, surfacing the first fault
-    /// a poll observes (named after the tile it hit).
-    fn poll(&mut self, n: u32, inflight: &mut [(usize, PencilReq)]) -> Result<(), Error> {
-        if inflight.is_empty() {
-            return Ok(());
-        }
-        for _ in 0..n {
-            for (gt, req) in inflight.iter_mut() {
-                let t0 = Instant::now();
-                let result = self.try_test_req(req);
-                let t1 = Instant::now();
-                if self.recorder.enabled() {
-                    let completed = matches!(result, Ok(true));
-                    self.record_span(
-                        t0,
-                        t1,
-                        EventKind::Test {
-                            tile: *gt,
-                            completed,
-                        },
-                    );
-                }
-                result.map_err(|e| coll_to_error(*gt, e))?;
-            }
-        }
-        Ok(())
-    }
 }
 
-impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
-    type Req = PencilReq;
+impl OverlapEnv for StageEnv<'_> {
+    type Req = Req;
 
     fn num_tiles(&self) -> usize {
         self.tiles.len()
@@ -520,10 +302,10 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
     }
 
     fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
-        let gt = self.tile_base + tile;
+        let gt = self.net.tile_id(tile);
         let (start, cnt) = self.tile_range(tile);
-        let xg = self.tiles[tile].clone();
-        let mut send = vec![Complex64::ZERO; xg.total_send];
+        let peers = self.tiles[tile].send_counts.len();
+        let total_send = self.tiles[tile].total_send;
         match self.kind {
             StageKind::Row => {
                 let (nz, nyc) = (self.spec.nz, self.dims.nyc);
@@ -537,11 +319,12 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                         }
                     }
                     let t1 = Instant::now();
-                    self.record_span(t0, t1, EventKind::Fftz);
+                    self.net.span(t0, t1, EventKind::Fftz);
                 }
                 let t0 = Instant::now();
+                let send = self.net.staged(total_send);
                 let mut off = 0;
-                for j in 0..xg.send_counts.len() {
+                for j in 0..peers {
                     let (z0, zc) = (self.dims.zs.offset(j), self.dims.zs.count(j));
                     for x in start..start + cnt {
                         for y in 0..nyc {
@@ -552,7 +335,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                     }
                 }
                 let t1 = Instant::now();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Pack {
@@ -564,8 +347,9 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
             StageKind::Col => {
                 let (ny, nxl, nzl) = (self.spec.ny, self.dims.nxl, self.dims.nzl);
                 let t0 = Instant::now();
+                let send = self.net.staged(total_send);
                 let mut off = 0;
-                for j in 0..xg.send_counts.len() {
+                for j in 0..peers {
                     let (y0, yc) = (self.dims.y2s.offset(j), self.dims.y2s.count(j));
                     for x in 0..nxl {
                         for zl in start..start + cnt {
@@ -576,7 +360,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                     }
                 }
                 let t1 = Instant::now();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Pack {
@@ -586,92 +370,15 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                 );
             }
         }
-        self.staged[tile] = Some(send);
-        self.poll(self.f_pre.saturating_mul(self.boost), inflight)
+        self.net.poll(inflight, self.f_pre.into())
     }
 
     fn post_a2a(&mut self, tile: usize) -> Self::Req {
-        let gt = self.tile_base + tile;
-        let xg = self.tiles[tile].clone();
-        let send = self.staged[tile]
-            .take()
-            .expect("post without a packed tile");
-        let t0 = Instant::now();
-        let req = if let Some(plans) = self.plans.as_deref_mut() {
-            if plans[tile].is_none() {
-                plans[tile] = Some(self.comm.alltoallv_init(
-                    &xg.send_counts,
-                    &xg.recv_counts,
-                    vec![Complex64::ZERO; xg.total_recv],
-                ));
-                self.setups += 1;
-            }
-            let plan = plans[tile].as_mut().expect("just initialised");
-            plan.start(self.comm, &send);
-            PencilReq::Persistent(tile)
-        } else {
-            self.setups += 1;
-            PencilReq::AdHoc(self.comm.ialltoallv(
-                &send,
-                &xg.send_counts,
-                &xg.recv_counts,
-                vec![Complex64::ZERO; xg.total_recv],
-            ))
-        };
-        let t1 = Instant::now();
-        self.record_span(
-            t0,
-            t1,
-            EventKind::PostA2a {
-                tile: gt,
-                bytes: xg.total_send as u64 * ELEM_BYTES,
-            },
-        );
-        req
+        self.net.post(tile, &self.tiles[tile])
     }
 
     fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
-        let gt = self.tile_base + tile;
-        let comm = self.comm;
-        let t0 = Instant::now();
-        type WaitOutcome = Result<(Vec<Complex64>, bool), (PencilReq, CollError)>;
-        let outcome: WaitOutcome = match req {
-            PencilReq::AdHoc(mut r) => match self.stall_timeout {
-                None => Ok((r.wait(comm), false)),
-                Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok((r.take_recv(), false)),
-                    // Hand the live request back: the driver may retry it
-                    // after a degradation step, or cancel it.
-                    Err(e) => Err((PencilReq::AdHoc(r), e)),
-                },
-            },
-            PencilReq::Persistent(pt) => {
-                let plan = self
-                    .plans
-                    .as_deref_mut()
-                    .and_then(|p| p[pt].as_mut())
-                    .expect("in-flight persistent execution without its plan");
-                match self.stall_timeout {
-                    None => {
-                        plan.wait(comm);
-                        Ok((plan.take_recv(), true))
-                    }
-                    Some(timeout) => match plan.wait_timeout(comm, timeout) {
-                        Ok(()) => Ok((plan.take_recv(), true)),
-                        Err(e) => Err((PencilReq::Persistent(pt), e)),
-                    },
-                }
-            }
-        };
-        let t1 = Instant::now();
-        self.record_span(t0, t1, EventKind::Wait { tile: gt });
-        match outcome {
-            Ok((recv, from_plan)) => {
-                self.arrived[tile] = Some((recv, from_plan));
-                Ok(())
-            }
-            Err((req, e)) => Err((req, coll_to_error(gt, e))),
-        }
+        self.net.wait(tile, req)
     }
 
     fn unpack_fftx(
@@ -679,11 +386,9 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
         tile: usize,
         inflight: &mut [(usize, Self::Req)],
     ) -> Result<(), Error> {
-        let gt = self.tile_base + tile;
+        let gt = self.net.tile_id(tile);
         let (start, cnt) = self.tile_range(tile);
-        let (recv, from_plan) = self.arrived[tile]
-            .take()
-            .ok_or(Error::Internal("unpack without a waited tile"))?;
+        let recv = self.net.take_recv()?;
         match self.kind {
             StageKind::Row => {
                 let (ny, nzl) = (self.spec.ny, self.dims.nzl);
@@ -701,7 +406,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                     }
                 }
                 let t1 = Instant::now();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Unpack {
@@ -719,7 +424,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                         }
                     }
                     let t1 = Instant::now();
-                    self.record_span(
+                    self.net.span(
                         t0,
                         t1,
                         EventKind::Ffty {
@@ -745,7 +450,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                     }
                 }
                 let t1 = Instant::now();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Unpack {
@@ -763,7 +468,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                         }
                     }
                     let t1 = Instant::now();
-                    self.record_span(
+                    self.net.span(
                         t0,
                         t1,
                         EventKind::Fftx {
@@ -774,49 +479,27 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
                 }
             }
         }
-        if from_plan {
-            if let Some(plan) = self.plans.as_deref_mut().and_then(|p| p[tile].as_mut()) {
-                plan.restore_recv(recv);
-            }
-        }
-        self.poll(self.f_post.saturating_mul(self.boost), inflight)
+        self.net.recycle(recv);
+        self.net.poll(inflight, self.f_post.into())
     }
 
     fn boost_polls(&mut self) {
-        self.boost = self.poll_boost.max(1);
+        // Called at most once per stage run.
+        self.f_pre = self.f_pre.saturating_mul(self.poll_boost.max(1));
+        self.f_post = self.f_post.saturating_mul(self.poll_boost.max(1));
     }
 
     fn escalate_watchdog(&mut self) {
-        if let Some(t) = self.stall_timeout.as_mut() {
-            *t *= 2;
-        }
+        self.net.escalate();
     }
 
     fn on_degrade(&mut self, tile: usize, action: DegradeAction) {
-        let now = Instant::now();
-        self.record_span(
-            now,
-            now,
-            EventKind::Degrade {
-                tile: self.tile_base + tile,
-                action,
-            },
-        );
+        let tile = self.net.tile_id(tile);
+        self.net.mark(EventKind::Degrade { tile, action });
     }
 
     fn cancel(&mut self, _tile: usize, req: Self::Req) {
-        match req {
-            PencilReq::AdHoc(r) => {
-                r.cancel(self.comm);
-            }
-            PencilReq::Persistent(pt) => {
-                // Freeing the plan cancels its in-flight execution; the next
-                // run of this tile re-initialises lazily.
-                if let Some(plan) = self.plans.as_deref_mut().and_then(|p| p[pt].take()) {
-                    plan.free(self.comm);
-                }
-            }
-        }
+        self.net.cancel(req);
     }
 
     fn sched_point(&mut self) {
@@ -830,7 +513,7 @@ impl<R: Recorder> OverlapEnv for StageEnv<'_, R> {
 
 /// Result of one overlapped pencil transform.
 pub struct PencilRunOutput {
-    /// The spectrum pencil, as [`fft3_pencil`] returns it.
+    /// The spectrum pencil.
     pub output: PencilOutput,
     /// What the resilient driver had to do across both stages (tile
     /// numbers in [`Recovery::actions`] count stage-2 tiles after
@@ -872,55 +555,105 @@ fn merge_recovery(mut a: Recovery, b: Recovery) -> Recovery {
     a
 }
 
-/// The overlapped transform proper, shared by the one-shot entry points
-/// (`plans = None`: ad-hoc `ialltoallv` per tile) and [`PencilSession`]
-/// (persistent plans, initialised lazily on first use).
-#[allow(clippy::too_many_arguments)]
-fn run_pencil_overlapped<R: Recorder>(
-    row_comm: &Comm,
-    col_comm: &Comm,
-    spec: &ProblemSpec,
+/// What a pencil transform pins: the validated problem, this rank's
+/// geometry and the row/column subcommunicators. A one-shot call builds one
+/// per call; a [`PencilSession`] keeps it.
+struct Pinned {
+    spec: ProblemSpec,
     grid: PencilGrid,
-    dims: &PencilDims,
-    params: &TuningParams,
+    params: TuningParams,
     dir: Direction,
-    input: &[Complex64],
-    res: &Resilience,
-    recorder: &mut R,
-    row_plans: Option<&mut TilePlans>,
-    col_plans: Option<&mut TilePlans>,
-) -> Result<PencilRunOutput, Error> {
-    assert_eq!(
-        input.len(),
-        dims.nxl * dims.nyc * spec.nz,
-        "input must be the rank's pencil"
-    );
-    let rank = dims.row * grid.pc + dims.col;
-    let geom = TransformPlanCache::global()
-        .pencil_geometry(spec, grid.pr, grid.pc, rank, params.t)
-        .0;
+    dims: PencilDims,
+    row_comm: Comm,
+    col_comm: Comm,
+}
 
-    let cache = PlanCache::global();
-    let plan_z = cache.plan(spec.nz, dir, Rigor::Estimate);
-    let plan_y = cache.plan(spec.ny, dir, Rigor::Estimate);
-    let plan_x = cache.plan(spec.nx, dir, Rigor::Estimate);
-    let mut scratch = vec![
-        Complex64::ZERO;
-        plan_z
-            .scratch_len()
-            .max(plan_y.scratch_len())
-            .max(plan_x.scratch_len())
-    ];
+impl Pinned {
+    /// Validates and splits the subcommunicators. Collective over `comm`.
+    fn new(
+        comm: &Comm,
+        spec: ProblemSpec,
+        grid: PencilGrid,
+        params: TuningParams,
+        dir: Direction,
+    ) -> Result<Self, Error> {
+        validate_pencil(comm.size(), &spec, grid, &params)?;
+        let dims = PencilDims::new(&spec, grid, comm.rank());
+        let (row_comm, col_comm) = split_pencil(comm, grid);
+        Ok(Pinned {
+            spec,
+            grid,
+            params,
+            dir,
+            dims,
+            row_comm,
+            col_comm,
+        })
+    }
 
-    let mut a = input.to_vec();
-    let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];
-    let mut c = vec![Complex64::ZERO; dims.ny2l * dims.nzl * spec.nx];
-    let epoch = Instant::now();
-    let mut setups = 0u64;
+    /// The transform proper, shared by the one-shot entry points (`plans =
+    /// None`: ad-hoc `ialltoallv` per tile, staging for this call) and
+    /// [`PencilSession`] (its `[row, column]` persistent plans, initialised
+    /// lazily on first use, and its staging).
+    fn run(
+        &self,
+        input: &[Complex64],
+        res: &Resilience,
+        recorder: &mut dyn Recorder,
+        plans: Option<&mut [TilePlans; 2]>,
+        staging: &mut Staging,
+    ) -> Result<PencilRunOutput, Error> {
+        let Pinned {
+            spec,
+            grid,
+            params,
+            dir,
+            dims,
+            row_comm,
+            col_comm,
+        } = self;
+        assert_eq!(
+            input.len(),
+            dims.nxl * dims.nyc * spec.nz,
+            "input must be the rank's pencil"
+        );
+        let rank = dims.row * grid.pc + dims.col;
+        let geom = TransformPlanCache::global()
+            .pencil_geometry(spec, grid.pr, grid.pc, rank, params.t)
+            .0;
+        // One staging serves both stages: sized for the larger stage's largest
+        // tile, `W + 1` receive blocks between post and unpack.
+        let tiles = || geom.row.iter().chain(&geom.col);
+        staging.prepare(
+            tiles().map(|t| t.total_send).max().unwrap_or(0),
+            params.w + 1,
+            tiles().map(|t| t.total_recv).max().unwrap_or(0),
+        );
+        let (row_plans, col_plans) = match plans {
+            Some([row, col]) => (Some(row), Some(col)),
+            None => (None, None),
+        };
 
-    // ---- Stage 1: FFTz/Pack ∥ row exchange ∥ Unpack/FFTy ------------------
-    let k1 = geom.row.len();
-    let rec1 = {
+        let cache = PlanCache::global();
+        let plan_z = cache.plan(spec.nz, *dir, Rigor::Estimate);
+        let plan_y = cache.plan(spec.ny, *dir, Rigor::Estimate);
+        let plan_x = cache.plan(spec.nx, *dir, Rigor::Estimate);
+        let mut scratch = vec![
+            Complex64::ZERO;
+            plan_z
+                .scratch_len()
+                .max(plan_y.scratch_len())
+                .max(plan_x.scratch_len())
+        ];
+
+        let mut a = input.to_vec();
+        let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];
+        let mut c = vec![Complex64::ZERO; dims.ny2l * dims.nzl * spec.nx];
+        let epoch = Instant::now();
+        let timeout = res.stall_timeout;
+
+        // ---- Stage 1: FFTz/Pack ∥ row exchange ∥ Unpack/FFTy ------------------
+        let k1 = geom.row.len();
         let mut env = StageEnv {
             comm: row_comm,
             kind: StageKind::Row,
@@ -932,31 +665,19 @@ fn run_pencil_overlapped<R: Recorder>(
             w: params.w,
             f_pre: params.fp,
             f_post: params.fu + params.fy,
-            boost: 1,
             poll_boost: res.poll_boost,
-            stall_timeout: res.stall_timeout,
             src: &mut a,
             dst: &mut b,
-            plan_pre: Some(plan_z.clone()),
-            plan_post: plan_y.clone(),
+            plan_pre: Some(plan_z),
+            plan_post: plan_y,
             scratch: &mut scratch,
-            staged: (0..k1).map(|_| None).collect(),
-            arrived: (0..k1).map(|_| None).collect(),
-            plans: row_plans,
-            recorder,
-            epoch,
-            tile_base: 0,
+            net: Transport::new(row_comm, row_plans, staging, timeout, 0, epoch, recorder),
             threads_n: params.threads,
-            setups: 0,
         };
-        let rec = try_run_new(&mut env, res)?;
-        setups += env.setups;
-        rec
-    };
+        let rec1 = try_run_new(&mut env, res)?;
+        let setups = env.net.setups;
 
-    // ---- Stage 2: Pack ∥ column exchange ∥ Unpack/FFTx --------------------
-    let k2 = geom.col.len();
-    let rec2 = {
+        // ---- Stage 2: Pack ∥ column exchange ∥ Unpack/FFTx --------------------
         let mut env = StageEnv {
             comm: col_comm,
             kind: StageKind::Col,
@@ -968,71 +689,43 @@ fn run_pencil_overlapped<R: Recorder>(
             w: params.w,
             f_pre: params.fp,
             f_post: params.fu + params.fx,
-            boost: 1,
             poll_boost: res.poll_boost,
-            stall_timeout: res.stall_timeout,
             src: &mut b,
             dst: &mut c,
             plan_pre: None,
-            plan_post: plan_x.clone(),
+            plan_post: plan_x,
             scratch: &mut scratch,
-            staged: (0..k2).map(|_| None).collect(),
-            arrived: (0..k2).map(|_| None).collect(),
-            plans: col_plans,
-            recorder,
-            epoch,
-            tile_base: k1,
+            net: Transport::new(col_comm, col_plans, staging, timeout, k1, epoch, recorder),
             threads_n: params.threads,
-            setups: 0,
         };
-        let rec = try_run_new(&mut env, res)?;
-        setups += env.setups;
-        rec
-    };
+        let rec2 = try_run_new(&mut env, res)?;
+        let setups = setups + env.net.setups;
 
-    Ok(PencilRunOutput {
-        output: PencilOutput {
-            data: c,
-            ny2l: dims.ny2l,
-            nzl: dims.nzl,
-        },
-        recovery: merge_recovery(rec1, rec2),
-        exchange_setups: setups,
-    })
+        Ok(PencilRunOutput {
+            output: PencilOutput {
+                data: c,
+                ny2l: dims.ny2l,
+                nzl: dims.nzl,
+            },
+            recovery: merge_recovery(rec1, rec2),
+            exchange_setups: setups,
+        })
+    }
 }
 
 /// Distributed 3-D FFT with 2-D (pencil) decomposition and the paper's
-/// tile-window overlap on **both** exchanges.
+/// tile-window overlap on **both** exchanges, with default resilience (no
+/// watchdog) and tracing off.
 ///
 /// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
-/// layout; the output matches [`fft3_pencil`] exactly (bit-for-bit — both
-/// paths run the same per-line kernels in the same order). Collective
-/// over `comm`.
+/// layout; the output is bit-identical whatever the tiling (every tile
+/// size runs the same per-line kernels). Collective over `comm`.
 ///
 /// The relevant tuning knobs are `t` (planes per tile along the tiled
 /// axis), `w` (window), the `F*` polling frequencies (`fp` during pack,
 /// `fu` during unpack, `fy`/`fx` during the post-exchange FFT), and
 /// `threads`; the slab subtile knobs (`px`, `pz`, `uy`, `uz`) are
 /// accepted and ignored.
-///
-/// # Panics
-/// On any validation or pipeline fault; use
-/// [`try_fft3_pencil_overlapped`] for the typed error path.
-pub fn fft3_pencil_overlapped(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    input: &[Complex64],
-) -> PencilOutput {
-    try_fft3_pencil_overlapped(comm, spec, grid, params, dir, input)
-        .map(|r| r.output)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fft3_pencil_overlapped`] with default resilience (no
-/// watchdog) and tracing off.
 pub fn try_fft3_pencil_overlapped(
     comm: &Comm,
     spec: ProblemSpec,
@@ -1068,36 +761,29 @@ pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
     res: &Resilience,
     recorder: &mut R,
 ) -> Result<PencilRunOutput, Error> {
-    validate_pencil(comm.size(), &spec, grid, &params)?;
-    let dims = PencilDims::new(&spec, grid, comm.rank());
-    let (row_comm, col_comm) = split_pencil(comm, grid);
-    run_pencil_overlapped(
-        &row_comm, &col_comm, &spec, grid, &dims, &params, dir, input, res, recorder, None, None,
-    )
+    let pinned = Pinned::new(comm, spec, grid, params, dir)?;
+    pinned.run(input, res, recorder, None, &mut Staging::default())
 }
 
 /// A setup-once, execute-many overlapped pencil transform: the row/column
-/// subcommunicators are split once and every tile's exchange runs as a
+/// subcommunicators are split once, every tile's exchange runs as a
 /// persistent plan (`alltoallv_init` on first use, `start`/`wait`
-/// afterwards), so repeated transforms of one geometry pay zero exchange
-/// setups after the first execution.
+/// afterwards) and the network staging (pack buffer, `W + 1` pooled receive
+/// blocks) is kept, so repeated transforms of one geometry pay zero
+/// exchange setups and allocate no staging after the first execution.
+/// Dropping the session frees every plan (so no MC006 lint fires);
+/// [`PencilSession::free`] does the same and reports how many.
 pub struct PencilSession {
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    dims: PencilDims,
-    row_comm: Comm,
-    col_comm: Comm,
-    row_plans: TilePlans,
-    col_plans: TilePlans,
+    pinned: Pinned,
+    /// `[row, column]` stage plans.
+    plans: [TilePlans; 2],
+    staging: Staging,
     executions: u64,
 }
 
 impl PencilSession {
-    /// Validates, splits the subcommunicators, and sizes the per-tile plan
-    /// slots (plans themselves are initialised lazily by the first
-    /// execution). Collective over `comm`.
+    /// Validates and splits the subcommunicators (plans are initialised
+    /// lazily by the first execution). Collective over `comm`.
     pub fn new(
         comm: &Comm,
         spec: ProblemSpec,
@@ -1105,21 +791,10 @@ impl PencilSession {
         params: TuningParams,
         dir: Direction,
     ) -> Result<Self, Error> {
-        validate_pencil(comm.size(), &spec, grid, &params)?;
-        let dims = PencilDims::new(&spec, grid, comm.rank());
-        let (row_comm, col_comm) = split_pencil(comm, grid);
-        let k1 = dims.nxl.div_ceil(params.t.clamp(1, dims.nxl.max(1)));
-        let k2 = dims.nzl.div_ceil(params.t.clamp(1, dims.nzl.max(1)));
         Ok(PencilSession {
-            spec,
-            grid,
-            params,
-            dir,
-            dims,
-            row_comm,
-            col_comm,
-            row_plans: (0..k1).map(|_| None).collect(),
-            col_plans: (0..k2).map(|_| None).collect(),
+            pinned: Pinned::new(comm, spec, grid, params, dir)?,
+            plans: Default::default(),
+            staging: Staging::default(),
             executions: 0,
         })
     }
@@ -1136,20 +811,10 @@ impl PencilSession {
         res: &Resilience,
         recorder: &mut R,
     ) -> Result<PencilRunOutput, Error> {
-        let out = run_pencil_overlapped(
-            &self.row_comm,
-            &self.col_comm,
-            &self.spec,
-            self.grid,
-            &self.dims,
-            &self.params,
-            self.dir,
-            input,
-            res,
-            recorder,
-            Some(&mut self.row_plans),
-            Some(&mut self.col_plans),
-        )?;
+        let plans = Some(&mut self.plans);
+        let out = self
+            .pinned
+            .run(input, res, recorder, plans, &mut self.staging)?;
         self.executions += 1;
         Ok(out)
     }
@@ -1159,24 +824,21 @@ impl PencilSession {
         self.executions
     }
 
-    /// Frees every initialised persistent plan (collective over the
-    /// subcommunicators, like `MPI_Request_free`); returns how many were
-    /// freed.
+    /// Frees every initialised persistent plan over the subcommunicator
+    /// that posted it; returns how many were freed.
     pub fn free(mut self) -> usize {
-        let mut n = 0;
-        for slot in self.row_plans.iter_mut() {
-            if let Some(plan) = slot.take() {
-                plan.free(&self.row_comm);
-                n += 1;
-            }
-        }
-        for slot in self.col_plans.iter_mut() {
-            if let Some(plan) = slot.take() {
-                plan.free(&self.col_comm);
-                n += 1;
-            }
-        }
-        n
+        self.release()
+    }
+
+    fn release(&mut self) -> usize {
+        let [row, col] = &mut self.plans;
+        row.free_all(&self.pinned.row_comm) + col.free_all(&self.pinned.col_comm)
+    }
+}
+
+impl Drop for PencilSession {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -1266,6 +928,14 @@ pub fn compare_pencil_with_serial(
 }
 
 #[cfg(test)]
+impl PencilSession {
+    /// The session's plan tables and staging, for the crate's pooling tests.
+    pub(crate) fn transport_state(&self) -> (&[TilePlans; 2], &Staging) {
+        (&self.plans, &self.staging)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::{fft3_serial, full_test_array};
@@ -1282,7 +952,8 @@ mod tests {
         let reference = serial_reference(spec, Direction::Forward);
         let errs = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let out = fft3_pencil(&comm, spec, grid, Direction::Forward, &input);
+            let out = try_fft3_pencil(&comm, spec, grid, Direction::Forward, &input)
+                .expect("blocking pencil transform");
             compare_pencil_with_serial(&spec, grid, comm.rank(), &out, &reference)
         });
         for (r, e) in errs.iter().enumerate() {
@@ -1304,10 +975,9 @@ mod tests {
             compare_pencil_with_serial(&spec, grid, comm.rank(), &out.output, &reference)
         });
         for (r, e) in errs.iter().enumerate() {
-            // The overlapped path runs the same per-line kernels in the
-            // same order as the blocking path, so it matches serial to the
-            // same tolerance (and in practice bit-exactly; the end-to-end
-            // suite pins that).
+            // Every tiling runs the same per-line kernels, so this matches
+            // serial to the blocking tolerance (and in practice bit-exactly;
+            // the end-to-end suite pins that).
             assert!(
                 *e < 1e-9 * spec.len() as f64,
                 "rank {r}: err {e} ({spec:?}, {grid:?})"
@@ -1410,7 +1080,8 @@ mod tests {
         };
         let ok = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let blocking = fft3_pencil(&comm, spec, grid, Direction::Forward, &input);
+            let blocking = try_fft3_pencil(&comm, spec, grid, Direction::Forward, &input)
+                .expect("blocking pencil transform");
             let overlapped =
                 try_fft3_pencil_overlapped(&comm, spec, grid, params, Direction::Forward, &input)
                     .expect("overlapped pencil transform");

@@ -55,7 +55,8 @@ pub trait OverlapEnv {
     /// stall that survives a rung climb is usually contention (a straggler,
     /// a congested window), not a dead peer, so each strike grants the next
     /// attempt more room; a truly wedged exchange still surfaces within the
-    /// (geometrically bounded) strike budget. Default: no-op.
+    /// bounded strike budget (see [`Resilience::max_strikes`]). Default:
+    /// no-op.
     fn escalate_watchdog(&mut self) {}
     /// Degradation hook: the driver took `action` while waiting on `tile`.
     /// Backends surface this in their trace stream. Default: no-op.
@@ -111,8 +112,12 @@ pub struct Resilience {
     pub poll_boost: u32,
     /// Stalls tolerated per wait before the driver gives up on it. Each
     /// strike grants the wait another watchdog period, doubled per strike
-    /// (see [`OverlapEnv::escalate_watchdog`]), so a wait is bounded by
-    /// `(2^(max_strikes + 1) − 1) · stall_timeout`.
+    /// (see [`OverlapEnv::escalate_watchdog`]); the real executors cap an
+    /// escalated period at 5 s, so a wait is bounded by the sum over strikes
+    /// `i = 0..=max_strikes` of `min(2^i · stall_timeout, 5 s)`: 16 s
+    /// (`2 + 4 + 5 + 5`) for a 2 s timeout and three strikes, not the
+    /// uncapped `(2^(max_strikes + 1) − 1) · stall_timeout` = 30 s (which is
+    /// what the simulated backend's virtual-time watchdog still allows).
     pub max_strikes: u32,
 }
 

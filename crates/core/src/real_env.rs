@@ -7,37 +7,29 @@
 //! shape, divisible or not. The performance story is told by the simulated
 //! backend; here the timings are real wall-clock and only meaningful for
 //! laptop-scale smoke benchmarks.
+//!
+//! Entry points: [`try_fft3_dist_traced`] (tracing plus a stall policy),
+//! [`try_fft3_dist`] (neither), the panicking [`fft3_dist`], and
+//! [`FftSession`] (setup once, execute many). All run one executor; what it
+//! keeps to itself is the slab's index kernels, FFT batches and integrity
+//! checks — every tile moves through `crate::transport`.
 
 use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomp;
 use crate::error::{Error, IntegrityStage};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
-use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder, TraceEvent};
+use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
+use crate::transport::{PollSchedule, Req, Staging, TilePlans, Transport};
 use crate::xplan::{ExchangeGeometry, TileExchange, TransformPlanCache};
 use cfft::batch::{execute_lines_threaded, for_each_part_threaded, for_each_row_threaded};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use faultplan::{checksum, flip_seeded_bit};
-use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
+use mpisim::Comm;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Pins a backend fault to the tile whose exchange it hit. Shared with the
-/// pencil backend, whose stage-2 tiles are numbered after stage 1's.
-pub(crate) fn coll_to_error(tile: usize, e: CollError) -> Error {
-    match e {
-        CollError::Stalled { round, peer } => Error::Stalled { tile, round, peer },
-        CollError::Dropped { round, peer } => Error::Dropped { tile, round, peer },
-        CollError::RankFailed(rank) => Error::RankFailed { tile, rank },
-        CollError::Revoked => Error::Revoked { tile },
-        CollError::Corrupt { .. } => Error::IntegrityFailed {
-            tile,
-            stage: IntegrityStage::Wire,
-        },
-    }
-}
 
 /// Which algorithm variant to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,123 +92,17 @@ pub struct RunOutput {
     pub exchange_setups: u64,
 }
 
-/// Request handle of the real backend: either an ad-hoc one-shot exchange,
-/// or one execution of a session's persistent per-tile plan (the plan
-/// itself lives in the environment, so the handle is just the tile number).
-pub enum RealReq {
-    /// One-shot `ialltoallv` request (the non-session path).
-    AdHoc(IAlltoall<Complex64>),
-    /// In-flight execution of the persistent plan for this tile.
-    Persistent(usize),
-    /// No exchange was posted: the staged payload failed an integrity
-    /// check at the named stage. The driver's wait surfaces the failure;
-    /// for the Pack stage it can heal by [`OverlapEnv::retransmit`],
-    /// because no peer ever saw (or sequenced) the withheld exchange.
-    Poisoned(IntegrityStage),
-}
-
-/// Per-tile persistent exchange plans owned by an [`FftSession`], borrowed
-/// by the environment for the duration of one execution.
-type TilePlans = Vec<Option<PersistentAlltoall<Complex64>>>;
-
-/// Distributes polls evenly across a loop of `total_units` work units.
-struct PollSchedule {
-    total_units: u64,
-    polls: u64,
-    done: u64,
-    issued: u64,
-}
-
-impl PollSchedule {
-    fn new(total_units: usize, polls: u32) -> Self {
-        PollSchedule {
-            total_units: total_units.max(1) as u64,
-            polls: polls as u64,
-            done: 0,
-            issued: 0,
-        }
-    }
-
-    /// Marks one unit done; returns how many polls are now due.
-    fn after_unit(&mut self) -> u64 {
-        self.done += 1;
-        let target = self.polls * self.done / self.total_units;
-        let due = target - self.issued;
-        self.issued = target;
-        due
-    }
-}
-
-/// Bounded recycle pool for all-to-all receive buffers.
-///
-/// Retains at most `max_buffers` buffers (the windowed pipeline never has
-/// more than `W + 1` tiles between post and unpack), and shrinks a returned
-/// buffer whose capacity exceeds `max_len` — e.g. one that served a larger
-/// earlier tile — before retaining it, so mixed tile sizes cannot pin
-/// peak-tile memory for the rest of the run.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    max_buffers: usize,
-    max_len: usize,
-    bufs: Vec<Vec<Complex64>>,
-}
-
-impl BufferPool {
-    /// A pool retaining at most `max_buffers` buffers of at most `max_len`
-    /// elements of capacity each.
-    pub fn new(max_buffers: usize, max_len: usize) -> Self {
-        BufferPool {
-            max_buffers,
-            max_len,
-            bufs: Vec::new(),
-        }
-    }
-
-    /// Hands out a zero-filled buffer of exactly `len` elements, recycling
-    /// a retained one when available.
-    pub fn take(&mut self, len: usize) -> Vec<Complex64> {
-        let mut buf = self.bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, Complex64::ZERO);
-        buf
-    }
-
-    /// Returns a buffer to the pool; dropped if the pool is full, shrunk
-    /// first if its capacity exceeds the pool's per-buffer cap.
-    pub fn put(&mut self, mut buf: Vec<Complex64>) {
-        if self.bufs.len() >= self.max_buffers {
-            return;
-        }
-        if buf.capacity() > self.max_len {
-            buf.truncate(self.max_len);
-            buf.shrink_to(self.max_len);
-        }
-        self.bufs.push(buf);
-    }
-
-    /// Number of buffers currently retained.
-    pub fn retained(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Total elements of capacity currently retained.
-    pub fn retained_capacity(&self) -> usize {
-        self.bufs.iter().map(|b| b.capacity()).sum()
-    }
-}
-
-/// Per-rank working memory of the slab pipeline: everything one transform
-/// touches besides the caller's input and the output it returns. An
-/// [`FftSession`] owns one for its lifetime, so a steady-state execution
-/// allocates nothing but its output; the one-shot entry points build one per
-/// call. Every buffer is fully rewritten before it is read, so nothing of
-/// one execution can reach the next one's result (DESIGN.md §15).
+/// Per-rank compute memory of the slab pipeline: with the network
+/// [`Staging`], everything one transform touches besides the caller's input
+/// and the output it returns. An [`FftSession`] owns both for its lifetime,
+/// so a steady-state execution allocates nothing but its output; the
+/// one-shot entry points build them per call. Every buffer is fully
+/// rewritten before it is read, so nothing of one execution can reach the
+/// next one's result (DESIGN.md §15).
 #[derive(Default)]
 struct Workspace {
     /// Transposed slab: z-x-y (standard) or x-z-y (fast).
     zxy: Vec<Complex64>,
-    /// Per-destination-block staging for the current tile's pack.
-    send: Vec<Complex64>,
     /// FFTz scratch: one x-plane (`Ny·Nz`) per worker thread.
     planes: Vec<Complex64>,
     plan_scratch: Vec<Complex64>,
@@ -228,25 +114,17 @@ struct Workspace {
     abft_post: Vec<Complex64>,
     /// Offsets of the current sub-tile's lines (FFTy's and FFTx's alike).
     rows: Vec<usize>,
-    /// Receive buffers, bounded to the pipeline's working set of `W + 1`.
-    /// Ad-hoc exchanges and persistent per-tile plans both borrow from it
-    /// at post time and return the buffer after unpack, so an idle plan
-    /// holds no staging.
-    recv_pool: BufferPool,
 }
 
 impl Workspace {
     /// Sizes the buffers for one run; changes nothing from a session's
     /// second execution on.
-    fn prepare(&mut self, slab: usize, planes: usize, plan_scratch: usize, pool: (usize, usize)) {
+    fn prepare(&mut self, slab: usize, planes: usize, plan_scratch: usize) {
         if self.zxy.len() != slab {
             self.zxy = vec![Complex64::ZERO; slab];
         }
         self.planes.resize(planes, Complex64::ZERO);
         self.plan_scratch.resize(plan_scratch, Complex64::ZERO);
-        if (self.recv_pool.max_buffers, self.recv_pool.max_len) != pool {
-            self.recv_pool = BufferPool::new(pool.0, pool.1);
-        }
     }
 }
 
@@ -258,13 +136,8 @@ struct RealEnv<'a> {
     /// Per-tile exchange geometry from the process-wide
     /// [`TransformPlanCache`] — never recomputed per call.
     geom: Arc<ExchangeGeometry>,
-    /// Session mode: per-tile persistent plans, inited lazily on each
-    /// tile's first execution and reused for every execution after.
-    /// `None` posts ad-hoc one-shot exchanges (the classic path).
-    plans: Option<&'a mut TilePlans>,
-    /// Exchange schedule setups performed during this run (see
-    /// [`RunOutput::exchange_setups`]).
-    setups: u64,
+    /// Posts, polls, waits and pools every tile's exchange over `comm`.
+    net: Transport<'a>,
     nxl: usize,
     nyl: usize,
     transpose_style: TransposeStyle,
@@ -277,24 +150,16 @@ struct RealEnv<'a> {
     ws: &'a mut Workspace,
     /// Output slab: z-y-x or y-z-x.
     out: Vec<Complex64>,
-    /// Elements the largest tile's pack can need; `ws.send` never exceeds it.
-    send_cap: usize,
     /// Resident hash over the packed staging buffer, set by the pack and
     /// re-verified at post time — memory SDC on the pack→post boundary is
     /// caught before the bytes reach any peer.
     send_hash: u64,
-    /// Receive data of the most recently waited tile, awaiting unpack.
-    pending_recv: Option<Vec<Complex64>>,
-    /// Watchdog timeout for waits; `None` blocks forever (legacy).
-    stall_timeout: Option<Duration>,
     /// `F*` multiplier applied by the ladder's boost-polls rung.
     poll_boost: u32,
     /// The boost is applied at most once per run.
     boosted: bool,
+    /// The compute steps' shares; the transport keeps the network steps'.
     steps: StepTimes,
-    tests: u64,
-    started: Instant,
-    recorder: &'a mut dyn Recorder,
 }
 
 impl<'a> RealEnv<'a> {
@@ -304,85 +169,13 @@ impl<'a> RealEnv<'a> {
         (z0, z1)
     }
 
-    /// One `MPI_Test` on `req`, whichever exchange mode it belongs to.
-    fn try_test(&mut self, req: &mut RealReq) -> Result<bool, CollError> {
-        let comm = self.comm;
-        match req {
-            RealReq::AdHoc(r) => r.try_test(comm),
-            RealReq::Persistent(tile) => self
-                .plans
-                .as_mut()
-                .and_then(|p| p[*tile].as_mut())
-                .expect("in-flight persistent execution without its plan")
-                .try_test(comm),
-            // A withheld exchange never completes; the failure surfaces at
-            // wait time, where the driver can heal it.
-            RealReq::Poisoned(_) => Ok(false),
-        }
-    }
-
-    fn poll_inflight(
-        &mut self,
-        inflight: &mut [(usize, RealReq)],
-        times: u64,
-    ) -> Result<(), Error> {
-        if times == 0 || inflight.is_empty() {
-            return Ok(());
-        }
-        if self.recorder.enabled() {
-            // Traced path: time and record each poll individually so the
-            // event stream shows which tile each `MPI_Test` touched and
-            // whether it observed completion.
-            for _ in 0..times {
-                for (tile, req) in inflight.iter_mut() {
-                    let t0 = Instant::now();
-                    let result = self.try_test(req);
-                    let t1 = Instant::now();
-                    self.tests += 1;
-                    self.steps.test += (t1 - t0).as_secs_f64();
-                    let tile = *tile;
-                    let completed = result.map_err(|e| coll_to_error(tile, e))?;
-                    self.record_span(t0, t1, EventKind::Test { tile, completed });
-                }
-            }
-        } else {
-            let t0 = Instant::now();
-            let mut failed = None;
-            'polls: for _ in 0..times {
-                for (tile, req) in inflight.iter_mut() {
-                    self.tests += 1;
-                    if let Err(e) = self.try_test(req) {
-                        failed = Some(coll_to_error(*tile, e));
-                        break 'polls;
-                    }
-                }
-            }
-            self.steps.test += t0.elapsed().as_secs_f64();
-            if let Some(e) = failed {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Records one traced span; no-op (and no timestamp math) when tracing
-    /// is disabled.
-    fn record_span(&mut self, t0: Instant, t1: Instant, kind: EventKind) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                start: t0.duration_since(self.started).as_secs_f64(),
-                end: t1.duration_since(self.started).as_secs_f64(),
-                kind,
-            });
-        }
-    }
-
-    /// Flat index into the transposed slab for `(z, xl, y)`.
-    #[inline]
-    fn zxy_idx(&self, z: usize, xl: usize, y: usize) -> usize {
-        match self.transpose_style {
-            TransposeStyle::Fast => (xl * self.spec.nz + z) * self.spec.ny + y,
-            _ => (z * self.nxl + xl) * self.spec.ny + y,
+    /// Flat index of row `(z, xl)` of the transposed slab — a closure over
+    /// copies, so callers can hold it across borrows of `self`.
+    fn zxy_row(&self) -> impl Fn(usize, usize) -> usize + Copy {
+        let (style, nz, ny, nxl) = (self.transpose_style, self.spec.nz, self.spec.ny, self.nxl);
+        move |z, xl| match style {
+            TransposeStyle::Fast => (xl * nz + z) * ny,
+            _ => (z * nxl + xl) * ny,
         }
     }
 
@@ -400,11 +193,12 @@ impl<'a> RealEnv<'a> {
     /// (z_local, x_local, y_local): the sequential Pack of one sub-tile,
     /// and — over a whole tile — the re-pack of [`OverlapEnv::retransmit`].
     fn pack_rows(&mut self, xg: &TileExchange, z0: usize, zs: Range<usize>, xs: Range<usize>) {
-        let nxl = self.nxl;
+        let (nxl, zxy_row) = (self.nxl, self.zxy_row());
+        let send = self.net.staged(xg.total_send);
         for z in zs {
             let zl = z - z0;
             for xl in xs.clone() {
-                let row = self.zxy_idx(z, xl, 0);
+                let row = zxy_row(z, xl);
                 let in_block_row = zl * nxl + xl;
                 for (q, &q_displ) in xg.send_displs.iter().enumerate() {
                     let nyl_q = self.decomp.y.count(q);
@@ -412,49 +206,10 @@ impl<'a> RealEnv<'a> {
                     let dst = q_displ + in_block_row * nyl_q;
                     let src = row + yoff;
                     // Contiguous y-run copy.
-                    self.ws.send[dst..dst + nyl_q].copy_from_slice(&self.ws.zxy[src..src + nyl_q]);
+                    send[dst..dst + nyl_q].copy_from_slice(&self.ws.zxy[src..src + nyl_q]);
                 }
             }
         }
-    }
-
-    /// Posts `tile`'s exchange from the current staging buffer. Shared by
-    /// the normal post path and [`OverlapEnv::retransmit`]; deliberately
-    /// free of the crash/bit-flip injection points so a retransmitted
-    /// exchange is never re-poisoned by the same planned fault.
-    fn post_exchange(&mut self, tile: usize, xg: &TileExchange) -> RealReq {
-        let comm = self.comm;
-        let t0 = Instant::now();
-        let recv = self.ws.recv_pool.take(xg.total_recv);
-        let send = &self.ws.send[..xg.total_send];
-        let req = match self.plans.as_mut() {
-            Some(plans) => {
-                // Session mode: init the tile's persistent plan lazily on
-                // its first execution; every later execution lends it a
-                // pool buffer and starts it — zero per-execution negotiation.
-                match &mut plans[tile] {
-                    Some(plan) => plan.restore_recv(recv),
-                    slot => {
-                        *slot = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
-                        self.setups += 1;
-                    }
-                }
-                plans[tile]
-                    .as_mut()
-                    .expect("just initialised")
-                    .start(comm, send);
-                RealReq::Persistent(tile)
-            }
-            None => {
-                self.setups += 1;
-                RealReq::AdHoc(comm.ialltoallv(send, &xg.send_counts, &xg.recv_counts, recv))
-            }
-        };
-        let t1 = Instant::now();
-        self.steps.ialltoall += (t1 - t0).as_secs_f64();
-        let bytes = (xg.total_send * std::mem::size_of::<Complex64>()) as u64;
-        self.record_span(t0, t1, EventKind::PostA2a { tile, bytes });
-        req
     }
 }
 
@@ -490,7 +245,7 @@ fn abft_agrees(sum_fft: &[Complex64], post_sum: &[Complex64], batch: usize) -> b
 }
 
 impl<'a> OverlapEnv for RealEnv<'a> {
-    type Req = RealReq;
+    type Req = Req;
 
     fn num_tiles(&self) -> usize {
         self.params.tiles(&self.spec)
@@ -594,9 +349,9 @@ impl<'a> OverlapEnv for RealEnv<'a> {
             spent.0.as_secs_f64() / (spent.0 + spent.1).as_secs_f64().max(f64::MIN_POSITIVE);
         let mid = t0 + (t1 - t0).mul_f64(share);
         self.steps.fftz += (mid - t0).as_secs_f64();
-        self.record_span(t0, mid, EventKind::Fftz);
+        self.net.span(t0, mid, EventKind::Fftz);
         self.steps.transpose += (t1 - mid).as_secs_f64();
-        self.record_span(mid, t1, EventKind::Transpose);
+        self.net.span(mid, t1, EventKind::Transpose);
     }
 
     fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
@@ -626,14 +381,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let xg = &*geom.tiles[tile];
         let send_displs = &xg.send_displs;
         let total_send = xg.total_send;
-        if self.ws.send.len() < total_send {
-            self.ws.send.resize(total_send, Complex64::ZERO);
-        }
-        if self.ws.send.capacity() > self.send_cap {
-            // Never retain more staging than the largest tile needs.
-            self.ws.send.truncate(self.send_cap);
-            self.ws.send.shrink_to(self.send_cap);
-        }
+        let zxy_row = self.zxy_row();
 
         for zb in 0..zblocks {
             let zs = z0 + zb * pz;
@@ -643,13 +391,12 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 let xe = (xs + px).min(nxl);
 
                 // Row starts of the sub-tile's y lines (disjoint whichever
-                // layout `zxy_idx` uses), shared by the transform paths and
+                // layout `zxy_row` uses), shared by the transform paths and
                 // the ABFT sums below.
                 self.ws.rows.clear();
                 for z in zs..ze {
                     for xl in xs..xe {
-                        let row = self.zxy_idx(z, xl, 0);
-                        self.ws.rows.push(row);
+                        self.ws.rows.push(zxy_row(z, xl));
                     }
                 }
 
@@ -681,7 +428,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
                 let t1 = Instant::now();
                 self.steps.ffty += (t1 - t0).as_secs_f64();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Ffty {
@@ -696,8 +443,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
                 abft_sum_rows(&mut self.ws.abft_post, &self.ws.zxy, &self.ws.rows, ny);
                 if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
-                    let now = Instant::now();
-                    self.record_span(now, now, EventKind::Corrupt { tile });
+                    self.net.mark(EventKind::Corrupt { tile });
                     return Err(Error::IntegrityFailed {
                         tile,
                         stage: IntegrityStage::Ffty,
@@ -705,7 +451,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
 
                 let due = sched_y.after_unit();
-                self.poll_inflight(inflight, due)?;
+                self.net.poll(inflight, due)?;
 
                 // Pack the sub-tile into per-destination blocks, each laid
                 // out (z_local, x_local, y_local).
@@ -718,14 +464,8 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     bounds.push(total_send);
                     let zxy = &self.ws.zxy;
                     let decomp = &self.decomp;
-                    let style = self.transpose_style;
-                    let (snz, sny, snxl) = (self.spec.nz, ny, nxl);
-                    let zxy_row = move |z: usize, xl: usize| match style {
-                        TransposeStyle::Fast => (xl * snz + z) * sny,
-                        _ => (z * snxl + xl) * sny,
-                    };
                     for_each_part_threaded(
-                        &mut self.ws.send[..total_send],
+                        self.net.staged(total_send),
                         &bounds,
                         self.params.threads,
                         |q, part| {
@@ -746,7 +486,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
                 let t1 = Instant::now();
                 self.steps.pack += (t1 - t0).as_secs_f64();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Pack {
@@ -755,13 +495,13 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     },
                 );
                 let due = sched_p.after_unit();
-                self.poll_inflight(inflight, due)?;
+                self.net.poll(inflight, due)?;
             }
         }
         // Seal the staged payload: post time re-verifies this hash, so any
         // memory corruption on the pack→post boundary is caught before the
         // bytes reach a peer.
-        self.send_hash = checksum(&self.ws.send[..total_send]);
+        self.send_hash = checksum(self.net.staged(total_send));
         Ok(())
     }
 
@@ -776,88 +516,21 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         // Fault-plan memory-SDC injection: flip one seeded bit of the
         // packed staging buffer on the same pack→post boundary.
         if let Some(site) = self.comm.bitflip_point(tile) {
-            flip_seeded_bit(&mut self.ws.send[..xg.total_send], site);
+            flip_seeded_bit(self.net.staged(xg.total_send), site);
         }
         // Resident hash check: the staged payload must still be the bytes
-        // the pack sealed, or the exchange is withheld — the poisoned
-        // request surfaces at wait time and the driver re-packs from the
-        // pristine transformed slab (no peer sequenced anything).
-        if checksum(&self.ws.send[..xg.total_send]) != self.send_hash {
-            let now = Instant::now();
-            self.record_span(now, now, EventKind::Corrupt { tile });
-            return RealReq::Poisoned(IntegrityStage::Pack);
+        // the pack sealed, or the exchange is withheld — the request
+        // surfaces the failure at wait time and the driver re-packs from
+        // the pristine transformed slab (no peer sequenced anything).
+        if checksum(self.net.staged(xg.total_send)) != self.send_hash {
+            self.net.mark(EventKind::Corrupt { tile });
+            return Req::Withheld(IntegrityStage::Pack);
         }
-        self.post_exchange(tile, xg)
+        self.net.post(tile, xg)
     }
 
     fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
-        if let RealReq::Poisoned(stage) = req {
-            // Nothing was posted: surface the integrity failure so the
-            // driver can heal (Pack stage retransmits) or abort.
-            return Err((
-                RealReq::Poisoned(stage),
-                Error::IntegrityFailed { tile, stage },
-            ));
-        }
-        let comm = self.comm;
-        let t0 = Instant::now();
-        // Resolve the exchange to a completed receive buffer (or a
-        // retryable error); the timing and trace bookkeeping is shared.
-        type WaitOutcome<R> = Result<Vec<Complex64>, (R, CollError)>;
-        let outcome: WaitOutcome<Self::Req> = match req {
-            RealReq::AdHoc(mut r) => match self.stall_timeout {
-                None => {
-                    // Legacy blocking wait: spins (with parking) until
-                    // complete, panics on an unrecoverable collective fault.
-                    Ok(r.wait(comm))
-                }
-                Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok(r.take_recv()),
-                    // Hand the live request back: the driver may retry it
-                    // after a degradation step, or cancel it.
-                    Err(e) => Err((RealReq::AdHoc(r), e)),
-                },
-            },
-            RealReq::Persistent(pt) => {
-                let plan = self
-                    .plans
-                    .as_mut()
-                    .and_then(|p| p[pt].as_mut())
-                    .expect("in-flight persistent execution without its plan");
-                match self.stall_timeout {
-                    None => {
-                        plan.wait(comm);
-                        Ok(plan.take_recv())
-                    }
-                    Some(timeout) => match plan.wait_timeout(comm, timeout) {
-                        Ok(()) => Ok(plan.take_recv()),
-                        // The execution stays alive inside the plan; the
-                        // handle going back to the driver is just the tile.
-                        Err(e) => Err((RealReq::Persistent(pt), e)),
-                    },
-                }
-            }
-            RealReq::Poisoned(_) => unreachable!("handled above"),
-        };
-        let t1 = Instant::now();
-        self.steps.wait += (t1 - t0).as_secs_f64();
-        self.record_span(t0, t1, EventKind::Wait { tile });
-        match outcome {
-            Ok(recv) => {
-                self.pending_recv = Some(recv);
-                Ok(())
-            }
-            Err((req, e)) => {
-                let err = coll_to_error(tile, e);
-                if matches!(err, Error::IntegrityFailed { .. }) {
-                    // Wire corruption past the link-layer retransmit budget:
-                    // mark the detection in the timeline.
-                    let now = Instant::now();
-                    self.record_span(now, now, EventKind::Corrupt { tile });
-                }
-                Err((req, err))
-            }
-        }
+        self.net.wait(tile, req)
     }
 
     fn unpack_fftx(
@@ -865,16 +538,13 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         tile: usize,
         inflight: &mut [(usize, Self::Req)],
     ) -> Result<(), Error> {
-        let recv = self
-            .pending_recv
-            .take()
-            .ok_or(Error::Internal("unpack without a waited tile"))?;
+        let recv = self.net.take_recv()?;
         let (z0, z1) = self.tile_range(tile);
         let tz = z1 - z0;
         let nx = self.spec.nx;
         let nyl = self.nyl;
         if nyl == 0 || tz == 0 {
-            self.ws.recv_pool.put(recv);
+            self.net.recycle(recv);
             return Ok(());
         }
         let (uy, uz) = (self.params.uy.min(nyl), self.params.uz.min(tz));
@@ -952,7 +622,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
                 let t1 = Instant::now();
                 self.steps.unpack += (t1 - t0).as_secs_f64();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Unpack {
@@ -961,7 +631,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     },
                 );
                 let due = sched_u.after_unit();
-                self.poll_inflight(inflight, due)?;
+                self.net.poll(inflight, due)?;
 
                 // ABFT checksum line through FFTx — same linearity identity
                 // as the FFTy check in `ffty_pack`.
@@ -992,7 +662,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
                 let t1 = Instant::now();
                 self.steps.fftx += (t1 - t0).as_secs_f64();
-                self.record_span(
+                self.net.span(
                     t0,
                     t1,
                     EventKind::Fftx {
@@ -1005,8 +675,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
                 abft_sum_rows(&mut self.ws.abft_post, &self.out, &self.ws.rows, nx);
                 if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
-                    let now = Instant::now();
-                    self.record_span(now, now, EventKind::Corrupt { tile });
+                    self.net.mark(EventKind::Corrupt { tile });
                     return Err(Error::IntegrityFailed {
                         tile,
                         stage: IntegrityStage::Fftx,
@@ -1014,22 +683,15 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 }
 
                 let due = sched_x.after_unit();
-                self.poll_inflight(inflight, due)?;
+                self.net.poll(inflight, due)?;
             }
         }
-        self.ws.recv_pool.put(recv);
+        self.net.recycle(recv);
         Ok(())
     }
 
     fn escalate_watchdog(&mut self) {
-        // Doubling per strike keeps a dead peer's detection time
-        // geometrically bounded while giving a straggler-induced stall
-        // enough grace to drain (the strike budget alone is too tight once
-        // the mailbox parks back off from microseconds instead of a fixed
-        // 50 ms slice).
-        if let Some(t) = self.stall_timeout.as_mut() {
-            *t = t.saturating_mul(2).min(Duration::from_secs(5));
-        }
+        self.net.escalate();
     }
 
     fn boost_polls(&mut self) {
@@ -1045,27 +707,11 @@ impl<'a> OverlapEnv for RealEnv<'a> {
     }
 
     fn on_degrade(&mut self, tile: usize, action: DegradeAction) {
-        let now = Instant::now();
-        self.record_span(now, now, EventKind::Degrade { tile, action });
+        self.net.mark(EventKind::Degrade { tile, action });
     }
 
     fn cancel(&mut self, _tile: usize, req: Self::Req) {
-        // Reclaim whatever the abandoned exchange staged in this rank's
-        // mailbox so nothing leaks past the error path.
-        match req {
-            RealReq::AdHoc(r) => {
-                r.cancel(self.comm);
-            }
-            RealReq::Persistent(tile) => {
-                // Free the whole plan — its in-flight execution is purged
-                // with it; a later execution re-inits the tile lazily.
-                if let Some(plan) = self.plans.as_mut().and_then(|p| p[tile].take()) {
-                    plan.free(self.comm);
-                }
-            }
-            // A poisoned request never staged anything.
-            RealReq::Poisoned(_) => {}
-        }
+        self.net.cancel(req);
     }
 
     fn retransmit(&mut self, tile: usize) -> Option<Self::Req> {
@@ -1077,17 +723,14 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let (z0, z1) = self.tile_range(tile);
         let geom = Arc::clone(&self.geom);
         let xg = &*geom.tiles[tile];
-        if self.ws.send.len() < xg.total_send {
-            self.ws.send.resize(xg.total_send, Complex64::ZERO);
-        }
         self.pack_rows(xg, z0, z0..z1, 0..self.nxl);
-        self.send_hash = checksum(&self.ws.send[..xg.total_send]);
-        Some(self.post_exchange(tile, xg))
+        self.send_hash = checksum(self.net.staged(xg.total_send));
+        Some(self.net.post(tile, xg))
     }
 
     fn post_poisoned(&self, req: &Self::Req) -> Option<IntegrityStage> {
         match req {
-            RealReq::Poisoned(stage) => Some(*stage),
+            Req::Withheld(stage) => Some(*stage),
             _ => None,
         }
     }
@@ -1109,6 +752,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 /// elements). Returns this rank's y-slab of the result plus statistics.
 /// Collective: every rank of `comm` must call this with consistent
 /// arguments.
+///
+/// # Panics
+/// On infeasible parameters or an unrecoverable pipeline fault; use
+/// [`try_fft3_dist`] for the typed error path.
 pub fn fft3_dist(
     comm: &Comm,
     spec: ProblemSpec,
@@ -1118,50 +765,9 @@ pub fn fft3_dist(
     rigor: Rigor,
     input: &[Complex64],
 ) -> RunOutput {
-    fft3_dist_traced(
-        comm,
-        spec,
-        variant,
-        params,
-        dir,
-        rigor,
-        input,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`fft3_dist`] with per-tile event tracing: every phase span, poll and
-/// wait on this rank is appended to `recorder` (see [`crate::trace`]).
-/// Passing a [`NoopRecorder`] makes this identical to [`fft3_dist`].
-///
-/// # Panics
-/// On infeasible parameters or an unrecoverable pipeline fault; use
-/// [`try_fft3_dist_traced`] for the typed error path.
-#[allow(clippy::too_many_arguments)]
-pub fn fft3_dist_traced(
-    comm: &Comm,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    dir: Direction,
-    rigor: Rigor,
-    input: &[Complex64],
-    recorder: &mut dyn Recorder,
-) -> RunOutput {
-    try_fft3_dist_traced(
-        comm,
-        spec,
-        variant,
-        params,
-        dir,
-        rigor,
-        input,
-        &Resilience::default(),
-        recorder,
-    )
     // Display keeps the legacy "infeasible parameters: …" wording that
     // callers of the panicking API match on.
-    .unwrap_or_else(|e| panic!("{e}"))
+    try_fft3_dist(comm, spec, variant, params, dir, rigor, input).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`fft3_dist`]: infeasible parameters come back as
@@ -1191,8 +797,10 @@ pub fn try_fft3_dist(
     )
 }
 
-/// The full-control entry point: tracing plus an explicit [`Resilience`]
-/// policy. With `stall_timeout` set, stalled exchanges trip the watchdog
+/// The full-control entry point: every phase span, poll and wait on this
+/// rank is appended to `recorder` (see [`crate::trace`]; a [`NoopRecorder`]
+/// turns tracing off), under an explicit [`Resilience`] policy. With
+/// `stall_timeout` set, stalled exchanges trip the watchdog
 /// and the pipeline climbs the degradation ladder (boost polls → shrink
 /// window → blocking fallback) before giving up; what it did is reported
 /// in [`RunOutput::recovery`]. On the error path every in-flight exchange
@@ -1220,13 +828,15 @@ pub fn try_fft3_dist_traced(
         resilience,
         recorder,
         &mut Workspace::default(),
+        &mut Staging::default(),
         None,
     )
 }
 
-/// Shared implementation behind the one-shot entry points (a workspace for
-/// this call, `plans: None` — ad-hoc exchanges) and [`FftSession::execute`]
-/// (the session's workspace and per-tile persistent plans).
+/// Shared implementation behind the one-shot entry points (working memory
+/// for this call, `plans: None` — ad-hoc exchanges) and
+/// [`FftSession::execute`] (the session's memory and per-tile persistent
+/// plans).
 #[allow(clippy::too_many_arguments)]
 fn run_dist(
     comm: &Comm,
@@ -1239,7 +849,8 @@ fn run_dist(
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
     ws: &mut Workspace,
-    mut plans: Option<&mut TilePlans>,
+    staging: &mut Staging,
+    plans: Option<&mut TilePlans>,
 ) -> Result<RunOutput, Error> {
     // The clock covers everything the call does, set-up included.
     let started = Instant::now();
@@ -1341,30 +952,26 @@ fn run_dist(
     // Exchange geometry from the process-wide cache: a repeat of this
     // (shape, tile) does zero schedule setup here.
     let (geom, _cached) = TransformPlanCache::global().geometry(&spec, rank, params.t);
-    // Size the session's plan table on first use; tiles freed by a cancel
-    // stay None and re-init lazily.
-    if let Some(p) = plans.as_deref_mut() {
-        if p.len() != geom.tiles.len() {
-            p.clear();
-            p.resize_with(geom.tiles.len(), || None);
-        }
-    }
     let plane_len = spec.ny * spec.nz;
     ws.prepare(
         nxl * plane_len,
         params.threads.clamp(1, nxl.max(1)) * plane_len,
         scratch_len,
-        // The windowed pipeline never has more than `W + 1` tiles between
-        // post and unpack; no tile receives more than a full one.
-        (params.w + 1, params.t * spec.nx * nyl),
     );
+    // The windowed pipeline never has more than `W + 1` tiles between post
+    // and unpack; no tile packs or receives more than a full one.
+    staging.prepare(
+        params.t * nxl * spec.ny,
+        params.w + 1,
+        params.t * spec.nx * nyl,
+    );
+    let timeout = resilience.stall_timeout;
     let mut env = RealEnv {
         comm,
         spec,
         params,
         geom,
-        plans,
-        setups: 0,
+        net: Transport::new(comm, plans, staging, timeout, 0, started, recorder),
         nxl,
         nyl,
         decomp,
@@ -1376,16 +983,10 @@ fn run_dist(
         input,
         ws,
         out: vec![Complex64::ZERO; spec.nz * nyl * spec.nx],
-        send_cap: params.t * nxl * spec.ny,
         send_hash: 0,
-        pending_recv: None,
-        stall_timeout: resilience.stall_timeout,
         poll_boost: resilience.poll_boost,
         boosted: false,
         steps: StepTimes::default(),
-        tests: 0,
-        started,
-        recorder,
     };
 
     let recovery = match variant {
@@ -1393,18 +994,17 @@ fn run_dist(
         _ => try_run_new(&mut env, resilience)?,
     };
 
-    let elapsed = env.started.elapsed().as_secs_f64();
     Ok(RunOutput {
-        data: std::mem::take(&mut env.out),
+        data: env.out,
         layout,
         stats: RunStats {
-            steps: env.steps,
-            elapsed,
-            tests: env.tests,
+            steps: env.steps + env.net.steps,
+            elapsed: started.elapsed().as_secs_f64(),
+            tests: env.net.tests,
         },
         recovery,
         planning,
-        exchange_setups: env.setups,
+        exchange_setups: env.net.setups,
     })
 }
 
@@ -1412,7 +1012,7 @@ fn run_dist(
 /// the user-facing face of the persistent all-to-all plans.
 ///
 /// A session pins `(comm, spec, variant, params, dir, rigor)` and owns one
-/// [`PersistentAlltoall`] per communication tile plus the pipeline's
+/// persistent all-to-all plan per communication tile plus the pipeline's
 /// working memory (transposed slab, pack staging, scratch, and a pool of
 /// `W + 1` receive buffers the plans borrow while in flight). The first
 /// [`FftSession::execute`] initialises each tile's plan as it is first
@@ -1432,6 +1032,7 @@ pub struct FftSession<'a> {
     rigor: Rigor,
     plans: TilePlans,
     workspace: Workspace,
+    staging: Staging,
     executions: u64,
     checkpoint_interval: Option<u64>,
     checkpoint: Option<crate::recover::Checkpoint>,
@@ -1456,8 +1057,9 @@ impl<'a> FftSession<'a> {
             params,
             dir,
             rigor,
-            plans: Vec::new(),
+            plans: TilePlans::default(),
             workspace: Workspace::default(),
+            staging: Staging::default(),
             executions: 0,
             checkpoint_interval: None,
             checkpoint: None,
@@ -1521,6 +1123,7 @@ impl<'a> FftSession<'a> {
             resilience,
             recorder,
             &mut self.workspace,
+            &mut self.staging,
             Some(&mut self.plans),
         )
     }
@@ -1533,25 +1136,17 @@ impl<'a> FftSession<'a> {
     /// Live per-tile persistent plans (tiles not yet posted, or freed by a
     /// fault path, have none).
     pub fn live_plans(&self) -> usize {
-        self.plans.iter().flatten().count()
+        self.plans.live()
     }
 
     /// Releases every persistent plan. Equivalent to dropping the session,
     /// but explicit at call sites that want the free visible.
-    pub fn free(mut self) {
-        self.release();
-    }
-
-    fn release(&mut self) {
-        for plan in self.plans.drain(..).flatten() {
-            plan.free(self.comm);
-        }
-    }
+    pub fn free(self) {}
 }
 
 impl Drop for FftSession<'_> {
     fn drop(&mut self) {
-        self.release();
+        self.plans.free_all(self.comm);
     }
 }
 
@@ -1951,6 +1546,7 @@ mod tests {
 
     #[test]
     fn session_pools_receive_staging_and_idle_plans_hold_none() {
+        use crate::pencil::{pencil_test_input, PencilGrid, PencilSession};
         let spec = ProblemSpec::cube(16, 2);
         let params = TuningParams {
             t: 2,
@@ -1960,6 +1556,19 @@ mod tests {
             params.tiles(&spec) > params.w + 1,
             "more plans than buffers"
         );
+        // After three executions: every plan idle and empty-handed, at most
+        // `W + 1` pooled blocks, none larger than the largest tile's.
+        let check = move |plans: &[&TilePlans], staging: &Staging, tile_recv: usize| {
+            for stage in plans {
+                assert_eq!(stage.idle_staging(), 0, "an idle plan holds staging");
+            }
+            let (buffers, capacity) = staging.pooled();
+            assert!(buffers <= params.w + 1, "{buffers} buffers");
+            assert!(
+                capacity <= (params.w + 1) * tile_recv,
+                "{capacity} elements"
+            );
+        };
         mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
             let mut session = FftSession::new(
@@ -1974,18 +1583,23 @@ mod tests {
                 session.execute(&input).expect("clean run");
             }
             assert_eq!(session.live_plans(), params.tiles(&spec));
-            for plan in session.plans.iter().flatten() {
-                assert!(plan.recv().is_empty(), "an idle plan holds staging");
-            }
-            let pool = &session.workspace.recv_pool;
-            assert!(
-                pool.retained() <= params.w + 1,
-                "{} buffers",
-                pool.retained()
-            );
             let tile_recv = params.t * spec.nx * (spec.ny / spec.p);
-            assert!(pool.retained_capacity() <= (params.w + 1) * tile_recv);
+            check(&[&session.plans], &session.staging, tile_recv);
             session.free();
+
+            // The pencil session, both stages through the same staging: 8
+            // row tiles of 2·16·8 and 4 column tiles of 16·16·2 elements.
+            let grid = PencilGrid { pr: 1, pc: 2 };
+            let input = pencil_test_input(&spec, grid, comm.rank());
+            let mut session = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
+                .expect("session setup");
+            for _ in 0..3 {
+                session.execute(&input).expect("clean run");
+            }
+            let (plans, staging) = session.transport_state();
+            assert_eq!(plans[0].live() + plans[1].live(), 8 + 4);
+            check(&[&plans[0], &plans[1]], staging, 16 * 16 * 2);
+            assert_eq!(session.free(), 8 + 4);
         });
     }
 
@@ -2156,54 +1770,5 @@ mod tests {
             assert_eq!(a, k);
             assert_eq!(b, k, "ad-hoc path re-negotiates every call");
         }
-    }
-
-    #[test]
-    fn buffer_pool_caps_retained_buffers() {
-        // Regression: the recv pool used to be an unbounded Vec that only
-        // ever grew; returns beyond the pipeline's working set are dropped.
-        let mut pool = BufferPool::new(3, 100);
-        for _ in 0..8 {
-            pool.put(vec![Complex64::ZERO; 10]);
-        }
-        assert_eq!(pool.retained(), 3);
-        assert!(pool.retained_capacity() <= 3 * 100);
-    }
-
-    #[test]
-    fn buffer_pool_shrinks_oversized_returns() {
-        // Regression: a buffer sized for a peak tile used to keep its full
-        // capacity forever; now it is shrunk to the per-buffer cap.
-        let mut pool = BufferPool::new(4, 8);
-        pool.put(vec![Complex64::ZERO; 64]);
-        assert!(
-            pool.retained_capacity() <= 8,
-            "capacity {}",
-            pool.retained_capacity()
-        );
-        let b = pool.take(4);
-        assert_eq!(b.len(), 4);
-        assert!(b.capacity() < 64);
-    }
-
-    #[test]
-    fn buffer_pool_recycles_and_zeroes() {
-        let mut pool = BufferPool::new(2, 16);
-        let mut b = pool.take(4);
-        b.fill(Complex64::new(7.0, 7.0));
-        pool.put(b);
-        let b = pool.take(8);
-        assert!(b.iter().all(|&c| c == Complex64::ZERO));
-        assert_eq!(pool.retained(), 0);
-    }
-
-    #[test]
-    fn poll_schedule_distributes_evenly() {
-        let mut s = PollSchedule::new(4, 8);
-        let emitted: Vec<u64> = (0..4).map(|_| s.after_unit()).collect();
-        assert_eq!(emitted, vec![2, 2, 2, 2]);
-        let mut s = PollSchedule::new(3, 2);
-        let emitted: Vec<u64> = (0..3).map(|_| s.after_unit()).collect();
-        assert_eq!(emitted.iter().sum::<u64>(), 2);
     }
 }

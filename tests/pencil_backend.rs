@@ -4,17 +4,20 @@
 //! and both transform directions, the simulated overlap win at 256 ranks,
 //! slab/pencil auto-selection on both sides of the crossover, the typed
 //! error contracts of the `try_` entry points (the two pinned regressions
-//! of this sweep), and stall recovery across the two exchange rounds.
+//! of this sweep), stall recovery across the two exchange rounds, and the
+//! session properties (bit-identical repeats on reused staging, setups
+//! k-then-0, plans freed on drop).
 
-use cfft::{Complex64, Direction};
+use cfft::{Complex64, Direction, Rigor};
+use fft3d::real_env::local_test_slab;
 use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::{
     auto_select, compare_pencil_with_serial, pencil_overlap_simulated_params, pencil_seed,
     pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
-    try_fft3_pencil_overlapped_traced, Decomposition, Error, NoopRecorder, PencilGrid, ProblemSpec,
-    Resilience,
+    try_fft3_pencil_overlapped_traced, Decomposition, Error, FftSession, NoopRecorder, PencilGrid,
+    PencilSession, ProblemSpec, Resilience, TuningParams, Variant,
 };
-use mpisim::FaultPlan;
+use mpisim::{run_with_config, CheckConfig, FaultPlan, RunConfig};
 use proptest::prelude::*;
 use simnet::model::umd_cluster;
 use std::sync::Arc;
@@ -32,6 +35,14 @@ fn serial_reference(spec: &ProblemSpec, dir: Direction) -> Arc<Vec<Complex64>> {
     let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
     fft3_serial(&mut reference, spec.nx, spec.ny, spec.nz, dir);
     Arc::new(reference)
+}
+
+/// Bit pattern of a spectrum, for exact comparisons (floating-point `==`
+/// would hide sign-of-zero/NaN differences).
+fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
+    data.iter()
+        .map(|c| (c.re.to_bits(), c.im.to_bits()))
+        .collect()
 }
 
 /// Small but varied pencil cases: every divisor-pair grid shape of up to
@@ -76,9 +87,6 @@ proptest! {
             let overlapped =
                 try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
                     .unwrap_or_else(|e| panic!("overlapped pencil failed: {e}"));
-            let bits = |d: &[Complex64]| -> Vec<(u64, u64)> {
-                d.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-            };
             let exact = bits(&overlapped.output.data) == bits(&blocking.data);
             let err = compare_pencil_with_serial(
                 &spec,
@@ -233,5 +241,107 @@ fn pencil_straggler_stall_recovers_and_matches_serial() {
     assert!(
         stalls > 0,
         "a 60 ms send delay against a 15 ms watchdog must trip at least once"
+    );
+}
+
+/// A [`PencilSession`] runs its second and third executions on reused
+/// staging and persistent plans: neither may differ by a bit from a
+/// one-shot call on fresh memory, a different input in between must leave
+/// no trace, and only the first execution sets exchanges up — one per tile
+/// of either stage.
+#[test]
+fn pencil_session_repeats_match_a_fresh_call_with_zero_setup_after_the_first() {
+    let divisible = ProblemSpec {
+        nx: 12,
+        ny: 12,
+        nz: 12,
+        p: 0,
+    };
+    let ragged = ProblemSpec {
+        nx: 7,
+        ny: 9,
+        nz: 10,
+        p: 0,
+    };
+    for (shape, grid) in [
+        (divisible, PencilGrid { pr: 2, pc: 2 }),
+        (divisible, PencilGrid { pr: 1, pc: 3 }),
+        (ragged, PencilGrid { pr: 2, pc: 2 }),
+        (ragged, PencilGrid { pr: 1, pc: 3 }),
+    ] {
+        let spec = ProblemSpec {
+            p: grid.len(),
+            ..shape
+        };
+        // Several tiles per stage, the last one short on the ragged spec.
+        let params = TuningParams {
+            t: 2,
+            ..pencil_seed(&spec, grid)
+        };
+        mpisim::run(spec.p, move |comm| {
+            let dir = Direction::Forward;
+            let input = pencil_test_input(&spec, grid, comm.rank());
+            let other: Vec<Complex64> = input
+                .iter()
+                .rev()
+                .map(|c| Complex64::new(c.im - 0.25, 3.0 * c.re))
+                .collect();
+            let fresh = try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
+                .expect("one-shot transform");
+            let mut session =
+                PencilSession::new(&comm, spec, grid, params, dir).expect("session setup");
+            let what = format!("rank {} {spec:?} {grid:?}", comm.rank());
+            for (exec, data) in [&input, &other, &input, &input].into_iter().enumerate() {
+                let out = session.execute(data).expect("session execution");
+                if exec == 0 {
+                    // The one-shot call posts every tile ad hoc, the
+                    // session's first execution inits a plan per tile.
+                    assert_eq!(out.exchange_setups, fresh.exchange_setups, "{what}");
+                    assert!(out.exchange_setups > 0, "{what}");
+                } else {
+                    assert_eq!(out.exchange_setups, 0, "{what} execution {exec}");
+                }
+                if exec != 1 {
+                    assert!(
+                        bits(&out.output.data) == bits(&fresh.output.data),
+                        "{what} execution {exec} differs from a fresh call"
+                    );
+                }
+            }
+            assert_eq!(session.free() as u64, fresh.exchange_setups, "{what}");
+        });
+    }
+}
+
+/// A session that falls out of scope without `free()` — an error path, a
+/// forgetful caller — still releases every persistent plan: a checked run
+/// records no MC006 (`PersistentLeak`), nor anything else, for either
+/// session type.
+#[test]
+fn sessions_dropped_without_free_leak_no_plans() {
+    let spec = ProblemSpec::cube(8, 4);
+    let grid = PencilGrid::near_square(spec.p);
+    let outcome = run_with_config(
+        spec.p,
+        RunConfig::checked(CheckConfig::default()),
+        move |comm| {
+            let dir = Direction::Forward;
+            let slab = local_test_slab(&spec, comm.rank());
+            let params = TuningParams::seed(&spec);
+            let mut session =
+                FftSession::new(&comm, spec, Variant::New, params, dir, Rigor::Estimate);
+            session.execute(&slab).expect("slab execution");
+
+            let pencil = pencil_test_input(&spec, grid, comm.rank());
+            let mut session = PencilSession::new(&comm, spec, grid, pencil_seed(&spec, grid), dir)
+                .expect("session setup");
+            session.execute(&pencil).expect("pencil execution");
+        },
+    );
+    assert!(outcome.results.is_some(), "no deadlock");
+    assert!(
+        outcome.report.findings.is_empty(),
+        "{:?}",
+        outcome.report.findings
     );
 }

@@ -7,7 +7,9 @@ use cfft::Direction;
 use fft3d::real_env::local_test_slab;
 use fft3d::sim_env::fft3_simulated_traced;
 use fft3d::trace::{derive_step_times, overlap_summary, EventKind, MemRecorder, TraceEvent};
-use fft3d::{fft3_dist, fft3_dist_traced, ProblemSpec, StepTimes, TuningParams, Variant};
+use fft3d::{
+    fft3_dist, try_fft3_dist_traced, ProblemSpec, Resilience, StepTimes, TuningParams, Variant,
+};
 use simnet::model::umd_cluster;
 
 fn posts_and_waits(events: &[TraceEvent]) -> (Vec<usize>, Vec<usize>) {
@@ -41,7 +43,7 @@ fn mpisim_trace_reconstructs_step_times_and_matches_untraced_output() {
     let results = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
         let mut rec = MemRecorder::default();
-        let traced = fft3_dist_traced(
+        let traced = try_fft3_dist_traced(
             &comm,
             spec,
             Variant::New,
@@ -49,8 +51,10 @@ fn mpisim_trace_reconstructs_step_times_and_matches_untraced_output() {
             Direction::Forward,
             Rigor::Estimate,
             &input,
+            &Resilience::default(),
             &mut rec,
-        );
+        )
+        .expect("clean run");
         let plain = fft3_dist(
             &comm,
             spec,
@@ -98,7 +102,7 @@ fn mpisim_trace_pairs_each_post_with_one_wait_in_window_order() {
     let all_events = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
         let mut rec = MemRecorder::default();
-        fft3_dist_traced(
+        try_fft3_dist_traced(
             &comm,
             spec,
             Variant::New,
@@ -106,8 +110,10 @@ fn mpisim_trace_pairs_each_post_with_one_wait_in_window_order() {
             Direction::Forward,
             Rigor::Estimate,
             &input,
+            &Resilience::default(),
             &mut rec,
-        );
+        )
+        .expect("clean run");
         rec.take()
     });
     let tiles = params.tiles(&spec);
