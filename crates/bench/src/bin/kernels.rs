@@ -1,7 +1,8 @@
-//! Intra-rank kernel microbenchmarks: plan-cache hit vs replan, serial vs
-//! parallel batched FFT, blocked transpose, and Pack-style gather at the
-//! paper's 512³-class per-rank tile geometry. Emits one JSON object so CI
-//! and the tuning notes can consume the numbers directly.
+//! Intra-rank kernel microbenchmarks: plan-cache hit vs replan, block vs
+//! per-line 1-D FFT, serial vs parallel batched FFT, blocked transpose, and
+//! Pack-style gather at the paper's 512³-class per-rank tile geometry. Emits
+//! one JSON object so CI and the tuning notes can consume the numbers
+//! directly.
 //!
 //! Usage: `cargo run -p fft-bench --release --bin kernels -- [--smoke] [--threads N]`
 //!
@@ -156,6 +157,66 @@ fn main() {
         parallel_ns,
         bits(&serial_data) == bits(&parallel_data),
     );
+
+    // --- Block vs per-line: the same lines through `execute_batch` (a block
+    // of interleaved lines per Stockham pass — contiguous lines, and the
+    // same count as the columns of a matrix) and one `Plan1d::execute` at a
+    // time. The three must agree bit for bit; the timings are informational.
+    for len in [64usize, 96, 128] {
+        let lines = if cfg.reps == 1 { 256 } else { 8192 };
+        let plan = warm.plan(len, dir, Rigor::Estimate);
+        let src = signal(len * lines);
+        let points = (len * lines) as f64;
+        let mut scratch = BatchScratch::for_plan(&plan);
+
+        let mut per_line = src.clone();
+        let mut line_scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        let line_ns = time_ns(cfg.reps, || {
+            per_line.copy_from_slice(&src);
+            for line in per_line.chunks_exact_mut(len) {
+                plan.execute(line, &mut line_scratch);
+            }
+        });
+        let mut block = src.clone();
+        let block_ns = time_ns(cfg.reps, || {
+            block.copy_from_slice(&src);
+            let layout = BatchLayout::contiguous(len, lines);
+            execute_batch(&plan, &mut block, layout, &mut scratch);
+        });
+        // Line l of `src`, stored as column l of a len × lines matrix.
+        let columns_src: Vec<Complex64> = (0..len * lines)
+            .map(|i| src[(i % lines) * len + i / lines])
+            .collect();
+        let mut columns = columns_src.clone();
+        let strided_ns = time_ns(cfg.reps, || {
+            columns.copy_from_slice(&columns_src);
+            let layout = BatchLayout {
+                howmany: lines,
+                stride: lines,
+                dist: 1,
+            };
+            execute_batch(&plan, &mut columns, layout, &mut scratch);
+        });
+        let identical = bits(&block) == bits(&per_line)
+            && (0..len * lines).all(|i| {
+                let (got, want) = (columns[i], per_line[(i % lines) * len + i / lines]);
+                (got.re.to_bits(), got.im.to_bits()) == (want.re.to_bits(), want.im.to_bits())
+            });
+        assert!(
+            identical,
+            "block execution diverged from per-line at n = {len}"
+        );
+        writeln!(
+            out,
+            "  \"block_vs_line.n{len}\": {{ \"per_line_ns_per_point\": {:.2}, \
+             \"block_ns_per_point\": {:.2}, \"block_strided_ns_per_point\": {:.2}, \
+             \"bit_identical\": {identical} }},",
+            line_ns as f64 / points,
+            block_ns as f64 / points,
+            strided_ns as f64 / points,
+        )
+        .expect("write to String cannot fail");
+    }
 
     // --- Blocked transpose of the whole slab, x-y-z → z-x-y (the step
     // between FFTz and FFTy).

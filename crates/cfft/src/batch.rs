@@ -3,9 +3,27 @@
 //!
 //! The 3-D pipeline transforms thousands of equal-length lines per step
 //! (all `z`-lines of a slab, all `y`-lines of a tile, …). This module runs
-//! one [`Plan1d`] over such a batch, described by an element `stride` within
-//! a line and a `dist` between consecutive lines, gathering non-unit-stride
-//! lines through a contiguous bounce buffer.
+//! one [`Plan1d`] over such a batch — described by an element `stride`
+//! within a line and a `dist` between consecutive lines ([`execute_batch`]),
+//! or by a list of row starts ([`execute_rows`]) — **a block of lines at a
+//! time**.
+//!
+//! A block is up to `B =` [`block_lines`]`(n)` lines gathered into a scratch
+//! buffer *interleaved*, line `l`'s element `j` at `buf[j·B + l]`; the
+//! Stockham stages of [`crate::mixed`] run over all `B` lanes at once,
+//! ping-ponging between two such buffers, and the result is scattered back
+//! from whichever buffer holds it. Whatever the layout, the transform itself
+//! therefore runs on the same cache-resident interleaved block, so a strided
+//! batch costs what a contiguous one does; when the lanes are neighbours in
+//! memory (`dist = 1`, the columns of a matrix) gather and scatter are one
+//! `B`-element copy per `j`. A block of one unit-stride line runs in place,
+//! and plans whose kernel is not Stockham (naive, in-place radix-2,
+//! Bluestein, Rader) take the same path with blocks of one line.
+//!
+//! Blocking never changes a result: each lane meets exactly the arithmetic
+//! it meets alone (see [`crate::mixed`]), so the output is bit-identical to
+//! per-line [`Plan1d::execute`] for every `B`, block remainder and thread
+//! count.
 
 use crate::complex::Complex64;
 use crate::planner::Plan1d;
@@ -80,20 +98,179 @@ impl BatchLayout {
     }
 }
 
-/// Scratch for [`execute_batch`]: one plan-scratch region plus a bounce
-/// line for strided gathers.
+/// Most lines one block holds.
+const MAX_BLOCK: usize = 16;
+
+/// Elements one block buffer may hold: two of them (the ping-pong pair,
+/// 16 bytes an element) are 64 KiB, which stays in L2 and — for the short
+/// lines, whose stages make the most passes per byte — mostly in L1.
+const BLOCK_ELEMS: usize = 2048;
+
+/// Lines of length `n` transformed together as one block: as many as fit
+/// [`BLOCK_ELEMS`], at most [`MAX_BLOCK`] (beyond that the stage loops are
+/// long enough and only the footprint grows), at least one. Derived from
+/// `n` alone — results do not depend on it, so it is not a tuning parameter.
+pub fn block_lines(n: usize) -> usize {
+    (BLOCK_ELEMS / n.max(1)).clamp(1, MAX_BLOCK)
+}
+
+/// Block size `plan` runs with: only the Stockham kernel takes lanes.
+fn block_of(plan: &Plan1d) -> usize {
+    plan.stockham().map_or(1, |_| block_lines(plan.len()))
+}
+
+/// Scratch for the batch entry points. Grows to fit whichever plan it is
+/// used with, so one scratch can serve plans of several lengths in turn
+/// without reallocating once it has met the largest.
+#[derive(Default)]
 pub struct BatchScratch {
-    plan_scratch: Vec<Complex64>,
-    line: Vec<Complex64>,
+    /// The gathered block, lanes interleaved (for a block of one line: the
+    /// strided line's bounce buffer).
+    block: Vec<Complex64>,
+    /// Stockham plans: the block's ping-pong partner. Other kernels: the
+    /// plan's own scratch.
+    partner: Vec<Complex64>,
 }
 
 impl BatchScratch {
     /// Sized for `plan`.
     pub fn for_plan(plan: &Plan1d) -> Self {
-        BatchScratch {
-            plan_scratch: vec![Complex64::ZERO; plan.scratch_len()],
-            line: vec![Complex64::ZERO; plan.len()],
+        let mut scratch = BatchScratch::default();
+        scratch.fit(plan);
+        scratch
+    }
+
+    fn fit(&mut self, plan: &Plan1d) {
+        let block = plan.len() * block_of(plan);
+        let partner = match plan.stockham() {
+            Some(_) => block,
+            None => plan.scratch_len(),
+        };
+        if self.block.len() < block {
+            self.block.resize(block, Complex64::ZERO);
         }
+        if self.partner.len() < partner {
+            self.partner.resize(partner, Complex64::ZERO);
+        }
+    }
+}
+
+/// Are the lanes neighbours in memory (`at[l] = at[0] + l`)?
+fn adjacent(at: &[usize]) -> bool {
+    at.len() > 1 && at.windows(2).all(|w| w[1] == w[0] + 1)
+}
+
+/// The span of the `n` elements of the line starting at `start` — slicing
+/// it out first makes an out-of-range line panic before anything is copied.
+fn line_span(start: usize, stride: usize, n: usize) -> std::ops::Range<usize> {
+    start..start + (n - 1) * stride + 1
+}
+
+/// Interleaves the block's lines: `block[j·B + l] = data[at[l] + j·stride]`.
+fn gather(data: &[Complex64], at: &[usize], stride: usize, n: usize, block: &mut [Complex64]) {
+    let lanes = at.len();
+    if adjacent(at) {
+        for (j, row) in block.chunks_exact_mut(lanes).enumerate() {
+            let s = at[0] + j * stride;
+            row.copy_from_slice(&data[s..s + lanes]);
+        }
+    } else {
+        for (l, &start) in at.iter().enumerate() {
+            let line = &data[line_span(start, stride, n)];
+            let lane = &mut block[l..];
+            for j in 0..n {
+                lane[j * lanes] = line[j * stride];
+            }
+        }
+    }
+}
+
+/// Inverse of [`gather`]: `data[at[l] + j·stride] = block[j·B + l]`.
+fn scatter(block: &[Complex64], data: &mut [Complex64], at: &[usize], stride: usize, n: usize) {
+    let lanes = at.len();
+    if adjacent(at) {
+        for (j, row) in block.chunks_exact(lanes).enumerate() {
+            let s = at[0] + j * stride;
+            data[s..s + lanes].copy_from_slice(row);
+        }
+    } else {
+        for (l, &start) in at.iter().enumerate() {
+            let line = &mut data[line_span(start, stride, n)];
+            let lane = &block[l..];
+            for j in 0..n {
+                line[j * stride] = lane[j * lanes];
+            }
+        }
+    }
+}
+
+/// Transforms one block: the lines starting at `at[..]`, elements `stride`
+/// apart. `scratch` already fits `plan`, and `at.len() ≤ block_of(plan)`.
+fn run_block(
+    plan: &Plan1d,
+    data: &mut [Complex64],
+    at: &[usize],
+    stride: usize,
+    scratch: &mut BatchScratch,
+) {
+    let n = plan.len();
+    let lanes = at.len();
+    if lanes == 1 && stride == 1 {
+        plan.execute(&mut data[at[0]..at[0] + n], &mut scratch.partner);
+        return;
+    }
+    let block = &mut scratch.block[..n * lanes];
+    gather(data, at, stride, n, block);
+    let result = match plan.stockham() {
+        Some(stockham) => {
+            let partner = &mut scratch.partner[..n * lanes];
+            if stockham.execute_lanes(block, partner, lanes) {
+                block
+            } else {
+                partner
+            }
+        }
+        None => {
+            plan.execute(block, &mut scratch.partner);
+            block
+        }
+    };
+    scatter(result, data, at, stride, n);
+}
+
+/// The batch entry points' precondition on `layout` for `n`-length lines.
+fn check_layout(data: &[Complex64], layout: BatchLayout, n: usize) {
+    assert!(
+        data.len() >= layout.required_len(n),
+        "batch layout exceeds buffer: need {}, have {}",
+        layout.required_len(n),
+        data.len()
+    );
+    assert!(
+        !lines_alias(layout, n),
+        "batch lines would alias: {layout:?} with n = {n}"
+    );
+}
+
+/// The one block driver: transforms the `howmany` lines starting at
+/// `start_of(0..howmany)`, elements `stride` apart, a block at a time.
+fn run_lines(
+    plan: &Plan1d,
+    data: &mut [Complex64],
+    howmany: usize,
+    stride: usize,
+    start_of: impl Fn(usize) -> usize,
+    scratch: &mut BatchScratch,
+) {
+    scratch.fit(plan);
+    let block = block_of(plan);
+    let mut at = [0usize; MAX_BLOCK];
+    for first in (0..howmany).step_by(block) {
+        let lanes = block.min(howmany - first);
+        for (l, start) in at[..lanes].iter_mut().enumerate() {
+            *start = start_of(first + l);
+        }
+        run_block(plan, data, &at[..lanes], stride, scratch);
     }
 }
 
@@ -108,54 +285,79 @@ pub fn execute_batch(
     layout: BatchLayout,
     scratch: &mut BatchScratch,
 ) {
-    let n = plan.len();
-    assert!(
-        data.len() >= layout.required_len(n),
-        "batch layout exceeds buffer: need {}, have {}",
-        layout.required_len(n),
-        data.len()
+    check_layout(data, layout, plan.len());
+    run_lines(
+        plan,
+        data,
+        layout.howmany,
+        layout.stride,
+        |l| l * layout.dist,
+        scratch,
     );
-    assert!(
-        !lines_alias(layout, n),
-        "batch lines would alias: {layout:?} with n = {n}"
-    );
-    if layout.stride == 1 {
-        for l in 0..layout.howmany {
-            let start = l * layout.dist;
-            plan.execute(&mut data[start..start + n], &mut scratch.plan_scratch);
-        }
-    } else {
-        for l in 0..layout.howmany {
-            let base = l * layout.dist;
-            for j in 0..n {
-                scratch.line[j] = data[base + j * layout.stride];
-            }
-            plan.execute(&mut scratch.line, &mut scratch.plan_scratch);
-            for j in 0..n {
-                data[base + j * layout.stride] = scratch.line[j];
-            }
-        }
-    }
 }
 
+/// Executes `plan` over the rows `data[s..s + plan.len()]` for each `s` in
+/// `starts` — the row-list form of [`execute_batch`], for lines that follow
+/// no single `dist`. Rows may come in any order but must be pairwise
+/// disjoint (overlapping rows give neither row's transform).
+///
+/// # Panics
+/// If any row exceeds `data`.
+pub fn execute_rows(
+    plan: &Plan1d,
+    data: &mut [Complex64],
+    starts: &[usize],
+    scratch: &mut BatchScratch,
+) {
+    run_lines(plan, data, starts.len(), 1, |l| starts[l], scratch);
+}
+
+/// Runs the first task on the calling thread — through `on_caller`, which
+/// may therefore own state no worker shares — while every other task runs
+/// `on_worker` on a spawned worker of its own: `k` tasks cost `k − 1`
+/// spawns, and a single task none.
+fn fork_join<T: Send>(
+    tasks: Vec<T>,
+    on_caller: impl FnOnce(T) + Send,
+    on_worker: impl Fn(T) + Sync,
+) {
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else {
+        return;
+    };
+    if tasks.len() == 0 {
+        return on_caller(first);
+    }
+    let on_worker = &on_worker;
+    rayon::scope(|s| {
+        for task in tasks {
+            s.spawn(move |_| on_worker(task));
+        }
+        on_caller(first);
+    });
+}
+
+/// One worker's share of a row set: its region of the buffer, its rows, and
+/// the region's offset in the buffer (row `r` is at `r − offset` within it).
+type RowChunk<'d, 'r, M> = (&'d mut [Complex64], &'r [M], usize);
+
 /// Splits sorted, pairwise-disjoint rows of `data` into at most `threads`
-/// contiguous groups of non-overlapping `&mut` slices and runs `per_chunk`
-/// on each group concurrently.
+/// contiguous groups, each with the non-overlapping `&mut` region of `data`
+/// that spans its rows.
 ///
 /// `start_of` extracts a row's first offset from its descriptor; row `r`
 /// occupies `data[start_of(r)..start_of(r) + n]`. Safety rests entirely on
 /// the sorted/disjoint precondition (asserted below): group boundaries then
-/// carve `data` into disjoint regions via `split_at_mut`, with no `unsafe`.
-fn run_row_chunks<M: Sync>(
-    data: &mut [Complex64],
+/// carve `data` into disjoint regions via `split_at_mut`, in safe code.
+fn split_rows<'d, 'r, M>(
+    data: &'d mut [Complex64],
     n: usize,
-    rows: &[M],
+    rows: &'r [M],
     threads: usize,
-    start_of: impl Fn(&M) -> usize + Sync + Copy,
-    per_chunk: impl Fn(&mut [Complex64], &[M], usize) + Sync,
-) {
+    start_of: impl Fn(&M) -> usize,
+) -> Vec<RowChunk<'d, 'r, M>> {
     if rows.is_empty() || n == 0 {
-        return;
+        return Vec::new();
     }
     for w in rows.windows(2) {
         let (a, b) = (start_of(&w[0]), start_of(&w[1]));
@@ -172,15 +374,11 @@ fn run_row_chunks<M: Sync>(
         last + n,
         data.len()
     );
-    if threads <= 1 || rows.len() <= 1 {
-        per_chunk(data, rows, 0);
-        return;
-    }
-    let nchunks = threads.min(rows.len());
+    let nchunks = threads.clamp(1, rows.len());
     let per = rows.len().div_ceil(nchunks);
     let mut rest: &mut [Complex64] = data;
     let mut consumed = 0usize;
-    let mut tasks: Vec<(&mut [Complex64], &[M], usize)> = Vec::with_capacity(nchunks);
+    let mut tasks = Vec::with_capacity(nchunks);
     for chunk in rows.chunks(per) {
         let lo = start_of(&chunk[0]);
         let hi = start_of(&chunk[chunk.len() - 1]) + n;
@@ -191,19 +389,14 @@ fn run_row_chunks<M: Sync>(
         consumed = hi;
         tasks.push((mine, chunk, lo));
     }
-    let per_chunk = &per_chunk;
-    rayon::scope(|s| {
-        for (slice, chunk, lo) in tasks {
-            s.spawn(move |_| per_chunk(slice, chunk, lo));
-        }
-    });
+    tasks
 }
 
-/// Executes `plan` over the rows `data[s..s + plan.len()]` for each `s` in
-/// `starts`, spreading contiguous groups of rows over up to `threads`
-/// workers. Each worker owns a freshly created [`BatchScratch`] — scratch is
-/// never shared — so the per-row arithmetic is identical to the sequential
-/// path and the output is bit-identical for every thread count.
+/// [`execute_rows`] over sorted rows, spreading contiguous groups of rows
+/// over up to `threads` workers. The calling thread takes the first group
+/// with the caller's `scratch`; every other worker creates its own — scratch
+/// is never shared — so the per-row arithmetic is identical to the
+/// sequential path and the output is bit-identical for every thread count.
 ///
 /// # Panics
 /// If `starts` is not sorted ascending with gaps of at least `plan.len()`,
@@ -213,21 +406,15 @@ pub fn execute_lines_threaded(
     data: &mut [Complex64],
     starts: &[usize],
     threads: usize,
+    scratch: &mut BatchScratch,
 ) {
-    let n = plan.len();
-    run_row_chunks(
-        data,
-        n,
-        starts,
-        threads,
-        |&s| s,
-        |slice, chunk, lo| {
-            let mut scratch = BatchScratch::for_plan(plan);
-            for &s in chunk {
-                let r = s - lo;
-                plan.execute(&mut slice[r..r + n], &mut scratch.plan_scratch);
-            }
-        },
+    let run = |(slice, chunk, lo): RowChunk<usize>, scratch: &mut BatchScratch| {
+        run_lines(plan, slice, chunk.len(), 1, |l| chunk[l] - lo, scratch);
+    };
+    fork_join(
+        split_rows(data, plan.len(), starts, threads, |&s| s),
+        |task| run(task, scratch),
+        |task| run(task, &mut BatchScratch::for_plan(plan)),
     );
 }
 
@@ -248,19 +435,13 @@ pub fn for_each_row_threaded<M: Sync>(
     threads: usize,
     f: impl Fn(&mut [Complex64], &M) + Sync,
 ) {
-    run_row_chunks(
-        data,
-        n,
-        rows,
-        threads,
-        |row| row.0,
-        |slice, chunk, lo| {
-            for (s, meta) in chunk {
-                let r = s - lo;
-                f(&mut slice[r..r + n], meta);
-            }
-        },
-    );
+    let run = |(slice, chunk, lo): RowChunk<(usize, M)>| {
+        for (s, meta) in chunk {
+            let r = s - lo;
+            f(&mut slice[r..r + n], meta);
+        }
+    };
+    fork_join(split_rows(data, n, rows, threads, |row| row.0), run, run);
 }
 
 /// Splits `data` at `bounds` into the parts `data[bounds[i]..bounds[i + 1]]`
@@ -290,42 +471,27 @@ pub fn for_each_part_threaded(
         bounds[nparts],
         data.len()
     );
-    if threads <= 1 || nparts == 1 {
-        for i in 0..nparts {
-            f(i, &mut data[bounds[i]..bounds[i + 1]]);
-        }
-        return;
-    }
-    let nchunks = threads.min(nparts);
-    let per = nparts.div_ceil(nchunks);
+    let per = nparts.div_ceil(threads.clamp(1, nparts));
     let mut rest: &mut [Complex64] = data;
     let mut consumed = 0usize;
-    let mut tasks: Vec<(&mut [Complex64], usize, usize)> = Vec::with_capacity(nchunks);
-    let mut i = 0;
-    while i < nparts {
-        let count = per.min(nparts - i);
-        let (lo, hi) = (bounds[i], bounds[i + count]);
+    let mut tasks: Vec<(&mut [Complex64], usize, usize)> = Vec::new();
+    for first in (0..nparts).step_by(per) {
+        let count = per.min(nparts - first);
+        let (lo, hi) = (bounds[first], bounds[first + count]);
         let tail = std::mem::take(&mut rest);
         let (_, tail) = tail.split_at_mut(lo - consumed);
         let (mine, tail) = tail.split_at_mut(hi - lo);
         rest = tail;
         consumed = hi;
-        tasks.push((mine, i, count));
-        i += count;
+        tasks.push((mine, first, count));
     }
-    let f = &f;
-    let bounds_ref = bounds;
-    rayon::scope(|s| {
-        for (slice, first, count) in tasks {
-            s.spawn(move |_| {
-                let base = bounds_ref[first];
-                for p in first..first + count {
-                    let (plo, phi) = (bounds_ref[p] - base, bounds_ref[p + 1] - base);
-                    f(p, &mut slice[plo..phi]);
-                }
-            });
+    let run = |(slice, first, count): (&mut [Complex64], usize, usize)| {
+        let base = bounds[first];
+        for p in first..first + count {
+            f(p, &mut slice[bounds[p] - base..bounds[p + 1] - base]);
         }
-    });
+    };
+    fork_join(tasks, run, run);
 }
 
 /// [`execute_batch`] spread over up to `threads` workers.
@@ -341,24 +507,14 @@ pub fn execute_batch_threaded(
     layout: BatchLayout,
     threads: usize,
 ) {
-    let n = plan.len();
-    assert!(
-        data.len() >= layout.required_len(n),
-        "batch layout exceeds buffer: need {}, have {}",
-        layout.required_len(n),
-        data.len()
-    );
-    assert!(
-        !lines_alias(layout, n),
-        "batch lines would alias: {layout:?} with n = {n}"
-    );
+    let mut scratch = BatchScratch::for_plan(plan);
     if threads <= 1 || layout.howmany <= 1 || layout.stride != 1 {
-        let mut scratch = BatchScratch::for_plan(plan);
         execute_batch(plan, data, layout, &mut scratch);
         return;
     }
+    check_layout(data, layout, plan.len());
     let starts: Vec<usize> = (0..layout.howmany).map(|l| l * layout.dist).collect();
-    execute_lines_threaded(plan, data, &starts, threads);
+    execute_lines_threaded(plan, data, &starts, threads, &mut scratch);
 }
 
 #[cfg(test)]
@@ -581,7 +737,8 @@ mod tests {
         let mut data = signal(3 * n);
         let orig = data.clone();
         let starts = [0, 2 * n];
-        execute_lines_threaded(&plan, &mut data, &starts, 4);
+        let mut scratch = BatchScratch::for_plan(&plan);
+        execute_lines_threaded(&plan, &mut data, &starts, 4, &mut scratch);
         for (j, (got, was)) in data[n..2 * n].iter().zip(&orig[n..2 * n]).enumerate() {
             assert_eq!(
                 got.re.to_bits(),
@@ -604,7 +761,8 @@ mod tests {
         let mut planner = Planner::new(Rigor::Estimate);
         let plan = planner.plan(8, Direction::Forward);
         let mut data = signal(16);
-        execute_lines_threaded(&plan, &mut data, &[0, 4], 2);
+        let mut scratch = BatchScratch::for_plan(&plan);
+        execute_lines_threaded(&plan, &mut data, &[0, 4], 2, &mut scratch);
     }
 
     #[test]
@@ -656,5 +814,131 @@ mod tests {
             BatchLayout::contiguous(8, 0),
             &mut scratch,
         );
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Per-line reference: gather, `Plan1d::execute`, scatter.
+    fn per_line(plan: &Plan1d, data: &mut [Complex64], starts: &[usize], stride: usize) {
+        let n = plan.len();
+        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        for &s in starts {
+            let mut line: Vec<Complex64> = (0..n).map(|j| data[s + j * stride]).collect();
+            plan.execute(&mut line, &mut scratch);
+            for (j, v) in line.into_iter().enumerate() {
+                data[s + j * stride] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn block_lines_is_bounded_and_never_zero() {
+        for n in [1usize, 2, 64, 96, 128, 129, 2048, 2049, 1 << 20] {
+            let b = block_lines(n);
+            assert!((1..=MAX_BLOCK).contains(&b), "n={n} B={b}");
+            assert!(b == 1 || n * b <= BLOCK_ELEMS, "n={n} B={b}");
+        }
+        assert_eq!(block_lines(128), 16);
+    }
+
+    #[test]
+    fn blocks_equal_per_line_execution_bitwise_for_every_remainder() {
+        let mut planner = Planner::new(Rigor::Estimate);
+        for (n, dir) in [(12usize, Direction::Forward), (64, Direction::Backward)] {
+            let plan = planner.plan(n, dir);
+            let b = block_lines(n);
+            let mut scratch = BatchScratch::for_plan(&plan);
+            for howmany in [1, 2, b - 1, b, b + 1, 2 * b + 3] {
+                // Contiguous lines.
+                let layout = BatchLayout::contiguous(n, howmany);
+                let mut got = signal(layout.required_len(n));
+                let mut want = got.clone();
+                execute_batch(&plan, &mut got, layout, &mut scratch);
+                let starts: Vec<usize> = (0..howmany).map(|l| l * n).collect();
+                per_line(&plan, &mut want, &starts, 1);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "contiguous n={n} howmany={howmany}"
+                );
+
+                // Matrix columns: the lanes are neighbours in memory.
+                let layout = BatchLayout {
+                    howmany,
+                    stride: howmany,
+                    dist: 1,
+                };
+                let mut got = signal(layout.required_len(n));
+                let mut want = got.clone();
+                execute_batch(&plan, &mut got, layout, &mut scratch);
+                let starts: Vec<usize> = (0..howmany).collect();
+                per_line(&plan, &mut want, &starts, howmany);
+                assert_eq!(bits(&got), bits(&want), "columns n={n} howmany={howmany}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_list_takes_unsorted_rows_with_gaps() {
+        let n = 30;
+        let mut planner = Planner::new(Rigor::Estimate);
+        let plan = planner.plan(n, Direction::Forward);
+        let rows = 2 * block_lines(n) + 1;
+        // Every other row slot, visited in a scrambled order.
+        let starts: Vec<usize> = (0..rows).map(|i| (i * 7 % rows) * 2 * n).collect();
+        let mut got = signal(2 * n * rows);
+        let mut want = got.clone();
+        let mut scratch = BatchScratch::for_plan(&plan);
+        execute_rows(&plan, &mut got, &starts, &mut scratch);
+        per_line(&plan, &mut want, &starts, 1);
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn non_stockham_plans_go_line_by_line_through_the_same_entry() {
+        let mut planner = Planner::new(Rigor::Estimate);
+        // 3 → naive, 74 → Bluestein.
+        for n in [3usize, 74] {
+            let plan = planner.plan(n, Direction::Forward);
+            assert_ne!(plan.strategy(), crate::planner::Strategy::MixedRadix);
+            let layout = BatchLayout {
+                howmany: 5,
+                stride: 5,
+                dist: 1,
+            };
+            let mut got = signal(layout.required_len(n));
+            let mut want = got.clone();
+            let mut scratch = BatchScratch::for_plan(&plan);
+            execute_batch(&plan, &mut got, layout, &mut scratch);
+            per_line(&plan, &mut want, &[0, 1, 2, 3, 4], 5);
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_plans_of_several_lengths() {
+        let mut planner = Planner::new(Rigor::Estimate);
+        let mut scratch = BatchScratch::default();
+        for n in [8usize, 74, 128, 5, 96] {
+            let plan = planner.plan(n, Direction::Forward);
+            let layout = BatchLayout::contiguous(n, 20);
+            let mut got = signal(20 * n);
+            let mut want = got.clone();
+            execute_batch(&plan, &mut got, layout, &mut scratch);
+            execute_batch(&plan, &mut want, layout, &mut BatchScratch::for_plan(&plan));
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn row_past_the_buffer_is_rejected() {
+        let mut planner = Planner::new(Rigor::Estimate);
+        let plan = planner.plan(8, Direction::Forward);
+        let mut data = signal(20);
+        let mut scratch = BatchScratch::for_plan(&plan);
+        execute_rows(&plan, &mut data, &[0, 8, 16], &mut scratch);
     }
 }

@@ -1,11 +1,11 @@
-//! Mixed-radix Stockham autosort FFT.
+//! Mixed-radix Stockham autosort FFT, lane-blocked.
 //!
 //! The workhorse kernel of the crate: an out-of-place decimation-in-
-//! frequency Cooley–Tukey that ping-pongs between the data buffer and one
-//! scratch buffer of equal size. Stockham's self-sorting formulation needs
-//! no bit-reversal pass, and one generic driver covers every radix the
-//! factorizer emits (4 and 2 specialised, 3 and 5 with Winograd-style
-//! constants, any other prime ≤ 31 through a small O(r²) butterfly).
+//! frequency Cooley–Tukey that ping-pongs between two buffers of equal
+//! size. Stockham's self-sorting formulation needs no bit-reversal pass, and
+//! one generic driver covers every radix the factorizer emits (4 and 2
+//! specialised, 3 and 5 with Winograd-style constants, any other prime ≤ 31
+//! through a small O(r²) butterfly).
 //!
 //! One stage with sub-length `n = r·m` and stride `s` (so `n·s` = total
 //! length `N`) maps
@@ -17,6 +17,21 @@
 //! for `p ∈ [0, m)`, `q ∈ [0, s)`, and then recurses on `(m, r·s)` with the
 //! buffers swapped. Twiddles come from the single length-`N` table:
 //! `ω_n^{p·v} = ω_N^{p·v·s}`.
+//!
+//! # Lanes
+//!
+//! The butterfly never mixes two values of `q`, and its twiddles depend on
+//! `p` alone — so `q` can carry more than one line. Every stage takes a
+//! `lanes` factor `B`: the buffers hold `B` lines interleaved element by
+//! element, line `l`'s element `j` at `buf[j·B + l]`, which is the formula
+//! above with `q ∈ [0, s·B)` and every data offset scaled by `B` while the
+//! twiddle step stays `s`. The inner loop is then `s·B` long with one
+//! twiddle set — long enough to vectorise even in the first stages, where a
+//! single line gives it a trip count of 1 and 4. `lanes = 1` is the single
+//! line, through the same code. A lane's values meet exactly the operations,
+//! operands and order they meet alone, so the result of a line does not
+//! depend on `B` or on its neighbours: it is bit-identical for every
+//! blocking.
 
 use crate::complex::Complex64;
 use crate::factor::factorize;
@@ -87,54 +102,40 @@ impl MixedRadixPlan {
     /// ping-pong partner buffer. Unnormalised in both directions, matching
     /// FFTW's convention.
     pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        assert_eq!(data.len(), self.n, "data length mismatch with plan");
-        assert_eq!(scratch.len(), self.n, "scratch length mismatch with plan");
-        if self.n == 1 {
-            return;
-        }
-
-        // Ping-pong between `data` and `scratch`. `in_data` tracks which
-        // buffer currently holds the live values.
-        let mut in_data = true;
-        let mut n = self.n;
-        let mut s = 1usize;
-        for (stage, &r) in self.factors.iter().enumerate() {
-            let m = n / r;
-            {
-                let (src, dst): (&[Complex64], &mut [Complex64]) = if in_data {
-                    (&*data, &mut *scratch)
-                } else {
-                    (&*scratch, &mut *data)
-                };
-                self.stage(r, m, s, src, dst, &self.radix_tables[stage]);
-            }
-            in_data = !in_data;
-            n = m;
-            s *= r;
-        }
-        if !in_data {
+        if !self.execute_lanes(data, scratch, 1) {
             data.copy_from_slice(scratch);
         }
     }
 
-    /// One Stockham stage of radix `r`: `n = r·m`, stride `s`.
-    fn stage(
-        &self,
-        r: usize,
-        m: usize,
-        s: usize,
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        radix_table: &TwiddleTable,
-    ) {
-        let total = self.n;
-        match r {
-            2 => stage2(m, s, total, &self.table, src, dst),
-            3 => stage3(self.dir, m, s, total, &self.table, src, dst),
-            4 => stage4(self.dir, m, s, total, &self.table, src, dst),
-            5 => stage5(self.dir, m, s, total, &self.table, src, dst),
-            _ => stage_generic(r, m, s, total, &self.table, radix_table, src, dst),
+    /// Transforms `lanes` interleaved lines at once: line `l`, element `j`
+    /// is at `a[j·lanes + l]` on entry. The stages ping-pong between `a` and
+    /// `b` (both `len()·lanes` long); the result, in the same layout, is in
+    /// `a` when this returns `true` and in `b` otherwise — the caller
+    /// scatters from whichever holds it, so no closing copy is made here.
+    pub fn execute_lanes(&self, a: &mut [Complex64], b: &mut [Complex64], lanes: usize) -> bool {
+        assert_eq!(a.len(), self.n * lanes, "data length mismatch with plan");
+        assert_eq!(b.len(), self.n * lanes, "scratch length mismatch with plan");
+        // `in_a` tracks which buffer currently holds the live values.
+        let mut in_a = true;
+        let mut n = self.n;
+        let mut s = 1usize;
+        let (total, table) = (self.n, &*self.table);
+        for (&r, radix_table) in self.factors.iter().zip(&self.radix_tables) {
+            let m = n / r;
+            let (src, dst): (&[Complex64], &mut [Complex64]) =
+                if in_a { (&*a, &mut *b) } else { (&*b, &mut *a) };
+            match r {
+                2 => stage2(m, s, lanes, total, table, src, dst),
+                3 => stage3(self.dir, m, s, lanes, total, table, src, dst),
+                4 => stage4(self.dir, m, s, lanes, total, table, src, dst),
+                5 => stage5(self.dir, m, s, lanes, total, table, src, dst),
+                _ => stage_generic(r, m, s, lanes, total, table, radix_table, src, dst),
+            }
+            in_a = !in_a;
+            n = m;
+            s *= r;
         }
+        in_a
     }
 }
 
@@ -148,35 +149,53 @@ fn advance(idx: &mut usize, step: usize, total: usize) {
     }
 }
 
+/// The `R` inputs of butterfly `p` — `src[sl·(p + m·u)..][..sl]` for each
+/// `u` — as slices of one known length, so the inner loops index them
+/// without bounds checks.
+#[inline(always)]
+fn inputs<const R: usize>(src: &[Complex64], p: usize, m: usize, sl: usize) -> [&[Complex64]; R] {
+    std::array::from_fn(|u| &src[sl * (p + m * u)..][..sl])
+}
+
+/// The `R` outputs of one butterfly: `out` (`R·sl` long) cut into its
+/// `sl`-long parts `v = 0..R`.
+#[inline(always)]
+fn outputs<const R: usize>(out: &mut [Complex64], sl: usize) -> [&mut [Complex64]; R] {
+    let mut parts = out.chunks_exact_mut(sl);
+    std::array::from_fn(|_| parts.next().expect("R parts of sl elements"))
+}
+
 fn stage2(
     m: usize,
     s: usize,
+    lanes: usize,
     total: usize,
     table: &TwiddleTable,
     src: &[Complex64],
     dst: &mut [Complex64],
 ) {
+    let sl = s * lanes;
     let mut widx = 0usize; // ω_N^{p·s}
-    for p in 0..m {
+    for (p, out) in dst.chunks_exact_mut(2 * sl).enumerate() {
         let wp = table.factor_unreduced(widx);
-        let i0 = s * p;
-        let i1 = s * (p + m);
-        let o0 = s * (2 * p);
-        let o1 = s * (2 * p + 1);
-        for q in 0..s {
-            let a = src[q + i0];
-            let b = src[q + i1];
-            dst[q + o0] = a + b;
-            dst[q + o1] = (a - b) * wp;
+        let [i0, i1] = inputs(src, p, m, sl);
+        let [o0, o1] = outputs(out, sl);
+        for q in 0..sl {
+            let a = i0[q];
+            let b = i1[q];
+            o0[q] = a + b;
+            o1[q] = (a - b) * wp;
         }
         advance(&mut widx, s, total);
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn stage4(
     dir: Direction,
     m: usize,
     s: usize,
+    lanes: usize,
     total: usize,
     table: &TwiddleTable,
     src: &[Complex64],
@@ -184,36 +203,39 @@ fn stage4(
 ) {
     // ω_4 = −i forward, +i backward.
     let fwd = matches!(dir, Direction::Forward);
+    let sl = s * lanes;
     let mut w1 = 0usize;
-    for p in 0..m {
+    for (p, out) in dst.chunks_exact_mut(4 * sl).enumerate() {
         let wp1 = table.factor_unreduced(w1);
         let wp2 = table.factor(2 * w1);
         let wp3 = table.factor(w1 + 2 * w1);
-        let i = [s * p, s * (p + m), s * (p + 2 * m), s * (p + 3 * m)];
-        let o = [s * 4 * p, s * (4 * p + 1), s * (4 * p + 2), s * (4 * p + 3)];
-        for q in 0..s {
-            let t0 = src[q + i[0]];
-            let t1 = src[q + i[1]];
-            let t2 = src[q + i[2]];
-            let t3 = src[q + i[3]];
+        let [i0, i1, i2, i3] = inputs(src, p, m, sl);
+        let [o0, o1, o2, o3] = outputs(out, sl);
+        for q in 0..sl {
+            let t0 = i0[q];
+            let t1 = i1[q];
+            let t2 = i2[q];
+            let t3 = i3[q];
             let a02 = t0 + t2;
             let s02 = t0 - t2;
             let a13 = t1 + t3;
             let s13 = t1 - t3;
             let js13 = if fwd { s13.mul_neg_i() } else { s13.mul_i() };
-            dst[q + o[0]] = a02 + a13;
-            dst[q + o[1]] = (s02 + js13) * wp1;
-            dst[q + o[2]] = (a02 - a13) * wp2;
-            dst[q + o[3]] = (s02 - js13) * wp3;
+            o0[q] = a02 + a13;
+            o1[q] = (s02 + js13) * wp1;
+            o2[q] = (a02 - a13) * wp2;
+            o3[q] = (s02 - js13) * wp3;
         }
         advance(&mut w1, s, total);
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn stage3(
     dir: Direction,
     m: usize,
     s: usize,
+    lanes: usize,
     total: usize,
     table: &TwiddleTable,
     src: &[Complex64],
@@ -223,31 +245,34 @@ fn stage3(
         Direction::Forward => -1.0,
         Direction::Backward => 1.0,
     };
+    let sl = s * lanes;
     let mut w1 = 0usize;
-    for p in 0..m {
+    for (p, out) in dst.chunks_exact_mut(3 * sl).enumerate() {
         let wp1 = table.factor_unreduced(w1);
         let wp2 = table.factor(2 * w1);
-        let i = [s * p, s * (p + m), s * (p + 2 * m)];
-        let o = [s * 3 * p, s * (3 * p + 1), s * (3 * p + 2)];
-        for q in 0..s {
-            let t0 = src[q + i[0]];
-            let t1 = src[q + i[1]];
-            let t2 = src[q + i[2]];
+        let [i0, i1, i2] = inputs(src, p, m, sl);
+        let [o0, o1, o2] = outputs(out, sl);
+        for q in 0..sl {
+            let t0 = i0[q];
+            let t1 = i1[q];
+            let t2 = i2[q];
             let a = t1 + t2;
             let b = (t1 - t2).mul_i().scale(sign * S3);
             let base = t0 + a.scale(C3);
-            dst[q + o[0]] = t0 + a;
-            dst[q + o[1]] = (base + b) * wp1;
-            dst[q + o[2]] = (base - b) * wp2;
+            o0[q] = t0 + a;
+            o1[q] = (base + b) * wp1;
+            o2[q] = (base - b) * wp2;
         }
         advance(&mut w1, s, total);
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn stage5(
     dir: Direction,
     m: usize,
     s: usize,
+    lanes: usize,
     total: usize,
     table: &TwiddleTable,
     src: &[Complex64],
@@ -257,28 +282,23 @@ fn stage5(
         Direction::Forward => -1.0,
         Direction::Backward => 1.0,
     };
+    let sl = s * lanes;
     let mut w1 = 0usize;
-    for p in 0..m {
+    for (p, out) in dst.chunks_exact_mut(5 * sl).enumerate() {
         let wp = [
             table.factor_unreduced(w1),
             table.factor(2 * w1),
             table.factor(3 * w1),
             table.factor(4 * w1),
         ];
-        let i = [
-            s * p,
-            s * (p + m),
-            s * (p + 2 * m),
-            s * (p + 3 * m),
-            s * (p + 4 * m),
-        ];
-        let o0 = s * 5 * p;
-        for q in 0..s {
-            let t0 = src[q + i[0]];
-            let t1 = src[q + i[1]];
-            let t2 = src[q + i[2]];
-            let t3 = src[q + i[3]];
-            let t4 = src[q + i[4]];
+        let [i0, i1, i2, i3, i4] = inputs(src, p, m, sl);
+        let [o0, o1, o2, o3, o4] = outputs(out, sl);
+        for q in 0..sl {
+            let t0 = i0[q];
+            let t1 = i1[q];
+            let t2 = i2[q];
+            let t3 = i3[q];
+            let t4 = i4[q];
             let a1 = t1 + t4;
             let b1 = (t1 - t4).mul_i().scale(sign);
             let a2 = t2 + t3;
@@ -287,11 +307,11 @@ fn stage5(
             let m2 = t0 + a1.scale(C5_2) + a2.scale(C5_1);
             let v1 = b1.scale(S5_1) + b2.scale(S5_2);
             let v2 = b1.scale(S5_2) - b2.scale(S5_1);
-            dst[q + o0] = t0 + a1 + a2;
-            dst[q + o0 + s] = (m1 + v1) * wp[0];
-            dst[q + o0 + 2 * s] = (m2 + v2) * wp[1];
-            dst[q + o0 + 3 * s] = (m2 - v2) * wp[2];
-            dst[q + o0 + 4 * s] = (m1 - v1) * wp[3];
+            o0[q] = t0 + a1 + a2;
+            o1[q] = (m1 + v1) * wp[0];
+            o2[q] = (m2 + v2) * wp[1];
+            o3[q] = (m2 - v2) * wp[2];
+            o4[q] = (m1 - v1) * wp[3];
         }
         advance(&mut w1, s, total);
     }
@@ -303,6 +323,7 @@ fn stage_generic(
     r: usize,
     m: usize,
     s: usize,
+    lanes: usize,
     total: usize,
     table: &TwiddleTable,
     radix_table: &TwiddleTable,
@@ -310,12 +331,13 @@ fn stage_generic(
     dst: &mut [Complex64],
 ) {
     debug_assert!(r <= 32);
+    let sl = s * lanes;
     let mut t = [Complex64::ZERO; 32];
     let mut w1 = 0usize;
-    for p in 0..m {
-        for q in 0..s {
+    for (p, out) in dst.chunks_exact_mut(r * sl).enumerate() {
+        for q in 0..sl {
             for (u, slot) in t[..r].iter_mut().enumerate() {
-                *slot = src[q + s * (p + u * m)];
+                *slot = src[q + sl * (p + u * m)];
             }
             for v in 0..r {
                 // r-point DFT output v, then the inter-stage twiddle ω_N^{p·v·s}.
@@ -329,7 +351,7 @@ fn stage_generic(
                     }
                 }
                 let tw = table.factor(v * w1);
-                dst[q + s * (r * p + v)] = acc * tw;
+                out[q + sl * v] = acc * tw;
             }
         }
         advance(&mut w1, s, total);
@@ -419,6 +441,97 @@ mod tests {
         for n in [7usize, 11, 13, 17, 19, 23, 29, 31, 7 * 11, 13 * 4, 29 * 3] {
             let (y, want) = run(n, Direction::Forward);
             assert!(max_abs_diff(&y, &want) < 1e-8 * n as f64, "n={n}");
+        }
+    }
+
+    /// `lanes` distinct lines interleaved as `buf[j·lanes + l]`.
+    fn interleaved(n: usize, lanes: usize) -> (Vec<Vec<Complex64>>, Vec<Complex64>) {
+        let lines: Vec<Vec<Complex64>> = (0..lanes)
+            .map(|l| {
+                signal(n)
+                    .into_iter()
+                    .map(|v| v * Complex64::new(1.0 + l as f64, 0.5 - l as f64))
+                    .collect()
+            })
+            .collect();
+        let buf = (0..n * lanes)
+            .map(|i| lines[i % lanes][i / lanes])
+            .collect();
+        (lines, buf)
+    }
+
+    /// Runs `stage` as the only stage of a length-`r` transform over
+    /// `lanes` lines and checks every lane against the `r`-point DFT.
+    fn check_stage(
+        r: usize,
+        dir: Direction,
+        stage: impl Fn(usize, &TwiddleTable, &[Complex64], &mut [Complex64]),
+    ) {
+        let table = TwiddleTable::new(r, dir);
+        for lanes in [1usize, 2, 3, 8] {
+            let (lines, src) = interleaved(r, lanes);
+            let mut dst = vec![Complex64::ZERO; r * lanes];
+            stage(lanes, &table, &src, &mut dst);
+            for (l, line) in lines.iter().enumerate() {
+                let got: Vec<Complex64> = (0..r).map(|j| dst[j * lanes + l]).collect();
+                let err = max_abs_diff(&got, &dft(line, dir));
+                assert!(
+                    err < 1e-12 * r as f64,
+                    "r={r} {dir:?} lanes={lanes} lane={l} err={err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_stage_is_its_radix_dft_at_any_lane_count() {
+        for dir in [Direction::Forward, Direction::Backward] {
+            check_stage(2, dir, |lanes, t, src, dst| {
+                stage2(1, 1, lanes, 2, t, src, dst)
+            });
+            check_stage(3, dir, |lanes, t, src, dst| {
+                stage3(dir, 1, 1, lanes, 3, t, src, dst)
+            });
+            check_stage(4, dir, |lanes, t, src, dst| {
+                stage4(dir, 1, 1, lanes, 4, t, src, dst)
+            });
+            check_stage(5, dir, |lanes, t, src, dst| {
+                stage5(dir, 1, 1, lanes, 5, t, src, dst)
+            });
+            check_stage(7, dir, |lanes, t, src, dst| {
+                stage_generic(7, 1, 1, lanes, 7, t, t, src, dst)
+            });
+        }
+    }
+
+    #[test]
+    fn lanes_reproduce_the_single_line_bit_for_bit() {
+        // Lengths whose stages cover every radix at several (m, s).
+        for n in [1usize, 2, 6, 8, 9, 25, 30, 49, 60, 96, 128, 7 * 16] {
+            for dir in [Direction::Forward, Direction::Backward] {
+                let plan = MixedRadixPlan::new(n, dir).unwrap();
+                for lanes in [1usize, 2, 3, 8] {
+                    let (lines, mut a) = interleaved(n, lanes);
+                    let mut b = vec![Complex64::ZERO; n * lanes];
+                    let in_a = plan.execute_lanes(&mut a, &mut b, lanes);
+                    assert_eq!(in_a, plan.factors().len() % 2 == 0);
+                    let out = if in_a { &a } else { &b };
+                    for (l, line) in lines.iter().enumerate() {
+                        let mut alone = line.clone();
+                        plan.execute(&mut alone, &mut vec![Complex64::ZERO; n]);
+                        for (j, want) in alone.iter().enumerate() {
+                            let got = out[j * lanes + l];
+                            assert!(
+                                got.re.to_bits() == want.re.to_bits()
+                                    && got.im.to_bits() == want.im.to_bits(),
+                                "n={n} {dir:?} lanes={lanes} lane={l} j={j}"
+                            );
+                        }
+                        let err = max_abs_diff(&alone, &dft(line, dir));
+                        assert!(err < 1e-7 * n as f64, "n={n} {dir:?} err={err}");
+                    }
+                }
+            }
         }
     }
 }

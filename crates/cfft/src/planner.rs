@@ -6,7 +6,11 @@
 //! rigors time every applicable kernel on representative data and keep the
 //! fastest, with [`Rigor::Patient`] averaging over more repetitions (and so
 //! costing more planning time — the effect Table 4's FFTW column measures).
+//! Candidates are timed the way plans are used — over one block of lines
+//! through [`crate::batch::execute_batch`] — so a kernel that wins on a
+//! lone line but cannot run lane-blocked does not win the measurement.
 
+use crate::batch::{block_lines, execute_batch, BatchLayout, BatchScratch};
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::dft::dft_in_place;
@@ -145,6 +149,16 @@ impl Plan1d {
         self.scratch_len
     }
 
+    /// The Stockham kernel, when that is what this plan runs — the one
+    /// kernel [`crate::batch`] can push a block of interleaved lines through.
+    #[inline]
+    pub(crate) fn stockham(&self) -> Option<&MixedRadixPlan> {
+        match &self.kernel {
+            Kernel::Mixed(p) => Some(p),
+            _ => None,
+        }
+    }
+
     /// Executes the (unnormalised) transform in place. `scratch` must hold
     /// at least [`Self::scratch_len`] elements.
     pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
@@ -249,7 +263,9 @@ impl Planner {
 
         let reps = self.rigor.reps(n).max(1);
         let mut best: Option<(Duration, Plan1d)> = None;
-        let mut data: Vec<Complex64> = (0..n)
+        // One block of lines, whichever kernel is being timed.
+        let lines = BatchLayout::contiguous(n, block_lines(n));
+        let mut data: Vec<Complex64> = (0..lines.required_len(n))
             .map(|j| Complex64::new(j as f64 * 0.001, -(j as f64) * 0.002))
             .collect();
         for strat in candidates {
@@ -261,12 +277,12 @@ impl Planner {
             let Some(plan) = Plan1d::with_strategy(n, dir, strat) else {
                 continue;
             };
-            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+            let mut scratch = BatchScratch::for_plan(&plan);
             // Warm-up run populates twiddle caches.
-            plan.execute(&mut data, &mut scratch);
+            execute_batch(&plan, &mut data, lines, &mut scratch);
             let t0 = Instant::now();
             for _ in 0..reps {
-                plan.execute(&mut data, &mut scratch);
+                execute_batch(&plan, &mut data, lines, &mut scratch);
             }
             let elapsed = t0.elapsed() / reps as u32;
             match &best {

@@ -2,6 +2,7 @@
 //! DFT implementation must satisfy, checked over randomly drawn lengths,
 //! signals, and planner rigors.
 
+use cfft::batch::{execute_batch, execute_rows, BatchLayout, BatchScratch};
 use cfft::complex::{max_abs_diff, rel_l2_error};
 use cfft::dft::dft;
 use cfft::planner::{Planner, Rigor};
@@ -160,5 +161,75 @@ proptest! {
             *v = *v / n as f64;
         }
         prop_assert!(max_abs_diff(&back, &direct) < 1e-9 * n as f64);
+    }
+
+    /// Block execution is per-line execution, bit for bit: whatever the
+    /// length, line count (so block remainder), layout and direction, every
+    /// line of a batch comes out exactly as `Plan1d::execute` leaves it alone.
+    #[test]
+    fn block_execution_equals_per_line_bitwise(
+        n in 1usize..=64,
+        howmany in 0usize..=40,
+        layout_pick in 0usize..4,
+        gap in 0usize..5,
+        backward in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let dir = if backward == 1 { Direction::Backward } else { Direction::Forward };
+        let plan = Planner::new(Rigor::Estimate).plan(n, dir);
+        // Line l, element j at starts[l] + j·stride.
+        let (starts, stride): (Vec<usize>, usize) = match layout_pick {
+            // Contiguous, end to end.
+            0 => ((0..howmany).map(|l| l * n).collect(), 1),
+            // Matrix columns: lanes are neighbours.
+            1 => ((0..howmany).collect(), howmany.max(1)),
+            // Padded rows with padded elements.
+            2 => {
+                let stride = 1 + gap;
+                let dist = (n - 1) * stride + 1 + gap;
+                ((0..howmany).map(|l| l * dist).collect(), stride)
+            }
+            // Scattered rows in a scrambled order (row list only).
+            _ => {
+                let mut order: Vec<usize> = (0..howmany).collect();
+                for i in (1..howmany).rev() {
+                    order.swap(i, (seed as usize).wrapping_mul(i + 7) % (i + 1));
+                }
+                (order.into_iter().map(|slot| slot * (n + gap)).collect(), 1)
+            }
+        };
+        let len = starts.iter().map(|s| s + (n - 1) * stride + 1).max().unwrap_or(0);
+        let input: Vec<Complex64> = (0..len)
+            .map(|i| {
+                let t = (i as u64 + 1).wrapping_mul(seed + 3) as f64;
+                Complex64::new((t * 1e-3).sin(), (t * 7e-4).cos())
+            })
+            .collect();
+
+        let mut got = input.clone();
+        let mut scratch = BatchScratch::for_plan(&plan);
+        if layout_pick == 3 {
+            execute_rows(&plan, &mut got, &starts, &mut scratch);
+        } else {
+            let dist = if howmany > 1 { starts[1] - starts[0] } else { 1 };
+            let layout = BatchLayout { howmany, stride, dist };
+            execute_batch(&plan, &mut got, layout, &mut scratch);
+        }
+
+        let mut want = input;
+        let mut plan_scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        for &s in &starts {
+            let mut line: Vec<Complex64> = (0..n).map(|j| want[s + j * stride]).collect();
+            plan.execute(&mut line, &mut plan_scratch);
+            for (j, v) in line.into_iter().enumerate() {
+                want[s + j * stride] = v;
+            }
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "element {} differs: {:?} vs {:?}", i, g, w
+            );
+        }
     }
 }

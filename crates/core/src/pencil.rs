@@ -47,6 +47,7 @@ use crate::serial::test_field;
 use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
 use crate::transport::{Req, Staging, TilePlans, Transport};
 use crate::xplan::{TileExchange, TransformPlanCache};
+use cfft::batch::{execute_batch, execute_rows, BatchLayout, BatchScratch};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::Comm;
@@ -270,7 +271,7 @@ struct StageEnv<'a> {
     plan_pre: Option<Arc<Plan1d>>,
     /// FFT applied after unpacking (FFTy for Row, FFTx for Col).
     plan_post: Arc<Plan1d>,
-    scratch: &'a mut Vec<Complex64>,
+    scratch: &'a mut BatchScratch,
     /// Posts, polls, waits and pools the stage's tiles over `comm`.
     net: Transport<'a>,
     threads_n: usize,
@@ -310,14 +311,11 @@ impl OverlapEnv for StageEnv<'_> {
             StageKind::Row => {
                 let (nz, nyc) = (self.spec.nz, self.dims.nyc);
                 if cnt > 0 && nyc > 0 {
-                    let plan = self.plan_pre.clone().expect("row stage has a z-plan");
+                    let plan = self.plan_pre.as_deref().expect("row stage has a z-plan");
                     let t0 = Instant::now();
-                    for x in start..start + cnt {
-                        for y in 0..nyc {
-                            let s = (x * nyc + y) * nz;
-                            plan.execute(&mut self.src[s..s + nz], self.scratch);
-                        }
-                    }
+                    // The tile's z lines lie end to end.
+                    let lines = BatchLayout::contiguous(nz, cnt * nyc);
+                    execute_batch(plan, &mut self.src[start * nyc * nz..], lines, self.scratch);
                     let t1 = Instant::now();
                     self.net.span(t0, t1, EventKind::Fftz);
                 }
@@ -415,14 +413,11 @@ impl OverlapEnv for StageEnv<'_> {
                     },
                 );
                 if cnt > 0 && nzl > 0 {
-                    let plan = self.plan_post.clone();
                     let t0 = Instant::now();
-                    for x in start..start + cnt {
-                        for zl in 0..nzl {
-                            let s = (x * nzl + zl) * ny;
-                            plan.execute(&mut self.dst[s..s + ny], self.scratch);
-                        }
-                    }
+                    // As do its y lines.
+                    let lines = BatchLayout::contiguous(ny, cnt * nzl);
+                    let tile = &mut self.dst[start * nzl * ny..];
+                    execute_batch(&self.plan_post, tile, lines, self.scratch);
                     let t1 = Instant::now();
                     self.net.span(
                         t0,
@@ -459,14 +454,13 @@ impl OverlapEnv for StageEnv<'_> {
                     },
                 );
                 if cnt > 0 && ny2l > 0 {
-                    let plan = self.plan_post.clone();
                     let t0 = Instant::now();
-                    for yl in 0..ny2l {
-                        for zl in start..start + cnt {
-                            let s = (yl * nzl + zl) * nx;
-                            plan.execute(&mut self.dst[s..s + nx], self.scratch);
-                        }
-                    }
+                    // The tile's x lines come in runs of `cnt`, one per `yl`
+                    // — shorter than a block, so they go as one row list.
+                    let rows: Vec<usize> = (0..ny2l)
+                        .flat_map(|yl| (start..start + cnt).map(move |zl| (yl * nzl + zl) * nx))
+                        .collect();
+                    execute_rows(&self.plan_post, self.dst, &rows, self.scratch);
                     let t1 = Instant::now();
                     self.net.span(
                         t0,
@@ -638,13 +632,7 @@ impl Pinned {
         let plan_z = cache.plan(spec.nz, *dir, Rigor::Estimate);
         let plan_y = cache.plan(spec.ny, *dir, Rigor::Estimate);
         let plan_x = cache.plan(spec.nx, *dir, Rigor::Estimate);
-        let mut scratch = vec![
-            Complex64::ZERO;
-            plan_z
-                .scratch_len()
-                .max(plan_y.scratch_len())
-                .max(plan_x.scratch_len())
-        ];
+        let mut scratch = BatchScratch::default();
 
         let mut a = input.to_vec();
         let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];

@@ -22,7 +22,10 @@ use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience}
 use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TilePlans, Transport};
 use crate::xplan::{ExchangeGeometry, TileExchange, TransformPlanCache};
-use cfft::batch::{execute_lines_threaded, for_each_part_threaded, for_each_row_threaded};
+use cfft::batch::{
+    execute_batch, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
+    BatchLayout, BatchScratch,
+};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use faultplan::{checksum, flip_seeded_bit};
@@ -105,26 +108,28 @@ struct Workspace {
     zxy: Vec<Complex64>,
     /// FFTz scratch: one x-plane (`Ny·Nz`) per worker thread.
     planes: Vec<Complex64>,
-    plan_scratch: Vec<Complex64>,
+    /// Block buffers of the three FFT steps (grown by the first that needs
+    /// more; the FFTz workers beyond the first bring their own).
+    scratch: BatchScratch,
     /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
     /// in-place transform and transformed alongside it (DESIGN.md §16).
     abft_line: Vec<Complex64>,
     /// Post-transform batch sum, compared against the transformed
     /// [`Self::abft_line`].
     abft_post: Vec<Complex64>,
-    /// Offsets of the current sub-tile's lines (FFTy's and FFTx's alike).
+    /// Offsets of the current sub-tile's lines (FFTy's and FFTx's alike),
+    /// ascending.
     rows: Vec<usize>,
 }
 
 impl Workspace {
     /// Sizes the buffers for one run; changes nothing from a session's
     /// second execution on.
-    fn prepare(&mut self, slab: usize, planes: usize, plan_scratch: usize) {
+    fn prepare(&mut self, slab: usize, planes: usize) {
         if self.zxy.len() != slab {
             self.zxy = vec![Complex64::ZERO; slab];
         }
         self.planes.resize(planes, Complex64::ZERO);
-        self.plan_scratch.resize(plan_scratch, Complex64::ZERO);
     }
 }
 
@@ -286,7 +291,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
             let work = |w: usize,
                         mut dst: Vec<&mut [Complex64]>,
                         plane: &mut [Complex64],
-                        scratch: &mut [Complex64]| {
+                        scratch: &mut BatchScratch| {
                 let block = match style {
                     TransposeStyle::Naive => ny.max(nz),
                     _ => TRANSPOSE_BLOCK,
@@ -296,9 +301,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 for x in x0..(x0 + per).min(nxl) {
                     let a = Instant::now();
                     plane.copy_from_slice(&input[x * plane_len..(x + 1) * plane_len]);
-                    for line in plane.chunks_exact_mut(nz) {
-                        plan_z.execute(line, scratch);
-                    }
+                    execute_batch(plan_z, plane, BatchLayout::contiguous(nz, ny), scratch);
                     let b = Instant::now();
                     let xi = x - x0;
                     // Row `z` of the transposed plane: `Ny` contiguous
@@ -324,17 +327,15 @@ impl<'a> OverlapEnv for RealEnv<'a> {
             // This thread takes the first share, spawned workers the rest.
             let mut tasks = dsts.into_iter().zip(ws.planes.chunks_mut(plane_len));
             let (dst, plane) = tasks.next().expect("at least one plane");
-            let (work, scratch_len) = (&work, ws.plan_scratch.len());
+            let work = &work;
             spent = std::thread::scope(|s| {
                 let others: Vec<_> = (1..)
                     .zip(tasks)
                     .map(|(w, (dst, plane))| {
-                        s.spawn(move || {
-                            work(w, dst, plane, &mut vec![Complex64::ZERO; scratch_len])
-                        })
+                        s.spawn(move || work(w, dst, plane, &mut BatchScratch::for_plan(plan_z)))
                     })
                     .collect();
-                let mut spent = work(0, dst, plane, &mut ws.plan_scratch);
+                let mut spent = work(0, dst, plane, &mut ws.scratch);
                 for h in others {
                     let (fz, tr) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
                     spent = (spent.0 + fz, spent.1 + tr);
@@ -391,7 +392,8 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                 let xe = (xs + px).min(nxl);
 
                 // Row starts of the sub-tile's y lines (disjoint whichever
-                // layout `zxy_row` uses), shared by the transform paths and
+                // layout `zxy_row` uses, ascending for one of them — sorted
+                // here, once, for the splitter), shared by the transform and
                 // the ABFT sums below.
                 self.ws.rows.clear();
                 for z in zs..ze {
@@ -399,6 +401,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         self.ws.rows.push(zxy_row(z, xl));
                     }
                 }
+                self.ws.rows.sort_unstable();
 
                 // ABFT (DESIGN.md §16): capture the batch checksum line
                 // Σ(lines) before the in-place FFTy. Linearity demands
@@ -409,23 +412,13 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 
                 // FFTy on every y line of the sub-tile.
                 let t0 = Instant::now();
-                if self.params.threads > 1 {
-                    // Rows are only sorted for one of the layouts — sort for
-                    // the splitter.
-                    let mut starts = self.ws.rows.clone();
-                    starts.sort_unstable();
-                    execute_lines_threaded(
-                        &self.plan_y,
-                        &mut self.ws.zxy,
-                        &starts,
-                        self.params.threads,
-                    );
-                } else {
-                    for &s in &self.ws.rows {
-                        self.plan_y
-                            .execute(&mut self.ws.zxy[s..s + ny], &mut self.ws.plan_scratch);
-                    }
-                }
+                execute_lines_threaded(
+                    &self.plan_y,
+                    &mut self.ws.zxy,
+                    &self.ws.rows,
+                    self.params.threads,
+                    &mut self.ws.scratch,
+                );
                 let t1 = Instant::now();
                 self.steps.ffty += (t1 - t0).as_secs_f64();
                 self.net.span(
@@ -439,8 +432,12 @@ impl<'a> OverlapEnv for RealEnv<'a> {
 
                 // Transform the checksum line and compare with the batch sum
                 // of the transformed lines.
-                self.plan_y
-                    .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
+                execute_batch(
+                    &self.plan_y,
+                    &mut self.ws.abft_line,
+                    BatchLayout::contiguous(ny, 1),
+                    &mut self.ws.scratch,
+                );
                 abft_sum_rows(&mut self.ws.abft_post, &self.ws.zxy, &self.ws.rows, ny);
                 if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
                     self.net.mark(EventKind::Corrupt { tile });
@@ -642,24 +639,18 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         self.ws.rows.push(row);
                     }
                 }
+                self.ws.rows.sort_unstable();
                 abft_sum_rows(&mut self.ws.abft_line, &self.out, &self.ws.rows, nx);
 
                 // FFTx on the unpacked x lines.
                 let t0 = Instant::now();
-                if self.params.threads > 1 {
-                    let starts: Vec<usize> = rows.iter().map(|r| r.0).collect();
-                    execute_lines_threaded(
-                        &self.plan_x,
-                        &mut self.out,
-                        &starts,
-                        self.params.threads,
-                    );
-                } else {
-                    for &s in &self.ws.rows {
-                        self.plan_x
-                            .execute(&mut self.out[s..s + nx], &mut self.ws.plan_scratch);
-                    }
-                }
+                execute_lines_threaded(
+                    &self.plan_x,
+                    &mut self.out,
+                    &self.ws.rows,
+                    self.params.threads,
+                    &mut self.ws.scratch,
+                );
                 let t1 = Instant::now();
                 self.steps.fftx += (t1 - t0).as_secs_f64();
                 self.net.span(
@@ -671,8 +662,12 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                     },
                 );
 
-                self.plan_x
-                    .execute(&mut self.ws.abft_line, &mut self.ws.plan_scratch);
+                execute_batch(
+                    &self.plan_x,
+                    &mut self.ws.abft_line,
+                    BatchLayout::contiguous(nx, 1),
+                    &mut self.ws.scratch,
+                );
                 abft_sum_rows(&mut self.ws.abft_post, &self.out, &self.ws.rows, nx);
                 if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
                     self.net.mark(EventKind::Corrupt { tile });
@@ -939,10 +934,6 @@ fn run_dist(
     let (plan_y, spent_y) = cache.plan_timed(spec.ny, dir, rigor);
     let (plan_x, spent_x) = cache.plan_timed(spec.nx, dir, rigor);
     let planning = spent_z + spent_y + spent_x;
-    let scratch_len = plan_z
-        .scratch_len()
-        .max(plan_y.scratch_len())
-        .max(plan_x.scratch_len());
 
     let layout = if transpose_style == TransposeStyle::Fast {
         OutLayout::Yzx
@@ -956,7 +947,6 @@ fn run_dist(
     ws.prepare(
         nxl * plane_len,
         params.threads.clamp(1, nxl.max(1)) * plane_len,
-        scratch_len,
     );
     // The windowed pipeline never has more than `W + 1` tiles between post
     // and unpack; no tile packs or receives more than a full one.

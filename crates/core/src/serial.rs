@@ -2,12 +2,15 @@
 //!
 //! The executable specification every distributed variant is verified
 //! against: `d` 1-D transform sweeps along each axis (§2.1), performed
-//! directly on an `x-y-z` row-major array.
+//! directly — and in place — on an `x-y-z` row-major array. No axis is ever
+//! made contiguous by a reorder pass: the `y` and `x` lines are handed to
+//! [`cfft::batch`] as strided batches whose lines are neighbours in memory
+//! (`dist = 1`), which it gathers a block at a time and transforms at the
+//! contiguous speed.
 
 use crate::params::ProblemSpec;
 use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
 use cfft::planner::Rigor;
-use cfft::transpose::{permute3, permuted_dims, Dims3, XYZ_TO_ZXY};
 use cfft::{Complex64, Direction, PlanCache};
 
 /// Computes the full 3-D FFT of `data` (layout `x-y-z`, z contiguous, size
@@ -20,10 +23,10 @@ pub fn fft3_serial(data: &mut [Complex64], nx: usize, ny: usize, nz: usize, dir:
     // Plans come from the process-wide cache: repeated reference transforms
     // of the same geometry (every test does this) never replan.
     let cache = PlanCache::global();
+    let mut scratch = BatchScratch::default();
 
-    // z lines are contiguous: one batched sweep.
+    // z lines are contiguous, laid end to end.
     let plan_z = cache.plan(nz, dir, Rigor::Estimate);
-    let mut scratch = BatchScratch::for_plan(&plan_z);
     execute_batch(
         &plan_z,
         data,
@@ -31,35 +34,27 @@ pub fn fft3_serial(data: &mut [Complex64], nx: usize, ny: usize, nz: usize, dir:
         &mut scratch,
     );
 
-    // Rotate x-y-z → z-x-y so y lines become contiguous, sweep, rotate
-    // again (→ y-z-x) so x lines become contiguous, sweep, and rotate once
-    // more to return to x-y-z.
-    let mut tmp = vec![Complex64::ZERO; data.len()];
-    let d0 = Dims3::new(nx, ny, nz);
-    permute3(data, &mut tmp, d0, XYZ_TO_ZXY);
-    let d1 = permuted_dims(d0, XYZ_TO_ZXY); // (nz, nx, ny)
+    // y lines: within one x-plane, the `nz` lines start at consecutive
+    // elements and step by a z-row.
     let plan_y = cache.plan(ny, dir, Rigor::Estimate);
-    let mut scratch = BatchScratch::for_plan(&plan_y);
-    execute_batch(
-        &plan_y,
-        &mut tmp,
-        BatchLayout::contiguous(ny, nz * nx),
-        &mut scratch,
-    );
+    let y_lines = BatchLayout {
+        howmany: nz,
+        stride: nz,
+        dist: 1,
+    };
+    for plane in data.chunks_exact_mut(ny * nz) {
+        execute_batch(&plan_y, plane, y_lines, &mut scratch);
+    }
 
-    permute3(&tmp, data, d1, XYZ_TO_ZXY);
-    let d2 = permuted_dims(d1, XYZ_TO_ZXY); // (ny, nz, nx)
+    // x lines: all `ny·nz` of them start at consecutive elements and step by
+    // an x-plane.
     let plan_x = cache.plan(nx, dir, Rigor::Estimate);
-    let mut scratch = BatchScratch::for_plan(&plan_x);
-    execute_batch(
-        &plan_x,
-        data,
-        BatchLayout::contiguous(nx, ny * nz),
-        &mut scratch,
-    );
-
-    permute3(data, &mut tmp, d2, XYZ_TO_ZXY); // back to (nx, ny, nz)
-    data.copy_from_slice(&tmp);
+    let x_lines = BatchLayout {
+        howmany: ny * nz,
+        stride: ny * nz,
+        dist: 1,
+    };
+    execute_batch(&plan_x, data, x_lines, &mut scratch);
 }
 
 /// Convenience: serial 3-D FFT of a [`ProblemSpec`]-shaped array.
