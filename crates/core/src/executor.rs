@@ -1,0 +1,937 @@
+//! The real stage executor: the one [`OverlapEnv`] over real data.
+//!
+//! A distributed transform is a sequence of exchange stages (Dalcin,
+//! Mortensen & Keyes; `crate::stage` prices them the same way): local FFTs
+//! along the complete axes, then a redistribution inside a subgroup. Every
+//! stage has the same program with different numbers, and [`StageShape`] is
+//! those numbers. A stage tiles one axis **τ**, splits its contiguous axis
+//! **v** across the group and completes the carried axis **o**:
+//!
+//! ```text
+//! source line (τ, o), length n_v      at  τ·src.0 + o·src.1
+//! message to peer q                       [τ_local][o][v_q]
+//! block from source s                     [τ_local][o_s][w]      (w: my share of v)
+//! destination line (τ, w), length Σo  at  τ·dst.0 + w·dst.1
+//! ```
+//!
+//! so `send[q] = t·n_o·|v_q|` and `recv[s] = t·|o_s|·n_w`. The slab
+//! transform is one such stage over all `p` ranks (`crate::real_env` builds
+//! its shape), the pencil transform two, over the grid's rows and then its
+//! columns (`crate::pencil`); DESIGN.md §18 has the table.
+//!
+//! [`StageExec`] runs one shape under [`crate::pipeline`]'s drivers and owns
+//! what is written once: Pack, Unpack, the sub-tile loops with their poll
+//! schedules, the row-list FFTs, and — where the shape arms them — the ABFT
+//! checksum lines, the pack seal with its retransmit, and the fault plan's
+//! trigger points. Every tile moves through `crate::transport`. [`Session`]
+//! is the memory a transform keeps between executions and the loop that
+//! runs its stages in turn; a one-shot call is a session run once without
+//! persistent plans.
+
+use crate::breakdown::StepTimes;
+use crate::decomp::AxisSplit;
+use crate::error::{Error, IntegrityStage};
+use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
+use crate::trace::{DegradeAction, EventKind, Recorder};
+use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
+use cfft::batch::{
+    execute_batch, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
+    BatchLayout, BatchScratch,
+};
+use cfft::planner::Plan1d;
+use cfft::Complex64;
+use faultplan::{checksum, flip_seeded_bit};
+use mpisim::Comm;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// The axis an FFT step transforms, which names its Figure-8 category and
+/// its trace event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Axis {
+    Z,
+    Y,
+    X,
+}
+
+impl Axis {
+    fn event(self, tile: usize, subtile: usize) -> EventKind {
+        match self {
+            Axis::Z => EventKind::Fftz,
+            Axis::Y => EventKind::Ffty { tile, subtile },
+            Axis::X => EventKind::Fftx { tile, subtile },
+        }
+    }
+
+    fn slot(self, steps: &mut StepTimes) -> &mut f64 {
+        match self {
+            Axis::Z => &mut steps.fftz,
+            Axis::Y => &mut steps.ffty,
+            Axis::X => &mut steps.fftx,
+        }
+    }
+}
+
+/// One FFT step of a stage.
+pub(crate) struct Fft {
+    pub plan: Arc<Plan1d>,
+    pub axis: Axis,
+    /// `Some(stage)` arms the ABFT checksum line through this step
+    /// (DESIGN.md §16); a mismatch fails the tile at `stage`.
+    pub abft: Option<IntegrityStage>,
+}
+
+/// One exchange stage on one member of its group, as plain data.
+pub(crate) struct StageShape {
+    /// Local extent of the tiled axis τ.
+    pub n_tau: usize,
+    /// Planes of τ per communication tile (`T`; clamped to `1..=n_tau`).
+    pub t: usize,
+    /// Extent of v, the source's contiguous axis.
+    pub n_v: usize,
+    /// The group's split of v: peer `q` receives `v.count(q)` of every line.
+    pub v: AxisSplit,
+    /// The group's split of o, the carried axis: source `s` holds
+    /// `o.count(s)` of it, the destination all of it.
+    pub o: AxisSplit,
+    /// This member's rank in the group.
+    pub me: usize,
+    /// Source line `(τ, o)` starts at `τ·src.0 + o·src.1`.
+    pub src: (usize, usize),
+    /// Destination line `(τ, w)` starts at `τ·dst.0 + w·dst.1`.
+    pub dst: (usize, usize),
+    /// FFT along v before Pack.
+    pub pre: Option<Fft>,
+    /// FFT along the completed axis after Unpack.
+    pub post: Fft,
+    /// `MPI_Test` rounds per tile during the pre-FFT, Pack, Unpack and the
+    /// post-FFT.
+    pub polls: [u32; 4],
+    /// Sub-tile extents `(τ, o)` of the pack side (clamped to the tile).
+    pub pack_sub: (usize, usize),
+    /// Sub-tile extents `(τ, w)` of the unpack side.
+    pub unpack_sub: (usize, usize),
+    /// Arms the Pack integrity stage: the staged payload is sealed with a
+    /// resident hash, re-verified at post time (a mismatch withholds the
+    /// exchange and the driver re-packs), and the fault plan's crash and
+    /// bit-flip trigger points on the pack→post boundary are visited.
+    pub seal: bool,
+    /// Window `W`.
+    pub w: usize,
+    /// Worker threads (`Th`) for the FFTs, Pack and Unpack.
+    pub threads: usize,
+}
+
+impl StageShape {
+    /// This member's share of o: lines per τ-plane at the source.
+    fn n_o(&self) -> usize {
+        self.o.count(self.me)
+    }
+
+    /// This member's share of v: lines per τ-plane at the destination.
+    pub(crate) fn n_w(&self) -> usize {
+        self.v.count(self.me)
+    }
+
+    /// Length of a destination line: all of o.
+    fn line(&self) -> usize {
+        self.post.plan.len()
+    }
+
+    fn tile_size(&self) -> usize {
+        self.t.clamp(1, self.n_tau.max(1))
+    }
+
+    /// Communication tiles; the last may be short.
+    pub(crate) fn tiles(&self) -> usize {
+        self.n_tau.div_ceil(self.tile_size())
+    }
+
+    /// The τ-planes of `tile`.
+    fn tile_range(&self, tile: usize) -> Range<usize> {
+        let start = tile * self.tile_size();
+        start..(start + self.tile_size()).min(self.n_tau)
+    }
+
+    pub(crate) fn src_len(&self) -> usize {
+        self.n_tau * self.n_o() * self.n_v
+    }
+
+    fn dst_len(&self) -> usize {
+        self.n_tau * self.n_w() * self.line()
+    }
+
+    /// The counts of a tile of `planes` τ-planes.
+    fn exchange(&self, planes: usize) -> TileExchange {
+        let send = self.v.counts().iter().map(|vq| planes * self.n_o() * vq);
+        let recv = self.o.counts().iter().map(|os| planes * os * self.n_w());
+        TileExchange::new(send.collect(), recv.collect())
+    }
+
+    /// The counts of a full tile and of the last one.
+    fn exchanges(&self) -> [TileExchange; 2] {
+        let last = self.tile_range(self.tiles().saturating_sub(1));
+        [self.exchange(self.tile_size()), self.exchange(last.len())]
+    }
+
+    /// Which of [`Self::exchanges`] is `tile`'s.
+    fn which(&self, tile: usize) -> usize {
+        usize::from(tile + 1 == self.tiles())
+    }
+
+    /// Pack: copies the `v_q` runs of source lines `ts × os` into `send`'s
+    /// per-destination blocks, each laid out `[τ − t0][o][v_q]` — one
+    /// sub-tile's share of a tile that starts at plane `t0`, or (over the
+    /// whole tile) the re-pack of a retransmit. Workers own whole
+    /// destination blocks.
+    fn pack(
+        &self,
+        xg: &TileExchange,
+        src: &[Complex64],
+        send: &mut [Complex64],
+        t0: usize,
+        (ts, os): (Range<usize>, Range<usize>),
+    ) {
+        let n_o = self.n_o();
+        for_each_part_threaded(send, &xg.send_bounds, self.threads, |q, block| {
+            let (v0, vq) = (self.v.offset(q), self.v.count(q));
+            for tau in ts.clone() {
+                for o in os.clone() {
+                    let s = tau * self.src.0 + o * self.src.1 + v0;
+                    let d = ((tau - t0) * n_o + o) * vq;
+                    block[d..d + vq].copy_from_slice(&src[s..s + vq]);
+                }
+            }
+        });
+    }
+
+    /// Unpack: gathers each destination line of `lines` (see
+    /// [`sub_tile_lines`]; the metadata is `(τ − t0, w)`) from the
+    /// per-source blocks of `recv`, each laid out `[τ − t0][o_s][w]`.
+    /// Workers own whole lines.
+    fn unpack(
+        &self,
+        xg: &TileExchange,
+        recv: &[Complex64],
+        dst: &mut [Complex64],
+        lines: &[(usize, (usize, usize))],
+    ) {
+        let n_w = self.n_w();
+        let gather = |line: &mut [Complex64], &(tl, w): &(usize, usize)| {
+            for (s, &displ) in xg.recv_displs.iter().enumerate() {
+                let (o0, os) = (self.o.offset(s), self.o.count(s));
+                let base = displ + tl * os * n_w + w;
+                for (j, v) in line[o0..o0 + os].iter_mut().enumerate() {
+                    *v = recv[base + j * n_w];
+                }
+            }
+        };
+        for_each_row_threaded(dst, self.line(), lines, self.threads, gather);
+    }
+}
+
+/// The sub-tile grid of one side of a tile: blocks of `ext.0 × ext.1` over
+/// `ts × 0..nj`, τ-major — the order the trace numbers sub-tiles in. Returns
+/// how many there are with them.
+fn sub_tiles(
+    ts: Range<usize>,
+    nj: usize,
+    ext: (usize, usize),
+) -> (usize, impl Iterator<Item = (Range<usize>, Range<usize>)>) {
+    let (et, ej) = (ext.0.clamp(1, ts.len().max(1)), ext.1.clamp(1, nj.max(1)));
+    let (tb, jb) = (ts.len().div_ceil(et), nj.div_ceil(ej));
+    let blocks = (0..tb).flat_map(move |a| {
+        let t0 = ts.start + a * et;
+        let ts = t0..(t0 + et).min(ts.end);
+        (0..jb).map(move |b| (ts.clone(), b * ej..(b * ej + ej).min(nj)))
+    });
+    (tb * jb, blocks)
+}
+
+/// Fills `ws.lines` with the sub-tile's line starts `τ·at.0 + j·at.1`,
+/// ascending (the order the row splitters need; the lines are disjoint
+/// whichever axis is the outer one), each with its `(τ − t0, j)`, and
+/// `ws.rows` with the starts alone.
+fn sub_tile_lines(
+    ws: &mut Workspace,
+    t0: usize,
+    (ts, js): (Range<usize>, Range<usize>),
+    at: (usize, usize),
+) {
+    ws.lines.clear();
+    for tau in ts {
+        for j in js.clone() {
+            ws.lines.push((tau * at.0 + j * at.1, (tau - t0, j)));
+        }
+    }
+    ws.lines.sort_unstable_by_key(|line| line.0);
+    ws.rows.clear();
+    ws.rows.extend(ws.lines.iter().map(|line| line.0));
+}
+
+/// Accumulates the batch sum of `starts.len()` rows of `data`, each `n`
+/// elements long, into `dst` (cleared first) — the ABFT checksum line.
+fn abft_sum_rows(dst: &mut Vec<Complex64>, data: &[Complex64], starts: &[usize], n: usize) {
+    dst.clear();
+    dst.resize(n, Complex64::ZERO);
+    for &s in starts {
+        for (acc, v) in dst.iter_mut().zip(&data[s..s + n]) {
+            *acc += *v;
+        }
+    }
+}
+
+/// Relative ABFT tolerance. FFT roundoff on the checksum comparison is
+/// ~1e-13 of the batch scale on realistic sizes, four orders below this
+/// threshold — while a flipped sign, exponent, or high-mantissa bit lands
+/// many orders above it. (Flips of the lowest mantissa bits are below any
+/// tolerance an f64 check can hold and are numerically inconsequential.)
+const ABFT_TOL: f64 = 1e-9;
+
+/// Whether the transformed checksum line equals the post-transform batch
+/// sum within tolerance — the linearity identity FFT(Σ) = Σ FFT(·).
+fn abft_agrees(sum_fft: &[Complex64], post_sum: &[Complex64], batch: usize) -> bool {
+    let mut scale = 1.0f64;
+    let mut worst = 0.0f64;
+    for (a, b) in sum_fft.iter().zip(post_sum) {
+        scale = scale.max(a.abs()).max(b.abs());
+        worst = worst.max((*a - *b).abs());
+    }
+    worst <= ABFT_TOL * scale * (batch.max(sum_fft.len()).max(1)) as f64
+}
+
+/// Per-rank compute scratch: with the stage buffers and the network
+/// [`Staging`], everything one transform touches besides the caller's input
+/// and the output it returns. Every buffer is fully rewritten before it is
+/// read, so nothing of one execution can reach the next one's result
+/// (DESIGN.md §15).
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// Scratch of a stage's local phase (the slab's FFTz: one x-plane per
+    /// worker thread).
+    pub planes: Vec<Complex64>,
+    /// Block buffers of the FFT steps (grown by the first that needs more;
+    /// workers beyond the first bring their own).
+    pub scratch: BatchScratch,
+    /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
+    /// in-place transform and transformed alongside it (DESIGN.md §16).
+    abft_line: Vec<Complex64>,
+    /// Post-transform batch sum, compared against the transformed
+    /// [`Self::abft_line`].
+    abft_post: Vec<Complex64>,
+    /// The current sub-tile's lines: `(start, (τ − t0, j))`, ascending.
+    lines: Vec<(usize, (usize, usize))>,
+    /// Their starts alone, for the FFT row lists.
+    rows: Vec<usize>,
+}
+
+/// A stage's local phase: fills the stage's source buffer before the first
+/// tile (the slab's plane-wise FFTz+Transpose from the borrowed input),
+/// booking its own spans and step times.
+pub(crate) type Local<'a> =
+    &'a mut dyn FnMut(&mut [Complex64], &mut Workspace, &mut Transport<'_>, &mut StepTimes);
+
+/// One [`StageShape`] as an [`OverlapEnv`], so [`crate::pipeline`] drives it
+/// with the windowed schedule and the degradation ladder.
+struct StageExec<'a> {
+    comm: &'a Comm,
+    shape: &'a StageShape,
+    /// Counts of a full tile and of the last one.
+    xg: &'a [TileExchange; 2],
+    /// Posts, polls, waits and pools every tile's exchange over `comm`.
+    net: Transport<'a>,
+    local: Option<Local<'a>>,
+    src: &'a mut [Complex64],
+    dst: &'a mut [Complex64],
+    ws: &'a mut Workspace,
+    /// Resident hash over the packed staging buffer, set by the pack and
+    /// re-verified at post time — memory SDC on the pack→post boundary is
+    /// caught before the bytes reach any peer.
+    send_hash: u64,
+    /// The shape's poll counts, times the ladder's boost once it is applied.
+    polls: [u32; 4],
+    /// `F*` multiplier applied by the ladder's boost-polls rung.
+    poll_boost: u32,
+    /// The compute steps' shares; the transport keeps the network steps'.
+    steps: StepTimes,
+}
+
+impl StageExec<'_> {
+    /// The FFT step `fft` over the lines `ws.rows` of `data`, with its ABFT
+    /// check when armed: the batch checksum line Σ(lines) is captured before
+    /// the in-place transform and transformed alongside it. Linearity
+    /// demands FFT(Σ lines) = Σ FFT(lines) within roundoff, so a compute or
+    /// memory fault inside the transform window breaks the equality far
+    /// beyond tolerance.
+    fn fft(&mut self, fft: &Fft, pre: bool, tile: usize, subtile: usize) -> Result<(), Error> {
+        let (ws, n) = (&mut *self.ws, fft.plan.len());
+        let data = if pre { &mut *self.src } else { &mut *self.dst };
+        if fft.abft.is_some() {
+            abft_sum_rows(&mut ws.abft_line, data, &ws.rows, n);
+        }
+        let t0 = Instant::now();
+        execute_lines_threaded(
+            &fft.plan,
+            data,
+            &ws.rows,
+            self.shape.threads,
+            &mut ws.scratch,
+        );
+        let t1 = Instant::now();
+        *fft.axis.slot(&mut self.steps) += (t1 - t0).as_secs_f64();
+        self.net.span(t0, t1, fft.axis.event(tile, subtile));
+        let Some(stage) = fft.abft else {
+            return Ok(());
+        };
+        let line = BatchLayout::contiguous(n, 1);
+        execute_batch(&fft.plan, &mut ws.abft_line, line, &mut ws.scratch);
+        abft_sum_rows(&mut ws.abft_post, data, &ws.rows, n);
+        if abft_agrees(&ws.abft_line, &ws.abft_post, ws.rows.len()) {
+            return Ok(());
+        }
+        self.net.mark(EventKind::Corrupt { tile });
+        Err(Error::IntegrityFailed { tile, stage })
+    }
+
+    /// Packs `part` of `tile` (see [`StageShape::pack`]) into the staging
+    /// buffer.
+    fn pack(&mut self, tile: usize, part: (Range<usize>, Range<usize>)) {
+        let xg = &self.xg[self.shape.which(tile)];
+        let send = self.net.staged(xg.total_send);
+        let t0 = self.shape.tile_range(tile).start;
+        self.shape.pack(xg, self.src, send, t0, part);
+    }
+
+    /// Seals the staged payload: post time re-verifies this hash.
+    fn seal(&mut self, tile: usize) {
+        let total_send = self.xg[self.shape.which(tile)].total_send;
+        self.send_hash = checksum(self.net.staged(total_send));
+    }
+}
+
+impl OverlapEnv for StageExec<'_> {
+    type Req = Req;
+
+    fn num_tiles(&self) -> usize {
+        self.shape.tiles()
+    }
+
+    fn window(&self) -> usize {
+        self.shape.w
+    }
+
+    fn fftz_transpose(&mut self) {
+        if let Some(local) = self.local.take() {
+            local(self.src, self.ws, &mut self.net, &mut self.steps);
+        }
+    }
+
+    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
+        let shape = self.shape;
+        let (ts, id) = (shape.tile_range(tile), self.net.tile_id(tile));
+        // Sub-tile grid (Figure 4, left).
+        let (subtiles, blocks) = sub_tiles(ts.clone(), shape.n_o(), shape.pack_sub);
+        let mut sched_fft = PollSchedule::new(subtiles, self.polls[0]);
+        let mut sched_pack = PollSchedule::new(subtiles, self.polls[1]);
+        for (subtile, part) in blocks.enumerate() {
+            if let Some(fft) = &shape.pre {
+                sub_tile_lines(self.ws, ts.start, part.clone(), shape.src);
+                self.fft(fft, true, id, subtile)?;
+                self.net.poll(inflight, sched_fft.after_unit())?;
+            }
+            let t0 = Instant::now();
+            self.pack(tile, part);
+            let t1 = Instant::now();
+            self.steps.pack += (t1 - t0).as_secs_f64();
+            let pack = EventKind::Pack { tile: id, subtile };
+            self.net.span(t0, t1, pack);
+            self.net.poll(inflight, sched_pack.after_unit())?;
+        }
+        if shape.seal {
+            self.seal(tile);
+        }
+        Ok(())
+    }
+
+    fn post_a2a(&mut self, tile: usize) -> Self::Req {
+        if self.shape.seal {
+            // Fault-plan crash injection: a rank seeded to die "at tile `k`"
+            // dies here, on the boundary between pack and exchange — its
+            // peers may already hold this tile's pre-crash sends (and must
+            // still be able to complete tiles that need nothing more from
+            // us).
+            self.comm.crash_point(tile);
+            let total_send = self.xg[self.shape.which(tile)].total_send;
+            // Fault-plan memory-SDC injection: flip one seeded bit of the
+            // packed staging buffer on the same pack→post boundary.
+            if let Some(site) = self.comm.bitflip_point(tile) {
+                flip_seeded_bit(self.net.staged(total_send), site);
+            }
+            // Resident hash check: the staged payload must still be the
+            // bytes the pack sealed, or the exchange is withheld — the
+            // request surfaces the failure at wait time and the driver
+            // re-packs from the pristine transformed source (no peer
+            // sequenced anything).
+            if checksum(self.net.staged(total_send)) != self.send_hash {
+                let tile = self.net.tile_id(tile);
+                self.net.mark(EventKind::Corrupt { tile });
+                return Req::Withheld(IntegrityStage::Pack);
+            }
+        }
+        let xg = &self.xg[self.shape.which(tile)];
+        self.net.post(tile, xg)
+    }
+
+    fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
+        self.net.wait(tile, req)
+    }
+
+    fn unpack_fftx(
+        &mut self,
+        tile: usize,
+        inflight: &mut [(usize, Self::Req)],
+    ) -> Result<(), Error> {
+        let recv = self.net.take_recv()?;
+        let shape = self.shape;
+        let (ts, id) = (shape.tile_range(tile), self.net.tile_id(tile));
+        // Sub-tile grid (Figure 4, right).
+        let (subtiles, blocks) = sub_tiles(ts.clone(), shape.n_w(), shape.unpack_sub);
+        let mut sched_unpack = PollSchedule::new(subtiles, self.polls[2]);
+        let mut sched_fft = PollSchedule::new(subtiles, self.polls[3]);
+        let xg = &self.xg[shape.which(tile)];
+        for (subtile, part) in blocks.enumerate() {
+            sub_tile_lines(self.ws, ts.start, part, shape.dst);
+            let t0 = Instant::now();
+            shape.unpack(xg, &recv, self.dst, &self.ws.lines);
+            let t1 = Instant::now();
+            self.steps.unpack += (t1 - t0).as_secs_f64();
+            let unpack = EventKind::Unpack { tile: id, subtile };
+            self.net.span(t0, t1, unpack);
+            self.net.poll(inflight, sched_unpack.after_unit())?;
+
+            self.fft(&shape.post, false, id, subtile)?;
+            self.net.poll(inflight, sched_fft.after_unit())?;
+        }
+        self.net.recycle(recv);
+        Ok(())
+    }
+
+    fn boost_polls(&mut self) {
+        let boost = self.poll_boost.max(1);
+        self.polls = self.polls.map(|f| f.saturating_mul(boost));
+    }
+
+    fn escalate_watchdog(&mut self) {
+        self.net.escalate();
+    }
+
+    fn on_degrade(&mut self, tile: usize, action: DegradeAction) {
+        let tile = self.net.tile_id(tile);
+        self.net.mark(EventKind::Degrade { tile, action });
+    }
+
+    fn cancel(&mut self, _tile: usize, req: Self::Req) {
+        self.net.cancel(req);
+    }
+
+    fn retransmit(&mut self, tile: usize) -> Option<Self::Req> {
+        // Heal a Pack-stage integrity failure: re-pack the tile from the
+        // pristine transformed source (the pre-FFT was in place; the
+        // corruption hit only the staging copy), re-seal the hash, and
+        // re-post. The injection points are deliberately not revisited, so
+        // a planned fault fires once.
+        self.pack(tile, (self.shape.tile_range(tile), 0..self.shape.n_o()));
+        self.seal(tile);
+        let xg = &self.xg[self.shape.which(tile)];
+        Some(self.net.post(tile, xg))
+    }
+
+    fn post_poisoned(&self, req: &Self::Req) -> Option<IntegrityStage> {
+        match req {
+            Req::Withheld(stage) => Some(*stage),
+            _ => None,
+        }
+    }
+
+    fn sched_point(&mut self) {
+        // Give mpisim's virtual scheduler (checked runs) a deterministic
+        // release point once per tile; free outside checked runs.
+        self.comm.progress_hint();
+    }
+
+    fn threads(&self) -> usize {
+        self.shape.threads
+    }
+}
+
+/// What one run of a [`Session`] produced on this rank.
+pub(crate) struct Ran {
+    /// The last stage's destination buffer.
+    pub data: Vec<Complex64>,
+    /// What the resilient driver had to do, across all stages (tile numbers
+    /// count each stage's tiles after the previous one's).
+    pub recovery: Recovery,
+    pub steps: StepTimes,
+    /// `MPI_Test` calls issued.
+    pub tests: u64,
+    /// Exchange setups performed: one per ad-hoc all-to-all post, one per
+    /// persistent-plan init.
+    pub setups: u64,
+}
+
+/// The memory of a repeated transform and the loop that runs its stages:
+/// one persistent-plan table per stage, the network staging, the
+/// intermediate stage buffer and the compute scratch. [`crate::FftSession`]
+/// and [`crate::PencilSession`] are faces of a persistent one; the one-shot
+/// entry points run a fresh default one once, with ad-hoc exchanges.
+#[derive(Default)]
+pub(crate) struct Session {
+    /// Whether tiles run as persistent plans, initialised as they are first
+    /// posted, rather than as one `ialltoallv` per post.
+    persistent: bool,
+    plans: Vec<TilePlans>,
+    staging: Staging,
+    /// The stage buffer the session keeps (see [`Self::run`]).
+    mid: Vec<Complex64>,
+    ws: Workspace,
+    executions: u64,
+}
+
+impl Session {
+    pub(crate) fn persistent() -> Self {
+        Session {
+            persistent: true,
+            ..Session::default()
+        }
+    }
+
+    /// Counts one attempted execution; returns its number, from 1.
+    pub(crate) fn begin(&mut self) -> u64 {
+        self.executions += 1;
+        self.executions
+    }
+
+    /// Executions attempted.
+    pub(crate) fn executions(&self) -> u64 {
+        self.executions
+    }
+
+    /// Initialised persistent plans, all stages.
+    pub(crate) fn live_plans(&self) -> usize {
+        self.plans.iter().map(TilePlans::live).sum()
+    }
+
+    /// Frees every persistent plan over the communicator of its stage;
+    /// returns how many.
+    pub(crate) fn free_plans(&mut self, comms: &[&Comm]) -> usize {
+        let stages = self.plans.iter_mut().zip(comms);
+        stages.map(|(plans, comm)| plans.free_all(comm)).sum()
+    }
+
+    /// Runs `stages` in turn, each under the NEW schedule (`th`: the TH
+    /// comparator's). `local` fills the first stage's source buffer from the
+    /// caller's input.
+    ///
+    /// Stage `i` reads buffer `i` and writes buffer `i + 1`, and only those
+    /// two are live while it runs, so two allocations carry them all: the
+    /// buffers an even number of stages before the end (the last of them the
+    /// result) share the one this run allocates and returns, the others the
+    /// one the session keeps. A steady-state execution therefore allocates
+    /// nothing but its output.
+    pub(crate) fn run(
+        &mut self,
+        stages: &[(&Comm, &StageShape)],
+        th: bool,
+        local: Local<'_>,
+        res: &Resilience,
+        recorder: &mut dyn Recorder,
+        epoch: Instant,
+    ) -> Result<Ran, Error> {
+        let n = stages.len();
+        let shapes = || stages.iter().map(|(_, shape)| *shape);
+        let last = stages.last().map(|(_, shape)| shape.dst_len());
+        let lens: Vec<usize> = shapes().map(StageShape::src_len).chain(last).collect();
+        // Buffer `k` is in the returned allocation when it is an even number
+        // of stages before the end, in the kept one otherwise.
+        let returned = |k: usize| (n - k) % 2 == 0;
+        let longest = |kept: bool| {
+            let buffers = (0..=n).filter(|&k| returned(k) != kept);
+            buffers.map(|k| lens[k]).max().unwrap_or(0)
+        };
+        // The kept buffer before the output: a one-shot call frees the
+        // former on return while its caller still holds the latter, and the
+        // allocator hands the hole to the next call only if it is not the top
+        // of the heap (the other order re-faults the buffer on every call:
+        // fftperf `slab64_tiles` 7.1 → 8.6 ms).
+        if self.mid.len() != longest(true) {
+            self.mid = vec![Complex64::ZERO; longest(true)];
+        }
+        let mut out = vec![Complex64::ZERO; longest(false)];
+        // The windowed pipeline never has more than `W + 1` tiles between
+        // post and unpack; no tile packs or receives more than a full one of
+        // the largest stage.
+        let xgs: Vec<[TileExchange; 2]> = shapes().map(StageShape::exchanges).collect();
+        self.staging.prepare(
+            xgs.iter().map(|xg| xg[0].total_send).max().unwrap_or(0),
+            shapes().map(|s| s.w).max().unwrap_or(0) + 1,
+            xgs.iter().map(|xg| xg[0].total_recv).max().unwrap_or(0),
+        );
+        self.plans.resize_with(n, TilePlans::default);
+
+        let mut ran = Ran {
+            data: Vec::new(),
+            recovery: Recovery::default(),
+            steps: StepTimes::default(),
+            tests: 0,
+            setups: 0,
+        };
+        let mut local = Some(local);
+        let mut tile_base = 0;
+        for (i, ((comm, shape), plans)) in stages.iter().zip(&mut self.plans).enumerate() {
+            let (src, dst) = if returned(i) {
+                (&mut out, &mut self.mid)
+            } else {
+                (&mut self.mid, &mut out)
+            };
+            let plans = self.persistent.then_some(plans);
+            let timeout = res.stall_timeout;
+            let mut env = StageExec {
+                comm,
+                shape,
+                xg: &xgs[i],
+                net: Transport::new(
+                    comm,
+                    plans,
+                    &mut self.staging,
+                    timeout,
+                    tile_base,
+                    epoch,
+                    &mut *recorder,
+                ),
+                local: local.take().map(|f| -> Local<'_> { f }),
+                src: &mut src[..lens[i]],
+                dst: &mut dst[..lens[i + 1]],
+                ws: &mut self.ws,
+                send_hash: 0,
+                polls: shape.polls,
+                poll_boost: res.poll_boost,
+                steps: StepTimes::default(),
+            };
+            let recovery = if th {
+                try_run_th(&mut env, res)?
+            } else {
+                try_run_new(&mut env, res)?
+            };
+            ran.recovery.stalls_detected += recovery.stalls_detected;
+            ran.recovery.actions.extend(recovery.actions);
+            ran.recovery.fell_back |= recovery.fell_back;
+            ran.recovery.corruptions_healed += recovery.corruptions_healed;
+            ran.steps += env.steps + env.net.steps;
+            ran.tests += env.net.tests;
+            ran.setups += env.net.setups;
+            tile_base += shape.tiles();
+        }
+        out.truncate(lens[n]);
+        ran.data = out;
+        Ok(ran)
+    }
+}
+
+#[cfg(test)]
+impl Session {
+    /// The plan tables and the staging, for the crate's pooling tests.
+    pub(crate) fn transport_state(&self) -> (&[TilePlans], &Staging) {
+        (&self.plans, &self.staging)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfft::planner::Rigor;
+    use cfft::{Direction, PlanCache};
+    use proptest::prelude::*;
+
+    /// Member `me`'s shape of a stage over `group` members: `n_tau × n_o ×
+    /// n_v` split on o at the source and on v at the destination, either
+    /// axis outermost on either side.
+    fn shape(
+        (n_tau, n_o, n_v): (usize, usize, usize),
+        (group, me): (usize, usize),
+        t: usize,
+        tau_major: (bool, bool),
+        pack_sub: (usize, usize),
+        unpack_sub: (usize, usize),
+        threads: usize,
+    ) -> StageShape {
+        let (v, o) = (AxisSplit::new(n_v, group), AxisSplit::new(n_o, group));
+        let (mine, n_w) = (o.count(me), v.count(me));
+        StageShape {
+            n_tau,
+            t,
+            n_v,
+            src: if tau_major.0 {
+                (mine * n_v, n_v)
+            } else {
+                (n_v, n_tau * n_v)
+            },
+            dst: if tau_major.1 {
+                (n_w * n_o, n_o)
+            } else {
+                (n_o, n_tau * n_o)
+            },
+            v,
+            o,
+            me,
+            pre: None,
+            post: Fft {
+                plan: PlanCache::global().plan(n_o, Direction::Forward, Rigor::Estimate),
+                axis: Axis::X,
+                abft: None,
+            },
+            polls: [0; 4],
+            pack_sub,
+            unpack_sub,
+            seal: false,
+            w: 1,
+            threads,
+        }
+    }
+
+    /// The element at global `(τ, o, v)`.
+    fn element(tau: usize, o: usize, v: usize) -> Complex64 {
+        Complex64::new((tau * 100 + o) as f64, v as f64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Pack on every member, the blocks moved as an all-to-all moves
+        /// them, Unpack on every member: destination line `(τ, w)` of member
+        /// `b` holds the elements `(τ, ·, v_b + w)` in o order — sub-tile
+        /// by sub-tile, tile by tile, whatever the layouts, however ragged
+        /// the splits (members without a share included).
+        #[test]
+        fn pack_exchange_unpack_is_the_redistribution(
+            dims in (1usize..6, 1usize..7, 1usize..7),
+            group in 1usize..5,
+            t in 1usize..7,
+            tau_major in (any::<bool>(), any::<bool>()),
+            pack_sub in (1usize..4, 1usize..4),
+            unpack_sub in (1usize..4, 1usize..4),
+            threads in 1usize..4,
+        ) {
+            let (n_tau, n_o, n_v) = dims;
+            let shapes: Vec<StageShape> = (0..group)
+                .map(|me| shape(dims, (group, me), t, tau_major, pack_sub, unpack_sub, threads))
+                .collect();
+            let srcs: Vec<Vec<Complex64>> = shapes.iter().map(|s| {
+                let mut src = vec![Complex64::ZERO; s.src_len()];
+                for tau in 0..n_tau {
+                    for o in 0..s.n_o() {
+                        for v in 0..n_v {
+                            src[tau * s.src.0 + o * s.src.1 + v] =
+                                element(tau, s.o.offset(s.me) + o, v);
+                        }
+                    }
+                }
+                src
+            }).collect();
+            let mut dsts: Vec<Vec<Complex64>> =
+                shapes.iter().map(|s| vec![Complex64::new(-1.0, -1.0); s.dst_len()]).collect();
+            let mut ws = Workspace::default();
+
+            let tiles = shapes[0].tiles();
+            for tile in 0..tiles {
+                let exchanges: Vec<[TileExchange; 2]> =
+                    shapes.iter().map(StageShape::exchanges).collect();
+                let xg = |a: usize| &exchanges[a][shapes[a].which(tile)];
+                // send[q] of member a is recv[a] of member q.
+                for (a, s) in shapes.iter().enumerate() {
+                    prop_assert_eq!(s.tiles(), tiles);
+                    for q in 0..group {
+                        prop_assert_eq!(xg(a).send_counts[q], xg(q).recv_counts[a]);
+                    }
+                }
+                let sends: Vec<Vec<Complex64>> = (0..group).map(|a| {
+                    let s = &shapes[a];
+                    let ts = s.tile_range(tile);
+                    let mut send = vec![Complex64::new(-2.0, -2.0); xg(a).total_send];
+                    for part in sub_tiles(ts.clone(), s.n_o(), s.pack_sub).1 {
+                        s.pack(xg(a), &srcs[a], &mut send, ts.start, part);
+                    }
+                    send
+                }).collect();
+                for b in 0..group {
+                    let s = &shapes[b];
+                    let ts = s.tile_range(tile);
+                    let recv: Vec<Complex64> = (0..group).flat_map(|a| {
+                        let bounds = &xg(a).send_bounds;
+                        sends[a][bounds[b]..bounds[b + 1]].iter().copied()
+                    }).collect();
+                    prop_assert_eq!(recv.len(), xg(b).total_recv);
+                    for part in sub_tiles(ts.clone(), s.n_w(), s.unpack_sub).1 {
+                        sub_tile_lines(&mut ws, ts.start, part, s.dst);
+                        s.unpack(xg(b), &recv, &mut dsts[b], &ws.lines);
+                    }
+                }
+            }
+            for (s, dst) in shapes.iter().zip(&dsts) {
+                for tau in 0..n_tau {
+                    for w in 0..s.n_w() {
+                        let line = tau * s.dst.0 + w * s.dst.1;
+                        for o in 0..n_o {
+                            prop_assert_eq!(
+                                dst[line + o],
+                                element(tau, o, s.v.offset(s.me) + w),
+                                "member {} line ({}, {}) element {}", s.me, tau, w, o
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sub_tiles_are_numbered_tau_major_and_clamped_to_the_tile() {
+        let (count, blocks) = sub_tiles(4..7, 5, (2, 3));
+        let blocks: Vec<_> = blocks.collect();
+        assert_eq!(count, blocks.len());
+        assert_eq!(
+            blocks,
+            vec![(4..6, 0..3), (4..6, 3..5), (6..7, 0..3), (6..7, 3..5)]
+        );
+        // Extents beyond the tile give one sub-tile; an empty side none.
+        let whole = (usize::MAX, usize::MAX);
+        assert_eq!(
+            sub_tiles(2..5, 4, whole).1.collect::<Vec<_>>(),
+            vec![(2..5, 0..4)]
+        );
+        assert_eq!(sub_tiles(2..5, 0, whole).0, 0);
+    }
+
+    #[test]
+    fn abft_sum_and_tolerance_flag_corruption_but_not_roundoff() {
+        let n = 8;
+        let rows = 3;
+        let data: Vec<Complex64> = (0..rows * n)
+            .map(|i| crate::serial::test_field(i % 5, i % 3, i))
+            .collect();
+        let starts: Vec<usize> = (0..rows).map(|r| r * n).collect();
+        let mut line = Vec::new();
+        abft_sum_rows(&mut line, &data, &starts, n);
+        let post = line.clone();
+        assert!(abft_agrees(&line, &post, rows));
+        // Roundoff-scale deviation (what an honest FFT accumulates) is
+        // tolerated…
+        let mut drift = line.clone();
+        drift[2].re += 1e-14;
+        assert!(abft_agrees(&line, &drift, rows));
+        // …corruption-scale deviation is not.
+        let mut corrupt = line.clone();
+        corrupt[2].re += 1e-3;
+        assert!(!abft_agrees(&line, &corrupt, rows));
+    }
+}

@@ -19,11 +19,13 @@
 //! Two interchangeable backends run the same pipeline schedule
 //! ([`pipeline::OverlapEnv`]):
 //!
-//! * the real executors run on real data over the [`mpisim`] runtime
-//!   (correctness; verified against [`serial::fft3_serial`]), slab and
-//!   pencil through one tile-exchange transport: [`fft3_dist`] /
-//!   [`try_fft3_dist`] / [`try_fft3_dist_traced`] / [`FftSession`], and
-//!   [`try_fft3_pencil`] / [`try_fft3_pencil_overlapped`] /
+//! * the real stage executor runs on real data over the [`mpisim`] runtime
+//!   (correctness; verified against [`serial::fft3_serial`]). A transform is
+//!   a sequence of exchange stages, each one geometry-driven shape on the
+//!   one executor: the slab transform is one stage — [`fft3_dist`] /
+//!   [`try_fft3_dist`] / [`try_fft3_dist_traced`] / [`FftSession`] — and
+//!   the pencil transform two — [`try_fft3_pencil`] /
+//!   [`try_fft3_pencil_overlapped`] /
 //!   [`try_fft3_pencil_overlapped_traced`] / [`PencilSession`];
 //! * [`sim_env::fft3_simulated`] charges [`simnet`]'s calibrated cost
 //!   models (performance studies at the paper's scales).
@@ -48,6 +50,7 @@
 pub mod breakdown;
 pub mod decomp;
 pub mod error;
+mod executor;
 pub mod params;
 pub mod pencil;
 pub mod pipeline;
@@ -59,7 +62,6 @@ pub mod sim_env;
 mod stage;
 pub mod trace;
 mod transport;
-pub mod xplan;
 
 pub use breakdown::{RunStats, StepTimes};
 pub use decomp::{auto_select, Decomposition};
@@ -92,4 +94,3 @@ pub use trace::{
     derive_step_times, overlap_summary, trace_to_json, DegradeAction, EventKind, MemRecorder,
     NoopRecorder, OverlapSummary, Recorder, TraceEvent,
 };
-pub use xplan::{ExchangeGeometry, GeomCacheStats, TileExchange, TransformPlanCache};

@@ -1,19 +1,21 @@
-//! 2-D (pencil) domain decomposition — the paper's §7 future work, realised.
+//! 2-D (pencil) domain decomposition — the paper's §7 future work, realised
+//! as what §7 says it is: the same Algorithm 1, run twice.
 //!
 //! §2.2 explains the trade-off: pencils scale to `N²` processes but need
 //! *two* all-to-all exchanges with more complex patterns, so slabs can win
-//! at moderate scale. This module is one executor with these entry points:
+//! at moderate scale. A pencil transform is two exchange stages on
+//! `crate::executor` — the one real [`crate::pipeline::OverlapEnv`], which
+//! the slab transform's single stage runs on as well — and this module is
+//! their front: the process grid, the subcommunicator split, the two stage
+//! shapes, and these entry points:
 //!
 //! * [`try_fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped_traced`]
 //!   — the paper's tile-window overlap applied to **both** pencil
-//!   exchanges, driven by the same resilient pipeline
-//!   ([`crate::pipeline::try_run_new`]) over the same tile-exchange
-//!   transport (`crate::transport`) as the slab backend, with the
-//!   degradation ladder and tracing;
+//!   exchanges, with the degradation ladder and tracing;
 //! * [`PencilSession`] — the same transform with persistent per-tile plans
-//!   and session-owned staging (setup once, execute many);
+//!   and session-owned memory (setup once, execute many);
 //! * [`try_fft3_pencil`] — the blocking reference transform: the one tile
-//!   per stage, `W = 0`, no-poll point of the overlapped executor (one
+//!   per stage, `W = 0`, no-poll point of the overlapped one (one
 //!   all-to-all per exchange within the row/column subcommunicators).
 //!
 //! Their cost models on `simnet` ([`crate::sim_env::pencil_simulated`],
@@ -26,32 +28,30 @@
 //!
 //! ```text
 //! stage 0: (X_r, Y_c, Z_all)  x-y-z layout   → FFTz
-//! row exchange (size pc):     z ↔ y
+//! row exchange (size pc):     z ↔ y          {τ = x_l, o = y_c, v = z}
 //! stage 1: (X_r, Y_all, Z_c)  x-z-y layout   → FFTy
-//! column exchange (size pr):  y ↔ x
+//! column exchange (size pr):  y ↔ x          {τ = z_l, o = x_l, v = y}
 //! stage 2: (X_all, Y2_r, Z_c) y-z-x layout   → FFTx
 //! ```
 //!
-//! The overlapped path tiles stage 1 along local x (FFTz + Pack on one
-//! x-slice overlap the previous slices' row exchanges; Unpack + FFTy
-//! overlap the next ones) and stage 2 along local z the same way, ending
-//! in FFTx. Every member of a row subcommunicator shares `nxl` (and every
-//! column member shares `nzl`), so the tile partitions — and therefore the
-//! collective call sequences — agree across each subgroup by construction.
+//! The row stage tiles local x (FFTz + Pack on one x-slice overlap the
+//! previous slices' row exchanges; Unpack + FFTy overlap the next ones) and
+//! the column stage local z the same way, ending in FFTx. Every member of a
+//! row subcommunicator shares `nxl` (and every column member shares `nzl`),
+//! so the tile partitions — and therefore the collective call sequences —
+//! agree across each subgroup by construction. Neither stage arms an
+//! integrity stage or visits a fault trigger point (DESIGN.md §16).
 
 use crate::decomp::AxisSplit;
 use crate::error::Error;
+use crate::executor::{Axis, Fft, Session, StageShape};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
-use crate::pipeline::{try_run_new, OverlapEnv, Recovery, Resilience};
+use crate::pipeline::{Recovery, Resilience};
 use crate::serial::test_field;
-use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
-use crate::transport::{Req, Staging, TilePlans, Transport};
-use crate::xplan::{TileExchange, TransformPlanCache};
-use cfft::batch::{execute_batch, execute_rows, BatchLayout, BatchScratch};
-use cfft::planner::{Plan1d, Rigor};
+use crate::trace::{NoopRecorder, Recorder};
+use cfft::planner::Rigor;
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::Comm;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The pencil process grid.
@@ -144,50 +144,6 @@ pub struct PencilOutput {
     pub nzl: usize,
 }
 
-/// Per-rank pencil decomposition geometry.
-#[derive(Debug, Clone)]
-struct PencilDims {
-    /// X split across rows (input distribution).
-    xs: AxisSplit,
-    /// Y split across columns (input distribution).
-    ys: AxisSplit,
-    /// Z split across columns (after the row exchange).
-    zs: AxisSplit,
-    /// Y split across rows (after the column exchange).
-    y2s: AxisSplit,
-    row: usize,
-    col: usize,
-    nxl: usize,
-    nyc: usize,
-    nzl: usize,
-    ny2l: usize,
-}
-
-impl PencilDims {
-    fn new(spec: &ProblemSpec, grid: PencilGrid, rank: usize) -> Self {
-        let (row, col) = grid.coords(rank);
-        let xs = AxisSplit::new(spec.nx, grid.pr); // X_r
-        let ys = AxisSplit::new(spec.ny, grid.pc); // Y_c
-        let zs = AxisSplit::new(spec.nz, grid.pc); // Z_c
-        let y2s = AxisSplit::new(spec.ny, grid.pr); // Y2_r
-        let (nxl, nyc) = (xs.count(row), ys.count(col));
-        let nzl = zs.count(col);
-        let ny2l = y2s.count(row);
-        PencilDims {
-            xs,
-            ys,
-            zs,
-            y2s,
-            row,
-            col,
-            nxl,
-            nyc,
-            nzl,
-            ny2l,
-        }
-    }
-}
-
 /// Row communicator (same row, ranked by column) and column communicator
 /// (same column, ranked by row). Collective over `comm`; the grid must
 /// already be validated against `comm.size()`.
@@ -226,285 +182,6 @@ pub fn try_fft3_pencil(
     try_fft3_pencil_overlapped(comm, spec, grid, blocking, dir, input).map(|run| run.output)
 }
 
-// ---------------------------------------------------------------------------
-// The executor
-// ---------------------------------------------------------------------------
-
-/// Which exchange a [`StageEnv`] drives.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    /// Stage 1: z ↔ y within the row subcommunicator, tiled along local x.
-    /// "Pre" compute is FFTz + Pack; "post" compute is Unpack + FFTy.
-    Row,
-    /// Stage 2: y ↔ x within the column subcommunicator, tiled along local
-    /// z. "Pre" compute is Pack; "post" compute is Unpack + FFTx.
-    Col,
-}
-
-/// One pencil exchange as an [`OverlapEnv`], so
-/// [`crate::pipeline::try_run_new`] drives it with the same windowed
-/// schedule — and the same degradation ladder — as the slab backend. Two
-/// instances run per transform (Row then Col), each over a [`Transport`] on
-/// its subcommunicator; the second's numbers its tiles after the first's so
-/// errors, traces, and recovery actions name globally unique tiles.
-struct StageEnv<'a> {
-    comm: &'a Comm,
-    kind: StageKind,
-    spec: ProblemSpec,
-    dims: &'a PencilDims,
-    tiles: &'a [Arc<TileExchange>],
-    /// Planes per tile along the tiled axis (x for Row, z for Col).
-    tsize: usize,
-    /// Extent of the tiled axis (`nxl` for Row, `nzl` for Col).
-    extent: usize,
-    w: usize,
-    /// Polls during the pre-exchange compute of each tile.
-    f_pre: u32,
-    /// Polls during the post-exchange compute of each tile.
-    f_post: u32,
-    /// Multiplier the ladder's first rung applies to both poll counts.
-    poll_boost: u32,
-    src: &'a mut Vec<Complex64>,
-    dst: &'a mut Vec<Complex64>,
-    /// FFT applied before packing (FFTz for Row; none for Col, whose input
-    /// was already transformed by the Row stage's post-compute).
-    plan_pre: Option<Arc<Plan1d>>,
-    /// FFT applied after unpacking (FFTy for Row, FFTx for Col).
-    plan_post: Arc<Plan1d>,
-    scratch: &'a mut BatchScratch,
-    /// Posts, polls, waits and pools the stage's tiles over `comm`.
-    net: Transport<'a>,
-    threads_n: usize,
-}
-
-impl StageEnv<'_> {
-    /// `(start, count)` of `tile`'s plane range along the tiled axis.
-    fn tile_range(&self, tile: usize) -> (usize, usize) {
-        let start = tile * self.tsize;
-        (start, self.tsize.min(self.extent - start))
-    }
-}
-
-impl OverlapEnv for StageEnv<'_> {
-    type Req = Req;
-
-    fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    fn window(&self) -> usize {
-        self.w
-    }
-
-    fn fftz_transpose(&mut self) {
-        // The pencil stages have no upfront whole-slab compute: the Row
-        // stage's FFTz runs per tile inside `ffty_pack` — that is what the
-        // first exchange overlaps with.
-    }
-
-    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
-        let gt = self.net.tile_id(tile);
-        let (start, cnt) = self.tile_range(tile);
-        let peers = self.tiles[tile].send_counts.len();
-        let total_send = self.tiles[tile].total_send;
-        match self.kind {
-            StageKind::Row => {
-                let (nz, nyc) = (self.spec.nz, self.dims.nyc);
-                if cnt > 0 && nyc > 0 {
-                    let plan = self.plan_pre.as_deref().expect("row stage has a z-plan");
-                    let t0 = Instant::now();
-                    // The tile's z lines lie end to end.
-                    let lines = BatchLayout::contiguous(nz, cnt * nyc);
-                    execute_batch(plan, &mut self.src[start * nyc * nz..], lines, self.scratch);
-                    let t1 = Instant::now();
-                    self.net.span(t0, t1, EventKind::Fftz);
-                }
-                let t0 = Instant::now();
-                let send = self.net.staged(total_send);
-                let mut off = 0;
-                for j in 0..peers {
-                    let (z0, zc) = (self.dims.zs.offset(j), self.dims.zs.count(j));
-                    for x in start..start + cnt {
-                        for y in 0..nyc {
-                            let s = (x * nyc + y) * nz + z0;
-                            send[off..off + zc].copy_from_slice(&self.src[s..s + zc]);
-                            off += zc;
-                        }
-                    }
-                }
-                let t1 = Instant::now();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Pack {
-                        tile: gt,
-                        subtile: 0,
-                    },
-                );
-            }
-            StageKind::Col => {
-                let (ny, nxl, nzl) = (self.spec.ny, self.dims.nxl, self.dims.nzl);
-                let t0 = Instant::now();
-                let send = self.net.staged(total_send);
-                let mut off = 0;
-                for j in 0..peers {
-                    let (y0, yc) = (self.dims.y2s.offset(j), self.dims.y2s.count(j));
-                    for x in 0..nxl {
-                        for zl in start..start + cnt {
-                            let s = (x * nzl + zl) * ny + y0;
-                            send[off..off + yc].copy_from_slice(&self.src[s..s + yc]);
-                            off += yc;
-                        }
-                    }
-                }
-                let t1 = Instant::now();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Pack {
-                        tile: gt,
-                        subtile: 0,
-                    },
-                );
-            }
-        }
-        self.net.poll(inflight, self.f_pre.into())
-    }
-
-    fn post_a2a(&mut self, tile: usize) -> Self::Req {
-        self.net.post(tile, &self.tiles[tile])
-    }
-
-    fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
-        self.net.wait(tile, req)
-    }
-
-    fn unpack_fftx(
-        &mut self,
-        tile: usize,
-        inflight: &mut [(usize, Self::Req)],
-    ) -> Result<(), Error> {
-        let gt = self.net.tile_id(tile);
-        let (start, cnt) = self.tile_range(tile);
-        let recv = self.net.take_recv()?;
-        match self.kind {
-            StageKind::Row => {
-                let (ny, nzl) = (self.spec.ny, self.dims.nzl);
-                let t0 = Instant::now();
-                let mut off = 0;
-                for i in 0..self.tiles[tile].recv_counts.len() {
-                    let (y0, yc) = (self.dims.ys.offset(i), self.dims.ys.count(i));
-                    for x in start..start + cnt {
-                        for yl in 0..yc {
-                            for zl in 0..nzl {
-                                self.dst[(x * nzl + zl) * ny + y0 + yl] = recv[off];
-                                off += 1;
-                            }
-                        }
-                    }
-                }
-                let t1 = Instant::now();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Unpack {
-                        tile: gt,
-                        subtile: 0,
-                    },
-                );
-                if cnt > 0 && nzl > 0 {
-                    let t0 = Instant::now();
-                    // As do its y lines.
-                    let lines = BatchLayout::contiguous(ny, cnt * nzl);
-                    let tile = &mut self.dst[start * nzl * ny..];
-                    execute_batch(&self.plan_post, tile, lines, self.scratch);
-                    let t1 = Instant::now();
-                    self.net.span(
-                        t0,
-                        t1,
-                        EventKind::Ffty {
-                            tile: gt,
-                            subtile: 0,
-                        },
-                    );
-                }
-            }
-            StageKind::Col => {
-                let (nx, nzl, ny2l) = (self.spec.nx, self.dims.nzl, self.dims.ny2l);
-                let t0 = Instant::now();
-                let mut off = 0;
-                for i in 0..self.tiles[tile].recv_counts.len() {
-                    let (x0, xc) = (self.dims.xs.offset(i), self.dims.xs.count(i));
-                    for xl in 0..xc {
-                        for zl in start..start + cnt {
-                            for yl in 0..ny2l {
-                                self.dst[(yl * nzl + zl) * nx + x0 + xl] = recv[off];
-                                off += 1;
-                            }
-                        }
-                    }
-                }
-                let t1 = Instant::now();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Unpack {
-                        tile: gt,
-                        subtile: 0,
-                    },
-                );
-                if cnt > 0 && ny2l > 0 {
-                    let t0 = Instant::now();
-                    // The tile's x lines come in runs of `cnt`, one per `yl`
-                    // — shorter than a block, so they go as one row list.
-                    let rows: Vec<usize> = (0..ny2l)
-                        .flat_map(|yl| (start..start + cnt).map(move |zl| (yl * nzl + zl) * nx))
-                        .collect();
-                    execute_rows(&self.plan_post, self.dst, &rows, self.scratch);
-                    let t1 = Instant::now();
-                    self.net.span(
-                        t0,
-                        t1,
-                        EventKind::Fftx {
-                            tile: gt,
-                            subtile: 0,
-                        },
-                    );
-                }
-            }
-        }
-        self.net.recycle(recv);
-        self.net.poll(inflight, self.f_post.into())
-    }
-
-    fn boost_polls(&mut self) {
-        // Called at most once per stage run.
-        self.f_pre = self.f_pre.saturating_mul(self.poll_boost.max(1));
-        self.f_post = self.f_post.saturating_mul(self.poll_boost.max(1));
-    }
-
-    fn escalate_watchdog(&mut self) {
-        self.net.escalate();
-    }
-
-    fn on_degrade(&mut self, tile: usize, action: DegradeAction) {
-        let tile = self.net.tile_id(tile);
-        self.net.mark(EventKind::Degrade { tile, action });
-    }
-
-    fn cancel(&mut self, _tile: usize, req: Self::Req) {
-        self.net.cancel(req);
-    }
-
-    fn sched_point(&mut self) {
-        self.comm.progress_hint();
-    }
-
-    fn threads(&self) -> usize {
-        self.threads_n
-    }
-}
-
 /// Result of one overlapped pencil transform.
 pub struct PencilRunOutput {
     /// The spectrum pencil.
@@ -541,28 +218,85 @@ fn validate_pencil(
     Ok(())
 }
 
-fn merge_recovery(mut a: Recovery, b: Recovery) -> Recovery {
-    a.stalls_detected += b.stalls_detected;
-    a.actions.extend(b.actions);
-    a.fell_back |= b.fell_back;
-    a.corruptions_healed += b.corruptions_healed;
-    a
+/// The row and the column stage on `rank`. Both take `t`, `w`, `threads`
+/// and the `F*` counts from the tuning vector — `fp` polls during Pack, `fu`
+/// and the post-FFT's own count after it — run one sub-tile per tile (the
+/// slab's `px/pz/uy/uz` are ignored), plan at [`Rigor::Estimate`] and arm no
+/// integrity stage.
+fn stages(
+    spec: &ProblemSpec,
+    grid: PencilGrid,
+    p: &TuningParams,
+    dir: Direction,
+    rank: usize,
+) -> [StageShape; 2] {
+    let (nx, ny, nz) = (spec.nx, spec.ny, spec.nz);
+    let (row, col) = grid.coords(rank);
+    let xs = AxisSplit::new(nx, grid.pr); // X_r: the input's x
+    let ys = AxisSplit::new(ny, grid.pc); // Y_c: the input's y
+    let zs = AxisSplit::new(nz, grid.pc); // Z_c: z after the row exchange
+    let y2s = AxisSplit::new(ny, grid.pr); // Y2_r: y after the column exchange
+    let (nxl, nyc, nzl) = (xs.count(row), ys.count(col), zs.count(col));
+    let cache = PlanCache::global();
+    let fft = |n: usize, axis: Axis| Fft {
+        plan: cache.plan(n, dir, Rigor::Estimate),
+        axis,
+        abft: None,
+    };
+    let whole_tile = (usize::MAX, usize::MAX);
+    // z ↔ y within the row: x_l tiled, the z of every (x_l, y_c) line split
+    // across the columns, y completed. x-y-z → x-z-y.
+    let row_stage = StageShape {
+        n_tau: nxl,
+        t: p.t,
+        n_v: nz,
+        v: zs,
+        o: ys,
+        me: col,
+        src: (nyc * nz, nz),
+        dst: (nzl * ny, ny),
+        pre: Some(fft(nz, Axis::Z)),
+        post: fft(ny, Axis::Y),
+        polls: [0, p.fp, 0, p.fu + p.fy],
+        pack_sub: whole_tile,
+        unpack_sub: whole_tile,
+        seal: false,
+        w: p.w,
+        threads: p.threads,
+    };
+    // y ↔ x within the column: z_l tiled, the y of every (z_l, x_l) line
+    // split across the rows, x completed. x-z-y → y-z-x.
+    let col_stage = StageShape {
+        n_tau: nzl,
+        t: p.t,
+        n_v: ny,
+        v: y2s,
+        o: xs,
+        me: row,
+        src: (ny, nzl * ny),
+        dst: (nx, nzl * nx),
+        pre: None,
+        post: fft(nx, Axis::X),
+        polls: [0, p.fp, 0, p.fu + p.fx],
+        pack_sub: whole_tile,
+        unpack_sub: whole_tile,
+        seal: false,
+        w: p.w,
+        threads: p.threads,
+    };
+    [row_stage, col_stage]
 }
 
-/// What a pencil transform pins: the validated problem, this rank's
-/// geometry and the row/column subcommunicators. A one-shot call builds one
+/// What a pencil transform pins: the row/column subcommunicators and this
+/// rank's two stages of the validated problem. A one-shot call builds one
 /// per call; a [`PencilSession`] keeps it.
-struct Pinned {
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    dims: PencilDims,
+struct Pencil {
     row_comm: Comm,
     col_comm: Comm,
+    stages: [StageShape; 2],
 }
 
-impl Pinned {
+impl Pencil {
     /// Validates and splits the subcommunicators. Collective over `comm`.
     fn new(
         comm: &Comm,
@@ -572,131 +306,47 @@ impl Pinned {
         dir: Direction,
     ) -> Result<Self, Error> {
         validate_pencil(comm.size(), &spec, grid, &params)?;
-        let dims = PencilDims::new(&spec, grid, comm.rank());
         let (row_comm, col_comm) = split_pencil(comm, grid);
-        Ok(Pinned {
-            spec,
-            grid,
-            params,
-            dir,
-            dims,
+        Ok(Pencil {
             row_comm,
             col_comm,
+            stages: stages(&spec, grid, &params, dir, comm.rank()),
         })
     }
 
-    /// The transform proper, shared by the one-shot entry points (`plans =
-    /// None`: ad-hoc `ialltoallv` per tile, staging for this call) and
-    /// [`PencilSession`] (its `[row, column]` persistent plans, initialised
-    /// lazily on first use, and its staging).
+    /// The transform proper, shared by the one-shot entry points (a fresh
+    /// `session`: ad-hoc `ialltoallv` per tile, memory for this call) and
+    /// [`PencilSession`] (its persistent plans, initialised lazily on first
+    /// use, and its memory).
     fn run(
         &self,
         input: &[Complex64],
         res: &Resilience,
         recorder: &mut dyn Recorder,
-        plans: Option<&mut [TilePlans; 2]>,
-        staging: &mut Staging,
+        session: &mut Session,
     ) -> Result<PencilRunOutput, Error> {
-        let Pinned {
-            spec,
-            grid,
-            params,
-            dir,
-            dims,
-            row_comm,
-            col_comm,
-        } = self;
+        let [row, col] = &self.stages;
         assert_eq!(
             input.len(),
-            dims.nxl * dims.nyc * spec.nz,
+            row.src_len(),
             "input must be the rank's pencil"
         );
-        let rank = dims.row * grid.pc + dims.col;
-        let geom = TransformPlanCache::global()
-            .pencil_geometry(spec, grid.pr, grid.pc, rank, params.t)
-            .0;
-        // One staging serves both stages: sized for the larger stage's largest
-        // tile, `W + 1` receive blocks between post and unpack.
-        let tiles = || geom.row.iter().chain(&geom.col);
-        staging.prepare(
-            tiles().map(|t| t.total_send).max().unwrap_or(0),
-            params.w + 1,
-            tiles().map(|t| t.total_recv).max().unwrap_or(0),
-        );
-        let (row_plans, col_plans) = match plans {
-            Some([row, col]) => (Some(row), Some(col)),
-            None => (None, None),
-        };
-
-        let cache = PlanCache::global();
-        let plan_z = cache.plan(spec.nz, *dir, Rigor::Estimate);
-        let plan_y = cache.plan(spec.ny, *dir, Rigor::Estimate);
-        let plan_x = cache.plan(spec.nx, *dir, Rigor::Estimate);
-        let mut scratch = BatchScratch::default();
-
-        let mut a = input.to_vec();
-        let mut b = vec![Complex64::ZERO; dims.nxl * dims.nzl * spec.ny];
-        let mut c = vec![Complex64::ZERO; dims.ny2l * dims.nzl * spec.nx];
-        let epoch = Instant::now();
-        let timeout = res.stall_timeout;
-
-        // ---- Stage 1: FFTz/Pack ∥ row exchange ∥ Unpack/FFTy ------------------
-        let k1 = geom.row.len();
-        let mut env = StageEnv {
-            comm: row_comm,
-            kind: StageKind::Row,
-            spec: *spec,
-            dims,
-            tiles: &geom.row,
-            tsize: params.t.clamp(1, dims.nxl.max(1)),
-            extent: dims.nxl,
-            w: params.w,
-            f_pre: params.fp,
-            f_post: params.fu + params.fy,
-            poll_boost: res.poll_boost,
-            src: &mut a,
-            dst: &mut b,
-            plan_pre: Some(plan_z),
-            plan_post: plan_y,
-            scratch: &mut scratch,
-            net: Transport::new(row_comm, row_plans, staging, timeout, 0, epoch, recorder),
-            threads_n: params.threads,
-        };
-        let rec1 = try_run_new(&mut env, res)?;
-        let setups = env.net.setups;
-
-        // ---- Stage 2: Pack ∥ column exchange ∥ Unpack/FFTx --------------------
-        let mut env = StageEnv {
-            comm: col_comm,
-            kind: StageKind::Col,
-            spec: *spec,
-            dims,
-            tiles: &geom.col,
-            tsize: params.t.clamp(1, dims.nzl.max(1)),
-            extent: dims.nzl,
-            w: params.w,
-            f_pre: params.fp,
-            f_post: params.fu + params.fx,
-            poll_boost: res.poll_boost,
-            src: &mut b,
-            dst: &mut c,
-            plan_pre: None,
-            plan_post: plan_x,
-            scratch: &mut scratch,
-            net: Transport::new(col_comm, col_plans, staging, timeout, k1, epoch, recorder),
-            threads_n: params.threads,
-        };
-        let rec2 = try_run_new(&mut env, res)?;
-        let setups = setups + env.net.setups;
-
+        let ran = session.run(
+            &[(&self.row_comm, row), (&self.col_comm, col)],
+            false,
+            &mut |a, _, _, _| a.copy_from_slice(input),
+            res,
+            recorder,
+            Instant::now(),
+        )?;
         Ok(PencilRunOutput {
             output: PencilOutput {
-                data: c,
-                ny2l: dims.ny2l,
-                nzl: dims.nzl,
+                data: ran.data,
+                ny2l: col.n_w(),
+                nzl: col.n_tau,
             },
-            recovery: merge_recovery(rec1, rec2),
-            exchange_setups: setups,
+            recovery: ran.recovery,
+            exchange_setups: ran.setups,
         })
     }
 }
@@ -749,24 +399,24 @@ pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
     res: &Resilience,
     recorder: &mut R,
 ) -> Result<PencilRunOutput, Error> {
-    let pinned = Pinned::new(comm, spec, grid, params, dir)?;
-    pinned.run(input, res, recorder, None, &mut Staging::default())
+    // One-shot: a session of its own, run once, every tile posted ad hoc.
+    let pencil = Pencil::new(comm, spec, grid, params, dir)?;
+    pencil.run(input, res, recorder, &mut Session::default())
 }
 
 /// A setup-once, execute-many overlapped pencil transform: the row/column
 /// subcommunicators are split once, every tile's exchange runs as a
 /// persistent plan (`alltoallv_init` on first use, `start`/`wait`
-/// afterwards) and the network staging (pack buffer, `W + 1` pooled receive
-/// blocks) is kept, so repeated transforms of one geometry pay zero
-/// exchange setups and allocate no staging after the first execution.
-/// Dropping the session frees every plan (so no MC006 lint fires);
+/// afterwards) and the working memory (pack buffer, `W + 1` pooled receive
+/// blocks, the intermediate pencil, scratch) is kept, so repeated
+/// transforms of one geometry pay zero exchange setups and allocate
+/// nothing but their output after the first execution. Dropping the
+/// session frees every plan (so no MC006 lint fires);
 /// [`PencilSession::free`] does the same and reports how many.
 pub struct PencilSession {
-    pinned: Pinned,
-    /// `[row, column]` stage plans.
-    plans: [TilePlans; 2],
-    staging: Staging,
-    executions: u64,
+    pencil: Pencil,
+    /// Plans and memory: the session core [`crate::FftSession`] shares.
+    core: Session,
 }
 
 impl PencilSession {
@@ -780,10 +430,8 @@ impl PencilSession {
         dir: Direction,
     ) -> Result<Self, Error> {
         Ok(PencilSession {
-            pinned: Pinned::new(comm, spec, grid, params, dir)?,
-            plans: Default::default(),
-            staging: Staging::default(),
-            executions: 0,
+            pencil: Pencil::new(comm, spec, grid, params, dir)?,
+            core: Session::persistent(),
         })
     }
 
@@ -799,17 +447,15 @@ impl PencilSession {
         res: &Resilience,
         recorder: &mut R,
     ) -> Result<PencilRunOutput, Error> {
-        let plans = Some(&mut self.plans);
-        let out = self
-            .pinned
-            .run(input, res, recorder, plans, &mut self.staging)?;
-        self.executions += 1;
-        Ok(out)
+        self.core.begin();
+        self.pencil.run(input, res, recorder, &mut self.core)
     }
 
-    /// Completed executions.
+    /// Executions attempted over this session's lifetime: one per call of
+    /// [`Self::execute`] or [`Self::execute_traced`], whether or not it
+    /// succeeded ([`crate::FftSession::executions`] counts the same way).
     pub fn executions(&self) -> u64 {
-        self.executions
+        self.core.executions()
     }
 
     /// Frees every initialised persistent plan over the subcommunicator
@@ -819,8 +465,8 @@ impl PencilSession {
     }
 
     fn release(&mut self) -> usize {
-        let [row, col] = &mut self.plans;
-        row.free_all(&self.pinned.row_comm) + col.free_all(&self.pinned.col_comm)
+        let comms = [&self.pencil.row_comm, &self.pencil.col_comm];
+        self.core.free_plans(&comms)
     }
 }
 
@@ -918,8 +564,10 @@ pub fn compare_pencil_with_serial(
 #[cfg(test)]
 impl PencilSession {
     /// The session's plan tables and staging, for the crate's pooling tests.
-    pub(crate) fn transport_state(&self) -> (&[TilePlans; 2], &Staging) {
-        (&self.plans, &self.staging)
+    pub(crate) fn transport_state(
+        &self,
+    ) -> (&[crate::transport::TilePlans], &crate::transport::Staging) {
+        self.core.transport_state()
     }
 }
 
@@ -927,7 +575,7 @@ impl PencilSession {
 mod tests {
     use super::*;
     use crate::serial::{fft3_serial, full_test_array};
-    use crate::trace::MemRecorder;
+    use crate::trace::{EventKind, MemRecorder};
     use std::sync::Arc;
 
     fn serial_reference(spec: ProblemSpec, dir: Direction) -> Arc<Vec<Complex64>> {
@@ -1182,9 +830,11 @@ mod tests {
             let mut session = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
                 .expect("session setup");
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let dims = PencilDims::new(&spec, grid, comm.rank());
-            let k1 = dims.nxl.div_ceil(params.t.clamp(1, dims.nxl.max(1)));
-            let k2 = dims.nzl.div_ceil(params.t.clamp(1, dims.nzl.max(1)));
+            let (row, col) = grid.coords(comm.rank());
+            let nxl = AxisSplit::new(spec.nx, grid.pr).count(row);
+            let nzl = AxisSplit::new(spec.nz, grid.pc).count(col);
+            let k1 = nxl.div_ceil(params.t.clamp(1, nxl.max(1)));
+            let k2 = nzl.div_ceil(params.t.clamp(1, nzl.max(1)));
             let mut max_err = 0.0f64;
             for rep in 0..3 {
                 let out = session.execute(&input).expect("session execution");

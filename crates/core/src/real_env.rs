@@ -1,5 +1,5 @@
-//! Real execution backend: the distributed 3-D FFT running on actual data
-//! over the [`mpisim`] runtime, with [`cfft`] kernels.
+//! The slab transform's front: the distributed 3-D FFT on actual data over
+//! the [`mpisim`] runtime, with [`cfft`] kernels.
 //!
 //! This backend exists to prove the *algorithm* correct — every variant
 //! (NEW, NEW-0, TH, FFTW-style) must reproduce the serial reference
@@ -10,28 +10,26 @@
 //!
 //! Entry points: [`try_fft3_dist_traced`] (tracing plus a stall policy),
 //! [`try_fft3_dist`] (neither), the panicking [`fft3_dist`], and
-//! [`FftSession`] (setup once, execute many). All run one executor; what it
-//! keeps to itself is the slab's index kernels, FFT batches and integrity
-//! checks — every tile moves through `crate::transport`.
+//! [`FftSession`] (setup once, execute many). What this module keeps is
+//! what only the slab has: the resolution of a [`Variant`] into effective
+//! parameters, the upfront plane-wise FFTz+Transpose in its three styles,
+//! and the slab's stage shape `{τ = z, o = x_l, v = y; FFTy → FFTx}` with
+//! every integrity stage armed. The shape runs on `crate::executor`, the
+//! one real [`crate::pipeline::OverlapEnv`], which the pencil transform's
+//! two stages run on as well.
 
 use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomp;
 use crate::error::{Error, IntegrityStage};
+use crate::executor::{Axis, Fft, Session, StageShape, Workspace};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
-use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
-use crate::trace::{DegradeAction, EventKind, NoopRecorder, Recorder};
-use crate::transport::{PollSchedule, Req, Staging, TilePlans, Transport};
-use crate::xplan::{ExchangeGeometry, TileExchange, TransformPlanCache};
-use cfft::batch::{
-    execute_batch, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
-    BatchLayout, BatchScratch,
-};
+use crate::pipeline::{Recovery, Resilience};
+use crate::trace::{EventKind, NoopRecorder, Recorder};
+use crate::transport::Transport;
+use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
-use faultplan::{checksum, flip_seeded_bit};
 use mpisim::Comm;
-use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which algorithm variant to execute.
@@ -95,194 +93,49 @@ pub struct RunOutput {
     pub exchange_setups: u64,
 }
 
-/// Per-rank compute memory of the slab pipeline: with the network
-/// [`Staging`], everything one transform touches besides the caller's input
-/// and the output it returns. An [`FftSession`] owns both for its lifetime,
-/// so a steady-state execution allocates nothing but its output; the
-/// one-shot entry points build them per call. Every buffer is fully
-/// rewritten before it is read, so nothing of one execution can reach the
-/// next one's result (DESIGN.md §15).
-#[derive(Default)]
-struct Workspace {
-    /// Transposed slab: z-x-y (standard) or x-z-y (fast).
-    zxy: Vec<Complex64>,
-    /// FFTz scratch: one x-plane (`Ny·Nz`) per worker thread.
-    planes: Vec<Complex64>,
-    /// Block buffers of the three FFT steps (grown by the first that needs
-    /// more; the FFTz workers beyond the first bring their own).
-    scratch: BatchScratch,
-    /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
-    /// in-place transform and transformed alongside it (DESIGN.md §16).
-    abft_line: Vec<Complex64>,
-    /// Post-transform batch sum, compared against the transformed
-    /// [`Self::abft_line`].
-    abft_post: Vec<Complex64>,
-    /// Offsets of the current sub-tile's lines (FFTy's and FFTx's alike),
-    /// ascending.
-    rows: Vec<usize>,
-}
-
-impl Workspace {
-    /// Sizes the buffers for one run; changes nothing from a session's
-    /// second execution on.
-    fn prepare(&mut self, slab: usize, planes: usize) {
-        if self.zxy.len() != slab {
-            self.zxy = vec![Complex64::ZERO; slab];
-        }
-        self.planes.resize(planes, Complex64::ZERO);
-    }
-}
-
-struct RealEnv<'a> {
-    comm: &'a Comm,
-    spec: ProblemSpec,
-    params: TuningParams,
-    decomp: Decomp,
-    /// Per-tile exchange geometry from the process-wide
-    /// [`TransformPlanCache`] — never recomputed per call.
-    geom: Arc<ExchangeGeometry>,
-    /// Posts, polls, waits and pools every tile's exchange over `comm`.
-    net: Transport<'a>,
-    nxl: usize,
-    nyl: usize,
-    transpose_style: TransposeStyle,
-    layout: OutLayout,
-    plan_z: Arc<Plan1d>,
-    plan_y: Arc<Plan1d>,
-    plan_x: Arc<Plan1d>,
-    /// The caller's slab (x-y-z), read once by FFTz+Transpose.
+/// The slab's local phase: FFTz and Transpose of the caller's slab (x-y-z)
+/// into the stage's source buffer, z-x-y (standard) or x-z-y (fast).
+struct FftzTranspose<'a> {
     input: &'a [Complex64],
-    ws: &'a mut Workspace,
-    /// Output slab: z-y-x or y-z-x.
-    out: Vec<Complex64>,
-    /// Resident hash over the packed staging buffer, set by the pack and
-    /// re-verified at post time — memory SDC on the pack→post boundary is
-    /// caught before the bytes reach any peer.
-    send_hash: u64,
-    /// `F*` multiplier applied by the ladder's boost-polls rung.
-    poll_boost: u32,
-    /// The boost is applied at most once per run.
-    boosted: bool,
-    /// The compute steps' shares; the transport keeps the network steps'.
-    steps: StepTimes,
+    plan_z: &'a Plan1d,
+    style: TransposeStyle,
+    nxl: usize,
+    ny: usize,
+    nz: usize,
+    threads: usize,
 }
 
-impl<'a> RealEnv<'a> {
-    fn tile_range(&self, tile: usize) -> (usize, usize) {
-        let z0 = tile * self.params.t;
-        let z1 = (z0 + self.params.t).min(self.spec.nz);
-        (z0, z1)
-    }
-
-    /// Flat index of row `(z, xl)` of the transposed slab — a closure over
-    /// copies, so callers can hold it across borrows of `self`.
-    fn zxy_row(&self) -> impl Fn(usize, usize) -> usize + Copy {
-        let (style, nz, ny, nxl) = (self.transpose_style, self.spec.nz, self.spec.ny, self.nxl);
-        move |z, xl| match style {
-            TransposeStyle::Fast => (xl * nz + z) * ny,
-            _ => (z * nxl + xl) * ny,
-        }
-    }
-
-    /// Flat index into the output slab for `(z, yl, x)`.
-    #[inline]
-    fn out_idx(&self, z: usize, yl: usize, x: usize) -> usize {
-        match self.layout {
-            OutLayout::Zyx => (z * self.nyl + yl) * self.spec.nx + x,
-            OutLayout::Yzx => (yl * self.spec.nz + z) * self.spec.nx + x,
-        }
-    }
-
-    /// Copies the y-runs of the transposed slab's rows `(z, xl)` into the
-    /// staging buffer's per-destination blocks, each laid out
-    /// (z_local, x_local, y_local): the sequential Pack of one sub-tile,
-    /// and — over a whole tile — the re-pack of [`OverlapEnv::retransmit`].
-    fn pack_rows(&mut self, xg: &TileExchange, z0: usize, zs: Range<usize>, xs: Range<usize>) {
-        let (nxl, zxy_row) = (self.nxl, self.zxy_row());
-        let send = self.net.staged(xg.total_send);
-        for z in zs {
-            let zl = z - z0;
-            for xl in xs.clone() {
-                let row = zxy_row(z, xl);
-                let in_block_row = zl * nxl + xl;
-                for (q, &q_displ) in xg.send_displs.iter().enumerate() {
-                    let nyl_q = self.decomp.y.count(q);
-                    let yoff = self.decomp.y.offset(q);
-                    let dst = q_displ + in_block_row * nyl_q;
-                    let src = row + yoff;
-                    // Contiguous y-run copy.
-                    send[dst..dst + nyl_q].copy_from_slice(&self.ws.zxy[src..src + nyl_q]);
-                }
-            }
-        }
-    }
-}
-
-/// Accumulates the batch sum of `starts.len()` rows of `data`, each `n`
-/// elements long, into `dst` (cleared first) — the ABFT checksum line.
-fn abft_sum_rows(dst: &mut Vec<Complex64>, data: &[Complex64], starts: &[usize], n: usize) {
-    dst.clear();
-    dst.resize(n, Complex64::ZERO);
-    for &s in starts {
-        for (acc, v) in dst.iter_mut().zip(&data[s..s + n]) {
-            *acc += *v;
-        }
-    }
-}
-
-/// Relative ABFT tolerance. FFT roundoff on the checksum comparison is
-/// ~1e-13 of the batch scale on realistic sizes, four orders below this
-/// threshold — while a flipped sign, exponent, or high-mantissa bit lands
-/// many orders above it. (Flips of the lowest mantissa bits are below any
-/// tolerance an f64 check can hold and are numerically inconsequential.)
-const ABFT_TOL: f64 = 1e-9;
-
-/// Whether the transformed checksum line equals the post-transform batch
-/// sum within tolerance — the linearity identity FFT(Σ) = Σ FFT(·).
-fn abft_agrees(sum_fft: &[Complex64], post_sum: &[Complex64], batch: usize) -> bool {
-    let mut scale = 1.0f64;
-    let mut worst = 0.0f64;
-    for (a, b) in sum_fft.iter().zip(post_sum) {
-        scale = scale.max(a.abs()).max(b.abs());
-        worst = worst.max((*a - *b).abs());
-    }
-    worst <= ABFT_TOL * scale * (batch.max(sum_fft.len()).max(1)) as f64
-}
-
-impl<'a> OverlapEnv for RealEnv<'a> {
-    type Req = Req;
-
-    fn num_tiles(&self) -> usize {
-        self.params.tiles(&self.spec)
-    }
-
-    fn window(&self) -> usize {
-        self.params.w
-    }
-
-    fn fftz_transpose(&mut self) {
+impl FftzTranspose<'_> {
+    fn run(
+        &self,
+        zxy: &mut [Complex64],
+        ws: &mut Workspace,
+        net: &mut Transport<'_>,
+        steps: &mut StepTimes,
+    ) {
         // One x-plane at a time, straight from the caller's slab: copy the
         // plane (Ny·Nz — cache-resident) into scratch, FFTz its Ny lines
         // there, and write it transposed to its place in `zxy`. The slab is
         // read once and written once; `threads > 1` splits the planes across
         // workers, each with a plane scratch of its own.
-        let (nxl, ny, nz) = (self.nxl, self.spec.ny, self.spec.nz);
+        let (nxl, ny, nz) = (self.nxl, self.ny, self.nz);
         let plane_len = ny * nz;
         let t0 = Instant::now();
         let mut spent = (Duration::ZERO, Duration::ZERO);
         if nxl * plane_len > 0 {
-            let per = nxl.div_ceil(self.params.threads.clamp(1, nxl));
-            let (input, plan_z, style) = (self.input, &*self.plan_z, self.transpose_style);
-            let ws = &mut *self.ws;
+            let per = nxl.div_ceil(self.threads.clamp(1, nxl));
+            let (input, plan_z, style) = (self.input, self.plan_z, self.style);
+            ws.planes
+                .resize(nxl.div_ceil(per) * plane_len, Complex64::ZERO);
             // Worker `w` owns planes `w·per..`, and with them these parts of
             // `zxy` — x-z-y: its planes, one contiguous run; z-x-y: for each
             // `z`, its planes' `Ny`-rows.
             let mut dsts: Vec<Vec<&mut [Complex64]>> = Vec::new();
             if style == TransposeStyle::Fast {
-                dsts.extend(ws.zxy.chunks_mut(per * plane_len).map(|run| vec![run]));
+                dsts.extend(zxy.chunks_mut(per * plane_len).map(|run| vec![run]));
             } else {
                 dsts.resize_with(nxl.div_ceil(per), || Vec::with_capacity(nz));
-                for z_rows in ws.zxy.chunks_mut(nxl * ny) {
+                for z_rows in zxy.chunks_mut(nxl * ny) {
                     for (dst, rows) in dsts.iter_mut().zip(z_rows.chunks_mut(per * ny)) {
                         dst.push(rows);
                     }
@@ -327,7 +180,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
             // This thread takes the first share, spawned workers the rest.
             let mut tasks = dsts.into_iter().zip(ws.planes.chunks_mut(plane_len));
             let (dst, plane) = tasks.next().expect("at least one plane");
-            let work = &work;
+            let (work, scratch) = (&work, &mut ws.scratch);
             spent = std::thread::scope(|s| {
                 let others: Vec<_> = (1..)
                     .zip(tasks)
@@ -335,7 +188,7 @@ impl<'a> OverlapEnv for RealEnv<'a> {
                         s.spawn(move || work(w, dst, plane, &mut BatchScratch::for_plan(plan_z)))
                     })
                     .collect();
-                let mut spent = work(0, dst, plane, &mut ws.scratch);
+                let mut spent = work(0, dst, plane, scratch);
                 for h in others {
                     let (fz, tr) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
                     spent = (spent.0 + fz, spent.1 + tr);
@@ -349,395 +202,10 @@ impl<'a> OverlapEnv for RealEnv<'a> {
         let share =
             spent.0.as_secs_f64() / (spent.0 + spent.1).as_secs_f64().max(f64::MIN_POSITIVE);
         let mid = t0 + (t1 - t0).mul_f64(share);
-        self.steps.fftz += (mid - t0).as_secs_f64();
-        self.net.span(t0, mid, EventKind::Fftz);
-        self.steps.transpose += (t1 - mid).as_secs_f64();
-        self.net.span(mid, t1, EventKind::Transpose);
-    }
-
-    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
-        let (z0, z1) = self.tile_range(tile);
-        let tz = z1 - z0;
-        let ny = self.spec.ny;
-        let nxl = self.nxl;
-        let (px, pz) = (
-            self.params.px.min(nxl.max(1)),
-            self.params.pz.min(tz.max(1)),
-        );
-        if nxl == 0 || tz == 0 {
-            // Nothing staged: the resident hash must cover the empty
-            // payload this tile will post.
-            self.send_hash = checksum::<Complex64>(&[]);
-            return Ok(());
-        }
-
-        // Sub-tile grid (Figure 4, left): Px × Ny × Pz blocks.
-        let xblocks = nxl.div_ceil(px);
-        let zblocks = tz.div_ceil(pz);
-        let subtiles = xblocks * zblocks;
-        let mut sched_y = PollSchedule::new(subtiles, self.params.fy);
-        let mut sched_p = PollSchedule::new(subtiles, self.params.fp);
-
-        let geom = Arc::clone(&self.geom);
-        let xg = &*geom.tiles[tile];
-        let send_displs = &xg.send_displs;
-        let total_send = xg.total_send;
-        let zxy_row = self.zxy_row();
-
-        for zb in 0..zblocks {
-            let zs = z0 + zb * pz;
-            let ze = (zs + pz).min(z1);
-            for xb in 0..xblocks {
-                let xs = xb * px;
-                let xe = (xs + px).min(nxl);
-
-                // Row starts of the sub-tile's y lines (disjoint whichever
-                // layout `zxy_row` uses, ascending for one of them — sorted
-                // here, once, for the splitter), shared by the transform and
-                // the ABFT sums below.
-                self.ws.rows.clear();
-                for z in zs..ze {
-                    for xl in xs..xe {
-                        self.ws.rows.push(zxy_row(z, xl));
-                    }
-                }
-                self.ws.rows.sort_unstable();
-
-                // ABFT (DESIGN.md §16): capture the batch checksum line
-                // Σ(lines) before the in-place FFTy. Linearity demands
-                // FFT(Σ lines) = Σ FFT(lines) within roundoff, so a compute
-                // or memory fault inside the transform window breaks the
-                // equality far beyond tolerance.
-                abft_sum_rows(&mut self.ws.abft_line, &self.ws.zxy, &self.ws.rows, ny);
-
-                // FFTy on every y line of the sub-tile.
-                let t0 = Instant::now();
-                execute_lines_threaded(
-                    &self.plan_y,
-                    &mut self.ws.zxy,
-                    &self.ws.rows,
-                    self.params.threads,
-                    &mut self.ws.scratch,
-                );
-                let t1 = Instant::now();
-                self.steps.ffty += (t1 - t0).as_secs_f64();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Ffty {
-                        tile,
-                        subtile: zb * xblocks + xb,
-                    },
-                );
-
-                // Transform the checksum line and compare with the batch sum
-                // of the transformed lines.
-                execute_batch(
-                    &self.plan_y,
-                    &mut self.ws.abft_line,
-                    BatchLayout::contiguous(ny, 1),
-                    &mut self.ws.scratch,
-                );
-                abft_sum_rows(&mut self.ws.abft_post, &self.ws.zxy, &self.ws.rows, ny);
-                if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
-                    self.net.mark(EventKind::Corrupt { tile });
-                    return Err(Error::IntegrityFailed {
-                        tile,
-                        stage: IntegrityStage::Ffty,
-                    });
-                }
-
-                let due = sched_y.after_unit();
-                self.net.poll(inflight, due)?;
-
-                // Pack the sub-tile into per-destination blocks, each laid
-                // out (z_local, x_local, y_local).
-                let t0 = Instant::now();
-                if self.params.threads > 1 {
-                    // Parallel over destination ranks: each worker owns whole
-                    // per-destination send blocks (disjoint `&mut`) and reads
-                    // the shared transposed slab.
-                    let mut bounds = send_displs.to_vec();
-                    bounds.push(total_send);
-                    let zxy = &self.ws.zxy;
-                    let decomp = &self.decomp;
-                    for_each_part_threaded(
-                        self.net.staged(total_send),
-                        &bounds,
-                        self.params.threads,
-                        |q, part| {
-                            let nyl_q = decomp.y.count(q);
-                            let yoff = decomp.y.offset(q);
-                            for z in zs..ze {
-                                let zl = z - z0;
-                                for xl in xs..xe {
-                                    let src = zxy_row(z, xl) + yoff;
-                                    let dst = (zl * nxl + xl) * nyl_q;
-                                    part[dst..dst + nyl_q].copy_from_slice(&zxy[src..src + nyl_q]);
-                                }
-                            }
-                        },
-                    );
-                } else {
-                    self.pack_rows(xg, z0, zs..ze, xs..xe);
-                }
-                let t1 = Instant::now();
-                self.steps.pack += (t1 - t0).as_secs_f64();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Pack {
-                        tile,
-                        subtile: zb * xblocks + xb,
-                    },
-                );
-                let due = sched_p.after_unit();
-                self.net.poll(inflight, due)?;
-            }
-        }
-        // Seal the staged payload: post time re-verifies this hash, so any
-        // memory corruption on the pack→post boundary is caught before the
-        // bytes reach a peer.
-        self.send_hash = checksum(self.net.staged(total_send));
-        Ok(())
-    }
-
-    fn post_a2a(&mut self, tile: usize) -> Self::Req {
-        // Fault-plan crash injection: a rank seeded to die "at tile `k`"
-        // dies here, on the boundary between pack and exchange — its peers
-        // may already hold this tile's pre-crash sends (and must still be
-        // able to complete tiles that need nothing more from us).
-        self.comm.crash_point(tile);
-        let geom = Arc::clone(&self.geom);
-        let xg = &*geom.tiles[tile];
-        // Fault-plan memory-SDC injection: flip one seeded bit of the
-        // packed staging buffer on the same pack→post boundary.
-        if let Some(site) = self.comm.bitflip_point(tile) {
-            flip_seeded_bit(self.net.staged(xg.total_send), site);
-        }
-        // Resident hash check: the staged payload must still be the bytes
-        // the pack sealed, or the exchange is withheld — the request
-        // surfaces the failure at wait time and the driver re-packs from
-        // the pristine transformed slab (no peer sequenced anything).
-        if checksum(self.net.staged(xg.total_send)) != self.send_hash {
-            self.net.mark(EventKind::Corrupt { tile });
-            return Req::Withheld(IntegrityStage::Pack);
-        }
-        self.net.post(tile, xg)
-    }
-
-    fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
-        self.net.wait(tile, req)
-    }
-
-    fn unpack_fftx(
-        &mut self,
-        tile: usize,
-        inflight: &mut [(usize, Self::Req)],
-    ) -> Result<(), Error> {
-        let recv = self.net.take_recv()?;
-        let (z0, z1) = self.tile_range(tile);
-        let tz = z1 - z0;
-        let nx = self.spec.nx;
-        let nyl = self.nyl;
-        if nyl == 0 || tz == 0 {
-            self.net.recycle(recv);
-            return Ok(());
-        }
-        let (uy, uz) = (self.params.uy.min(nyl), self.params.uz.min(tz));
-
-        let geom = Arc::clone(&self.geom);
-        let recv_displs = &geom.tiles[tile].recv_displs;
-
-        // Sub-tile grid (Figure 4, right): Nx × Uy × Uz blocks.
-        let yblocks = nyl.div_ceil(uy);
-        let zblocks = tz.div_ceil(uz);
-        let subtiles = yblocks * zblocks;
-        let mut sched_u = PollSchedule::new(subtiles, self.params.fu);
-        let mut sched_x = PollSchedule::new(subtiles, self.params.fx);
-
-        for zb in 0..zblocks {
-            let zs = z0 + zb * uz;
-            let ze = (zs + uz).min(z1);
-            for yb in 0..yblocks {
-                let ys = yb * uy;
-                let ye = (ys + uy).min(nyl);
-
-                // Output rows of this sub-tile, sorted by offset — shared by
-                // the parallel Unpack and FFTx paths below. Rows are disjoint
-                // length-nx slices whichever `out_idx` layout is active.
-                let rows: Vec<(usize, (usize, usize))> = if self.params.threads > 1 {
-                    let mut rows: Vec<(usize, (usize, usize))> = (zs..ze)
-                        .flat_map(|z| (ys..ye).map(move |yl| (z, yl)))
-                        .map(|(z, yl)| (self.out_idx(z, yl, 0), (z, yl)))
-                        .collect();
-                    rows.sort_unstable_by_key(|r| r.0);
-                    rows
-                } else {
-                    Vec::new()
-                };
-
-                // Unpack: source block from rank s is (z_local, x_in_s,
-                // y_local); destination rows are x-contiguous.
-                let t0 = Instant::now();
-                if self.params.threads > 1 {
-                    let decomp = &self.decomp;
-                    let recv_ref = &recv;
-                    let displs = &recv_displs;
-                    for_each_row_threaded(
-                        &mut self.out,
-                        nx,
-                        &rows,
-                        self.params.threads,
-                        |row, &(z, yl)| {
-                            let zl = z - z0;
-                            for (s, &s_displ) in displs.iter().enumerate() {
-                                let nxl_s = decomp.x.count(s);
-                                let xoff = decomp.x.offset(s);
-                                let base = s_displ + (zl * nxl_s) * nyl + yl;
-                                for xl in 0..nxl_s {
-                                    row[xoff + xl] = recv_ref[base + xl * nyl];
-                                }
-                            }
-                        },
-                    );
-                } else {
-                    for z in zs..ze {
-                        let zl = z - z0;
-                        for yl in ys..ye {
-                            let out_row = self.out_idx(z, yl, 0);
-                            for (s, &s_displ) in recv_displs.iter().enumerate() {
-                                let nxl_s = self.decomp.x.count(s);
-                                let xoff = self.decomp.x.offset(s);
-                                let base = s_displ + (zl * nxl_s) * nyl + yl;
-                                for xl in 0..nxl_s {
-                                    self.out[out_row + xoff + xl] = recv[base + xl * nyl];
-                                }
-                            }
-                        }
-                    }
-                }
-                let t1 = Instant::now();
-                self.steps.unpack += (t1 - t0).as_secs_f64();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Unpack {
-                        tile,
-                        subtile: zb * yblocks + yb,
-                    },
-                );
-                let due = sched_u.after_unit();
-                self.net.poll(inflight, due)?;
-
-                // ABFT checksum line through FFTx — same linearity identity
-                // as the FFTy check in `ffty_pack`.
-                self.ws.rows.clear();
-                for z in zs..ze {
-                    for yl in ys..ye {
-                        let row = self.out_idx(z, yl, 0);
-                        self.ws.rows.push(row);
-                    }
-                }
-                self.ws.rows.sort_unstable();
-                abft_sum_rows(&mut self.ws.abft_line, &self.out, &self.ws.rows, nx);
-
-                // FFTx on the unpacked x lines.
-                let t0 = Instant::now();
-                execute_lines_threaded(
-                    &self.plan_x,
-                    &mut self.out,
-                    &self.ws.rows,
-                    self.params.threads,
-                    &mut self.ws.scratch,
-                );
-                let t1 = Instant::now();
-                self.steps.fftx += (t1 - t0).as_secs_f64();
-                self.net.span(
-                    t0,
-                    t1,
-                    EventKind::Fftx {
-                        tile,
-                        subtile: zb * yblocks + yb,
-                    },
-                );
-
-                execute_batch(
-                    &self.plan_x,
-                    &mut self.ws.abft_line,
-                    BatchLayout::contiguous(nx, 1),
-                    &mut self.ws.scratch,
-                );
-                abft_sum_rows(&mut self.ws.abft_post, &self.out, &self.ws.rows, nx);
-                if !abft_agrees(&self.ws.abft_line, &self.ws.abft_post, self.ws.rows.len()) {
-                    self.net.mark(EventKind::Corrupt { tile });
-                    return Err(Error::IntegrityFailed {
-                        tile,
-                        stage: IntegrityStage::Fftx,
-                    });
-                }
-
-                let due = sched_x.after_unit();
-                self.net.poll(inflight, due)?;
-            }
-        }
-        self.net.recycle(recv);
-        Ok(())
-    }
-
-    fn escalate_watchdog(&mut self) {
-        self.net.escalate();
-    }
-
-    fn boost_polls(&mut self) {
-        if self.boosted {
-            return;
-        }
-        self.boosted = true;
-        let b = self.poll_boost.max(1);
-        self.params.fy = self.params.fy.saturating_mul(b);
-        self.params.fp = self.params.fp.saturating_mul(b);
-        self.params.fu = self.params.fu.saturating_mul(b);
-        self.params.fx = self.params.fx.saturating_mul(b);
-    }
-
-    fn on_degrade(&mut self, tile: usize, action: DegradeAction) {
-        self.net.mark(EventKind::Degrade { tile, action });
-    }
-
-    fn cancel(&mut self, _tile: usize, req: Self::Req) {
-        self.net.cancel(req);
-    }
-
-    fn retransmit(&mut self, tile: usize) -> Option<Self::Req> {
-        // Heal a Pack-stage integrity failure: re-pack the tile from the
-        // pristine transformed slab (FFTy was in place; the corruption hit
-        // only the staging copy), re-seal the hash, and re-post. Sequential
-        // copies — healing is off the hot path. The injection points are
-        // deliberately not revisited, so a planned fault fires once.
-        let (z0, z1) = self.tile_range(tile);
-        let geom = Arc::clone(&self.geom);
-        let xg = &*geom.tiles[tile];
-        self.pack_rows(xg, z0, z0..z1, 0..self.nxl);
-        self.send_hash = checksum(self.net.staged(xg.total_send));
-        Some(self.net.post(tile, xg))
-    }
-
-    fn post_poisoned(&self, req: &Self::Req) -> Option<IntegrityStage> {
-        match req {
-            Req::Withheld(stage) => Some(*stage),
-            _ => None,
-        }
-    }
-
-    fn sched_point(&mut self) {
-        // Give mpisim's virtual scheduler (checked runs) a deterministic
-        // release point once per tile; free outside checked runs.
-        self.comm.progress_hint();
-    }
-
-    fn threads(&self) -> usize {
-        self.params.threads
+        steps.fftz += (mid - t0).as_secs_f64();
+        net.span(t0, mid, EventKind::Fftz);
+        steps.transpose += (t1 - mid).as_secs_f64();
+        net.span(mid, t1, EventKind::Transpose);
     }
 }
 
@@ -812,190 +280,190 @@ pub fn try_fft3_dist_traced(
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
 ) -> Result<RunOutput, Error> {
-    run_dist(
-        comm,
+    // One-shot: a session of its own, run once, every tile posted ad hoc.
+    let slab = Slab {
         spec,
         variant,
         params,
         dir,
         rigor,
-        input,
-        resilience,
-        recorder,
-        &mut Workspace::default(),
-        &mut Staging::default(),
-        None,
-    )
+    };
+    slab.run(comm, input, resilience, recorder, &mut Session::default())
 }
 
-/// Shared implementation behind the one-shot entry points (working memory
-/// for this call, `plans: None` — ad-hoc exchanges) and
-/// [`FftSession::execute`] (the session's memory and per-tile persistent
-/// plans).
-#[allow(clippy::too_many_arguments)]
-fn run_dist(
-    comm: &Comm,
+/// What a slab transform pins besides its communicator.
+#[derive(Clone, Copy)]
+struct Slab {
     spec: ProblemSpec,
     variant: Variant,
     params: TuningParams,
     dir: Direction,
     rigor: Rigor,
-    input: &[Complex64],
-    resilience: &Resilience,
-    recorder: &mut dyn Recorder,
-    ws: &mut Workspace,
-    staging: &mut Staging,
-    plans: Option<&mut TilePlans>,
-) -> Result<RunOutput, Error> {
-    // The clock covers everything the call does, set-up included.
-    let started = Instant::now();
-    assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
-    // A zero-extent axis has no transform; planning a size-1 stand-in (as
-    // this path once did via `.max(1)`) would silently "succeed" on an
-    // empty problem. Reject it for every variant before touching plans.
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
-    let rank = comm.rank();
-    let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-    let nxl = decomp.x.count(rank);
-    let nyl = decomp.y.count(rank);
-    assert_eq!(
-        input.len(),
-        nxl * spec.ny * spec.nz,
-        "input must be this rank's x-slab in x-y-z layout"
-    );
+}
 
-    // Resolve the effective parameters and styles per variant.
-    let (params, transpose_style) = match variant {
-        Variant::New => {
-            // The non-overlapped NEW-0 encoding sets `w = 0`, which the
-            // window-range rule rejects — but every other constraint must
-            // still hold (a zero `Px`/`Uy`/`T` would divide by zero below).
-            if params.w == 0 {
-                params.validate_without_window(&spec)
-            } else {
-                params.validate(&spec)
+impl Slab {
+    /// The transform proper, shared by the one-shot entry points (a fresh
+    /// `session`: working memory for this call, ad-hoc exchanges) and
+    /// [`FftSession::execute`] (its memory and per-tile persistent plans).
+    fn run(
+        &self,
+        comm: &Comm,
+        input: &[Complex64],
+        resilience: &Resilience,
+        recorder: &mut dyn Recorder,
+        session: &mut Session,
+    ) -> Result<RunOutput, Error> {
+        // The clock covers everything the call does, set-up included.
+        let started = Instant::now();
+        let Slab {
+            spec,
+            variant,
+            params,
+            dir,
+            rigor,
+        } = *self;
+        assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
+        // A zero-extent axis has no transform; planning a size-1 stand-in (as
+        // this path once did via `.max(1)`) would silently "succeed" on an
+        // empty problem. Reject it for every variant before touching plans.
+        for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
+            if n == 0 {
+                return Err(Error::from(ParamError::ZeroExtent(axis)));
             }
-            .map_err(Error::from)?;
-            let style = if spec.square_xy() {
-                TransposeStyle::Fast
-            } else {
-                TransposeStyle::Generic
-            };
-            (params, style)
         }
-        Variant::Th => {
-            // TH: tile/window honoured, but no loop tiling and no polls
-            // outside FFTy/Pack; plain transpose.
-            let nxl_max = decomp.x.max_count().max(1);
-            let nyl_max = decomp.y.max_count().max(1);
-            let p = TuningParams {
-                t: params.t,
-                w: params.w,
-                px: nxl_max,
-                pz: params.t,
-                uy: nyl_max,
-                uz: params.t,
-                fy: params.fy,
-                fp: params.fp,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            (p, TransposeStyle::Naive)
-        }
-        Variant::Fftw => {
-            // One tile spanning the whole slab, no window, no polls.
-            let p = TuningParams {
-                t: spec.nz,
-                w: 0,
-                px: decomp.x.max_count().max(1),
-                pz: spec.nz,
-                uy: decomp.y.max_count().max(1),
-                uz: spec.nz,
-                fy: 0,
-                fp: 0,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            (p, TransposeStyle::Generic)
-        }
-    };
+        let (nx, ny, nz) = (spec.nx, spec.ny, spec.nz);
+        let rank = comm.rank();
+        let decomp = Decomp::new(nx, ny, spec.p);
+        let nxl = decomp.x.count(rank);
+        let nyl = decomp.y.count(rank);
+        assert_eq!(
+            input.len(),
+            nxl * ny * nz,
+            "input must be this rank's x-slab in x-y-z layout"
+        );
 
-    // Draw plans from the process-wide cache: any geometry this process has
-    // transformed before (at this rigor) costs zero planning here, and when
-    // all `p` rank threads arrive at once only one of them measures.
-    let cache = PlanCache::global();
-    let (plan_z, spent_z) = cache.plan_timed(spec.nz, dir, rigor);
-    let (plan_y, spent_y) = cache.plan_timed(spec.ny, dir, rigor);
-    let (plan_x, spent_x) = cache.plan_timed(spec.nx, dir, rigor);
-    let planning = spent_z + spent_y + spent_x;
+        // Resolve the effective parameters and styles per variant.
+        let (params, transpose_style) = match variant {
+            Variant::New => {
+                // The non-overlapped NEW-0 encoding sets `w = 0`, which the
+                // window-range rule rejects — but every other constraint must
+                // still hold (a zero `Px`/`Uy`/`T` would divide by zero below).
+                if params.w == 0 {
+                    params.validate_without_window(&spec)
+                } else {
+                    params.validate(&spec)
+                }
+                .map_err(Error::from)?;
+                let style = if spec.square_xy() {
+                    TransposeStyle::Fast
+                } else {
+                    TransposeStyle::Generic
+                };
+                (params, style)
+            }
+            Variant::Th => {
+                // TH: tile/window honoured, but no loop tiling and no polls
+                // outside FFTy/Pack; plain transpose.
+                let p = TuningParams {
+                    px: decomp.x.max_count().max(1),
+                    pz: params.t,
+                    uy: decomp.y.max_count().max(1),
+                    uz: params.t,
+                    fu: 0,
+                    fx: 0,
+                    threads: params.threads.max(1),
+                    ..params
+                };
+                (p, TransposeStyle::Naive)
+            }
+            Variant::Fftw => {
+                // One tile spanning the whole slab, no window, no polls.
+                let p = TuningParams {
+                    t: nz,
+                    px: decomp.x.max_count().max(1),
+                    pz: nz,
+                    uy: decomp.y.max_count().max(1),
+                    uz: nz,
+                    threads: params.threads.max(1),
+                    ..params.without_overlap()
+                };
+                (p, TransposeStyle::Generic)
+            }
+        };
 
-    let layout = if transpose_style == TransposeStyle::Fast {
-        OutLayout::Yzx
-    } else {
-        OutLayout::Zyx
-    };
-    // Exchange geometry from the process-wide cache: a repeat of this
-    // (shape, tile) does zero schedule setup here.
-    let (geom, _cached) = TransformPlanCache::global().geometry(&spec, rank, params.t);
-    let plane_len = spec.ny * spec.nz;
-    ws.prepare(
-        nxl * plane_len,
-        params.threads.clamp(1, nxl.max(1)) * plane_len,
-    );
-    // The windowed pipeline never has more than `W + 1` tiles between post
-    // and unpack; no tile packs or receives more than a full one.
-    staging.prepare(
-        params.t * nxl * spec.ny,
-        params.w + 1,
-        params.t * spec.nx * nyl,
-    );
-    let timeout = resilience.stall_timeout;
-    let mut env = RealEnv {
-        comm,
-        spec,
-        params,
-        geom,
-        net: Transport::new(comm, plans, staging, timeout, 0, started, recorder),
-        nxl,
-        nyl,
-        decomp,
-        transpose_style,
-        layout,
-        plan_z,
-        plan_y,
-        plan_x,
-        input,
-        ws,
-        out: vec![Complex64::ZERO; spec.nz * nyl * spec.nx],
-        send_hash: 0,
-        poll_boost: resilience.poll_boost,
-        boosted: false,
-        steps: StepTimes::default(),
-    };
+        // Draw plans from the process-wide cache: any geometry this process has
+        // transformed before (at this rigor) costs zero planning here, and when
+        // all `p` rank threads arrive at once only one of them measures.
+        let cache = PlanCache::global();
+        let (plan_z, spent_z) = cache.plan_timed(nz, dir, rigor);
+        let (plan_y, spent_y) = cache.plan_timed(ny, dir, rigor);
+        let (plan_x, spent_x) = cache.plan_timed(nx, dir, rigor);
+        let planning = spent_z + spent_y + spent_x;
 
-    let recovery = match variant {
-        Variant::Th => try_run_th(&mut env, resilience)?,
-        _ => try_run_new(&mut env, resilience)?,
-    };
+        // The one stage: z tiled, the y of every (z, x_l) line split across
+        // the ranks, x completed — lines where the transpose style put them,
+        // and where the output layout wants them.
+        let (src, dst, layout) = match transpose_style {
+            TransposeStyle::Fast => ((ny, nz * ny), (nx, nz * nx), OutLayout::Yzx),
+            _ => ((nxl * ny, ny), (nyl * nx, nx), OutLayout::Zyx),
+        };
+        let shape = StageShape {
+            n_tau: nz,
+            t: params.t,
+            n_v: ny,
+            v: decomp.y,
+            o: decomp.x,
+            me: rank,
+            src,
+            dst,
+            pre: Some(Fft {
+                plan: plan_y,
+                axis: Axis::Y,
+                abft: Some(IntegrityStage::Ffty),
+            }),
+            post: Fft {
+                plan: plan_x,
+                axis: Axis::X,
+                abft: Some(IntegrityStage::Fftx),
+            },
+            polls: [params.fy, params.fp, params.fu, params.fx],
+            pack_sub: (params.pz, params.px),
+            unpack_sub: (params.uz, params.uy),
+            seal: true,
+            w: params.w,
+            threads: params.threads,
+        };
+        let fftz_transpose = FftzTranspose {
+            input,
+            plan_z: &plan_z,
+            style: transpose_style,
+            nxl,
+            ny,
+            nz,
+            threads: params.threads,
+        };
+        let ran = session.run(
+            &[(comm, &shape)],
+            variant == Variant::Th,
+            &mut |zxy, ws, net, steps| fftz_transpose.run(zxy, ws, net, steps),
+            resilience,
+            recorder,
+            started,
+        )?;
 
-    Ok(RunOutput {
-        data: env.out,
-        layout,
-        stats: RunStats {
-            steps: env.steps + env.net.steps,
-            elapsed: started.elapsed().as_secs_f64(),
-            tests: env.net.tests,
-        },
-        recovery,
-        planning,
-        exchange_setups: env.net.setups,
-    })
+        Ok(RunOutput {
+            data: ran.data,
+            layout,
+            stats: RunStats {
+                steps: ran.steps,
+                elapsed: started.elapsed().as_secs_f64(),
+                tests: ran.tests,
+            },
+            recovery: ran.recovery,
+            planning,
+            exchange_setups: ran.setups,
+        })
+    }
 }
 
 /// Setup-once / execute-many handle for a repeated distributed transform —
@@ -1015,15 +483,9 @@ fn run_dist(
 /// explicitly.
 pub struct FftSession<'a> {
     comm: &'a Comm,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    dir: Direction,
-    rigor: Rigor,
-    plans: TilePlans,
-    workspace: Workspace,
-    staging: Staging,
-    executions: u64,
+    slab: Slab,
+    /// Plans and memory: the session core [`crate::PencilSession`] shares.
+    core: Session,
     checkpoint_interval: Option<u64>,
     checkpoint: Option<crate::recover::Checkpoint>,
 }
@@ -1042,15 +504,14 @@ impl<'a> FftSession<'a> {
     ) -> Self {
         FftSession {
             comm,
-            spec,
-            variant,
-            params,
-            dir,
-            rigor,
-            plans: TilePlans::default(),
-            workspace: Workspace::default(),
-            staging: Staging::default(),
-            executions: 0,
+            slab: Slab {
+                spec,
+                variant,
+                params,
+                dir,
+                rigor,
+            },
+            core: Session::persistent(),
             checkpoint_interval: None,
             checkpoint: None,
         }
@@ -1091,42 +552,32 @@ impl<'a> FftSession<'a> {
         resilience: &Resilience,
         recorder: &mut dyn Recorder,
     ) -> Result<RunOutput, Error> {
-        self.executions += 1;
+        let execution = self.core.begin();
         if let Some(k) = self.checkpoint_interval {
-            if (self.executions - 1) % k == 0 {
+            if (execution - 1) % k == 0 {
                 self.checkpoint = Some(crate::recover::Checkpoint::capture_tagged(
                     self.comm,
-                    &self.spec,
+                    &self.slab.spec,
                     input,
-                    self.executions,
+                    execution,
                 ));
             }
         }
-        run_dist(
-            self.comm,
-            self.spec,
-            self.variant,
-            self.params,
-            self.dir,
-            self.rigor,
-            input,
-            resilience,
-            recorder,
-            &mut self.workspace,
-            &mut self.staging,
-            Some(&mut self.plans),
-        )
+        self.slab
+            .run(self.comm, input, resilience, recorder, &mut self.core)
     }
 
-    /// Executions attempted over this session's lifetime.
+    /// Executions attempted over this session's lifetime: one per call of
+    /// [`Self::execute`] or [`Self::execute_traced`], whether or not it
+    /// succeeded ([`crate::PencilSession::executions`] counts the same way).
     pub fn executions(&self) -> u64 {
-        self.executions
+        self.core.executions()
     }
 
     /// Live per-tile persistent plans (tiles not yet posted, or freed by a
     /// fault path, have none).
     pub fn live_plans(&self) -> usize {
-        self.plans.live()
+        self.core.live_plans()
     }
 
     /// Releases every persistent plan. Equivalent to dropping the session,
@@ -1136,7 +587,7 @@ impl<'a> FftSession<'a> {
 
 impl Drop for FftSession<'_> {
     fn drop(&mut self) {
-        self.plans.free_all(self.comm);
+        self.core.free_plans(&[self.comm]);
     }
 }
 
@@ -1187,6 +638,8 @@ pub fn compare_with_serial(
 mod tests {
     use super::*;
     use crate::serial::{fft3_serial, full_test_array};
+    use crate::trace::DegradeAction;
+    use crate::transport::{Staging, TilePlans};
 
     fn check_variant(spec: ProblemSpec, variant: Variant, params: TuningParams, dir: Direction) {
         let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
@@ -1548,7 +1001,7 @@ mod tests {
         );
         // After three executions: every plan idle and empty-handed, at most
         // `W + 1` pooled blocks, none larger than the largest tile's.
-        let check = move |plans: &[&TilePlans], staging: &Staging, tile_recv: usize| {
+        let check = move |plans: &[TilePlans], staging: &Staging, tile_recv: usize| {
             for stage in plans {
                 assert_eq!(stage.idle_staging(), 0, "an idle plan holds staging");
             }
@@ -1574,7 +1027,8 @@ mod tests {
             }
             assert_eq!(session.live_plans(), params.tiles(&spec));
             let tile_recv = params.t * spec.nx * (spec.ny / spec.p);
-            check(&[&session.plans], &session.staging, tile_recv);
+            let (plans, staging) = session.core.transport_state();
+            check(plans, staging, tile_recv);
             session.free();
 
             // The pencil session, both stages through the same staging: 8
@@ -1588,7 +1042,7 @@ mod tests {
             }
             let (plans, staging) = session.transport_state();
             assert_eq!(plans[0].live() + plans[1].live(), 8 + 4);
-            check(&[&plans[0], &plans[1]], staging, 16 * 16 * 2);
+            check(plans, staging, 16 * 16 * 2);
             assert_eq!(session.free(), 8 + 4);
         });
     }
@@ -1628,29 +1082,6 @@ mod tests {
             }
             session.free();
         });
-    }
-
-    #[test]
-    fn abft_sum_and_tolerance_flag_corruption_but_not_roundoff() {
-        let n = 8;
-        let rows = 3;
-        let data: Vec<Complex64> = (0..rows * n)
-            .map(|i| crate::serial::test_field(i % 5, i % 3, i))
-            .collect();
-        let starts: Vec<usize> = (0..rows).map(|r| r * n).collect();
-        let mut line = Vec::new();
-        abft_sum_rows(&mut line, &data, &starts, n);
-        let post = line.clone();
-        assert!(abft_agrees(&line, &post, rows));
-        // Roundoff-scale deviation (what an honest FFT accumulates) is
-        // tolerated…
-        let mut drift = line.clone();
-        drift[2].re += 1e-14;
-        assert!(abft_agrees(&line, &drift, rows));
-        // …corruption-scale deviation is not.
-        let mut corrupt = line.clone();
-        corrupt[2].re += 1e-3;
-        assert!(!abft_agrees(&line, &corrupt, rows));
     }
 
     /// The staging-buffer hash catches an injected memory bit-flip between

@@ -40,7 +40,7 @@
 //! Same-geometry jobs share plan state: the first job of a geometry pays
 //! the per-tile exchange-setup overhead, later ones ride the persistent
 //! plan (§15's setup-once/execute-many, lifted to the service layer), the
-//! scheduler-level analogue of sharing `PlanCache`/`TransformPlanCache`.
+//! scheduler-level analogue of sharing `PlanCache`.
 //! A tenant's same-geometry job train can also be submitted as one fused
 //! [`JobSpec::arrays`] batch, whose program keeps the window open across
 //! array boundaries — the inter-array pipeline shape of
@@ -1883,7 +1883,7 @@ mod tests {
     }
 
     #[test]
-    fn pencil_geometry_past_the_slab_wall_completes() {
+    fn pencil_grid_past_the_slab_wall_completes() {
         let svc = Service::new(ServiceConfig::new(umd_cluster(), 128));
         let j = JobSpec::new(0, ProblemSpec::cube(64, 1), Direction::Forward);
         let rep = svc.run(&[j]);

@@ -1,13 +1,14 @@
-//! The tile-exchange transport under both real executors.
+//! The tile-exchange transport under the real stage executor.
 //!
 //! Algorithm 1 has one way to move a tile: post a non-blocking all-to-all,
 //! `MPI_Test` it from inside the compute loops, wait, hand the block to
 //! Unpack. This module is that one way, and the only place in `fft3d` that
 //! touches [`mpisim`]'s non-blocking and persistent all-to-all types. The
-//! slab executor (`real_env`, world communicator) and the pencil executor
-//! (`pencil`, row then column subcommunicator) build one [`Transport`] per
-//! exchange stage and keep only what is theirs: index kernels, FFT batches,
-//! and the `F*` counts that decide *when* to poll.
+//! executor (`crate::executor`) builds one [`Transport`] per exchange stage
+//! — the slab's over the world communicator, the pencil's over the row and
+//! then the column subcommunicator — and keeps what is its own: the index
+//! kernels, the FFT batches, and the `F*` counts that decide *when* to
+//! poll.
 //!
 //! Ad-hoc exchanges (one `ialltoallv` per post) and a session's persistent
 //! per-tile plans ([`TilePlans`]) go through the same `post` / `poll` /
@@ -18,7 +19,6 @@
 use crate::breakdown::StepTimes;
 use crate::error::{Error, IntegrityStage};
 use crate::trace::{EventKind, Recorder, TraceEvent};
-use crate::xplan::TileExchange;
 use cfft::Complex64;
 use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
 use std::time::{Duration, Instant};
@@ -38,6 +38,47 @@ fn coll_to_error(tile: usize, e: CollError) -> Error {
             tile,
             stage: IntegrityStage::Wire,
         },
+    }
+}
+
+/// One tile's exchange counts: everything `ialltoallv` (or a persistent
+/// plan's init) needs besides the data itself.
+#[derive(Debug)]
+pub(crate) struct TileExchange {
+    /// Elements this rank sends to each destination rank.
+    pub send_counts: Vec<usize>,
+    /// Prefix sums of `send_counts`, total included: destination `q`'s block
+    /// of the pack buffer is `send_bounds[q]..send_bounds[q + 1]`.
+    pub send_bounds: Vec<usize>,
+    /// Elements this rank receives from each source rank.
+    pub recv_counts: Vec<usize>,
+    /// Exclusive prefix sums of `recv_counts`.
+    pub recv_displs: Vec<usize>,
+    /// Total elements staged on the send side.
+    pub total_send: usize,
+    /// Total elements arriving on the receive side.
+    pub total_recv: usize,
+}
+
+impl TileExchange {
+    pub(crate) fn new(send_counts: Vec<usize>, recv_counts: Vec<usize>) -> Self {
+        let prefix = |counts: &[usize]| {
+            let mut sums = vec![0];
+            for count in counts {
+                sums.push(sums[sums.len() - 1] + count);
+            }
+            sums
+        };
+        let send_bounds = prefix(&send_counts);
+        let mut recv_displs = prefix(&recv_counts);
+        TileExchange {
+            total_send: send_bounds[send_counts.len()],
+            total_recv: recv_displs.pop().expect("prefix sums start at 0"),
+            send_counts,
+            send_bounds,
+            recv_counts,
+            recv_displs,
+        }
     }
 }
 

@@ -8,7 +8,8 @@ use cfft::Direction;
 use fft3d::pencil::{try_fft3_pencil, PencilGrid};
 use fft3d::real_env::{fft3_dist, local_test_slab, try_fft3_dist};
 use fft3d::{
-    fft3_simulated, try_fft3_simulated, Error, FftSession, ProblemSpec, TuningParams, Variant,
+    fft3_simulated, pencil_seed, pencil_test_input, try_fft3_pencil_overlapped, try_fft3_simulated,
+    Error, FftSession, ProblemSpec, TuningParams, Variant,
 };
 use simnet::model::umd_cluster;
 use std::time::Duration;
@@ -56,9 +57,9 @@ fn second_identical_transform_does_zero_planning() {
 
 /// Tentpole: a persistent-plan session completes the zero-planning story.
 /// The first execution pays one schedule setup per tile; every later
-/// execution draws the FFT plans from the plan cache, the exchange
-/// geometry from the transform-plan cache, and the all-to-all schedules
-/// from the session's persistent plans — zero planning AND zero setups,
+/// execution draws the FFT plans from the plan cache and the all-to-all
+/// schedules from the session's persistent plans (the exchange counts are
+/// a few multiplications off the stage shape) — zero planning AND zero setups,
 /// observable through `RunOutput`'s counters, with bit-identical output.
 #[test]
 fn session_executions_after_the_first_do_zero_setup() {
@@ -146,9 +147,27 @@ fn run_bits(spec: ProblemSpec, threads: usize) -> Vec<Vec<(u64, u64)>> {
     })
 }
 
+/// [`run_bits`] for the overlapped pencil transform on `grid`.
+fn pencil_run_bits(spec: ProblemSpec, grid: PencilGrid, threads: usize) -> Vec<Vec<(u64, u64)>> {
+    let params = TuningParams {
+        t: 2,
+        threads,
+        ..pencil_seed(&spec, grid)
+    };
+    mpisim::run(spec.p, move |comm| {
+        let input = pencil_test_input(&spec, grid, comm.rank());
+        let dir = Direction::Forward;
+        let out = try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
+            .expect("pencil transform");
+        let data = out.output.data.iter();
+        data.map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    })
+}
+
 /// Satellite (d): the parallel kernels only re-partition loops — they must
 /// not change a single bit of the result, on the fast-transpose (square)
-/// and generic (rectangular) paths alike.
+/// and generic (rectangular) paths alike — and the pencil transform, which
+/// runs the same kernels, honours `threads` the same way.
 #[test]
 fn parallel_kernels_are_bit_identical_to_sequential() {
     for spec in [
@@ -166,6 +185,25 @@ fn parallel_kernels_are_bit_identical_to_sequential() {
                 run_bits(spec, threads),
                 want,
                 "threads = {threads} changed bits for {spec:?}"
+            );
+        }
+    }
+    let ragged = ProblemSpec {
+        nx: 7,
+        ny: 9,
+        nz: 10,
+        p: 6,
+    };
+    for (spec, grid) in [
+        (ProblemSpec::cube(8, 4), PencilGrid { pr: 2, pc: 2 }),
+        (ragged, PencilGrid { pr: 3, pc: 2 }),
+    ] {
+        let want = pencil_run_bits(spec, grid, 1);
+        for threads in [2usize, 3] {
+            assert_eq!(
+                pencil_run_bits(spec, grid, threads),
+                want,
+                "threads = {threads} changed bits for {spec:?} on {grid:?}"
             );
         }
     }
