@@ -8,7 +8,7 @@
 //! * [`cache::PlanCache`] shares plans process-wide (FFTW's wisdom): the
 //!   transform entry points draw from [`cache::PlanCache::global`] so
 //!   repeated geometries never replan.
-//! * Kernels: naive [`dft`], in-place [`radix2`], Stockham [`mixed`] radix,
+//! * Kernels: naive [`dft`], Stockham [`mixed`] radix, [`rader`] for primes
 //!   and [`bluestein`] for arbitrary lengths.
 //! * [`batch`] runs a plan over many strided lines (FFTW's advanced
 //!   interface), which is how the 3-D steps consume it.
@@ -42,7 +42,6 @@ pub mod factor;
 pub mod mixed;
 pub mod planner;
 pub mod rader;
-pub mod radix2;
 pub mod real;
 pub mod transpose;
 pub mod twiddle;

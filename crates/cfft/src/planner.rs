@@ -14,10 +14,9 @@ use crate::batch::{block_lines, execute_batch, BatchLayout, BatchScratch};
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::dft::dft_in_place;
-use crate::factor::{is_power_of_two, is_smooth};
+use crate::factor::is_smooth;
 use crate::mixed::MixedRadixPlan;
 use crate::rader::{is_prime, RaderPlan};
-use crate::radix2::Radix2Plan;
 use crate::Direction;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,8 +54,6 @@ impl Rigor {
 pub enum Strategy {
     /// Naive O(N²) definition — only ever chosen for tiny lengths.
     Naive,
-    /// In-place iterative radix-2 (power-of-two lengths).
-    Radix2InPlace,
     /// Out-of-place Stockham mixed radix (smooth lengths).
     MixedRadix,
     /// Chirp-z convolution (any length).
@@ -67,7 +64,6 @@ pub enum Strategy {
 
 enum Kernel {
     Naive,
-    Radix2(Radix2Plan),
     Mixed(MixedRadixPlan),
     Bluestein(BluesteinPlan),
     Rader(RaderPlan),
@@ -99,13 +95,12 @@ impl Plan1d {
     fn with_strategy(n: usize, dir: Direction, strategy: Strategy) -> Option<Self> {
         let kernel = match strategy {
             Strategy::Naive => Kernel::Naive,
-            Strategy::Radix2InPlace => Kernel::Radix2(Radix2Plan::new(n, dir)?),
             Strategy::MixedRadix => Kernel::Mixed(MixedRadixPlan::new(n, dir)?),
             Strategy::Bluestein => Kernel::Bluestein(BluesteinPlan::new(n, dir)),
             Strategy::Rader => Kernel::Rader(RaderPlan::new(n, dir)?),
         };
         let scratch_len = match &kernel {
-            Kernel::Naive | Kernel::Radix2(_) => 0,
+            Kernel::Naive => 0,
             Kernel::Mixed(_) => n,
             Kernel::Bluestein(b) => 2 * b.conv_len(),
             Kernel::Rader(r) => r.scratch_len(),
@@ -164,7 +159,6 @@ impl Plan1d {
     pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         match &self.kernel {
             Kernel::Naive => dft_in_place(data, self.dir),
-            Kernel::Radix2(p) => p.execute(data),
             Kernel::Mixed(p) => p.execute(data, &mut scratch[..self.n]),
             Kernel::Bluestein(p) => p.execute(data, scratch),
             Kernel::Rader(p) => p.execute(data, scratch),
@@ -225,9 +219,6 @@ impl Planner {
         let mut c = Vec::new();
         if n <= 16 {
             c.push(Strategy::Naive);
-        }
-        if is_power_of_two(n) {
-            c.push(Strategy::Radix2InPlace);
         }
         if is_smooth(n) {
             c.push(Strategy::MixedRadix);

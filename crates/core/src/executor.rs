@@ -23,10 +23,15 @@
 //! what is written once: Pack, Unpack, the sub-tile loops with their poll
 //! schedules, the row-list FFTs, and — where the shape arms them — the ABFT
 //! checksum lines, the pack seal with its retransmit, and the fault plan's
-//! trigger points. Every tile moves through `crate::transport`. [`Session`]
-//! is the memory a transform keeps between executions and the loop that
-//! runs its stages in turn; a one-shot call is a session run once without
-//! persistent plans.
+//! trigger points. Every tile moves through `crate::transport`.
+//!
+//! [`Session`] owns a real transform: its stages' communicators, the stage
+//! list pinned once at construction (shapes, tile counts, the local phase),
+//! the per-tile persistent plans, the staging, the kept stage buffer and the
+//! compute scratch, one [`Session::execute`], and the only `Drop` in the
+//! crate that frees plans. [`crate::FftSession`] and
+//! [`crate::PencilSession`] are constructors of it; a one-shot call is a
+//! session executed once (DESIGN.md §15).
 
 use crate::breakdown::StepTimes;
 use crate::decomp::AxisSplit;
@@ -42,7 +47,7 @@ use cfft::planner::Plan1d;
 use cfft::Complex64;
 use faultplan::{checksum, flip_seeded_bit};
 use mpisim::Comm;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -326,11 +331,11 @@ pub(crate) struct Workspace {
     rows: Vec<usize>,
 }
 
-/// A stage's local phase: fills the stage's source buffer before the first
-/// tile (the slab's plane-wise FFTz+Transpose from the borrowed input),
-/// booking its own spans and step times.
-pub(crate) type Local<'a> =
-    &'a mut dyn FnMut(&mut [Complex64], &mut Workspace, &mut Transport<'_>, &mut StepTimes);
+/// A session's local phase: fills the first stage's source buffer from the
+/// caller's input before the first tile (the slab's plane-wise
+/// FFTz+Transpose, the pencil's copy), booking its own spans and step times.
+pub(crate) type Local =
+    Box<dyn Fn(&[Complex64], &mut [Complex64], &mut Workspace, &mut Transport<'_>, &mut StepTimes)>;
 
 /// One [`StageShape`] as an [`OverlapEnv`], so [`crate::pipeline`] drives it
 /// with the windowed schedule and the degradation ladder.
@@ -341,7 +346,8 @@ struct StageExec<'a> {
     xg: &'a [TileExchange; 2],
     /// Posts, polls, waits and pools every tile's exchange over `comm`.
     net: Transport<'a>,
-    local: Option<Local<'a>>,
+    /// The session's local phase with the caller's input (first stage only).
+    local: Option<(&'a Local, &'a [Complex64])>,
     src: &'a mut [Complex64],
     dst: &'a mut [Complex64],
     ws: &'a mut Workspace,
@@ -422,8 +428,8 @@ impl OverlapEnv for StageExec<'_> {
     }
 
     fn fftz_transpose(&mut self) {
-        if let Some(local) = self.local.take() {
-            local(self.src, self.ws, &mut self.net, &mut self.steps);
+        if let Some((local, input)) = self.local.take() {
+            local(input, self.src, self.ws, &mut self.net, &mut self.steps);
         }
     }
 
@@ -559,13 +565,9 @@ impl OverlapEnv for StageExec<'_> {
         // release point once per tile; free outside checked runs.
         self.comm.progress_hint();
     }
-
-    fn threads(&self) -> usize {
-        self.shape.threads
-    }
 }
 
-/// What one run of a [`Session`] produced on this rank.
+/// What one execution of a [`Session`] produced on this rank.
 pub(crate) struct Ran {
     /// The last stage's destination buffer.
     pub data: Vec<Complex64>,
@@ -575,41 +577,114 @@ pub(crate) struct Ran {
     pub steps: StepTimes,
     /// `MPI_Test` calls issued.
     pub tests: u64,
-    /// Exchange setups performed: one per ad-hoc all-to-all post, one per
-    /// persistent-plan init.
+    /// Exchange setups performed: one per persistent-plan init.
     pub setups: u64,
 }
 
-/// The memory of a repeated transform and the loop that runs its stages:
-/// one persistent-plan table per stage, the network staging, the
-/// intermediate stage buffer and the compute scratch. [`crate::FftSession`]
-/// and [`crate::PencilSession`] are faces of a persistent one; the one-shot
-/// entry points run a fresh default one once, with ad-hoc exchanges.
-#[derive(Default)]
-pub(crate) struct Session {
-    /// Whether tiles run as persistent plans, initialised as they are first
-    /// posted, rather than as one `ialltoallv` per post.
-    persistent: bool,
-    plans: Vec<TilePlans>,
+/// A stage's communicator: the caller's (the slab's) or the session's own
+/// (the pencil's row/column split).
+pub(crate) enum StageComm<'a> {
+    Borrowed(&'a Comm),
+    Owned(Comm),
+}
+
+impl Deref for StageComm<'_> {
+    type Target = Comm;
+
+    fn deref(&self) -> &Comm {
+        match self {
+            StageComm::Borrowed(comm) => comm,
+            StageComm::Owned(comm) => comm,
+        }
+    }
+}
+
+/// One pinned exchange stage of a [`Session`].
+struct Stage<'a> {
+    comm: StageComm<'a>,
+    shape: StageShape,
+    /// Counts of a full tile and of the last one.
+    xg: [TileExchange; 2],
+    /// The stage's persistent plans, one slot per tile.
+    plans: TilePlans,
+}
+
+/// The one owner of a real transform (see the module header).
+pub(crate) struct Session<'a> {
+    /// Empty when the transform was refused.
+    stages: Vec<Stage<'a>>,
+    /// Run the TH comparator's schedule instead of NEW's.
+    th: bool,
+    local: Local,
+    /// Why the transform could not be pinned; every execution returns it.
+    refused: Option<Error>,
+    /// Length of stage buffer `k` (stage `k` reads `k` and writes `k + 1`).
+    lens: Vec<usize>,
     staging: Staging,
-    /// The stage buffer the session keeps (see [`Self::run`]).
+    /// The stage buffer the session keeps (see [`Self::execute`]).
     mid: Vec<Complex64>,
     ws: Workspace,
     executions: u64,
 }
 
-impl Session {
-    pub(crate) fn persistent() -> Self {
-        Session {
-            persistent: true,
-            ..Session::default()
-        }
+impl<'a> Session<'a> {
+    /// Pins `stages`, run in turn under the NEW schedule (`th`: the TH
+    /// comparator's); `local` fills the first one's source buffer.
+    pub(crate) fn new(stages: Vec<(StageComm<'a>, StageShape)>, th: bool, local: Local) -> Self {
+        let last = stages.last().map(|(_, shape)| shape.dst_len());
+        let srcs = stages.iter().map(|(_, shape)| shape.src_len());
+        let lens: Vec<usize> = srcs.chain(last).collect();
+        let stages: Vec<Stage<'a>> = stages
+            .into_iter()
+            .map(|(comm, shape)| Stage {
+                comm,
+                xg: shape.exchanges(),
+                plans: TilePlans::new(shape.tiles()),
+                shape,
+            })
+            .collect();
+        // The windowed pipeline never has more than `W + 1` tiles between
+        // post and unpack; no tile packs or receives more than a full one of
+        // the largest stage.
+        let staging = Staging::new(
+            stages.iter().map(|s| s.xg[0].total_send).max().unwrap_or(0),
+            stages.iter().map(|s| s.shape.w).max().unwrap_or(0) + 1,
+            stages.iter().map(|s| s.xg[0].total_recv).max().unwrap_or(0),
+        );
+        let mut session = Session {
+            stages,
+            th,
+            local,
+            refused: None,
+            lens,
+            staging,
+            mid: Vec::new(),
+            ws: Workspace::default(),
+            executions: 0,
+        };
+        session.mid = vec![Complex64::ZERO; session.longest(true)];
+        session
     }
 
-    /// Counts one attempted execution; returns its number, from 1.
-    pub(crate) fn begin(&mut self) -> u64 {
-        self.executions += 1;
-        self.executions
+    /// A session whose every execution returns `error`: what a constructor
+    /// that cannot fail by signature keeps of a rejected configuration.
+    pub(crate) fn refused(error: Error) -> Self {
+        let mut session = Session::new(Vec::new(), false, Box::new(|_, _, _, _, _| {}));
+        session.refused = Some(error);
+        session
+    }
+
+    /// Whether stage buffer `k` lives in the allocation an execution
+    /// returns — it does when it is an even number of stages before the end
+    /// — rather than in the one the session keeps.
+    fn returned(&self, k: usize) -> bool {
+        (self.stages.len() - k) % 2 == 0
+    }
+
+    /// The longest stage buffer in the kept (or the returned) allocation.
+    fn longest(&self, kept: bool) -> usize {
+        let buffers = (0..self.lens.len()).filter(|&k| self.returned(k) != kept);
+        buffers.map(|k| self.lens[k]).max().unwrap_or(0)
     }
 
     /// Executions attempted.
@@ -619,66 +694,49 @@ impl Session {
 
     /// Initialised persistent plans, all stages.
     pub(crate) fn live_plans(&self) -> usize {
-        self.plans.iter().map(TilePlans::live).sum()
+        self.stages.iter().map(|s| s.plans.live()).sum()
     }
 
     /// Frees every persistent plan over the communicator of its stage;
-    /// returns how many.
-    pub(crate) fn free_plans(&mut self, comms: &[&Comm]) -> usize {
-        let stages = self.plans.iter_mut().zip(comms);
-        stages.map(|(plans, comm)| plans.free_all(comm)).sum()
+    /// returns how many. Dropping the session does the same.
+    pub(crate) fn free_plans(&mut self) -> usize {
+        let stages = self.stages.iter_mut();
+        stages.map(|s| s.plans.free_all(&s.comm)).sum()
     }
 
-    /// Runs `stages` in turn, each under the NEW schedule (`th`: the TH
-    /// comparator's). `local` fills the first stage's source buffer from the
-    /// caller's input.
+    /// One transform of `input`, this rank's block of the first stage's
+    /// source (the slab's x-slab in x-y-z layout, the pencil's
+    /// `(X_r, Y_c, Z_all)` block). Counts as an attempt whatever the outcome.
     ///
     /// Stage `i` reads buffer `i` and writes buffer `i + 1`, and only those
     /// two are live while it runs, so two allocations carry them all: the
     /// buffers an even number of stages before the end (the last of them the
-    /// result) share the one this run allocates and returns, the others the
-    /// one the session keeps. A steady-state execution therefore allocates
-    /// nothing but its output.
-    pub(crate) fn run(
+    /// result) share the one this execution allocates and returns, the others
+    /// the one the session keeps. A steady-state execution therefore
+    /// allocates nothing but its output. The kept buffer is the older
+    /// allocation: a one-shot call frees it on return while its caller still
+    /// holds the output, and the allocator hands the hole to the next call
+    /// only if it is not the top of the heap (the other order re-faults the
+    /// buffer on every call: fftperf `slab64_tiles` 7.1 → 8.6 ms).
+    pub(crate) fn execute(
         &mut self,
-        stages: &[(&Comm, &StageShape)],
-        th: bool,
-        local: Local<'_>,
+        input: &[Complex64],
         res: &Resilience,
         recorder: &mut dyn Recorder,
-        epoch: Instant,
     ) -> Result<Ran, Error> {
-        let n = stages.len();
-        let shapes = || stages.iter().map(|(_, shape)| *shape);
-        let last = stages.last().map(|(_, shape)| shape.dst_len());
-        let lens: Vec<usize> = shapes().map(StageShape::src_len).chain(last).collect();
-        // Buffer `k` is in the returned allocation when it is an even number
-        // of stages before the end, in the kept one otherwise.
-        let returned = |k: usize| (n - k) % 2 == 0;
-        let longest = |kept: bool| {
-            let buffers = (0..=n).filter(|&k| returned(k) != kept);
-            buffers.map(|k| lens[k]).max().unwrap_or(0)
-        };
-        // The kept buffer before the output: a one-shot call frees the
-        // former on return while its caller still holds the latter, and the
-        // allocator hands the hole to the next call only if it is not the top
-        // of the heap (the other order re-faults the buffer on every call:
-        // fftperf `slab64_tiles` 7.1 → 8.6 ms).
-        if self.mid.len() != longest(true) {
-            self.mid = vec![Complex64::ZERO; longest(true)];
+        let epoch = Instant::now();
+        self.executions += 1;
+        if let Some(error) = self.refused {
+            return Err(error);
         }
-        let mut out = vec![Complex64::ZERO; longest(false)];
-        // The windowed pipeline never has more than `W + 1` tiles between
-        // post and unpack; no tile packs or receives more than a full one of
-        // the largest stage.
-        let xgs: Vec<[TileExchange; 2]> = shapes().map(StageShape::exchanges).collect();
-        self.staging.prepare(
-            xgs.iter().map(|xg| xg[0].total_send).max().unwrap_or(0),
-            shapes().map(|s| s.w).max().unwrap_or(0) + 1,
-            xgs.iter().map(|xg| xg[0].total_recv).max().unwrap_or(0),
+        assert_eq!(
+            input.len(),
+            self.lens[0],
+            "input must be this rank's block of the problem (the slab's x-slab, the pencil's \
+             (X_r, Y_c, Z_all) pencil)"
         );
-        self.plans.resize_with(n, TilePlans::default);
-
+        let n = self.stages.len();
+        let mut out = vec![Complex64::ZERO; self.longest(false)];
         let mut ran = Ran {
             data: Vec::new(),
             recovery: Recovery::default(),
@@ -686,39 +744,38 @@ impl Session {
             tests: 0,
             setups: 0,
         };
-        let mut local = Some(local);
         let mut tile_base = 0;
-        for (i, ((comm, shape), plans)) in stages.iter().zip(&mut self.plans).enumerate() {
-            let (src, dst) = if returned(i) {
+        for i in 0..n {
+            let (src, dst) = if self.returned(i) {
                 (&mut out, &mut self.mid)
             } else {
                 (&mut self.mid, &mut out)
             };
-            let plans = self.persistent.then_some(plans);
-            let timeout = res.stall_timeout;
+            let stage = &mut self.stages[i];
+            let (comm, shape): (&Comm, &StageShape) = (&stage.comm, &stage.shape);
             let mut env = StageExec {
                 comm,
                 shape,
-                xg: &xgs[i],
+                xg: &stage.xg,
                 net: Transport::new(
                     comm,
-                    plans,
+                    &mut stage.plans,
                     &mut self.staging,
-                    timeout,
+                    res.stall_timeout,
                     tile_base,
                     epoch,
                     &mut *recorder,
                 ),
-                local: local.take().map(|f| -> Local<'_> { f }),
-                src: &mut src[..lens[i]],
-                dst: &mut dst[..lens[i + 1]],
+                local: (i == 0).then_some((&self.local, input)),
+                src: &mut src[..self.lens[i]],
+                dst: &mut dst[..self.lens[i + 1]],
                 ws: &mut self.ws,
                 send_hash: 0,
                 polls: shape.polls,
                 poll_boost: res.poll_boost,
                 steps: StepTimes::default(),
             };
-            let recovery = if th {
+            let recovery = if self.th {
                 try_run_th(&mut env, res)?
             } else {
                 try_run_new(&mut env, res)?
@@ -732,17 +789,31 @@ impl Session {
             ran.setups += env.net.setups;
             tile_base += shape.tiles();
         }
-        out.truncate(lens[n]);
+        out.truncate(self.lens[n]);
         ran.data = out;
         Ok(ran)
     }
 }
 
+/// The crate's one plan-freeing `Drop`: whichever way a transform ends — a
+/// one-shot call returning, a session going out of scope, an error return,
+/// a crashed rank unwinding — its plans are freed over the communicators
+/// that posted them, in-flight executions cancelled with them (no MC006
+/// finding, nothing left in a mailbox).
+impl Drop for Session<'_> {
+    fn drop(&mut self) {
+        self.free_plans();
+    }
+}
+
 #[cfg(test)]
-impl Session {
+impl Session<'_> {
     /// The plan tables and the staging, for the crate's pooling tests.
-    pub(crate) fn transport_state(&self) -> (&[TilePlans], &Staging) {
-        (&self.plans, &self.staging)
+    pub(crate) fn transport_state(&self) -> (Vec<&TilePlans>, &Staging) {
+        (
+            self.stages.iter().map(|s| &s.plans).collect(),
+            &self.staging,
+        )
     }
 }
 

@@ -1,5 +1,9 @@
 //! The tunable parameters (Table 1 of the paper, plus an intra-rank thread
-//! count `Th`) and their feasibility rules.
+//! count `Th`), their feasibility rules, and the one resolution of a
+//! [`Variant`] into the parameters it actually runs with.
+
+use crate::real_env::Variant;
+use simnet::model::TransposeCost;
 
 /// Size and process count of one distributed 3-D FFT problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,6 +43,18 @@ impl ProblemSpec {
     /// `true` when the §3.5 fast-transpose path applies.
     pub fn square_xy(&self) -> bool {
         self.nx == self.ny
+    }
+
+    /// A zero-extent axis has no transform; planning a size-1 stand-in
+    /// would silently "succeed" on an empty problem, so every entry point
+    /// rejects it before touching plans.
+    pub(crate) fn check_extents(&self) -> Result<(), ParamError> {
+        for (axis, n) in [("nx", self.nx), ("ny", self.ny), ("nz", self.nz)] {
+            if n == 0 {
+                return Err(ParamError::ZeroExtent(axis));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -215,6 +231,71 @@ impl TuningParams {
     }
 }
 
+impl Variant {
+    /// What both backends require of `(spec, params)` before `self` runs:
+    /// non-zero extents and, for NEW — which takes the parameters literally
+    /// — their feasibility. The non-overlapped NEW-0 encoding sets `w = 0`,
+    /// which the window-range rule rejects, but every other constraint must
+    /// still hold (a zero `Px`/`Uy`/`T` would divide by zero in the stage).
+    pub(crate) fn check(self, spec: &ProblemSpec, params: &TuningParams) -> Result<(), ParamError> {
+        spec.check_extents()?;
+        match self {
+            Variant::New if params.w == 0 => params.validate_without_window(spec),
+            Variant::New => params.validate(spec),
+            Variant::Th | Variant::Fftw => Ok(()),
+        }
+    }
+
+    /// The parameters and the Transpose tier `self` runs with, given the
+    /// caller's `params` — stated once for both backends: the real session
+    /// executes exactly what the simulator prices (DESIGN.md §6).
+    pub(crate) fn resolve(
+        self,
+        spec: &ProblemSpec,
+        params: TuningParams,
+    ) -> (TuningParams, TransposeCost) {
+        // The §3.5 fast path needs `Nx = Ny`.
+        let tier = if spec.square_xy() {
+            TransposeCost::Fast
+        } else {
+            TransposeCost::Generic
+        };
+        let threads = params.threads.max(1);
+        match self {
+            Variant::New => (params, tier),
+            // TH: tile, window and the FFTy/Pack polls honoured, but no loop
+            // tiling, no polls during Unpack/FFTx, and a plain rearrangement.
+            Variant::Th => {
+                let p = TuningParams {
+                    px: spec.nx.div_ceil(spec.p).max(1),
+                    pz: params.t,
+                    uy: spec.ny.div_ceil(spec.p).max(1),
+                    uz: params.t,
+                    fu: 0,
+                    fx: 0,
+                    threads,
+                    ..params
+                };
+                (p, TransposeCost::Naive)
+            }
+            // FFTW: one tile spanning the whole slab, no window, no polls.
+            // Its internal copy loops are cache-blocked (its planner picks
+            // good buffer sizes), so it gets seed-quality sub-tiles, and its
+            // rearrangement is as optimised as NEW's (Figure 8 shows NEW-0's
+            // Transpose equal to NEW's, and the paper treats FFTW ≈ NEW-0):
+            // what it lacks is overlap.
+            Variant::Fftw => {
+                let p = TuningParams {
+                    t: spec.nz,
+                    threads,
+                    ..TuningParams::seed(spec).without_overlap()
+                };
+                (p, tier)
+            }
+        }
+    }
+}
+
 /// The three parameters of the TH comparator (Hoefler et al.'s kernel,
 /// auto-tuned the same way for fairness — §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,6 +335,26 @@ impl ThParams {
         self.w = 0;
         self.f = 0;
         self
+    }
+
+    /// The full tuning vector TH's three parameters stand for, before
+    /// [`Variant::resolve`] pins what TH does not tune: its single `F` is
+    /// spent during the overlappable FFTy+Pack phases, split evenly as
+    /// Hoefler's kernel interleaves tests with both.
+    pub(crate) fn widen(self) -> TuningParams {
+        TuningParams {
+            t: self.t,
+            w: self.w,
+            px: 1,
+            pz: 1,
+            uy: 1,
+            uz: 1,
+            fy: self.f / 2,
+            fp: self.f - self.f / 2,
+            fu: 0,
+            fx: 0,
+            threads: 1,
+        }
     }
 }
 

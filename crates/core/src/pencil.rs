@@ -9,14 +9,16 @@
 //! their front: the process grid, the subcommunicator split, the two stage
 //! shapes, and these entry points:
 //!
+//! * [`PencilSession`] — the paper's tile-window overlap applied to
+//!   **both** pencil exchanges, with the degradation ladder and tracing:
+//!   the subcommunicators split and both stages pinned once, per-tile
+//!   persistent plans and session-owned memory (setup once, execute many);
 //! * [`try_fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped_traced`]
-//!   — the paper's tile-window overlap applied to **both** pencil
-//!   exchanges, with the degradation ladder and tracing;
-//! * [`PencilSession`] — the same transform with persistent per-tile plans
-//!   and session-owned memory (setup once, execute many);
+//!   — a session executed once;
 //! * [`try_fft3_pencil`] — the blocking reference transform: the one tile
-//!   per stage, `W = 0`, no-poll point of the overlapped one (one
-//!   all-to-all per exchange within the row/column subcommunicators).
+//!   per stage, `W = 0`, no-poll point of the overlapped one
+//!   ([`pencil_blocking`]; one all-to-all per exchange within the
+//!   row/column subcommunicators).
 //!
 //! Their cost models on `simnet` ([`crate::sim_env::pencil_simulated`],
 //! [`crate::sim_env::pencil_overlap_simulated_params`]) price the same two
@@ -44,7 +46,7 @@
 
 use crate::decomp::AxisSplit;
 use crate::error::Error;
-use crate::executor::{Axis, Fft, Session, StageShape};
+use crate::executor::{Axis, Fft, Local, Session, StageComm, StageShape};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{Recovery, Resilience};
 use crate::serial::test_field;
@@ -52,7 +54,6 @@ use crate::trace::{NoopRecorder, Recorder};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::Comm;
-use std::time::Instant;
 
 /// The pencil process grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +162,7 @@ fn split_pencil(comm: &Comm, grid: PencilGrid) -> (Comm, Comm) {
 /// Distributed 3-D FFT with 2-D (pencil) decomposition, blocking exchanges:
 /// the overlapped executor at one tile per stage, no window and no polls
 /// (what [`crate::Variant::Fftw`] is for the slab pipeline), so each
-/// exchange is one `ialltoallv` + wait within its subcommunicator.
+/// exchange is one all-to-all + wait within its subcommunicator.
 ///
 /// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
 /// layout. Collective over `comm`; `grid.len()` must equal `comm.size()`.
@@ -175,10 +176,7 @@ pub fn try_fft3_pencil(
     dir: Direction,
     input: &[Complex64],
 ) -> Result<PencilOutput, Error> {
-    let blocking = TuningParams {
-        t: spec.nx.max(spec.nz).max(1),
-        ..pencil_seed(&spec, grid).without_overlap()
-    };
+    let blocking = pencil_blocking(&spec, grid);
     try_fft3_pencil_overlapped(comm, spec, grid, blocking, dir, input).map(|run| run.output)
 }
 
@@ -190,9 +188,9 @@ pub struct PencilRunOutput {
     /// numbers in [`Recovery::actions`] count stage-2 tiles after
     /// stage 1's).
     pub recovery: Recovery,
-    /// Exchange setups performed: one per ad-hoc all-to-all post, one per
-    /// persistent-plan init. A [`PencilSession`]'s second execution
-    /// reports 0.
+    /// Exchange setups performed: one per persistent-plan init — one per
+    /// tile for a one-shot call and a [`PencilSession`]'s first execution,
+    /// 0 from its second on.
     pub exchange_setups: u64,
 }
 
@@ -204,11 +202,7 @@ fn validate_pencil(
 ) -> Result<(), Error> {
     grid.validate(comm_size)?;
     grid.validate(spec.p)?;
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
+    spec.check_extents()?;
     if params.t < 1 {
         return Err(ParamError::TileSize(params.t).into());
     }
@@ -287,70 +281,6 @@ fn stages(
     [row_stage, col_stage]
 }
 
-/// What a pencil transform pins: the row/column subcommunicators and this
-/// rank's two stages of the validated problem. A one-shot call builds one
-/// per call; a [`PencilSession`] keeps it.
-struct Pencil {
-    row_comm: Comm,
-    col_comm: Comm,
-    stages: [StageShape; 2],
-}
-
-impl Pencil {
-    /// Validates and splits the subcommunicators. Collective over `comm`.
-    fn new(
-        comm: &Comm,
-        spec: ProblemSpec,
-        grid: PencilGrid,
-        params: TuningParams,
-        dir: Direction,
-    ) -> Result<Self, Error> {
-        validate_pencil(comm.size(), &spec, grid, &params)?;
-        let (row_comm, col_comm) = split_pencil(comm, grid);
-        Ok(Pencil {
-            row_comm,
-            col_comm,
-            stages: stages(&spec, grid, &params, dir, comm.rank()),
-        })
-    }
-
-    /// The transform proper, shared by the one-shot entry points (a fresh
-    /// `session`: ad-hoc `ialltoallv` per tile, memory for this call) and
-    /// [`PencilSession`] (its persistent plans, initialised lazily on first
-    /// use, and its memory).
-    fn run(
-        &self,
-        input: &[Complex64],
-        res: &Resilience,
-        recorder: &mut dyn Recorder,
-        session: &mut Session,
-    ) -> Result<PencilRunOutput, Error> {
-        let [row, col] = &self.stages;
-        assert_eq!(
-            input.len(),
-            row.src_len(),
-            "input must be the rank's pencil"
-        );
-        let ran = session.run(
-            &[(&self.row_comm, row), (&self.col_comm, col)],
-            false,
-            &mut |a, _, _, _| a.copy_from_slice(input),
-            res,
-            recorder,
-            Instant::now(),
-        )?;
-        Ok(PencilRunOutput {
-            output: PencilOutput {
-                data: ran.data,
-                ny2l: col.n_w(),
-                nzl: col.n_tau,
-            },
-            recovery: ran.recovery,
-            exchange_setups: ran.setups,
-        })
-    }
-}
-
 /// Distributed 3-D FFT with 2-D (pencil) decomposition and the paper's
 /// tile-window overlap on **both** exchanges, with default resilience (no
 /// watchdog) and tracing off.
@@ -399,29 +329,33 @@ pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
     res: &Resilience,
     recorder: &mut R,
 ) -> Result<PencilRunOutput, Error> {
-    // One-shot: a session of its own, run once, every tile posted ad hoc.
-    let pencil = Pencil::new(comm, spec, grid, params, dir)?;
-    pencil.run(input, res, recorder, &mut Session::default())
+    // A session of one execution.
+    PencilSession::new(comm, spec, grid, params, dir)?.execute_traced(input, res, recorder)
 }
 
 /// A setup-once, execute-many overlapped pencil transform: the row/column
-/// subcommunicators are split once, every tile's exchange runs as a
-/// persistent plan (`alltoallv_init` on first use, `start`/`wait`
-/// afterwards) and the working memory (pack buffer, `W + 1` pooled receive
-/// blocks, the intermediate pencil, scratch) is kept, so repeated
-/// transforms of one geometry pay zero exchange setups and allocate
+/// subcommunicators are split and both stages pinned once, every tile's
+/// exchange runs as a persistent plan (`alltoallv_init` on first use,
+/// `start`/`wait` afterwards) and the working memory (pack buffer, `W + 1`
+/// pooled receive blocks, the intermediate pencil, scratch) is kept, so
+/// repeated transforms of one geometry pay zero exchange setups and allocate
 /// nothing but their output after the first execution. Dropping the
 /// session frees every plan (so no MC006 lint fires);
-/// [`PencilSession::free`] does the same and reports how many.
+/// [`PencilSession::free`] does the same and reports how many. The one-shot
+/// entry points are a session executed once.
 pub struct PencilSession {
-    pencil: Pencil,
-    /// Plans and memory: the session core [`crate::FftSession`] shares.
-    core: Session,
+    /// The transform: subcommunicators, stages, plans and memory
+    /// (`crate::executor`).
+    core: Session<'static>,
+    /// This rank's output extents (see [`PencilOutput`]).
+    ny2l: usize,
+    nzl: usize,
 }
 
 impl PencilSession {
-    /// Validates and splits the subcommunicators (plans are initialised
-    /// lazily by the first execution). Collective over `comm`.
+    /// Validates, splits the subcommunicators and pins both stages (plans
+    /// are initialised lazily by the first execution). Collective over
+    /// `comm`.
     pub fn new(
         comm: &Comm,
         spec: ProblemSpec,
@@ -429,9 +363,19 @@ impl PencilSession {
         params: TuningParams,
         dir: Direction,
     ) -> Result<Self, Error> {
+        validate_pencil(comm.size(), &spec, grid, &params)?;
+        let (row_comm, col_comm) = split_pencil(comm, grid);
+        let [row, col] = stages(&spec, grid, &params, dir, comm.rank());
+        let (ny2l, nzl) = (col.n_w(), col.n_tau);
+        let stages = vec![
+            (StageComm::Owned(row_comm), row),
+            (StageComm::Owned(col_comm), col),
+        ];
+        let copy_input: Local = Box::new(|input, a, _, _, _| a.copy_from_slice(input));
         Ok(PencilSession {
-            pencil: Pencil::new(comm, spec, grid, params, dir)?,
-            core: Session::persistent(),
+            core: Session::new(stages, false, copy_input),
+            ny2l,
+            nzl,
         })
     }
 
@@ -447,8 +391,16 @@ impl PencilSession {
         res: &Resilience,
         recorder: &mut R,
     ) -> Result<PencilRunOutput, Error> {
-        self.core.begin();
-        self.pencil.run(input, res, recorder, &mut self.core)
+        let ran = self.core.execute(input, res, recorder)?;
+        Ok(PencilRunOutput {
+            output: PencilOutput {
+                data: ran.data,
+                ny2l: self.ny2l,
+                nzl: self.nzl,
+            },
+            recovery: ran.recovery,
+            exchange_setups: ran.setups,
+        })
     }
 
     /// Executions attempted over this session's lifetime: one per call of
@@ -461,18 +413,7 @@ impl PencilSession {
     /// Frees every initialised persistent plan over the subcommunicator
     /// that posted it; returns how many were freed.
     pub fn free(mut self) -> usize {
-        self.release()
-    }
-
-    fn release(&mut self) -> usize {
-        let comms = [&self.pencil.row_comm, &self.pencil.col_comm];
-        self.core.free_plans(&comms)
-    }
-}
-
-impl Drop for PencilSession {
-    fn drop(&mut self) {
-        self.release();
+        self.core.free_plans()
     }
 }
 
@@ -496,6 +437,16 @@ pub fn pencil_seed(spec: &ProblemSpec, grid: PencilGrid) -> TuningParams {
         fu: f,
         fx: f,
         threads: 1,
+    }
+}
+
+/// The blocking point of the overlapped pencil transform: one tile per
+/// stage, no window, no polls — what [`try_fft3_pencil`] executes and
+/// [`crate::sim_env::pencil_simulated`] prices.
+pub(crate) fn pencil_blocking(spec: &ProblemSpec, grid: PencilGrid) -> TuningParams {
+    TuningParams {
+        t: spec.nx.max(spec.nz).max(1),
+        ..pencil_seed(spec, grid).without_overlap()
     }
 }
 
@@ -566,7 +517,10 @@ impl PencilSession {
     /// The session's plan tables and staging, for the crate's pooling tests.
     pub(crate) fn transport_state(
         &self,
-    ) -> (&[crate::transport::TilePlans], &crate::transport::Staging) {
+    ) -> (
+        Vec<&crate::transport::TilePlans>,
+        &crate::transport::Staging,
+    ) {
         self.core.transport_state()
     }
 }

@@ -91,13 +91,6 @@ pub trait OverlapEnv {
     /// points in the pipeline's program order; others leave the no-op
     /// default.
     fn sched_point(&mut self) {}
-    /// Worker threads (`Th`) the backend's compute hooks spread their
-    /// batched kernels over. Purely informational to the drivers — the
-    /// hooks themselves do the spreading — but exposed here so harnesses
-    /// can report the knob uniformly. Default: sequential.
-    fn threads(&self) -> usize {
-        1
-    }
 }
 
 /// Stall-handling policy for the resilient drivers.

@@ -8,21 +8,23 @@
 //! backend; here the timings are real wall-clock and only meaningful for
 //! laptop-scale smoke benchmarks.
 //!
-//! Entry points: [`try_fft3_dist_traced`] (tracing plus a stall policy),
-//! [`try_fft3_dist`] (neither), the panicking [`fft3_dist`], and
-//! [`FftSession`] (setup once, execute many). What this module keeps is
-//! what only the slab has: the resolution of a [`Variant`] into effective
-//! parameters, the upfront plane-wise FFTz+Transpose in its three styles,
-//! and the slab's stage shape `{τ = z, o = x_l, v = y; FFTy → FFTx}` with
-//! every integrity stage armed. The shape runs on `crate::executor`, the
-//! one real [`crate::pipeline::OverlapEnv`], which the pencil transform's
-//! two stages run on as well.
+//! Entry points: [`FftSession`] (setup once, execute many) and the one-shot
+//! calls, which are a session executed once — [`try_fft3_dist_traced`]
+//! (tracing plus a stall policy), [`try_fft3_dist`] (neither), the panicking
+//! [`fft3_dist`]. What this module keeps is what only the slab has: the
+//! upfront plane-wise FFTz+Transpose in its three styles and the slab's
+//! stage shape `{τ = z, o = x_l, v = y; FFTy → FFTx}` with every integrity
+//! stage armed, both pinned once by the session's constructor from
+//! [`Variant::resolve`] — the same resolution the simulator prices. The
+//! shape runs on `crate::executor`, the one real
+//! [`crate::pipeline::OverlapEnv`], which the pencil transform's two stages
+//! run on as well.
 
 use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomp;
 use crate::error::{Error, IntegrityStage};
-use crate::executor::{Axis, Fft, Session, StageShape, Workspace};
-use crate::params::{ParamError, ProblemSpec, TuningParams};
+use crate::executor::{Axis, Fft, Local, Session, StageComm, StageShape, Workspace};
+use crate::params::{ProblemSpec, TuningParams};
 use crate::pipeline::{Recovery, Resilience};
 use crate::trace::{EventKind, NoopRecorder, Recorder};
 use crate::transport::Transport;
@@ -30,6 +32,8 @@ use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::Comm;
+use simnet::model::TransposeCost;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which algorithm variant to execute.
@@ -46,19 +50,8 @@ pub enum Variant {
     Fftw,
 }
 
-/// How the Transpose step is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransposeStyle {
-    /// §3.5 fast path (`x-z-y`), legal only when `Nx = Ny`.
-    Fast,
-    /// Cache-blocked generic `z-x-y` (the "FFTW guru" quality path).
-    Generic,
-    /// Unblocked `z-x-y` loop nest — models TH's non-optimized rearrangement.
-    Naive,
-}
-
-/// Tile edge of the blocked plane transpose (every style but
-/// [`TransposeStyle::Naive`]).
+/// Tile edge of the blocked plane transpose (every tier but
+/// [`TransposeCost::Naive`], TH's unblocked loop nest).
 const TRANSPOSE_BLOCK: usize = 16;
 
 /// Output memory layout of the distributed transform (y-slab local array).
@@ -85,29 +78,29 @@ pub struct RunOutput {
     /// plan came from the process-wide [`PlanCache`] — i.e. for any repeat
     /// of a geometry this process has transformed before.
     pub planning: Duration,
-    /// Exchange schedule setups this call performed: one per ad-hoc
-    /// all-to-all post, one per persistent-plan init. Through an
-    /// [`FftSession`] the per-tile plans are set up lazily on the first
-    /// execution, so every execution after the first reports exactly zero —
-    /// the setup-once / execute-many steady state.
+    /// Exchange schedule setups this call performed: one per
+    /// persistent-plan init. A session sets its per-tile plans up lazily on
+    /// the first execution, so a one-shot call (a session of one execution)
+    /// reports one per tile and every [`FftSession`] execution after the
+    /// first exactly zero — the setup-once / execute-many steady state.
     pub exchange_setups: u64,
 }
 
 /// The slab's local phase: FFTz and Transpose of the caller's slab (x-y-z)
 /// into the stage's source buffer, z-x-y (standard) or x-z-y (fast).
-struct FftzTranspose<'a> {
-    input: &'a [Complex64],
-    plan_z: &'a Plan1d,
-    style: TransposeStyle,
+struct FftzTranspose {
+    plan_z: Arc<Plan1d>,
+    style: TransposeCost,
     nxl: usize,
     ny: usize,
     nz: usize,
     threads: usize,
 }
 
-impl FftzTranspose<'_> {
+impl FftzTranspose {
     fn run(
         &self,
+        input: &[Complex64],
         zxy: &mut [Complex64],
         ws: &mut Workspace,
         net: &mut Transport<'_>,
@@ -124,14 +117,14 @@ impl FftzTranspose<'_> {
         let mut spent = (Duration::ZERO, Duration::ZERO);
         if nxl * plane_len > 0 {
             let per = nxl.div_ceil(self.threads.clamp(1, nxl));
-            let (input, plan_z, style) = (self.input, self.plan_z, self.style);
+            let (plan_z, style) = (&*self.plan_z, self.style);
             ws.planes
                 .resize(nxl.div_ceil(per) * plane_len, Complex64::ZERO);
             // Worker `w` owns planes `w·per..`, and with them these parts of
             // `zxy` — x-z-y: its planes, one contiguous run; z-x-y: for each
             // `z`, its planes' `Ny`-rows.
             let mut dsts: Vec<Vec<&mut [Complex64]>> = Vec::new();
-            if style == TransposeStyle::Fast {
+            if style == TransposeCost::Fast {
                 dsts.extend(zxy.chunks_mut(per * plane_len).map(|run| vec![run]));
             } else {
                 dsts.resize_with(nxl.div_ceil(per), || Vec::with_capacity(nz));
@@ -146,7 +139,7 @@ impl FftzTranspose<'_> {
                         plane: &mut [Complex64],
                         scratch: &mut BatchScratch| {
                 let block = match style {
-                    TransposeStyle::Naive => ny.max(nz),
+                    TransposeCost::Naive => ny.max(nz),
                     _ => TRANSPOSE_BLOCK,
                 };
                 let mut spent = (Duration::ZERO, Duration::ZERO);
@@ -163,7 +156,7 @@ impl FftzTranspose<'_> {
                         for by in (0..ny).step_by(block) {
                             for z in bz..(bz + block).min(nz) {
                                 let row = match style {
-                                    TransposeStyle::Fast => &mut dst[0][(xi * nz + z) * ny..],
+                                    TransposeCost::Fast => &mut dst[0][(xi * nz + z) * ny..],
                                     _ => &mut dst[z][xi * ny..],
                                 };
                                 for (y, v) in (by..(by + block).min(ny)).zip(&mut row[by..]) {
@@ -280,220 +273,124 @@ pub fn try_fft3_dist_traced(
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
 ) -> Result<RunOutput, Error> {
-    // One-shot: a session of its own, run once, every tile posted ad hoc.
-    let slab = Slab {
-        spec,
-        variant,
-        params,
-        dir,
-        rigor,
-    };
-    slab.run(comm, input, resilience, recorder, &mut Session::default())
+    // A session of one execution; the clock covers its set-up too.
+    let started = Instant::now();
+    let mut session = FftSession::new(comm, spec, variant, params, dir, rigor);
+    let mut out = session.execute_traced(input, resilience, recorder)?;
+    out.stats.elapsed = started.elapsed().as_secs_f64();
+    Ok(out)
 }
 
-/// What a slab transform pins besides its communicator.
-#[derive(Clone, Copy)]
-struct Slab {
+/// Pins the slab transform of `spec` on this rank: the session over its one
+/// stage, the output layout, and the planning time the pinning incurred.
+fn pin_slab<'a>(
+    comm: &'a Comm,
     spec: ProblemSpec,
     variant: Variant,
     params: TuningParams,
     dir: Direction,
     rigor: Rigor,
+) -> Result<(Session<'a>, OutLayout, Duration), Error> {
+    variant.check(&spec, &params)?;
+    let (params, transpose) = variant.resolve(&spec, params);
+    let (nx, ny, nz) = (spec.nx, spec.ny, spec.nz);
+    let rank = comm.rank();
+    let decomp = Decomp::new(nx, ny, spec.p);
+    let (nxl, nyl) = (decomp.x.count(rank), decomp.y.count(rank));
+
+    // Draw plans from the process-wide cache: any geometry this process has
+    // transformed before (at this rigor) costs zero planning here, and when
+    // all `p` rank threads arrive at once only one of them measures.
+    let cache = PlanCache::global();
+    let (plan_z, spent_z) = cache.plan_timed(nz, dir, rigor);
+    let (plan_y, spent_y) = cache.plan_timed(ny, dir, rigor);
+    let (plan_x, spent_x) = cache.plan_timed(nx, dir, rigor);
+
+    // The one stage: z tiled, the y of every (z, x_l) line split across
+    // the ranks, x completed — lines where the transpose style put them,
+    // and where the output layout wants them.
+    let (src, dst, layout) = match transpose {
+        TransposeCost::Fast => ((ny, nz * ny), (nx, nz * nx), OutLayout::Yzx),
+        _ => ((nxl * ny, ny), (nyl * nx, nx), OutLayout::Zyx),
+    };
+    let shape = StageShape {
+        n_tau: nz,
+        t: params.t,
+        n_v: ny,
+        v: decomp.y,
+        o: decomp.x,
+        me: rank,
+        src,
+        dst,
+        pre: Some(Fft {
+            plan: plan_y,
+            axis: Axis::Y,
+            abft: Some(IntegrityStage::Ffty),
+        }),
+        post: Fft {
+            plan: plan_x,
+            axis: Axis::X,
+            abft: Some(IntegrityStage::Fftx),
+        },
+        polls: [params.fy, params.fp, params.fu, params.fx],
+        pack_sub: (params.pz, params.px),
+        unpack_sub: (params.uz, params.uy),
+        seal: true,
+        w: params.w,
+        threads: params.threads,
+    };
+    let fftz_transpose = FftzTranspose {
+        plan_z,
+        style: transpose,
+        nxl,
+        ny,
+        nz,
+        threads: params.threads,
+    };
+    let local: Local =
+        Box::new(move |input, zxy, ws, net, steps| fftz_transpose.run(input, zxy, ws, net, steps));
+    let stage = (StageComm::Borrowed(comm), shape);
+    let session = Session::new(vec![stage], variant == Variant::Th, local);
+    Ok((session, layout, spent_z + spent_y + spent_x))
 }
 
-impl Slab {
-    /// The transform proper, shared by the one-shot entry points (a fresh
-    /// `session`: working memory for this call, ad-hoc exchanges) and
-    /// [`FftSession::execute`] (its memory and per-tile persistent plans).
-    fn run(
-        &self,
-        comm: &Comm,
-        input: &[Complex64],
-        resilience: &Resilience,
-        recorder: &mut dyn Recorder,
-        session: &mut Session,
-    ) -> Result<RunOutput, Error> {
-        // The clock covers everything the call does, set-up included.
-        let started = Instant::now();
-        let Slab {
-            spec,
-            variant,
-            params,
-            dir,
-            rigor,
-        } = *self;
-        assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
-        // A zero-extent axis has no transform; planning a size-1 stand-in (as
-        // this path once did via `.max(1)`) would silently "succeed" on an
-        // empty problem. Reject it for every variant before touching plans.
-        for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-            if n == 0 {
-                return Err(Error::from(ParamError::ZeroExtent(axis)));
-            }
-        }
-        let (nx, ny, nz) = (spec.nx, spec.ny, spec.nz);
-        let rank = comm.rank();
-        let decomp = Decomp::new(nx, ny, spec.p);
-        let nxl = decomp.x.count(rank);
-        let nyl = decomp.y.count(rank);
-        assert_eq!(
-            input.len(),
-            nxl * ny * nz,
-            "input must be this rank's x-slab in x-y-z layout"
-        );
-
-        // Resolve the effective parameters and styles per variant.
-        let (params, transpose_style) = match variant {
-            Variant::New => {
-                // The non-overlapped NEW-0 encoding sets `w = 0`, which the
-                // window-range rule rejects — but every other constraint must
-                // still hold (a zero `Px`/`Uy`/`T` would divide by zero below).
-                if params.w == 0 {
-                    params.validate_without_window(&spec)
-                } else {
-                    params.validate(&spec)
-                }
-                .map_err(Error::from)?;
-                let style = if spec.square_xy() {
-                    TransposeStyle::Fast
-                } else {
-                    TransposeStyle::Generic
-                };
-                (params, style)
-            }
-            Variant::Th => {
-                // TH: tile/window honoured, but no loop tiling and no polls
-                // outside FFTy/Pack; plain transpose.
-                let p = TuningParams {
-                    px: decomp.x.max_count().max(1),
-                    pz: params.t,
-                    uy: decomp.y.max_count().max(1),
-                    uz: params.t,
-                    fu: 0,
-                    fx: 0,
-                    threads: params.threads.max(1),
-                    ..params
-                };
-                (p, TransposeStyle::Naive)
-            }
-            Variant::Fftw => {
-                // One tile spanning the whole slab, no window, no polls.
-                let p = TuningParams {
-                    t: nz,
-                    px: decomp.x.max_count().max(1),
-                    pz: nz,
-                    uy: decomp.y.max_count().max(1),
-                    uz: nz,
-                    threads: params.threads.max(1),
-                    ..params.without_overlap()
-                };
-                (p, TransposeStyle::Generic)
-            }
-        };
-
-        // Draw plans from the process-wide cache: any geometry this process has
-        // transformed before (at this rigor) costs zero planning here, and when
-        // all `p` rank threads arrive at once only one of them measures.
-        let cache = PlanCache::global();
-        let (plan_z, spent_z) = cache.plan_timed(nz, dir, rigor);
-        let (plan_y, spent_y) = cache.plan_timed(ny, dir, rigor);
-        let (plan_x, spent_x) = cache.plan_timed(nx, dir, rigor);
-        let planning = spent_z + spent_y + spent_x;
-
-        // The one stage: z tiled, the y of every (z, x_l) line split across
-        // the ranks, x completed — lines where the transpose style put them,
-        // and where the output layout wants them.
-        let (src, dst, layout) = match transpose_style {
-            TransposeStyle::Fast => ((ny, nz * ny), (nx, nz * nx), OutLayout::Yzx),
-            _ => ((nxl * ny, ny), (nyl * nx, nx), OutLayout::Zyx),
-        };
-        let shape = StageShape {
-            n_tau: nz,
-            t: params.t,
-            n_v: ny,
-            v: decomp.y,
-            o: decomp.x,
-            me: rank,
-            src,
-            dst,
-            pre: Some(Fft {
-                plan: plan_y,
-                axis: Axis::Y,
-                abft: Some(IntegrityStage::Ffty),
-            }),
-            post: Fft {
-                plan: plan_x,
-                axis: Axis::X,
-                abft: Some(IntegrityStage::Fftx),
-            },
-            polls: [params.fy, params.fp, params.fu, params.fx],
-            pack_sub: (params.pz, params.px),
-            unpack_sub: (params.uz, params.uy),
-            seal: true,
-            w: params.w,
-            threads: params.threads,
-        };
-        let fftz_transpose = FftzTranspose {
-            input,
-            plan_z: &plan_z,
-            style: transpose_style,
-            nxl,
-            ny,
-            nz,
-            threads: params.threads,
-        };
-        let ran = session.run(
-            &[(comm, &shape)],
-            variant == Variant::Th,
-            &mut |zxy, ws, net, steps| fftz_transpose.run(zxy, ws, net, steps),
-            resilience,
-            recorder,
-            started,
-        )?;
-
-        Ok(RunOutput {
-            data: ran.data,
-            layout,
-            stats: RunStats {
-                steps: ran.steps,
-                elapsed: started.elapsed().as_secs_f64(),
-                tests: ran.tests,
-            },
-            recovery: ran.recovery,
-            planning,
-            exchange_setups: ran.setups,
-        })
-    }
-}
-
-/// Setup-once / execute-many handle for a repeated distributed transform —
-/// the user-facing face of the persistent all-to-all plans.
+/// Setup-once / execute-many handle for a repeated distributed transform.
 ///
-/// A session pins `(comm, spec, variant, params, dir, rigor)` and owns one
-/// persistent all-to-all plan per communication tile plus the pipeline's
-/// working memory (transposed slab, pack staging, scratch, and a pool of
-/// `W + 1` receive buffers the plans borrow while in flight). The first
-/// [`FftSession::execute`] initialises each tile's plan as it is first
-/// posted (and plans the FFT kernels, unless already cached); every
-/// execution after that does **zero planning and zero exchange setup** —
-/// [`RunOutput::planning`] is [`Duration::ZERO`] and
-/// [`RunOutput::exchange_setups`] is `0` — and allocates nothing
-/// slab-sized but the output it returns. Dropping the session frees every
-/// plan (so no MC006 lint fires); [`FftSession::free`] does the same
-/// explicitly.
+/// A session pins `(comm, spec, variant, params, dir, rigor)`: its
+/// constructor resolves the variant, draws the FFT plans and fixes the
+/// stage's geometry once, and it owns one persistent all-to-all plan per
+/// communication tile plus the pipeline's working memory (transposed slab,
+/// pack staging, scratch, and a pool of `W + 1` receive buffers the plans
+/// borrow while in flight). The first [`FftSession::execute`] initialises
+/// each tile's plan as it is first posted; every execution after that does
+/// **zero planning and zero exchange setup** — [`RunOutput::planning`] is
+/// [`Duration::ZERO`] and [`RunOutput::exchange_setups`] is `0` — and
+/// allocates nothing slab-sized but the output it returns. Dropping the
+/// session frees every plan (so no MC006 lint fires); [`FftSession::free`]
+/// does the same explicitly. The one-shot entry points are a session
+/// executed once.
 pub struct FftSession<'a> {
     comm: &'a Comm,
-    slab: Slab,
-    /// Plans and memory: the session core [`crate::PencilSession`] shares.
-    core: Session,
+    spec: ProblemSpec,
+    /// The transform: stages, plans and memory (`crate::executor`).
+    core: Session<'a>,
+    layout: OutLayout,
+    /// Planning the constructor incurred; the first execution reports it.
+    planning: Duration,
     checkpoint_interval: Option<u64>,
     checkpoint: Option<crate::recover::Checkpoint>,
 }
 
 impl<'a> FftSession<'a> {
-    /// Creates a session. No setup happens here — plans are initialised
+    /// Creates a session: validates and resolves the parameters, plans the
+    /// FFT kernels (unless already cached) and pins the stage. Infeasible
+    /// parameters do not fail here — every execution returns them as
+    /// [`Error::InfeasibleParams`]. The exchange plans are initialised
     /// lazily during the first execution, so the first/steady-state split is
     /// observable per execution via [`RunOutput::exchange_setups`].
+    ///
+    /// # Panics
+    /// If `comm.size() != spec.p`.
     pub fn new(
         comm: &'a Comm,
         spec: ProblemSpec,
@@ -502,16 +399,15 @@ impl<'a> FftSession<'a> {
         dir: Direction,
         rigor: Rigor,
     ) -> Self {
+        assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
+        let (core, layout, planning) = pin_slab(comm, spec, variant, params, dir, rigor)
+            .unwrap_or_else(|e| (Session::refused(e), OutLayout::Zyx, Duration::ZERO));
         FftSession {
             comm,
-            slab: Slab {
-                spec,
-                variant,
-                params,
-                dir,
-                rigor,
-            },
-            core: Session::persistent(),
+            spec,
+            core,
+            layout,
+            planning,
             checkpoint_interval: None,
             checkpoint: None,
         }
@@ -552,19 +448,28 @@ impl<'a> FftSession<'a> {
         resilience: &Resilience,
         recorder: &mut dyn Recorder,
     ) -> Result<RunOutput, Error> {
-        let execution = self.core.begin();
+        let execution = self.core.executions() + 1;
         if let Some(k) = self.checkpoint_interval {
             if (execution - 1) % k == 0 {
                 self.checkpoint = Some(crate::recover::Checkpoint::capture_tagged(
-                    self.comm,
-                    &self.slab.spec,
-                    input,
-                    execution,
+                    self.comm, &self.spec, input, execution,
                 ));
             }
         }
-        self.slab
-            .run(self.comm, input, resilience, recorder, &mut self.core)
+        let started = Instant::now();
+        let ran = self.core.execute(input, resilience, recorder)?;
+        Ok(RunOutput {
+            data: ran.data,
+            layout: self.layout,
+            stats: RunStats {
+                steps: ran.steps,
+                elapsed: started.elapsed().as_secs_f64(),
+                tests: ran.tests,
+            },
+            recovery: ran.recovery,
+            planning: std::mem::take(&mut self.planning),
+            exchange_setups: ran.setups,
+        })
     }
 
     /// Executions attempted over this session's lifetime: one per call of
@@ -583,12 +488,6 @@ impl<'a> FftSession<'a> {
     /// Releases every persistent plan. Equivalent to dropping the session,
     /// but explicit at call sites that want the free visible.
     pub fn free(self) {}
-}
-
-impl Drop for FftSession<'_> {
-    fn drop(&mut self) {
-        self.core.free_plans(&[self.comm]);
-    }
 }
 
 /// Builds this rank's x-slab of the deterministic test field.
@@ -1001,7 +900,7 @@ mod tests {
         );
         // After three executions: every plan idle and empty-handed, at most
         // `W + 1` pooled blocks, none larger than the largest tile's.
-        let check = move |plans: &[TilePlans], staging: &Staging, tile_recv: usize| {
+        let check = move |plans: &[&TilePlans], staging: &Staging, tile_recv: usize| {
             for stage in plans {
                 assert_eq!(stage.idle_staging(), 0, "an idle plan holds staging");
             }
@@ -1028,7 +927,7 @@ mod tests {
             assert_eq!(session.live_plans(), params.tiles(&spec));
             let tile_recv = params.t * spec.nx * (spec.ny / spec.p);
             let (plans, staging) = session.core.transport_state();
-            check(plans, staging, tile_recv);
+            check(&plans, staging, tile_recv);
             session.free();
 
             // The pencil session, both stages through the same staging: 8
@@ -1042,7 +941,7 @@ mod tests {
             }
             let (plans, staging) = session.transport_state();
             assert_eq!(plans[0].live() + plans[1].live(), 8 + 4);
-            check(plans, staging, 16 * 16 * 2);
+            check(&plans, staging, 16 * 16 * 2);
             assert_eq!(session.free(), 8 + 4);
         });
     }
@@ -1160,8 +1059,8 @@ mod tests {
 
     #[test]
     fn one_shot_calls_keep_paying_setup_per_tile() {
-        // Contrast case for the session test above: fft3_dist's ad-hoc
-        // exchanges negotiate a schedule on every post, every call.
+        // Contrast case for the session test above: a one-shot call is a
+        // session of one execution, so every call sets its plans up anew.
         let spec = ProblemSpec::cube(8, 2);
         let params = TuningParams::seed(&spec);
         let k = params.tiles(&spec) as u64;
@@ -1189,7 +1088,7 @@ mod tests {
         });
         for (a, b) in setups {
             assert_eq!(a, k);
-            assert_eq!(b, k, "ad-hoc path re-negotiates every call");
+            assert_eq!(b, k, "a one-shot call re-negotiates every call");
         }
     }
 }

@@ -677,19 +677,30 @@ impl OverlapEnv for StageProgram<'_, '_> {
     }
 }
 
-/// Compiles one job to its engine program. `reused` marks that the
-/// geometry's exchange plan already lives in the shared cache, waiving the
-/// per-post setup overhead.
+/// The job's problem on this cluster's ranks.
+fn cluster_spec(cfg: &ServiceConfig, job: &JobSpec) -> ProblemSpec {
+    ProblemSpec {
+        p: cfg.ranks,
+        ..job.spec
+    }
+}
+
+/// Decides the job's decomposition — once per job (two simulated runs);
+/// the profile, the admission and the data layer all take it from here.
+fn decide(cfg: &ServiceConfig, job: &JobSpec) -> Result<Decomposition, Error> {
+    auto_select(cfg.platform.clone(), &cluster_spec(cfg, job), cfg.ranks)
+}
+
+/// Compiles one job, decomposed as `decomp`, to its engine program.
+/// `reused` marks that the geometry's exchange plan already lives in the
+/// shared cache, waiving the per-post setup overhead.
 fn build_profile(
     cfg: &ServiceConfig,
     job: &JobSpec,
+    decomp: Decomposition,
     reused: bool,
-) -> Result<(JobProfile, GeomKey, Decomposition), Error> {
-    let spec = ProblemSpec {
-        p: cfg.ranks,
-        ..job.spec
-    };
-    let decomp = auto_select(cfg.platform.clone(), &spec, cfg.ranks)?;
+) -> Result<(JobProfile, GeomKey), Error> {
+    let spec = cluster_spec(cfg, job);
     let machine = &cfg.platform.machine;
     let net = &cfg.platform.net;
     let compute_scale = (0..cfg.ranks)
@@ -718,9 +729,8 @@ fn build_profile(
     };
     let key = match decomp {
         Decomposition::Slab => {
-            let params = TuningParams::seed(&spec);
+            let (params, tier) = Variant::New.resolve(&spec, TuningParams::seed(&spec));
             // Rank 0 carries the biggest blocks: the conservative price.
-            let tier = stage::transpose_tier(&spec);
             em.emit(&stage::slab(machine, &spec, &params, 0, tier), arrays)?;
             (0, spec.nx, spec.ny, spec.nz, cfg.ranks, params.t)
         }
@@ -734,7 +744,7 @@ fn build_profile(
             (grid.pr, spec.nx, spec.ny, spec.nz, cfg.ranks, params.t)
         }
     };
-    Ok((em.into_profile(), key, decomp))
+    Ok((em.into_profile(), key))
 }
 
 // ---------------------------------------------------------------------------
@@ -762,6 +772,36 @@ struct Slot {
 }
 
 impl Slot {
+    /// A freshly admitted job at the start of its first attempt.
+    fn new(
+        job: usize,
+        tenant: usize,
+        priority: u8,
+        submitted: f64,
+        deadline_at: Option<f64>,
+        profile: JobProfile,
+        plan_reused: bool,
+    ) -> Self {
+        Slot {
+            job,
+            tenant,
+            priority,
+            submitted,
+            deadline_at,
+            flow_done: vec![false; profile.flows.len()],
+            profile,
+            plan_reused,
+            next_step: 0,
+            attempt: 1,
+            retry_at: None,
+            blocked_on: None,
+            compute_done: 0.0,
+            net_done: 0.0,
+            bytes: 0,
+            finished: None,
+        }
+    }
+
     fn alive(&self) -> bool {
         self.finished.is_none()
     }
@@ -915,8 +955,8 @@ impl<'a> Engine<'a> {
             }
             Admission::Accepted { .. } => {
                 let job = &self.jobs[j];
-                let key = match &self.prepared[j] {
-                    Ok((_, key, _)) => *key,
+                let (key, decomp) = match &self.prepared[j] {
+                    Ok((_, key, decomp)) => (*key, *decomp),
                     Err(e) => {
                         self.rejections
                             .push((j, self.now, RejectReason::Infeasible(*e)));
@@ -927,34 +967,25 @@ impl<'a> Engine<'a> {
                 if !reused {
                     self.geoms.push(key);
                 }
-                let profile = match build_profile(self.cfg, job, reused) {
-                    Ok((p, _, _)) => p,
+                let profile = match build_profile(self.cfg, job, decomp, reused) {
+                    Ok((profile, _)) => profile,
                     Err(e) => {
                         self.rejections
                             .push((j, self.now, RejectReason::Infeasible(e)));
                         return;
                     }
                 };
-                let nflows = profile.flows.len();
                 let i = self.slots.len();
-                self.slots.push(Slot {
-                    job: j,
-                    tenant: job.tenant,
-                    priority: job.priority,
-                    submitted: self.now,
-                    deadline_at: job.deadline.map(|d| self.now + d),
+                let deadline_at = job.deadline.map(|d| self.now + d);
+                self.slots.push(Slot::new(
+                    j,
+                    job.tenant,
+                    job.priority,
+                    self.now,
+                    deadline_at,
                     profile,
-                    plan_reused: reused,
-                    next_step: 0,
-                    attempt: 1,
-                    retry_at: None,
-                    blocked_on: None,
-                    flow_done: vec![false; nflows],
-                    compute_done: 0.0,
-                    net_done: 0.0,
-                    bytes: 0,
-                    finished: None,
-                });
+                    reused,
+                ));
                 self.progress(i);
             }
         }
@@ -1303,7 +1334,7 @@ impl Service {
     /// Prices one job running alone on the cluster with cold plan caches:
     /// the slowdown baseline and the conservation reference.
     pub fn isolated_run(&self, job: &JobSpec) -> Result<IsolatedRun, Error> {
-        let (profile, _, _) = build_profile(&self.cfg, job, false)?;
+        let (profile, _) = build_profile(&self.cfg, job, decide(&self.cfg, job)?, false)?;
         Ok(run_isolated(&self.cfg, profile))
     }
 
@@ -1315,7 +1346,8 @@ impl Service {
         let prepared: Vec<Result<(IsolatedRun, GeomKey, Decomposition), Error>> = jobs
             .iter()
             .map(|job| {
-                let (profile, key, decomp) = build_profile(&self.cfg, job, false)?;
+                let decomp = decide(&self.cfg, job)?;
+                let (profile, key) = build_profile(&self.cfg, job, decomp, false)?;
                 Ok((run_isolated(&self.cfg, profile), key, decomp))
             })
             .collect();
@@ -1357,7 +1389,10 @@ impl Service {
             .collect();
         done.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for (_, j) in done {
-            data[j] = Some(execute_job(&self.cfg, &jobs[j], j as u64)?);
+            let decomp = report.jobs[j]
+                .decomp
+                .ok_or(Error::Internal("a completed job has a decomposition"))?;
+            data[j] = Some(execute_job(&self.cfg, &jobs[j], decomp, j as u64)?);
         }
         Ok((report, data))
     }
@@ -1365,26 +1400,9 @@ impl Service {
 
 /// Runs one compiled profile alone on a fresh engine.
 fn run_isolated(cfg: &ServiceConfig, profile: JobProfile) -> IsolatedRun {
-    let nflows = profile.flows.len();
     let mut eng = Engine::new(cfg, &[], &[], vec![0]);
-    eng.slots.push(Slot {
-        job: 0,
-        tenant: 0,
-        priority: 0,
-        submitted: 0.0,
-        deadline_at: None,
-        profile,
-        plan_reused: false,
-        next_step: 0,
-        attempt: 1,
-        retry_at: None,
-        blocked_on: None,
-        flow_done: vec![false; nflows],
-        compute_done: 0.0,
-        net_done: 0.0,
-        bytes: 0,
-        finished: None,
-    });
+    eng.slots
+        .push(Slot::new(0, 0, 0, 0.0, None, profile, false));
     eng.progress(0);
     eng.drive(&[]);
     let s = &eng.slots[0];
@@ -1414,8 +1432,9 @@ fn assemble_report(
                 None,
             ),
         };
-        let record = if let Some(slot) = eng.slots.iter().find(|s| s.job == j) {
-            let (finished_at, outcome) = slot.finished.unwrap_or((
+        let slot = eng.slots.iter().find(|s| s.job == j);
+        let (submitted, finished_at, outcome) = if let Some(slot) = slot {
+            let (at, outcome) = slot.finished.unwrap_or((
                 eng.now,
                 JobOutcome::Cancelled {
                     at: eng.now,
@@ -1424,54 +1443,29 @@ fn assemble_report(
                     )),
                 },
             ));
-            JobRecord {
-                job: j,
-                tenant: job.tenant,
-                priority: job.priority,
-                submitted: slot.submitted,
-                outcome,
-                finished_at: Some(finished_at),
-                isolated: iso.time,
-                isolated_bytes: iso.bytes,
-                bytes: slot.bytes,
-                attempts: slot.attempt,
-                decomp,
-                plan_reused: slot.plan_reused,
-            }
+            (slot.submitted, Some(at), outcome)
         } else if let Some((_, at, reason)) = eng.rejections.iter().find(|(rj, _, _)| *rj == j) {
-            JobRecord {
-                job: j,
-                tenant: job.tenant,
-                priority: job.priority,
-                submitted: *at,
-                outcome: JobOutcome::Rejected(*reason),
-                finished_at: None,
-                isolated: iso.time,
-                isolated_bytes: iso.bytes,
-                bytes: 0,
-                attempts: 0,
-                decomp,
-                plan_reused: false,
-            }
+            (*at, None, JobOutcome::Rejected(*reason))
         } else {
             // Unreachable: every submission either gets a slot or a
             // rejection. Keep the record total anyway.
-            JobRecord {
-                job: j,
-                tenant: job.tenant,
-                priority: job.priority,
-                submitted: job.arrival,
-                outcome: JobOutcome::Rejected(RejectReason::Infeasible(Error::Internal(
-                    "submission was never processed",
-                ))),
-                finished_at: None,
-                isolated: iso.time,
-                isolated_bytes: iso.bytes,
-                bytes: 0,
-                attempts: 0,
-                decomp,
-                plan_reused: false,
-            }
+            let never = Error::Internal("submission was never processed");
+            let outcome = JobOutcome::Rejected(RejectReason::Infeasible(never));
+            (job.arrival, None, outcome)
+        };
+        let record = JobRecord {
+            job: j,
+            tenant: job.tenant,
+            priority: job.priority,
+            submitted,
+            outcome,
+            finished_at,
+            isolated: iso.time,
+            isolated_bytes: iso.bytes,
+            bytes: slot.map_or(0, |s| s.bytes),
+            attempts: slot.map_or(0, |s| s.attempt),
+            decomp,
+            plan_reused: slot.is_some_and(|s| s.plan_reused),
         };
         records.push(record);
     }
@@ -1550,132 +1544,112 @@ fn serial_reference(spec: &ProblemSpec, dir: Direction) -> Arc<Vec<Complex64>> {
     Arc::new(reference)
 }
 
-/// Executes one completed job on the real-data backend with its faults
-/// scoped to itself (`salt` = the job's batch index), sharing the
-/// process-global plan caches with every job executed before it.
-fn execute_job(cfg: &ServiceConfig, job: &JobSpec, salt: u64) -> Result<JobData, Error> {
-    let spec = ProblemSpec {
-        p: cfg.ranks,
-        ..job.spec
-    };
-    let decomp = auto_select(cfg.platform.clone(), &spec, cfg.ranks)?;
+/// Executes one completed job, decomposed as the timing layer decided, on
+/// the real-data backend with its faults scoped to itself (`salt` = the
+/// job's batch index), sharing the process-global plan caches with every
+/// job executed before it.
+fn execute_job(
+    cfg: &ServiceConfig,
+    job: &JobSpec,
+    decomp: Decomposition,
+    salt: u64,
+) -> Result<JobData, Error> {
+    /// What one surviving rank hands back.
+    struct Done {
+        spec: ProblemSpec,
+        data: Vec<Complex64>,
+        err: f64,
+        attempts: u32,
+        lost: Vec<usize>,
+    }
+    let spec = cluster_spec(cfg, job);
     let dir = job.dir;
     let faults = job.faults.clone().scoped(salt);
     let reference = serial_reference(&spec, dir);
-    match decomp {
-        Decomposition::Slab => {
+    let clean = move |data: Vec<Complex64>, err: f64| Done {
+        spec,
+        data,
+        err,
+        attempts: 1,
+        lost: Vec::new(),
+    };
+    // Per world rank: `None` for a rank its own job's crash killed.
+    let outs: Vec<Option<Result<Done, Error>>> = match decomp {
+        Decomposition::Slab if faults.has_crash() => {
             let params = TuningParams::seed(&spec);
-            if faults.has_crash() {
-                let full = Arc::new(full_test_array(spec.nx, spec.ny, spec.nz));
-                let outs = mpisim::run_crashable(spec.p, faults, move |comm| {
-                    run_recoverable(
-                        &comm,
-                        spec,
-                        Variant::New,
-                        params,
-                        dir,
-                        Rigor::Estimate,
-                        &ReplicaSource::new(Arc::clone(&full)),
-                        &RecoverConfig::default(),
-                        &mut NoopRecorder,
-                    )
-                });
-                let mut slabs: Vec<Option<Vec<Complex64>>> = vec![None; spec.p];
-                let mut max_err = 0.0f64;
-                let mut lost: Vec<usize> = Vec::new();
-                let mut final_spec = spec;
-                let mut attempts = 1;
-                for (rank, out) in outs.into_iter().enumerate() {
-                    match out {
-                        None => {
-                            if !lost.contains(&rank) {
-                                lost.push(rank);
-                            }
-                        }
-                        Some(Ok(oc)) => {
-                            max_err = max_err.max(compare_with_serial(
-                                &oc.spec, oc.rank, &oc.output, &reference,
-                            ));
-                            final_spec = oc.spec;
-                            attempts = attempts.max(oc.attempts);
-                            for l in &oc.lost {
-                                if !lost.contains(l) {
-                                    lost.push(*l);
-                                }
-                            }
-                            slabs[rank] = Some(oc.output.data);
-                        }
-                        Some(Err(e)) => return Err(e),
-                    }
-                }
-                lost.sort_unstable();
-                Ok(JobData {
-                    spec: final_spec,
-                    slabs,
-                    max_err,
-                    lost,
-                    attempts,
-                })
-            } else {
-                let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
-                    let input = local_test_slab(&spec, comm.rank());
-                    try_fft3_dist(
-                        &comm,
-                        spec,
-                        Variant::New,
-                        params,
-                        dir,
-                        Rigor::Estimate,
-                        &input,
-                    )
-                });
-                let mut slabs: Vec<Option<Vec<Complex64>>> = vec![None; spec.p];
-                let mut max_err = 0.0f64;
-                for (rank, out) in outs.into_iter().enumerate() {
-                    let out = out?;
-                    max_err = max_err.max(compare_with_serial(&spec, rank, &out, &reference));
-                    slabs[rank] = Some(out.data);
-                }
-                Ok(JobData {
+            let full = Arc::new(full_test_array(spec.nx, spec.ny, spec.nz));
+            mpisim::run_crashable(spec.p, faults, move |comm| {
+                let oc = run_recoverable(
+                    &comm,
                     spec,
-                    slabs,
-                    max_err,
-                    lost: Vec::new(),
-                    attempts: 1,
+                    Variant::New,
+                    params,
+                    dir,
+                    Rigor::Estimate,
+                    &ReplicaSource::new(Arc::clone(&full)),
+                    &RecoverConfig::default(),
+                    &mut NoopRecorder,
+                )?;
+                Ok(Done {
+                    err: compare_with_serial(&oc.spec, oc.rank, &oc.output, &reference),
+                    spec: oc.spec,
+                    data: oc.output.data,
+                    attempts: oc.attempts,
+                    lost: oc.lost,
                 })
-            }
-        }
-        Decomposition::Pencil(grid) => {
-            // The pencil path has no ULFM recovery story yet: a crash there
-            // cannot be healed into full data, so surface it as a typed
-            // error instead of letting `run_with_faults` panic.
-            if faults.has_crash() {
-                return Err(Error::Unrecoverable(
-                    "pencil decomposition has no crash-recovery path",
-                ));
-            }
-            let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
-                let input = pencil_test_input(&spec, grid, comm.rank());
-                try_fft3_pencil(&comm, spec, grid, dir, &input)
-            });
-            let mut slabs: Vec<Option<Vec<Complex64>>> = vec![None; spec.p];
-            let mut max_err = 0.0f64;
-            for (rank, out) in outs.into_iter().enumerate() {
-                let out = out?;
-                max_err = max_err.max(compare_pencil_with_serial(
-                    &spec, grid, rank, &out, &reference,
-                ));
-                slabs[rank] = Some(out.data);
-            }
-            Ok(JobData {
-                spec,
-                slabs,
-                max_err,
-                lost: Vec::new(),
-                attempts: 1,
             })
         }
+        Decomposition::Slab => {
+            let params = TuningParams::seed(&spec);
+            let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
+                let input = local_test_slab(&spec, comm.rank());
+                let (variant, rigor) = (Variant::New, Rigor::Estimate);
+                let out = try_fft3_dist(&comm, spec, variant, params, dir, rigor, &input)?;
+                let err = compare_with_serial(&spec, comm.rank(), &out, &reference);
+                Ok(clean(out.data, err))
+            });
+            outs.into_iter().map(Some).collect()
+        }
+        // The pencil path has no ULFM recovery story yet: a crash there
+        // cannot be healed into full data, so surface it as a typed error
+        // instead of letting `run_with_faults` panic.
+        Decomposition::Pencil(_) if faults.has_crash() => {
+            return Err(Error::Unrecoverable(
+                "pencil decomposition has no crash-recovery path",
+            ));
+        }
+        Decomposition::Pencil(grid) => {
+            let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
+                let input = pencil_test_input(&spec, grid, comm.rank());
+                let out = try_fft3_pencil(&comm, spec, grid, dir, &input)?;
+                let err = compare_pencil_with_serial(&spec, grid, comm.rank(), &out, &reference);
+                Ok(clean(out.data, err))
+            });
+            outs.into_iter().map(Some).collect()
+        }
+    };
+    let mut job = JobData {
+        spec,
+        slabs: vec![None; spec.p],
+        max_err: 0.0,
+        lost: Vec::new(),
+        attempts: 1,
+    };
+    for (rank, out) in outs.into_iter().enumerate() {
+        let Some(out) = out else {
+            job.lost.push(rank);
+            continue;
+        };
+        let done = out?;
+        job.spec = done.spec;
+        job.max_err = job.max_err.max(done.err);
+        job.attempts = job.attempts.max(done.attempts);
+        job.lost.extend(done.lost);
+        job.slabs[rank] = Some(done.data);
     }
+    job.lost.sort_unstable();
+    job.lost.dedup();
+    Ok(job)
 }
 
 #[cfg(test)]

@@ -9,12 +9,16 @@
 //! `SimEnv`, runs every simulated pipeline: the slab variants (one stage
 //! over all ranks), the fused multi-array train of §7 (the same stage with
 //! the tile stream spanning several arrays), and the pencil decomposition
-//! (two stages over the grid's rows and columns, run back to back).
+//! (two stages over the grid's rows and columns, run back to back). Like the
+//! real session it models, it moves every tile one way: a persistent plan
+//! initialised at the tile's first post (paying the setup charge there) and
+//! started on every post, so a single execution is the first of a repeated
+//! run, not a path of its own.
 
 use crate::breakdown::{RunStats, StepTimes};
 use crate::error::Error;
 use crate::params::{ParamError, ProblemSpec, ThParams, TuningParams};
-use crate::pencil::{pencil_seed, PencilGrid};
+use crate::pencil::{pencil_blocking, PencilGrid};
 use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::real_env::Variant;
 use crate::stage::{self, Phase, StageCosts, Step};
@@ -33,11 +37,12 @@ struct SimEnv<'a> {
     /// Skip array 0's fixed phases — the §4.4 tuning-speed technique ("the
     /// AH client does not execute FFTz and Transpose during auto-tuning").
     skip_fixed_steps: bool,
-    /// Persistent per-tile all-to-all plans shared across repeated
-    /// executions: inited lazily at a tile's first post (paying
-    /// `post_overhead` once), started with zero setup thereafter. `None`
-    /// posts ad-hoc collectives (the one-shot path).
-    plans: Option<&'a mut Vec<Option<PlanId>>>,
+    /// Persistent all-to-all plans, one per tile of the train, shared
+    /// across repeated executions: inited lazily at a tile's first post
+    /// (paying `post_overhead` once), started with zero setup thereafter.
+    /// Every array of a train has plans of its own, as back-to-back
+    /// transforms would.
+    plans: &'a mut Vec<Option<PlanId>>,
     steps: StepTimes,
     /// Event log for the timeline view, virtual-time stamped; `None`
     /// disables collection (and the rank's poll log stays off).
@@ -59,14 +64,18 @@ struct SimEnv<'a> {
 }
 
 impl<'a> SimEnv<'a> {
-    /// A one-array, ad-hoc, untraced, unwatched run of `stage`.
-    fn new(sim: &'a mut SimRank, stage: &'a StageCosts) -> Self {
+    /// A one-array, untraced, unwatched run of `stage` over `plans`.
+    fn new(
+        sim: &'a mut SimRank,
+        stage: &'a StageCosts,
+        plans: &'a mut Vec<Option<PlanId>>,
+    ) -> Self {
         SimEnv {
             sim,
             stage,
             arrays: 1,
             skip_fixed_steps: false,
-            plans: None,
+            plans,
             steps: StepTimes::default(),
             events: None,
             stall_timeout: None,
@@ -203,15 +212,13 @@ impl OverlapEnv for SimEnv<'_> {
         let group = self.stage.group;
         let per_peer = self.stage.tile(tile).bytes_per_peer;
         let t0 = self.sim.now();
-        let op = match self.plans.as_mut() {
-            Some(plans) => {
-                let sim = &mut *self.sim;
-                let plan =
-                    *plans[tile].get_or_insert_with(|| sim.alltoall_init_in_group(group, per_peer));
-                sim.start(plan)
-            }
-            None => self.sim.post_alltoall_in_group(group, per_peer),
-        };
+        if self.plans.len() <= tile {
+            self.plans.resize(tile + 1, None);
+        }
+        let sim = &mut *self.sim;
+        let plan =
+            *self.plans[tile].get_or_insert_with(|| sim.alltoall_init_in_group(group, per_peer));
+        let op = sim.start(plan);
         self.steps.ialltoall += (self.sim.now() - t0).as_secs_f64();
         let bytes = per_peer * group.saturating_sub(1) as u64;
         self.record(EventKind::PostA2a { tile, bytes }, t0);
@@ -286,62 +293,9 @@ pub struct SimReport {
     /// Per-rank statistics.
     pub per_rank: Vec<RunStats>,
     /// Collective setup charges (`post_overhead`) rank 0 paid during this
-    /// run. Ad-hoc posts pay one per tile; through the persistent path
-    /// ([`fft3_simulated_repeated`]) only the first execution pays, and
-    /// every later execution reports zero.
+    /// run: one per tile for a single execution and for the first of
+    /// [`fft3_simulated_repeated`]'s, zero for every later one.
     pub setup_charges: u64,
-}
-
-/// Effective parameters and transpose tier per variant (mirrors
-/// `real_env::fft3_dist`).
-fn resolve(
-    spec: &ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-) -> (TuningParams, TransposeCost) {
-    match variant {
-        Variant::New => (params, stage::transpose_tier(spec)),
-        Variant::Th => {
-            let p = TuningParams {
-                t: params.t,
-                w: params.w,
-                px: spec.nx.div_ceil(spec.p).max(1),
-                pz: params.t,
-                uy: spec.ny.div_ceil(spec.p).max(1),
-                uz: params.t,
-                fy: params.fy,
-                fp: params.fp,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            (p, TransposeCost::Naive)
-        }
-        Variant::Fftw => {
-            // FFTW's internal copy loops are cache-blocked (its planner
-            // picks good buffer sizes), so the baseline gets seed-quality
-            // sub-tiles; what it lacks is overlap and the §3.5 fast
-            // transpose.
-            let seed = TuningParams::seed(spec);
-            let p = TuningParams {
-                t: spec.nz,
-                w: 0,
-                px: seed.px,
-                pz: seed.pz,
-                uy: seed.uy,
-                uz: seed.uz,
-                fy: 0,
-                fp: 0,
-                fu: 0,
-                fx: 0,
-                threads: params.threads.max(1),
-            };
-            // Figure 8 shows NEW-0's Transpose equal to NEW's, and the
-            // paper treats FFTW ≈ NEW-0; FFTW's rearrangement is equally
-            // optimised, so it gets the same tier as NEW.
-            (p, stage::transpose_tier(spec))
-        }
-    }
 }
 
 /// Simulates one distributed 3-D FFT and returns timing results.
@@ -371,25 +325,9 @@ pub fn try_fft3_simulated(
     params: TuningParams,
     skip_fixed_steps: bool,
 ) -> Result<SimReport, Error> {
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
-    match variant {
-        Variant::New => {
-            if params.w == 0 {
-                params.validate_without_window(&spec)
-            } else {
-                params.validate(&spec)
-            }
-            .map_err(Error::from)?;
-        }
-        Variant::Th | Variant::Fftw => {
-            if params.t == 0 || params.t > spec.nz.max(1) {
-                return Err(Error::from(ParamError::TileSize(params.t)));
-            }
-        }
+    variant.check(&spec, &params)?;
+    if variant != Variant::New && (params.t == 0 || params.t > spec.nz) {
+        return Err(Error::from(ParamError::TileSize(params.t)));
     }
     Ok(fft3_simulated(
         platform,
@@ -440,8 +378,8 @@ pub fn fft3_simulated_traced(
 /// path), returning one report per execution.
 ///
 /// The first execution initialises each tile's plan as it is first posted,
-/// paying the post overhead exactly as an ad-hoc run would; every later
-/// execution starts the registered plans with zero setup cost —
+/// paying the post overhead there — it *is* [`fft3_simulated`]'s run; every
+/// later execution starts the registered plans with zero setup cost —
 /// [`SimReport::setup_charges`] is `k = ⌈Nz/T⌉` for execution 0 and `0`
 /// from execution 1 on.
 pub fn fft3_simulated_repeated(
@@ -465,9 +403,8 @@ pub fn fft3_simulated_repeated(
     runs.into_iter().map(|(report, _)| report).collect()
 }
 
-/// `reps` back-to-back slab transforms on every rank; one `(report, per-rank
-/// events)` pair per execution. A single execution posts ad-hoc collectives;
-/// several share persistent per-tile plans.
+/// `reps` back-to-back slab transforms on every rank, sharing their per-tile
+/// persistent plans; one `(report, per-rank events)` pair per execution.
 #[allow(clippy::too_many_arguments)]
 fn simulate(
     platform: Platform,
@@ -479,12 +416,12 @@ fn simulate(
     trace: bool,
     reps: usize,
 ) -> Vec<(SimReport, Vec<Vec<TraceEvent>>)> {
-    let (params, tier) = resolve(&spec, variant, params);
+    let (params, tier) = variant.resolve(&spec, params);
     let tier = transpose_override.unwrap_or(tier);
     let results = run_sim(platform, spec.p, move |sim| {
         let machine = sim.platform().machine.clone();
         let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
-        let mut plans: Vec<Option<PlanId>> = vec![None; costs.tiles];
+        let mut plans = Vec::new();
         if trace {
             sim.enable_poll_log();
         }
@@ -495,9 +432,8 @@ fn simulate(
             let setups0 = sim.setup_charges();
             let mut env = SimEnv {
                 skip_fixed_steps,
-                plans: (reps > 1).then_some(&mut plans),
                 events: trace.then(Vec::new),
-                ..SimEnv::new(sim, &costs)
+                ..SimEnv::new(sim, &costs, &mut plans)
             };
             let res = Resilience::default();
             match variant {
@@ -543,22 +479,7 @@ pub fn th_simulated(
     th: ThParams,
     skip_fixed_steps: bool,
 ) -> SimReport {
-    let params = TuningParams {
-        t: th.t,
-        w: th.w,
-        px: 1,
-        pz: 1,
-        uy: 1,
-        uz: 1,
-        // TH's single F is spent during the overlappable FFTy+Pack phases;
-        // split evenly as Hoefler's kernel interleaves tests with both.
-        fy: th.f / 2,
-        fp: th.f - th.f / 2,
-        fu: 0,
-        fx: 0,
-        threads: 1,
-    };
-    fft3_simulated(platform, spec, Variant::Th, params, skip_fixed_steps)
+    fft3_simulated(platform, spec, Variant::Th, th.widen(), skip_fixed_steps)
 }
 
 /// Result of a multi-array simulated run.
@@ -608,13 +529,14 @@ pub fn try_multi_simulated(
     let per_rank = run_sim(platform, spec.p, move |sim| {
         let start = sim.now();
         let machine = sim.platform().machine.clone();
-        let tier = stage::transpose_tier(&spec);
+        let (params, tier) = Variant::New.resolve(&spec, params);
         let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
+        let mut plans = Vec::new();
         let mut env = SimEnv {
             arrays: narrays,
             stall_timeout: res.stall_timeout.map(|d| d.as_secs_f64()),
             poll_boost: res.poll_boost,
-            ..SimEnv::new(sim, &costs)
+            ..SimEnv::new(sim, &costs, &mut plans)
         };
         let recovery = try_run_new(&mut env, &res)?;
         Ok::<_, Error>((env.steps, recovery, (env.sim.now() - start).as_secs_f64()))
@@ -637,16 +559,9 @@ pub fn try_multi_simulated(
 /// One simulated overlapped pencil transform on one rank: the row stage,
 /// then the column stage, each under the windowed driver. `plans` holds the
 /// stages' persistent per-tile plans (see [`SimEnv::plans`]).
-fn pencil_rank(
-    sim: &mut SimRank,
-    stages: &[StageCosts; 2],
-    mut plans: Option<&mut [Vec<Option<PlanId>>; 2]>,
-) {
-    for (i, costs) in stages.iter().enumerate() {
-        let mut env = SimEnv {
-            plans: plans.as_deref_mut().map(|p| &mut p[i]),
-            ..SimEnv::new(sim, costs)
-        };
+fn pencil_rank(sim: &mut SimRank, stages: &[StageCosts; 2], plans: &mut [Vec<Option<PlanId>>; 2]) {
+    for (costs, plans) in stages.iter().zip(plans) {
+        let mut env = SimEnv::new(sim, costs, plans);
         try_run_new(&mut env, &Resilience::default())
             .expect("a simulated wait cannot fail with the watchdog disarmed");
     }
@@ -667,7 +582,7 @@ pub fn pencil_overlap_simulated_params(
     assert_eq!(grid.len(), spec.p);
     let stages = stage::pencil(&platform.machine, &spec, grid, params);
     let times = run_sim(platform, spec.p, move |sim| {
-        pencil_rank(sim, &stages, None);
+        pencil_rank(sim, &stages, &mut Default::default());
         sim.now().as_secs_f64()
     });
     times.into_iter().fold(0.0, f64::max)
@@ -678,10 +593,7 @@ pub fn pencil_overlap_simulated_params(
 /// [`pencil_overlap_simulated_params`] with one tile per stage, no window
 /// and no polls (as [`Variant::Fftw`] is for the slab pipeline).
 pub fn pencil_simulated(platform: Platform, spec: ProblemSpec, grid: PencilGrid) -> f64 {
-    let blocking = TuningParams {
-        t: spec.nx.max(spec.nz).max(1),
-        ..pencil_seed(&spec, grid).without_overlap()
-    };
+    let blocking = pencil_blocking(&spec, grid);
     pencil_overlap_simulated_params(platform, spec, grid, &blocking)
 }
 
@@ -699,14 +611,14 @@ pub fn pencil_overlap_simulated_repeated(
     assert_eq!(grid.len(), spec.p);
     let stages = stage::pencil(&platform.machine, &spec, grid, params);
     let times: Vec<Vec<f64>> = run_sim(platform, spec.p, move |sim| {
-        let mut plans = [vec![None; stages[0].tiles], vec![None; stages[1].tiles]];
+        let mut plans = Default::default();
         (0..reps)
             .map(|_| {
                 // Rendezvous so per-rep spans measure the transform, not
                 // drift accumulated by earlier repetitions.
                 sim.barrier();
                 let start = sim.now();
-                pencil_rank(sim, &stages, Some(&mut plans));
+                pencil_rank(sim, &stages, &mut plans);
                 (sim.now() - start).as_secs_f64()
             })
             .collect()
@@ -719,6 +631,7 @@ pub fn pencil_overlap_simulated_repeated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pencil::pencil_seed;
     use crate::trace::DegradeAction;
     use simnet::model::{hopper, umd_cluster};
     use std::time::Duration;

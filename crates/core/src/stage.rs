@@ -111,15 +111,6 @@ impl StageCosts {
     }
 }
 
-/// The transpose tier a spec earns: the fast path for `Nx = Ny` (§3.5).
-pub(crate) fn transpose_tier(spec: &ProblemSpec) -> TransposeCost {
-    if spec.square_xy() {
-        TransposeCost::Fast
-    } else {
-        TransposeCost::Generic
-    }
-}
-
 /// The slab pipeline as one stage over all `p` ranks, priced for `rank`
 /// (rank 0 carries the big blocks of a ragged split, so it is the one a
 /// conservative prediction prices).

@@ -10,17 +10,18 @@
 //! kernels, the FFT batches, and the `F*` counts that decide *when* to
 //! poll.
 //!
-//! Ad-hoc exchanges (one `ialltoallv` per post) and a session's persistent
-//! per-tile plans ([`TilePlans`]) go through the same `post` / `poll` /
-//! `wait` / `cancel`; both borrow their receive block from the
-//! session-owned [`Staging`] pool at post time and give it back after
+//! A tile has one lifecycle: its persistent plan ([`TilePlans`]) is
+//! initialised when the tile is first posted, started on every post, and
+//! freed when its session drops (or when a fault path cancels it; the next
+//! post re-initialises). A plan borrows its receive block from the
+//! session-owned [`Staging`] pool at post time and gives it back after
 //! unpack, so an idle plan holds no staging.
 
 use crate::breakdown::StepTimes;
 use crate::error::{Error, IntegrityStage};
 use crate::trace::{EventKind, Recorder, TraceEvent};
 use cfft::Complex64;
-use mpisim::{CollError, Comm, IAlltoall, PersistentAlltoall};
+use mpisim::{CollError, Comm, PersistentAlltoall};
 use std::time::{Duration, Instant};
 
 /// The watchdog period never escalates past this: a dead peer is reported
@@ -41,8 +42,8 @@ fn coll_to_error(tile: usize, e: CollError) -> Error {
     }
 }
 
-/// One tile's exchange counts: everything `ialltoallv` (or a persistent
-/// plan's init) needs besides the data itself.
+/// One tile's exchange counts: everything a persistent plan's init needs
+/// besides the receive block.
 #[derive(Debug)]
 pub(crate) struct TileExchange {
     /// Elements this rank sends to each destination rank.
@@ -84,8 +85,6 @@ impl TileExchange {
 
 /// Request handle for one tile's all-to-all.
 pub(crate) enum Req {
-    /// One-shot `ialltoallv` request (the non-session path).
-    AdHoc(IAlltoall<Complex64>),
     /// In-flight execution of the persistent plan for this tile of the
     /// stage; the execution lives inside the plan, so the handle is just
     /// the tile number.
@@ -99,10 +98,14 @@ pub(crate) enum Req {
 /// Persistent exchange plans of one stage, one slot per tile. A session
 /// owns the table; each plan is initialised when its tile is first posted,
 /// and a tile freed by a cancel re-initialises the same way.
-#[derive(Default)]
 pub(crate) struct TilePlans(Vec<Option<PersistentAlltoall<Complex64>>>);
 
 impl TilePlans {
+    /// An empty table for a stage of `tiles` tiles.
+    pub(crate) fn new(tiles: usize) -> Self {
+        TilePlans((0..tiles).map(|_| None).collect())
+    }
+
     /// Initialised plans.
     pub(crate) fn live(&self) -> usize {
         self.0.iter().flatten().count()
@@ -112,7 +115,7 @@ impl TilePlans {
     /// in-flight execution is cancelled with its plan); returns how many.
     pub(crate) fn free_all(&mut self, comm: &Comm) -> usize {
         let mut freed = 0;
-        for plan in self.0.drain(..).flatten() {
+        for plan in self.0.iter_mut().filter_map(Option::take) {
             plan.free(comm);
             freed += 1;
         }
@@ -155,7 +158,7 @@ impl PollSchedule {
 /// buffer whose capacity exceeds `max_len` — e.g. one that served a larger
 /// earlier tile — before retaining it, so mixed tile sizes cannot pin
 /// peak-tile memory for the rest of the run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct BufferPool {
     max_buffers: usize,
     max_len: usize,
@@ -196,10 +199,8 @@ impl BufferPool {
 
 /// Network staging of one rank: the pack buffer the current tile is posted
 /// from and the receive pool. A session owns one for its lifetime, so a
-/// steady-state execution allocates no staging; the one-shot entry points
-/// build one per call. Both are fully rewritten before they are read
-/// (DESIGN.md §15).
-#[derive(Default)]
+/// steady-state execution allocates no staging. Both are fully rewritten
+/// before they are read (DESIGN.md §15).
 pub(crate) struct Staging {
     send: Vec<Complex64>,
     /// Elements the largest tile's pack can need; `send` never retains more.
@@ -208,26 +209,26 @@ pub(crate) struct Staging {
 }
 
 impl Staging {
-    /// Sizes the staging for one run: no tile packs more than `send_cap`
-    /// elements or receives more than `recv_len`, and at most `buffers`
-    /// tiles sit between post and unpack. Changes nothing from a session's
-    /// second execution on.
-    pub(crate) fn prepare(&mut self, send_cap: usize, buffers: usize, recv_len: usize) {
-        self.send_cap = send_cap;
-        if (self.pool.max_buffers, self.pool.max_len) != (buffers, recv_len) {
-            self.pool = BufferPool::new(buffers, recv_len);
+    /// Staging for a session none of whose tiles packs more than `send_cap`
+    /// elements or receives more than `recv_len`, with at most `buffers`
+    /// tiles between post and unpack.
+    pub(crate) fn new(send_cap: usize, buffers: usize, recv_len: usize) -> Self {
+        Staging {
+            send: Vec::new(),
+            send_cap,
+            pool: BufferPool::new(buffers, recv_len),
         }
     }
 }
 
 /// One exchange stage's view of the network: the communicator, the
-/// session's plans for the stage (or none: ad-hoc posts), the staging, the
-/// watchdog, and the trace sink. The driver never holds more than one
+/// session's plans for the stage, the staging, the watchdog, and the trace
+/// sink. The driver never holds more than one
 /// packed-unposted and one waited-unpacked tile, so one send buffer and one
 /// arrived slot carry every tile.
 pub(crate) struct Transport<'a> {
     comm: &'a Comm,
-    plans: Option<&'a mut TilePlans>,
+    plans: &'a mut TilePlans,
     staging: &'a mut Staging,
     /// Watchdog timeout for waits; `None` blocks forever.
     stall_timeout: Option<Duration>,
@@ -238,7 +239,7 @@ pub(crate) struct Transport<'a> {
     recorder: &'a mut dyn Recorder,
     /// Receive block of the most recently waited tile, awaiting unpack.
     arrived: Option<Vec<Complex64>>,
-    /// Exchange schedule setups: one per ad-hoc post, one per plan init.
+    /// Exchange schedule setups: one per plan init.
     pub(crate) setups: u64,
     /// `MPI_Test` calls issued.
     pub(crate) tests: u64,
@@ -249,7 +250,7 @@ pub(crate) struct Transport<'a> {
 impl<'a> Transport<'a> {
     pub(crate) fn new(
         comm: &'a Comm,
-        plans: Option<&'a mut TilePlans>,
+        plans: &'a mut TilePlans,
         staging: &'a mut Staging,
         stall_timeout: Option<Duration>,
         tile_base: usize,
@@ -309,44 +310,32 @@ impl<'a> Transport<'a> {
     }
 
     fn plan_mut(&mut self, tile: usize) -> &mut PersistentAlltoall<Complex64> {
-        self.plans
+        self.plans.0[tile]
             .as_mut()
-            .and_then(|p| p.0[tile].as_mut())
             .expect("in-flight persistent execution without its plan")
     }
 
     /// Posts `tile`'s exchange from the pack buffer into a pooled receive
-    /// block. Session mode inits the tile's persistent plan on its first
-    /// post; every later post lends it a pool buffer and starts it — zero
-    /// per-execution negotiation.
+    /// block: the tile's first post inits its persistent plan, every later
+    /// one lends it a pool buffer and starts it — zero per-execution
+    /// negotiation.
     pub(crate) fn post(&mut self, tile: usize, xg: &TileExchange) -> Req {
         let comm = self.comm;
         let t0 = Instant::now();
         let recv = self.staging.pool.take(xg.total_recv);
         let send = &self.staging.send[..xg.total_send];
-        let req = match self.plans.as_mut() {
-            Some(plans) => {
-                if plans.0.len() <= tile {
-                    plans.0.resize_with(tile + 1, || None);
-                }
-                match &mut plans.0[tile] {
-                    Some(plan) => plan.restore_recv(recv),
-                    slot => {
-                        *slot = Some(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv));
-                        self.setups += 1;
-                    }
-                }
-                plans.0[tile]
-                    .as_mut()
-                    .expect("just initialised")
-                    .start(comm, send);
-                Req::Persistent(tile)
+        let plan = match &mut self.plans.0[tile] {
+            Some(plan) => {
+                plan.restore_recv(recv);
+                plan
             }
-            None => {
+            slot => {
                 self.setups += 1;
-                Req::AdHoc(comm.ialltoallv(send, &xg.send_counts, &xg.recv_counts, recv))
+                slot.insert(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv))
             }
         };
+        plan.start(comm, send);
+        let req = Req::Persistent(tile);
         let t1 = Instant::now();
         self.steps.ialltoall += (t1 - t0).as_secs_f64();
         let tile = self.tile_id(tile);
@@ -355,11 +344,10 @@ impl<'a> Transport<'a> {
         req
     }
 
-    /// One `MPI_Test` on `req`, whichever exchange mode it belongs to.
+    /// One `MPI_Test` on `req`.
     fn try_test(&mut self, req: &mut Req) -> Result<bool, CollError> {
         let comm = self.comm;
         match req {
-            Req::AdHoc(r) => r.try_test(comm),
             Req::Persistent(tile) => self.plan_mut(*tile).try_test(comm),
             // A withheld exchange never completes; the failure surfaces at
             // wait time, where the driver can heal it.
@@ -412,8 +400,6 @@ impl<'a> Transport<'a> {
     /// [`Self::take_recv`]; on a fault the live request is handed back with
     /// the error, for a retry after a degradation step or for
     /// [`Self::cancel`].
-    // The shape `OverlapEnv::wait` fixes; the error path is the rare one.
-    #[allow(clippy::result_large_err)]
     pub(crate) fn wait(&mut self, tile: usize, req: Req) -> Result<(), (Req, Error)> {
         let (comm, timeout) = (self.comm, self.stall_timeout);
         let id = self.tile_id(tile);
@@ -427,18 +413,11 @@ impl<'a> Transport<'a> {
                     Error::IntegrityFailed { tile: id, stage },
                 ));
             }
-            Req::AdHoc(mut r) => match timeout {
-                // Spins (with parking) until complete, panics on an
-                // unrecoverable collective fault.
-                None => Ok(r.wait(comm)),
-                Some(timeout) => match r.wait_timeout(comm, timeout) {
-                    Ok(()) => Ok(r.take_recv()),
-                    Err(e) => Err((Req::AdHoc(r), e)),
-                },
-            },
             Req::Persistent(pt) => {
                 let plan = self.plan_mut(pt);
                 let waited = match timeout {
+                    // Spins (with parking) until complete, panics on an
+                    // unrecoverable collective fault.
                     None => {
                         plan.wait(comm);
                         Ok(())
@@ -488,13 +467,10 @@ impl<'a> Transport<'a> {
     /// the abandoned exchange staged in this rank's mailbox.
     pub(crate) fn cancel(&mut self, req: Req) {
         match req {
-            Req::AdHoc(r) => {
-                r.cancel(self.comm);
-            }
             Req::Persistent(tile) => {
                 // Free the whole plan — its in-flight execution is purged
                 // with it; a later execution re-inits the tile lazily.
-                if let Some(plan) = self.plans.as_mut().and_then(|p| p.0[tile].take()) {
+                if let Some(plan) = self.plans.0[tile].take() {
                     plan.free(self.comm);
                 }
             }
@@ -545,11 +521,11 @@ mod tests {
                 (secs(2), [secs(4), secs(5), secs(5)]),
                 (Duration::MAX - secs(1), [secs(5); 3]),
             ] {
-                let mut staging = Staging::default();
+                let (mut plans, mut staging) = (TilePlans::new(0), Staging::new(0, 0, 0));
                 let mut recorder = NoopRecorder;
                 let mut net = Transport::new(
                     &comm,
-                    None,
+                    &mut plans,
                     &mut staging,
                     Some(from),
                     0,

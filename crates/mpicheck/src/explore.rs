@@ -19,6 +19,12 @@
 //! family of closely-related executions rather than a single one; in
 //! practice a race surfaced by a descriptor re-surfaces under it, which is
 //! what exploration needs.
+//!
+//! The transform sweeps ([`explore_pipeline`], [`explore_pencil`]) take the
+//! number of `executions` of one session per schedule: a one-shot call is a
+//! session executed once, so `1` sweeps the one-shot path and `3` the
+//! setup-once / execute-many path — the same per-tile persistent plans
+//! (init at first post, start, free on drop; MC006 if one leaks) either way.
 
 use mpisim::{
     run_with_config, Backoff, CheckConfig, Comm, Finding, RunConfig, SchedConfig, Severity,
@@ -243,21 +249,36 @@ where
     }
 }
 
+/// The forward serial spectrum of `spec`'s test field — the oracle of every
+/// transform sweep — with the tolerance a rank's deviation is held to.
+fn serial_oracle(spec: &fft3d::ProblemSpec) -> (std::sync::Arc<Vec<cfft::Complex64>>, f64) {
+    let mut reference = fft3d::serial::full_test_array(spec.nx, spec.ny, spec.nz);
+    let forward = cfft::Direction::Forward;
+    fft3d::serial::fft3_serial(&mut reference, spec.nx, spec.ny, spec.nz, forward);
+    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
+    (std::sync::Arc::new(reference), tolerance)
+}
+
 /// The acceptance workload: the paper's full overlapped pipeline (NEW
-/// variant) on a small grid, every rank validating its output slab against
-/// the serial reference transform. This is the workload `cargo xtask check`
-/// sweeps ≥ 200 schedules over.
+/// variant) on a small grid as one [`fft3d::FftSession`] executed
+/// `executions` times per schedule, every rank validating each output slab
+/// against the serial reference transform. The first execution initialises
+/// the per-tile plans (`alltoallv_init`), later ones restart them over the
+/// *same* registered schedules (generation tagging, staging reuse, backoff
+/// reset), and the session's drop frees them. Checked mode rides along: a
+/// plan left unfreed would surface MC006 and fail the schedule, as would a
+/// later execution that re-negotiated setup. `cargo xtask check` sweeps
+/// ≥ 200 schedules of one execution and a compact plan of three.
 pub fn explore_pipeline(
     cfg: &ExploreConfig,
     grid: usize,
+    executions: usize,
     progress: impl FnMut(u64, u64),
 ) -> ExploreReport {
     use cfft::planner::Rigor;
     use cfft::Direction;
-    use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
-    use fft3d::serial::{fft3_serial, full_test_array};
-    use fft3d::{ProblemSpec, TuningParams};
-    use std::sync::Arc;
+    use fft3d::real_env::{compare_with_serial, local_test_slab, Variant};
+    use fft3d::{FftSession, ProblemSpec, TuningParams};
 
     let spec = ProblemSpec::cube(grid, cfg.ranks);
     // Two worker threads per rank so the schedule sweep also exercises the
@@ -265,90 +286,20 @@ pub fn explore_pipeline(
     // every interleaving, not just the default sequential path).
     let mut params = TuningParams::seed(&spec);
     params.threads = 2;
-    let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
+    let (reference, tolerance) = serial_oracle(&spec);
 
     explore(
         cfg,
         tolerance,
         move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = try_fft3_dist(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                Rigor::Estimate,
-                &input,
-            )
-            .unwrap_or_else(|e| panic!("pipeline fault under exploration: {e}"));
-            Some(compare_with_serial(&spec, comm.rank(), &out, &reference))
-        },
-        progress,
-    )
-}
-
-/// The persistent-plan acceptance sweep: the session path — per-tile
-/// `alltoallv_init`, then repeated start/test/wait cycles over the *same*
-/// registered schedules, then `free` — under every delivery interleaving.
-/// Each run executes one [`fft3d::FftSession`] three times: the first
-/// execution initialises the plans, the later two reuse them, so every
-/// schedule stresses execution restarts on long-lived collective state
-/// (generation tagging, staging reuse, backoff reset). Checked mode rides
-/// along: a plan dropped without `free` would surface MC006 and fail the
-/// schedule, as would a steady-state execution that re-negotiated setup.
-pub fn explore_persistent(
-    cfg: &ExploreConfig,
-    grid: usize,
-    progress: impl FnMut(u64, u64),
-) -> ExploreReport {
-    use cfft::planner::Rigor;
-    use cfft::Direction;
-    use fft3d::real_env::{compare_with_serial, local_test_slab, Variant};
-    use fft3d::serial::{fft3_serial, full_test_array};
-    use fft3d::{FftSession, ProblemSpec, TuningParams};
-    use std::sync::Arc;
-
-    let spec = ProblemSpec::cube(grid, cfg.ranks);
-    let params = TuningParams::seed(&spec);
-    let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
-
-    explore(
-        cfg,
-        tolerance,
-        move |comm| {
-            let input = local_test_slab(&spec, comm.rank());
-            let mut session = FftSession::new(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                Rigor::Estimate,
-            );
+            let (variant, dir) = (Variant::New, Direction::Forward);
+            let mut session = FftSession::new(&comm, spec, variant, params, dir, Rigor::Estimate);
             let mut worst = 0.0f64;
-            for exec in 0..3 {
-                let out = session.execute(&input).unwrap_or_else(|e| {
-                    panic!("persistent execution {exec} faulted under exploration: {e}")
-                });
+            for exec in 0..executions {
+                let out = session
+                    .execute(&input)
+                    .unwrap_or_else(|e| panic!("execution {exec} faulted under exploration: {e}"));
                 if exec > 0 && out.exchange_setups != 0 {
                     panic!(
                         "execution {exec} re-negotiated {} exchange setups",
@@ -357,7 +308,6 @@ pub fn explore_persistent(
                 }
                 worst = worst.max(compare_with_serial(&spec, comm.rank(), &out, &reference));
             }
-            session.free();
             Some(worst)
         },
         progress,
@@ -365,96 +315,37 @@ pub fn explore_persistent(
 }
 
 /// The pencil acceptance workload: the overlapped 2-D pencil backend on a
-/// small grid — row *and* column subcommunicator `Ialltoall`s in flight
-/// under every delivery interleaving — with each rank validating its
-/// output pencil against the serial reference transform. Checked mode
-/// rides along, so an unmatched post, a rank-divergent collective on a
-/// subcommunicator, or a deadlock across the two exchange rounds surfaces
-/// as an MC001–MC007 finding and fails the schedule.
+/// small grid as one [`fft3d::PencilSession`] executed `executions` times
+/// per schedule — row *and* column subcommunicator all-to-alls in flight
+/// under every delivery interleaving, their per-tile plans initialised by
+/// the first execution, reused by later ones and freed by the session's
+/// drop — with each rank validating its output pencil against the serial
+/// reference transform. Checked mode rides along, so an unmatched post, a
+/// rank-divergent collective on a subcommunicator, a deadlock across the
+/// two exchange rounds or a leaked plan surfaces as an MC001–MC007 finding
+/// and fails the schedule, as does a later execution that re-negotiates
+/// setup.
 pub fn explore_pencil(
     cfg: &ExploreConfig,
     grid_n: usize,
+    executions: usize,
     progress: impl FnMut(u64, u64),
 ) -> ExploreReport {
     use cfft::Direction;
-    use fft3d::serial::{fft3_serial, full_test_array};
-    use fft3d::{
-        compare_pencil_with_serial, pencil_seed, pencil_test_input, try_fft3_pencil_overlapped,
-        PencilGrid, ProblemSpec,
-    };
-    use std::sync::Arc;
-
-    let spec = ProblemSpec::cube(grid_n, cfg.ranks);
-    let grid = PencilGrid::near_square(cfg.ranks);
-    // Force a multi-tile window so both exchange rounds keep several
-    // subcommunicator all-to-alls in flight per schedule.
-    let mut params = pencil_seed(&spec, grid);
-    params.t = 1;
-    let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
-
-    explore(
-        cfg,
-        tolerance,
-        move |comm| {
-            let input = pencil_test_input(&spec, grid, comm.rank());
-            let out =
-                try_fft3_pencil_overlapped(&comm, spec, grid, params, Direction::Forward, &input)
-                    .unwrap_or_else(|e| panic!("pencil pipeline fault under exploration: {e}"));
-            Some(compare_pencil_with_serial(
-                &spec,
-                grid,
-                comm.rank(),
-                &out.output,
-                &reference,
-            ))
-        },
-        progress,
-    )
-}
-
-/// The pencil persistent-plan sweep: one [`fft3d::PencilSession`] executed
-/// three times per schedule — per-tile `alltoallv_init` on the row *and*
-/// column subcommunicators during the first execution, plan reuse on the
-/// later two, then `free` — under every delivery interleaving. A
-/// steady-state execution that re-negotiates setup, a plan leaked without
-/// `free` (MC006), or an output that deviates from the serial oracle fails
-/// the schedule.
-pub fn explore_pencil_persistent(
-    cfg: &ExploreConfig,
-    grid_n: usize,
-    progress: impl FnMut(u64, u64),
-) -> ExploreReport {
-    use cfft::Direction;
-    use fft3d::serial::{fft3_serial, full_test_array};
     use fft3d::{
         compare_pencil_with_serial, pencil_seed, pencil_test_input, PencilGrid, PencilSession,
         ProblemSpec,
     };
-    use std::sync::Arc;
 
     let spec = ProblemSpec::cube(grid_n, cfg.ranks);
     let grid = PencilGrid::near_square(cfg.ranks);
+    // Force a multi-tile window so both exchange rounds keep several
+    // subcommunicator all-to-alls in flight per schedule; two worker
+    // threads per rank as in [`explore_pipeline`].
     let mut params = pencil_seed(&spec, grid);
     params.t = 1;
-    let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
+    params.threads = 2;
+    let (reference, tolerance) = serial_oracle(&spec);
 
     explore(
         cfg,
@@ -464,9 +355,9 @@ pub fn explore_pencil_persistent(
             let mut session = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
                 .unwrap_or_else(|e| panic!("pencil session refused under exploration: {e}"));
             let mut worst = 0.0f64;
-            for exec in 0..3 {
+            for exec in 0..executions {
                 let out = session.execute(&input).unwrap_or_else(|e| {
-                    panic!("pencil persistent execution {exec} faulted under exploration: {e}")
+                    panic!("pencil execution {exec} faulted under exploration: {e}")
                 });
                 if exec > 0 && out.exchange_setups != 0 {
                     panic!(
@@ -474,15 +365,10 @@ pub fn explore_pencil_persistent(
                         out.exchange_setups
                     );
                 }
-                worst = worst.max(compare_pencil_with_serial(
-                    &spec,
-                    grid,
-                    comm.rank(),
-                    &out.output,
-                    &reference,
-                ));
+                let (rank, out) = (comm.rank(), &out.output);
+                let err = compare_pencil_with_serial(&spec, grid, rank, out, &reference);
+                worst = worst.max(err);
             }
-            session.free();
             Some(worst)
         },
         progress,
@@ -505,7 +391,7 @@ pub fn explore_crash_recovery(
     use cfft::planner::Rigor;
     use cfft::Direction;
     use fft3d::real_env::{compare_with_serial, Variant};
-    use fft3d::serial::{fft3_serial, full_test_array};
+    use fft3d::serial::full_test_array;
     use fft3d::trace::NoopRecorder;
     use fft3d::{run_recoverable, ProblemSpec, RecoverConfig, ReplicaSource, TuningParams};
     use std::sync::Arc;
@@ -517,20 +403,10 @@ pub fn explore_crash_recovery(
     let mut crash_tiles = vec![0, tiles / 2, tiles.saturating_sub(1)];
     crash_tiles.dedup();
 
-    // The survivors re-fetch the victim's lost input from a full replica;
-    // the serial transform of that same replica is the oracle.
-    let input = Arc::new(full_test_array(spec.nx, spec.ny, spec.nz));
-    let source = ReplicaSource::new(Arc::clone(&input));
-    let mut reference = (*input).clone();
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
+    // The survivors re-fetch the victim's lost input from a full replica
+    // of the test field; its serial transform is the oracle.
+    let source = ReplicaSource::new(Arc::new(full_test_array(spec.nx, spec.ny, spec.nz)));
+    let (reference, tolerance) = serial_oracle(&spec);
 
     let mut plan = Vec::new();
     for (i, sched) in cfg.plan().into_iter().enumerate() {
@@ -596,10 +472,8 @@ pub fn explore_corruption(
     use cfft::planner::Rigor;
     use cfft::Direction;
     use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist_traced, Variant};
-    use fft3d::serial::{fft3_serial, full_test_array};
     use fft3d::trace::NoopRecorder;
     use fft3d::{DegradeAction, ProblemSpec, Resilience, TuningParams};
-    use std::sync::Arc;
 
     assert!(victim < cfg.ranks, "victim must be a world rank");
     let spec = ProblemSpec::cube(grid, cfg.ranks);
@@ -607,17 +481,7 @@ pub fn explore_corruption(
     let tiles = params.tiles(&spec);
     let mut flip_tiles = vec![0, tiles / 2, tiles.saturating_sub(1)];
     flip_tiles.dedup();
-
-    let mut reference = full_test_array(spec.nx, spec.ny, spec.nz);
-    fft3_serial(
-        &mut reference,
-        spec.nx,
-        spec.ny,
-        spec.nz,
-        Direction::Forward,
-    );
-    let reference = Arc::new(reference);
-    let tolerance = 1e-9 * (spec.len() as f64).max(1.0);
+    let (reference, tolerance) = serial_oracle(&spec);
 
     let mut plan = Vec::new();
     for (i, sched) in cfg.plan().into_iter().enumerate() {
@@ -704,9 +568,7 @@ pub fn explore_service(
     use cfft::planner::Rigor;
     use cfft::Direction;
     use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
-    use fft3d::serial::{fft3_serial, full_test_array};
     use fft3d::{FftSession, ProblemSpec, TuningParams};
-    use std::sync::Arc;
 
     // Tenant A's job train: a cube, run twice through one session.
     let spec_a = ProblemSpec::cube(grid, cfg.ranks);
@@ -718,14 +580,9 @@ pub fn explore_service(
         ..spec_a
     };
     let params_b = TuningParams::seed(&spec_b);
-    let reference = |spec: &ProblemSpec| {
-        let mut r = full_test_array(spec.nx, spec.ny, spec.nz);
-        fft3_serial(&mut r, spec.nx, spec.ny, spec.nz, Direction::Forward);
-        Arc::new(r)
-    };
-    let ref_a = reference(&spec_a);
-    let ref_b = reference(&spec_b);
-    let tolerance = 1e-9 * (spec_a.len().max(spec_b.len()) as f64).max(1.0);
+    let (ref_a, tol_a) = serial_oracle(&spec_a);
+    let (ref_b, tol_b) = serial_oracle(&spec_b);
+    let tolerance = tol_a.max(tol_b);
 
     explore(
         cfg,
@@ -854,7 +711,7 @@ mod tests {
             defer_prob: 0.35,
             max_hold: 2,
         };
-        let report = explore_persistent(&cfg, 6, |_, _| {});
+        let report = explore_pipeline(&cfg, 6, 3, |_, _| {});
         assert_eq!(report.schedules_run, 5);
         assert!(report.is_clean(), "{:?}", report.failures);
     }
@@ -868,7 +725,7 @@ mod tests {
             defer_prob: 0.35,
             max_hold: 2,
         };
-        let report = explore_pencil(&cfg, 8, |_, _| {});
+        let report = explore_pencil(&cfg, 8, 1, |_, _| {});
         assert_eq!(report.schedules_run, 5);
         assert!(report.is_clean(), "{:?}", report.failures);
     }
@@ -882,7 +739,7 @@ mod tests {
             defer_prob: 0.35,
             max_hold: 2,
         };
-        let report = explore_pencil_persistent(&cfg, 8, |_, _| {});
+        let report = explore_pencil(&cfg, 8, 3, |_, _| {});
         assert_eq!(report.schedules_run, 5);
         assert!(report.is_clean(), "{:?}", report.failures);
     }

@@ -35,9 +35,8 @@ pub mod srclint;
 pub mod summary;
 
 pub use explore::{
-    explore, explore_corruption, explore_crash_recovery, explore_pencil, explore_pencil_persistent,
-    explore_persistent, explore_pipeline, explore_service, ExploreConfig, ExploreReport,
-    ScheduleFailure,
+    explore, explore_corruption, explore_crash_recovery, explore_pencil, explore_pipeline,
+    explore_service, ExploreConfig, ExploreReport, ScheduleFailure,
 };
 pub use mpisim::{
     Backoff, CheckConfig, CheckOutcome, CheckReport, Finding, LintId, SchedConfig, SchedMode,

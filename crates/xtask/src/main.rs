@@ -10,33 +10,32 @@
 //!   `--output` writes the rendered report to a file (a one-line summary
 //!   still goes to stdout); `--update-baseline` regenerates
 //!   `mpicheck.baseline` from the current findings instead of linting.
-//! * `explore [--seed-base N] [--ranks N] [--grid N] [--schedules N]` —
-//!   sweep the overlapped pipeline (NEW variant) over seeded random plus
-//!   systematic delivery schedules under mpisim's checked mode. Exit 1 on
-//!   any schedule with a race/deadlock/lint finding, a panic, or a
-//!   numerical deviation. `--seed-base` offsets the random seed range so CI
-//!   can cover disjoint seed matrices.
+//! * `explore [--seed-base N] [--ranks N] [--grid N] [--schedules N]
+//!   [--executions N]` — sweep the overlapped pipeline (NEW variant) over
+//!   seeded random plus systematic delivery schedules under mpisim's
+//!   checked mode. Each schedule runs one `FftSession` `--executions` times
+//!   (default 1: the one-shot path; 3: setup once, execute many), so the
+//!   init/start/test/wait cycles of the per-tile all-to-all plans — and
+//!   their free-on-drop discipline (MC006) — face every delivery
+//!   interleaving. Exit 1 on any schedule with a race/deadlock/lint
+//!   finding, a panic, a re-negotiated setup, or a numerical deviation.
+//!   `--seed-base` offsets the random seed range so CI can cover disjoint
+//!   seed matrices.
 //! * `recover [--seed-base N] [--ranks N] [--grid N] [--schedules N]
 //!   [--victim N]` — the rank-death sweep: every schedule runs three times,
 //!   killing `--victim` at the first, middle, and last tile boundary; the
 //!   survivors must agree on the dead rank, shrink, re-decompose, and come
 //!   back serial-exact. Exit 1 on any hang, wrong failure set, or
 //!   numerical deviation.
-//! * `persist [--seed-base N] [--ranks N] [--grid N] [--schedules N]` —
-//!   the persistent-plan sweep: each schedule runs one `FftSession` three
-//!   times (setup-once, execute-many), so the start/test/wait cycles of
-//!   long-lived all-to-all plans — and their `free` discipline (MC006) —
-//!   face every delivery interleaving; a second pass does the same with a
-//!   `PencilSession`, whose plans live on the row/column subcommunicators.
-//!   Exit 1 on any finding, panic, re-negotiated setup, or numerical
+//! * `pencil [--seed-base N] [--ranks N] [--grid N] [--schedules N]
+//!   [--executions N]` — sweep the overlapped 2-D pencil backend over the
+//!   same schedule families, one `PencilSession` executed `--executions`
+//!   times per schedule: both exchange rounds (z↔y on the row
+//!   subcommunicator, then y↔x on the column subcommunicator) keep
+//!   windowed all-to-alls in flight under every delivery interleaving, and
+//!   every rank's output pencil must stay serial-exact. Exit 1 on any
+//!   MC001–MC007 finding, panic, re-negotiated setup, or numerical
 //!   deviation.
-//! * `pencil [--seed-base N] [--ranks N] [--grid N] [--schedules N]` —
-//!   sweep the overlapped 2-D pencil backend over the same schedule
-//!   families: both exchange rounds (z↔y on the row subcommunicator, then
-//!   y↔x on the column subcommunicator) keep windowed `Ialltoall`s in
-//!   flight under every delivery interleaving, and every rank's output
-//!   pencil must stay serial-exact. Exit 1 on any MC001–MC007 finding,
-//!   panic, or numerical deviation.
 //! * `corrupt [--seed-base N] [--ranks N] [--grid N] [--schedules N]
 //!   [--victim N]` — the data-integrity sweep: every schedule runs under a
 //!   clean control plan, seeded wire payload corruption, and a silent
@@ -52,8 +51,9 @@
 //!   interleaving. Exit 1 on any MC finding, panic, re-negotiated plan
 //!   setup, or numerical deviation from either serial oracle.
 //! * `check` — `lint`, then `explore` with the acceptance-gate defaults
-//!   (≥ 200 schedules, 4 ranks, grid 8), then compact `pencil`,
-//!   `persist`, `recover`, `corrupt`, and `serve` sweeps.
+//!   (≥ 200 schedules, 4 ranks, grid 8), then compact `pencil`, `explore
+//!   --executions 3`, `pencil --executions 3`, `recover`, `corrupt`, and
+//!   `serve` sweeps.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -78,14 +78,12 @@ fn usage() -> ExitCode {
          \x20 lint [--format text|json|sarif] [--output FILE]\n\
          \x20      [--update-baseline]  run static analysis (SL001–SL014)\n\
          \x20 explore [--seed-base N]   sweep pipeline delivery schedules\n\
-         \x20         [--ranks N] [--grid N] [--schedules N]\n\
+         \x20         [--ranks N] [--grid N] [--schedules N] [--executions N]\n\
+         \x20                           (N executions of one session per\n\
+         \x20                           schedule; default 1)\n\
          \x20 pencil  [--seed-base N]   sweep the overlapped 2-D pencil\n\
-         \x20         [--ranks N] [--grid N] [--schedules N]\n\
-         \x20                           backend (row+column Ialltoalls)\n\
-         \x20 persist [--seed-base N]   persistent-plan sweep (slab and\n\
-         \x20         [--ranks N] [--grid N] [--schedules N]\n\
-         \x20                           pencil sessions, three executions\n\
-         \x20                           per schedule)\n\
+         \x20         [--ranks N] [--grid N] [--schedules N] [--executions N]\n\
+         \x20                           backend (row+column all-to-alls)\n\
          \x20 recover [--seed-base N]   rank-death recovery sweep (crash at\n\
          \x20         [--ranks N] [--grid N] [--schedules N] [--victim N]\n\
          \x20                           first/middle/last tile per schedule)\n\
@@ -97,9 +95,9 @@ fn usage() -> ExitCode {
          \x20         [--ranks N] [--grid N] [--schedules N]\n\
          \x20                           train + foreign-geometry job\n\
          \x20                           interleaved on one communicator)\n\
-         \x20 check                     lint + explore + pencil + persist\n\
-         \x20                           + recover + corrupt + serve\n\
-         \x20                           (acceptance gate)"
+         \x20 check                     lint + explore + pencil (1 and 3\n\
+         \x20                           executions) + recover + corrupt\n\
+         \x20                           + serve (acceptance gate)"
     );
     ExitCode::FAILURE
 }
@@ -187,56 +185,39 @@ fn progress_bar(done: u64, total: u64) {
     }
 }
 
+/// Executions of one session per schedule (`--executions`, default 1).
+fn executions(args: &[String]) -> usize {
+    parse_flag(args, "--executions").unwrap_or(1) as usize
+}
+
 fn run_explore(args: &[String]) -> bool {
     let (cfg, grid) = sweep_config(args);
+    let executions = executions(args);
     println!(
-        "explore: {} schedules of the NEW pipeline, grid {grid}^3, {} ranks \
-         (random seeds {:?} + {}-bit systematic sweep)",
+        "explore: {} schedules × {executions} execution(s) of one NEW-pipeline session, \
+         grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
         cfg.schedules(),
         cfg.ranks,
         cfg.random_seeds,
         cfg.systematic_bits
     );
-    let report = mpicheck::explore_pipeline(&cfg, grid, progress_bar);
+    let report = mpicheck::explore_pipeline(&cfg, grid, executions, progress_bar);
     println!();
     summarize("explore", &report)
 }
 
-fn run_persist(args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    println!(
-        "persist: {} schedules × 3 executions of one persistent-plan session, \
-         grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
-        cfg.schedules(),
-        cfg.ranks,
-        cfg.random_seeds,
-        cfg.systematic_bits
-    );
-    let report = mpicheck::explore_persistent(&cfg, grid, progress_bar);
-    println!();
-    let slab_ok = summarize("persist", &report);
-    println!(
-        "persist(pencil): {} schedules × 3 executions of one pencil session \
-         (plans on row/column subcommunicators), grid {grid}^3, {} ranks",
-        cfg.schedules(),
-        cfg.ranks
-    );
-    let report = mpicheck::explore_pencil_persistent(&cfg, grid, progress_bar);
-    println!();
-    slab_ok && summarize("persist(pencil)", &report)
-}
-
 fn run_pencil(args: &[String]) -> bool {
     let (cfg, grid) = sweep_config(args);
+    let executions = executions(args);
     println!(
-        "pencil: {} schedules of the overlapped 2-D pencil backend, \
-         grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
+        "pencil: {} schedules × {executions} execution(s) of one overlapped 2-D pencil \
+         session, grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
         cfg.schedules(),
         cfg.ranks,
         cfg.random_seeds,
         cfg.systematic_bits
     );
-    let report = mpicheck::explore_pencil(&cfg, grid, progress_bar);
+    let report = mpicheck::explore_pencil(&cfg, grid, executions, progress_bar);
     println!();
     summarize("pencil", &report)
 }
@@ -320,32 +301,35 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(&root, &args[1..]),
         Some("explore") => run_explore(&args[1..]),
         Some("pencil") => run_pencil(&args[1..]),
-        Some("persist") => run_persist(&args[1..]),
         Some("recover") => run_recover(&args[1..]),
         Some("corrupt") => run_corrupt(&args[1..]),
         Some("serve") => run_serve(&args[1..]),
         Some("check") => {
             let lint_ok = run_lint(&root, &[]);
             let explore_ok = run_explore(&args[1..]);
-            // The persistent, recovery, and corruption gates each multiply
-            // the per-schedule cost (3 executions / 3 crash positions / 5
-            // fault plans), so default them to a fraction of the explore
-            // plan: `check` stays under a few minutes while every schedule
-            // family still crosses every crash position, every session
-            // execution, and every corruption site.
+            // The repeated-execution, recovery, and corruption gates each
+            // multiply the per-schedule cost (3 executions / 3 crash
+            // positions / 5 fault plans), so default them to a fraction of
+            // the explore plan: `check` stays under a few minutes while every
+            // schedule family still crosses every crash position, every
+            // session execution, and every corruption site.
             let mut compact_args = args[1..].to_vec();
             if parse_flag(&compact_args, "--schedules").is_none() {
                 compact_args.extend(["--schedules".to_owned(), "80".to_owned()]);
             }
             let pencil_ok = run_pencil(&compact_args);
-            let persist_ok = run_persist(&compact_args);
+            let mut repeated_args = compact_args.clone();
+            repeated_args.extend(["--executions".to_owned(), "3".to_owned()]);
+            let repeated_ok = run_explore(&repeated_args);
+            let repeated_pencil_ok = run_pencil(&repeated_args);
             let recover_ok = run_recover(&compact_args);
             let corrupt_ok = run_corrupt(&compact_args);
             let serve_ok = run_serve(&compact_args);
             let all = lint_ok
                 && explore_ok
                 && pencil_ok
-                && persist_ok
+                && repeated_ok
+                && repeated_pencil_ok
                 && recover_ok
                 && corrupt_ok
                 && serve_ok;

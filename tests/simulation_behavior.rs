@@ -234,6 +234,17 @@ fn golden_slab_variants() {
             let rep = fft3_simulated(platform.clone(), spec, variant, seed, false);
             assert_eq!(rep.time, time, "{spec:?} {variant:?}");
             assert_eq!(rep.steps, steps(breakdown), "{spec:?} {variant:?}");
+            // A single execution is the first of a repeated run, field for
+            // field: there is no one-shot path of its own.
+            let reps = fft3_simulated_repeated(platform.clone(), spec, variant, seed, false, 1);
+            assert_eq!(reps.len(), 1);
+            assert_eq!(reps[0].time, rep.time, "{spec:?} {variant:?}");
+            assert_eq!(reps[0].steps, rep.steps, "{spec:?} {variant:?}");
+            assert_eq!(reps[0].setup_charges, rep.setup_charges);
+            assert_eq!(reps[0].per_rank.len(), rep.per_rank.len());
+            for (a, b) in reps[0].per_rank.iter().zip(&rep.per_rank) {
+                assert_eq!((a.steps, a.elapsed, a.tests), (b.steps, b.elapsed, b.tests));
+            }
         }
     }
 }
