@@ -494,29 +494,6 @@ pub fn for_each_part_threaded(
     fork_join(tasks, run, run);
 }
 
-/// [`execute_batch`] spread over up to `threads` workers.
-///
-/// Only unit-stride layouts run in parallel: after the alias check,
-/// `stride == 1` guarantees `dist ≥ n`, so lines are disjoint ascending
-/// slices that [`execute_lines_threaded`] can hand to separate workers.
-/// Strided (gather/scatter) layouts and `threads ≤ 1` fall back to the
-/// sequential path with a local scratch.
-pub fn execute_batch_threaded(
-    plan: &Plan1d,
-    data: &mut [Complex64],
-    layout: BatchLayout,
-    threads: usize,
-) {
-    let mut scratch = BatchScratch::for_plan(plan);
-    if threads <= 1 || layout.howmany <= 1 || layout.stride != 1 {
-        execute_batch(plan, data, layout, &mut scratch);
-        return;
-    }
-    check_layout(data, layout, plan.len());
-    let starts: Vec<usize> = (0..layout.howmany).map(|l| l * layout.dist).collect();
-    execute_lines_threaded(plan, data, &starts, threads, &mut scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,52 +657,6 @@ mod tests {
             },
             &mut scratch,
         );
-    }
-
-    #[test]
-    fn threaded_batch_is_bit_identical_to_sequential() {
-        let n = 48;
-        let howmany = 13;
-        let mut planner = Planner::new(Rigor::Estimate);
-        let plan = planner.plan(n, Direction::Forward);
-        let layout = BatchLayout::contiguous(n, howmany);
-        let mut seq = signal(n * howmany);
-        let mut par = seq.clone();
-        let mut scratch = BatchScratch::for_plan(&plan);
-        execute_batch(&plan, &mut seq, layout, &mut scratch);
-        for threads in [1, 2, 3, 8] {
-            par.copy_from_slice(&signal(n * howmany));
-            execute_batch_threaded(&plan, &mut par, layout, threads);
-            // Bit-identical, not merely close: same plan, same per-line input.
-            assert!(
-                seq.iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
-                        && a.im.to_bits() == b.im.to_bits()),
-                "threads={threads} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_strided_batch_falls_back_and_matches() {
-        let (rows, cols) = (6usize, 8usize);
-        let mut planner = Planner::new(Rigor::Estimate);
-        let plan = planner.plan(rows, Direction::Forward);
-        let layout = BatchLayout {
-            howmany: cols,
-            stride: cols,
-            dist: 1,
-        };
-        let mut seq = signal(rows * cols);
-        let mut par = seq.clone();
-        let mut scratch = BatchScratch::for_plan(&plan);
-        execute_batch(&plan, &mut seq, layout, &mut scratch);
-        execute_batch_threaded(&plan, &mut par, layout, 4);
-        assert!(seq
-            .iter()
-            .zip(&par)
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Process-wide plan cache — FFTW's "wisdom" amortisation for this crate.
 //!
-//! [`Planner`] already memoises plans, but each planner instance is private
-//! to one call site: a transform entry point that constructs its own planner
-//! re-measures every kernel on every invocation, which at
-//! [`Rigor::Measure`]/[`Rigor::Patient`] costs orders of magnitude more than
-//! the transform itself. [`PlanCache`] hoists that memoisation to process
-//! scope: one thread-safe map keyed by `(n, direction, rigor)` that every
+//! A [`Planner`] creates a plan every time it is asked: a transform entry
+//! point that constructed its own would re-measure every kernel on every
+//! invocation, which at [`Rigor::Measure`]/[`Rigor::Patient`] costs orders
+//! of magnitude more than the transform itself. [`PlanCache`] is the crate's
+//! one memo, at process scope (a transient planner per miss): one
+//! thread-safe map keyed by `(n, direction, rigor)` that every
 //! caller — the distributed pipeline, the serial reference, the pencil
 //! path, many rank threads at once — draws [`Arc<Plan1d>`]s from.
 //!

@@ -18,7 +18,6 @@ use crate::factor::is_smooth;
 use crate::mixed::MixedRadixPlan;
 use crate::rader::{is_prime, RaderPlan};
 use crate::Direction;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,10 +171,11 @@ impl Plan1d {
     }
 }
 
-/// Creates plans, measuring kernels per the chosen rigor and caching results.
+/// Creates plans, measuring kernels per the chosen rigor. It does not
+/// memoise: [`crate::cache::PlanCache`] is the one memo, and builds a
+/// transient planner per miss.
 pub struct Planner {
     rigor: Rigor,
-    cache: HashMap<(usize, Direction), Arc<Plan1d>>,
     planning_time: Duration,
 }
 
@@ -184,7 +184,6 @@ impl Planner {
     pub fn new(rigor: Rigor) -> Self {
         Planner {
             rigor,
-            cache: HashMap::new(),
             planning_time: Duration::ZERO,
         }
     }
@@ -202,16 +201,12 @@ impl Planner {
         self.planning_time
     }
 
-    /// Returns a plan for `(n, dir)`, creating and caching it on first use.
+    /// Creates a plan for `(n, dir)`.
     pub fn plan(&mut self, n: usize, dir: Direction) -> Arc<Plan1d> {
         assert!(n >= 1, "transform length must be ≥ 1");
-        if let Some(p) = self.cache.get(&(n, dir)) {
-            return p.clone();
-        }
         let start = Instant::now();
         let plan = Arc::new(self.create(n, dir));
         self.planning_time += start.elapsed();
-        self.cache.insert((n, dir), plan.clone());
         plan
     }
 
@@ -322,8 +317,6 @@ mod tests {
     fn measured_plans_are_correct_and_cached() {
         let mut planner = Planner::new(Rigor::Measure);
         let a = planner.plan(96, Direction::Forward);
-        let b = planner.plan(96, Direction::Forward);
-        assert!(Arc::ptr_eq(&a, &b));
         let x = signal(96);
         let mut y = x.clone();
         a.execute_alloc(&mut y);

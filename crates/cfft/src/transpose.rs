@@ -4,9 +4,9 @@
 //! high-performance routine of memory rearrangement" for its Transpose step
 //! (§3.1), and on a cheaper `x-y-z → x-z-y` rearrangement when `Nx = Ny`
 //! (§3.5). This module provides those routines: a generic cache-blocked 3-D
-//! axis permutation plus a specialised 2-D blocked transpose, each with a
-//! `_threaded` variant that partitions the destination's slowest axis over
-//! disjoint `&mut` slices (bit-identical output at any thread count).
+//! axis permutation plus a specialised 2-D blocked transpose. (The real
+//! pipeline rearranges plane by plane inside its FFTz step; these whole-array
+//! routines are what `fftperf` measures as the memory-bandwidth yardstick.)
 
 use crate::complex::Complex64;
 
@@ -97,29 +97,7 @@ pub fn permute3(src: &[Complex64], dst: &mut [Complex64], sd: Dims3, perm: AxisP
         sd.len(),
         "destination buffer does not match dims"
     );
-    permute3_ranged(src, dst, sd, perm, 0, sd.axis(perm[0]));
-}
-
-/// The blocked permutation core, restricted to `lo..hi` of source axis
-/// `perm[0]` (the axis that becomes the destination's slowest axis). `dst`
-/// is only the destination rows that restriction owns — the flat range
-/// `[lo·dd.n1·dd.n2, hi·dd.n1·dd.n2)` of the full output — which is what
-/// lets [`permute3_threaded`] hand workers disjoint `&mut` slices.
-fn permute3_ranged(
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    sd: Dims3,
-    perm: AxisPerm,
-    lo: usize,
-    hi: usize,
-) {
     let dd = permuted_dims(sd, perm);
-    let off = lo * dd.n1 * dd.n2;
-    assert_eq!(
-        dst.len(),
-        (hi - lo) * dd.n1 * dd.n2,
-        "destination slice does not match restricted range"
-    );
 
     // Inverse permutation: source axis s appears at destination axis inv[s].
     let mut inv = [0usize; 3];
@@ -130,74 +108,25 @@ fn permute3_ranged(
     let dstrides = [dd.n1 * dd.n2, dd.n2, 1];
     let s_to_dstride = [dstrides[inv[0]], dstrides[inv[1]], dstrides[inv[2]]];
 
-    // Per-source-axis iteration bounds: full extents except the partition
-    // axis, which walks only its assigned range.
-    let mut bounds = [(0, sd.n0), (0, sd.n1), (0, sd.n2)];
-    bounds[perm[0]] = (lo, hi);
-
     // Blocked loops over the source, contiguous reads on the inner axis.
-    for b0 in (bounds[0].0..bounds[0].1).step_by(BLOCK) {
-        let e0 = (b0 + BLOCK).min(bounds[0].1);
-        for b1 in (bounds[1].0..bounds[1].1).step_by(BLOCK) {
-            let e1 = (b1 + BLOCK).min(bounds[1].1);
-            for b2 in (bounds[2].0..bounds[2].1).step_by(BLOCK) {
-                let e2 = (b2 + BLOCK).min(bounds[2].1);
+    for b0 in (0..sd.n0).step_by(BLOCK) {
+        let e0 = (b0 + BLOCK).min(sd.n0);
+        for b1 in (0..sd.n1).step_by(BLOCK) {
+            let e1 = (b1 + BLOCK).min(sd.n1);
+            for b2 in (0..sd.n2).step_by(BLOCK) {
+                let e2 = (b2 + BLOCK).min(sd.n2);
                 for i0 in b0..e0 {
                     for i1 in b1..e1 {
                         let srow = (i0 * sd.n1 + i1) * sd.n2;
                         let dbase = i0 * s_to_dstride[0] + i1 * s_to_dstride[1];
                         for i2 in b2..e2 {
-                            // Subtract `off` only after the partition axis
-                            // contributed its (≥ off) term — the partition
-                            // axis may be any of the three source axes.
-                            dst[dbase + i2 * s_to_dstride[2] - off] = src[srow + i2];
+                            dst[dbase + i2 * s_to_dstride[2]] = src[srow + i2];
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// [`permute3`] spread over up to `threads` workers.
-///
-/// The destination's slowest axis (`source axis perm[0]`) is partitioned
-/// into contiguous ranges; each worker writes only the destination rows its
-/// range owns (disjoint `chunks_mut` slices), while all workers read the
-/// shared source. Identical element movement to [`permute3`], so the output
-/// is bit-identical for every thread count.
-pub fn permute3_threaded(
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    sd: Dims3,
-    perm: AxisPerm,
-    threads: usize,
-) {
-    validate_perm(perm);
-    assert_eq!(src.len(), sd.len(), "source buffer does not match dims");
-    assert_eq!(
-        dst.len(),
-        sd.len(),
-        "destination buffer does not match dims"
-    );
-    let m = sd.axis(perm[0]);
-    if threads <= 1 || m <= 1 {
-        permute3_ranged(src, dst, sd, perm, 0, m);
-        return;
-    }
-    let dd = permuted_dims(sd, perm);
-    let plane = dd.n1 * dd.n2;
-    if plane == 0 {
-        return;
-    }
-    let per = m.div_ceil(threads.min(m));
-    rayon::scope(|s| {
-        for (c, part) in dst.chunks_mut(per * plane).enumerate() {
-            let lo = c * per;
-            let hi = (lo + per).min(m);
-            s.spawn(move |_| permute3_ranged(src, part, sd, perm, lo, hi));
-        }
-    });
 }
 
 /// Blocked out-of-place 2-D transpose: `dst[c][r] = src[r][c]` for an
@@ -328,26 +257,6 @@ mod tests {
         let src = fill(sd);
         let mut dst = vec![Complex64::ZERO; sd.len()];
         permute3(&src, &mut dst, sd, [0, 0, 1]);
-    }
-
-    #[test]
-    fn threaded_permute_is_bit_identical() {
-        for sd in [
-            Dims3::new(5, 6, 7),
-            Dims3::new(33, 4, 9),
-            Dims3::new(1, 8, 8),
-        ] {
-            let src = fill(sd);
-            for perm in [XYZ_TO_ZXY, XYZ_TO_XZY, IDENTITY, [1, 0, 2]] {
-                let mut seq = vec![Complex64::ZERO; sd.len()];
-                permute3(&src, &mut seq, sd, perm);
-                for threads in [1, 2, 3, 8] {
-                    let mut par = vec![Complex64::ZERO; sd.len()];
-                    permute3_threaded(&src, &mut par, sd, perm, threads);
-                    assert_eq!(seq, par, "sd={sd:?} perm={perm:?} threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

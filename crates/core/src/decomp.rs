@@ -10,13 +10,15 @@
 //! pencil decomposition ([`crate::pencil`]) per `(N, p)` by pricing both
 //! overlapped pipelines on the simnet cost model — §2.2's trade-off
 //! ("slabs can win at moderate scale, pencils scale to N²") made
-//! operational.
+//! operational. It runs the fallible forms of the modelled run
+//! ([`crate::sim_env`]) and states no validation of its own: an infeasible
+//! geometry is the typed error those return.
 
 use crate::error::Error;
-use crate::params::{ParamError, ProblemSpec, TuningParams};
+use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::{pencil_seed, PencilGrid};
 use crate::real_env::Variant;
-use crate::sim_env::{fft3_simulated, pencil_overlap_simulated_params};
+use crate::sim_env::{try_fft3_simulated, Simulation};
 use simnet::Platform;
 
 /// How one axis of length `n` is divided among `p` ranks.
@@ -59,6 +61,11 @@ impl AxisSplit {
     #[inline]
     pub fn offset(&self, rank: usize) -> usize {
         self.offsets[rank]
+    }
+
+    /// The planes owned by `rank`.
+    pub(crate) fn range(&self, rank: usize) -> std::ops::Range<usize> {
+        self.offsets[rank]..self.offsets[rank] + self.counts[rank]
     }
 
     /// All counts, rank-ordered.
@@ -131,30 +138,17 @@ pub fn auto_select(
     spec: &ProblemSpec,
     p: usize,
 ) -> Result<Decomposition, Error> {
-    if p == 0 {
-        return Err(ParamError::ZeroRanks.into());
-    }
     let spec = ProblemSpec { p, ..*spec };
-    for (axis, n) in [("nx", spec.nx), ("ny", spec.ny), ("nz", spec.nz)] {
-        if n == 0 {
-            return Err(Error::from(ParamError::ZeroExtent(axis)));
-        }
-    }
+    spec.check_extents()?;
     let grid = PencilGrid::try_near_square(p)?;
     if p > spec.nx.min(spec.ny) {
         // Slabs cannot use more than min(Nx, Ny) ranks; no need to price.
         return Ok(Decomposition::Pencil(grid));
     }
-    let slab = fft3_simulated(
-        platform.clone(),
-        spec,
-        Variant::New,
-        TuningParams::seed(&spec),
-        false,
-    )
-    .time;
-    let pencil = pencil_overlap_simulated_params(platform, spec, grid, &pencil_seed(&spec, grid));
-    Ok(if slab <= pencil {
+    let seed = TuningParams::seed(&spec);
+    let slab = try_fft3_simulated(platform.clone(), spec, Variant::New, seed, false)?.time;
+    let pencil = Simulation::pencil(spec, grid, pencil_seed(&spec, grid))?.first(platform)?;
+    Ok(if slab <= pencil.report.time {
         Decomposition::Slab
     } else {
         Decomposition::Pencil(grid)
@@ -164,6 +158,7 @@ pub fn auto_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamError;
     use simnet::model::umd_cluster;
 
     #[test]

@@ -780,10 +780,7 @@ impl<'a> Session<'a> {
             } else {
                 try_run_new(&mut env, res)?
             };
-            ran.recovery.stalls_detected += recovery.stalls_detected;
-            ran.recovery.actions.extend(recovery.actions);
-            ran.recovery.fell_back |= recovery.fell_back;
-            ran.recovery.corruptions_healed += recovery.corruptions_healed;
+            ran.recovery.absorb(recovery);
             ran.steps += env.steps + env.net.steps;
             ran.tests += env.net.tests;
             ran.setups += env.net.setups;

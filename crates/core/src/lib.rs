@@ -87,8 +87,8 @@ pub use service::{
 };
 pub use sim_env::{
     fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
-    pencil_overlap_simulated_params, pencil_overlap_simulated_repeated, pencil_simulated,
-    th_simulated, try_fft3_simulated, try_multi_simulated, MultiReport, SimReport,
+    pencil_overlap_simulated_params, pencil_simulated, th_simulated, try_fft3_simulated,
+    try_multi_simulated, MultiReport, SimReport,
 };
 pub use trace::{
     derive_step_times, overlap_summary, trace_to_json, DegradeAction, EventKind, MemRecorder,

@@ -1,6 +1,8 @@
 //! The tunable parameters (Table 1 of the paper, plus an intra-rank thread
-//! count `Th`), their feasibility rules, and the one resolution of a
-//! [`Variant`] into the parameters it actually runs with.
+//! count `Th`), their feasibility rules, and the one statement of what a
+//! [`Variant`] requires of its input ([`Variant::check`] — the only
+//! validation either backend runs before a slab transform) and of the
+//! parameters it actually runs with ([`Variant::resolve`]).
 
 use crate::real_env::Variant;
 use simnet::model::TransposeCost;
@@ -47,8 +49,12 @@ impl ProblemSpec {
 
     /// A zero-extent axis has no transform; planning a size-1 stand-in
     /// would silently "succeed" on an empty problem, so every entry point
-    /// rejects it before touching plans.
+    /// rejects it before touching plans — and zero ranks before anything
+    /// divides by `p`.
     pub(crate) fn check_extents(&self) -> Result<(), ParamError> {
+        if self.p == 0 {
+            return Err(ParamError::ZeroRanks);
+        }
         for (axis, n) in [("nx", self.nx), ("ny", self.ny), ("nz", self.nz)] {
             if n == 0 {
                 return Err(ParamError::ZeroExtent(axis));
@@ -151,8 +157,8 @@ impl TuningParams {
     /// window constraint is meaningless but a zero `Px`/`Uy`/`T` would still
     /// divide by zero deeper in the pipeline.
     pub fn validate_without_window(&self, spec: &ProblemSpec) -> Result<(), ParamError> {
-        let nxl = spec.nx.div_ceil(spec.p);
-        let nyl = spec.ny.div_ceil(spec.p);
+        let nxl = spec.nx.div_ceil(spec.p.max(1));
+        let nyl = spec.ny.div_ceil(spec.p.max(1));
         if self.t < 1 || self.t > spec.nz {
             return Err(ParamError::TileSize(self.t));
         }
@@ -188,8 +194,8 @@ impl TuningParams {
     /// `T = Nz/16`, `W = 2`, sub-tiles sized to fit 8 Ki elements in a
     /// 256 KiB cache, `F* = p/2`.
     pub fn seed(spec: &ProblemSpec) -> TuningParams {
-        let nxl = spec.nx.div_ceil(spec.p);
-        let nyl = spec.ny.div_ceil(spec.p);
+        let nxl = spec.nx.div_ceil(spec.p.max(1));
+        let nyl = spec.ny.div_ceil(spec.p.max(1));
         let t = (spec.nz / 16).max(1);
         let px = (8192 / spec.ny.max(1)).clamp(1, nxl);
         let pz = (8192 / spec.ny.max(1) / px.max(1)).clamp(1, t);
@@ -233,15 +239,20 @@ impl TuningParams {
 
 impl Variant {
     /// What both backends require of `(spec, params)` before `self` runs:
-    /// non-zero extents and, for NEW — which takes the parameters literally
-    /// — their feasibility. The non-overlapped NEW-0 encoding sets `w = 0`,
-    /// which the window-range rule rejects, but every other constraint must
-    /// still hold (a zero `Px`/`Uy`/`T` would divide by zero in the stage).
+    /// at least one rank, non-zero extents and, for NEW — which takes the
+    /// parameters literally — their feasibility. The non-overlapped NEW-0
+    /// encoding sets `w = 0`, which the window-range rule rejects, but every
+    /// other constraint must still hold (a zero `Px`/`Uy`/`T` would divide
+    /// by zero in the stage). TH and FFTW rewrite the parameters themselves
+    /// ([`Variant::resolve`]), so only the tile size they share is checked.
     pub(crate) fn check(self, spec: &ProblemSpec, params: &TuningParams) -> Result<(), ParamError> {
         spec.check_extents()?;
         match self {
             Variant::New if params.w == 0 => params.validate_without_window(spec),
             Variant::New => params.validate(spec),
+            Variant::Th | Variant::Fftw if params.t < 1 || params.t > spec.nz => {
+                Err(ParamError::TileSize(params.t))
+            }
             Variant::Th | Variant::Fftw => Ok(()),
         }
     }

@@ -49,7 +49,7 @@ use crate::error::Error;
 use crate::executor::{Axis, Fft, Local, Session, StageComm, StageShape};
 use crate::params::{ParamError, ProblemSpec, TuningParams};
 use crate::pipeline::{Recovery, Resilience};
-use crate::serial::test_field;
+use crate::serial::{block, test_field};
 use crate::trace::{NoopRecorder, Recorder};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction, PlanCache};
@@ -194,7 +194,9 @@ pub struct PencilRunOutput {
     pub exchange_setups: u64,
 }
 
-fn validate_pencil(
+/// What both backends require of a pencil transform before it runs (the
+/// model passes `spec.p` for `comm_size`).
+pub(crate) fn validate_pencil(
     comm_size: usize,
     spec: &ProblemSpec,
     grid: PencilGrid,
@@ -451,16 +453,10 @@ pub(crate) fn pencil_blocking(spec: &ProblemSpec, grid: PencilGrid) -> TuningPar
 }
 
 /// Whether `(params, grid)` is worth evaluating for the overlapped pencil
-/// backend — the tuner's feasibility predicate.
+/// backend — the tuner's feasibility predicate: what `validate_pencil`
+/// accepts, minus tiles taller than either tiled axis.
 pub fn pencil_feasible(spec: &ProblemSpec, grid: PencilGrid, params: &TuningParams) -> bool {
-    !grid.is_empty()
-        && grid.len() == spec.p
-        && spec.nx > 0
-        && spec.ny > 0
-        && spec.nz > 0
-        && params.t >= 1
-        && params.t <= spec.nx.max(spec.nz)
-        && params.threads >= 1
+    validate_pencil(spec.p, spec, grid, params).is_ok() && params.t <= spec.nx.max(spec.nz)
 }
 
 // ---------------------------------------------------------------------------
@@ -472,17 +468,9 @@ pub fn pencil_feasible(spec: &ProblemSpec, grid: PencilGrid, params: &TuningPara
 /// checks.
 pub fn pencil_test_input(spec: &ProblemSpec, grid: PencilGrid, rank: usize) -> Vec<Complex64> {
     let (row, col) = grid.coords(rank);
-    let xs = AxisSplit::new(spec.nx, grid.pr);
-    let ys = AxisSplit::new(spec.ny, grid.pc);
-    let mut v = Vec::new();
-    for xl in 0..xs.count(row) {
-        for yl in 0..ys.count(col) {
-            for z in 0..spec.nz {
-                v.push(test_field(xs.offset(row) + xl, ys.offset(col) + yl, z));
-            }
-        }
-    }
-    v
+    let xs = AxisSplit::new(spec.nx, grid.pr).range(row);
+    let ys = AxisSplit::new(spec.ny, grid.pc).range(col);
+    block(xs, ys, spec.nz, test_field)
 }
 
 /// Max |difference| between `rank`'s pencil `out` and the full serial

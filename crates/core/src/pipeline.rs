@@ -163,6 +163,14 @@ impl Recovery {
             && !self.fell_back
             && self.corruptions_healed == 0
     }
+
+    /// Appends what a transform's next exchange stage had to do.
+    pub(crate) fn absorb(&mut self, stage: Recovery) {
+        self.stalls_detected += stage.stalls_detected;
+        self.actions.extend(stage.actions);
+        self.fell_back |= stage.fell_back;
+        self.corruptions_healed += stage.corruptions_healed;
+    }
 }
 
 /// Ladder state shared by the resilient drivers.

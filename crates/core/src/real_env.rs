@@ -26,6 +26,7 @@ use crate::error::{Error, IntegrityStage};
 use crate::executor::{Axis, Fft, Local, Session, StageComm, StageShape, Workspace};
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pipeline::{Recovery, Resilience};
+use crate::serial::{block, test_field};
 use crate::trace::{EventKind, NoopRecorder, Recorder};
 use crate::transport::Transport;
 use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
@@ -492,18 +493,8 @@ impl<'a> FftSession<'a> {
 
 /// Builds this rank's x-slab of the deterministic test field.
 pub fn local_test_slab(spec: &ProblemSpec, rank: usize) -> Vec<Complex64> {
-    let decomp = Decomp::new(spec.nx, spec.ny, spec.p);
-    let nxl = decomp.x.count(rank);
-    let xoff = decomp.x.offset(rank);
-    let mut v = Vec::with_capacity(nxl * spec.ny * spec.nz);
-    for xl in 0..nxl {
-        for y in 0..spec.ny {
-            for z in 0..spec.nz {
-                v.push(crate::serial::test_field(xoff + xl, y, z));
-            }
-        }
-    }
-    v
+    let xs = Decomp::new(spec.nx, spec.ny, spec.p).x.range(rank);
+    block(xs, 0..spec.ny, spec.nz, test_field)
 }
 
 /// Compares a rank's distributed output slab against the serial reference

@@ -30,11 +30,13 @@ use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pipeline::Resilience;
 use crate::real_env::{try_fft3_dist_traced, RunOutput, Variant};
+use crate::serial::block;
 use crate::trace::{EventKind, Recorder, TraceEvent};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use mpisim::{Comm, LintId, Severity};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,12 +62,11 @@ pub trait SlabSource: Sync {
     fn prepare(&self, _comm: &Comm, _spec: &ProblemSpec, _lost: &[usize]) {}
 }
 
-/// Validates `(spec, rank)` and returns this rank's x-extent
-/// `(count, offset)`, or `None` when the decomposition cannot produce the
-/// slab: an empty world, a rank outside it, or an x-split that fails to
-/// cover the global extent. Shared by every [`SlabSource`] so no source
+/// Validates `(spec, rank)` and returns this rank's x-planes, or `None`
+/// when the decomposition cannot produce the slab: an empty world, a rank
+/// outside it, or an x-split that fails to cover the global extent. Shared by every [`SlabSource`] so no source
 /// panics on a malformed spec.
-fn slab_extent(spec: &ProblemSpec, rank: usize) -> Option<(usize, usize)> {
+fn slab_extent(spec: &ProblemSpec, rank: usize) -> Option<Range<usize>> {
     if spec.p == 0 || rank >= spec.p {
         return None;
     }
@@ -73,7 +74,7 @@ fn slab_extent(spec: &ProblemSpec, rank: usize) -> Option<(usize, usize)> {
     if decomp.x.counts().iter().sum::<usize>() != spec.nx {
         return None;
     }
-    Some((decomp.x.count(rank), decomp.x.offset(rank)))
+    Some(decomp.x.range(rank))
 }
 
 /// Cuts `rank`'s x-slab of `spec` out of a full x-y-z array — the one
@@ -83,33 +84,12 @@ fn cut_slab(full: &[Complex64], spec: &ProblemSpec, rank: usize) -> Option<Vec<C
     if full.len() != spec.nx * spec.ny * spec.nz {
         return None;
     }
-    let (nxl, xoff) = slab_extent(spec, rank)?;
-    let mut v = Vec::with_capacity(nxl * spec.ny * spec.nz);
-    for xl in 0..nxl {
-        let x = xoff + xl;
+    let xs = slab_extent(spec, rank)?;
+    let mut v = Vec::with_capacity(xs.len() * spec.ny * spec.nz);
+    for x in xs {
         for y in 0..spec.ny {
             let row = (x * spec.ny + y) * spec.nz;
             v.extend_from_slice(&full[row..row + spec.nz]);
-        }
-    }
-    Some(v)
-}
-
-/// Builds `rank`'s x-slab of `spec` element-by-element from a generator —
-/// the zero-replication counterpart of [`cut_slab`], shared with
-/// [`ComputeSource`].
-fn build_slab(
-    spec: &ProblemSpec,
-    rank: usize,
-    f: impl Fn(usize, usize, usize) -> Complex64,
-) -> Option<Vec<Complex64>> {
-    let (nxl, xoff) = slab_extent(spec, rank)?;
-    let mut v = Vec::with_capacity(nxl * spec.ny * spec.nz);
-    for xl in 0..nxl {
-        for y in 0..spec.ny {
-            for z in 0..spec.nz {
-                v.push(f(xoff + xl, y, z));
-            }
         }
     }
     Some(v)
@@ -153,7 +133,8 @@ impl<F: Fn(usize, usize, usize) -> Complex64 + Sync> ComputeSource<F> {
 
 impl<F: Fn(usize, usize, usize) -> Complex64 + Sync> SlabSource for ComputeSource<F> {
     fn slab(&self, spec: &ProblemSpec, rank: usize) -> Option<Vec<Complex64>> {
-        build_slab(spec, rank, &self.f)
+        let xs = slab_extent(spec, rank)?;
+        Some(block(xs, 0..spec.ny, spec.nz, &self.f))
     }
 }
 

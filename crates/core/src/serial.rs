@@ -12,6 +12,7 @@ use crate::params::ProblemSpec;
 use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction, PlanCache};
+use std::ops::Range;
 
 /// Computes the full 3-D FFT of `data` (layout `x-y-z`, z contiguous, size
 /// `nx·ny·nz`) in place.
@@ -78,17 +79,28 @@ pub fn test_field(x: usize, y: usize, z: usize) -> Complex64 {
     Complex64::new(re, im)
 }
 
-/// Fills a full `x-y-z` array with [`test_field`].
-pub fn full_test_array(nx: usize, ny: usize, nz: usize) -> Vec<Complex64> {
-    let mut v = Vec::with_capacity(nx * ny * nz);
-    for x in 0..nx {
-        for y in 0..ny {
+/// The `xs × ys × 0..nz` block of the field `f`, in `x-y-z` order — the one
+/// loop nest behind every slab, pencil and full-array builder of the crate.
+pub(crate) fn block(
+    xs: Range<usize>,
+    ys: Range<usize>,
+    nz: usize,
+    f: impl Fn(usize, usize, usize) -> Complex64,
+) -> Vec<Complex64> {
+    let mut v = Vec::with_capacity(xs.len() * ys.len() * nz);
+    for x in xs {
+        for y in ys.clone() {
             for z in 0..nz {
-                v.push(test_field(x, y, z));
+                v.push(f(x, y, z));
             }
         }
     }
     v
+}
+
+/// Fills a full `x-y-z` array with [`test_field`].
+pub fn full_test_array(nx: usize, ny: usize, nz: usize) -> Vec<Complex64> {
+    block(0..nx, 0..ny, nz, test_field)
 }
 
 #[cfg(test)]

@@ -602,7 +602,9 @@ impl Emitter<'_> {
 
 /// One stage of a job under the pipeline driver; a request is the index of
 /// the tile's flow. Compute phases become CPU steps (the engine arbitrates
-/// them; polling is free at this level).
+/// them; polling is free at this level). Which phases run ahead of a post —
+/// the array-train rule included — is the cost table's statement
+/// ([`StageCosts::before_post`]), as it is for `sim_env::SimEnv`.
 struct StageProgram<'e, 'a> {
     em: &'e mut Emitter<'a>,
     stage: &'e StageCosts,
@@ -613,7 +615,7 @@ impl OverlapEnv for StageProgram<'_, '_> {
     type Req = usize;
 
     fn num_tiles(&self) -> usize {
-        self.arrays * self.stage.tiles
+        self.stage.train_tiles(self.arrays)
     }
 
     fn window(&self) -> usize {
@@ -627,10 +629,7 @@ impl OverlapEnv for StageProgram<'_, '_> {
     }
 
     fn ffty_pack(&mut self, tile: usize, _inflight: &mut [(usize, usize)]) -> Result<(), Error> {
-        if tile != 0 && tile % self.stage.tiles == 0 {
-            self.fftz_transpose();
-        }
-        for part in self.stage.tile(tile).pre.iter().flat_map(|ph| &ph.parts) {
+        for part in self.stage.before_post(tile).flat_map(|ph| &ph.parts) {
             self.em.compute(part.secs);
         }
         Ok(())

@@ -5,38 +5,37 @@
 //! This backend regenerates the paper's evaluation at full scale (up to
 //! p = 256, N = 2048³) without the data: compute phases charge the machine
 //! model, all-to-alls run the manual-progression round model, and the
-//! breakdown accounting mirrors Figure 8's categories. One interpreter,
-//! `SimEnv`, runs every simulated pipeline: the slab variants (one stage
-//! over all ranks), the fused multi-array train of §7 (the same stage with
-//! the tile stream spanning several arrays), and the pencil decomposition
-//! (two stages over the grid's rows and columns, run back to back). Like the
-//! real session it models, it moves every tile one way: a persistent plan
-//! initialised at the tile's first post (paying the setup charge there) and
-//! started on every post, so a single execution is the first of a repeated
-//! run, not a path of its own.
+//! breakdown accounting mirrors Figure 8's categories. One object,
+//! [`Simulation`], owns a modelled transform the way `executor::Session`
+//! owns a real one, and holds the file's one `run_sim` launch; every public
+//! simulator is a constructor of it: the slab variants (one stage over all
+//! ranks), the fused multi-array train of §7 (the same stage with the tile
+//! stream spanning several arrays), and the pencil decomposition (two
+//! stages over the grid's rows and columns, run back to back). One
+//! interpreter, `SimEnv`, runs each stage. Like the real session it models,
+//! it moves every tile one way: a persistent plan initialised at the tile's
+//! first post (paying the setup charge there) and started on every post, so
+//! a single execution is the first of a repeated run, not a path of its own.
 
 use crate::breakdown::{RunStats, StepTimes};
+use crate::decomp::Decomposition;
 use crate::error::Error;
-use crate::params::{ParamError, ProblemSpec, ThParams, TuningParams};
-use crate::pencil::{pencil_blocking, PencilGrid};
+use crate::params::{ProblemSpec, ThParams, TuningParams};
+use crate::pencil::{pencil_blocking, validate_pencil, PencilGrid};
 use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::real_env::Variant;
 use crate::stage::{self, Phase, StageCosts, Step};
 use crate::trace::{EventKind, TraceEvent};
-use simnet::model::TransposeCost;
+use simnet::model::{MachineModel, TransposeCost};
 use simnet::{run_sim, OpId, PlanId, Platform, SimRank, SimTime};
 
 /// One rank's view of one simulated exchange stage.
 struct SimEnv<'a> {
     sim: &'a mut SimRank,
     stage: &'a StageCosts,
-    /// Arrays in the tile stream: tiles `a·k ..< (a+1)·k` belong to array
-    /// `a`, whose fixed phases run (polling the previous array's in-flight
-    /// tail) at the boundary — the inter-array overlap of §7.
-    arrays: usize,
-    /// Skip array 0's fixed phases — the §4.4 tuning-speed technique ("the
-    /// AH client does not execute FFTz and Transpose during auto-tuning").
-    skip_fixed_steps: bool,
+    /// The run this stage belongs to: its array count, whether array 0's
+    /// fixed phases are skipped, and the ladder's poll boost.
+    run: &'a Simulation,
     /// Persistent all-to-all plans, one per tile of the train, shared
     /// across repeated executions: inited lazily at a tile's first post
     /// (paying `post_overhead` once), started with zero setup thereafter.
@@ -51,8 +50,6 @@ struct SimEnv<'a> {
     /// seconds is reported to the degradation ladder as [`Error::Stalled`].
     /// `None` disarms it.
     stall_timeout: Option<f64>,
-    /// Poll multiplier the ladder's BoostPolls rung switches to.
-    poll_boost: u32,
     /// Current poll multiplier (1 until the ladder boosts).
     boost: u32,
     /// Tiles already reported as stalled — `simnet`'s `wait` is idempotent,
@@ -63,29 +60,7 @@ struct SimEnv<'a> {
     ops: Vec<OpId>,
 }
 
-impl<'a> SimEnv<'a> {
-    /// A one-array, untraced, unwatched run of `stage` over `plans`.
-    fn new(
-        sim: &'a mut SimRank,
-        stage: &'a StageCosts,
-        plans: &'a mut Vec<Option<PlanId>>,
-    ) -> Self {
-        SimEnv {
-            sim,
-            stage,
-            arrays: 1,
-            skip_fixed_steps: false,
-            plans,
-            steps: StepTimes::default(),
-            events: None,
-            stall_timeout: None,
-            poll_boost: 1,
-            boost: 1,
-            reported: Vec::new(),
-            ops: Vec::new(),
-        }
-    }
-
+impl SimEnv<'_> {
     /// Records a span from `start` to the current virtual time.
     fn record(&mut self, kind: EventKind, start: SimTime) {
         if let Some(ev) = &mut self.events {
@@ -173,7 +148,7 @@ impl OverlapEnv for SimEnv<'_> {
     type Req = OpId;
 
     fn num_tiles(&self) -> usize {
-        self.arrays * self.stage.tiles
+        self.stage.train_tiles(self.run.arrays)
     }
 
     fn window(&self) -> usize {
@@ -181,7 +156,7 @@ impl OverlapEnv for SimEnv<'_> {
     }
 
     fn fftz_transpose(&mut self) {
-        if self.skip_fixed_steps {
+        if self.run.skip_fixed_steps {
             return;
         }
         // Nothing is in flight yet, so the phases run unpolled and are
@@ -197,12 +172,7 @@ impl OverlapEnv for SimEnv<'_> {
 
     fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, OpId)]) -> Result<(), Error> {
         let stage = self.stage;
-        if tile != 0 && tile % stage.tiles == 0 {
-            for ph in &stage.fixed {
-                self.phase(ph, tile, inflight);
-            }
-        }
-        for ph in &stage.tile(tile).pre {
+        for ph in stage.before_post(tile) {
             self.phase(ph, tile, inflight);
         }
         Ok(())
@@ -272,7 +242,7 @@ impl OverlapEnv for SimEnv<'_> {
     }
 
     fn boost_polls(&mut self) {
-        self.boost = self.poll_boost.max(1);
+        self.boost = self.run.res.poll_boost.max(1);
     }
 
     fn escalate_watchdog(&mut self) {
@@ -298,6 +268,179 @@ pub struct SimReport {
     pub setup_charges: u64,
 }
 
+/// Why the infallible simulators cannot fail: nothing arms their watchdog.
+const DISARMED: &str = "a simulated wait cannot fail with the watchdog disarmed";
+
+/// One modelled transform — everything a simulated run needs, and the one
+/// place a simulated world is launched.
+pub(crate) struct Simulation {
+    spec: ProblemSpec,
+    decomp: Decomposition,
+    /// The tuning vector and Transpose tier the variant resolved to.
+    params: TuningParams,
+    tier: TransposeCost,
+    /// TH's schedule ([`try_run_th`]) instead of the windowed one.
+    th: bool,
+    /// Arrays streamed through each stage as one train (§7; see
+    /// [`StageCosts::before_post`] for what happens at their boundaries).
+    arrays: usize,
+    /// Skip array 0's fixed phases — the §4.4 tuning-speed technique ("the
+    /// AH client does not execute FFTz and Transpose during auto-tuning").
+    skip_fixed_steps: bool,
+    /// Back-to-back executions over the same persistent plans.
+    reps: usize,
+    /// Collect every rank's event timeline.
+    trace: bool,
+    /// Stall policy, its `stall_timeout` in **virtual** seconds.
+    res: Resilience,
+}
+
+/// One execution of a [`Simulation`], folded over its ranks.
+pub(crate) struct Execution {
+    pub(crate) report: SimReport,
+    /// Per-rank event timelines (empty ones unless traced).
+    events: Vec<Vec<TraceEvent>>,
+    /// What the degradation ladder had to do (rank 0's view).
+    recovery: Recovery,
+}
+
+impl Simulation {
+    /// One untraced, unwatched execution of the slab pipeline of `variant`,
+    /// pricing `params` as given: only the fallible entry points put
+    /// `Variant::check` in front (the cost table clamps what a real run
+    /// would reject).
+    fn slab(
+        spec: ProblemSpec,
+        variant: Variant,
+        params: TuningParams,
+        transpose_override: Option<TransposeCost>,
+    ) -> Self {
+        let (params, tier) = variant.resolve(&spec, params);
+        Simulation {
+            spec,
+            decomp: Decomposition::Slab,
+            params,
+            tier: transpose_override.unwrap_or(tier),
+            th: variant == Variant::Th,
+            arrays: 1,
+            skip_fixed_steps: false,
+            reps: 1,
+            trace: false,
+            res: Resilience::default(),
+        }
+    }
+
+    /// NEW's schedule on the pencil decomposition over `grid`, behind the
+    /// validation the real backend runs.
+    pub(crate) fn pencil(
+        spec: ProblemSpec,
+        grid: PencilGrid,
+        params: TuningParams,
+    ) -> Result<Self, Error> {
+        validate_pencil(spec.p, &spec, grid, &params)?;
+        Ok(Simulation {
+            decomp: Decomposition::Pencil(grid),
+            ..Self::slab(spec, Variant::New, params, None)
+        })
+    }
+
+    /// The exchange stages `rank` runs back to back, priced on `machine`:
+    /// one for the slab variants and the §7 train, the row and the column
+    /// stage for the pencil.
+    fn stages(&self, machine: &MachineModel, rank: usize) -> Vec<StageCosts> {
+        let (spec, params) = (&self.spec, &self.params);
+        match self.decomp {
+            Decomposition::Slab => vec![stage::slab(machine, spec, params, rank, self.tier)],
+            Decomposition::Pencil(grid) => stage::pencil(machine, spec, grid, params).into(),
+        }
+    }
+
+    /// Runs the transform `reps` times on every rank of `platform`: per rank
+    /// the stage costs are built once and each stage keeps one
+    /// persistent-plan table across the executions. Per execution the ranks
+    /// fold into one [`SimReport`]: the slowest rank's time; rank 0's steps,
+    /// setup charges and ladder record.
+    fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
+        let mut per_rank = run_sim(platform, self.spec.p, |sim| {
+            let costs = self.stages(&sim.platform().machine, sim.rank());
+            let mut plans = vec![Vec::new(); costs.len()];
+            if self.trace {
+                sim.enable_poll_log();
+            }
+            (0..self.reps)
+                .map(|_| self.execute(sim, &costs, &mut plans))
+                .collect::<Result<Vec<_>, Error>>()
+        })
+        .into_iter();
+        let mut runs = per_rank.next().transpose()?.unwrap_or_default();
+        for later in per_rank {
+            for (run, other) in runs.iter_mut().zip(later?) {
+                run.report.time = run.report.time.max(other.report.time);
+                run.report.per_rank.extend(other.report.per_rank);
+                run.events.extend(other.events);
+            }
+        }
+        Ok(runs)
+    }
+
+    /// One execution on one rank: the stages back to back through
+    /// [`SimEnv`].
+    fn execute(
+        &self,
+        sim: &mut SimRank,
+        costs: &[StageCosts],
+        plans: &mut [Vec<Option<PlanId>>],
+    ) -> Result<Execution, Error> {
+        let start = sim.now();
+        let tests0 = sim.test_calls();
+        let setups0 = sim.setup_charges();
+        let mut steps = StepTimes::default();
+        let mut events = self.trace.then(Vec::new);
+        let mut recovery = Recovery::default();
+        for (stage, plans) in costs.iter().zip(plans) {
+            let mut env = SimEnv {
+                sim: &mut *sim,
+                stage,
+                run: self,
+                plans,
+                steps,
+                events,
+                stall_timeout: self.res.stall_timeout.map(|d| d.as_secs_f64()),
+                boost: 1,
+                reported: Vec::new(),
+                ops: Vec::new(),
+            };
+            recovery.absorb(if self.th {
+                try_run_th(&mut env, &self.res)?
+            } else {
+                try_run_new(&mut env, &self.res)?
+            });
+            (steps, events) = (env.steps, env.events);
+        }
+        let stats = RunStats {
+            steps,
+            elapsed: (sim.now() - start).as_secs_f64(),
+            tests: sim.test_calls() - tests0,
+        };
+        Ok(Execution {
+            report: SimReport {
+                time: stats.elapsed,
+                steps,
+                per_rank: vec![stats],
+                setup_charges: sim.setup_charges() - setups0,
+            },
+            events: vec![events.unwrap_or_default()],
+            recovery,
+        })
+    }
+
+    /// The run's first execution.
+    pub(crate) fn first(&self, platform: Platform) -> Result<Execution, Error> {
+        let first = self.run(platform)?.into_iter().next();
+        first.ok_or(Error::Internal("a simulation with no execution"))
+    }
+}
+
 /// Simulates one distributed 3-D FFT and returns timing results.
 ///
 /// Set `skip_fixed_steps` to model the tuning objective of §4.4 (FFTz and
@@ -313,11 +456,9 @@ pub fn fft3_simulated(
     fft3_simulated_with(platform, spec, variant, params, skip_fixed_steps, None)
 }
 
-/// Fallible [`fft3_simulated`]: validates the tuning parameters up front
-/// (for [`Variant::New`], where they are taken literally) and reports an
-/// infeasible configuration as [`Error::InfeasibleParams`] instead of
-/// producing a garbage cost estimate. TH and FFTW rewrite the parameters
-/// themselves, so only the shared tile size is checked there.
+/// Fallible [`fft3_simulated`]: an infeasible `(spec, params)` pair — by the
+/// rule the real backend runs, `Variant::check` — is reported as
+/// [`Error::InfeasibleParams`] instead of a garbage cost estimate.
 pub fn try_fft3_simulated(
     platform: Platform,
     spec: ProblemSpec,
@@ -326,16 +467,11 @@ pub fn try_fft3_simulated(
     skip_fixed_steps: bool,
 ) -> Result<SimReport, Error> {
     variant.check(&spec, &params)?;
-    if variant != Variant::New && (params.t == 0 || params.t > spec.nz) {
-        return Err(Error::from(ParamError::TileSize(params.t)));
-    }
-    Ok(fft3_simulated(
-        platform,
-        spec,
-        variant,
-        params,
+    let sim = Simulation {
         skip_fixed_steps,
-    ))
+        ..Simulation::slab(spec, variant, params, None)
+    };
+    Ok(sim.first(platform)?.report)
 }
 
 /// [`fft3_simulated`] with an explicit transpose-cost tier — the hook the
@@ -348,17 +484,11 @@ pub fn fft3_simulated_with(
     skip_fixed_steps: bool,
     transpose_override: Option<TransposeCost>,
 ) -> SimReport {
-    let mut runs = simulate(
-        platform,
-        spec,
-        variant,
-        params,
+    let sim = Simulation {
         skip_fixed_steps,
-        transpose_override,
-        false,
-        1,
-    );
-    runs.swap_remove(0).0
+        ..Simulation::slab(spec, variant, params, transpose_override)
+    };
+    sim.first(platform).expect(DISARMED).report
 }
 
 /// [`fft3_simulated`] additionally returning every rank's per-tile event
@@ -370,7 +500,12 @@ pub fn fft3_simulated_traced(
     variant: Variant,
     params: TuningParams,
 ) -> (SimReport, Vec<Vec<TraceEvent>>) {
-    simulate(platform, spec, variant, params, false, None, true, 1).swap_remove(0)
+    let sim = Simulation {
+        trace: true,
+        ..Simulation::slab(spec, variant, params, None)
+    };
+    let run = sim.first(platform).expect(DISARMED);
+    (run.report, run.events)
 }
 
 /// Simulates `reps` back-to-back executions of the same transform over
@@ -390,86 +525,13 @@ pub fn fft3_simulated_repeated(
     skip_fixed_steps: bool,
     reps: usize,
 ) -> Vec<SimReport> {
-    let runs = simulate(
-        platform,
-        spec,
-        variant,
-        params,
+    let sim = Simulation {
         skip_fixed_steps,
-        None,
-        false,
         reps,
-    );
-    runs.into_iter().map(|(report, _)| report).collect()
-}
-
-/// `reps` back-to-back slab transforms on every rank, sharing their per-tile
-/// persistent plans; one `(report, per-rank events)` pair per execution.
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    skip_fixed_steps: bool,
-    transpose_override: Option<TransposeCost>,
-    trace: bool,
-    reps: usize,
-) -> Vec<(SimReport, Vec<Vec<TraceEvent>>)> {
-    let (params, tier) = variant.resolve(&spec, params);
-    let tier = transpose_override.unwrap_or(tier);
-    let results = run_sim(platform, spec.p, move |sim| {
-        let machine = sim.platform().machine.clone();
-        let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
-        let mut plans = Vec::new();
-        if trace {
-            sim.enable_poll_log();
-        }
-        let mut executions = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let start = sim.now();
-            let tests0 = sim.test_calls();
-            let setups0 = sim.setup_charges();
-            let mut env = SimEnv {
-                skip_fixed_steps,
-                events: trace.then(Vec::new),
-                ..SimEnv::new(sim, &costs, &mut plans)
-            };
-            let res = Resilience::default();
-            match variant {
-                Variant::Th => try_run_th(&mut env, &res),
-                _ => try_run_new(&mut env, &res),
-            }
-            .expect("a simulated wait cannot fail with the watchdog disarmed");
-            let (steps, events) = (env.steps, env.events.unwrap_or_default());
-            let stats = RunStats {
-                steps,
-                elapsed: (sim.now() - start).as_secs_f64(),
-                tests: sim.test_calls() - tests0,
-            };
-            executions.push((stats, sim.setup_charges() - setups0, events));
-        }
-        executions
-    });
-    let mut per_rank: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
-    (0..reps)
-        .map(|_| {
-            let ranks: Vec<_> = per_rank
-                .iter_mut()
-                .map(|rank| rank.next().expect("one entry per execution"))
-                .collect();
-            let setup_charges = ranks[0].1;
-            let (per_rank, events): (Vec<RunStats>, Vec<_>) =
-                ranks.into_iter().map(|(s, _, ev)| (s, ev)).unzip();
-            let report = SimReport {
-                time: per_rank.iter().map(|r| r.elapsed).fold(0.0, f64::max),
-                steps: per_rank[0].steps,
-                per_rank,
-                setup_charges,
-            };
-            (report, events)
-        })
-        .collect()
+        ..Simulation::slab(spec, variant, params, None)
+    };
+    let runs = sim.run(platform).expect(DISARMED);
+    runs.into_iter().map(|run| run.report).collect()
 }
 
 /// Simulates the TH comparator from its three-parameter space.
@@ -521,50 +583,20 @@ pub fn try_multi_simulated(
     if narrays == 0 {
         return Err(Error::EmptyBatch);
     }
-    // Fallible baseline first: validates extents and tuning parameters
-    // before any simulated rank spins up.
+    // The fallible baseline first: it validates before any rank spins up.
     let single = try_fft3_simulated(platform.clone(), spec, Variant::New, params, false)?;
-    let res = *res;
-
-    let per_rank = run_sim(platform, spec.p, move |sim| {
-        let start = sim.now();
-        let machine = sim.platform().machine.clone();
-        let (params, tier) = Variant::New.resolve(&spec, params);
-        let costs = stage::slab(&machine, &spec, &params, sim.rank(), tier);
-        let mut plans = Vec::new();
-        let mut env = SimEnv {
-            arrays: narrays,
-            stall_timeout: res.stall_timeout.map(|d| d.as_secs_f64()),
-            poll_boost: res.poll_boost,
-            ..SimEnv::new(sim, &costs, &mut plans)
-        };
-        let recovery = try_run_new(&mut env, &res)?;
-        Ok::<_, Error>((env.steps, recovery, (env.sim.now() - start).as_secs_f64()))
-    });
-
-    let per_rank = per_rank.into_iter().collect::<Result<Vec<_>, Error>>()?;
-    let fused_time = per_rank.iter().map(|r| r.2).fold(0.0, f64::max);
-    let (steps, recovery, _) = per_rank
-        .into_iter()
-        .next()
-        .ok_or(Error::Internal("multi run produced no ranks"))?;
+    let train = Simulation {
+        arrays: narrays,
+        res: *res,
+        ..Simulation::slab(spec, Variant::New, params, None)
+    };
+    let fused = train.first(platform)?;
     Ok(MultiReport {
-        fused_time,
+        fused_time: fused.report.time,
         sequential_time: single.time * narrays as f64,
-        steps,
-        recovery,
+        steps: fused.report.steps,
+        recovery: fused.recovery,
     })
-}
-
-/// One simulated overlapped pencil transform on one rank: the row stage,
-/// then the column stage, each under the windowed driver. `plans` holds the
-/// stages' persistent per-tile plans (see [`SimEnv::plans`]).
-fn pencil_rank(sim: &mut SimRank, stages: &[StageCosts; 2], plans: &mut [Vec<Option<PlanId>>; 2]) {
-    for (costs, plans) in stages.iter().zip(plans) {
-        let mut env = SimEnv::new(sim, costs, plans);
-        try_run_new(&mut env, &Resilience::default())
-            .expect("a simulated wait cannot fail with the watchdog disarmed");
-    }
 }
 
 /// Simulated cost of the pencil transform **with the paper's overlap
@@ -573,19 +605,18 @@ fn pencil_rank(sim: &mut SimRank, stages: &[StageCosts; 2], plans: &mut [Vec<Opt
 /// [`crate::decomp::auto_select`] evaluate. The tuning vector is honoured
 /// the way [`crate::pencil::try_fft3_pencil_overlapped`] applies it (see
 /// `stage::pencil`).
+///
+/// # Panics
+/// When the real backend would reject `(spec, grid, params)`: a grid that
+/// does not cover `spec.p` ranks, a zero extent, `t = 0` or `threads = 0`.
 pub fn pencil_overlap_simulated_params(
     platform: Platform,
     spec: ProblemSpec,
     grid: PencilGrid,
     params: &TuningParams,
 ) -> f64 {
-    assert_eq!(grid.len(), spec.p);
-    let stages = stage::pencil(&platform.machine, &spec, grid, params);
-    let times = run_sim(platform, spec.p, move |sim| {
-        pencil_rank(sim, &stages, &mut Default::default());
-        sim.now().as_secs_f64()
-    });
-    times.into_iter().fold(0.0, f64::max)
+    let run = Simulation::pencil(spec, grid, *params).and_then(|sim| sim.first(platform));
+    run.expect("a feasible pencil configuration").report.time
 }
 
 /// Simulated cost of the blocking pencil transform: three FFT sweeps and
@@ -597,40 +628,10 @@ pub fn pencil_simulated(platform: Platform, spec: ProblemSpec, grid: PencilGrid)
     pencil_overlap_simulated_params(platform, spec, grid, &blocking)
 }
 
-/// `reps` back-to-back simulated overlapped pencil transforms with
-/// persistent exchange plans: the first repetition pays every tile's
-/// `alltoall_init` setup charge, later ones only `start`. Returns the
-/// per-repetition makespans (max across ranks).
-pub fn pencil_overlap_simulated_repeated(
-    platform: Platform,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: &TuningParams,
-    reps: usize,
-) -> Vec<f64> {
-    assert_eq!(grid.len(), spec.p);
-    let stages = stage::pencil(&platform.machine, &spec, grid, params);
-    let times: Vec<Vec<f64>> = run_sim(platform, spec.p, move |sim| {
-        let mut plans = Default::default();
-        (0..reps)
-            .map(|_| {
-                // Rendezvous so per-rep spans measure the transform, not
-                // drift accumulated by earlier repetitions.
-                sim.barrier();
-                let start = sim.now();
-                pencil_rank(sim, &stages, &mut plans);
-                (sim.now() - start).as_secs_f64()
-            })
-            .collect()
-    });
-    (0..reps)
-        .map(|r| times.iter().map(|t| t[r]).fold(0.0, f64::max))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamError;
     use crate::pencil::pencil_seed;
     use crate::trace::DegradeAction;
     use simnet::model::{hopper, umd_cluster};
@@ -848,6 +849,12 @@ mod tests {
             Err(Error::EmptyBatch) => {}
             other => panic!("expected EmptyBatch, got {other:?}"),
         }
+        // Zero ranks used to divide by zero in the feasibility check.
+        let nobody = ProblemSpec { p: 0, ..spec };
+        match try_multi_simulated(umd_cluster(), nobody, params, 2, &Resilience::default()) {
+            Err(Error::InfeasibleParams(ParamError::ZeroRanks)) => {}
+            other => panic!("expected InfeasibleParams(ZeroRanks), got {other:?}"),
+        }
     }
 
     /// Pinned regression (ISSUE #10 satellite 1): infeasible tuning
@@ -861,6 +868,18 @@ mod tests {
         match try_multi_simulated(umd_cluster(), spec, params, 2, &Resilience::default()) {
             Err(Error::InfeasibleParams(ParamError::TileSize(_))) => {}
             other => panic!("expected InfeasibleParams(TileSize), got {other:?}"),
+        }
+        // TH and FFTW share the tile-size rule, and zero ranks are rejected
+        // before anything divides by `p`, whatever the variant.
+        let nobody = ProblemSpec { p: 0, ..spec };
+        for variant in [Variant::New, Variant::Th, Variant::Fftw] {
+            for (spec, params, want) in [
+                (spec, params, ParamError::TileSize(params.t)),
+                (nobody, TuningParams::seed(&nobody), ParamError::ZeroRanks),
+            ] {
+                let got = try_fft3_simulated(umd_cluster(), spec, variant, params, false);
+                assert_eq!(got.map(|rep| rep.time), Err(want.into()), "{variant:?}");
+            }
         }
     }
 
@@ -937,21 +956,5 @@ mod tests {
         let b = pencil_overlap_simulated_params(umd_cluster(), spec, grid, &params);
         assert!(a > 0.0 && a.is_finite());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn repeated_simulated_pencil_transforms_amortise_plan_setup() {
-        let spec = ProblemSpec::cube(128, 8);
-        let grid = PencilGrid::near_square(8);
-        let params = pencil_seed(&spec, grid);
-        let reps = pencil_overlap_simulated_repeated(umd_cluster(), spec, grid, &params, 3);
-        assert_eq!(reps.len(), 3);
-        assert!(reps.iter().all(|t| *t > 0.0 && t.is_finite()));
-        // Repetition 0 pays every tile's alltoall_init setup charge.
-        assert!(
-            reps[1] < reps[0],
-            "persistent plans must amortise setup: {reps:?}"
-        );
-        assert_eq!(reps[1], reps[2]);
     }
 }

@@ -12,7 +12,11 @@
 //! ([`crate::sim_env`]) and the service's program emitter
 //! ([`crate::service`]) both charge from this table, and both are driven by
 //! [`crate::pipeline`], so a prediction and the simulation it gates cannot
-//! disagree on what a tile costs or when it is posted.
+//! disagree on what a tile costs or when it is posted. The table also owns
+//! the §7 array-train rule — how many tiles a train of arrays has and which
+//! tile opens an array ([`StageCosts::train_tiles`],
+//! [`StageCosts::before_post`]) — so the two interpreters differ only in
+//! what a phase, a post and a wait *do*.
 
 use crate::decomp::Decomp;
 use crate::params::{ProblemSpec, TuningParams};
@@ -90,9 +94,10 @@ pub(crate) struct StageCosts {
     pub tiles: usize,
     /// Window `W`, capped at the tile count (a wider window cannot fill).
     pub window: usize,
-    /// Once-per-array phases ahead of the first tile (the slab's FFTz and
-    /// Transpose). Their polls only matter in an array train, where the
-    /// previous array's tail is still in flight.
+    /// Once-per-array phases ahead of the array's first tile (the slab's
+    /// FFTz and Transpose). Array 0's run before the window opens; a later
+    /// array's are the head of [`Self::before_post`], and only there do
+    /// their polls matter — the previous array's tail is still in flight.
     pub fixed: Vec<Phase>,
     full: TileCosts,
     /// The last tile of an array, which may be short.
@@ -108,6 +113,22 @@ impl StageCosts {
         } else {
             &self.full
         }
+    }
+
+    /// Tiles in a train of `arrays` arrays streamed through this stage with
+    /// the window kept open across array boundaries (§7).
+    pub(crate) fn train_tiles(&self, arrays: usize) -> usize {
+        arrays * self.tiles
+    }
+
+    /// The compute phases ahead of tile `i`'s post. Tile `i` with
+    /// `i ≠ 0 ∧ i mod tiles = 0` opens an array, whose fixed phases run
+    /// there — overlapping the previous array's in-flight tail — before the
+    /// tile's own.
+    pub(crate) fn before_post(&self, i: usize) -> impl Iterator<Item = &Phase> {
+        let opens_array = i != 0 && i % self.tiles == 0;
+        let fixed = if opens_array { &self.fixed[..] } else { &[] };
+        fixed.iter().chain(&self.tile(i).pre)
     }
 }
 

@@ -228,26 +228,37 @@ fn fatal_drops_surface_typed_errors_on_every_rank() {
 
 #[test]
 fn infeasible_parameters_surface_typed_errors_on_both_backends() {
-    // Real backend.
+    // Real backend: NEW's feasibility rules, and the tile-size rule TH (and
+    // FFTW) share with the model — one `Variant::check` for both backends.
     let spec = ProblemSpec::cube(8, 2);
-    let mut params = TuningParams::seed(&spec).without_overlap();
-    params.px = 0;
-    let errs = mpisim::run(spec.p, move |comm| {
-        let input = local_test_slab(&spec, comm.rank());
-        try_fft3_dist(
-            &comm,
-            spec,
-            Variant::New,
-            params,
-            Direction::Forward,
-            Rigor::Estimate,
-            &input,
-        )
-        .map(|_| ())
-        .unwrap_err()
-    });
-    for err in errs {
-        assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
+    let seed = TuningParams::seed(&spec);
+    let mut no_px = seed.without_overlap();
+    no_px.px = 0;
+    for (variant, params) in [
+        (Variant::New, no_px),
+        (Variant::Th, TuningParams { t: 0, ..seed }),
+    ] {
+        let errs = mpisim::run(spec.p, move |comm| {
+            let input = local_test_slab(&spec, comm.rank());
+            try_fft3_dist(
+                &comm,
+                spec,
+                variant,
+                params,
+                Direction::Forward,
+                Rigor::Estimate,
+                &input,
+            )
+            .map(|_| ())
+            .unwrap_err()
+        });
+        let modelled = try_fft3_simulated(umd_cluster(), spec, variant, params, false)
+            .map(|_| ())
+            .unwrap_err();
+        for err in errs {
+            assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
+            assert_eq!(err, modelled, "{variant:?}");
+        }
     }
 
     // Simulated backend.

@@ -3,9 +3,10 @@
 
 use cfft::Direction;
 use fft3d::{
-    fft3_simulated, fft3_simulated_repeated, th_simulated, try_multi_simulated, Decomposition,
-    JobSpec, ProblemSpec, Resilience, Service, ServiceConfig, StepTimes, ThParams, TuningParams,
-    Variant,
+    fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
+    pencil_overlap_simulated_params, pencil_seed, pencil_simulated, th_simulated,
+    try_multi_simulated, Decomposition, JobSpec, PencilGrid, ProblemSpec, Resilience, Service,
+    ServiceConfig, StepTimes, ThParams, TuningParams, Variant,
 };
 use simnet::model::{hopper, umd_cluster};
 use tuner::driver::{tune_new, tune_th};
@@ -246,6 +247,61 @@ fn golden_slab_variants() {
                 assert_eq!((a.steps, a.elapsed, a.tests), (b.steps, b.elapsed, b.tests));
             }
         }
+    }
+    // Tracing is a flag of the same run: the traced report is the untraced
+    // one, field for field.
+    let spec = ProblemSpec::cube(256, 16);
+    let seed = TuningParams::seed(&spec);
+    let plain = fft3_simulated(umd_cluster(), spec, Variant::New, seed, false);
+    let (traced, events) = fft3_simulated_traced(umd_cluster(), spec, Variant::New, seed);
+    assert_eq!(events.len(), spec.p);
+    assert_eq!((traced.time, traced.steps), (plain.time, plain.steps));
+    assert_eq!(traced.setup_charges, plain.setup_charges);
+    assert_eq!(traced.per_rank.len(), plain.per_rank.len());
+    for (a, b) in traced.per_rank.iter().zip(&plain.per_rank) {
+        assert_eq!((a.steps, a.elapsed, a.tests), (b.steps, b.elapsed, b.tests));
+    }
+}
+
+/// The pencil model, captured at the commit before every simulated transform
+/// became a constructor of one modelled run (ISSUE 19).
+#[test]
+fn golden_pencil_model() {
+    let ragged = ProblemSpec {
+        nx: 100,
+        ny: 72,
+        nz: 90,
+        p: 6,
+    };
+    #[rustfmt::skip]
+    let table = [
+        (umd_cluster(), ProblemSpec::cube(256, 16), PencilGrid { pr: 4, pc: 4 }, 0.271167337, 0.397664953),
+        (hopper(), ProblemSpec::cube(384, 32), PencilGrid::near_square(32), 0.160847632, 0.1918322),
+        (umd_cluster(), ragged, PencilGrid { pr: 3, pc: 2 }, 0.02373129, 0.034748949),
+    ];
+    for (platform, spec, grid, overlapped, blocking) in table {
+        let seed = pencil_seed(&spec, grid);
+        assert_eq!(
+            pencil_overlap_simulated_params(platform.clone(), spec, grid, &seed),
+            overlapped,
+            "{spec:?} {grid:?}"
+        );
+        assert_eq!(
+            pencil_simulated(platform.clone(), spec, grid),
+            blocking,
+            "{spec:?} {grid:?}"
+        );
+        // The blocking transform is the overlapped one at one tile per
+        // stage, no window and no polls.
+        let one_tile = TuningParams {
+            t: spec.nx.max(spec.nz),
+            ..seed.without_overlap()
+        };
+        assert_eq!(
+            pencil_overlap_simulated_params(platform, spec, grid, &one_tile),
+            blocking,
+            "{spec:?} {grid:?}"
+        );
     }
 }
 
