@@ -36,7 +36,7 @@
 use crate::breakdown::StepTimes;
 use crate::decomp::AxisSplit;
 use crate::error::{Error, IntegrityStage};
-use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
+use crate::pipeline::{block_on, try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
 use crate::trace::{DegradeAction, EventKind, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
 use cfft::batch::{
@@ -433,7 +433,11 @@ impl OverlapEnv for StageExec<'_> {
         }
     }
 
-    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error> {
+    async fn ffty_pack(
+        &mut self,
+        tile: usize,
+        inflight: &mut [(usize, Self::Req)],
+    ) -> Result<(), Error> {
         let shape = self.shape;
         let (ts, id) = (shape.tile_range(tile), self.net.tile_id(tile));
         // Sub-tile grid (Figure 4, left).
@@ -460,7 +464,7 @@ impl OverlapEnv for StageExec<'_> {
         Ok(())
     }
 
-    fn post_a2a(&mut self, tile: usize) -> Self::Req {
+    async fn post_a2a(&mut self, tile: usize) -> Self::Req {
         if self.shape.seal {
             // Fault-plan crash injection: a rank seeded to die "at tile `k`"
             // dies here, on the boundary between pack and exchange — its
@@ -489,11 +493,11 @@ impl OverlapEnv for StageExec<'_> {
         self.net.post(tile, xg)
     }
 
-    fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
+    async fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)> {
         self.net.wait(tile, req)
     }
 
-    fn unpack_fftx(
+    async fn unpack_fftx(
         &mut self,
         tile: usize,
         inflight: &mut [(usize, Self::Req)],
@@ -776,9 +780,9 @@ impl<'a> Session<'a> {
                 steps: StepTimes::default(),
             };
             let recovery = if self.th {
-                try_run_th(&mut env, res)?
+                block_on(try_run_th(&mut env, res))?
             } else {
-                try_run_new(&mut env, res)?
+                block_on(try_run_new(&mut env, res))?
             };
             ran.recovery.absorb(recovery);
             ran.steps += env.steps + env.net.steps;

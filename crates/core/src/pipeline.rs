@@ -9,16 +9,42 @@
 //! strike budget is spent surface a typed [`Error`]. The climb is reported
 //! in the returned [`Recovery`] and mirrored to the backend via
 //! [`OverlapEnv::on_degrade`] so traces show the recovery.
+//!
+//! The drivers are `async`: a backend's stepping methods may suspend the
+//! schedule — the simulated one does, wherever its rank must let an earlier
+//! rank run first (see `simnet::engine`) — and resume it later at the same
+//! statement. The backends that never suspend (the real executor, the
+//! service's program recorder) run a driver to completion with the
+//! crate's `block_on`, which polls it exactly once.
 
 use crate::error::{Error, IntegrityStage};
 use crate::trace::DegradeAction;
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
+
+/// Runs a driver over a backend that never suspends: no thread, lock or
+/// allocation — the schedule is an ordinary call.
+///
+/// # Panics
+/// If `driver` suspends — only `sim_env::SimEnv` may, and simnet's stepper
+/// resumes it.
+pub(crate) fn block_on<F: Future>(driver: F) -> F::Output {
+    match pin!(driver).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(output) => output,
+        Poll::Pending => panic!("a backend that never suspends suspended its driver"),
+    }
+}
 
 /// What a backend must provide for the tile pipeline to run over it.
 ///
 /// Tiles are indexed `0..num_tiles()`. `inflight` always holds the tiles
 /// whose all-to-all is outstanding, oldest first; the compute hooks poll
-/// them per the backend's `F*` parameters.
+/// them per the backend's `F*` parameters. The four per-tile steps are
+/// `async`: those are where a backend may suspend the schedule.
+// Drivers and backends share one thread, so no caller needs a `Send` bound.
+#[allow(async_fn_in_trait)]
 pub trait OverlapEnv {
     /// Backend-specific request handle for one tile's all-to-all.
     type Req;
@@ -32,17 +58,21 @@ pub trait OverlapEnv {
     /// Algorithm 2: FFTy and Pack on `tile`, polling `inflight` `Fy`+`Fp`
     /// times. A poll may observe a fault on an in-flight exchange; the
     /// error names the tile it hit.
-    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, Self::Req)]) -> Result<(), Error>;
+    async fn ffty_pack(
+        &mut self,
+        tile: usize,
+        inflight: &mut [(usize, Self::Req)],
+    ) -> Result<(), Error>;
     /// Posts the non-blocking all-to-all for `tile`.
-    fn post_a2a(&mut self, tile: usize) -> Self::Req;
+    async fn post_a2a(&mut self, tile: usize) -> Self::Req;
     /// `MPI_Wait` on `tile`'s all-to-all. On a fault (stall past the
     /// backend's watchdog timeout, exhausted retransmit budget) the request
     /// is handed back with the error so the driver can retry after a
     /// degradation step, or cancel it.
-    fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)>;
+    async fn wait(&mut self, tile: usize, req: Self::Req) -> Result<(), (Self::Req, Error)>;
     /// Algorithm 3: Unpack and FFTx on `tile`, polling `inflight` `Fu`+`Fx`
     /// times.
-    fn unpack_fftx(
+    async fn unpack_fftx(
         &mut self,
         tile: usize,
         inflight: &mut [(usize, Self::Req)],
@@ -197,7 +227,7 @@ impl<'a> Ladder<'a> {
     /// the degradation ladder and retrying (each retry grants the backend's
     /// watchdog another period). A non-stall fault, or a stall past the
     /// strike budget, cancels the request and surfaces the error.
-    fn wait_recover<E: OverlapEnv>(
+    async fn wait_recover<E: OverlapEnv>(
         &mut self,
         env: &mut E,
         tile: usize,
@@ -205,7 +235,7 @@ impl<'a> Ladder<'a> {
     ) -> Result<(), Error> {
         let mut strikes = 0;
         loop {
-            match env.wait(tile, req) {
+            match env.wait(tile, req).await {
                 Ok(()) => return Ok(()),
                 Err((r, Error::Stalled { .. })) if strikes < self.res.max_strikes => {
                     strikes += 1;
@@ -251,8 +281,12 @@ impl<'a> Ladder<'a> {
     /// Non-Pack poisons are never retried (the payload reached the wire or
     /// the in-place transforms destroyed the pristine data) and surface as
     /// [`Error::IntegrityFailed`].
-    fn post_recover<E: OverlapEnv>(&mut self, env: &mut E, tile: usize) -> Result<E::Req, Error> {
-        let mut req = env.post_a2a(tile);
+    async fn post_recover<E: OverlapEnv>(
+        &mut self,
+        env: &mut E,
+        tile: usize,
+    ) -> Result<E::Req, Error> {
+        let mut req = env.post_a2a(tile).await;
         let mut retries = 0;
         while let Some(stage) = env.post_poisoned(&req) {
             env.cancel(tile, req);
@@ -306,25 +340,23 @@ fn cancel_all<E: OverlapEnv>(
 /// polls → shrink window → blocking fallback) and keeps going; it returns
 /// what it had to do, or the fault that exhausted the ladder. All in-flight
 /// requests are cancelled on the error path — nothing leaks.
-pub fn try_run_new<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
-    try_run(env, res, drive_new)
+pub async fn try_run_new<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
+    try_run(env, res, drive_new).await
 }
-
-/// A windowed schedule over `k` tiles: [`drive_new`] or [`drive_th`].
-type Drive<E> = fn(
-    &mut E,
-    usize,
-    &mut Ladder<'_>,
-    &mut Vec<(usize, <E as OverlapEnv>::Req)>,
-) -> Result<(), Error>;
 
 /// What both schedules share: the fixed steps, the `W = 0` degenerate case
 /// (per tile, post immediately followed by wait — no overlap, no polls), and
-/// the error path.
-fn try_run<E: OverlapEnv>(
+/// the error path. `drive` is the windowed schedule over `k` tiles:
+/// [`drive_new`] or [`drive_th`].
+async fn try_run<E: OverlapEnv>(
     env: &mut E,
     res: &Resilience,
-    drive: Drive<E>,
+    drive: impl AsyncFnOnce(
+        &mut E,
+        usize,
+        &mut Ladder<'_>,
+        &mut Vec<(usize, E::Req)>,
+    ) -> Result<(), Error>,
 ) -> Result<Recovery, Error> {
     env.fftz_transpose();
     let k = env.num_tiles();
@@ -334,16 +366,16 @@ fn try_run<E: OverlapEnv>(
     if w == 0 {
         for i in 0..k {
             env.sched_point();
-            env.ffty_pack(i, &mut [])?;
-            let req = ladder.post_recover(env, i)?;
-            ladder.wait_recover(env, i, req)?;
-            env.unpack_fftx(i, &mut [])?;
+            env.ffty_pack(i, &mut []).await?;
+            let req = ladder.post_recover(env, i).await?;
+            ladder.wait_recover(env, i, req).await?;
+            env.unpack_fftx(i, &mut []).await?;
         }
         return Ok(ladder.recovery);
     }
 
     let mut inflight: Vec<(usize, E::Req)> = Vec::with_capacity(w);
-    match drive(env, k, &mut ladder, &mut inflight) {
+    match drive(env, k, &mut ladder, &mut inflight).await {
         Ok(()) => Ok(ladder.recovery),
         Err(e) => Err(cancel_all(env, &mut inflight, e)),
     }
@@ -353,7 +385,7 @@ fn try_run<E: OverlapEnv>(
 /// iteration owe" so the window can shrink mid-run. With a constant window
 /// this emits exactly the legacy Algorithm-1 call sequence (pinned by the
 /// tests below).
-fn drive_new<E: OverlapEnv>(
+async fn drive_new<E: OverlapEnv>(
     env: &mut E,
     k: usize,
     ladder: &mut Ladder<'_>,
@@ -361,12 +393,12 @@ fn drive_new<E: OverlapEnv>(
 ) -> Result<(), Error> {
     for np in 0..k {
         env.sched_point();
-        env.ffty_pack(np, inflight)?;
+        env.ffty_pack(np, inflight).await?;
         if ladder.recovery.fell_back && inflight.is_empty() {
             // Fallback rung: blocking exchange per tile, no overlap.
-            let req = ladder.post_recover(env, np)?;
-            ladder.wait_recover(env, np, req)?;
-            env.unpack_fftx(np, &mut [])?;
+            let req = ladder.post_recover(env, np).await?;
+            ladder.wait_recover(env, np, req).await?;
+            env.unpack_fftx(np, &mut []).await?;
             continue;
         }
         // How many in-flight exchanges must complete before tile np's post
@@ -374,7 +406,7 @@ fn drive_new<E: OverlapEnv>(
         // iteration in steady state; more right after a window shrink.
         let need = (inflight.len() + 1).saturating_sub(ladder.w_eff.max(1));
         if need == 0 {
-            let req = ladder.post_recover(env, np)?;
+            let req = ladder.post_recover(env, np).await?;
             inflight.push((np, req));
             continue;
         }
@@ -382,28 +414,28 @@ fn drive_new<E: OverlapEnv>(
         // first so the post below never raises concurrency past W.
         for _ in 1..need {
             let (tile, req) = inflight.remove(0);
-            ladder.wait_recover(env, tile, req)?;
-            env.unpack_fftx(tile, inflight)?;
+            ladder.wait_recover(env, tile, req).await?;
+            env.unpack_fftx(tile, inflight).await?;
         }
         let (tile, req) = inflight.remove(0);
-        ladder.wait_recover(env, tile, req)?;
-        let req_np = ladder.post_recover(env, np)?;
+        ladder.wait_recover(env, tile, req).await?;
+        let req_np = ladder.post_recover(env, np).await?;
         inflight.push((np, req_np));
-        env.unpack_fftx(tile, inflight)?;
+        env.unpack_fftx(tile, inflight).await?;
         if ladder.recovery.fell_back {
             // The ladder topped out while this tile was in the window:
             // drain everything and let the remaining tiles go blocking.
             while !inflight.is_empty() {
                 let (tile, req) = inflight.remove(0);
-                ladder.wait_recover(env, tile, req)?;
-                env.unpack_fftx(tile, inflight)?;
+                ladder.wait_recover(env, tile, req).await?;
+                env.unpack_fftx(tile, inflight).await?;
             }
         }
     }
     while !inflight.is_empty() {
         let (tile, req) = inflight.remove(0);
-        ladder.wait_recover(env, tile, req)?;
-        env.unpack_fftx(tile, inflight)?;
+        ladder.wait_recover(env, tile, req).await?;
+        env.unpack_fftx(tile, inflight).await?;
     }
     Ok(())
 }
@@ -412,13 +444,13 @@ fn drive_new<E: OverlapEnv>(
 /// Pack overlap with communication; Unpack and FFTx happen after the wait,
 /// with no progression polls — the reason TH's Wait bar dwarfs NEW's in
 /// Figure 8. Same stall-recovery ladder as [`try_run_new`].
-pub fn try_run_th<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
-    try_run(env, res, drive_th)
+pub async fn try_run_th<E: OverlapEnv>(env: &mut E, res: &Resilience) -> Result<Recovery, Error> {
+    try_run(env, res, drive_th).await
 }
 
 /// The TH schedule: owed waits drain (wait + no-poll unpack) *before* the
 /// iteration's post, matching the legacy loop's order.
-fn drive_th<E: OverlapEnv>(
+async fn drive_th<E: OverlapEnv>(
     env: &mut E,
     k: usize,
     ladder: &mut Ladder<'_>,
@@ -426,7 +458,7 @@ fn drive_th<E: OverlapEnv>(
 ) -> Result<(), Error> {
     for np in 0..k {
         env.sched_point();
-        env.ffty_pack(np, inflight)?;
+        env.ffty_pack(np, inflight).await?;
         let need = if ladder.recovery.fell_back {
             inflight.len()
         } else {
@@ -434,21 +466,21 @@ fn drive_th<E: OverlapEnv>(
         };
         for _ in 0..need {
             let (tile, req) = inflight.remove(0);
-            ladder.wait_recover(env, tile, req)?;
-            env.unpack_fftx(tile, &mut [])?;
+            ladder.wait_recover(env, tile, req).await?;
+            env.unpack_fftx(tile, &mut []).await?;
         }
-        let req = ladder.post_recover(env, np)?;
+        let req = ladder.post_recover(env, np).await?;
         if ladder.recovery.fell_back {
-            ladder.wait_recover(env, np, req)?;
-            env.unpack_fftx(np, &mut [])?;
+            ladder.wait_recover(env, np, req).await?;
+            env.unpack_fftx(np, &mut []).await?;
         } else {
             inflight.push((np, req));
         }
     }
     while !inflight.is_empty() {
         let (tile, req) = inflight.remove(0);
-        ladder.wait_recover(env, tile, req)?;
-        env.unpack_fftx(tile, &mut [])?;
+        ladder.wait_recover(env, tile, req).await?;
+        env.unpack_fftx(tile, &mut []).await?;
     }
     Ok(())
 }
@@ -456,6 +488,15 @@ fn drive_th<E: OverlapEnv>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The drivers over the scripted backend, which never suspends.
+    fn try_run_new(env: &mut Recorder, res: &Resilience) -> Result<Recovery, Error> {
+        block_on(super::try_run_new(env, res))
+    }
+
+    fn try_run_th(env: &mut Recorder, res: &Resilience) -> Result<Recovery, Error> {
+        block_on(super::try_run_th(env, res))
+    }
 
     /// A scripted environment that records the call sequence and can be
     /// told to stall specific waits.
@@ -521,22 +562,26 @@ mod tests {
         fn fftz_transpose(&mut self) {
             self.log.push("zT".into());
         }
-        fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, usize)]) -> Result<(), Error> {
+        async fn ffty_pack(
+            &mut self,
+            tile: usize,
+            inflight: &mut [(usize, usize)],
+        ) -> Result<(), Error> {
             self.log.push(format!("yP{tile}(w{})", inflight.len()));
             Ok(())
         }
-        fn post_a2a(&mut self, tile: usize) -> usize {
+        async fn post_a2a(&mut self, tile: usize) -> usize {
             self.log.push(format!("A{tile}"));
             self.fresh_req()
         }
-        fn wait(&mut self, tile: usize, req: usize) -> Result<(), (usize, Error)> {
+        async fn wait(&mut self, tile: usize, req: usize) -> Result<(), (usize, Error)> {
             self.log.push(format!("W{tile}"));
             match self.wait_script.pop() {
                 Some(Some(e)) => Err((req, e)),
                 _ => Ok(()),
             }
         }
-        fn unpack_fftx(
+        async fn unpack_fftx(
             &mut self,
             tile: usize,
             inflight: &mut [(usize, usize)],

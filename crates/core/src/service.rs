@@ -54,7 +54,7 @@ use crate::decomp::{auto_select, Decomposition};
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::{compare_pencil_with_serial, pencil_seed, pencil_test_input, try_fft3_pencil};
-use crate::pipeline::{try_run_new, OverlapEnv, Resilience};
+use crate::pipeline::{block_on, try_run_new, OverlapEnv, Resilience};
 use crate::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
 use crate::recover::{run_recoverable, RecoverConfig, ReplicaSource};
 use crate::serial::{fft3_serial, full_test_array};
@@ -585,7 +585,7 @@ impl Emitter<'_> {
             stage,
             arrays,
         };
-        try_run_new(&mut run, &Resilience::default()).map(drop)
+        block_on(try_run_new(&mut run, &Resilience::default())).map(drop)
     }
 
     fn into_profile(mut self) -> JobProfile {
@@ -628,14 +628,18 @@ impl OverlapEnv for StageProgram<'_, '_> {
         }
     }
 
-    fn ffty_pack(&mut self, tile: usize, _inflight: &mut [(usize, usize)]) -> Result<(), Error> {
+    async fn ffty_pack(
+        &mut self,
+        tile: usize,
+        _inflight: &mut [(usize, usize)],
+    ) -> Result<(), Error> {
         for part in self.stage.before_post(tile).flat_map(|ph| &ph.parts) {
             self.em.compute(part.secs);
         }
         Ok(())
     }
 
-    fn post_a2a(&mut self, tile: usize) -> usize {
+    async fn post_a2a(&mut self, tile: usize) -> usize {
         let em = &mut *self.em;
         let group = self.stage.group;
         let per_peer = self.stage.tile(tile).bytes_per_peer;
@@ -664,12 +668,16 @@ impl OverlapEnv for StageProgram<'_, '_> {
         flow
     }
 
-    fn wait(&mut self, _tile: usize, flow: usize) -> Result<(), (usize, Error)> {
+    async fn wait(&mut self, _tile: usize, flow: usize) -> Result<(), (usize, Error)> {
         self.em.out.steps.push(Step::Wait(flow));
         Ok(())
     }
 
-    fn unpack_fftx(&mut self, tile: usize, _inflight: &mut [(usize, usize)]) -> Result<(), Error> {
+    async fn unpack_fftx(
+        &mut self,
+        tile: usize,
+        _inflight: &mut [(usize, usize)],
+    ) -> Result<(), Error> {
         let post = &self.stage.tile(tile).post;
         self.em.compute(post.iter().map(Phase::secs).sum());
         Ok(())

@@ -12,7 +12,9 @@
 //! ranks), the fused multi-array train of §7 (the same stage with the tile
 //! stream spanning several arrays), and the pencil decomposition (two
 //! stages over the grid's rows and columns, run back to back). One
-//! interpreter, `SimEnv`, runs each stage. Like the real session it models,
+//! interpreter, `SimEnv`, runs each stage; its per-tile steps await
+//! [`SimRank`], so a rank's whole transform is the `async` rank program
+//! simnet's stepper suspends and resumes. Like the real session it models,
 //! it moves every tile one way: a persistent plan initialised at the tile's
 //! first post (paying the setup charge there) and started on every post, so
 //! a single execution is the first of a repeated run, not a path of its own.
@@ -98,7 +100,7 @@ impl SimEnv<'_> {
     /// Runs one compute phase with its polls over the in-flight window,
     /// splitting the elapsed virtual time between Test and the phase's
     /// categories (by modeled share).
-    fn phase(&mut self, ph: &Phase, tile: usize, inflight: &[(usize, OpId)]) {
+    async fn phase(&mut self, ph: &Phase, tile: usize, inflight: &[(usize, OpId)]) {
         self.ops.clear();
         self.ops.extend(inflight.iter().map(|&(_, op)| op));
         let polls = ph.polls.saturating_mul(self.boost);
@@ -107,6 +109,7 @@ impl SimEnv<'_> {
         let test = self
             .sim
             .compute_with_polls(secs, polls, &self.ops)
+            .await
             .as_secs_f64();
         let busy = (self.sim.now() - t0).as_secs_f64() - test;
         // The timeline labels a stretch by its first kernel.
@@ -170,15 +173,19 @@ impl OverlapEnv for SimEnv<'_> {
         }
     }
 
-    fn ffty_pack(&mut self, tile: usize, inflight: &mut [(usize, OpId)]) -> Result<(), Error> {
+    async fn ffty_pack(
+        &mut self,
+        tile: usize,
+        inflight: &mut [(usize, OpId)],
+    ) -> Result<(), Error> {
         let stage = self.stage;
         for ph in stage.before_post(tile) {
-            self.phase(ph, tile, inflight);
+            self.phase(ph, tile, inflight).await;
         }
         Ok(())
     }
 
-    fn post_a2a(&mut self, tile: usize) -> OpId {
+    async fn post_a2a(&mut self, tile: usize) -> OpId {
         let group = self.stage.group;
         let per_peer = self.stage.tile(tile).bytes_per_peer;
         let t0 = self.sim.now();
@@ -188,19 +195,19 @@ impl OverlapEnv for SimEnv<'_> {
         let sim = &mut *self.sim;
         let plan =
             *self.plans[tile].get_or_insert_with(|| sim.alltoall_init_in_group(group, per_peer));
-        let op = sim.start(plan);
+        let op = sim.start(plan).await;
         self.steps.ialltoall += (self.sim.now() - t0).as_secs_f64();
         let bytes = per_peer * group.saturating_sub(1) as u64;
         self.record(EventKind::PostA2a { tile, bytes }, t0);
         op
     }
 
-    fn wait(&mut self, tile: usize, req: OpId) -> Result<(), (OpId, Error)> {
+    async fn wait(&mut self, tile: usize, req: OpId) -> Result<(), (OpId, Error)> {
         // The simulator charges fault costs (stragglers, degraded links)
         // into the round model, so waits always complete — slower, never
         // wedged.
         let t0 = self.sim.now();
-        self.sim.wait(req);
+        self.sim.wait(req).await;
         let waited = (self.sim.now() - t0).as_secs_f64();
         self.steps.wait += waited;
         self.record(EventKind::Wait { tile }, t0);
@@ -233,10 +240,14 @@ impl OverlapEnv for SimEnv<'_> {
         Ok(())
     }
 
-    fn unpack_fftx(&mut self, tile: usize, inflight: &mut [(usize, OpId)]) -> Result<(), Error> {
+    async fn unpack_fftx(
+        &mut self,
+        tile: usize,
+        inflight: &mut [(usize, OpId)],
+    ) -> Result<(), Error> {
         let stage = self.stage;
         for ph in &stage.tile(tile).post {
-            self.phase(ph, tile, inflight);
+            self.phase(ph, tile, inflight).await;
         }
         Ok(())
     }
@@ -361,15 +372,17 @@ impl Simulation {
     /// fold into one [`SimReport`]: the slowest rank's time; rank 0's steps,
     /// setup charges and ladder record.
     fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
-        let mut per_rank = run_sim(platform, self.spec.p, |sim| {
+        let mut per_rank = run_sim(platform, self.spec.p, async |sim| {
             let costs = self.stages(&sim.platform().machine, sim.rank());
             let mut plans = vec![Vec::new(); costs.len()];
             if self.trace {
                 sim.enable_poll_log();
             }
-            (0..self.reps)
-                .map(|_| self.execute(sim, &costs, &mut plans))
-                .collect::<Result<Vec<_>, Error>>()
+            let mut runs = Vec::with_capacity(self.reps);
+            for _ in 0..self.reps {
+                runs.push(self.execute(sim, &costs, &mut plans).await?);
+            }
+            Ok::<_, Error>(runs)
         })
         .into_iter();
         let mut runs = per_rank.next().transpose()?.unwrap_or_default();
@@ -385,7 +398,7 @@ impl Simulation {
 
     /// One execution on one rank: the stages back to back through
     /// [`SimEnv`].
-    fn execute(
+    async fn execute(
         &self,
         sim: &mut SimRank,
         costs: &[StageCosts],
@@ -411,9 +424,9 @@ impl Simulation {
                 ops: Vec::new(),
             };
             recovery.absorb(if self.th {
-                try_run_th(&mut env, &self.res)?
+                try_run_th(&mut env, &self.res).await?
             } else {
-                try_run_new(&mut env, &self.res)?
+                try_run_new(&mut env, &self.res).await?
             });
             (steps, events) = (env.steps, env.events);
         }

@@ -1,13 +1,16 @@
 //! Conservative virtual-time engine.
 //!
-//! Rank threads execute real control flow but advance a *virtual* clock.
-//! The engine enforces one invariant: **a rank may interact with shared
-//! state only while it holds the minimum virtual clock among runnable
-//! ranks** (ties broken by rank id). Under that discipline, any question a
-//! rank asks at time `t` ("has everyone posted collective 17 yet?") has a
-//! causally complete answer — no other rank can later act at a time
-//! `≤ t` — so simulations are bit-reproducible regardless of host thread
-//! scheduling.
+//! A *rank program* is a resumable computation: real control flow (tiles,
+//! windows, poll placement) that advances a *virtual* clock and may give up
+//! control at exactly two places — [`Engine::turn`], when another rank is now
+//! earlier, and [`Engine::block_on_ready`], when the collective it waits on
+//! still lacks a post. All programs of a run live on the caller's thread and
+//! [`Engine::run`] resumes them one at a time under one invariant: **the
+//! program that runs is the runnable rank with the minimum virtual clock**
+//! (ties broken by rank id), and only it touches shared state. Under that
+//! discipline, any question a rank asks at time `t` ("has everyone posted
+//! collective 17 yet?") has a causally complete answer — no other rank can
+//! later act at a time `≤ t` — so simulations are bit-reproducible.
 //!
 //! The only cross-rank coupling the network model needs is per-collective:
 //! the *ready time* (the max of all ranks' post times). Everything else —
@@ -16,9 +19,10 @@
 //! an auto-tuning loop.
 
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 /// Identifies one collective operation: the N-th collective posted on the
 /// communicator (all ranks must post collectives in the same order, the
@@ -39,9 +43,9 @@ pub enum ReadyInfo {
 enum Status {
     /// Runnable: eligible for min-clock selection.
     Ready,
-    /// Parked until the given collective becomes ready.
+    /// Suspended until the given collective becomes ready.
     Blocked(OpSeq),
-    /// Rank function returned.
+    /// Rank program returned.
     Done,
 }
 
@@ -63,142 +67,136 @@ impl OpShared {
     }
 }
 
+struct RankState {
+    /// The clock the rank last published (at its last [`Engine::turn`]).
+    clock: SimTime,
+    status: Status,
+}
+
 struct State {
-    clocks: Vec<SimTime>,
-    status: Vec<Status>,
-    running: usize,
+    ranks: Vec<RankState>,
+    /// The program [`Engine::run`] resumes next: the earliest runnable rank,
+    /// `None` once no rank is runnable.
+    next: Option<usize>,
     ops: Vec<OpShared>,
 }
 
+impl State {
+    /// The runnable rank with the minimum `(clock, rank)`, if any.
+    fn earliest(&self) -> Option<usize> {
+        let runnable = self.ranks.iter().enumerate();
+        let runnable = runnable.filter(|(_, r)| r.status == Status::Ready);
+        runnable.min_by_key(|(_, r)| r.clock).map(|(rank, _)| rank)
+    }
+
+    fn op_mut(&mut self, seq: OpSeq) -> &mut OpShared {
+        let (idx, p) = (seq as usize, self.ranks.len());
+        while self.ops.len() <= idx {
+            self.ops.push(OpShared::new(p));
+        }
+        &mut self.ops[idx]
+    }
+}
+
+/// Hands control back to [`Engine::run`] once: pending on the first poll,
+/// ready when the stepper resumes the program.
+struct Suspend(bool);
+
+impl Future for Suspend {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if std::mem::replace(&mut self.0, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
+/// One rank program of a run, as [`Engine::run`] takes them.
+pub type Program<'a, R> = Pin<Box<dyn Future<Output = R> + 'a>>;
+
 /// The shared engine. One per simulation run.
 pub struct Engine {
-    state: Mutex<State>,
-    /// One condvar per rank thread; `schedule` wakes exactly the new runner.
-    cvs: Vec<Condvar>,
-    size: usize,
-    panicked: AtomicBool,
+    state: RefCell<State>,
 }
 
 impl Engine {
-    /// Creates an engine for `size` ranks. Rank 0 starts as the runner.
-    pub fn new(size: usize) -> Arc<Self> {
+    /// Creates an engine for `size` ranks. Rank 0 runs first.
+    pub fn new(size: usize) -> Self {
         assert!(size >= 1, "simulation needs at least one rank");
-        Arc::new(Engine {
-            state: Mutex::new(State {
-                clocks: vec![SimTime::ZERO; size],
-                status: vec![Status::Ready; size],
-                running: 0,
+        let ranks = (0..size).map(|_| RankState {
+            clock: SimTime::ZERO,
+            status: Status::Ready,
+        });
+        Engine {
+            state: RefCell::new(State {
+                ranks: ranks.collect(),
+                next: Some(0),
                 ops: Vec::new(),
             }),
-            cvs: (0..size).map(|_| Condvar::new()).collect(),
-            size,
-            panicked: AtomicBool::new(false),
-        })
+        }
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.state.borrow().ranks.len()
     }
 
-    /// Marks the simulation panicked and wakes all parked ranks so they
-    /// unwind rather than deadlock.
-    pub fn abort(&self) {
-        self.panicked.store(true, Ordering::Release);
-        let _g = self.state.lock();
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
-    }
-
-    fn check_abort(&self) {
-        if self.panicked.load(Ordering::Acquire) {
-            panic!("simnet: aborted because a peer rank panicked");
-        }
-    }
-
-    /// Picks the next runner: minimum clock among `Ready` ranks, ties to the
-    /// lowest rank. Panics on deadlock (no runnable rank while some are
-    /// still blocked).
-    fn schedule(&self, s: &mut State) {
-        let mut best: Option<usize> = None;
-        for r in 0..self.size {
-            if s.status[r] == Status::Ready {
-                match best {
-                    None => best = Some(r),
-                    Some(b) if s.clocks[r] < s.clocks[b] => best = Some(r),
-                    _ => {}
-                }
+    /// The stepper: resumes the earliest runnable program until every one
+    /// has returned; results come back in rank order. A rank's panic unwinds
+    /// straight through with its own payload.
+    ///
+    /// # Panics
+    /// On deadlock: no rank is runnable while some still wait on a
+    /// collective.
+    pub fn run<R>(&self, mut programs: Vec<Program<'_, R>>) -> Vec<R> {
+        assert_eq!(programs.len(), self.size(), "one program per rank");
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut results: Vec<Option<R>> = programs.iter().map(|_| None).collect();
+        loop {
+            let next = self.state.borrow().next;
+            let Some(rank) = next else { break };
+            if let Poll::Ready(result) = programs[rank].as_mut().poll(&mut cx) {
+                results[rank] = Some(result);
+                let mut s = self.state.borrow_mut();
+                s.ranks[rank].status = Status::Done;
+                s.next = s.earliest();
             }
         }
-        match best {
-            Some(r) => {
-                s.running = r;
-                self.cvs[r].notify_all();
-            }
-            None => {
-                if s.status.iter().any(|st| matches!(st, Status::Blocked(_))) {
-                    // Every runnable rank is gone but someone still waits on
-                    // a collective no one can complete.
-                    self.panicked.store(true, Ordering::Release);
-                    for cv in &self.cvs {
-                        cv.notify_all();
-                    }
-                    panic!(
-                        "simnet: deadlock — all ranks blocked on collectives \
-                         that can no longer complete"
-                    );
-                }
-                // All done; nothing to schedule.
-                s.running = usize::MAX;
-            }
-        }
+        let blocked = |r: &RankState| matches!(r.status, Status::Blocked(_));
+        assert!(
+            !self.state.borrow().ranks.iter().any(blocked),
+            "simnet: deadlock — all ranks blocked on collectives that can no longer complete"
+        );
+        let done = |result: Option<R>| result.expect("every rank ran to completion");
+        results.into_iter().map(done).collect()
     }
 
     /// Establishes the min-clock invariant for `rank` at `clock`: publishes
     /// the clock, hands off if another rank is now earlier, and returns once
-    /// `rank` is the runner again.
-    pub fn turn(&self, rank: usize, clock: SimTime) {
-        let mut s = self.state.lock();
-        s.clocks[rank] = clock;
-        // Fast path: still the earliest runnable rank.
-        let mut earliest = rank;
-        for r in 0..self.size {
-            if s.status[r] == Status::Ready && (s.clocks[r], r) < (s.clocks[earliest], earliest) {
-                earliest = r;
-            }
+    /// `rank` is the earliest runnable rank again.
+    pub async fn turn(&self, rank: usize, clock: SimTime) {
+        let earliest = {
+            let mut s = self.state.borrow_mut();
+            s.ranks[rank].clock = clock;
+            s.next = s.earliest();
+            s.next
+        };
+        if earliest != Some(rank) {
+            Suspend(false).await;
         }
-        if earliest == rank {
-            s.running = rank;
-            return;
-        }
-        self.schedule(&mut s);
-        while s.running != rank {
-            // Check the abort flag *before* parking: the abort's notify is
-            // issued under the state lock, so checking while holding it
-            // leaves no lost-wakeup window.
-            self.check_abort();
-            self.cvs[rank].wait(&mut s);
-        }
-        self.check_abort();
     }
 
-    fn op_mut(s: &mut State, seq: OpSeq, p: usize) -> &mut OpShared {
-        let idx = seq as usize;
-        while s.ops.len() <= idx {
-            s.ops.push(OpShared::new(p));
-        }
-        &mut s.ops[idx]
-    }
-
-    /// Records that `rank` posted collective `seq` at `clock`. Must be — and
-    /// is — preceded by [`Self::turn`]. When the last rank posts, the ready
-    /// time freezes and ranks blocked on the collective are released.
-    pub fn post(&self, rank: usize, clock: SimTime, seq: OpSeq) {
-        self.turn(rank, clock);
-        let mut s = self.state.lock();
-        let size = self.size;
-        let op = Self::op_mut(&mut s, seq, size);
+    /// Records that `rank` posted collective `seq` at `clock`. When the last
+    /// rank posts, the ready time freezes and ranks blocked on the collective
+    /// are released.
+    pub async fn post(&self, rank: usize, clock: SimTime, seq: OpSeq) {
+        self.turn(rank, clock).await;
+        let mut s = self.state.borrow_mut();
+        let size = s.ranks.len();
+        let op = s.op_mut(seq);
         assert!(
             !op.posted[rank],
             "rank {rank} posted collective {seq} twice"
@@ -209,125 +207,97 @@ impl Engine {
         if op.nposted == size {
             op.ready = Some(op.post_max);
             // Release ranks parked in block_on_ready.
-            for r in 0..size {
-                if s.status[r] == Status::Blocked(seq) {
-                    s.status[r] = Status::Ready;
+            for r in &mut s.ranks {
+                if r.status == Status::Blocked(seq) {
+                    r.status = Status::Ready;
                 }
             }
         }
     }
 
-    /// Asks, at `clock`, whether collective `seq` is ready. The answer is
-    /// causally exact thanks to the min-clock discipline.
-    pub fn query(&self, rank: usize, clock: SimTime, seq: OpSeq) -> ReadyInfo {
-        self.turn(rank, clock);
-        let mut s = self.state.lock();
-        let size = self.size;
-        let op = Self::op_mut(&mut s, seq, size);
+    /// Asks, at `clock`, whether collective `seq` — which `rank` has posted —
+    /// is ready. The answer is causally exact thanks to the min-clock
+    /// discipline.
+    pub async fn query(&self, rank: usize, clock: SimTime, seq: OpSeq) -> ReadyInfo {
+        self.turn(rank, clock).await;
+        let s = self.state.borrow();
+        let State { ranks, ops, .. } = &*s;
+        let op = &ops[seq as usize];
         if let Some(t) = op.ready {
             return ReadyInfo::Ready(t);
         }
         // Lower bound: the earliest any non-posted rank could still post.
-        let posted = op.posted.clone();
         let mut bound: Option<SimTime> = None;
-        for (r, &was_posted) in posted.iter().enumerate() {
-            if !was_posted {
+        for (r, state) in ranks.iter().enumerate() {
+            if !op.posted[r] {
                 assert!(
-                    s.status[r] != Status::Done,
+                    state.status != Status::Done,
                     "rank {r} finished without posting collective {seq}"
                 );
-                let c = s.clocks[r];
-                bound = Some(match bound {
-                    None => c,
-                    Some(b) => b.min(c),
-                });
+                bound = Some(bound.map_or(state.clock, |b| b.min(state.clock)));
             }
         }
         ReadyInfo::NotBefore(bound.expect("unready op must have a non-posted rank"))
     }
 
-    /// Parks `rank` until collective `seq` is ready; returns the ready time.
-    /// The rank's clock is *not* advanced — the caller folds the ready time
-    /// into its own completion computation.
-    pub fn block_on_ready(&self, rank: usize, clock: SimTime, seq: OpSeq) -> SimTime {
-        match self.query(rank, clock, seq) {
-            ReadyInfo::Ready(t) => t,
-            ReadyInfo::NotBefore(_) => {
-                let mut s = self.state.lock();
-                s.status[rank] = Status::Blocked(seq);
-                self.schedule(&mut s);
-                while s.running != rank {
-                    self.check_abort();
-                    self.cvs[rank].wait(&mut s);
-                    // Woken spuriously or released: if released we are Ready
-                    // and will be scheduled once we hold the min clock.
-                }
-                self.check_abort();
-                let size = self.size;
-                Self::op_mut(&mut s, seq, size)
-                    .ready
-                    .expect("released from block_on_ready without a ready time")
-            }
+    /// Suspends `rank` until collective `seq` is ready; returns the ready
+    /// time. The rank's clock is *not* advanced — the caller folds the ready
+    /// time into its own completion computation.
+    pub async fn block_on_ready(&self, rank: usize, clock: SimTime, seq: OpSeq) -> SimTime {
+        if let ReadyInfo::Ready(t) = self.query(rank, clock, seq).await {
+            return t;
         }
-    }
-
-    /// Marks `rank` finished and hands the engine to the remaining ranks.
-    pub fn done(&self, rank: usize) {
-        let mut s = self.state.lock();
-        s.status[rank] = Status::Done;
-        self.schedule(&mut s);
+        {
+            let mut s = self.state.borrow_mut();
+            s.ranks[rank].status = Status::Blocked(seq);
+            s.next = s.earliest();
+        }
+        // Resumed only once released (the last post made us `Ready`) and the
+        // earliest runnable rank.
+        Suspend(false).await;
+        let ready = self.state.borrow().ops[seq as usize].ready;
+        ready.expect("released from block_on_ready without a ready time")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
-    fn spawn_ranks<F>(p: usize, f: F)
-    where
-        F: Fn(Arc<Engine>, usize) + Send + Sync,
-    {
+    /// Runs `f(engine, rank)` as the program of each of `p` ranks.
+    fn run_ranks<F: AsyncFn(&Engine, usize)>(p: usize, f: F) {
         let eng = Engine::new(p);
-        thread::scope(|s| {
-            for r in 0..p {
-                let eng = eng.clone();
-                let f = &f;
-                s.spawn(move || {
-                    f(eng.clone(), r);
-                    eng.done(r);
-                });
-            }
-        });
+        let programs = (0..p).map(|r| Box::pin(f(&eng, r)) as Program<'_, ()>);
+        eng.run(programs.collect());
     }
 
     #[test]
     fn post_and_ready_time_is_max_of_posts() {
-        spawn_ranks(3, |eng, r| {
+        run_ranks(3, async |eng, r| {
             let t = SimTime::from_micros(10 * (r as u64 + 1));
-            eng.post(r, t, 0);
-            let ready = eng.block_on_ready(r, t, 0);
+            eng.post(r, t, 0).await;
+            let ready = eng.block_on_ready(r, t, 0).await;
             assert_eq!(ready, SimTime::from_micros(30));
         });
     }
 
     #[test]
     fn query_gives_lower_bound_before_ready() {
-        spawn_ranks(2, |eng, r| {
+        run_ranks(2, async |eng, r| {
             if r == 0 {
-                eng.post(0, SimTime::from_micros(1), 0);
+                eng.post(0, SimTime::from_micros(1), 0).await;
                 // Rank 1 has not posted; its clock is a valid lower bound.
-                match eng.query(0, SimTime::from_micros(1), 0) {
+                match eng.query(0, SimTime::from_micros(1), 0).await {
                     ReadyInfo::Ready(_) => {
                         // Possible only if rank 1 already posted — at a
                         // larger clock, fine.
                     }
                     ReadyInfo::NotBefore(b) => assert!(b <= SimTime::from_micros(500)),
                 }
-                let ready = eng.block_on_ready(0, SimTime::from_micros(1), 0);
+                let ready = eng.block_on_ready(0, SimTime::from_micros(1), 0).await;
                 assert_eq!(ready, SimTime::from_micros(500));
             } else {
-                eng.post(1, SimTime::from_micros(500), 0);
+                eng.post(1, SimTime::from_micros(500), 0).await;
             }
         });
     }
@@ -336,14 +306,14 @@ mod tests {
     fn min_clock_rank_runs_first() {
         // Both ranks contend; the engine must always grant the turn to the
         // earlier clock, so the later rank observes the earlier one's post.
-        spawn_ranks(2, |eng, r| {
+        run_ranks(2, async |eng, r| {
             if r == 0 {
-                eng.post(0, SimTime::from_nanos(5), 0);
+                eng.post(0, SimTime::from_nanos(5), 0).await;
             } else {
                 // Rank 1 queries at a much later time: by then rank 0's
                 // post (at 5 ns) must be visible.
-                eng.post(1, SimTime::from_micros(100), 0);
-                let ready = eng.block_on_ready(1, SimTime::from_micros(100), 0);
+                eng.post(1, SimTime::from_micros(100), 0).await;
+                let ready = eng.block_on_ready(1, SimTime::from_micros(100), 0).await;
                 assert_eq!(ready, SimTime::from_micros(100));
             }
         });
@@ -351,11 +321,11 @@ mod tests {
 
     #[test]
     fn several_sequential_collectives() {
-        spawn_ranks(4, |eng, r| {
+        run_ranks(4, async |eng, r| {
             let mut clock = SimTime::from_micros(r as u64);
             for seq in 0..10u64 {
-                eng.post(r, clock, seq);
-                let ready = eng.block_on_ready(r, clock, seq);
+                eng.post(r, clock, seq).await;
+                let ready = eng.block_on_ready(r, clock, seq).await;
                 assert!(ready >= clock);
                 clock = ready + SimTime::from_micros(1);
             }
@@ -363,52 +333,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected() {
-        // Rank 1 exits without posting; rank 0 blocks forever on seq 0. The
-        // scheduler must panic with the deadlock diagnostic in one thread
-        // and wake the other with the abort diagnostic.
-        let eng = Engine::new(2);
-        let mut payloads = Vec::new();
-        thread::scope(|s| {
-            let handles = [
-                s.spawn({
-                    let e = eng.clone();
-                    move || {
-                        e.post(0, SimTime::ZERO, 0);
-                        e.block_on_ready(0, SimTime::ZERO, 0);
-                        e.done(0);
-                    }
-                }),
-                s.spawn({
-                    let e = eng.clone();
-                    move || {
-                        // Never posts seq 0.
-                        e.done(1);
-                    }
-                }),
-            ];
-            for h in handles {
-                if let Err(e) = h.join() {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_default();
-                    payloads.push(msg);
-                }
+        // Rank 1 exits without posting; rank 0 blocks forever on seq 0, and
+        // the stepper finds no runnable rank.
+        run_ranks(2, async |eng, r| {
+            if r == 0 {
+                eng.post(0, SimTime::ZERO, 0).await;
+                eng.block_on_ready(0, SimTime::ZERO, 0).await;
             }
         });
-        assert!(
-            payloads.iter().any(|m| m.contains("deadlock")),
-            "expected a deadlock diagnostic, got {payloads:?}"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 finished without posting collective 0")]
+    fn a_finished_rank_that_never_posted_is_diagnosed() {
+        // Rank 1 is long gone when rank 0 asks about the collective.
+        run_ranks(2, async |eng, r| {
+            if r == 0 {
+                eng.post(0, SimTime::from_micros(1), 0).await;
+                eng.block_on_ready(0, SimTime::from_micros(1), 0).await;
+            }
+        });
     }
 
     #[test]
     #[should_panic(expected = "posted collective 0 twice")]
     fn double_post_is_rejected() {
-        let eng = Engine::new(1);
-        eng.post(0, SimTime::ZERO, 0);
-        eng.post(0, SimTime::ZERO, 0);
+        run_ranks(1, async |eng, _| {
+            eng.post(0, SimTime::ZERO, 0).await;
+            eng.post(0, SimTime::ZERO, 0).await;
+        });
     }
 }

@@ -1,30 +1,34 @@
 //! # simnet — a discrete-event cluster simulator for overlap studies
 //!
 //! Substitute for the paper's two physical machines (UMD-Cluster and
-//! Hopper, §5.1). Rank threads execute the *actual algorithm control flow*
-//! (tiles, windows, poll placement) while compute and communication charge
-//! modeled virtual time:
+//! Hopper, §5.1). Every simulated rank is a *rank program* — an `async`
+//! closure executing the *actual algorithm control flow* (tiles, windows,
+//! poll placement) — while compute and communication charge modeled virtual
+//! time. All programs of a run are resumable computations on the caller's
+//! thread; a program is suspended only where it consults the other ranks (a
+//! post, a poll, a wait), and only when it is no longer the earliest:
 //!
 //! * [`model::MachineModel`] — FFT flop costs with L2 effects, pack/unpack
 //!   rates sensitive to sub-tile cache residency and stride (what makes
 //!   `Px, Pz, Uy, Uz` tunable), transpose rates, `MPI_Test` cost.
 //! * [`model::NetModel`] — α–β rounds with topology contention and
 //!   concurrent-window bandwidth sharing (what makes `T` and `W` tunable).
-//! * [`engine::Engine`] — a conservative virtual-time scheduler: only the
-//!   minimum-clock rank interacts with shared state, so runs are exactly
+//! * [`engine::Engine`] — a conservative virtual-time stepper: it always
+//!   resumes the runnable rank with the minimum clock, so runs are exactly
 //!   reproducible.
 //! * [`proc::SimRank`] — the per-rank API: `compute`, `post_alltoall`,
 //!   `compute_with_polls` (manual progression), `wait`,
-//!   `blocking_alltoall`, `barrier`.
+//!   `blocking_alltoall`, `barrier`; the calls that consult the engine are
+//!   `async`.
 //!
 //! ```
 //! use simnet::{run_sim, model::umd_cluster};
 //!
 //! // Four ranks overlap a 1 MiB-per-peer alltoall with 30 ms of compute.
-//! let finish = run_sim(umd_cluster(), 4, |sim| {
-//!     let op = sim.post_alltoall(1 << 20);
-//!     sim.compute_with_polls(0.030, 64, &[op]);
-//!     sim.wait(op);
+//! let finish = run_sim(umd_cluster(), 4, async |sim| {
+//!     let op = sim.post_alltoall(1 << 20).await;
+//!     sim.compute_with_polls(0.030, 64, &[op]).await;
+//!     sim.wait(op).await;
 //!     sim.now()
 //! });
 //! // The ≈21 ms exchange hides almost entirely behind the compute.
@@ -40,70 +44,24 @@ pub use model::Platform;
 pub use proc::{OpId, PlanId, PollRecord, SimRank};
 pub use time::SimTime;
 
-use engine::Engine;
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use engine::{Engine, Program};
+use std::rc::Rc;
 
-/// Runs `f` on `size` simulated ranks of `platform`, returning results in
-/// rank order. Panics in any rank propagate after all ranks unwind.
+/// Runs `f` as the program of each of `size` simulated ranks of `platform`,
+/// all on the calling thread, returning results in rank order. A panic in
+/// any rank propagates at once, with that rank's payload.
 pub fn run_sim<F, R>(platform: Platform, size: usize, f: F) -> Vec<R>
 where
-    F: Fn(&mut SimRank) -> R + Send + Sync,
-    R: Send,
+    F: AsyncFn(&mut SimRank) -> R,
 {
-    let engine = Engine::new(size);
-    let platform = Arc::new(platform);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..size)
-            .map(|rank| {
-                let engine = engine.clone();
-                let platform = platform.clone();
-                let f = &f;
-                s.spawn(move || {
-                    let mut sim = SimRank::new(engine.clone(), platform, rank);
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut sim))) {
-                        Ok(v) => {
-                            sim.finish();
-                            Ok(v)
-                        }
-                        Err(e) => {
-                            engine.abort();
-                            Err(e)
-                        }
-                    }
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(size);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join().expect("rank thread panics are caught inside") {
-                Ok(v) => results.push(v),
-                Err(e) => {
-                    fn is_secondary(p: &Box<dyn std::any::Any + Send>) -> bool {
-                        let msg = p
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| p.downcast_ref::<&str>().copied());
-                        msg.map(|s| s.contains("peer rank panicked"))
-                            .unwrap_or(false)
-                    }
-                    match &first_panic {
-                        None => first_panic = Some(e),
-                        Some(prev) => {
-                            if is_secondary(prev) && !is_secondary(&e) {
-                                first_panic = Some(e);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            std::panic::resume_unwind(p);
-        }
-        results
-    })
+    let engine = Rc::new(Engine::new(size));
+    let platform = Rc::new(platform);
+    let f = &f;
+    let programs = (0..size).map(|rank| {
+        let mut sim = SimRank::new(engine.clone(), platform.clone(), rank);
+        Box::pin(async move { f(&mut sim).await }) as Program<'_, R>
+    });
+    engine.run(programs.collect())
 }
 
 #[cfg(test)]
@@ -113,24 +71,24 @@ mod tests {
 
     #[test]
     fn results_come_back_in_rank_order() {
-        let out = run_sim(hopper(), 5, |sim| sim.rank() * 2);
+        let out = run_sim(hopper(), 5, async |sim| sim.rank() * 2);
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn panics_propagate() {
-        run_sim(hopper(), 3, |sim| {
+        run_sim(hopper(), 3, async |sim| {
             if sim.rank() == 2 {
                 panic!("boom");
             }
-            sim.barrier();
+            sim.barrier().await;
         });
     }
 
     #[test]
     fn compute_only_ranks_never_interact() {
-        let out = run_sim(hopper(), 2, |sim| {
+        let out = run_sim(hopper(), 2, async |sim| {
             sim.compute(0.5);
             sim.now().as_secs_f64()
         });

@@ -2,8 +2,11 @@
 //! and waits.
 //!
 //! A [`SimRank`] owns everything rank-local: its virtual clock and the
-//! progression state machines of its in-flight all-to-alls. The manual-
-//! progression model lives here:
+//! progression state machines of its in-flight all-to-alls. Its `async`
+//! methods are the ones that consult the engine — a post, a poll, a wait —
+//! and so the only places a rank program may be suspended (see
+//! [`crate::engine`]); everything else is plain arithmetic on the rank's own
+//! state. The manual-progression model lives here:
 //!
 //! * a collective becomes *ready* when every rank has posted it (the
 //!   engine's one piece of shared state);
@@ -18,12 +21,12 @@
 use crate::engine::{Engine, OpSeq, ReadyInfo};
 use crate::model::{A2aShape, Platform};
 use crate::time::SimTime;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// Handle to an in-flight non-blocking all-to-all.
+/// Handle to an in-flight non-blocking all-to-all: its index among the
+/// non-blocking collectives this rank has posted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OpId(OpSeq);
+pub struct OpId(usize);
 
 /// Handle to a persistent all-to-all plan created by
 /// [`SimRank::alltoall_init`]: the setup-once half of MPI's
@@ -51,6 +54,8 @@ enum Ready {
 
 #[derive(Debug)]
 struct LocalOp {
+    /// The collective's sequence number on the communicator.
+    seq: OpSeq,
     shape: A2aShape,
     /// Participant count the round model uses (≤ `size`; subgroup
     /// collectives of symmetric process grids use their group size).
@@ -77,13 +82,15 @@ pub struct PollRecord {
 
 /// A simulated rank: the object the 3-D FFT's simulated backend drives.
 pub struct SimRank {
-    engine: Arc<Engine>,
-    platform: Arc<Platform>,
+    engine: Rc<Engine>,
+    platform: Rc<Platform>,
     rank: usize,
     size: usize,
     clock: SimTime,
     next_seq: OpSeq,
-    ops: HashMap<OpSeq, LocalOp>,
+    /// Every non-blocking all-to-all this rank has posted, in post order
+    /// (an [`OpId`] is an index here; nothing is ever removed).
+    ops: Vec<LocalOp>,
     /// Persistent plans created by [`Self::alltoall_init`].
     plans: Vec<A2aPlan>,
     /// Times this rank paid the per-collective setup charge
@@ -94,23 +101,38 @@ pub struct SimRank {
     /// rank's link bandwidth.
     active: u32,
     test_calls: u64,
+    /// The platform's `t_test`, in clock units.
+    t_test: SimTime,
     /// When tracing, every `test()` appends a [`PollRecord`] here.
     poll_log: Option<Vec<PollRecord>>,
     /// Deterministic per-rank noise state (xorshift64*).
     noise_state: u64,
 }
 
+/// Duration of one round of an all-to-all of `shape` among `group` ranks
+/// while this rank has `active` windows open, stretched by the fault plan's
+/// link degradation.
+fn faulted_round_time(platform: &Platform, group: usize, shape: A2aShape, active: u32) -> SimTime {
+    let rt = platform.net.round_time(group, shape, active);
+    let lf = platform.faults.link_factor();
+    if lf > 1.0 {
+        SimTime::from_secs_f64(rt.as_secs_f64() * lf)
+    } else {
+        rt
+    }
+}
+
 impl SimRank {
-    pub(crate) fn new(engine: Arc<Engine>, platform: Arc<Platform>, rank: usize) -> Self {
-        let size = engine.size();
+    pub(crate) fn new(engine: Rc<Engine>, platform: Rc<Platform>, rank: usize) -> Self {
         SimRank {
+            size: engine.size(),
+            t_test: SimTime::from_secs_f64(platform.machine.t_test),
             engine,
             platform,
             rank,
-            size,
             clock: SimTime::ZERO,
             next_seq: 0,
-            ops: HashMap::new(),
+            ops: Vec::new(),
             plans: Vec::new(),
             setup_charges: 0,
             active: 0,
@@ -125,18 +147,6 @@ impl SimRank {
     #[inline]
     fn compute_factor(&self) -> f64 {
         self.platform.faults.compute_factor(self.rank)
-    }
-
-    /// Duration of one round of `op`'s schedule at the current window
-    /// occupancy, stretched by the fault plan's link degradation.
-    fn faulted_round_time(&self, group: usize, shape: A2aShape) -> SimTime {
-        let rt = self.platform.net.round_time(group, shape, self.active);
-        let lf = self.platform.faults.link_factor();
-        if lf > 1.0 {
-            SimTime::from_secs_f64(rt.as_secs_f64() * lf)
-        } else {
-            rt
-        }
     }
 
     /// Next noise factor in `[1 − jitter, 1 + jitter]` (1.0 when noise is
@@ -203,8 +213,8 @@ impl SimRank {
     /// Posts a non-blocking all-to-all moving `bytes_per_peer` to every
     /// peer. Charges the post overhead and makes one free progression
     /// attempt (real NBC implementations kick round 0 at post time).
-    pub fn post_alltoall(&mut self, bytes_per_peer: u64) -> OpId {
-        self.post_alltoall_in_group(self.size, bytes_per_peer)
+    pub async fn post_alltoall(&mut self, bytes_per_peer: u64) -> OpId {
+        self.post_alltoall_in_group(self.size, bytes_per_peer).await
     }
 
     /// Posts a non-blocking all-to-all among a *subgroup* of `group` ranks
@@ -212,37 +222,37 @@ impl SimRank {
     /// rendezvous is still global — valid for the symmetric schedules this
     /// simulator targets, where every subgroup runs the same program — but
     /// the round structure and bandwidth model use the subgroup size.
-    pub fn post_alltoall_in_group(&mut self, group: usize, bytes_per_peer: u64) -> OpId {
+    pub async fn post_alltoall_in_group(&mut self, group: usize, bytes_per_peer: u64) -> OpId {
         assert!(
             group >= 1 && group <= self.size,
             "group must be within the world"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.clock += self.platform.net.post_overhead(group);
         self.setup_charges += 1;
-        self.engine.post(self.rank, self.clock, seq);
         let shape = self.platform.net.shape(group, bytes_per_peer);
-        self.launch(seq, shape, group);
-        OpId(seq)
+        self.launch(shape, group).await
     }
 
-    /// Inserts the round state machine for a freshly posted collective and
-    /// makes the free progression attempt every post gets.
-    fn launch(&mut self, seq: OpSeq, shape: A2aShape, group: usize) {
-        self.ops.insert(
+    /// Posts the rendezvous of a new collective at the current clock, adds
+    /// its round state machine and makes the free progression attempt every
+    /// post gets.
+    async fn launch(&mut self, shape: A2aShape, group: usize) -> OpId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.engine.post(self.rank, self.clock, seq).await;
+        let op = OpId(self.ops.len());
+        self.ops.push(LocalOp {
             seq,
-            LocalOp {
-                shape,
-                group,
-                ready: Ready::Unknown,
-                rounds_done: 0,
-                inflight_end: None,
-                completed: None,
-            },
-        );
+            shape,
+            group,
+            ready: Ready::Unknown,
+            rounds_done: 0,
+            inflight_end: None,
+            completed: None,
+        });
         self.active += 1;
-        self.progress(seq);
+        self.progress(op).await;
+        op
     }
 
     /// Creates a persistent all-to-all plan over the whole world (the
@@ -276,20 +286,14 @@ impl SimRank {
     /// but no `post_overhead` is charged — setup was paid at init. Returns
     /// an [`OpId`] driven with the same `test`/`wait` calls as an ad-hoc
     /// post.
-    pub fn start(&mut self, plan: PlanId) -> OpId {
-        let p = {
-            let p = self
-                .plans
-                .get_mut(plan.0)
-                .expect("start on unknown persistent plan");
-            p.executions += 1;
-            *p
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.engine.post(self.rank, self.clock, seq);
-        self.launch(seq, p.shape, p.group);
-        OpId(seq)
+    pub async fn start(&mut self, plan: PlanId) -> OpId {
+        let p = self
+            .plans
+            .get_mut(plan.0)
+            .expect("start on unknown persistent plan");
+        p.executions += 1;
+        let (shape, group) = (p.shape, p.group);
+        self.launch(shape, group).await
     }
 
     /// Executions started so far on `plan`.
@@ -307,12 +311,11 @@ impl SimRank {
 
     /// One `MPI_Test` on `op`: charges `t_test` and progresses the round
     /// pipeline. Returns `true` when the collective has completed.
-    pub fn test(&mut self, op: OpId) -> bool {
+    pub async fn test(&mut self, op: OpId) -> bool {
         self.test_calls += 1;
         let start = self.clock;
-        self.clock += SimTime::from_secs_f64(self.platform.machine.t_test);
-        self.progress(op.0);
-        let completed = self.ops[&op.0].completed.is_some();
+        self.clock += self.t_test;
+        let completed = self.progress(op).await;
         if let Some(log) = &mut self.poll_log {
             log.push(PollRecord {
                 op,
@@ -344,7 +347,7 @@ impl SimRank {
 
     /// `true` once `op` has been observed complete (no progression attempt).
     pub fn is_complete(&self, op: OpId) -> bool {
-        self.ops[&op.0].completed.is_some()
+        self.ops[op.0].completed.is_some()
     }
 
     /// Executes a compute phase of `secs` with `polls` evenly spaced
@@ -354,7 +357,7 @@ impl SimRank {
     ///
     /// Returns the `t_test` overhead charged, so callers can account
     /// compute and Test time separately (Figure 8's breakdown).
-    pub fn compute_with_polls(&mut self, secs: f64, polls: u32, ops: &[OpId]) -> SimTime {
+    pub async fn compute_with_polls(&mut self, secs: f64, polls: u32, ops: &[OpId]) -> SimTime {
         let total = SimTime::from_secs_f64(secs * self.noise_factor() * self.compute_factor());
         if polls == 0 || ops.is_empty() {
             self.clock += total;
@@ -365,7 +368,7 @@ impl SimRank {
         for _ in 0..polls {
             self.clock += slice;
             for &op in ops {
-                self.test(op);
+                self.test(op).await;
             }
         }
         // Remainder of the compute after the last poll.
@@ -377,46 +380,36 @@ impl SimRank {
 
     /// `MPI_Wait`: progresses continuously until `op` completes; advances
     /// the clock to the completion time and returns it.
-    pub fn wait(&mut self, op: OpId) -> SimTime {
-        let seq = op.0;
-        if let Some(t) = self.ops[&seq].completed {
+    pub async fn wait(&mut self, op: OpId) -> SimTime {
+        let o = &mut self.ops[op.0];
+        if let Some(t) = o.completed {
             return t;
         }
-        let ready = match self.ops[&seq].ready {
+        let ready = match o.ready {
             Ready::Known(t) => t,
             _ => {
-                let t = self.engine.block_on_ready(self.rank, self.clock, seq);
-                self.ops.get_mut(&seq).expect("op exists").ready = Ready::Known(t);
+                let engine = &self.engine;
+                let t = engine.block_on_ready(self.rank, self.clock, o.seq).await;
+                o.ready = Ready::Known(t);
                 t
             }
         };
-        // Remaining rounds run back to back; bandwidth share is sampled per
-        // round because other ops may still be active.
-        let (mut t, mut rd, inflight, rounds) = {
-            let o = &self.ops[&seq];
-            (
-                self.clock.max(ready),
-                o.rounds_done,
-                o.inflight_end,
-                o.shape.rounds,
-            )
-        };
-        if let Some(e) = inflight {
+        let mut t = self.clock.max(ready);
+        let mut rd = o.rounds_done;
+        if let Some(e) = o.inflight_end {
             t = t.max(e);
             rd += 1;
         }
-        while rd < rounds {
-            let o = &self.ops[&seq];
-            let rt = self.faulted_round_time(o.group, o.shape);
-            t += rt;
-            rd += 1;
+        // The remaining rounds run back to back, all at this moment's
+        // bandwidth share.
+        if rd < o.shape.rounds {
+            let rt = faulted_round_time(&self.platform, o.group, o.shape, self.active);
+            t += rt * (o.shape.rounds - rd) as u64;
+            rd = o.shape.rounds;
         }
-        {
-            let o = self.ops.get_mut(&seq).expect("op exists");
-            o.rounds_done = rd;
-            o.inflight_end = None;
-            o.completed = Some(t);
-        }
+        o.rounds_done = rd;
+        o.inflight_end = None;
+        o.completed = Some(t);
         self.active -= 1;
         self.clock = self.clock.max(t);
         t
@@ -425,13 +418,13 @@ impl SimRank {
     /// Blocking all-to-all (the FFTW baseline's `MPI_Alltoall`): rendezvous
     /// with all ranks, then the full exchange at blocking-collective
     /// efficiency. Returns `(ready_time, completion_time)`.
-    pub fn blocking_alltoall(&mut self, bytes_per_peer: u64) -> (SimTime, SimTime) {
+    pub async fn blocking_alltoall(&mut self, bytes_per_peer: u64) -> (SimTime, SimTime) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.clock += self.platform.net.post_overhead(self.size);
         self.setup_charges += 1;
-        self.engine.post(self.rank, self.clock, seq);
-        let ready = self.engine.block_on_ready(self.rank, self.clock, seq);
+        self.engine.post(self.rank, self.clock, seq).await;
+        let ready = self.engine.block_on_ready(self.rank, self.clock, seq).await;
         let end = ready
             + self
                 .platform
@@ -442,92 +435,59 @@ impl SimRank {
     }
 
     /// Barrier: rendezvous plus a log-round release cost.
-    pub fn barrier(&mut self) {
-        let _ = self.blocking_alltoall(0);
+    pub async fn barrier(&mut self) {
+        let _ = self.blocking_alltoall(0).await;
     }
 
-    /// Advances round state for `seq` at the current clock; the heart of
-    /// the manual-progression model.
-    fn progress(&mut self, seq: OpSeq) {
+    /// Advances round state for `op` at the current clock — the heart of the
+    /// manual-progression model — and reports whether it has completed.
+    async fn progress(&mut self, op: OpId) -> bool {
         let clock = self.clock;
+        let o = &mut self.ops[op.0];
+        if o.completed.is_some() {
+            return true;
+        }
         // Resolve readiness, using the cached lower bound to avoid engine
         // round-trips for polls that cannot possibly observe readiness.
-        let ready = {
-            let o = self.ops.get_mut(&seq).expect("progress on unknown op");
-            if o.completed.is_some() {
-                return;
-            }
-            match o.ready {
-                Ready::Known(t) => Some(t),
-                Ready::Bound(b) if clock < b => None,
-                _ => None, // needs an engine query below
-            }
-        };
-        let ready = match ready {
-            Some(t) => t,
-            None => {
-                let o = &self.ops[&seq];
-                if let Ready::Bound(b) = o.ready {
-                    if clock < b {
-                        return;
-                    }
+        let ready = match o.ready {
+            Ready::Known(t) => t,
+            Ready::Bound(b) if clock < b => return false,
+            _ => match self.engine.query(self.rank, clock, o.seq).await {
+                ReadyInfo::Ready(t) => {
+                    o.ready = Ready::Known(t);
+                    t
                 }
-                match self.engine.query(self.rank, clock, seq) {
-                    ReadyInfo::Ready(t) => {
-                        self.ops.get_mut(&seq).expect("op exists").ready = Ready::Known(t);
-                        t
-                    }
-                    ReadyInfo::NotBefore(b) => {
-                        self.ops.get_mut(&seq).expect("op exists").ready = Ready::Bound(b);
-                        return;
-                    }
+                ReadyInfo::NotBefore(b) => {
+                    o.ready = Ready::Bound(b);
+                    return false;
                 }
-            }
+            },
         };
         if clock < ready {
-            return;
+            return false;
         }
         // Zero-round collectives (p = 1) complete at readiness.
-        let (rounds, inflight, rounds_done) = {
-            let o = &self.ops[&seq];
-            (o.shape.rounds, o.inflight_end, o.rounds_done)
-        };
-        if rounds == 0 {
-            self.ops.get_mut(&seq).expect("op exists").completed = Some(ready);
+        if o.shape.rounds == 0 {
+            o.completed = Some(ready);
             self.active -= 1;
-            return;
+            return true;
         }
-        let mut rd = rounds_done;
-        let mut last_end = None;
-        if let Some(e) = inflight {
-            if e <= clock {
-                rd += 1;
-                last_end = Some(e);
-            } else {
-                return; // round still in flight; nothing to start
+        if let Some(end) = o.inflight_end {
+            if end > clock {
+                return false; // round still in flight; nothing to start
+            }
+            o.rounds_done += 1;
+            o.inflight_end = None;
+            if o.rounds_done == o.shape.rounds {
+                o.completed = Some(end);
+                self.active -= 1;
+                return true;
             }
         }
-        if rd == rounds {
-            let o = self.ops.get_mut(&seq).expect("op exists");
-            o.rounds_done = rd;
-            o.inflight_end = None;
-            o.completed = Some(last_end.expect("final round had an end"));
-            self.active -= 1;
-            return;
-        }
         // Start the next round at this progression opportunity.
-        let rt = {
-            let o = &self.ops[&seq];
-            self.faulted_round_time(o.group, o.shape)
-        };
-        let o = self.ops.get_mut(&seq).expect("op exists");
-        o.rounds_done = rd;
+        let rt = faulted_round_time(&self.platform, o.group, o.shape, self.active);
         o.inflight_end = Some(clock.max(ready) + rt);
-    }
-
-    /// Called by the launcher when the rank function returns.
-    pub(crate) fn finish(&mut self) {
-        self.engine.done(self.rank);
+        false
     }
 }
 
@@ -539,9 +499,9 @@ mod tests {
 
     #[test]
     fn single_rank_alltoall_completes_at_post() {
-        let times = run_sim(umd_cluster(), 1, |sim| {
-            let op = sim.post_alltoall(1 << 20);
-            sim.wait(op);
+        let times = run_sim(umd_cluster(), 1, async |sim| {
+            let op = sim.post_alltoall(1 << 20).await;
+            sim.wait(op).await;
             sim.now()
         });
         // p = 1: zero rounds, so only the post overhead elapses.
@@ -552,10 +512,10 @@ mod tests {
     fn wait_without_polls_pays_nearly_full_serial_time() {
         let p = 4;
         let bytes = 1 << 20;
-        let times = run_sim(umd_cluster(), p, move |sim| {
-            let op = sim.post_alltoall(bytes);
+        let times = run_sim(umd_cluster(), p, async move |sim| {
+            let op = sim.post_alltoall(bytes).await;
             sim.compute(0.01); // compute with zero polls: no progression
-            let end = sim.wait(op);
+            let end = sim.wait(op).await;
             (end, sim.now())
         });
         let plat = umd_cluster();
@@ -584,10 +544,10 @@ mod tests {
         let plat = umd_cluster();
         let comm = plat.net.blocking_duration(p, bytes).as_secs_f64();
         let compute = comm * 1.5; // compute-heavy: overlap can hide comm fully
-        let times = run_sim(umd_cluster(), p, move |sim| {
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(compute, 200, &[op]);
-            sim.wait(op);
+        let times = run_sim(umd_cluster(), p, async move |sim| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(compute, 200, &[op]).await;
+            sim.wait(op).await;
             sim.now().as_secs_f64()
         });
         for &t in &times {
@@ -607,10 +567,10 @@ mod tests {
         let comm = plat.net.blocking_duration(p, bytes).as_secs_f64();
         let compute = comm * 1.5;
         let run_with_polls = |polls: u32| {
-            run_sim(umd_cluster(), p, move |sim| {
-                let op = sim.post_alltoall(bytes);
-                sim.compute_with_polls(compute, polls, &[op]);
-                sim.wait(op);
+            run_sim(umd_cluster(), p, async move |sim| {
+                let op = sim.post_alltoall(bytes).await;
+                sim.compute_with_polls(compute, polls, &[op]).await;
+                sim.wait(op).await;
                 sim.now().as_secs_f64()
             })[0]
         };
@@ -626,16 +586,16 @@ mod tests {
     fn excessive_polling_costs_test_overhead() {
         let p = 4;
         let bytes = 64 * 1024;
-        let times_few = run_sim(umd_cluster(), p, move |sim| {
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(0.005, 32, &[op]);
-            sim.wait(op);
+        let times_few = run_sim(umd_cluster(), p, async move |sim| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(0.005, 32, &[op]).await;
+            sim.wait(op).await;
             sim.now().as_secs_f64()
         });
-        let times_many = run_sim(umd_cluster(), p, move |sim| {
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(0.005, 50_000, &[op]);
-            sim.wait(op);
+        let times_many = run_sim(umd_cluster(), p, async move |sim| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(0.005, 50_000, &[op]).await;
+            sim.wait(op).await;
             sim.now().as_secs_f64()
         });
         assert!(
@@ -650,11 +610,11 @@ mod tests {
     fn poll_log_records_every_test_span() {
         let p = 4;
         let bytes = 1 << 18;
-        let logs = run_sim(umd_cluster(), p, move |sim| {
+        let logs = run_sim(umd_cluster(), p, async move |sim| {
             sim.enable_poll_log();
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(0.005, 16, &[op]);
-            sim.wait(op);
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(0.005, 16, &[op]).await;
+            sim.wait(op).await;
             (sim.take_poll_log(), sim.test_calls())
         });
         for (log, calls) in &logs {
@@ -680,10 +640,10 @@ mod tests {
 
     #[test]
     fn poll_log_is_empty_when_disabled() {
-        let logs = run_sim(umd_cluster(), 2, |sim| {
-            let op = sim.post_alltoall(1024);
-            sim.compute_with_polls(0.001, 4, &[op]);
-            sim.wait(op);
+        let logs = run_sim(umd_cluster(), 2, async |sim| {
+            let op = sim.post_alltoall(1024).await;
+            sim.compute_with_polls(0.001, 4, &[op]).await;
+            sim.wait(op).await;
             sim.take_poll_log()
         });
         assert!(logs.iter().all(|l| l.is_empty()));
@@ -691,9 +651,9 @@ mod tests {
 
     #[test]
     fn barrier_aligns_clocks() {
-        let times = run_sim(umd_cluster(), 4, |sim| {
+        let times = run_sim(umd_cluster(), 4, async |sim| {
             sim.compute(0.001 * (sim.rank() as f64 + 1.0));
-            sim.barrier();
+            sim.barrier().await;
             sim.now()
         });
         assert!(times.iter().all(|&t| t == times[0]));
@@ -703,13 +663,13 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let go = || {
-            run_sim(umd_cluster(), 6, |sim| {
-                let op = sim.post_alltoall(123_456);
-                sim.compute_with_polls(0.003, 17, &[op]);
-                sim.wait(op);
-                let op2 = sim.post_alltoall(7_777);
-                sim.compute_with_polls(0.001, 3, &[op2]);
-                sim.wait(op2);
+            run_sim(umd_cluster(), 6, async |sim| {
+                let op = sim.post_alltoall(123_456).await;
+                sim.compute_with_polls(0.003, 17, &[op]).await;
+                sim.wait(op).await;
+                let op2 = sim.post_alltoall(7_777).await;
+                sim.compute_with_polls(0.001, 3, &[op2]).await;
+                sim.wait(op2).await;
                 sim.now()
             })
         };
@@ -725,17 +685,15 @@ mod tests {
         // stretch shows through undiluted by round time.
         let p = 4;
         let bytes = 1 << 16;
-        let body = |sim: &mut SimRank| {
+        let body = async |sim: &mut SimRank| {
             sim.compute(0.01);
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(0.005, 50, &[op]);
-            sim.wait(op);
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(0.005, 50, &[op]).await;
+            sim.wait(op).await;
             sim.now()
         };
-        let healthy = run_sim(umd_cluster(), p, move |sim| body(sim));
-        let faulted = run_sim(umd_cluster().with_straggler(2, 3.0), p, move |sim| {
-            body(sim)
-        });
+        let healthy = run_sim(umd_cluster(), p, body);
+        let faulted = run_sim(umd_cluster().with_straggler(2, 3.0), p, body);
         // The straggler's own compute stretches 4x (0.015s → 0.06s)...
         assert!(
             faulted[2] > healthy[2] + SimTime::from_secs_f64(0.03),
@@ -759,14 +717,12 @@ mod tests {
     fn degraded_links_stretch_the_exchange() {
         let p = 4;
         let bytes = 1 << 20;
-        let body = |sim: &mut SimRank| {
-            let op = sim.post_alltoall(bytes);
-            sim.wait(op)
+        let body = async |sim: &mut SimRank| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.wait(op).await
         };
-        let healthy = run_sim(umd_cluster(), p, move |sim| body(sim))[0];
-        let degraded = run_sim(umd_cluster().with_degraded_links(2.0), p, move |sim| {
-            body(sim)
-        })[0];
+        let healthy = run_sim(umd_cluster(), p, body)[0];
+        let degraded = run_sim(umd_cluster().with_degraded_links(2.0), p, body)[0];
         // Round time is α + bytes/bw, all scaled by 2: the wait-dominated
         // exchange takes nearly twice as long.
         let ratio = degraded.as_secs_f64() / healthy.as_secs_f64();
@@ -781,10 +737,10 @@ mod tests {
                 .with_degraded_links(1.7)
         };
         let go = || {
-            run_sim(plat(), 4, |sim| {
-                let op = sim.post_alltoall(200_000);
-                sim.compute_with_polls(0.004, 13, &[op]);
-                sim.wait(op);
+            run_sim(plat(), 4, async |sim| {
+                let op = sim.post_alltoall(200_000).await;
+                sim.compute_with_polls(0.004, 13, &[op]).await;
+                sim.wait(op).await;
                 sim.now()
             })
         };
@@ -798,18 +754,18 @@ mod tests {
         let bytes = 1 << 20;
         let reps = 5u64;
         // Ad-hoc: every post pays post_overhead. Persistent: only init does.
-        let adhoc = run_sim(umd_cluster(), p, move |sim| {
+        let adhoc = run_sim(umd_cluster(), p, async move |sim| {
             for _ in 0..reps {
-                let op = sim.post_alltoall(bytes);
-                sim.wait(op);
+                let op = sim.post_alltoall(bytes).await;
+                sim.wait(op).await;
             }
             (sim.now(), sim.setup_charges())
         });
-        let persistent = run_sim(umd_cluster(), p, move |sim| {
+        let persistent = run_sim(umd_cluster(), p, async move |sim| {
             let plan = sim.alltoall_init(bytes);
             for _ in 0..reps {
-                let op = sim.start(plan);
-                sim.wait(op);
+                let op = sim.start(plan).await;
+                sim.wait(op).await;
             }
             (sim.now(), sim.setup_charges(), sim.plan_executions(plan))
         });
@@ -832,21 +788,21 @@ mod tests {
         // progression rules under polling.
         let p = 6;
         let bytes = 200_000;
-        let body_adhoc = move |sim: &mut SimRank| {
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(0.004, 13, &[op]);
-            sim.wait(op);
+        let body_adhoc = async move |sim: &mut SimRank| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(0.004, 13, &[op]).await;
+            sim.wait(op).await;
             sim.now()
         };
-        let body_pers = move |sim: &mut SimRank| {
+        let body_pers = async move |sim: &mut SimRank| {
             let plan = sim.alltoall_init(bytes);
-            let op = sim.start(plan);
-            sim.compute_with_polls(0.004, 13, &[op]);
-            sim.wait(op);
+            let op = sim.start(plan).await;
+            sim.compute_with_polls(0.004, 13, &[op]).await;
+            sim.wait(op).await;
             sim.now()
         };
-        let a = run_sim(umd_cluster(), p, move |sim| body_adhoc(sim));
-        let b = run_sim(umd_cluster(), p, move |sim| body_pers(sim));
+        let a = run_sim(umd_cluster(), p, body_adhoc);
+        let b = run_sim(umd_cluster(), p, body_pers);
         // First persistent execution == ad-hoc (init charges what post did).
         assert_eq!(a, b);
     }
@@ -854,12 +810,12 @@ mod tests {
     #[test]
     fn persistent_plans_stay_deterministic_across_runs() {
         let go = || {
-            run_sim(umd_cluster().with_straggler(1, 2.0), 4, |sim| {
+            run_sim(umd_cluster().with_straggler(1, 2.0), 4, async |sim| {
                 let plan = sim.alltoall_init(123_456);
                 for _ in 0..3 {
-                    let op = sim.start(plan);
-                    sim.compute_with_polls(0.002, 9, &[op]);
-                    sim.wait(op);
+                    let op = sim.start(plan).await;
+                    sim.compute_with_polls(0.002, 9, &[op]).await;
+                    sim.wait(op).await;
                 }
                 sim.now()
             })
@@ -874,17 +830,17 @@ mod tests {
         // than two run serially (they do overlap).
         let p = 4;
         let bytes = 1 << 20;
-        let one = run_sim(umd_cluster(), p, move |sim| {
-            let op = sim.post_alltoall(bytes);
-            sim.compute_with_polls(1.0, 5_000, &[op]);
-            sim.wait(op)
+        let one = run_sim(umd_cluster(), p, async move |sim| {
+            let op = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(1.0, 5_000, &[op]).await;
+            sim.wait(op).await
         })[0];
-        let two = run_sim(umd_cluster(), p, move |sim| {
-            let a = sim.post_alltoall(bytes);
-            let b = sim.post_alltoall(bytes);
-            sim.compute_with_polls(1.0, 5_000, &[a, b]);
-            let ea = sim.wait(a);
-            let eb = sim.wait(b);
+        let two = run_sim(umd_cluster(), p, async move |sim| {
+            let a = sim.post_alltoall(bytes).await;
+            let b = sim.post_alltoall(bytes).await;
+            sim.compute_with_polls(1.0, 5_000, &[a, b]).await;
+            let ea = sim.wait(a).await;
+            let eb = sim.wait(b).await;
             ea.max(eb)
         })[0];
         assert!(two > one);

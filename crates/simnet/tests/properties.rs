@@ -18,10 +18,10 @@ proptest! {
         compute_us in 1u64..20_000,
     ) {
         let go = || {
-            run_sim(umd_cluster(), p, move |sim| {
-                let op = sim.post_alltoall(bytes);
-                sim.compute_with_polls(compute_us as f64 * 1e-6, polls, &[op]);
-                sim.wait(op);
+            run_sim(umd_cluster(), p, async move |sim| {
+                let op = sim.post_alltoall(bytes).await;
+                sim.compute_with_polls(compute_us as f64 * 1e-6, polls, &[op]).await;
+                sim.wait(op).await;
                 sim.now()
             })
         };
@@ -36,12 +36,12 @@ proptest! {
         stagger_us in 0u64..5_000,
         bytes in 1u64..1_000_000,
     ) {
-        let ends = run_sim(umd_cluster(), p, move |sim| {
+        let ends = run_sim(umd_cluster(), p, async move |sim| {
             // Stagger the posts: the last poster defines readiness.
             sim.compute(sim.rank() as f64 * stagger_us as f64 * 1e-6);
             let before = sim.now();
-            let op = sim.post_alltoall(bytes);
-            let end = sim.wait(op);
+            let op = sim.post_alltoall(bytes).await;
+            let end = sim.wait(op).await;
             prop_assert!(end >= before);
             Ok(end)
         });
@@ -59,10 +59,10 @@ proptest! {
         bytes in 100_000u64..2_000_000,
     ) {
         let run_with = |polls: u32| {
-            run_sim(umd_cluster(), p, move |sim| {
-                let op = sim.post_alltoall(bytes);
-                sim.compute_with_polls(0.01, polls, &[op]);
-                sim.wait(op);
+            run_sim(umd_cluster(), p, async move |sim| {
+                let op = sim.post_alltoall(bytes).await;
+                sim.compute_with_polls(0.01, polls, &[op]).await;
+                sim.wait(op).await;
                 sim.now().as_secs_f64()
             })[0]
         };
@@ -103,9 +103,9 @@ proptest! {
     /// Barriers equalise clocks exactly.
     #[test]
     fn barrier_aligns_all_ranks(p in 1usize..10, jitter_us in 0u64..3_000) {
-        let times = run_sim(hopper(), p, move |sim| {
+        let times = run_sim(hopper(), p, async move |sim| {
             sim.compute((sim.rank() as u64 * jitter_us) as f64 * 1e-6);
-            sim.barrier();
+            sim.barrier().await;
             sim.now()
         });
         for t in &times {

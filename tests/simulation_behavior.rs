@@ -5,10 +5,12 @@ use cfft::Direction;
 use fft3d::{
     fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
     pencil_overlap_simulated_params, pencil_seed, pencil_simulated, th_simulated,
-    try_multi_simulated, Decomposition, JobSpec, PencilGrid, ProblemSpec, Resilience, Service,
-    ServiceConfig, StepTimes, ThParams, TuningParams, Variant,
+    try_multi_simulated, Decomposition, DegradeAction, JobSpec, PencilGrid, ProblemSpec,
+    Resilience, Service, ServiceConfig, SimReport, StepTimes, ThParams, TraceEvent, TuningParams,
+    Variant,
 };
 use simnet::model::{hopper, umd_cluster};
+use std::time::Duration;
 use tuner::driver::{tune_new, tune_th};
 
 #[test]
@@ -353,6 +355,178 @@ fn golden_multi_array_trains() {
         };
         assert_eq!(tiles, want, "{arrays} arrays");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Runs whose rank hand-off order is not round-robin (a straggler, degraded
+// links, jitter, ragged slabs, pencils, a ladder that climbs on some ranks
+// only, 256 ranks), captured at the commit before simnet's thread-per-rank
+// engine became one min-clock stepper on the caller's thread (ISSUE 20).
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bit pattern of every field fed to it, so that one pinned
+/// digest is an `==` on all of them.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn steps(&mut self, s: &StepTimes) {
+        #[rustfmt::skip]
+        let all = [s.fftz, s.transpose, s.ffty, s.pack, s.unpack, s.fftx, s.ialltoall, s.wait, s.test];
+        for v in all {
+            self.word(v.to_bits());
+        }
+    }
+}
+
+/// Every field of a report: time, rank-0 steps, setup charges, and each
+/// rank's steps, elapsed time and `MPI_Test` count.
+fn report_digest(rep: &SimReport) -> u64 {
+    let mut d = Digest::new();
+    d.word(rep.time.to_bits());
+    d.steps(&rep.steps);
+    d.word(rep.setup_charges);
+    d.word(rep.per_rank.len() as u64);
+    for rank in &rep.per_rank {
+        d.steps(&rank.steps);
+        d.word(rank.elapsed.to_bits());
+        d.word(rank.tests);
+    }
+    d.0
+}
+
+/// Every rank's event stream: each span's bounds and kind, in order.
+fn events_digest(events: &[Vec<TraceEvent>]) -> u64 {
+    let mut d = Digest::new();
+    for rank in events {
+        d.word(rank.len() as u64);
+        for ev in rank {
+            d.word(ev.start.to_bits());
+            d.word(ev.end.to_bits());
+            d.bytes(format!("{:?}", ev.kind).as_bytes());
+        }
+    }
+    d.0
+}
+
+#[test]
+fn golden_uneven_hand_off_orders() {
+    let cube = ProblemSpec::cube(256, 16);
+    let ragged = ProblemSpec {
+        nx: 100,
+        ny: 72,
+        nz: 90,
+        p: 3,
+    };
+    let straggler = || umd_cluster().with_straggler(2, 3.0);
+    // `(time, Σ tests, report digest, event-stream digest)`.
+    #[rustfmt::skip]
+    let table = [
+        ("straggler", straggler(), cube, Variant::New, (0.804465196, 14848u64, 2629229576894315868u64, 10362900469140399367u64)),
+        ("straggler", straggler(), cube, Variant::Th, (1.342230492, 7424, 4767612115258989145, 5608205826195337982)),
+        ("degraded links", umd_cluster().with_degraded_links(2.0), cube, Variant::New, (0.465992017, 14848, 18398704895640020619, 6075852919066770759)),
+        ("jitter", umd_cluster().with_jitter(0.05), cube, Variant::New, (0.263738719, 14848, 5111436216622947776, 2724684838087664770)),
+        ("jitter", hopper().with_jitter(0.2), ProblemSpec::cube(384, 32), Variant::Th, (0.242463672, 29696, 2934928313548682386, 888606986752267827)),
+        ("ragged", umd_cluster(), ragged, Variant::New, (0.040574208, 396, 12398471284562598878, 2659329275901789656)),
+        ("ragged straggler", umd_cluster().with_straggler(1, 1.5), ragged, Variant::Th, (0.124063413, 198, 4070517641525753047, 4111105636836994580)),
+        ("256 ranks", hopper(), ProblemSpec::cube(640, 256), Variant::New, (0.705544038, 3801088, 4324316716117519862, 15547935759697084592)),
+    ];
+    for (what, platform, spec, variant, want) in table {
+        let seed = TuningParams::seed(&spec);
+        let rep = fft3_simulated(platform.clone(), spec, variant, seed, false);
+        let (traced, events) = fft3_simulated_traced(platform, spec, variant, seed);
+        let tests: u64 = rep.per_rank.iter().map(|r| r.tests).sum();
+        let got = (rep.time, tests, report_digest(&rep), events_digest(&events));
+        assert_eq!(got, want, "{what} {spec:?} {variant:?}");
+        assert_eq!(report_digest(&traced), got.2, "{what} {spec:?} {variant:?}");
+    }
+}
+
+#[test]
+fn golden_uneven_pencils() {
+    let cube = ProblemSpec::cube(256, 16);
+    let ragged = ProblemSpec {
+        nx: 100,
+        ny: 72,
+        nz: 90,
+        p: 6,
+    };
+    #[rustfmt::skip]
+    let table = [
+        (umd_cluster().with_straggler(2, 3.0), cube, PencilGrid { pr: 4, pc: 4 }, 0.908483648),
+        (umd_cluster().with_jitter(0.05), cube, PencilGrid { pr: 4, pc: 4 }, 0.281131821),
+        (umd_cluster().with_straggler(4, 2.0).with_jitter(0.1), ragged, PencilGrid { pr: 3, pc: 2 }, 0.065940057),
+        (umd_cluster().with_degraded_links(2.0), ragged, PencilGrid { pr: 3, pc: 2 }, 0.039991206),
+    ];
+    for (platform, spec, grid, overlapped) in table {
+        let seed = pencil_seed(&spec, grid);
+        assert_eq!(
+            pencil_overlap_simulated_params(platform, spec, grid, &seed),
+            overlapped,
+            "{spec:?} {grid:?}"
+        );
+    }
+}
+
+/// A three-array train behind a straggler with the virtual-time watchdog
+/// armed: the straggler itself never waits long, so the ladder climbs on its
+/// peers only and the ranks run different schedules from then on.
+#[test]
+fn golden_ladder_climbs_on_some_ranks_only() {
+    let spec = ProblemSpec::cube(256, 16);
+    let seed = TuningParams::seed(&spec);
+    let platform = umd_cluster().with_straggler(2, 3.0);
+    use DegradeAction::{BoostPolls, Fallback, ShrinkWindow};
+    // `(watchdog in virtual ms, rank-0 steps digest, stalls, rungs)`. The
+    // straggler finishes last whatever its peers do: the fused time holds.
+    #[rustfmt::skip]
+    let table = [
+        (5, 9383448873527769439u64, 5, vec![BoostPolls, ShrinkWindow, Fallback]),
+        (80, 8687699102228815853, 2, vec![BoostPolls, ShrinkWindow]),
+        (150, 7679561364217097781, 1, vec![BoostPolls]),
+    ];
+    for (ms, digest, stalls, rungs) in table {
+        let res = Resilience::with_timeout(Duration::from_millis(ms));
+        let rep = try_multi_simulated(platform.clone(), spec, seed, 3, &res).expect("train");
+        let mut d = Digest::new();
+        d.steps(&rep.steps);
+        assert_eq!(rep.fused_time, 2.413625988, "{ms} ms");
+        assert_eq!(d.0, digest, "{ms} ms");
+        assert_eq!(rep.recovery.stalls_detected, stalls, "{ms} ms");
+        assert_eq!(rep.recovery.actions, rungs, "{ms} ms");
+    }
+}
+
+/// simnet has no threads of its own: every rank program of a run executes,
+/// suspends and resumes on the thread that called `run_sim`.
+#[test]
+fn every_rank_runs_on_the_callers_thread() {
+    let caller = std::thread::current().id();
+    let seen = simnet::run_sim(umd_cluster(), 16, async |sim| {
+        let before = std::thread::current().id();
+        // Staggered clocks, so the ranks are suspended and resumed out of
+        // rank order.
+        sim.compute(1e-3 * ((sim.rank() * 7) % 16) as f64);
+        let op = sim.post_alltoall(1 << 16).await;
+        sim.compute_with_polls(2e-3, 8, &[op]).await;
+        sim.wait(op).await;
+        sim.barrier().await;
+        [before, std::thread::current().id()]
+    });
+    assert_eq!(seen, vec![[caller; 2]; 16]);
 }
 
 /// SplitMix64, for a seeded trace that needs no other crate.
