@@ -17,8 +17,15 @@
 //! batch costs what a contiguous one does; when the lanes are neighbours in
 //! memory (`dist = 1`, the columns of a matrix) gather and scatter are one
 //! `B`-element copy per `j`. A block of one unit-stride line runs in place,
-//! and plans whose kernel is not Stockham (naive, in-place radix-2,
-//! Bluestein, Rader) take the same path with blocks of one line.
+//! and plans whose kernel is not Stockham (naive, Bluestein, Rader) take the
+//! same path with blocks of one line.
+//!
+//! One function runs stages over a block, [`run_blocks`], and **the caller
+//! supplies the gather and the scatter** as a [`BlockIo`]. The entry points
+//! above are `run_blocks` over [`InPlace`] (lines transformed where they
+//! lie); `fft3d`'s stage executor passes an io of its own whose gather reads
+//! a tile's receive block — so its Unpack is no separate sweep — and which
+//! takes the ABFT checksum lines while a block is in cache.
 //!
 //! Blocking never changes a result: each lane meets exactly the arithmetic
 //! it meets alone (see [`crate::mixed`]), so the output is bit-identical to
@@ -27,6 +34,7 @@
 
 use crate::complex::Complex64;
 use crate::planner::Plan1d;
+use std::ops::Range;
 
 /// Does any pair of distinct lines in `layout` (length `n`) touch a common
 /// element, or any single line revisit an offset?
@@ -99,7 +107,7 @@ impl BatchLayout {
 }
 
 /// Most lines one block holds.
-const MAX_BLOCK: usize = 16;
+pub const MAX_BLOCK: usize = 16;
 
 /// Elements one block buffer may hold: two of them (the ping-pong pair,
 /// 16 bytes an element) are 64 KiB, which stays in L2 and — for the short
@@ -162,80 +170,147 @@ fn adjacent(at: &[usize]) -> bool {
 
 /// The span of the `n` elements of the line starting at `start` — slicing
 /// it out first makes an out-of-range line panic before anything is copied.
-fn line_span(start: usize, stride: usize, n: usize) -> std::ops::Range<usize> {
+fn line_span(start: usize, stride: usize, n: usize) -> Range<usize> {
     start..start + (n - 1) * stride + 1
 }
 
-/// Interleaves the block's lines: `block[j·B + l] = data[at[l] + j·stride]`.
-fn gather(data: &[Complex64], at: &[usize], stride: usize, n: usize, block: &mut [Complex64]) {
-    let lanes = at.len();
-    if adjacent(at) {
-        for (j, row) in block.chunks_exact_mut(lanes).enumerate() {
-            let s = at[0] + j * stride;
-            row.copy_from_slice(&data[s..s + lanes]);
-        }
-    } else {
-        for (l, &start) in at.iter().enumerate() {
-            let line = &data[line_span(start, stride, n)];
-            let lane = &mut block[l..];
-            for j in 0..n {
-                lane[j * lanes] = line[j * stride];
-            }
-        }
+/// How the lines of a batch reach the interleaved block and leave it again:
+/// the caller's half of [`run_blocks`]. Lines are numbered by the caller;
+/// a block is a run of consecutive numbers.
+pub trait BlockIo {
+    /// Interleaves `lines` into `block`: element `j` of the `l`-th of them at
+    /// `block[j·lanes + l]`, `lanes = lines.len()`.
+    fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]);
+
+    /// Stores the transformed `lines` out of `block` (laid out as gathered).
+    fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]);
+
+    /// `line` where it lies, when it is contiguous and may be transformed
+    /// there: a block of one such line then skips the block buffer.
+    fn in_place(&mut self, _line: usize) -> Option<&mut [Complex64]> {
+        None
     }
 }
 
-/// Inverse of [`gather`]: `data[at[l] + j·stride] = block[j·B + l]`.
-fn scatter(block: &[Complex64], data: &mut [Complex64], at: &[usize], stride: usize, n: usize) {
-    let lanes = at.len();
-    if adjacent(at) {
-        for (j, row) in block.chunks_exact(lanes).enumerate() {
-            let s = at[0] + j * stride;
-            data[s..s + lanes].copy_from_slice(row);
-        }
-    } else {
-        for (l, &start) in at.iter().enumerate() {
-            let line = &mut data[line_span(start, stride, n)];
-            let lane = &block[l..];
-            for j in 0..n {
-                line[j * stride] = lane[j * lanes];
-            }
-        }
-    }
-}
-
-/// Transforms one block: the lines starting at `at[..]`, elements `stride`
-/// apart. `scratch` already fits `plan`, and `at.len() ≤ block_of(plan)`.
-fn run_block(
-    plan: &Plan1d,
-    data: &mut [Complex64],
-    at: &[usize],
+/// The lines of a buffer, transformed where they lie: line `l` starts at
+/// `start_of(l)`, its `n` elements `stride` apart. Lanes that are neighbours
+/// in memory move with one copy per `j`.
+pub struct InPlace<'d, F> {
+    data: &'d mut [Complex64],
+    n: usize,
     stride: usize,
+    start_of: F,
+}
+
+impl<'d, F: Fn(usize) -> usize> InPlace<'d, F> {
+    /// The `n`-element lines of `data` that start at `start_of(l)`, elements
+    /// `stride` apart. A line that exceeds `data` panics when it is touched.
+    pub fn new(data: &'d mut [Complex64], n: usize, stride: usize, start_of: F) -> Self {
+        InPlace {
+            data,
+            n,
+            stride,
+            start_of,
+        }
+    }
+
+    /// The starts of `lines`, one per lane.
+    fn starts(&self, lines: Range<usize>) -> ([usize; MAX_BLOCK], usize) {
+        let mut at = [0usize; MAX_BLOCK];
+        let lanes = lines.len();
+        for (start, l) in at[..lanes].iter_mut().zip(lines) {
+            *start = (self.start_of)(l);
+        }
+        (at, lanes)
+    }
+}
+
+impl<F: Fn(usize) -> usize> BlockIo for InPlace<'_, F> {
+    fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]) {
+        let (at, lanes) = self.starts(lines);
+        let (at, stride) = (&at[..lanes], self.stride);
+        if adjacent(at) {
+            for (j, row) in block.chunks_exact_mut(lanes).enumerate() {
+                let s = at[0] + j * stride;
+                row.copy_from_slice(&self.data[s..s + lanes]);
+            }
+        } else {
+            for (l, &start) in at.iter().enumerate() {
+                let line = &self.data[line_span(start, stride, self.n)];
+                let lane = &mut block[l..];
+                for j in 0..self.n {
+                    lane[j * lanes] = line[j * stride];
+                }
+            }
+        }
+    }
+
+    fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]) {
+        let (at, lanes) = self.starts(lines);
+        let (at, stride) = (&at[..lanes], self.stride);
+        if adjacent(at) {
+            for (j, row) in block.chunks_exact(lanes).enumerate() {
+                let s = at[0] + j * stride;
+                self.data[s..s + lanes].copy_from_slice(row);
+            }
+        } else {
+            for (l, &start) in at.iter().enumerate() {
+                let line = &mut self.data[line_span(start, stride, self.n)];
+                let lane = &block[l..];
+                for j in 0..self.n {
+                    line[j * stride] = lane[j * lanes];
+                }
+            }
+        }
+    }
+
+    fn in_place(&mut self, line: usize) -> Option<&mut [Complex64]> {
+        let start = (self.start_of)(line);
+        (self.stride == 1).then(|| &mut self.data[start..start + self.n])
+    }
+}
+
+/// The one block driver: transforms `lines` through `io`, a block of up to
+/// [`block_lines`] of them at a time — gather, the plan's stages over the
+/// interleaved block, scatter. Every batch entry point of the crate is this
+/// function over an [`InPlace`]; a caller with a gather or scatter of its own
+/// (lines assembled from another buffer, sums taken while the block is in
+/// cache) passes its own [`BlockIo`].
+pub fn run_blocks(
+    plan: &Plan1d,
+    lines: Range<usize>,
+    io: &mut impl BlockIo,
     scratch: &mut BatchScratch,
 ) {
-    let n = plan.len();
-    let lanes = at.len();
-    if lanes == 1 && stride == 1 {
-        plan.execute(&mut data[at[0]..at[0] + n], &mut scratch.partner);
-        return;
-    }
-    let block = &mut scratch.block[..n * lanes];
-    gather(data, at, stride, n, block);
-    let result = match plan.stockham() {
-        Some(stockham) => {
-            let partner = &mut scratch.partner[..n * lanes];
-            if stockham.execute_lanes(block, partner, lanes) {
-                block
-            } else {
-                partner
+    scratch.fit(plan);
+    let (n, per) = (plan.len(), block_of(plan));
+    for first in lines.clone().step_by(per) {
+        let lines = first..(first + per).min(lines.end);
+        let lanes = lines.len();
+        if lanes == 1 {
+            if let Some(line) = io.in_place(first) {
+                plan.execute(line, &mut scratch.partner);
+                continue;
             }
         }
-        None => {
-            plan.execute(block, &mut scratch.partner);
-            block
-        }
-    };
-    scatter(result, data, at, stride, n);
+        let block = &mut scratch.block[..n * lanes];
+        io.gather(lines.clone(), block);
+        let result = match plan.stockham() {
+            Some(stockham) => {
+                let partner = &mut scratch.partner[..n * lanes];
+                if stockham.execute_lanes(block, partner, lanes) {
+                    block
+                } else {
+                    partner
+                }
+            }
+            None => {
+                plan.execute(block, &mut scratch.partner);
+                block
+            }
+        };
+        io.scatter(lines, result);
+    }
 }
 
 /// The batch entry points' precondition on `layout` for `n`-length lines.
@@ -252,28 +327,6 @@ fn check_layout(data: &[Complex64], layout: BatchLayout, n: usize) {
     );
 }
 
-/// The one block driver: transforms the `howmany` lines starting at
-/// `start_of(0..howmany)`, elements `stride` apart, a block at a time.
-fn run_lines(
-    plan: &Plan1d,
-    data: &mut [Complex64],
-    howmany: usize,
-    stride: usize,
-    start_of: impl Fn(usize) -> usize,
-    scratch: &mut BatchScratch,
-) {
-    scratch.fit(plan);
-    let block = block_of(plan);
-    let mut at = [0usize; MAX_BLOCK];
-    for first in (0..howmany).step_by(block) {
-        let lanes = block.min(howmany - first);
-        for (l, start) in at[..lanes].iter_mut().enumerate() {
-            *start = start_of(first + l);
-        }
-        run_block(plan, data, &at[..lanes], stride, scratch);
-    }
-}
-
 /// Executes `plan` over every line of `layout` inside `data`, in place.
 ///
 /// # Panics
@@ -286,14 +339,8 @@ pub fn execute_batch(
     scratch: &mut BatchScratch,
 ) {
     check_layout(data, layout, plan.len());
-    run_lines(
-        plan,
-        data,
-        layout.howmany,
-        layout.stride,
-        |l| l * layout.dist,
-        scratch,
-    );
+    let mut io = InPlace::new(data, plan.len(), layout.stride, |l| l * layout.dist);
+    run_blocks(plan, 0..layout.howmany, &mut io, scratch);
 }
 
 /// Executes `plan` over the rows `data[s..s + plan.len()]` for each `s` in
@@ -309,14 +356,15 @@ pub fn execute_rows(
     starts: &[usize],
     scratch: &mut BatchScratch,
 ) {
-    run_lines(plan, data, starts.len(), 1, |l| starts[l], scratch);
+    let mut io = InPlace::new(data, plan.len(), 1, |l| starts[l]);
+    run_blocks(plan, 0..starts.len(), &mut io, scratch);
 }
 
 /// Runs the first task on the calling thread — through `on_caller`, which
 /// may therefore own state no worker shares — while every other task runs
 /// `on_worker` on a spawned worker of its own: `k` tasks cost `k − 1`
 /// spawns, and a single task none.
-fn fork_join<T: Send>(
+pub fn fork_join<T: Send>(
     tasks: Vec<T>,
     on_caller: impl FnOnce(T) + Send,
     on_worker: impl Fn(T) + Sync,
@@ -337,59 +385,72 @@ fn fork_join<T: Send>(
     });
 }
 
-/// One worker's share of a row set: its region of the buffer, its rows, and
-/// the region's offset in the buffer (row `r` is at `r − offset` within it).
-type RowChunk<'d, 'r, M> = (&'d mut [Complex64], &'r [M], usize);
+/// One worker's share of a sorted row set.
+pub struct RowRun<'d> {
+    /// The region of the buffer that spans the worker's rows.
+    pub data: &'d mut [Complex64],
+    /// The worker's rows, by their number in the set.
+    pub rows: Range<usize>,
+    /// The region's offset in the buffer: the row starting at `s` is at
+    /// `s − offset` within [`Self::data`].
+    pub offset: usize,
+}
 
-/// Splits sorted, pairwise-disjoint rows of `data` into at most `threads`
-/// contiguous groups, each with the non-overlapping `&mut` region of `data`
-/// that spans its rows.
+/// Splits `rows` sorted, pairwise-disjoint rows of `data` — row `r` is
+/// `data[start_of(r)..start_of(r) + n]` — into at most `threads` contiguous
+/// runs, each with the non-overlapping `&mut` region of `data` that spans
+/// it. Safety rests entirely on the sorted/disjoint precondition (asserted
+/// below): run boundaries then carve `data` into disjoint regions via
+/// `split_at_mut`, in safe code.
 ///
-/// `start_of` extracts a row's first offset from its descriptor; row `r`
-/// occupies `data[start_of(r)..start_of(r) + n]`. Safety rests entirely on
-/// the sorted/disjoint precondition (asserted below): group boundaries then
-/// carve `data` into disjoint regions via `split_at_mut`, in safe code.
-fn split_rows<'d, 'r, M>(
-    data: &'d mut [Complex64],
+/// # Panics
+/// If the rows are not sorted ascending with gaps of at least `n`, or any
+/// row exceeds `data`.
+pub fn split_rows(
+    data: &mut [Complex64],
     n: usize,
-    rows: &'r [M],
+    rows: usize,
     threads: usize,
-    start_of: impl Fn(&M) -> usize,
-) -> Vec<RowChunk<'d, 'r, M>> {
-    if rows.is_empty() || n == 0 {
+    start_of: impl Fn(usize) -> usize,
+) -> Vec<RowRun<'_>> {
+    if rows == 0 || n == 0 {
         return Vec::new();
     }
-    for w in rows.windows(2) {
-        let (a, b) = (start_of(&w[0]), start_of(&w[1]));
+    for r in 1..rows {
+        let (a, b) = (start_of(r - 1), start_of(r));
         assert!(
             a + n <= b,
             "rows must be sorted and non-overlapping: [{a}, {}) vs [{b}, ..)",
             a + n
         );
     }
-    let last = start_of(&rows[rows.len() - 1]);
+    let last = start_of(rows - 1);
     assert!(
         last + n <= data.len(),
         "row [{last}, {}) exceeds buffer of {}",
         last + n,
         data.len()
     );
-    let nchunks = threads.clamp(1, rows.len());
-    let per = rows.len().div_ceil(nchunks);
+    let per = rows.div_ceil(threads.clamp(1, rows));
     let mut rest: &mut [Complex64] = data;
     let mut consumed = 0usize;
-    let mut tasks = Vec::with_capacity(nchunks);
-    for chunk in rows.chunks(per) {
-        let lo = start_of(&chunk[0]);
-        let hi = start_of(&chunk[chunk.len() - 1]) + n;
+    let mut runs = Vec::with_capacity(rows.div_ceil(per));
+    for first in (0..rows).step_by(per) {
+        let rows = first..(first + per).min(rows);
+        let lo = start_of(rows.start);
+        let hi = start_of(rows.end - 1) + n;
         let tail = std::mem::take(&mut rest);
         let (_, tail) = tail.split_at_mut(lo - consumed);
         let (mine, tail) = tail.split_at_mut(hi - lo);
         rest = tail;
         consumed = hi;
-        tasks.push((mine, chunk, lo));
+        runs.push(RowRun {
+            data: mine,
+            rows,
+            offset: lo,
+        });
     }
-    tasks
+    runs
 }
 
 /// [`execute_rows`] over sorted rows, spreading contiguous groups of rows
@@ -408,40 +469,15 @@ pub fn execute_lines_threaded(
     threads: usize,
     scratch: &mut BatchScratch,
 ) {
-    let run = |(slice, chunk, lo): RowChunk<usize>, scratch: &mut BatchScratch| {
-        run_lines(plan, slice, chunk.len(), 1, |l| chunk[l] - lo, scratch);
+    let run = |run: RowRun<'_>, scratch: &mut BatchScratch| {
+        let mut io = InPlace::new(run.data, plan.len(), 1, |r| starts[r] - run.offset);
+        run_blocks(plan, run.rows, &mut io, scratch);
     };
     fork_join(
-        split_rows(data, plan.len(), starts, threads, |&s| s),
+        split_rows(data, plan.len(), starts.len(), threads, |r| starts[r]),
         |task| run(task, scratch),
         |task| run(task, &mut BatchScratch::for_plan(plan)),
     );
-}
-
-/// Runs `f` over sorted, pairwise-disjoint rows of `data` — row `i` is
-/// `data[rows[i].0..rows[i].0 + n]`, and `f` also receives the row's
-/// metadata `rows[i].1` — spreading contiguous groups of rows over up to
-/// `threads` workers. This is the parallel backbone of the pipeline's
-/// Unpack step: metadata carries the `(z, y)` coordinates a row needs to
-/// locate its source elements in a shared receive buffer.
-///
-/// # Panics
-/// If rows are not sorted ascending with gaps of at least `n`, or any row
-/// exceeds `data`.
-pub fn for_each_row_threaded<M: Sync>(
-    data: &mut [Complex64],
-    n: usize,
-    rows: &[(usize, M)],
-    threads: usize,
-    f: impl Fn(&mut [Complex64], &M) + Sync,
-) {
-    let run = |(slice, chunk, lo): RowChunk<(usize, M)>| {
-        for (s, meta) in chunk {
-            let r = s - lo;
-            f(&mut slice[r..r + n], meta);
-        }
-    };
-    fork_join(split_rows(data, n, rows, threads, |row| row.0), run, run);
 }
 
 /// Splits `data` at `bounds` into the parts `data[bounds[i]..bounds[i + 1]]`
@@ -716,20 +752,76 @@ mod tests {
             .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
     }
 
+    /// An io whose gather reads one buffer and whose scatter writes another:
+    /// what a caller that fuses a copy into the transform passes.
+    struct Across<'a> {
+        from: &'a [Complex64],
+        to: &'a mut [Complex64],
+        n: usize,
+        gathered: Vec<Range<usize>>,
+    }
+
+    impl BlockIo for Across<'_> {
+        fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]) {
+            let lanes = lines.len();
+            for (l, line) in lines.clone().enumerate() {
+                for j in 0..self.n {
+                    block[j * lanes + l] = self.from[line * self.n + j];
+                }
+            }
+            self.gathered.push(lines);
+        }
+
+        fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]) {
+            let lanes = lines.len();
+            for (l, line) in lines.enumerate() {
+                for j in 0..self.n {
+                    self.to[line * self.n + j] = block[j * lanes + l];
+                }
+            }
+        }
+    }
+
     #[test]
-    fn for_each_row_threaded_passes_metadata() {
-        let n = 4;
-        let mut data = vec![Complex64::ZERO; 3 * n];
-        let rows = [(0usize, 10.0f64), (n, 20.0), (2 * n, 30.0)];
-        for_each_row_threaded(&mut data, n, &rows, 2, |row, &tag| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = Complex64::new(tag, j as f64);
-            }
-        });
-        for (s, tag) in rows {
-            for j in 0..n {
-                assert_eq!(data[s + j], Complex64::new(tag, j as f64));
-            }
+    fn a_callers_gather_and_scatter_see_the_same_blocks_and_bits() {
+        let mut planner = Planner::new(Rigor::Estimate);
+        // 12 → Stockham (blocks of 16), 74 → Bluestein (blocks of one).
+        for n in [12usize, 74] {
+            let plan = planner.plan(n, Direction::Forward);
+            let per = block_of(&plan);
+            let howmany = 2 * per + 3;
+            let from = signal(n * (howmany + 2));
+            let mut want = from.clone();
+            let mut scratch = BatchScratch::for_plan(&plan);
+            execute_batch(
+                &plan,
+                &mut want,
+                BatchLayout::contiguous(n, howmany + 2),
+                &mut scratch,
+            );
+            // Lines 1..=howmany: a range that does not start at zero.
+            let mut to = vec![Complex64::ZERO; from.len()];
+            let mut io = Across {
+                from: &from,
+                to: &mut to,
+                n,
+                gathered: Vec::new(),
+            };
+            run_blocks(&plan, 1..howmany + 1, &mut io, &mut scratch);
+            let blocks: Vec<Range<usize>> = (1..howmany + 1)
+                .step_by(per)
+                .map(|first| first..(first + per).min(howmany + 1))
+                .collect();
+            assert_eq!(io.gathered, blocks, "n={n}");
+            assert_eq!(
+                bits(&to[n..n * (howmany + 1)]),
+                bits(&want[n..n * (howmany + 1)])
+            );
+            // The lines outside the range were neither read nor written.
+            assert!(to[..n]
+                .iter()
+                .chain(&to[n * (howmany + 1)..])
+                .all(|v| *v == Complex64::ZERO));
         }
     }
 

@@ -20,10 +20,12 @@
 //! columns (`crate::pencil`); DESIGN.md §18 has the table.
 //!
 //! [`StageExec`] runs one shape under [`crate::pipeline`]'s drivers and owns
-//! what is written once: Pack, Unpack, the sub-tile loops with their poll
-//! schedules, the row-list FFTs, and — where the shape arms them — the ABFT
-//! checksum lines, the pack seal with its retransmit, and the fault plan's
-//! trigger points. Every tile moves through `crate::transport`.
+//! what is written once: Pack; the block io of both FFT steps ([`StageIo`]),
+//! whose gather for the post-FFT reads the receive block — Unpack is that
+//! gather, not a sweep of its own — and which takes the ABFT checksum lines
+//! on the cache-resident block where the shape arms them; the sub-tile loops
+//! with their poll schedules; the pack seal with its retransmit, and the
+//! fault plan's trigger points. Every tile moves through `crate::transport`.
 //!
 //! [`Session`] owns a real transform: its stages' communicators, the stage
 //! list pinned once at construction (shapes, tile counts, the local phase),
@@ -40,8 +42,8 @@ use crate::pipeline::{block_on, try_run_new, try_run_th, OverlapEnv, Recovery, R
 use crate::trace::{DegradeAction, EventKind, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
 use cfft::batch::{
-    execute_batch, execute_lines_threaded, for_each_part_threaded, for_each_row_threaded,
-    BatchLayout, BatchScratch,
+    execute_batch, for_each_part_threaded, fork_join, run_blocks, split_rows, BatchLayout,
+    BatchScratch, BlockIo, InPlace, RowRun, MAX_BLOCK,
 };
 use cfft::planner::Plan1d;
 use cfft::Complex64;
@@ -49,7 +51,7 @@ use faultplan::{checksum, flip_seeded_bit};
 use mpisim::Comm;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The axis an FFT step transforms, which names its Figure-8 category and
 /// its trace event.
@@ -210,30 +212,6 @@ impl StageShape {
             }
         });
     }
-
-    /// Unpack: gathers each destination line of `lines` (see
-    /// [`sub_tile_lines`]; the metadata is `(τ − t0, w)`) from the
-    /// per-source blocks of `recv`, each laid out `[τ − t0][o_s][w]`.
-    /// Workers own whole lines.
-    fn unpack(
-        &self,
-        xg: &TileExchange,
-        recv: &[Complex64],
-        dst: &mut [Complex64],
-        lines: &[(usize, (usize, usize))],
-    ) {
-        let n_w = self.n_w();
-        let gather = |line: &mut [Complex64], &(tl, w): &(usize, usize)| {
-            for (s, &displ) in xg.recv_displs.iter().enumerate() {
-                let (o0, os) = (self.o.offset(s), self.o.count(s));
-                let base = displ + tl * os * n_w + w;
-                for (j, v) in line[o0..o0 + os].iter_mut().enumerate() {
-                    *v = recv[base + j * n_w];
-                }
-            }
-        };
-        for_each_row_threaded(dst, self.line(), lines, self.threads, gather);
-    }
 }
 
 /// The sub-tile grid of one side of a tile: blocks of `ext.0 × ext.1` over
@@ -254,29 +232,180 @@ fn sub_tiles(
     (tb * jb, blocks)
 }
 
-/// Fills `ws.lines` with the sub-tile's line starts `τ·at.0 + j·at.1`,
-/// ascending (the order the row splitters need; the lines are disjoint
-/// whichever axis is the outer one), each with its `(τ − t0, j)`, and
-/// `ws.rows` with the starts alone.
-fn sub_tile_lines(
-    ws: &mut Workspace,
-    t0: usize,
-    (ts, js): (Range<usize>, Range<usize>),
+/// The lines of one sub-tile: `(τ, j) ∈ ts × js`, each starting at
+/// `τ·at.0 + j·at.1` in its stage buffer, numbered in ascending order of
+/// start — the order the row splitter needs; the lines are disjoint
+/// whichever axis is the outer one.
+struct Lines {
+    ts: Range<usize>,
+    js: Range<usize>,
     at: (usize, usize),
-) {
-    ws.lines.clear();
-    for tau in ts {
-        for j in js.clone() {
-            ws.lines.push((tau * at.0 + j * at.1, (tau - t0, j)));
+}
+
+impl Lines {
+    fn len(&self) -> usize {
+        self.ts.len() * self.js.len()
+    }
+
+    /// `(τ, j)` of line `k`: τ is the outer axis where its stride is the
+    /// larger one (with equal strides one of the ranges has a single member).
+    fn coords(&self, k: usize) -> (usize, usize) {
+        let (nt, nj) = (self.ts.len(), self.js.len());
+        let (a, b) = if self.at.0 >= self.at.1 {
+            (k / nj, k % nj)
+        } else {
+            (k % nt, k / nt)
+        };
+        (self.ts.start + a, self.js.start + b)
+    }
+
+    fn start(&self, k: usize) -> usize {
+        let (tau, j) = self.coords(k);
+        tau * self.at.0 + j * self.at.1
+    }
+}
+
+/// A waited tile's receive block, as the post-FFT's gather reads it: the
+/// per-source blocks, each laid out `[τ − t0][o_s][w]`.
+struct Recv<'a> {
+    block: &'a [Complex64],
+    /// Where each source's block starts.
+    displs: &'a [usize],
+    /// The group's split of o: source `s` sent `o.count(s)` elements of every
+    /// destination line.
+    o: &'a AxisSplit,
+    n_w: usize,
+    /// The tile's first τ-plane.
+    t0: usize,
+}
+
+/// `len` lanes of a block, from lane `lane` on, that are the neighbouring
+/// lines `w..w + len` of τ-plane `t0 + tl`.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    lane: usize,
+    len: usize,
+    tl: usize,
+    w: usize,
+}
+
+/// The ABFT checksum lines of a batch: Σ over its lines before the transform
+/// and after it (DESIGN.md §16).
+#[derive(Default)]
+struct LineSums {
+    pre: Vec<Complex64>,
+    post: Vec<Complex64>,
+}
+
+/// `acc[j] += Σ_l block[j·lanes + l]`: one lane reduction per `j`, taken
+/// while the interleaved block is in cache. The rows' sums are independent
+/// chains, which is all the pipelining the adds need (splitting a row over
+/// several partial sums measured the same ≈ 80 GB/s on a resident block).
+fn add_lanes(acc: &mut [Complex64], block: &[Complex64], lanes: usize) {
+    for (acc, row) in acc.iter_mut().zip(block.chunks_exact(lanes)) {
+        let mut sum = Complex64::ZERO;
+        for v in row {
+            sum += *v;
+        }
+        *acc += sum;
+    }
+}
+
+/// One worker's share of an FFT step over a sub-tile: its partial checksum
+/// lines, and how long it worked and how much of that it spent gathering
+/// from the receive block.
+#[derive(Default)]
+struct Share {
+    sums: LineSums,
+    gather: Duration,
+    busy: Duration,
+}
+
+/// A stage's block io (see [`cfft::batch::run_blocks`]). The lines are
+/// transformed where they lie in the stage buffer; the post-FFT's gather
+/// reads them out of the receive block instead — Unpack is that gather, and
+/// the destination buffer is written once, by the scatter. Where the step
+/// arms ABFT, the checksum lines are taken on the interleaved block, between
+/// gather and stages and between stages and scatter: that is the window a
+/// fault must fall in to break FFT(Σ lines) = Σ FFT(lines).
+struct StageIo<'a, F> {
+    lines: &'a Lines,
+    /// This worker's region of the stage buffer.
+    out: InPlace<'a, F>,
+    /// `Some`: gather from the receive block (the post-FFT).
+    recv: Option<&'a Recv<'a>>,
+    sums: Option<&'a mut LineSums>,
+    /// Time spent gathering from the receive block: the step's Unpack share.
+    gather: Duration,
+}
+
+impl<F: Fn(usize) -> usize> BlockIo for StageIo<'_, F> {
+    fn gather(&mut self, ks: Range<usize>, block: &mut [Complex64]) {
+        let lanes = ks.len();
+        match self.recv {
+            None => self.out.gather(ks, block),
+            Some(from) => {
+                let began = Instant::now();
+                // The block's maximal runs of w-neighbours within one τ-plane:
+                // each moves with one copy per source element, and a block of
+                // neighbouring lines of one plane is a single run.
+                let mut runs = [Run::default(); MAX_BLOCK];
+                let mut nruns = 0;
+                for (lane, k) in ks.enumerate() {
+                    let (tau, w) = self.lines.coords(k);
+                    let tl = tau - from.t0;
+                    match runs[..nruns].last_mut() {
+                        Some(run) if run.tl == tl && run.w + run.len == w => run.len += 1,
+                        _ => {
+                            runs[nruns] = Run {
+                                lane,
+                                len: 1,
+                                tl,
+                                w,
+                            };
+                            nruns += 1;
+                        }
+                    }
+                }
+                for (s, &displ) in from.displs.iter().enumerate() {
+                    let (o0, os) = (from.o.offset(s), from.o.count(s));
+                    for run in &runs[..nruns] {
+                        let base = displ + run.tl * os * from.n_w + run.w;
+                        for j in 0..os {
+                            let at = base + j * from.n_w;
+                            block[(o0 + j) * lanes + run.lane..][..run.len]
+                                .copy_from_slice(&from.block[at..at + run.len]);
+                        }
+                    }
+                }
+                self.gather += began.elapsed();
+            }
+        }
+        if let Some(sums) = &mut self.sums {
+            add_lanes(&mut sums.pre, block, lanes);
         }
     }
-    ws.lines.sort_unstable_by_key(|line| line.0);
-    ws.rows.clear();
-    ws.rows.extend(ws.lines.iter().map(|line| line.0));
+
+    fn scatter(&mut self, ks: Range<usize>, block: &[Complex64]) {
+        if let Some(sums) = &mut self.sums {
+            add_lanes(&mut sums.post, block, ks.len());
+        }
+        self.out.scatter(ks, block);
+    }
+
+    fn in_place(&mut self, k: usize) -> Option<&mut [Complex64]> {
+        // Only a line nobody has to look at may skip the block.
+        match (&self.recv, &self.sums) {
+            (None, None) => self.out.in_place(k),
+            _ => None,
+        }
+    }
 }
 
 /// Accumulates the batch sum of `starts.len()` rows of `data`, each `n`
-/// elements long, into `dst` (cleared first) — the ABFT checksum line.
+/// elements long, into `dst` (cleared first): the slab-sweep form of the
+/// ABFT checksum line, kept as the oracle of the in-block sums.
+#[cfg(test)]
 fn abft_sum_rows(dst: &mut Vec<Complex64>, data: &[Complex64], starts: &[usize], n: usize) {
     dst.clear();
     dst.resize(n, Complex64::ZERO);
@@ -306,6 +435,29 @@ fn abft_agrees(sum_fft: &[Complex64], post_sum: &[Complex64], batch: usize) -> b
     worst <= ABFT_TOL * scale * (batch.max(sum_fft.len()).max(1)) as f64
 }
 
+/// The ABFT check of `fft` over a batch of `batch` lines whose checksum
+/// lines are `sums`: transforms Σ(lines) and compares it with Σ FFT(lines).
+/// Linearity demands they agree within roundoff, so a compute or memory
+/// fault between the two sums breaks the equality far beyond tolerance.
+fn abft_verdict(
+    fft: &Fft,
+    sums: &mut LineSums,
+    batch: usize,
+    tile: usize,
+    scratch: &mut BatchScratch,
+) -> Result<(), Error> {
+    let Some(stage) = fft.abft else {
+        return Ok(());
+    };
+    let line = BatchLayout::contiguous(fft.plan.len(), 1);
+    execute_batch(&fft.plan, &mut sums.pre, line, scratch);
+    if abft_agrees(&sums.pre, &sums.post, batch) {
+        Ok(())
+    } else {
+        Err(Error::IntegrityFailed { tile, stage })
+    }
+}
+
 /// Per-rank compute scratch: with the stage buffers and the network
 /// [`Staging`], everything one transform touches besides the caller's input
 /// and the output it returns. Every buffer is fully rewritten before it is
@@ -319,16 +471,8 @@ pub(crate) struct Workspace {
     /// Block buffers of the FFT steps (grown by the first that needs more;
     /// workers beyond the first bring their own).
     pub scratch: BatchScratch,
-    /// ABFT checksum line: Σ over the sub-tile's batch, captured before the
-    /// in-place transform and transformed alongside it (DESIGN.md §16).
-    abft_line: Vec<Complex64>,
-    /// Post-transform batch sum, compared against the transformed
-    /// [`Self::abft_line`].
-    abft_post: Vec<Complex64>,
-    /// The current sub-tile's lines: `(start, (τ − t0, j))`, ascending.
-    lines: Vec<(usize, (usize, usize))>,
-    /// Their starts alone, for the FFT row lists.
-    rows: Vec<usize>,
+    /// The FFT steps' per-worker shares, the calling thread's first.
+    shares: Vec<Share>,
 }
 
 /// A session's local phase: fills the first stage's source buffer from the
@@ -364,40 +508,88 @@ struct StageExec<'a> {
 }
 
 impl StageExec<'_> {
-    /// The FFT step `fft` over the lines `ws.rows` of `data`, with its ABFT
-    /// check when armed: the batch checksum line Σ(lines) is captured before
-    /// the in-place transform and transformed alongside it. Linearity
-    /// demands FFT(Σ lines) = Σ FFT(lines) within roundoff, so a compute or
-    /// memory fault inside the transform window breaks the equality far
-    /// beyond tolerance.
-    fn fft(&mut self, fft: &Fft, pre: bool, tile: usize, subtile: usize) -> Result<(), Error> {
-        let (ws, n) = (&mut *self.ws, fft.plan.len());
-        let data = if pre { &mut *self.src } else { &mut *self.dst };
-        if fft.abft.is_some() {
-            abft_sum_rows(&mut ws.abft_line, data, &ws.rows, n);
-        }
+    /// The FFT step `fft` over `lines`: the stage's pre-FFT, in place in the
+    /// source buffer, or — given the tile's receive block — Unpack fused with
+    /// the post-FFT, gathered from `recv` and written to the destination
+    /// buffer once. Workers own contiguous runs of the lines' rows, each with
+    /// its own block scratch and, where the step arms ABFT, its own partial
+    /// checksum lines; the sub-tile's check is on their totals.
+    ///
+    /// One interval covers a fused step, so Unpack receives its measured
+    /// gather share of it (as `FftzTranspose::run` splits FFTz/Transpose).
+    fn fft(
+        &mut self,
+        fft: &Fft,
+        lines: &Lines,
+        recv: Option<&Recv<'_>>,
+        tile: usize,
+        subtile: usize,
+    ) -> Result<(), Error> {
+        let (plan, n) = (&*fft.plan, fft.plan.len());
+        let armed = fft.abft.is_some();
+        let data = match recv {
+            Some(_) => &mut *self.dst,
+            None => &mut *self.src,
+        };
+        let Workspace {
+            scratch, shares, ..
+        } = &mut *self.ws;
         let t0 = Instant::now();
-        execute_lines_threaded(
-            &fft.plan,
-            data,
-            &ws.rows,
-            self.shape.threads,
-            &mut ws.scratch,
+        let runs = split_rows(data, n, lines.len(), self.shape.threads, |k| lines.start(k));
+        if shares.len() < runs.len() {
+            shares.resize_with(runs.len(), Share::default);
+        }
+        let shares = &mut shares[..runs.len()];
+        let work = |(run, share): (RowRun<'_>, &mut Share), scratch: &mut BatchScratch| {
+            let began = Instant::now();
+            for sum in [&mut share.sums.pre, &mut share.sums.post] {
+                sum.clear();
+                sum.resize(if armed { n } else { 0 }, Complex64::ZERO);
+            }
+            let mut io = StageIo {
+                lines,
+                out: InPlace::new(run.data, n, 1, |k| lines.start(k) - run.offset),
+                recv,
+                sums: armed.then_some(&mut share.sums),
+                gather: Duration::ZERO,
+            };
+            run_blocks(plan, run.rows, &mut io, scratch);
+            share.gather = io.gather;
+            share.busy = began.elapsed();
+        };
+        fork_join(
+            runs.into_iter().zip(shares.iter_mut()).collect(),
+            |task| work(task, scratch),
+            |task| work(task, &mut BatchScratch::for_plan(plan)),
         );
         let t1 = Instant::now();
-        *fft.axis.slot(&mut self.steps) += (t1 - t0).as_secs_f64();
-        self.net.span(t0, t1, fft.axis.event(tile, subtile));
-        let Some(stage) = fft.abft else {
+        let mut began = t0;
+        if recv.is_some() {
+            let gather: Duration = shares.iter().map(|share| share.gather).sum();
+            let busy: Duration = shares.iter().map(|share| share.busy).sum();
+            let share = gather.as_secs_f64() / busy.as_secs_f64().max(f64::MIN_POSITIVE);
+            began = t0 + (t1 - t0).mul_f64(share.min(1.0));
+            self.steps.unpack += (began - t0).as_secs_f64();
+            self.net
+                .span(t0, began, EventKind::Unpack { tile, subtile });
+        }
+        *fft.axis.slot(&mut self.steps) += (t1 - began).as_secs_f64();
+        self.net.span(began, t1, fft.axis.event(tile, subtile));
+        let Some((total, rest)) = shares.split_first_mut() else {
             return Ok(());
         };
-        let line = BatchLayout::contiguous(n, 1);
-        execute_batch(&fft.plan, &mut ws.abft_line, line, &mut ws.scratch);
-        abft_sum_rows(&mut ws.abft_post, data, &ws.rows, n);
-        if abft_agrees(&ws.abft_line, &ws.abft_post, ws.rows.len()) {
-            return Ok(());
+        for share in rest {
+            for (sum, part) in [
+                (&mut total.sums.pre, &share.sums.pre),
+                (&mut total.sums.post, &share.sums.post),
+            ] {
+                for (acc, v) in sum.iter_mut().zip(part) {
+                    *acc += *v;
+                }
+            }
         }
-        self.net.mark(EventKind::Corrupt { tile });
-        Err(Error::IntegrityFailed { tile, stage })
+        abft_verdict(fft, &mut total.sums, lines.len(), tile, scratch)
+            .inspect_err(|_| self.net.mark(EventKind::Corrupt { tile }))
     }
 
     /// Packs `part` of `tile` (see [`StageShape::pack`]) into the staging
@@ -446,8 +638,12 @@ impl OverlapEnv for StageExec<'_> {
         let mut sched_pack = PollSchedule::new(subtiles, self.polls[1]);
         for (subtile, part) in blocks.enumerate() {
             if let Some(fft) = &shape.pre {
-                sub_tile_lines(self.ws, ts.start, part.clone(), shape.src);
-                self.fft(fft, true, id, subtile)?;
+                let lines = Lines {
+                    ts: part.0.clone(),
+                    js: part.1.clone(),
+                    at: shape.src,
+                };
+                self.fft(fft, &lines, None, id, subtile)?;
                 self.net.poll(inflight, sched_fft.after_unit())?;
             }
             let t0 = Instant::now();
@@ -509,19 +705,23 @@ impl OverlapEnv for StageExec<'_> {
         let (subtiles, blocks) = sub_tiles(ts.clone(), shape.n_w(), shape.unpack_sub);
         let mut sched_unpack = PollSchedule::new(subtiles, self.polls[2]);
         let mut sched_fft = PollSchedule::new(subtiles, self.polls[3]);
-        let xg = &self.xg[shape.which(tile)];
-        for (subtile, part) in blocks.enumerate() {
-            sub_tile_lines(self.ws, ts.start, part, shape.dst);
-            let t0 = Instant::now();
-            shape.unpack(xg, &recv, self.dst, &self.ws.lines);
-            let t1 = Instant::now();
-            self.steps.unpack += (t1 - t0).as_secs_f64();
-            let unpack = EventKind::Unpack { tile: id, subtile };
-            self.net.span(t0, t1, unpack);
-            self.net.poll(inflight, sched_unpack.after_unit())?;
-
-            self.fft(&shape.post, false, id, subtile)?;
-            self.net.poll(inflight, sched_fft.after_unit())?;
+        let from = Recv {
+            block: &recv,
+            displs: &self.xg[shape.which(tile)].recv_displs,
+            o: &shape.o,
+            n_w: shape.n_w(),
+            t0: ts.start,
+        };
+        for (subtile, (ts, js)) in blocks.enumerate() {
+            let lines = Lines {
+                ts,
+                js,
+                at: shape.dst,
+            };
+            // One fused step is one unit of Unpack and one of the post-FFT.
+            self.fft(&shape.post, &lines, Some(&from), id, subtile)?;
+            let due = sched_unpack.after_unit() + sched_fft.after_unit();
+            self.net.poll(inflight, due)?;
         }
         self.net.recycle(recv);
         Ok(())
@@ -562,6 +762,10 @@ impl OverlapEnv for StageExec<'_> {
             Req::Withheld(stage) => Some(*stage),
             _ => None,
         }
+    }
+
+    fn tile_id(&self, tile: usize) -> usize {
+        self.net.tile_id(tile)
     }
 
     fn sched_point(&mut self) {
@@ -876,23 +1080,53 @@ mod tests {
         Complex64::new((tau * 100 + o) as f64, v as f64)
     }
 
+    /// The gather half of the fused step alone: every block of at most
+    /// `lanes` lines of every worker's run is gathered from `from` and
+    /// de-interleaved to its place in `dst`, untransformed — what Unpack did
+    /// as a sweep of its own.
+    fn gather_lines(
+        lines: &Lines,
+        from: &Recv<'_>,
+        dst: &mut [Complex64],
+        n: usize,
+        threads: usize,
+        lanes: usize,
+    ) {
+        for run in split_rows(dst, n, lines.len(), threads, |k| lines.start(k)) {
+            let mut io = StageIo {
+                lines,
+                out: InPlace::new(run.data, n, 1, |k| lines.start(k) - run.offset),
+                recv: Some(from),
+                sums: None,
+                gather: Duration::ZERO,
+            };
+            for first in run.rows.clone().step_by(lanes) {
+                let ks = first..(first + lanes).min(run.rows.end);
+                let mut block = vec![Complex64::ZERO; n * ks.len()];
+                io.gather(ks.clone(), &mut block);
+                io.out.scatter(ks, &block);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Pack on every member, the blocks moved as an all-to-all moves
-        /// them, Unpack on every member: destination line `(τ, w)` of member
-        /// `b` holds the elements `(τ, ·, v_b + w)` in o order — sub-tile
-        /// by sub-tile, tile by tile, whatever the layouts, however ragged
-        /// the splits (members without a share included).
+        /// them, the fused step's gather on every member: destination line
+        /// `(τ, w)` of member `b` holds the elements `(τ, ·, v_b + w)` in o
+        /// order — sub-tile by sub-tile, tile by tile, whatever the layouts,
+        /// however ragged the splits (members without a share included),
+        /// wherever the blocks and the workers' runs are cut.
         #[test]
-        fn pack_exchange_unpack_is_the_redistribution(
+        fn pack_exchange_gather_is_the_redistribution(
             dims in (1usize..6, 1usize..7, 1usize..7),
             group in 1usize..5,
             t in 1usize..7,
             tau_major in (any::<bool>(), any::<bool>()),
             pack_sub in (1usize..4, 1usize..4),
             unpack_sub in (1usize..4, 1usize..4),
-            threads in 1usize..4,
+            (threads, lanes) in (1usize..4, 1usize..6),
         ) {
             let (n_tau, n_o, n_v) = dims;
             let shapes: Vec<StageShape> = (0..group)
@@ -912,7 +1146,6 @@ mod tests {
             }).collect();
             let mut dsts: Vec<Vec<Complex64>> =
                 shapes.iter().map(|s| vec![Complex64::new(-1.0, -1.0); s.dst_len()]).collect();
-            let mut ws = Workspace::default();
 
             let tiles = shapes[0].tiles();
             for tile in 0..tiles {
@@ -943,9 +1176,16 @@ mod tests {
                         sends[a][bounds[b]..bounds[b + 1]].iter().copied()
                     }).collect();
                     prop_assert_eq!(recv.len(), xg(b).total_recv);
-                    for part in sub_tiles(ts.clone(), s.n_w(), s.unpack_sub).1 {
-                        sub_tile_lines(&mut ws, ts.start, part, s.dst);
-                        s.unpack(xg(b), &recv, &mut dsts[b], &ws.lines);
+                    let from = Recv {
+                        block: &recv,
+                        displs: &xg(b).recv_displs,
+                        o: &s.o,
+                        n_w: s.n_w(),
+                        t0: ts.start,
+                    };
+                    for (ts, js) in sub_tiles(ts.clone(), s.n_w(), s.unpack_sub).1 {
+                        let lines = Lines { ts, js, at: s.dst };
+                        gather_lines(&lines, &from, &mut dsts[b], n_o, threads, lanes);
                     }
                 }
             }
@@ -982,6 +1222,178 @@ mod tests {
             vec![(2..5, 0..4)]
         );
         assert_eq!(sub_tiles(2..5, 0, whole).0, 0);
+    }
+
+    /// A block io that corrupts one lane of one block on its way from the
+    /// stages to the post-sum and the scatter — a fault inside the ABFT
+    /// window. `hit` is `(the block's first line, lane)`.
+    struct Perturb<Io> {
+        io: Io,
+        hit: Option<(usize, usize)>,
+    }
+
+    impl<Io: BlockIo> BlockIo for Perturb<Io> {
+        fn gather(&mut self, ks: Range<usize>, block: &mut [Complex64]) {
+            self.io.gather(ks, block);
+        }
+
+        fn scatter(&mut self, ks: Range<usize>, block: &[Complex64]) {
+            match self.hit {
+                Some((first, lane)) if first == ks.start => {
+                    let mut bad = block.to_vec();
+                    bad[2 * ks.len() + lane].re += 1e-3;
+                    self.io.scatter(ks, &bad);
+                }
+                _ => self.io.scatter(ks, block),
+            }
+        }
+    }
+
+    /// One worker's pass of `fft` over `lines` (gathered from `recv` if
+    /// given) through a [`Perturb`]: the sub-tile's verdict at tile 7, and
+    /// the checksum lines as the blocks left them.
+    fn fft_step(
+        fft: &Fft,
+        lines: &Lines,
+        data: &mut [Complex64],
+        recv: Option<&Recv<'_>>,
+        hit: Option<(usize, usize)>,
+    ) -> (Result<(), Error>, LineSums) {
+        let n = fft.plan.len();
+        let mut sums = LineSums {
+            pre: vec![Complex64::ZERO; n],
+            post: vec![Complex64::ZERO; n],
+        };
+        let mut scratch = BatchScratch::default();
+        let io = StageIo {
+            lines,
+            out: InPlace::new(data, n, 1, |k| lines.start(k)),
+            recv,
+            sums: Some(&mut sums),
+            gather: Duration::ZERO,
+        };
+        run_blocks(
+            &fft.plan,
+            0..lines.len(),
+            &mut Perturb { io, hit },
+            &mut scratch,
+        );
+        let taken = LineSums {
+            pre: sums.pre.clone(),
+            post: sums.post.clone(),
+        };
+        let verdict = abft_verdict(fft, &mut sums, lines.len(), 7, &mut scratch);
+        (verdict, taken)
+    }
+
+    fn assert_sums_close(got: &[Complex64], want: &[Complex64], what: &str) {
+        let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (*g - *w).abs() <= 1e-12 * scale,
+                "{what}[{j}]: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_block_sums_equal_the_slab_sweep_and_catch_a_perturbed_lane() {
+        let n = 8;
+        let per = cfft::batch::block_lines(n);
+        let plan = PlanCache::global().plan(n, Direction::Forward, Rigor::Estimate);
+        // (τ-planes, lines a plane): one full block; a full block and a
+        // remainder; two planes whose first block is cut by the τ boundary.
+        for (nt, nj) in [(1, per), (1, per + 5), (2, per - 6)] {
+            for tau_major in [true, false] {
+                let at = if tau_major { (nj * n, n) } else { (n, nt * n) };
+                let lines = Lines {
+                    ts: 0..nt,
+                    js: 0..nj,
+                    at,
+                };
+                let rows: Vec<usize> = (0..lines.len()).map(|k| lines.start(k)).collect();
+                // What the exchange delivered: one source, `[τ][o][w]`.
+                let recv: Vec<Complex64> = (0..nt * n * nj)
+                    .map(|i| crate::serial::test_field(i % 7, i % 5, i))
+                    .collect();
+                let o = AxisSplit::new(n, 1);
+                let from = Recv {
+                    block: &recv,
+                    displs: &[0],
+                    o: &o,
+                    n_w: nj,
+                    t0: 0,
+                };
+                let mut gathered = vec![Complex64::ZERO; recv.len()];
+                gather_lines(&lines, &from, &mut gathered, n, 1, per);
+                let (mut pre, mut post) = (Vec::new(), Vec::new());
+                abft_sum_rows(&mut pre, &gathered, &rows, n);
+
+                for (stage, recv) in [
+                    (IntegrityStage::Ffty, None),
+                    (IntegrityStage::Fftx, Some(&from)),
+                ] {
+                    let fft = Fft {
+                        plan: plan.clone(),
+                        axis: Axis::X,
+                        abft: Some(stage),
+                    };
+                    let case = format!("{nt}×{nj} τ-major {tau_major} {stage}");
+                    // The pre-FFT transforms the lines where they lie; the
+                    // fused post-FFT overwrites whatever the buffer held.
+                    let mut data = match recv {
+                        None => gathered.clone(),
+                        Some(_) => vec![Complex64::new(-1.0, -1.0); gathered.len()],
+                    };
+                    let (verdict, sums) = fft_step(&fft, &lines, &mut data, recv, None);
+                    assert_eq!(verdict, Ok(()), "{case}");
+                    abft_sum_rows(&mut post, &data, &rows, n);
+                    assert_sums_close(&sums.pre, &pre, &format!("{case} pre"));
+                    assert_sums_close(&sums.post, &post, &format!("{case} post"));
+
+                    // One lane of the first block, then of the last.
+                    let last = (lines.len() - 1) / per * per;
+                    for hit in [(0, 0), (last, lines.len() - 1 - last)] {
+                        let mut data = gathered.clone();
+                        let (verdict, _) = fft_step(&fft, &lines, &mut data, recv, Some(hit));
+                        let failed = Error::IntegrityFailed { tile: 7, stage };
+                        assert_eq!(verdict, Err(failed), "{case} hit {hit:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A sealed stage that is not a transform's first numbers its tiles
+    /// after the earlier stages' — in every integrity error, the exhausted
+    /// Pack heal's included.
+    #[test]
+    fn an_exhausted_pack_heal_names_the_tile_by_its_transform_wide_number() {
+        let faults = faultplan::FaultPlan::seeded(0xb17).with_memory_bitflip(0, 1);
+        mpisim::run_with_faults(1, faults, |comm| {
+            let stage = |seal: bool| {
+                let shape = StageShape {
+                    seal,
+                    ..shape((4, 3, 5), (1, 0), 2, (true, true), (1, 1), (1, 1), 1)
+                };
+                (StageComm::Borrowed(&comm), shape)
+            };
+            let copy: Local = Box::new(|input, a, _, _, _| a.copy_from_slice(input));
+            let mut session = Session::new(vec![stage(false), stage(true)], false, copy);
+            let input = vec![Complex64::new(1.0, -1.0); 4 * 3 * 5];
+            // No retry budget: the first rejected seal is final.
+            let res = Resilience {
+                max_strikes: 0,
+                ..Resilience::default()
+            };
+            let err = session
+                .execute(&input, &res, &mut crate::trace::NoopRecorder)
+                .map(|ran| ran.recovery)
+                .expect_err("the flipped bit breaks the seal");
+            // Stage 0 has two tiles, so stage 1's tile 1 is tile 3.
+            let stage = IntegrityStage::Pack;
+            assert_eq!(err, Error::IntegrityFailed { tile: 3, stage });
+        });
     }
 
     #[test]

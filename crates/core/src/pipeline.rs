@@ -115,6 +115,13 @@ pub trait OverlapEnv {
     fn post_poisoned(&self, _req: &Self::Req) -> Option<IntegrityStage> {
         None
     }
+    /// The number `tile` goes by in errors and trace events — a stage that
+    /// is not its transform's first numbers its tiles after the earlier
+    /// stages'. The backend's own errors carry it already; the drivers use it
+    /// for the ones they raise themselves. Default: the stage's own number.
+    fn tile_id(&self, tile: usize) -> usize {
+        tile
+    }
     /// Cooperative scheduling point, called by the drivers once per tile
     /// iteration. Backends with a runtime scheduler (mpisim's checked mode)
     /// hook this to release deferred message deliveries at deterministic
@@ -290,19 +297,19 @@ impl<'a> Ladder<'a> {
         let mut retries = 0;
         while let Some(stage) = env.post_poisoned(&req) {
             env.cancel(tile, req);
-            if stage != IntegrityStage::Pack || retries >= self.res.max_strikes {
+            let healed = match stage {
+                IntegrityStage::Pack if retries < self.res.max_strikes => env.retransmit(tile),
+                _ => None,
+            };
+            let Some(fresh) = healed else {
+                let tile = env.tile_id(tile);
                 return Err(Error::IntegrityFailed { tile, stage });
-            }
+            };
             retries += 1;
-            match env.retransmit(tile) {
-                Some(fresh) => {
-                    env.on_degrade(tile, DegradeAction::Retransmit);
-                    self.recovery.actions.push(DegradeAction::Retransmit);
-                    self.recovery.corruptions_healed += 1;
-                    req = fresh;
-                }
-                None => return Err(Error::IntegrityFailed { tile, stage }),
-            }
+            env.on_degrade(tile, DegradeAction::Retransmit);
+            self.recovery.actions.push(DegradeAction::Retransmit);
+            self.recovery.corruptions_healed += 1;
+            req = fresh;
         }
         Ok(req)
     }
@@ -516,6 +523,8 @@ mod tests {
         /// `retransmit` pops the front; empty = clean requests.
         poison_script: std::collections::VecDeque<IntegrityStage>,
         poisoned: std::collections::HashMap<usize, IntegrityStage>,
+        /// Tiles of the transform's earlier stages.
+        tile_base: usize,
     }
 
     impl Recorder {
@@ -531,6 +540,7 @@ mod tests {
                 can_retransmit: true,
                 poison_script: std::collections::VecDeque::new(),
                 poisoned: std::collections::HashMap::new(),
+                tile_base: 0,
             }
         }
 
@@ -609,6 +619,9 @@ mod tests {
         }
         fn post_poisoned(&self, req: &usize) -> Option<IntegrityStage> {
             self.poisoned.get(req).copied()
+        }
+        fn tile_id(&self, tile: usize) -> usize {
+            self.tile_base + tile
         }
     }
 
@@ -874,6 +887,28 @@ mod tests {
             "retry budget is max_strikes: {:?}",
             env.log
         );
+    }
+
+    #[test]
+    fn a_later_stages_integrity_errors_carry_the_transform_wide_tile() {
+        // A sealed second stage whose tiles follow five of the first's. Both
+        // ways a rejected post surfaces — the heal budget exhausted, the
+        // retransmit declined — name tile 1 as 6, like the backend's own
+        // errors (`wait`, the ABFT checks); the hooks keep the stage's number.
+        for can_retransmit in [true, false] {
+            let mut env = Recorder::new(3, 1);
+            env.tile_base = 5;
+            env.can_retransmit = can_retransmit;
+            // Request 1, tile 0's post, is clean; tile 1's post and every
+            // re-post of it are rejected.
+            env.poisoned = (2..12).map(|req| (req, IntegrityStage::Pack)).collect();
+            let err = try_run_new(&mut env, &Resilience::default()).unwrap_err();
+            let stage = IntegrityStage::Pack;
+            assert_eq!(err, Error::IntegrityFailed { tile: 6, stage });
+            let retries = env.log.iter().filter(|e| **e == "R1").count();
+            assert_eq!(retries, if can_retransmit { 3 } else { 0 }, "{:?}", env.log);
+            assert!(env.cancelled.contains(&1), "{:?}", env.log);
+        }
     }
 
     #[test]

@@ -1350,10 +1350,22 @@ impl Service {
     /// per-job / per-tenant accounting. Deterministic: a pure function of
     /// `(jobs, config)`.
     pub fn run(&self, jobs: &[JobSpec]) -> ServiceReport {
+        // `decide` is a pure function of `(cfg, spec)` that costs two
+        // simulated runs, so a run asks once per geometry — the decision-side
+        // twin of the engine's plan-reuse table (`Engine::geoms`).
+        let mut decided: Vec<(ProblemSpec, Result<Decomposition, Error>)> = Vec::new();
         let prepared: Vec<Result<(IsolatedRun, GeomKey, Decomposition), Error>> = jobs
             .iter()
             .map(|job| {
-                let decomp = decide(&self.cfg, job)?;
+                let spec = cluster_spec(&self.cfg, job);
+                let decomp = match decided.iter().find(|(known, _)| *known == spec) {
+                    Some((_, decomp)) => *decomp,
+                    None => {
+                        let decomp = decide(&self.cfg, job);
+                        decided.push((spec, decomp));
+                        decomp
+                    }
+                }?;
                 let (profile, key) = build_profile(&self.cfg, job, decomp, false)?;
                 Ok((run_isolated(&self.cfg, profile), key, decomp))
             })

@@ -428,7 +428,8 @@ pub trait PayloadBits {
     /// Bits per element (the range `flip_bit` accepts).
     const BITS: u32;
 
-    /// Folds this element's bit pattern into a running [`mix`]-style hash.
+    /// Folds this element's bit pattern into the running lane state `h` of
+    /// a [`checksum`], one [`fold_word`] round per 64-bit word.
     fn fold_bits(&self, h: u64) -> u64;
 
     /// Flips bit `bit ∈ [0, Self::BITS)` of this element's representation.
@@ -440,7 +441,7 @@ macro_rules! payload_bits_int {
         impl PayloadBits for $t {
             const BITS: u32 = <$t>::BITS;
             fn fold_bits(&self, h: u64) -> u64 {
-                mix(h ^ (*self as u64))
+                fold_word(h, *self as u64)
             }
             fn flip_bit(&mut self, bit: u32) {
                 *self ^= (1 as $t).rotate_left(bit % <$t>::BITS);
@@ -454,7 +455,7 @@ payload_bits_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 impl PayloadBits for f32 {
     const BITS: u32 = 32;
     fn fold_bits(&self, h: u64) -> u64 {
-        mix(h ^ self.to_bits() as u64)
+        fold_word(h, self.to_bits() as u64)
     }
     fn flip_bit(&mut self, bit: u32) {
         *self = f32::from_bits(self.to_bits() ^ 1u32.rotate_left(bit % 32));
@@ -464,14 +465,36 @@ impl PayloadBits for f32 {
 impl PayloadBits for f64 {
     const BITS: u32 = 64;
     fn fold_bits(&self, h: u64) -> u64 {
-        mix(h ^ self.to_bits())
+        fold_word(h, self.to_bits())
     }
     fn flip_bit(&mut self, bit: u32) {
         *self = f64::from_bits(self.to_bits() ^ 1u64.rotate_left(bit % 64));
     }
 }
 
-/// Independent fold chains of [`checksum`]. One [`mix`] chain runs at the
+/// Multiplier of [`fold_word`] (odd, so multiplying by it is a bijection
+/// of `u64`; the first constant of [`mix`]).
+const FOLD_MUL: u64 = 0xbf58_476d_1ce4_e5b9;
+
+/// One round folding word `w` into lane state `h`: xor, xor-shift, multiply.
+/// Every [`PayloadBits`] word goes through this one function.
+///
+/// For a fixed `w` it is a bijection of `h`, and for a fixed `h` it is
+/// injective in `w`: `h ^ w` is, `x ^ (x >> 29)` is invertible (the top 29
+/// bits of `x` survive, and each lower group follows from the one above),
+/// and so is multiplication by an odd constant. That is all the certainty
+/// argument of [`checksum`] needs; a second multiply round (the full
+/// [`mix`] finalizer this fold used to be) only improves avalanche, which
+/// the per-lane chains and the closing [`mix`] fold already provide, at
+/// three times the cost per word of a sum that every tile pays four times
+/// (seal, post-time verify, wire send, wire receive).
+#[inline]
+fn fold_word(h: u64, w: u64) -> u64 {
+    let x = h ^ w;
+    (x ^ (x >> 29)).wrapping_mul(FOLD_MUL)
+}
+
+/// Independent fold chains of [`checksum`]. One chain runs at the
 /// multiplier's *latency*; eight interleaved chains keep it busy, so the
 /// sum streams at close to its throughput.
 const LANES: usize = 8;
@@ -481,11 +504,11 @@ const LANES: usize = 8;
 /// the length and the lanes are folded into the result by one [`mix`] chain.
 ///
 /// Deterministic, and sensitive to length and order (within a lane by the
-/// chain, across lanes by the seeds and the final fold). Every step is a
-/// bijection of its lane's state and `fold_bits` never maps two values of
-/// one word to the same state, so a change confined to one word of one
-/// element — any single flipped bit in particular — changes that lane and
-/// therefore the sum *with certainty*, not merely with high probability.
+/// chain, across lanes by the seeds and the final fold). Every step
+/// ([`fold_word`]) is a bijection of its lane's state and never maps two
+/// values of one word to the same state, so a change confined to one word of
+/// one element — any single flipped bit in particular — changes that lane
+/// and therefore the sum *with certainty*, not merely with high probability.
 pub fn checksum<T: PayloadBits>(data: &[T]) -> u64 {
     let mut lanes = [0u64; LANES];
     for (j, lane) in lanes.iter_mut().enumerate() {
@@ -787,6 +810,43 @@ mod tests {
             let clean = checksum(&data);
             data.push(0);
             assert_ne!(checksum(&data), clean, "{len} vs {}", len + 1);
+        }
+    }
+
+    /// Undoes one [`fold_word`] round: the `x = h ^ w` it started from.
+    fn unfold(y: u64) -> u64 {
+        // Newton's iteration for the inverse of an odd number mod 2^64: each
+        // step doubles the correct low bits, and `k·k ≡ 1 (mod 8)` gives 3.
+        let mut inv = FOLD_MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(FOLD_MUL.wrapping_mul(inv)));
+        }
+        assert_eq!(inv.wrapping_mul(FOLD_MUL), 1);
+        let z = y.wrapping_mul(inv);
+        z ^ (z >> 29) ^ (z >> 58)
+    }
+
+    #[test]
+    fn fold_is_a_bijection_of_the_state_and_injective_in_the_word() {
+        // The certainty contract of `checksum`, per round: a left inverse
+        // recovers the state given the word and the word given the state, so
+        // neither two states nor two words can collide — for every word type
+        // through the one shared fold.
+        let samples: Vec<u64> = (0..200u64)
+            .map(mix)
+            .chain([0, 1, u64::MAX, 1 << 63, (1 << 29) - 1, 1 << 29])
+            .collect();
+        for &h in &samples {
+            for &bits in &samples {
+                let as_f64 = f64::from_bits(bits);
+                assert_eq!(unfold(as_f64.fold_bits(h)) ^ bits, h);
+                assert_eq!(unfold(as_f64.fold_bits(h)) ^ h, bits);
+                let as_f32 = f32::from_bits(bits as u32);
+                assert_eq!(unfold(as_f32.fold_bits(h)) ^ h, u64::from(bits as u32));
+                let as_i32 = bits as i32;
+                assert_eq!(unfold(as_i32.fold_bits(h)) ^ h, as_i32 as u64);
+                assert_eq!(unfold(bits.fold_bits(h)) ^ h, bits);
+            }
         }
     }
 
