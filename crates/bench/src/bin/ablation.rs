@@ -6,7 +6,7 @@
 //! cargo run -p fft-bench --release --bin ablation [-- p N]
 //! ```
 
-use fft3d::sim_env::fft3_simulated_with;
+use fft3d::sim_env::Simulation;
 use fft3d::{fft3_simulated, th_simulated, ProblemSpec, ThParams, TuningParams, Variant};
 use simnet::model::{umd_cluster, TransposeCost};
 use tuner::driver::{tune_new, DEFAULT_MAX_EVALS};
@@ -74,15 +74,12 @@ fn main() {
     .time;
 
     // (4) Deny the Nx = Ny fast transpose (§3.5): force the generic tier.
-    let no_fast_transpose = fft3_simulated_with(
-        platform.clone(),
-        spec,
-        Variant::New,
-        tuned,
-        false,
-        Some(TransposeCost::Generic),
-    )
-    .time;
+    let generic = Simulation::slab(spec, Variant::New, tuned)
+        .expect("the tuner returns a feasible vector")
+        .transpose(TransposeCost::Generic);
+    let no_fast_transpose = generic.run(platform.clone()).expect("no watchdog armed")[0]
+        .report
+        .time;
 
     // (5) Shrink the window to 1 (§3.2's communication parallelism).
     let w1 = fft3_simulated(

@@ -27,8 +27,7 @@ use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::real_env::local_test_slab;
 use fft3d::{
-    fft3_simulated, try_fft3_dist_traced, NoopRecorder, ProblemSpec, Resilience, TuningParams,
-    Variant,
+    fft3_simulated, FftSession, NoopRecorder, ProblemSpec, Resilience, TuningParams, Variant,
 };
 use mpisim::FaultPlan;
 use simnet::model::umd_cluster;
@@ -104,7 +103,6 @@ fn real_ladder_demo(seed: u64) {
     ];
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(15)),
-        poll_boost: 4,
         max_strikes: 8,
     };
 
@@ -112,17 +110,15 @@ fn real_ladder_demo(seed: u64) {
         let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
             let started = std::time::Instant::now();
-            let out = try_fft3_dist_traced(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
-                &res,
-                &mut NoopRecorder,
-            );
+            )
+            .execute_traced(&input, &res, &mut NoopRecorder);
             (started.elapsed(), out.map(|o| o.recovery))
         });
 

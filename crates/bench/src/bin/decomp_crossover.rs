@@ -11,15 +11,37 @@
 //! ```
 
 use fft3d::{
-    auto_select, fft3_simulated, pencil_overlap_simulated_params, pencil_seed, pencil_simulated,
-    Decomposition, PencilGrid, ProblemSpec, TuningParams, Variant,
+    auto_select, pencil_blocking, pencil_seed, Decomposition, Error, PencilGrid, ProblemSpec,
+    Simulation, TuningParams, Variant,
 };
 use simnet::model::hopper;
+
+/// The modelled time of one execution of `sim` on Hopper.
+fn time(sim: Result<Simulation, Error>) -> f64 {
+    let runs = sim.and_then(|sim| sim.run(hopper()));
+    runs.unwrap_or_else(|e| panic!("cannot price: {e}"))[0]
+        .report
+        .time
+}
+
+/// The slab NEW pipeline at its seed parameters.
+fn slab_new(spec: ProblemSpec) -> f64 {
+    time(Simulation::slab(
+        spec,
+        Variant::New,
+        TuningParams::seed(&spec),
+    ))
+}
+
+/// The blocking pencil transform: one tile per stage, nothing overlapped.
+fn pencil_blocked(spec: ProblemSpec, grid: PencilGrid) -> f64 {
+    time(Simulation::pencil(spec, grid, pencil_blocking(&spec, grid)))
+}
 
 /// The overlapped pencil pipeline at its seed parameters — what
 /// `auto_select` prices.
 fn pencil_overlapped(spec: ProblemSpec, grid: PencilGrid) -> f64 {
-    pencil_overlap_simulated_params(hopper(), spec, grid, &pencil_seed(&spec, grid))
+    time(Simulation::pencil(spec, grid, pencil_seed(&spec, grid)))
 }
 
 fn main() {
@@ -40,7 +62,7 @@ fn main() {
             // 1-D decomposition cannot use more ranks than planes.
             let grid = PencilGrid::near_square(p);
             let spec = ProblemSpec::cube(n, p);
-            let pencil = pencil_simulated(hopper(), spec, grid);
+            let pencil = pencil_blocked(spec, grid);
             let ovl = pencil_overlapped(spec, grid);
             println!(
                 "{p:>6} | {:>12} | {pencil:>12.4} | {ovl:>14.4} | {:>10}",
@@ -49,16 +71,9 @@ fn main() {
             continue;
         }
         let spec = ProblemSpec::cube(n, p);
-        let slab = fft3_simulated(
-            hopper(),
-            spec,
-            Variant::New,
-            TuningParams::seed(&spec),
-            false,
-        )
-        .time;
+        let slab = slab_new(spec);
         let grid = PencilGrid::near_square(p);
-        let pencil = pencil_simulated(hopper(), spec, grid);
+        let pencil = pencil_blocked(spec, grid);
         let ovl = pencil_overlapped(spec, grid);
         let best_pencil = pencil.min(ovl);
         let winner = if slab <= best_pencil {
@@ -98,17 +113,9 @@ fn main() {
             "pencil" // slabs cannot even be formed past p = N
         } else {
             let spec = ProblemSpec::cube(n, p);
-            let slab = fft3_simulated(
-                hopper(),
-                spec,
-                Variant::New,
-                TuningParams::seed(&spec),
-                false,
-            )
-            .time;
+            let slab = slab_new(spec);
             let grid = PencilGrid::near_square(p);
-            let best_pencil =
-                pencil_simulated(hopper(), spec, grid).min(pencil_overlapped(spec, grid));
+            let best_pencil = pencil_blocked(spec, grid).min(pencil_overlapped(spec, grid));
             if slab <= best_pencil {
                 "slab"
             } else {

@@ -6,7 +6,7 @@
 //! cargo run -p fft-bench --release --bin multi_array [-- N p]
 //! ```
 
-use fft3d::{try_multi_simulated, ProblemSpec, Resilience, TuningParams};
+use fft3d::{ProblemSpec, Simulation, TuningParams, Variant};
 use simnet::model::umd_cluster;
 
 fn main() {
@@ -20,14 +20,22 @@ fn main() {
         "{:>7} | {:>14} | {:>12} | {:>8}",
         "arrays", "sequential (s)", "fused (s)", "gain"
     );
+    let time = |sim: &Simulation| match sim.run(umd_cluster()) {
+        Ok(runs) => runs[0].report.time,
+        Err(e) => panic!("multi-array pipeline failed: {e}"),
+    };
+    let single = Simulation::slab(spec, Variant::New, params)
+        .unwrap_or_else(|e| panic!("multi-array pipeline failed: {e}"));
+    // The same workload as back-to-back single-array transforms.
+    let alone = time(&single);
     for narrays in [1usize, 2, 3, 4, 6, 8] {
-        let rep = try_multi_simulated(umd_cluster(), spec, params, narrays, &Resilience::default())
-            .unwrap_or_else(|e| panic!("multi-array pipeline failed: {e}"));
+        let (sequential, fused) = (
+            alone * narrays as f64,
+            time(&single.clone().arrays(narrays)),
+        );
         println!(
-            "{narrays:>7} | {:>14.4} | {:>12.4} | {:>7.2}×",
-            rep.sequential_time,
-            rep.fused_time,
-            rep.sequential_time / rep.fused_time
+            "{narrays:>7} | {sequential:>14.4} | {fused:>12.4} | {:>7.2}×",
+            sequential / fused
         );
     }
     println!(

@@ -10,7 +10,7 @@
 //! With `--json PATH` the full per-rank event streams (and per-rank overlap
 //! summaries) are written as one JSON document for external plotting.
 
-use fft3d::sim_env::fft3_simulated_traced;
+use fft3d::sim_env::{Execution, Simulation};
 use fft3d::trace::{derive_step_times, overlap_summary, trace_to_json, EventKind, TraceEvent};
 use fft3d::{ProblemSpec, TuningParams, Variant};
 use fft_bench::report::render_overlap;
@@ -103,7 +103,11 @@ fn main() {
         params.tiles(&spec)
     );
 
-    let (report, events) = fft3_simulated_traced(umd_cluster(), spec, Variant::New, params);
+    let traced = Simulation::slab(spec, Variant::New, params)
+        .unwrap_or_else(|e| panic!("cannot simulate N={n} p={p} T={t} W={w}: {e}"))
+        .traced();
+    let mut runs = traced.run(umd_cluster()).expect("no watchdog armed");
+    let Execution { report, events, .. } = runs.remove(0);
     let rank0 = &events[0];
     let total = report.per_rank[0].elapsed;
 

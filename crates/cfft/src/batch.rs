@@ -115,7 +115,7 @@ pub const MAX_BLOCK: usize = 16;
 const BLOCK_ELEMS: usize = 2048;
 
 /// Lines of length `n` transformed together as one block: as many as fit
-/// [`BLOCK_ELEMS`], at most [`MAX_BLOCK`] (beyond that the stage loops are
+/// `BLOCK_ELEMS`, at most [`MAX_BLOCK`] (beyond that the stage loops are
 /// long enough and only the footprint grows), at least one. Derived from
 /// `n` alone — results do not depend on it, so it is not a tuning parameter.
 pub fn block_lines(n: usize) -> usize {
@@ -377,9 +377,11 @@ pub fn fork_join<T: Send>(
         return on_caller(first);
     }
     let on_worker = &on_worker;
-    rayon::scope(|s| {
+    // The scope joins every worker before it returns, which is what lets
+    // the tasks borrow disjoint `&mut` parts of one buffer.
+    std::thread::scope(|s| {
         for task in tasks {
-            s.spawn(move |_| on_worker(task));
+            s.spawn(move || on_worker(task));
         }
         on_caller(first);
     });
@@ -451,33 +453,6 @@ pub fn split_rows(
         });
     }
     runs
-}
-
-/// [`execute_rows`] over sorted rows, spreading contiguous groups of rows
-/// over up to `threads` workers. The calling thread takes the first group
-/// with the caller's `scratch`; every other worker creates its own — scratch
-/// is never shared — so the per-row arithmetic is identical to the
-/// sequential path and the output is bit-identical for every thread count.
-///
-/// # Panics
-/// If `starts` is not sorted ascending with gaps of at least `plan.len()`,
-/// or any row exceeds `data`.
-pub fn execute_lines_threaded(
-    plan: &Plan1d,
-    data: &mut [Complex64],
-    starts: &[usize],
-    threads: usize,
-    scratch: &mut BatchScratch,
-) {
-    let run = |run: RowRun<'_>, scratch: &mut BatchScratch| {
-        let mut io = InPlace::new(run.data, plan.len(), 1, |r| starts[r] - run.offset);
-        run_blocks(plan, run.rows, &mut io, scratch);
-    };
-    fork_join(
-        split_rows(data, plan.len(), starts.len(), threads, |r| starts[r]),
-        |task| run(task, scratch),
-        |task| run(task, &mut BatchScratch::for_plan(plan)),
-    );
 }
 
 /// Splits `data` at `bounds` into the parts `data[bounds[i]..bounds[i + 1]]`
@@ -695,17 +670,26 @@ mod tests {
         );
     }
 
+    /// The rows of one run, transformed in place on whichever thread owns
+    /// it — what the executor makes of [`split_rows`] + [`fork_join`].
+    fn rows_threaded(plan: &Plan1d, data: &mut [Complex64], starts: &[usize], threads: usize) {
+        let run = |run: RowRun<'_>| {
+            let local: Vec<usize> = run.rows.map(|r| starts[r] - run.offset).collect();
+            execute_rows(plan, run.data, &local, &mut BatchScratch::for_plan(plan));
+        };
+        let runs = split_rows(data, plan.len(), starts.len(), threads, |r| starts[r]);
+        fork_join(runs, run, run);
+    }
+
     #[test]
-    fn execute_lines_threaded_handles_gaps() {
+    fn split_rows_handles_gaps() {
         // Rows with a hole between them: untouched elements must survive.
         let n = 16;
         let mut planner = Planner::new(Rigor::Estimate);
         let plan = planner.plan(n, Direction::Forward);
         let mut data = signal(3 * n);
         let orig = data.clone();
-        let starts = [0, 2 * n];
-        let mut scratch = BatchScratch::for_plan(&plan);
-        execute_lines_threaded(&plan, &mut data, &starts, 4, &mut scratch);
+        rows_threaded(&plan, &mut data, &[0, 2 * n], 4);
         for (j, (got, was)) in data[n..2 * n].iter().zip(&orig[n..2 * n]).enumerate() {
             assert_eq!(
                 got.re.to_bits(),
@@ -724,12 +708,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sorted and non-overlapping")]
-    fn execute_lines_threaded_rejects_overlapping_rows() {
+    fn split_rows_rejects_overlapping_rows() {
         let mut planner = Planner::new(Rigor::Estimate);
         let plan = planner.plan(8, Direction::Forward);
-        let mut data = signal(16);
-        let mut scratch = BatchScratch::for_plan(&plan);
-        execute_lines_threaded(&plan, &mut data, &[0, 4], 2, &mut scratch);
+        rows_threaded(&plan, &mut signal(16), &[0, 4], 2);
     }
 
     #[test]

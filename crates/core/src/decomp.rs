@@ -10,15 +10,15 @@
 //! pencil decomposition ([`crate::pencil`]) per `(N, p)` by pricing both
 //! overlapped pipelines on the simnet cost model — §2.2's trade-off
 //! ("slabs can win at moderate scale, pencils scale to N²") made
-//! operational. It runs the fallible forms of the modelled run
-//! ([`crate::sim_env`]) and states no validation of its own: an infeasible
-//! geometry is the typed error those return.
+//! operational. It prices two [`crate::sim_env::Simulation`]s and states
+//! no validation of its own: an infeasible geometry is the typed error
+//! their constructors return.
 
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::{pencil_seed, PencilGrid};
 use crate::real_env::Variant;
-use crate::sim_env::{try_fft3_simulated, Simulation};
+use crate::sim_env::Simulation;
 use simnet::Platform;
 
 /// How one axis of length `n` is divided among `p` ranks.
@@ -146,9 +146,9 @@ pub fn auto_select(
         return Ok(Decomposition::Pencil(grid));
     }
     let seed = TuningParams::seed(&spec);
-    let slab = try_fft3_simulated(platform.clone(), spec, Variant::New, seed, false)?.time;
+    let slab = Simulation::slab(spec, Variant::New, seed)?.first(platform.clone())?;
     let pencil = Simulation::pencil(spec, grid, pencil_seed(&spec, grid))?.first(platform)?;
-    Ok(if slab <= pencil.report.time {
+    Ok(if slab.report.time <= pencil.report.time {
         Decomposition::Slab
     } else {
         Decomposition::Pencil(grid)

@@ -1,11 +1,11 @@
-//! Typed errors for the fallible transform entry points.
+//! Typed errors for the transform entry points.
 //!
-//! The original entry points panic on misuse (infeasible tuning parameters)
-//! and spin forever on a stalled peer. The `try_` family — `try_fft3_dist`,
-//! `try_fft3_dist_traced`, `try_fft3_simulated` — surfaces both conditions
-//! as values of this [`Error`] type instead, and the resilient pipeline
-//! driver ([`crate::pipeline::try_run_new`]) reports which tile the fault
-//! hit.
+//! The three entry points — [`crate::FftSession`], [`crate::PencilSession`]
+//! and [`crate::sim_env::Simulation`] — surface misuse (infeasible tuning
+//! parameters, a grid or communicator of the wrong size) and a stalled peer
+//! as values of this [`Error`] type, never as a panic or an endless spin,
+//! and the resilient pipeline driver ([`crate::pipeline::try_run_new`])
+//! reports which tile the fault hit.
 
 use crate::params::ParamError;
 
@@ -17,9 +17,10 @@ pub enum Error {
     InfeasibleParams(ParamError),
     /// A pencil process grid does not cover the ranks it was asked to run
     /// over (`pr · pc ≠ p`): the grid disagrees with the communicator size
-    /// or with `spec.p`. The `try_` pencil entry points return this instead
-    /// of asserting, so a mis-sized grid is a recoverable caller error, not
-    /// a panic inside a collective.
+    /// or with `spec.p` — for the slab, the communicator (the `size × 1`
+    /// grid) disagrees with `spec.p`. Both sessions return this instead of
+    /// asserting, so a mis-sized grid is a recoverable caller error, not a
+    /// panic inside a collective.
     GridMismatch {
         /// Grid rows.
         pr: usize,

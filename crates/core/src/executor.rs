@@ -38,7 +38,9 @@
 use crate::breakdown::StepTimes;
 use crate::decomp::AxisSplit;
 use crate::error::{Error, IntegrityStage};
-use crate::pipeline::{block_on, try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
+use crate::pipeline::{
+    block_on, try_run_new, try_run_th, OverlapEnv, Recovery, Resilience, POLL_BOOST,
+};
 use crate::trace::{DegradeAction, EventKind, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
 use cfft::batch::{
@@ -501,8 +503,6 @@ struct StageExec<'a> {
     send_hash: u64,
     /// The shape's poll counts, times the ladder's boost once it is applied.
     polls: [u32; 4],
-    /// `F*` multiplier applied by the ladder's boost-polls rung.
-    poll_boost: u32,
     /// The compute steps' shares; the transport keeps the network steps'.
     steps: StepTimes,
 }
@@ -728,8 +728,7 @@ impl OverlapEnv for StageExec<'_> {
     }
 
     fn boost_polls(&mut self) {
-        let boost = self.poll_boost.max(1);
-        self.polls = self.polls.map(|f| f.saturating_mul(boost));
+        self.polls = self.polls.map(|f| f.saturating_mul(POLL_BOOST));
     }
 
     fn escalate_watchdog(&mut self) {
@@ -980,7 +979,6 @@ impl<'a> Session<'a> {
                 ws: &mut self.ws,
                 send_hash: 0,
                 polls: shape.polls,
-                poll_boost: res.poll_boost,
                 steps: StepTimes::default(),
             };
             let recovery = if self.th {

@@ -22,24 +22,32 @@
 //! * the real stage executor runs on real data over the [`mpisim`] runtime
 //!   (correctness; verified against [`serial::fft3_serial`]). A transform is
 //!   a sequence of exchange stages, each one geometry-driven shape on the
-//!   one executor: the slab transform is one stage — [`fft3_dist`] /
-//!   [`try_fft3_dist`] / [`try_fft3_dist_traced`] / [`FftSession`] — and
-//!   the pencil transform two — [`try_fft3_pencil`] /
-//!   [`try_fft3_pencil_overlapped`] /
-//!   [`try_fft3_pencil_overlapped_traced`] / [`PencilSession`];
-//! * [`sim_env::fft3_simulated`] charges [`simnet`]'s calibrated cost
-//!   models (performance studies at the paper's scales).
+//!   one executor: the slab transform is one stage — [`FftSession`] — and
+//!   the pencil transform two — [`PencilSession`];
+//! * [`sim_env::Simulation`] charges [`simnet`]'s calibrated cost models
+//!   (performance studies at the paper's scales).
+//!
+//! Those three owners are the entry points: a session is set up once and
+//! executed many times (a one-shot transform is a session executed once),
+//! a simulation is built by `slab`/`pencil`, shaped by chained setters and
+//! `run`. The five free functions still re-exported — [`try_fft3_dist`],
+//! [`try_fft3_dist_traced`], [`fft3_simulated`], [`th_simulated`],
+//! [`pencil_overlap_simulated_params`] — are one-line shims over them that
+//! exist because `fftperf/` imports them, and go when it stops.
 //!
 //! ```
+//! use fft3d::sim_env::Simulation;
 //! use fft3d::{ProblemSpec, TuningParams, Variant};
-//! use fft3d::sim_env::fft3_simulated;
 //! use simnet::model::umd_cluster;
 //!
 //! let spec = ProblemSpec::cube(256, 16);
 //! let params = TuningParams::seed(&spec);
-//! let new = fft3_simulated(umd_cluster(), spec, Variant::New, params, false);
-//! let fftw = fft3_simulated(umd_cluster(), spec, Variant::Fftw, params, false);
-//! assert!(new.time < fftw.time); // overlap wins on the slow network
+//! let time = |variant| -> Result<f64, fft3d::Error> {
+//!     let runs = Simulation::slab(spec, variant, params)?.run(umd_cluster())?;
+//!     Ok(runs[0].report.time)
+//! };
+//! assert!(time(Variant::New)? < time(Variant::Fftw)?); // overlap wins on the slow network
+//! # Ok::<(), fft3d::Error>(())
 //! ```
 
 // `x % n == 0` keeps the stated MSRV (1.85); `is_multiple_of` needs 1.87.
@@ -69,13 +77,12 @@ pub use error::Error;
 pub use error::IntegrityStage;
 pub use params::{ProblemSpec, ThParams, TuningParams};
 pub use pencil::{
-    compare_pencil_with_serial, pencil_feasible, pencil_seed, pencil_test_input, try_fft3_pencil,
-    try_fft3_pencil_overlapped, try_fft3_pencil_overlapped_traced, PencilGrid, PencilOutput,
-    PencilRunOutput, PencilSession,
+    compare_pencil_with_serial, pencil_blocking, pencil_feasible, pencil_seed, pencil_test_input,
+    PencilGrid, PencilOutput, PencilRunOutput, PencilSession,
 };
-pub use pipeline::{Recovery, Resilience};
+pub use pipeline::{Recovery, Resilience, POLL_BOOST};
 pub use real_env::{
-    fft3_dist, try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout, RunOutput, Variant,
+    try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout, RunOutput, Variant,
 };
 pub use recover::{
     run_recoverable, Checkpoint, ComputeSource, NoSource, ParitySource, RecoverConfig,
@@ -86,9 +93,7 @@ pub use service::{
     JobSpec, RejectReason, Service, ServiceConfig, ServiceReport, TenantStats,
 };
 pub use sim_env::{
-    fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
-    pencil_overlap_simulated_params, pencil_simulated, th_simulated, try_fft3_simulated,
-    try_multi_simulated, MultiReport, SimReport,
+    fft3_simulated, pencil_overlap_simulated_params, th_simulated, Execution, SimReport, Simulation,
 };
 pub use trace::{
     derive_step_times, overlap_summary, trace_to_json, DegradeAction, EventKind, MemRecorder,

@@ -1,8 +1,8 @@
 //! The tunable parameters (Table 1 of the paper, plus an intra-rank thread
 //! count `Th`), their feasibility rules, and the one statement of what a
-//! [`Variant`] requires of its input ([`Variant::check`] — the only
+//! [`Variant`] requires of its input (`Variant::check` — the only
 //! validation either backend runs before a slab transform) and of the
-//! parameters it actually runs with ([`Variant::resolve`]).
+//! parameters it actually runs with (`Variant::resolve`).
 
 use crate::real_env::Variant;
 use simnet::model::TransposeCost;

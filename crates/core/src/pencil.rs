@@ -7,24 +7,19 @@
 //! `crate::executor` — the one real [`crate::pipeline::OverlapEnv`], which
 //! the slab transform's single stage runs on as well — and this module is
 //! their front: the process grid, the subcommunicator split, the two stage
-//! shapes, and these entry points:
+//! shapes, and one entry point, [`PencilSession`] — the paper's tile-window
+//! overlap applied to **both** pencil exchanges, with the degradation ladder
+//! and tracing: the subcommunicators split and both stages pinned once,
+//! per-tile persistent plans and session-owned memory (setup once, execute
+//! many; a one-shot transform is a session executed once). The blocking
+//! reference transform is the same session at [`pencil_blocking`]'s vector:
+//! one tile per stage, `W = 0`, no polls — one all-to-all per exchange
+//! within the row/column subcommunicators.
 //!
-//! * [`PencilSession`] — the paper's tile-window overlap applied to
-//!   **both** pencil exchanges, with the degradation ladder and tracing:
-//!   the subcommunicators split and both stages pinned once, per-tile
-//!   persistent plans and session-owned memory (setup once, execute many);
-//! * [`try_fft3_pencil_overlapped`] / [`try_fft3_pencil_overlapped_traced`]
-//!   — a session executed once;
-//! * [`try_fft3_pencil`] — the blocking reference transform: the one tile
-//!   per stage, `W = 0`, no-poll point of the overlapped one
-//!   ([`pencil_blocking`]; one all-to-all per exchange within the
-//!   row/column subcommunicators).
-//!
-//! Their cost models on `simnet` ([`crate::sim_env::pencil_simulated`],
-//! [`crate::sim_env::pencil_overlap_simulated_params`]) price the same two
-//! stages from `crate::stage::pencil`; the `decomp_crossover` bench and
-//! [`crate::decomp::auto_select`] use them to locate the slab-vs-pencil
-//! crossover.
+//! Its cost model on `simnet` ([`crate::sim_env::Simulation::pencil`])
+//! prices the same two stages from `crate::stage::pencil`; the
+//! `decomp_crossover` bench and [`crate::decomp::auto_select`] use it to
+//! locate the slab-vs-pencil crossover.
 //!
 //! The process grid is `pr × pc` (`p = pr · pc`). Distributions:
 //!
@@ -159,27 +154,6 @@ fn split_pencil(comm: &Comm, grid: PencilGrid) -> (Comm, Comm) {
     (row_comm, col_comm)
 }
 
-/// Distributed 3-D FFT with 2-D (pencil) decomposition, blocking exchanges:
-/// the overlapped executor at one tile per stage, no window and no polls
-/// (what [`crate::Variant::Fftw`] is for the slab pipeline), so each
-/// exchange is one all-to-all + wait within its subcommunicator.
-///
-/// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
-/// layout. Collective over `comm`; `grid.len()` must equal `comm.size()`.
-/// A zero-extent axis comes back as [`Error::InfeasibleParams`], a grid
-/// that disagrees with the communicator or `spec.p` as
-/// [`Error::GridMismatch`] — never a panic from inside a collective.
-pub fn try_fft3_pencil(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    dir: Direction,
-    input: &[Complex64],
-) -> Result<PencilOutput, Error> {
-    let blocking = pencil_blocking(&spec, grid);
-    try_fft3_pencil_overlapped(comm, spec, grid, blocking, dir, input).map(|run| run.output)
-}
-
 /// Result of one overlapped pencil transform.
 pub struct PencilRunOutput {
     /// The spectrum pencil.
@@ -189,8 +163,7 @@ pub struct PencilRunOutput {
     /// stage 1's).
     pub recovery: Recovery,
     /// Exchange setups performed: one per persistent-plan init — one per
-    /// tile for a one-shot call and a [`PencilSession`]'s first execution,
-    /// 0 from its second on.
+    /// tile for a [`PencilSession`]'s first execution, 0 from its second on.
     pub exchange_setups: u64,
 }
 
@@ -284,67 +257,23 @@ fn stages(
 }
 
 /// Distributed 3-D FFT with 2-D (pencil) decomposition and the paper's
-/// tile-window overlap on **both** exchanges, with default resilience (no
-/// watchdog) and tracing off.
-///
-/// `input` is this rank's `(X_r, Y_c, Z_all)` block in local `x-y-z`
-/// layout; the output is bit-identical whatever the tiling (every tile
-/// size runs the same per-line kernels). Collective over `comm`.
+/// tile-window overlap on **both** exchanges, setup once and execute many:
+/// the row/column subcommunicators are split and both stages pinned once,
+/// every tile's exchange runs as a persistent plan (`alltoallv_init` on
+/// first use, `start`/`wait` afterwards) and the working memory (pack
+/// buffer, `W + 1` pooled receive blocks, the intermediate pencil, scratch)
+/// is kept, so repeated transforms of one geometry pay zero exchange setups
+/// and allocate nothing but their output after the first execution.
+/// Dropping the session frees every plan (so no MC006 lint fires);
+/// [`PencilSession::free`] does the same and reports how many. A one-shot
+/// transform is a session executed once.
 ///
 /// The relevant tuning knobs are `t` (planes per tile along the tiled
 /// axis), `w` (window), the `F*` polling frequencies (`fp` during pack,
 /// `fu` during unpack, `fy`/`fx` during the post-exchange FFT), and
 /// `threads`; the slab subtile knobs (`px`, `pz`, `uy`, `uz`) are
-/// accepted and ignored.
-pub fn try_fft3_pencil_overlapped(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    input: &[Complex64],
-) -> Result<PencilRunOutput, Error> {
-    try_fft3_pencil_overlapped_traced(
-        comm,
-        spec,
-        grid,
-        params,
-        dir,
-        input,
-        &Resilience::default(),
-        &mut NoopRecorder,
-    )
-}
-
-/// [`try_fft3_pencil_overlapped`] with a stall policy and a trace sink:
-/// the full degradation ladder (boost polls → shrink window → blocking
-/// fallback) guards both exchanges, and every span lands in `recorder`
-/// with stage-2 tiles numbered after stage 1's.
-#[allow(clippy::too_many_arguments)]
-pub fn try_fft3_pencil_overlapped_traced<R: Recorder>(
-    comm: &Comm,
-    spec: ProblemSpec,
-    grid: PencilGrid,
-    params: TuningParams,
-    dir: Direction,
-    input: &[Complex64],
-    res: &Resilience,
-    recorder: &mut R,
-) -> Result<PencilRunOutput, Error> {
-    // A session of one execution.
-    PencilSession::new(comm, spec, grid, params, dir)?.execute_traced(input, res, recorder)
-}
-
-/// A setup-once, execute-many overlapped pencil transform: the row/column
-/// subcommunicators are split and both stages pinned once, every tile's
-/// exchange runs as a persistent plan (`alltoallv_init` on first use,
-/// `start`/`wait` afterwards) and the working memory (pack buffer, `W + 1`
-/// pooled receive blocks, the intermediate pencil, scratch) is kept, so
-/// repeated transforms of one geometry pay zero exchange setups and allocate
-/// nothing but their output after the first execution. Dropping the
-/// session frees every plan (so no MC006 lint fires);
-/// [`PencilSession::free`] does the same and reports how many. The one-shot
-/// entry points are a session executed once.
+/// accepted and ignored. The output is bit-identical whatever the tiling
+/// (every tile size runs the same per-line kernels).
 pub struct PencilSession {
     /// The transform: subcommunicators, stages, plans and memory
     /// (`crate::executor`).
@@ -357,7 +286,9 @@ pub struct PencilSession {
 impl PencilSession {
     /// Validates, splits the subcommunicators and pins both stages (plans
     /// are initialised lazily by the first execution). Collective over
-    /// `comm`.
+    /// `comm`. A zero-extent axis comes back as [`Error::InfeasibleParams`],
+    /// a grid that disagrees with the communicator or `spec.p` as
+    /// [`Error::GridMismatch`] — never a panic from inside a collective.
     pub fn new(
         comm: &Comm,
         spec: ProblemSpec,
@@ -381,12 +312,17 @@ impl PencilSession {
         })
     }
 
-    /// One overlapped transform with default resilience and tracing off.
+    /// One overlapped transform of `input` — this rank's `(X_r, Y_c, Z_all)`
+    /// block in local `x-y-z` layout — with default resilience (no
+    /// watchdog) and tracing off. Collective over the session's `comm`.
     pub fn execute(&mut self, input: &[Complex64]) -> Result<PencilRunOutput, Error> {
         self.execute_traced(input, &Resilience::default(), &mut NoopRecorder)
     }
 
-    /// One overlapped transform with a stall policy and a trace sink.
+    /// [`Self::execute`] with a stall policy and a trace sink: the full
+    /// degradation ladder (boost polls → shrink window → blocking fallback)
+    /// guards both exchanges, and every span lands in `recorder` with
+    /// stage-2 tiles numbered after stage 1's.
     pub fn execute_traced<R: Recorder>(
         &mut self,
         input: &[Complex64],
@@ -443,9 +379,12 @@ pub fn pencil_seed(spec: &ProblemSpec, grid: PencilGrid) -> TuningParams {
 }
 
 /// The blocking point of the overlapped pencil transform: one tile per
-/// stage, no window, no polls — what [`try_fft3_pencil`] executes and
-/// [`crate::sim_env::pencil_simulated`] prices.
-pub(crate) fn pencil_blocking(spec: &ProblemSpec, grid: PencilGrid) -> TuningParams {
+/// stage, no window, no polls (what [`crate::Variant::Fftw`] is for the
+/// slab pipeline), so each exchange is one all-to-all + wait within its
+/// subcommunicator — the reference a [`PencilSession`] or
+/// [`crate::sim_env::Simulation::pencil`] at any other vector is compared
+/// against.
+pub fn pencil_blocking(spec: &ProblemSpec, grid: PencilGrid) -> TuningParams {
     TuningParams {
         t: spec.nx.max(spec.nz).max(1),
         ..pencil_seed(spec, grid).without_overlap()
@@ -526,13 +465,24 @@ mod tests {
         Arc::new(reference)
     }
 
+    /// A forward session executed once.
+    fn one_shot(
+        comm: &Comm,
+        spec: ProblemSpec,
+        grid: PencilGrid,
+        params: TuningParams,
+        input: &[Complex64],
+    ) -> Result<PencilRunOutput, Error> {
+        PencilSession::new(comm, spec, grid, params, Direction::Forward)?.execute(input)
+    }
+
     fn check(spec: ProblemSpec, grid: PencilGrid) {
         let reference = serial_reference(spec, Direction::Forward);
         let errs = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let out = try_fft3_pencil(&comm, spec, grid, Direction::Forward, &input)
+            let out = one_shot(&comm, spec, grid, pencil_blocking(&spec, grid), &input)
                 .expect("blocking pencil transform");
-            compare_pencil_with_serial(&spec, grid, comm.rank(), &out, &reference)
+            compare_pencil_with_serial(&spec, grid, comm.rank(), &out.output, &reference)
         });
         for (r, e) in errs.iter().enumerate() {
             assert!(
@@ -547,8 +497,7 @@ mod tests {
         let errs = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
             let out =
-                try_fft3_pencil_overlapped(&comm, spec, grid, params, Direction::Forward, &input)
-                    .expect("overlapped pencil transform");
+                one_shot(&comm, spec, grid, params, &input).expect("overlapped pencil transform");
             assert!(out.recovery.clean());
             compare_pencil_with_serial(&spec, grid, comm.rank(), &out.output, &reference)
         });
@@ -658,19 +607,18 @@ mod tests {
         };
         let ok = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let blocking = try_fft3_pencil(&comm, spec, grid, Direction::Forward, &input)
-                .expect("blocking pencil transform");
-            let overlapped =
-                try_fft3_pencil_overlapped(&comm, spec, grid, params, Direction::Forward, &input)
-                    .expect("overlapped pencil transform");
+            let blocking = one_shot(&comm, spec, grid, pencil_blocking(&spec, grid), &input)
+                .expect("blocking pencil transform")
+                .output;
+            let overlapped = one_shot(&comm, spec, grid, params, &input)
+                .expect("overlapped pencil transform")
+                .output;
             let same_bits = blocking
                 .data
                 .iter()
-                .zip(overlapped.output.data.iter())
+                .zip(overlapped.data.iter())
                 .all(|(a, b)| (a.re.to_bits(), a.im.to_bits()) == (b.re.to_bits(), b.im.to_bits()));
-            same_bits
-                && blocking.ny2l == overlapped.output.ny2l
-                && blocking.nzl == overlapped.output.nzl
+            same_bits && blocking.ny2l == overlapped.ny2l && blocking.nzl == overlapped.nzl
         });
         assert!(
             ok.into_iter().all(|b| b),
@@ -685,16 +633,8 @@ mod tests {
         let bad = PencilGrid { pr: 2, pc: 3 }; // 6 ≠ 4 ranks
         let errs = mpisim::run(4, move |comm| {
             let input = vec![Complex64::ZERO; 8 * 8 * 8];
-            let blocking = try_fft3_pencil(&comm, spec, bad, Direction::Forward, &input).err();
-            let overlapped = try_fft3_pencil_overlapped(
-                &comm,
-                spec,
-                bad,
-                pencil_seed(&spec, bad),
-                Direction::Forward,
-                &input,
-            )
-            .err();
+            let blocking = one_shot(&comm, spec, bad, pencil_blocking(&spec, bad), &input).err();
+            let overlapped = one_shot(&comm, spec, bad, pencil_seed(&spec, bad), &input).err();
             (blocking, overlapped)
         });
         for (blocking, overlapped) in errs {
@@ -814,17 +754,10 @@ mod tests {
         let streams = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
             let mut rec = MemRecorder::default();
-            try_fft3_pencil_overlapped_traced(
-                &comm,
-                spec,
-                grid,
-                params,
-                Direction::Forward,
-                &input,
-                &Resilience::default(),
-                &mut rec,
-            )
-            .expect("traced overlapped pencil transform");
+            PencilSession::new(&comm, spec, grid, params, Direction::Forward)
+                .expect("session setup")
+                .execute_traced(&input, &Resilience::default(), &mut rec)
+                .expect("traced overlapped pencil transform");
             rec.take()
         });
         for events in streams {

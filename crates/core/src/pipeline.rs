@@ -130,6 +130,10 @@ pub trait OverlapEnv {
     fn sched_point(&mut self) {}
 }
 
+/// Multiplier the degradation ladder's first rung applies to the `F*`
+/// polling frequencies.
+pub const POLL_BOOST: u32 = 4;
+
 /// Stall-handling policy for the resilient drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resilience {
@@ -137,9 +141,6 @@ pub struct Resilience {
     /// [`Error::Stalled`]. `None` disables the watchdog: waits block
     /// forever.
     pub stall_timeout: Option<Duration>,
-    /// Multiplier applied to the `F*` polling frequencies by the ladder's
-    /// first rung.
-    pub poll_boost: u32,
     /// Stalls tolerated per wait before the driver gives up on it. Each
     /// strike grants the wait another watchdog period, doubled per strike
     /// (see [`OverlapEnv::escalate_watchdog`]); the real executors cap an
@@ -155,7 +156,6 @@ impl Default for Resilience {
     fn default() -> Self {
         Resilience {
             stall_timeout: None,
-            poll_boost: 4,
             max_strikes: 3,
         }
     }
@@ -447,7 +447,7 @@ async fn drive_new<E: OverlapEnv>(
     Ok(())
 }
 
-/// Runs the TH comparator's schedule (Hoefler et al. [18]): only FFTy and
+/// Runs the TH comparator's schedule (Hoefler et al. \[18\]): only FFTy and
 /// Pack overlap with communication; Unpack and FFTx happen after the wait,
 /// with no progression polls — the reason TH's Wait bar dwarfs NEW's in
 /// Figure 8. Same stall-recovery ladder as [`try_run_new`].

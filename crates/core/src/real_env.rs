@@ -8,14 +8,14 @@
 //! backend; here the timings are real wall-clock and only meaningful for
 //! laptop-scale smoke benchmarks.
 //!
-//! Entry points: [`FftSession`] (setup once, execute many) and the one-shot
-//! calls, which are a session executed once — [`try_fft3_dist_traced`]
-//! (tracing plus a stall policy), [`try_fft3_dist`] (neither), the panicking
-//! [`fft3_dist`]. What this module keeps is what only the slab has: the
+//! Entry point: [`FftSession`] (setup once, execute many; a one-shot
+//! transform is a session executed once — [`try_fft3_dist`] and
+//! [`try_fft3_dist_traced`] are that, kept as shims for `fftperf/`). What
+//! this module keeps is what only the slab has: the
 //! upfront plane-wise FFTz+Transpose in its three styles and the slab's
 //! stage shape `{τ = z, o = x_l, v = y; FFTy → FFTx}` with every integrity
 //! stage armed, both pinned once by the session's constructor from
-//! [`Variant::resolve`] — the same resolution the simulator prices. The
+//! `Variant::resolve` — the same resolution the simulator prices. The
 //! shape runs on `crate::executor`, the one real
 //! [`crate::pipeline::OverlapEnv`], which the pencil transform's two stages
 //! run on as well.
@@ -203,35 +203,10 @@ impl FftzTranspose {
     }
 }
 
-/// Executes one distributed 3-D FFT on this rank.
-///
-/// `input` is this rank's x-slab in `x-y-z` layout (`count_x(rank)·ny·nz`
-/// elements). Returns this rank's y-slab of the result plus statistics.
-/// Collective: every rank of `comm` must call this with consistent
-/// arguments.
-///
-/// # Panics
-/// On infeasible parameters or an unrecoverable pipeline fault; use
-/// [`try_fft3_dist`] for the typed error path.
-pub fn fft3_dist(
-    comm: &Comm,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    dir: Direction,
-    rigor: Rigor,
-    input: &[Complex64],
-) -> RunOutput {
-    // Display keeps the legacy "infeasible parameters: …" wording that
-    // callers of the panicking API match on.
-    try_fft3_dist(comm, spec, variant, params, dir, rigor, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fft3_dist`]: infeasible parameters come back as
-/// [`Error::InfeasibleParams`] instead of a panic, and with a watchdog
-/// armed (see [`Resilience::stall_timeout`]) a wedged exchange surfaces as
-/// [`Error::Stalled`] instead of spinning forever. Runs with the default
-/// [`Resilience`] (watchdog disabled).
+/// **Shim for `fftperf/`**, which a code PR may not edit: one
+/// [`FftSession`] executed once with the default [`Resilience`] and tracing
+/// off. Goes, with [`try_fft3_dist_traced`], once the benchmark's
+/// `slab64_tiles` workload builds its own session (ROADMAP item 3).
 pub fn try_fft3_dist(
     comm: &Comm,
     spec: ProblemSpec,
@@ -254,14 +229,9 @@ pub fn try_fft3_dist(
     )
 }
 
-/// The full-control entry point: every phase span, poll and wait on this
-/// rank is appended to `recorder` (see [`crate::trace`]; a [`NoopRecorder`]
-/// turns tracing off), under an explicit [`Resilience`] policy. With
-/// `stall_timeout` set, stalled exchanges trip the watchdog
-/// and the pipeline climbs the degradation ladder (boost polls → shrink
-/// window → blocking fallback) before giving up; what it did is reported
-/// in [`RunOutput::recovery`]. On the error path every in-flight exchange
-/// is cancelled before returning — no staged messages leak.
+/// **Shim for `fftperf/`** (see [`try_fft3_dist`]): one [`FftSession`]
+/// executed once through [`FftSession::execute_traced`], its reported
+/// elapsed time covering the session's set-up too. Goes with it.
 #[allow(clippy::too_many_arguments)]
 pub fn try_fft3_dist_traced(
     comm: &Comm,
@@ -274,7 +244,6 @@ pub fn try_fft3_dist_traced(
     resilience: &Resilience,
     recorder: &mut dyn Recorder,
 ) -> Result<RunOutput, Error> {
-    // A session of one execution; the clock covers its set-up too.
     let started = Instant::now();
     let mut session = FftSession::new(comm, spec, variant, params, dir, rigor);
     let mut out = session.execute_traced(input, resilience, recorder)?;
@@ -386,12 +355,12 @@ impl<'a> FftSession<'a> {
     /// Creates a session: validates and resolves the parameters, plans the
     /// FFT kernels (unless already cached) and pins the stage. Infeasible
     /// parameters do not fail here — every execution returns them as
-    /// [`Error::InfeasibleParams`]. The exchange plans are initialised
-    /// lazily during the first execution, so the first/steady-state split is
-    /// observable per execution via [`RunOutput::exchange_setups`].
-    ///
-    /// # Panics
-    /// If `comm.size() != spec.p`.
+    /// [`Error::InfeasibleParams`], and a communicator whose size is not
+    /// `spec.p` as [`Error::GridMismatch`] (the `size × 1` grid, as
+    /// [`crate::PencilSession::new`] reports it). The exchange plans are
+    /// initialised lazily during the first execution, so the
+    /// first/steady-state split is observable per execution via
+    /// [`RunOutput::exchange_setups`].
     pub fn new(
         comm: &'a Comm,
         spec: ProblemSpec,
@@ -400,9 +369,18 @@ impl<'a> FftSession<'a> {
         dir: Direction,
         rigor: Rigor,
     ) -> Self {
-        assert_eq!(comm.size(), spec.p, "communicator size must match spec.p");
-        let (core, layout, planning) = pin_slab(comm, spec, variant, params, dir, rigor)
-            .unwrap_or_else(|e| (Session::refused(e), OutLayout::Zyx, Duration::ZERO));
+        // Every rank sees the same size, so every rank refuses alike.
+        let pinned = if comm.size() == spec.p {
+            pin_slab(comm, spec, variant, params, dir, rigor)
+        } else {
+            Err(Error::GridMismatch {
+                pr: comm.size(),
+                pc: 1,
+                expected: spec.p,
+            })
+        };
+        let (core, layout, planning) =
+            pinned.unwrap_or_else(|e| (Session::refused(e), OutLayout::Zyx, Duration::ZERO));
         FftSession {
             comm,
             spec,
@@ -423,7 +401,10 @@ impl<'a> FftSession<'a> {
     /// [`crate::run_recoverable`] to recompute from the last checkpointed
     /// input after a failure.
     pub fn checkpoint_every(mut self, k: u64) -> Self {
-        self.checkpoint_interval = (k > 0).then_some(k);
+        // A session refused for its communicator's size captures nothing:
+        // the checkpoint's exchange assumes `spec.p` ranks.
+        let sized = self.comm.size() == self.spec.p;
+        self.checkpoint_interval = (k > 0 && sized).then_some(k);
         self
     }
 
@@ -434,15 +415,25 @@ impl<'a> FftSession<'a> {
         self.checkpoint.as_ref()
     }
 
-    /// Executes the transform once over this rank's `input` x-slab,
-    /// reusing the session's persistent exchange plans. Collective: every
-    /// rank's session must execute in the same order.
+    /// Executes the transform once over this rank's `input` x-slab —
+    /// `x-y-z` layout, `count_x(rank)·ny·nz` elements — reusing the
+    /// session's persistent exchange plans, with the default [`Resilience`]
+    /// (watchdog disabled) and tracing off. Returns this rank's y-slab of
+    /// the result plus statistics. Collective: every rank's session must
+    /// execute in the same order.
     pub fn execute(&mut self, input: &[Complex64]) -> Result<RunOutput, Error> {
         self.execute_traced(input, &Resilience::default(), &mut NoopRecorder)
     }
 
-    /// [`Self::execute`] with tracing and an explicit [`Resilience`]
-    /// policy (the [`try_fft3_dist_traced`] of the session path).
+    /// [`Self::execute`] with full control: every phase span, poll and wait
+    /// on this rank is appended to `recorder` (see [`crate::trace`]; a
+    /// [`NoopRecorder`] turns tracing off), under an explicit [`Resilience`]
+    /// policy. With `stall_timeout` set, a stalled exchange trips the
+    /// watchdog and the pipeline climbs the degradation ladder (boost polls
+    /// → shrink window → blocking fallback) before giving up as
+    /// [`Error::Stalled`]; what it did is reported in
+    /// [`RunOutput::recovery`]. On the error path every in-flight exchange
+    /// is cancelled before returning — no staged messages leak.
     pub fn execute_traced(
         &mut self,
         input: &[Complex64],
@@ -538,7 +529,8 @@ mod tests {
 
         let errs = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = fft3_dist(&comm, spec, variant, params, dir, Rigor::Estimate, &input);
+            let mut session = FftSession::new(&comm, spec, variant, params, dir, Rigor::Estimate);
+            let out = session.execute(&input).expect("clean run");
             compare_with_serial(&spec, comm.rank(), &out, &reference)
         });
         let scale = (spec.len() as f64).max(1.0);
@@ -692,28 +684,6 @@ mod tests {
             let err = e.unwrap_err();
             assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "infeasible parameters")]
-    fn legacy_entry_point_still_panics_on_infeasible_parameters() {
-        // The panicking API keeps its historical message so existing
-        // callers that match on it are unaffected by the `try_` refactor.
-        let spec = ProblemSpec::cube(8, 2);
-        let mut params = TuningParams::seed(&spec);
-        params.w = 99;
-        mpisim::run(spec.p, move |comm| {
-            let input = local_test_slab(&spec, comm.rank());
-            fft3_dist(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                Rigor::Estimate,
-                &input,
-            );
-        });
     }
 
     #[test]
@@ -1057,25 +1027,12 @@ mod tests {
         let k = params.tiles(&spec) as u64;
         let setups = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let a = fft3_dist(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                Rigor::Estimate,
-                &input,
-            );
-            let b = fft3_dist(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                Rigor::Estimate,
-                &input,
-            );
-            (a.exchange_setups, b.exchange_setups)
+            let (new, fwd, rigor) = (Variant::New, Direction::Forward, Rigor::Estimate);
+            let once = || {
+                let mut session = FftSession::new(&comm, spec, new, params, fwd, rigor);
+                session.execute(&input).expect("clean run").exchange_setups
+            };
+            (once(), once())
         });
         for (a, b) in setups {
             assert_eq!(a, k);

@@ -1,7 +1,7 @@
 //! Elastic rank-failure recovery for the distributed transform (ULFM
 //! style; DESIGN.md §14).
 //!
-//! The fallible entry points ([`crate::try_fft3_dist_traced`]) turn a peer
+//! A session's execution ([`crate::FftSession::execute_traced`]) turns a peer
 //! death into a typed [`Error::RankFailed`] — but a single rank returning
 //! an error does not make a *recovery*: the survivors must learn about the
 //! failure together, rebuild a smaller world, and recompute. That protocol
@@ -29,7 +29,7 @@ use crate::decomp::Decomp;
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pipeline::Resilience;
-use crate::real_env::{try_fft3_dist_traced, RunOutput, Variant};
+use crate::real_env::{FftSession, RunOutput, Variant};
 use crate::serial::block;
 use crate::trace::{EventKind, Recorder, TraceEvent};
 use cfft::planner::Rigor;
@@ -545,17 +545,9 @@ pub fn run_recoverable(
         }
         let slab = slab.ok_or(Error::Internal("agreed-present slab missing"))?;
 
-        let result = try_fft3_dist_traced(
-            cur,
-            spec_cur,
-            variant,
-            params_cur,
-            dir,
-            rigor,
-            &slab,
-            &resilience,
-            recorder,
-        );
+        // One attempt is one session executed once, freed before the vote.
+        let result = FftSession::new(cur, spec_cur, variant, params_cur, dir, rigor)
+            .execute_traced(&slab, &resilience, recorder);
 
         // Per-attempt consensus: ranks that finished cleanly must still
         // join recovery when any peer erred (the dead rank's neighbours

@@ -44,7 +44,7 @@
 //! A tenant's same-geometry job train can also be submitted as one fused
 //! [`JobSpec::arrays`] batch, whose program keeps the window open across
 //! array boundaries — the inter-array pipeline shape of
-//! [`crate::sim_env::try_multi_simulated`].
+//! [`crate::sim_env::Simulation::arrays`].
 //!
 //! Everything on the timing layer is a pure function of (jobs, config):
 //! no wall clock, no hash-map iteration, no thread scheduling — the same
@@ -53,9 +53,11 @@
 use crate::decomp::{auto_select, Decomposition};
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
-use crate::pencil::{compare_pencil_with_serial, pencil_seed, pencil_test_input, try_fft3_pencil};
+use crate::pencil::{
+    compare_pencil_with_serial, pencil_blocking, pencil_seed, pencil_test_input, PencilSession,
+};
 use crate::pipeline::{block_on, try_run_new, OverlapEnv, Resilience};
-use crate::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
+use crate::real_env::{compare_with_serial, local_test_slab, FftSession, Variant};
 use crate::recover::{run_recoverable, RecoverConfig, ReplicaSource};
 use crate::serial::{fft3_serial, full_test_array};
 use crate::stage::{self, Phase, StageCosts};
@@ -96,7 +98,7 @@ pub struct JobSpec {
     /// Submission time (virtual seconds from the epoch of the batch).
     pub arrival: f64,
     /// Arrays in this job train (> 1 fuses them into one pipeline, as
-    /// [`crate::sim_env::try_multi_simulated`] does).
+    /// [`crate::sim_env::Simulation::arrays`] does).
     pub arrays: usize,
     /// Faults this job brings with it (crashes, stragglers, slow links) —
     /// scoped to this job alone, never to other tenants.
@@ -578,7 +580,7 @@ impl Emitter<'_> {
 
     /// Appends the program of `arrays` back-to-back arrays through one
     /// exchange stage (array boundaries keep the window open — the fused
-    /// job-train shape of [`crate::sim_env::try_multi_simulated`]).
+    /// job-train shape of [`crate::sim_env::Simulation::arrays`]).
     fn emit(&mut self, stage: &StageCosts, arrays: usize) -> Result<(), Error> {
         let mut run = StageProgram {
             em: self,
@@ -1389,8 +1391,8 @@ impl Service {
 
     /// Runs the batch on the timing layer, then executes every *completed*
     /// job on the real-data `mpisim` backend, in completion order, with
-    /// each job's faults scoped to itself. Clean jobs run `try_fft3_dist`
-    /// (or the pencil path); crashed jobs recover through
+    /// each job's faults scoped to itself. Clean jobs run one `FftSession`
+    /// (or `PencilSession`) execution; crashed jobs recover through
     /// [`run_recoverable`]. Returns the per-job data (indexed like the
     /// submission batch; `None` for jobs that did not complete) so tests
     /// can pin tenant isolation bit-for-bit.
@@ -1623,7 +1625,8 @@ fn execute_job(
             let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
                 let input = local_test_slab(&spec, comm.rank());
                 let (variant, rigor) = (Variant::New, Rigor::Estimate);
-                let out = try_fft3_dist(&comm, spec, variant, params, dir, rigor, &input)?;
+                let mut session = FftSession::new(&comm, spec, variant, params, dir, rigor);
+                let out = session.execute(&input)?;
                 let err = compare_with_serial(&spec, comm.rank(), &out, &reference);
                 Ok(clean(out.data, err))
             });
@@ -1640,7 +1643,9 @@ fn execute_job(
         Decomposition::Pencil(grid) => {
             let outs = mpisim::run_with_faults(spec.p, faults, move |comm| {
                 let input = pencil_test_input(&spec, grid, comm.rank());
-                let out = try_fft3_pencil(&comm, spec, grid, dir, &input)?;
+                let blocking = pencil_blocking(&spec, grid);
+                let mut session = PencilSession::new(&comm, spec, grid, blocking, dir)?;
+                let out = session.execute(&input)?.output;
                 let err = compare_pencil_with_serial(&spec, grid, comm.rank(), &out, &reference);
                 Ok(clean(out.data, err))
             });

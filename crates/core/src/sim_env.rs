@@ -7,12 +7,13 @@
 //! model, all-to-alls run the manual-progression round model, and the
 //! breakdown accounting mirrors Figure 8's categories. One object,
 //! [`Simulation`], owns a modelled transform the way `executor::Session`
-//! owns a real one, and holds the file's one `run_sim` launch; every public
-//! simulator is a constructor of it: the slab variants (one stage over all
-//! ranks), the fused multi-array train of §7 (the same stage with the tile
-//! stream spanning several arrays), and the pencil decomposition (two
-//! stages over the grid's rows and columns, run back to back). One
-//! interpreter, `SimEnv`, runs each stage; its per-tile steps await
+//! owns a real one, holds the file's one `run_sim` launch and is the
+//! model's entry point: the slab variants (one stage over all ranks), the
+//! fused multi-array train of §7 (the same stage with the tile stream
+//! spanning several arrays), and the pencil decomposition (two stages over
+//! the grid's rows and columns, run back to back) are its two constructors
+//! and six setters. The three free functions left are shims `fftperf/`
+//! still imports. One interpreter, `SimEnv`, runs each stage; its per-tile steps await
 //! [`SimRank`], so a rank's whole transform is the `async` rank program
 //! simnet's stepper suspends and resumes. Like the real session it models,
 //! it moves every tile one way: a persistent plan initialised at the tile's
@@ -23,8 +24,8 @@ use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomposition;
 use crate::error::Error;
 use crate::params::{ProblemSpec, ThParams, TuningParams};
-use crate::pencil::{pencil_blocking, validate_pencil, PencilGrid};
-use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience};
+use crate::pencil::{validate_pencil, PencilGrid};
+use crate::pipeline::{try_run_new, try_run_th, OverlapEnv, Recovery, Resilience, POLL_BOOST};
 use crate::real_env::Variant;
 use crate::stage::{self, Phase, StageCosts, Step};
 use crate::trace::{EventKind, TraceEvent};
@@ -35,8 +36,8 @@ use simnet::{run_sim, OpId, PlanId, Platform, SimRank, SimTime};
 struct SimEnv<'a> {
     sim: &'a mut SimRank,
     stage: &'a StageCosts,
-    /// The run this stage belongs to: its array count, whether array 0's
-    /// fixed phases are skipped, and the ladder's poll boost.
+    /// The run this stage belongs to: its array count and whether array 0's
+    /// fixed phases are skipped.
     run: &'a Simulation,
     /// Persistent all-to-all plans, one per tile of the train, shared
     /// across repeated executions: inited lazily at a tile's first post
@@ -253,7 +254,7 @@ impl OverlapEnv for SimEnv<'_> {
     }
 
     fn boost_polls(&mut self) {
-        self.boost = self.run.res.poll_boost.max(1);
+        self.boost = POLL_BOOST;
     }
 
     fn escalate_watchdog(&mut self) {
@@ -274,17 +275,29 @@ pub struct SimReport {
     /// Per-rank statistics.
     pub per_rank: Vec<RunStats>,
     /// Collective setup charges (`post_overhead`) rank 0 paid during this
-    /// run: one per tile for a single execution and for the first of
-    /// [`fft3_simulated_repeated`]'s, zero for every later one.
+    /// run: one per tile for a single execution and for the first of a
+    /// [`Simulation::repeated`] run, zero for every later one.
     pub setup_charges: u64,
 }
 
-/// Why the infallible simulators cannot fail: nothing arms their watchdog.
-const DISARMED: &str = "a simulated wait cannot fail with the watchdog disarmed";
-
 /// One modelled transform — everything a simulated run needs, and the one
-/// place a simulated world is launched.
-pub(crate) struct Simulation {
+/// place a simulated world is launched. Built by [`Simulation::slab`] or
+/// [`Simulation::pencil`] (both validate as the real backend does), shaped
+/// by the chained setters, priced by [`Simulation::run`]:
+///
+/// ```
+/// use fft3d::sim_env::Simulation;
+/// use fft3d::{ProblemSpec, TuningParams, Variant};
+/// use simnet::model::umd_cluster;
+///
+/// let spec = ProblemSpec::cube(128, 8);
+/// let sim = Simulation::slab(spec, Variant::New, TuningParams::seed(&spec))?.repeated(2);
+/// let runs = sim.run(umd_cluster())?;
+/// assert_eq!(runs[1].report.setup_charges, 0); // plans persist across executions
+/// # Ok::<(), fft3d::Error>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Simulation {
     spec: ProblemSpec,
     decomp: Decomposition,
     /// The tuning vector and Transpose tier the variant resolved to.
@@ -292,46 +305,40 @@ pub(crate) struct Simulation {
     tier: TransposeCost,
     /// TH's schedule ([`try_run_th`]) instead of the windowed one.
     th: bool,
-    /// Arrays streamed through each stage as one train (§7; see
-    /// [`StageCosts::before_post`] for what happens at their boundaries).
     arrays: usize,
-    /// Skip array 0's fixed phases — the §4.4 tuning-speed technique ("the
-    /// AH client does not execute FFTz and Transpose during auto-tuning").
     skip_fixed_steps: bool,
-    /// Back-to-back executions over the same persistent plans.
     reps: usize,
-    /// Collect every rank's event timeline.
     trace: bool,
-    /// Stall policy, its `stall_timeout` in **virtual** seconds.
     res: Resilience,
 }
 
 /// One execution of a [`Simulation`], folded over its ranks.
-pub(crate) struct Execution {
-    pub(crate) report: SimReport,
-    /// Per-rank event timelines (empty ones unless traced).
-    events: Vec<Vec<TraceEvent>>,
-    /// What the degradation ladder had to do (rank 0's view).
-    recovery: Recovery,
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// Timing: the slowest rank's completion, rank 0's breakdown and setup
+    /// charges, every rank's statistics.
+    pub report: SimReport,
+    /// Per-rank event timelines, virtual-time stamped (empty ones unless
+    /// [`Simulation::traced`]) — the data behind the Figure 3 visualisation
+    /// and the overlap-efficiency summary (see [`crate::trace`]).
+    pub events: Vec<Vec<TraceEvent>>,
+    /// What the degradation ladder had to do (rank 0's view); clean when no
+    /// watchdog was armed or nothing stalled.
+    pub recovery: Recovery,
 }
 
 impl Simulation {
     /// One untraced, unwatched execution of the slab pipeline of `variant`,
-    /// pricing `params` as given: only the fallible entry points put
-    /// `Variant::check` in front (the cost table clamps what a real run
-    /// would reject).
-    fn slab(
-        spec: ProblemSpec,
-        variant: Variant,
-        params: TuningParams,
-        transpose_override: Option<TransposeCost>,
-    ) -> Self {
+    /// pricing `params` as given — no `Variant::check`: the cost table
+    /// clamps what a real run would reject. Only the [`fft3_simulated`] /
+    /// [`th_simulated`] shims price this way.
+    fn unchecked(spec: ProblemSpec, variant: Variant, params: TuningParams) -> Self {
         let (params, tier) = variant.resolve(&spec, params);
         Simulation {
             spec,
             decomp: Decomposition::Slab,
             params,
-            tier: transpose_override.unwrap_or(tier),
+            tier,
             th: variant == Variant::Th,
             arrays: 1,
             skip_fixed_steps: false,
@@ -341,9 +348,20 @@ impl Simulation {
         }
     }
 
-    /// NEW's schedule on the pencil decomposition over `grid`, behind the
-    /// validation the real backend runs.
-    pub(crate) fn pencil(
+    /// The slab pipeline of `variant` (one stage over all ranks), behind
+    /// the validation the real backend runs: an infeasible `(spec, params)`
+    /// pair is [`Error::InfeasibleParams`], not a garbage cost estimate.
+    pub fn slab(spec: ProblemSpec, variant: Variant, params: TuningParams) -> Result<Self, Error> {
+        variant.check(&spec, &params)?;
+        Ok(Self::unchecked(spec, variant, params))
+    }
+
+    /// NEW's schedule on the pencil decomposition over `grid` — §7's main
+    /// future-work item on the model: two stages over the grid's rows and
+    /// columns, the tuning vector honoured the way [`crate::PencilSession`]
+    /// applies it (see `stage::pencil`; [`crate::pencil::pencil_blocking`]
+    /// is its blocking point). Behind the validation the real backend runs.
+    pub fn pencil(
         spec: ProblemSpec,
         grid: PencilGrid,
         params: TuningParams,
@@ -351,8 +369,55 @@ impl Simulation {
         validate_pencil(spec.p, &spec, grid, &params)?;
         Ok(Simulation {
             decomp: Decomposition::Pencil(grid),
-            ..Self::slab(spec, Variant::New, params, None)
+            ..Self::unchecked(spec, Variant::New, params)
         })
+    }
+
+    /// Streams `n` arrays through each stage as one train — the paper's §7
+    /// third extension, inter-array on top of intra-array overlap: array
+    /// `a + 1`'s FFTz/Transpose/FFTy/Pack also hide the tail of array `a`'s
+    /// all-to-alls, so the fill/drain bubbles between back-to-back
+    /// transforms (`n ×` the single-array time) disappear (see
+    /// `StageCosts::before_post` for what happens at the boundaries).
+    pub fn arrays(mut self, n: usize) -> Self {
+        self.arrays = n;
+        self
+    }
+
+    /// `n` back-to-back executions over the same persistent per-tile plans
+    /// (setup once, execute many): the first initialises each tile's plan
+    /// as it is first posted, every later one starts them with zero setup.
+    pub fn repeated(mut self, n: usize) -> Self {
+        self.reps = n;
+        self
+    }
+
+    /// Collects every rank's event timeline into [`Execution::events`].
+    pub fn traced(mut self) -> Self {
+        self.trace = true;
+        self
+    }
+
+    /// Skips array 0's fixed phases — the §4.4 tuning-speed technique ("the
+    /// AH client does not execute FFTz and Transpose during auto-tuning",
+    /// as in Figure 5); leave it off for end-to-end times (Table 2).
+    pub fn skip_fixed_steps(mut self) -> Self {
+        self.skip_fixed_steps = true;
+        self
+    }
+
+    /// Prices Transpose at `tier` instead of the one the variant resolved
+    /// to — how the ablation study denies NEW the §3.5 fast path.
+    pub fn transpose(mut self, tier: TransposeCost) -> Self {
+        self.tier = tier;
+        self
+    }
+
+    /// Stall policy, its `stall_timeout` in **virtual** seconds: a single
+    /// wait longer than that climbs the degradation ladder.
+    pub fn resilience(mut self, res: Resilience) -> Self {
+        self.res = res;
+        self
     }
 
     /// The exchange stages `rank` runs back to back, priced on `machine`:
@@ -366,12 +431,16 @@ impl Simulation {
         }
     }
 
-    /// Runs the transform `reps` times on every rank of `platform`: per rank
-    /// the stage costs are built once and each stage keeps one
-    /// persistent-plan table across the executions. Per execution the ranks
-    /// fold into one [`SimReport`]: the slowest rank's time; rank 0's steps,
-    /// setup charges and ladder record.
-    fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
+    /// Runs the transform on every rank of `platform`, one [`Execution`]
+    /// per repetition: per rank the stage costs are built once and each
+    /// stage keeps one persistent-plan table across the executions; per
+    /// execution the ranks fold into one [`SimReport`] — the slowest rank's
+    /// time; rank 0's steps, setup charges and ladder record. A train of
+    /// zero arrays is [`Error::EmptyBatch`].
+    pub fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
+        if self.arrays == 0 {
+            return Err(Error::EmptyBatch);
+        }
         let mut per_rank = run_sim(platform, self.spec.p, async |sim| {
             let costs = self.stages(&sim.platform().machine, sim.rank());
             let mut plans = vec![Vec::new(); costs.len()];
@@ -454,11 +523,12 @@ impl Simulation {
     }
 }
 
-/// Simulates one distributed 3-D FFT and returns timing results.
-///
-/// Set `skip_fixed_steps` to model the tuning objective of §4.4 (FFTz and
-/// Transpose excluded, as in Figure 5); leave it `false` for end-to-end
-/// times (Table 2).
+/// **Shim for `fftperf/`**, which a code PR may not edit: the slab
+/// [`Simulation`] run once, pricing `params` *unchecked*
+/// (`Simulation::unchecked`) — callers hand it vectors a real run would
+/// reject. Goes, with the other four shims, once the benchmark imports
+/// [`Simulation`] (ROADMAP item 3). `skip_fixed_steps` is
+/// [`Simulation::skip_fixed_steps`].
 pub fn fft3_simulated(
     platform: Platform,
     spec: ProblemSpec,
@@ -466,88 +536,17 @@ pub fn fft3_simulated(
     params: TuningParams,
     skip_fixed_steps: bool,
 ) -> SimReport {
-    fft3_simulated_with(platform, spec, variant, params, skip_fixed_steps, None)
-}
-
-/// Fallible [`fft3_simulated`]: an infeasible `(spec, params)` pair — by the
-/// rule the real backend runs, `Variant::check` — is reported as
-/// [`Error::InfeasibleParams`] instead of a garbage cost estimate.
-pub fn try_fft3_simulated(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    skip_fixed_steps: bool,
-) -> Result<SimReport, Error> {
-    variant.check(&spec, &params)?;
     let sim = Simulation {
         skip_fixed_steps,
-        ..Simulation::slab(spec, variant, params, None)
+        ..Simulation::unchecked(spec, variant, params)
     };
-    Ok(sim.first(platform)?.report)
+    let run = sim.first(platform);
+    run.expect("a simulated wait cannot fail with the watchdog disarmed")
+        .report
 }
 
-/// [`fft3_simulated`] with an explicit transpose-cost tier — the hook the
-/// ablation studies use to e.g. deny NEW the §3.5 fast path.
-pub fn fft3_simulated_with(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    skip_fixed_steps: bool,
-    transpose_override: Option<TransposeCost>,
-) -> SimReport {
-    let sim = Simulation {
-        skip_fixed_steps,
-        ..Simulation::slab(spec, variant, params, transpose_override)
-    };
-    sim.first(platform).expect(DISARMED).report
-}
-
-/// [`fft3_simulated`] additionally returning every rank's per-tile event
-/// timeline (virtual-time stamped) — the data behind the Figure 3
-/// visualisation and the overlap-efficiency summary (see [`crate::trace`]).
-pub fn fft3_simulated_traced(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-) -> (SimReport, Vec<Vec<TraceEvent>>) {
-    let sim = Simulation {
-        trace: true,
-        ..Simulation::slab(spec, variant, params, None)
-    };
-    let run = sim.first(platform).expect(DISARMED);
-    (run.report, run.events)
-}
-
-/// Simulates `reps` back-to-back executions of the same transform over
-/// **persistent** per-tile all-to-all plans (the setup-once / execute-many
-/// path), returning one report per execution.
-///
-/// The first execution initialises each tile's plan as it is first posted,
-/// paying the post overhead there — it *is* [`fft3_simulated`]'s run; every
-/// later execution starts the registered plans with zero setup cost —
-/// [`SimReport::setup_charges`] is `k = ⌈Nz/T⌉` for execution 0 and `0`
-/// from execution 1 on.
-pub fn fft3_simulated_repeated(
-    platform: Platform,
-    spec: ProblemSpec,
-    variant: Variant,
-    params: TuningParams,
-    skip_fixed_steps: bool,
-    reps: usize,
-) -> Vec<SimReport> {
-    let sim = Simulation {
-        skip_fixed_steps,
-        reps,
-        ..Simulation::slab(spec, variant, params, None)
-    };
-    let runs = sim.run(platform).expect(DISARMED);
-    runs.into_iter().map(|run| run.report).collect()
-}
-
-/// Simulates the TH comparator from its three-parameter space.
+/// **Shim for `fftperf/`** (see [`fft3_simulated`], which it calls): the TH
+/// comparator from its three-parameter space. Goes with it.
 pub fn th_simulated(
     platform: Platform,
     spec: ProblemSpec,
@@ -557,67 +556,8 @@ pub fn th_simulated(
     fft3_simulated(platform, spec, Variant::Th, th.widen(), skip_fixed_steps)
 }
 
-/// Result of a multi-array simulated run.
-#[derive(Debug, Clone)]
-pub struct MultiReport {
-    /// Slowest rank's completion for the fused pipeline.
-    pub fused_time: f64,
-    /// The same workload as back-to-back single-array transforms.
-    pub sequential_time: f64,
-    /// Rank-0 breakdown of the fused pipeline.
-    pub steps: StepTimes,
-    /// What the degradation ladder had to do (rank 0's view); clean when
-    /// no watchdog was armed or nothing stalled.
-    pub recovery: Recovery,
-}
-
-/// Inter-array + intra-array overlap — the paper's §7 third extension.
-///
-/// Scientific simulations often transform a *sequence* of arrays per time
-/// step (e.g. three velocity components). Kandalla et al. overlap only
-/// *between* arrays; the paper overlaps only *within* one array; §7 plans
-/// to combine both. Here the communication tiles of `narrays` consecutive
-/// arrays form one long pipeline, so array `a+1`'s FFTz/Transpose/FFTy/Pack
-/// also hide the tail of array `a`'s all-to-alls — the fill/drain bubbles
-/// between arrays disappear. The result is compared against running the
-/// arrays back to back.
-///
-/// Arm `res.stall_timeout` — interpreted in **virtual seconds** — to let
-/// the degradation ladder react to stragglers mid-train. Zero arrays is
-/// [`Error::EmptyBatch`]; an invalid `(spec, params)` pair is
-/// [`Error::InfeasibleParams`] from the fallible single-array baseline.
-pub fn try_multi_simulated(
-    platform: Platform,
-    spec: ProblemSpec,
-    params: TuningParams,
-    narrays: usize,
-    res: &Resilience,
-) -> Result<MultiReport, Error> {
-    if narrays == 0 {
-        return Err(Error::EmptyBatch);
-    }
-    // The fallible baseline first: it validates before any rank spins up.
-    let single = try_fft3_simulated(platform.clone(), spec, Variant::New, params, false)?;
-    let train = Simulation {
-        arrays: narrays,
-        res: *res,
-        ..Simulation::slab(spec, Variant::New, params, None)
-    };
-    let fused = train.first(platform)?;
-    Ok(MultiReport {
-        fused_time: fused.report.time,
-        sequential_time: single.time * narrays as f64,
-        steps: fused.report.steps,
-        recovery: fused.recovery,
-    })
-}
-
-/// Simulated cost of the pencil transform **with the paper's overlap
-/// applied to both exchanges** — §7's main future-work item realised on
-/// the model, and what the tuner's pencil objective and
-/// [`crate::decomp::auto_select`] evaluate. The tuning vector is honoured
-/// the way [`crate::pencil::try_fft3_pencil_overlapped`] applies it (see
-/// `stage::pencil`).
+/// **Shim for `fftperf/`**: the time of [`Simulation::pencil`] run once.
+/// Goes with [`fft3_simulated`].
 ///
 /// # Panics
 /// When the real backend would reject `(spec, grid, params)`: a grid that
@@ -632,26 +572,27 @@ pub fn pencil_overlap_simulated_params(
     run.expect("a feasible pencil configuration").report.time
 }
 
-/// Simulated cost of the blocking pencil transform: three FFT sweeps and
-/// two pack/exchange/unpack rounds with nothing overlapped — the point of
-/// [`pencil_overlap_simulated_params`] with one tile per stage, no window
-/// and no polls (as [`Variant::Fftw`] is for the slab pipeline).
-pub fn pencil_simulated(platform: Platform, spec: ProblemSpec, grid: PencilGrid) -> f64 {
-    let blocking = pencil_blocking(&spec, grid);
-    pencil_overlap_simulated_params(platform, spec, grid, &blocking)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ParamError;
-    use crate::pencil::pencil_seed;
+    use crate::pencil::{pencil_blocking, pencil_seed};
     use crate::trace::DegradeAction;
     use simnet::model::{hopper, umd_cluster};
     use std::time::Duration;
 
     fn paper_spec() -> ProblemSpec {
         ProblemSpec::cube(256, 16)
+    }
+
+    /// NEW at the seed vector, for the setters under test to shape.
+    fn new_at_seed(spec: ProblemSpec) -> Simulation {
+        Simulation::slab(spec, Variant::New, TuningParams::seed(&spec)).expect("feasible seed")
+    }
+
+    fn reports(sim: Simulation, platform: Platform) -> Vec<SimReport> {
+        let runs = sim.run(platform).expect("nothing arms the watchdog");
+        runs.into_iter().map(|run| run.report).collect()
     }
 
     #[test]
@@ -735,7 +676,7 @@ mod tests {
         let spec = ProblemSpec::cube(128, 8);
         let seed = TuningParams::seed(&spec);
         let k = seed.tiles(&spec) as u64;
-        let reps = fft3_simulated_repeated(umd_cluster(), spec, Variant::New, seed, false, 4);
+        let reps = reports(new_at_seed(spec).repeated(4), umd_cluster());
         assert_eq!(reps.len(), 4);
         assert_eq!(reps[0].setup_charges, k, "first execution pays per tile");
         for (i, r) in reps.iter().enumerate().skip(1) {
@@ -754,9 +695,9 @@ mod tests {
     #[test]
     fn repeated_transforms_are_deterministic_and_stable() {
         let spec = ProblemSpec::cube(64, 4);
-        let seed = TuningParams::seed(&spec);
-        let a = fft3_simulated_repeated(hopper(), spec, Variant::New, seed, true, 3);
-        let b = fft3_simulated_repeated(hopper(), spec, Variant::New, seed, true, 3);
+        let sim = new_at_seed(spec).skip_fixed_steps().repeated(3);
+        let a = reports(sim.clone(), hopper());
+        let b = reports(sim, hopper());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.time, y.time);
             assert_eq!(x.steps, y.steps);
@@ -798,23 +739,24 @@ mod tests {
         );
     }
 
-    fn multi(platform: Platform, spec: ProblemSpec, narrays: usize) -> MultiReport {
-        let params = TuningParams::seed(&spec);
-        try_multi_simulated(platform, spec, params, narrays, &Resilience::default())
-            .expect("multi-array pipeline")
+    /// A fused train of `narrays` and the same workload as back-to-back
+    /// single-array transforms.
+    fn train(sim: Simulation, platform: Platform, narrays: usize) -> (Execution, f64) {
+        let single = sim.first(platform.clone()).expect("single array");
+        let fused = sim.arrays(narrays).first(platform).expect("train");
+        (fused, single.report.time * narrays as f64)
     }
 
     #[test]
     fn fused_multi_array_beats_sequential() {
-        let rep = multi(umd_cluster(), paper_spec(), 4);
+        let (fused, sequential) = train(new_at_seed(paper_spec()), umd_cluster(), 4);
         assert!(
-            rep.fused_time < rep.sequential_time,
-            "fused {:.3}s must beat sequential {:.3}s",
-            rep.fused_time,
-            rep.sequential_time
+            fused.report.time < sequential,
+            "fused {:.3}s must beat sequential {sequential:.3}s",
+            fused.report.time
         );
         assert!(
-            rep.recovery.clean(),
+            fused.recovery.clean(),
             "nothing should degrade on a clean run"
         );
     }
@@ -832,9 +774,9 @@ mod tests {
                 threads,
                 ..TuningParams::seed(&spec)
             };
-            let rep = try_multi_simulated(platform, spec, params, 1, &Resilience::default())
-                .expect("one-array train");
-            let ratio = rep.fused_time / rep.sequential_time;
+            let sim = Simulation::slab(spec, Variant::New, params).expect("feasible");
+            let (fused, sequential) = train(sim, platform, 1);
+            let ratio = fused.report.time / sequential;
             assert!(
                 (0.8..=1.05).contains(&ratio),
                 "threads {threads}: ratio {ratio}"
@@ -845,8 +787,8 @@ mod tests {
     #[test]
     fn gain_grows_with_array_count() {
         let gain = |n| {
-            let r = multi(umd_cluster(), paper_spec(), n);
-            r.sequential_time / r.fused_time
+            let (fused, sequential) = train(new_at_seed(paper_spec()), umd_cluster(), n);
+            sequential / fused.report.time
         };
         let (g2, g6) = (gain(2), gain(6));
         assert!(g6 >= g2 * 0.99, "g2={g2:.3} g6={g6:.3}");
@@ -857,31 +799,23 @@ mod tests {
     #[test]
     fn zero_arrays_is_a_typed_error() {
         let spec = ProblemSpec::cube(64, 4);
-        let params = TuningParams::seed(&spec);
-        match try_multi_simulated(umd_cluster(), spec, params, 0, &Resilience::default()) {
-            Err(Error::EmptyBatch) => {}
-            other => panic!("expected EmptyBatch, got {other:?}"),
-        }
+        let none = new_at_seed(spec).arrays(0).run(umd_cluster());
+        assert_eq!(none.map(|runs| runs.len()), Err(Error::EmptyBatch));
         // Zero ranks used to divide by zero in the feasibility check.
         let nobody = ProblemSpec { p: 0, ..spec };
-        match try_multi_simulated(umd_cluster(), nobody, params, 2, &Resilience::default()) {
-            Err(Error::InfeasibleParams(ParamError::ZeroRanks)) => {}
-            other => panic!("expected InfeasibleParams(ZeroRanks), got {other:?}"),
-        }
+        let refused = Simulation::slab(nobody, Variant::New, TuningParams::seed(&spec));
+        assert_eq!(refused.err(), Some(ParamError::ZeroRanks.into()));
     }
 
     /// Pinned regression (ISSUE #10 satellite 1): infeasible tuning
-    /// parameters surface as [`Error::InfeasibleParams`] through the
-    /// fallible baseline, not as a garbage cost estimate or a panic.
+    /// parameters surface as [`Error::InfeasibleParams`] from the public
+    /// constructor, not as a garbage cost estimate or a panic.
     #[test]
     fn infeasible_params_are_a_typed_error() {
         let spec = ProblemSpec::cube(64, 4);
         let mut params = TuningParams::seed(&spec);
         params.t = spec.nz + 1; // tile taller than the axis
-        match try_multi_simulated(umd_cluster(), spec, params, 2, &Resilience::default()) {
-            Err(Error::InfeasibleParams(ParamError::TileSize(_))) => {}
-            other => panic!("expected InfeasibleParams(TileSize), got {other:?}"),
-        }
+
         // TH and FFTW share the tile-size rule, and zero ranks are rejected
         // before anything divides by `p`, whatever the variant.
         let nobody = ProblemSpec { p: 0, ..spec };
@@ -890,8 +824,8 @@ mod tests {
                 (spec, params, ParamError::TileSize(params.t)),
                 (nobody, TuningParams::seed(&nobody), ParamError::ZeroRanks),
             ] {
-                let got = try_fft3_simulated(umd_cluster(), spec, variant, params, false);
-                assert_eq!(got.map(|rep| rep.time), Err(want.into()), "{variant:?}");
+                let got = Simulation::slab(spec, variant, params);
+                assert_eq!(got.err(), Some(want.into()), "{variant:?}");
             }
         }
     }
@@ -902,22 +836,21 @@ mod tests {
     #[test]
     fn straggler_during_job_train_degrades_instead_of_hanging() {
         let spec = paper_spec();
-        let params = TuningParams::seed(&spec);
+        let pair = new_at_seed(spec).arrays(2);
         // Budget each wait at the *whole* clean run's duration: no single
         // clean wait can exceed it, so a clean run never trips…
-        let clean = multi(umd_cluster(), spec, 2);
-        let res = Resilience {
-            stall_timeout: Some(Duration::from_secs_f64(clean.fused_time)),
-            ..Resilience::default()
-        };
-        let calm = try_multi_simulated(umd_cluster(), spec, params, 2, &res)
+        let clean = pair.first(umd_cluster()).expect("clean run").report.time;
+        let watched = pair.resilience(Resilience::with_timeout(Duration::from_secs_f64(clean)));
+        let calm = watched
+            .first(umd_cluster())
             .unwrap_or_else(|e| panic!("clean run failed under watchdog: {e}"));
         assert_eq!(calm.recovery.stalls_detected, 0, "{:?}", calm.recovery);
 
         // …while a 200× compute straggler makes individual exchanges dwarf
         // the whole clean run and must be caught.
         let slow = umd_cluster().with_straggler(1, 200.0);
-        let rep = try_multi_simulated(slow, spec, params, 2, &res)
+        let rep = watched
+            .first(slow)
             .unwrap_or_else(|e| panic!("straggled run failed to degrade: {e}"));
         assert!(
             rep.recovery.stalls_detected > 0,
@@ -930,7 +863,7 @@ mod tests {
             rep.recovery.actions
         );
         assert!(
-            rep.fused_time > clean.fused_time,
+            rep.report.time > clean,
             "straggled run should still be slower end to end"
         );
     }
@@ -940,7 +873,8 @@ mod tests {
     #[test]
     fn disarmed_watchdog_never_reports() {
         let slow = umd_cluster().with_straggler(1, 50.0);
-        let rep = multi(slow, paper_spec(), 2);
+        let rep = new_at_seed(paper_spec()).arrays(2).first(slow);
+        let rep = rep.expect("disarmed run");
         assert!(rep.recovery.clean(), "{:?}", rep.recovery);
     }
 
@@ -950,7 +884,12 @@ mod tests {
         // hides exchange time on the communication-bound UMD model.
         let spec = paper_spec();
         let grid = PencilGrid::near_square(16);
-        let blocking = pencil_simulated(umd_cluster(), spec, grid);
+        let blocking = pencil_overlap_simulated_params(
+            umd_cluster(),
+            spec,
+            grid,
+            &pencil_blocking(&spec, grid),
+        );
         assert!(blocking > 0.0 && blocking.is_finite());
         let overlapped =
             pencil_overlap_simulated_params(umd_cluster(), spec, grid, &pencil_seed(&spec, grid));

@@ -217,7 +217,7 @@ pub(crate) fn slab(
 }
 
 /// The overlapped pencil pipeline as two stages, honouring the tuning
-/// vector the way [`crate::pencil::try_fft3_pencil_overlapped`] does: `t`
+/// vector the way [`crate::PencilSession`] does: `t`
 /// planes per tile along the tiled axis, window `w`, `fp` polls before each
 /// post, `fu` + `fy` (row stage) or `fu` + `fx` (column stage) after each
 /// wait. Ranks are priced at the largest block of each split, and every

@@ -5,10 +5,11 @@
 use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::decomp::AxisSplit;
-use fft3d::real_env::{compare_with_serial, fft3_dist, local_test_slab};
+use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array, test_field};
 use fft3d::{
-    Checkpoint, ComputeSource, ProblemSpec, ReplicaSource, SlabSource, TuningParams, Variant,
+    Checkpoint, ComputeSource, FftSession, ProblemSpec, ReplicaSource, SlabSource, TuningParams,
+    Variant,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -72,9 +73,7 @@ proptest! {
         let reference = Arc::new(reference);
         let errs = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = fft3_dist(
-                &comm, spec, Variant::New, params, Direction::Forward, Rigor::Estimate, &input,
-            );
+            let out = FftSession::new(&comm, spec, Variant::New, params, Direction::Forward, Rigor::Estimate).execute(&input).expect("clean run");
             compare_with_serial(&spec, comm.rank(), &out, &reference)
         });
         let tol = 1e-9 * spec.len() as f64;

@@ -429,7 +429,7 @@ pub trait PayloadBits {
     const BITS: u32;
 
     /// Folds this element's bit pattern into the running lane state `h` of
-    /// a [`checksum`], one [`fold_word`] round per 64-bit word.
+    /// a [`checksum`], one `fold_word` round per 64-bit word.
     fn fold_bits(&self, h: u64) -> u64;
 
     /// Flips bit `bit ∈ [0, Self::BITS)` of this element's representation.
@@ -505,7 +505,7 @@ const LANES: usize = 8;
 ///
 /// Deterministic, and sensitive to length and order (within a lane by the
 /// chain, across lanes by the seeds and the final fold). Every step
-/// ([`fold_word`]) is a bijection of its lane's state and never maps two
+/// (`fold_word`) is a bijection of its lane's state and never maps two
 /// values of one word to the same state, so a change confined to one word of
 /// one element — any single flipped bit in particular — changes that lane
 /// and therefore the sum *with certainty*, not merely with high probability.

@@ -471,9 +471,8 @@ pub fn explore_corruption(
 ) -> ExploreReport {
     use cfft::planner::Rigor;
     use cfft::Direction;
-    use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist_traced, Variant};
-    use fft3d::trace::NoopRecorder;
-    use fft3d::{DegradeAction, ProblemSpec, Resilience, TuningParams};
+    use fft3d::real_env::{compare_with_serial, local_test_slab, Variant};
+    use fft3d::{DegradeAction, FftSession, ProblemSpec, TuningParams};
 
     assert!(victim < cfg.ranks, "victim must be a world rank");
     let spec = ProblemSpec::cube(grid, cfg.ranks);
@@ -513,18 +512,15 @@ pub fn explore_corruption(
             // Side-effect-free plan probe: am I the bit-flip victim here?
             let flipped = (0..tiles).any(|t| comm.bitflip_point(t).is_some());
             let input = local_test_slab(&spec, comm.rank());
-            let mut recorder = NoopRecorder;
-            let out = try_fft3_dist_traced(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
-                &Resilience::default(),
-                &mut recorder,
             )
+            .execute(&input)
             .unwrap_or_else(|e| panic!("integrity fault escaped healing: {e}"));
             if flipped {
                 assert!(
@@ -554,8 +550,8 @@ pub fn explore_corruption(
 /// The service acceptance sweep: the co-scheduling shape of
 /// `fft3d::service` on real collectives — a same-geometry job train
 /// through one [`fft3d::FftSession`] (the shared persistent-plan path)
-/// with a *foreign-geometry* tenant job (`try_fft3_dist` on a different
-/// problem shape) interleaved between the train's executions, all on one
+/// with a *foreign-geometry* tenant job (a session of its own, executed
+/// once, on a different problem shape) interleaved between the train's executions, all on one
 /// communicator under every delivery interleaving. Checked mode rides
 /// along: cross-tenant plan interference (a foreign exchange matched
 /// against a registered schedule), a leaked plan, or an output deviating
@@ -567,7 +563,7 @@ pub fn explore_service(
 ) -> ExploreReport {
     use cfft::planner::Rigor;
     use cfft::Direction;
-    use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist, Variant};
+    use fft3d::real_env::{compare_with_serial, local_test_slab, Variant};
     use fft3d::{FftSession, ProblemSpec, TuningParams};
 
     // Tenant A's job train: a cube, run twice through one session.
@@ -605,15 +601,15 @@ pub fn explore_service(
             // The foreign tenant's job runs while A's plans stay
             // registered — the cross-tenant interleaving of the service.
             let input_b = local_test_slab(&spec_b, comm.rank());
-            let other = try_fft3_dist(
+            let other = FftSession::new(
                 &comm,
                 spec_b,
                 Variant::New,
                 params_b,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input_b,
             )
+            .execute(&input_b)
             .unwrap_or_else(|e| panic!("foreign-tenant job faulted: {e}"));
             worst = worst.max(compare_with_serial(&spec_b, comm.rank(), &other, &ref_b));
             let second = session

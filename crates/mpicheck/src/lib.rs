@@ -3,7 +3,7 @@
 //!
 //! Three cooperating passes (DESIGN.md §12):
 //!
-//! 1. **Deterministic schedule exploration** ([`explore`]): replays a world
+//! 1. **Deterministic schedule exploration** ([`mod@explore`]): replays a world
 //!    under many message-delivery interleavings — seeded random schedules
 //!    plus a bounded systematic (DPOR-lite) mask sweep — using mpisim's
 //!    virtual scheduler. A failing schedule is identified by a descriptor

@@ -27,8 +27,7 @@
 //!   SL008 does the per-path reasoning.
 //! * **SL004** (error) — direct `Planner::new` outside `crates/cfft/src`;
 //!   consumers must draw plans from `PlanCache::global()`. Every transform
-//!   entry point is in scope, the pencil family (`try_fft3_pencil*`,
-//!   `PencilSession`) as much as the slab `fft3_dist*` paths.
+//!   entry point is in scope, `PencilSession` as much as `FftSession`.
 //! * **SL005** (error) — `.expect(` in a recovery-path or service module
 //!   (path contains `recover` or `service`): recovery code must degrade,
 //!   never die, and the multi-tenant service scheduler must never take

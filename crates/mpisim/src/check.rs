@@ -1,7 +1,7 @@
 //! Dynamic verification instrumentation — the runtime half of `mpicheck`.
 //!
 //! Three cooperating mechanisms, all wired into the message path of
-//! [`crate::world::World`] and activated only when a run is launched with a
+//! `crate::world::World` and activated only when a run is launched with a
 //! [`CheckConfig`] (via [`crate::run_with_config`]):
 //!
 //! 1. **Virtual scheduler** ([`SchedConfig`]): every message delivery

@@ -16,17 +16,18 @@
 //! * [`engine::Engine`] — a conservative virtual-time stepper: it always
 //!   resumes the runnable rank with the minimum clock, so runs are exactly
 //!   reproducible.
-//! * [`proc::SimRank`] — the per-rank API: `compute`, `post_alltoall`,
-//!   `compute_with_polls` (manual progression), `wait`,
-//!   `blocking_alltoall`, `barrier`; the calls that consult the engine are
-//!   `async`.
+//! * [`proc::SimRank`] — the per-rank API: `compute`,
+//!   `alltoall_init_in_group` + `start` (a persistent plan and its
+//!   executions), `compute_with_polls` (manual progression), `wait`,
+//!   `barrier`; the calls that consult the engine are `async`.
 //!
 //! ```
 //! use simnet::{run_sim, model::umd_cluster};
 //!
 //! // Four ranks overlap a 1 MiB-per-peer alltoall with 30 ms of compute.
 //! let finish = run_sim(umd_cluster(), 4, async |sim| {
-//!     let op = sim.post_alltoall(1 << 20).await;
+//!     let plan = sim.alltoall_init_in_group(sim.size(), 1 << 20);
+//!     let op = sim.start(plan).await;
 //!     sim.compute_with_polls(0.030, 64, &[op]).await;
 //!     sim.wait(op).await;
 //!     sim.now()

@@ -24,12 +24,12 @@ use crate::time::SimTime;
 use std::rc::Rc;
 
 /// Handle to an in-flight non-blocking all-to-all: its index among the
-/// non-blocking collectives this rank has posted.
+/// plan executions this rank has started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpId(usize);
 
 /// Handle to a persistent all-to-all plan created by
-/// [`SimRank::alltoall_init`]: the setup-once half of MPI's
+/// [`SimRank::alltoall_init_in_group`]: the setup-once half of MPI's
 /// `MPI_Alltoall_init` / `MPI_Start` split. The schedule shape is resolved
 /// and the post overhead charged at init; every subsequent
 /// [`SimRank::start`] begins an execution with **zero setup cost**.
@@ -91,7 +91,7 @@ pub struct SimRank {
     /// Every non-blocking all-to-all this rank has posted, in post order
     /// (an [`OpId`] is an index here; nothing is ever removed).
     ops: Vec<LocalOp>,
-    /// Persistent plans created by [`Self::alltoall_init`].
+    /// Persistent plans created by [`Self::alltoall_init_in_group`].
     plans: Vec<A2aPlan>,
     /// Times this rank paid the per-collective setup charge
     /// (`post_overhead`). Persistent executions after init never bump it —
@@ -210,19 +210,17 @@ impl SimRank {
         self.clock += SimTime::from_secs_f64(secs * f);
     }
 
-    /// Posts a non-blocking all-to-all moving `bytes_per_peer` to every
-    /// peer. Charges the post overhead and makes one free progression
-    /// attempt (real NBC implementations kick round 0 at post time).
-    pub async fn post_alltoall(&mut self, bytes_per_peer: u64) -> OpId {
-        self.post_alltoall_in_group(self.size, bytes_per_peer).await
-    }
-
-    /// Posts a non-blocking all-to-all among a *subgroup* of `group` ranks
-    /// (e.g. the row/column communicators of a pencil decomposition). The
-    /// rendezvous is still global — valid for the symmetric schedules this
-    /// simulator targets, where every subgroup runs the same program — but
-    /// the round structure and bandwidth model use the subgroup size.
-    pub async fn post_alltoall_in_group(&mut self, group: usize, bytes_per_peer: u64) -> OpId {
+    /// Creates a persistent all-to-all plan among a group of `group` ranks —
+    /// the whole world, or e.g. the row/column communicators of a pencil
+    /// decomposition (the `MPI_Alltoall_init` half of the
+    /// persistent-collective split). The schedule shape is resolved and
+    /// `post_overhead` charged **now, once**; every later [`Self::start`]
+    /// of this plan posts with zero setup cost. The rendezvous of a
+    /// subgroup's executions is still global — valid for the symmetric
+    /// schedules this simulator targets, where every subgroup runs the same
+    /// program — but the round structure and bandwidth model use the
+    /// subgroup size.
+    pub fn alltoall_init_in_group(&mut self, group: usize, bytes_per_peer: u64) -> PlanId {
         assert!(
             group >= 1 && group <= self.size,
             "group must be within the world"
@@ -230,13 +228,27 @@ impl SimRank {
         self.clock += self.platform.net.post_overhead(group);
         self.setup_charges += 1;
         let shape = self.platform.net.shape(group, bytes_per_peer);
-        self.launch(shape, group).await
+        self.plans.push(A2aPlan {
+            shape,
+            group,
+            executions: 0,
+        });
+        PlanId(self.plans.len() - 1)
     }
 
-    /// Posts the rendezvous of a new collective at the current clock, adds
-    /// its round state machine and makes the free progression attempt every
-    /// post gets.
-    async fn launch(&mut self, shape: A2aShape, group: usize) -> OpId {
+    /// Starts one execution of a persistent plan (`MPI_Start`): the
+    /// rendezvous is posted at the current clock, the execution's round
+    /// state machine added, and round 0 gets the free progression attempt
+    /// real NBC implementations make at post time — but no `post_overhead`
+    /// is charged: setup was paid at init. Returns the [`OpId`] that
+    /// `test`/`wait` drive.
+    pub async fn start(&mut self, plan: PlanId) -> OpId {
+        let p = self
+            .plans
+            .get_mut(plan.0)
+            .expect("start on unknown persistent plan");
+        p.executions += 1;
+        let (shape, group) = (p.shape, p.group);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.engine.post(self.rank, self.clock, seq).await;
@@ -255,55 +267,13 @@ impl SimRank {
         op
     }
 
-    /// Creates a persistent all-to-all plan over the whole world (the
-    /// `MPI_Alltoall_init` half of the persistent-collective split). The
-    /// schedule shape is resolved and `post_overhead` charged **now, once**;
-    /// every later [`Self::start`] of this plan posts with zero setup cost.
-    pub fn alltoall_init(&mut self, bytes_per_peer: u64) -> PlanId {
-        self.alltoall_init_in_group(self.size, bytes_per_peer)
-    }
-
-    /// Subgroup variant of [`Self::alltoall_init`], mirroring
-    /// [`Self::post_alltoall_in_group`].
-    pub fn alltoall_init_in_group(&mut self, group: usize, bytes_per_peer: u64) -> PlanId {
-        assert!(
-            group >= 1 && group <= self.size,
-            "group must be within the world"
-        );
-        self.clock += self.platform.net.post_overhead(group);
-        self.setup_charges += 1;
-        let shape = self.platform.net.shape(group, bytes_per_peer);
-        self.plans.push(A2aPlan {
-            shape,
-            group,
-            executions: 0,
-        });
-        PlanId(self.plans.len() - 1)
-    }
-
-    /// Starts one execution of a persistent plan (`MPI_Start`): the
-    /// rendezvous is posted and round 0 gets its free progression attempt,
-    /// but no `post_overhead` is charged — setup was paid at init. Returns
-    /// an [`OpId`] driven with the same `test`/`wait` calls as an ad-hoc
-    /// post.
-    pub async fn start(&mut self, plan: PlanId) -> OpId {
-        let p = self
-            .plans
-            .get_mut(plan.0)
-            .expect("start on unknown persistent plan");
-        p.executions += 1;
-        let (shape, group) = (p.shape, p.group);
-        self.launch(shape, group).await
-    }
-
     /// Executions started so far on `plan`.
     pub fn plan_executions(&self, plan: PlanId) -> u64 {
         self.plans[plan.0].executions
     }
 
-    /// Times this rank paid a collective setup charge (`post_overhead`).
-    /// Ad-hoc posts and `alltoall_init` each bump it once; persistent
-    /// [`Self::start`] never does.
+    /// Times this rank paid a collective setup charge (`post_overhead`):
+    /// once per plan init and once per barrier; [`Self::start`] never does.
     #[inline]
     pub fn setup_charges(&self) -> u64 {
         self.setup_charges
@@ -415,10 +385,10 @@ impl SimRank {
         t
     }
 
-    /// Blocking all-to-all (the FFTW baseline's `MPI_Alltoall`): rendezvous
-    /// with all ranks, then the full exchange at blocking-collective
-    /// efficiency. Returns `(ready_time, completion_time)`.
-    pub async fn blocking_alltoall(&mut self, bytes_per_peer: u64) -> (SimTime, SimTime) {
+    /// Blocking all-to-all: rendezvous with all ranks, then the full
+    /// exchange at blocking-collective efficiency. Returns
+    /// `(ready_time, completion_time)`.
+    async fn blocking_alltoall(&mut self, bytes_per_peer: u64) -> (SimTime, SimTime) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.clock += self.platform.net.post_overhead(self.size);
@@ -497,10 +467,17 @@ mod tests {
     use crate::model::umd_cluster;
     use crate::run_sim;
 
+    /// A world-wide exchange of a plan of its own: init (paying the setup
+    /// charge) and start.
+    async fn post(sim: &mut SimRank, bytes_per_peer: u64) -> OpId {
+        let plan = sim.alltoall_init_in_group(sim.size(), bytes_per_peer);
+        sim.start(plan).await
+    }
+
     #[test]
     fn single_rank_alltoall_completes_at_post() {
         let times = run_sim(umd_cluster(), 1, async |sim| {
-            let op = sim.post_alltoall(1 << 20).await;
+            let op = post(sim, 1 << 20).await;
             sim.wait(op).await;
             sim.now()
         });
@@ -513,7 +490,7 @@ mod tests {
         let p = 4;
         let bytes = 1 << 20;
         let times = run_sim(umd_cluster(), p, async move |sim| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute(0.01); // compute with zero polls: no progression
             let end = sim.wait(op).await;
             (end, sim.now())
@@ -545,7 +522,7 @@ mod tests {
         let comm = plat.net.blocking_duration(p, bytes).as_secs_f64();
         let compute = comm * 1.5; // compute-heavy: overlap can hide comm fully
         let times = run_sim(umd_cluster(), p, async move |sim| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(compute, 200, &[op]).await;
             sim.wait(op).await;
             sim.now().as_secs_f64()
@@ -568,7 +545,7 @@ mod tests {
         let compute = comm * 1.5;
         let run_with_polls = |polls: u32| {
             run_sim(umd_cluster(), p, async move |sim| {
-                let op = sim.post_alltoall(bytes).await;
+                let op = post(sim, bytes).await;
                 sim.compute_with_polls(compute, polls, &[op]).await;
                 sim.wait(op).await;
                 sim.now().as_secs_f64()
@@ -587,13 +564,13 @@ mod tests {
         let p = 4;
         let bytes = 64 * 1024;
         let times_few = run_sim(umd_cluster(), p, async move |sim| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(0.005, 32, &[op]).await;
             sim.wait(op).await;
             sim.now().as_secs_f64()
         });
         let times_many = run_sim(umd_cluster(), p, async move |sim| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(0.005, 50_000, &[op]).await;
             sim.wait(op).await;
             sim.now().as_secs_f64()
@@ -612,7 +589,7 @@ mod tests {
         let bytes = 1 << 18;
         let logs = run_sim(umd_cluster(), p, async move |sim| {
             sim.enable_poll_log();
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(0.005, 16, &[op]).await;
             sim.wait(op).await;
             (sim.take_poll_log(), sim.test_calls())
@@ -641,7 +618,7 @@ mod tests {
     #[test]
     fn poll_log_is_empty_when_disabled() {
         let logs = run_sim(umd_cluster(), 2, async |sim| {
-            let op = sim.post_alltoall(1024).await;
+            let op = post(sim, 1024).await;
             sim.compute_with_polls(0.001, 4, &[op]).await;
             sim.wait(op).await;
             sim.take_poll_log()
@@ -664,10 +641,10 @@ mod tests {
     fn runs_are_deterministic() {
         let go = || {
             run_sim(umd_cluster(), 6, async |sim| {
-                let op = sim.post_alltoall(123_456).await;
+                let op = post(sim, 123_456).await;
                 sim.compute_with_polls(0.003, 17, &[op]).await;
                 sim.wait(op).await;
-                let op2 = sim.post_alltoall(7_777).await;
+                let op2 = post(sim, 7_777).await;
                 sim.compute_with_polls(0.001, 3, &[op2]).await;
                 sim.wait(op2).await;
                 sim.now()
@@ -687,7 +664,7 @@ mod tests {
         let bytes = 1 << 16;
         let body = async |sim: &mut SimRank| {
             sim.compute(0.01);
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(0.005, 50, &[op]).await;
             sim.wait(op).await;
             sim.now()
@@ -718,7 +695,7 @@ mod tests {
         let p = 4;
         let bytes = 1 << 20;
         let body = async |sim: &mut SimRank| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.wait(op).await
         };
         let healthy = run_sim(umd_cluster(), p, body)[0];
@@ -738,7 +715,7 @@ mod tests {
         };
         let go = || {
             run_sim(plat(), 4, async |sim| {
-                let op = sim.post_alltoall(200_000).await;
+                let op = post(sim, 200_000).await;
                 sim.compute_with_polls(0.004, 13, &[op]).await;
                 sim.wait(op).await;
                 sim.now()
@@ -753,16 +730,17 @@ mod tests {
         let p = 4;
         let bytes = 1 << 20;
         let reps = 5u64;
-        // Ad-hoc: every post pays post_overhead. Persistent: only init does.
-        let adhoc = run_sim(umd_cluster(), p, async move |sim| {
+        // A fresh plan per exchange pays post_overhead every time; one plan
+        // started `reps` times pays it once, at init.
+        let fresh = run_sim(umd_cluster(), p, async move |sim| {
             for _ in 0..reps {
-                let op = sim.post_alltoall(bytes).await;
+                let op = post(sim, bytes).await;
                 sim.wait(op).await;
             }
             (sim.now(), sim.setup_charges())
         });
         let persistent = run_sim(umd_cluster(), p, async move |sim| {
-            let plan = sim.alltoall_init(bytes);
+            let plan = sim.alltoall_init_in_group(sim.size(), bytes);
             for _ in 0..reps {
                 let op = sim.start(plan).await;
                 sim.wait(op).await;
@@ -771,47 +749,21 @@ mod tests {
         });
         let overhead = umd_cluster().net.post_overhead(p);
         for r in 0..p {
-            let (t_adhoc, c_adhoc) = adhoc[r];
+            let (t_fresh, c_fresh) = fresh[r];
             let (t_pers, c_pers, execs) = persistent[r];
-            assert_eq!(c_adhoc, reps, "ad-hoc pays setup per execution");
+            assert_eq!(c_fresh, reps, "a fresh plan pays setup per exchange");
             assert_eq!(c_pers, 1, "persistent pays setup exactly once");
             assert_eq!(execs, reps);
             // The saved virtual time is exactly the skipped setup charges.
-            assert_eq!(t_adhoc - t_pers, overhead * (reps - 1));
+            assert_eq!(t_fresh - t_pers, overhead * (reps - 1));
         }
-    }
-
-    #[test]
-    fn persistent_executions_match_adhoc_round_structure() {
-        // Beyond the setup charge, a persistent execution is the same
-        // collective: same readiness rendezvous, same rounds, same
-        // progression rules under polling.
-        let p = 6;
-        let bytes = 200_000;
-        let body_adhoc = async move |sim: &mut SimRank| {
-            let op = sim.post_alltoall(bytes).await;
-            sim.compute_with_polls(0.004, 13, &[op]).await;
-            sim.wait(op).await;
-            sim.now()
-        };
-        let body_pers = async move |sim: &mut SimRank| {
-            let plan = sim.alltoall_init(bytes);
-            let op = sim.start(plan).await;
-            sim.compute_with_polls(0.004, 13, &[op]).await;
-            sim.wait(op).await;
-            sim.now()
-        };
-        let a = run_sim(umd_cluster(), p, body_adhoc);
-        let b = run_sim(umd_cluster(), p, body_pers);
-        // First persistent execution == ad-hoc (init charges what post did).
-        assert_eq!(a, b);
     }
 
     #[test]
     fn persistent_plans_stay_deterministic_across_runs() {
         let go = || {
             run_sim(umd_cluster().with_straggler(1, 2.0), 4, async |sim| {
-                let plan = sim.alltoall_init(123_456);
+                let plan = sim.alltoall_init_in_group(sim.size(), 123_456);
                 for _ in 0..3 {
                     let op = sim.start(plan).await;
                     sim.compute_with_polls(0.002, 9, &[op]).await;
@@ -831,13 +783,13 @@ mod tests {
         let p = 4;
         let bytes = 1 << 20;
         let one = run_sim(umd_cluster(), p, async move |sim| {
-            let op = sim.post_alltoall(bytes).await;
+            let op = post(sim, bytes).await;
             sim.compute_with_polls(1.0, 5_000, &[op]).await;
             sim.wait(op).await
         })[0];
         let two = run_sim(umd_cluster(), p, async move |sim| {
-            let a = sim.post_alltoall(bytes).await;
-            let b = sim.post_alltoall(bytes).await;
+            let a = post(sim, bytes).await;
+            let b = post(sim, bytes).await;
             sim.compute_with_polls(1.0, 5_000, &[a, b]).await;
             let ea = sim.wait(a).await;
             let eb = sim.wait(b).await;

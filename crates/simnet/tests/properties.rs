@@ -19,7 +19,8 @@ proptest! {
     ) {
         let go = || {
             run_sim(umd_cluster(), p, async move |sim| {
-                let op = sim.post_alltoall(bytes).await;
+                let plan = sim.alltoall_init_in_group(sim.size(), bytes);
+                let op = sim.start(plan).await;
                 sim.compute_with_polls(compute_us as f64 * 1e-6, polls, &[op]).await;
                 sim.wait(op).await;
                 sim.now()
@@ -40,7 +41,8 @@ proptest! {
             // Stagger the posts: the last poster defines readiness.
             sim.compute(sim.rank() as f64 * stagger_us as f64 * 1e-6);
             let before = sim.now();
-            let op = sim.post_alltoall(bytes).await;
+            let plan = sim.alltoall_init_in_group(sim.size(), bytes);
+            let op = sim.start(plan).await;
             let end = sim.wait(op).await;
             prop_assert!(end >= before);
             Ok(end)
@@ -60,7 +62,8 @@ proptest! {
     ) {
         let run_with = |polls: u32| {
             run_sim(umd_cluster(), p, async move |sim| {
-                let op = sim.post_alltoall(bytes).await;
+                let plan = sim.alltoall_init_in_group(sim.size(), bytes);
+                let op = sim.start(plan).await;
                 sim.compute_with_polls(0.01, polls, &[op]).await;
                 sim.wait(op).await;
                 sim.now().as_secs_f64()

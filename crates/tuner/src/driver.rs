@@ -193,9 +193,10 @@ fn wider_simplex(seed: &[f64], dim_lens: &[usize], step: usize) -> Vec<Vec<f64>>
 pub const DEFAULT_MAX_EVALS: usize = 160;
 
 /// Auto-tunes the ten NEW parameters for `spec` against `objective`
-/// (seconds; lower is better). The objective is typically
-/// `fft3d::fft3_simulated(..., skip_fixed_steps = true).time` or a real
-/// measured run.
+/// (seconds; lower is better). The objective is typically the time of a
+/// `fft3d::sim_env::Simulation::slab(..)` run with `.skip_fixed_steps()` —
+/// only feasible vectors reach it, so the constructor never refuses — or a
+/// real measured run.
 pub fn tune_new<'a>(
     spec: &ProblemSpec,
     objective: impl FnMut(&TuningParams) -> f64 + 'a,
@@ -217,8 +218,9 @@ pub fn tune_new<'a>(
 /// Auto-tunes the overlapped pencil backend: the eleven NEW knobs **plus
 /// the process-grid shape** `(pr, pc)`, searched as a constrained
 /// dimension over the divisor pairs of `spec.p`. The objective is
-/// typically `fft3d::pencil_overlap_simulated_params` or a real measured
-/// run; the seed is [`pencil_seed`] on the near-square grid.
+/// typically the time of a `fft3d::sim_env::Simulation::pencil(..)` run or
+/// a real measured run; the seed is [`pencil_seed`] on the near-square
+/// grid.
 pub fn tune_pencil<'a>(
     spec: &ProblemSpec,
     objective: impl FnMut(&(TuningParams, PencilGrid)) -> f64 + 'a,
@@ -368,17 +370,15 @@ mod tests {
         use simnet::model::umd_cluster;
         let s = ProblemSpec::cube(128, 8);
         let seed_grid = PencilGrid::near_square(8);
-        let seed_cost = fft3d::pencil_overlap_simulated_params(
-            umd_cluster(),
-            s,
-            seed_grid,
-            &pencil_seed(&s, seed_grid),
-        );
-        let res = tune_pencil(
-            &s,
-            |(p, g)| fft3d::pencil_overlap_simulated_params(umd_cluster(), s, *g, p),
-            60,
-        );
+        // Only feasible `(vector, grid)` pairs reach the objective.
+        let cost = |p: &TuningParams, g: PencilGrid| {
+            let sim = fft3d::sim_env::Simulation::pencil(s, g, *p).expect("feasible");
+            sim.run(umd_cluster()).expect("no watchdog armed")[0]
+                .report
+                .time
+        };
+        let seed_cost = cost(&pencil_seed(&s, seed_grid), seed_grid);
+        let res = tune_pencil(&s, |(p, g)| cost(p, *g), 60);
         assert!(
             res.best_value <= seed_cost + 1e-12,
             "tuned {} vs seed {seed_cost}",

@@ -50,10 +50,11 @@
 //!   co-scheduled pipelines of `fft3d::service` face every delivery
 //!   interleaving. Exit 1 on any MC finding, panic, re-negotiated plan
 //!   setup, or numerical deviation from either serial oracle.
-//! * `check` — `lint`, then `explore` with the acceptance-gate defaults
-//!   (≥ 200 schedules, 4 ranks, grid 8), then compact `pencil`, `explore
-//!   --executions 3`, `pencil --executions 3`, `recover`, `corrupt`, and
-//!   `serve` sweeps.
+//! * `check` — `lint`, then `RUSTDOCFLAGS="-D warnings" cargo doc
+//!   --workspace --no-deps` (no dangling intra-doc link), then `explore`
+//!   with the acceptance-gate defaults (≥ 200 schedules, 4 ranks, grid 8),
+//!   then compact `pencil`, `explore --executions 3`, `pencil --executions
+//!   3`, `recover`, `corrupt`, and `serve` sweeps.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -70,34 +71,100 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// One delivery-schedule sweep under mpisim's checked mode: a subcommand
+/// of its own and a gate of `check`.
+struct Sweep {
+    name: &'static str,
+    /// The count it takes besides the four flags every sweep shares
+    /// (default 1): executions per schedule, or the rank to hurt.
+    flag: Option<&'static str>,
+    /// What one schedule runs — the middle of the banner, `{}` the count.
+    what: &'static str,
+    /// The usage text: a headline, then continuation lines.
+    help: &'static [&'static str],
+    run: Explorer,
+}
+
+/// An mpicheck sweep: `(config, grid, the sweep's count, progress)`.
+type Explorer = fn(&ExploreConfig, usize, usize, fn(u64, u64)) -> ExploreReport;
+
+const SWEEPS: [Sweep; 5] = [
+    Sweep {
+        name: "explore",
+        flag: Some("--executions"),
+        what: "× {} execution(s) of one NEW-pipeline session",
+        help: &[
+            "sweep pipeline delivery schedules",
+            "(N executions of one session per",
+            "schedule; default 1)",
+        ],
+        run: |cfg, grid, n, progress| mpicheck::explore_pipeline(cfg, grid, n, progress),
+    },
+    Sweep {
+        name: "pencil",
+        flag: Some("--executions"),
+        what: "× {} execution(s) of one overlapped 2-D pencil session",
+        help: &[
+            "sweep the overlapped 2-D pencil",
+            "backend (row+column all-to-alls)",
+        ],
+        run: |cfg, grid, n, progress| mpicheck::explore_pencil(cfg, grid, n, progress),
+    },
+    Sweep {
+        name: "recover",
+        flag: Some("--victim"),
+        what: "× crash of rank {} at first/middle/last tile",
+        help: &[
+            "rank-death recovery sweep (crash at",
+            "first/middle/last tile per schedule)",
+        ],
+        run: |cfg, grid, n, progress| mpicheck::explore_crash_recovery(cfg, grid, n, progress),
+    },
+    Sweep {
+        name: "corrupt",
+        flag: Some("--victim"),
+        what: "× (clean + wire corruption + bit-flip in rank {} at first/middle/last tile)",
+        help: &[
+            "data-integrity sweep (clean + wire",
+            "corruption + memory bit-flips; zero",
+            "undetected corruptions gate)",
+        ],
+        run: |cfg, grid, n, progress| mpicheck::explore_corruption(cfg, grid, n, progress),
+    },
+    Sweep {
+        name: "serve",
+        flag: None,
+        what: "of a co-scheduled tenant mix (persistent job train + foreign-geometry job on one \
+               communicator)",
+        help: &[
+            "multi-tenant service sweep (job",
+            "train + foreign-geometry job",
+            "interleaved on one communicator)",
+        ],
+        run: |cfg, grid, _, progress| mpicheck::explore_service(cfg, grid, progress),
+    },
+];
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\
          \n\
          commands:\n\
          \x20 lint [--format text|json|sarif] [--output FILE]\n\
-         \x20      [--update-baseline]  run static analysis (SL001–SL014)\n\
-         \x20 explore [--seed-base N]   sweep pipeline delivery schedules\n\
-         \x20         [--ranks N] [--grid N] [--schedules N] [--executions N]\n\
-         \x20                           (N executions of one session per\n\
-         \x20                           schedule; default 1)\n\
-         \x20 pencil  [--seed-base N]   sweep the overlapped 2-D pencil\n\
-         \x20         [--ranks N] [--grid N] [--schedules N] [--executions N]\n\
-         \x20                           backend (row+column all-to-alls)\n\
-         \x20 recover [--seed-base N]   rank-death recovery sweep (crash at\n\
-         \x20         [--ranks N] [--grid N] [--schedules N] [--victim N]\n\
-         \x20                           first/middle/last tile per schedule)\n\
-         \x20 corrupt [--seed-base N]   data-integrity sweep (clean + wire\n\
-         \x20         [--ranks N] [--grid N] [--schedules N] [--victim N]\n\
-         \x20                           corruption + memory bit-flips; zero\n\
-         \x20                           undetected corruptions gate)\n\
-         \x20 serve   [--seed-base N]   multi-tenant service sweep (job\n\
-         \x20         [--ranks N] [--grid N] [--schedules N]\n\
-         \x20                           train + foreign-geometry job\n\
-         \x20                           interleaved on one communicator)\n\
-         \x20 check                     lint + explore + pencil (1 and 3\n\
-         \x20                           executions) + recover + corrupt\n\
-         \x20                           + serve (acceptance gate)"
+         \x20      [--update-baseline]  run static analysis (SL001–SL014)"
+    );
+    for sweep in &SWEEPS {
+        let flag = sweep.flag.map(|f| format!(" [{f} N]")).unwrap_or_default();
+        eprintln!("  {:<7} [--seed-base N]   {}", sweep.name, sweep.help[0]);
+        eprintln!("          [--ranks N] [--grid N] [--schedules N]{flag}");
+        for line in &sweep.help[1..] {
+            eprintln!("{:28}{line}", "");
+        }
+    }
+    eprintln!(
+        "  check                     lint + doc links + explore + pencil\n\
+         \x20                           (1 and 3 executions) + recover +\n\
+         \x20                           corrupt + serve (acceptance gate)"
     );
     ExitCode::FAILURE
 }
@@ -185,90 +252,42 @@ fn progress_bar(done: u64, total: u64) {
     }
 }
 
-/// Executions of one session per schedule (`--executions`, default 1).
-fn executions(args: &[String]) -> usize {
-    parse_flag(args, "--executions").unwrap_or(1) as usize
-}
-
-fn run_explore(args: &[String]) -> bool {
+fn run_sweep(sweep: &Sweep, args: &[String]) -> bool {
     let (cfg, grid) = sweep_config(args);
-    let executions = executions(args);
+    let count = sweep
+        .flag
+        .and_then(|flag| parse_flag(args, flag))
+        .unwrap_or(1);
     println!(
-        "explore: {} schedules × {executions} execution(s) of one NEW-pipeline session, \
-         grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
+        "{}: {} schedules {}, grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic \
+         sweep)",
+        sweep.name,
         cfg.schedules(),
+        sweep.what.replace("{}", &count.to_string()),
         cfg.ranks,
         cfg.random_seeds,
         cfg.systematic_bits
     );
-    let report = mpicheck::explore_pipeline(&cfg, grid, executions, progress_bar);
+    let report = (sweep.run)(&cfg, grid, count as usize, progress_bar);
     println!();
-    summarize("explore", &report)
+    summarize(sweep.name, &report)
 }
 
-fn run_pencil(args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    let executions = executions(args);
+/// `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`: a deleted
+/// or renamed item must not leave an intra-doc link dangling.
+fn run_doc(root: &Path) -> bool {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let status = std::process::Command::new(cargo)
+        .args(["doc", "--workspace", "--no-deps", "--quiet"])
+        .env("RUSTDOCFLAGS", "-D warnings")
+        .current_dir(root)
+        .status();
+    let ok = status.is_ok_and(|s| s.success());
     println!(
-        "pencil: {} schedules × {executions} execution(s) of one overlapped 2-D pencil \
-         session, grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
-        cfg.schedules(),
-        cfg.ranks,
-        cfg.random_seeds,
-        cfg.systematic_bits
+        "doc: intra-doc links {}",
+        if ok { "clean" } else { "FAILED" }
     );
-    let report = mpicheck::explore_pencil(&cfg, grid, executions, progress_bar);
-    println!();
-    summarize("pencil", &report)
-}
-
-fn run_recover(args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    let victim = parse_flag(args, "--victim").unwrap_or(1) as usize;
-    println!(
-        "recover: {} schedules × crash of rank {victim} at first/middle/last tile, \
-         grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic sweep)",
-        cfg.schedules(),
-        cfg.ranks,
-        cfg.random_seeds,
-        cfg.systematic_bits
-    );
-    let report = mpicheck::explore_crash_recovery(&cfg, grid, victim, progress_bar);
-    println!();
-    summarize("recover", &report)
-}
-
-fn run_corrupt(args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    let victim = parse_flag(args, "--victim").unwrap_or(1) as usize;
-    println!(
-        "corrupt: {} schedules × (clean + wire corruption + bit-flip in rank \
-         {victim} at first/middle/last tile), grid {grid}^3, {} ranks \
-         (random seeds {:?} + {}-bit systematic sweep)",
-        cfg.schedules(),
-        cfg.ranks,
-        cfg.random_seeds,
-        cfg.systematic_bits
-    );
-    let report = mpicheck::explore_corruption(&cfg, grid, victim, progress_bar);
-    println!();
-    summarize("corrupt", &report)
-}
-
-fn run_serve(args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    println!(
-        "serve: {} schedules of a co-scheduled tenant mix (persistent job \
-         train + foreign-geometry job on one communicator), grid {grid}^3, \
-         {} ranks (random seeds {:?} + {}-bit systematic sweep)",
-        cfg.schedules(),
-        cfg.ranks,
-        cfg.random_seeds,
-        cfg.systematic_bits
-    );
-    let report = mpicheck::explore_service(&cfg, grid, progress_bar);
-    println!();
-    summarize("serve", &report)
+    ok
 }
 
 fn summarize(pass: &str, report: &ExploreReport) -> bool {
@@ -297,48 +316,48 @@ fn summarize(pass: &str, report: &ExploreReport) -> bool {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = workspace_root();
-    let ok = match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&root, &args[1..]),
-        Some("explore") => run_explore(&args[1..]),
-        Some("pencil") => run_pencil(&args[1..]),
-        Some("recover") => run_recover(&args[1..]),
-        Some("corrupt") => run_corrupt(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("check") => {
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    let ok = match command.as_str() {
+        "lint" => run_lint(&root, rest),
+        "check" => {
             let lint_ok = run_lint(&root, &[]);
-            let explore_ok = run_explore(&args[1..]);
+            let doc_ok = run_doc(&root);
             // The repeated-execution, recovery, and corruption gates each
             // multiply the per-schedule cost (3 executions / 3 crash
             // positions / 5 fault plans), so default them to a fraction of
             // the explore plan: `check` stays under a few minutes while every
             // schedule family still crosses every crash position, every
             // session execution, and every corruption site.
-            let mut compact_args = args[1..].to_vec();
-            if parse_flag(&compact_args, "--schedules").is_none() {
-                compact_args.extend(["--schedules".to_owned(), "80".to_owned()]);
+            let mut compact = rest.to_vec();
+            if parse_flag(&compact, "--schedules").is_none() {
+                compact.extend(["--schedules".to_owned(), "80".to_owned()]);
             }
-            let pencil_ok = run_pencil(&compact_args);
-            let mut repeated_args = compact_args.clone();
-            repeated_args.extend(["--executions".to_owned(), "3".to_owned()]);
-            let repeated_ok = run_explore(&repeated_args);
-            let repeated_pencil_ok = run_pencil(&repeated_args);
-            let recover_ok = run_recover(&compact_args);
-            let corrupt_ok = run_corrupt(&compact_args);
-            let serve_ok = run_serve(&compact_args);
-            let all = lint_ok
-                && explore_ok
-                && pencil_ok
-                && repeated_ok
-                && repeated_pencil_ok
-                && recover_ok
-                && corrupt_ok
-                && serve_ok;
+            let mut repeated = compact.clone();
+            repeated.extend(["--executions".to_owned(), "3".to_owned()]);
+            let [explore, pencil, recover, corrupt, serve] = &SWEEPS;
+            let gates = [
+                (explore, rest),
+                (pencil, &compact[..]),
+                (explore, &repeated[..]),
+                (pencil, &repeated[..]),
+                (recover, &compact[..]),
+                (corrupt, &compact[..]),
+                (serve, &compact[..]),
+            ];
+            // Every gate runs, whatever the earlier ones found.
+            let passed = gates.map(|(sweep, args)| run_sweep(sweep, args));
+            let all = lint_ok && doc_ok && passed.iter().all(|&ok| ok);
             if all {
                 println!("check: all gates passed");
             }
             all
         }
-        _ => return usage(),
+        name => match SWEEPS.iter().find(|sweep| sweep.name == name) {
+            Some(sweep) => run_sweep(sweep, rest),
+            None => return usage(),
+        },
     };
     if ok {
         ExitCode::SUCCESS

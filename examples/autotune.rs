@@ -6,7 +6,7 @@
 //! cargo run --release --example autotune [N] [p]
 //! ```
 
-use fft3d::{fft3_simulated, ProblemSpec, TuningParams, Variant};
+use fft3d::{ProblemSpec, Simulation, TuningParams, Variant};
 use simnet::model::hopper;
 use tuner::driver::{tune_new, DEFAULT_MAX_EVALS};
 
@@ -17,9 +17,14 @@ fn main() {
     let spec = ProblemSpec::cube(n, p);
     println!("auto-tuning NEW for {n}³ on {p} simulated Hopper ranks\n");
 
+    // One modelled run on Hopper. The seed and every vector the tuner
+    // proposes are feasible, so the constructor never refuses.
+    let time = |sim: Simulation| sim.run(hopper()).expect("no watchdog armed")[0].report.time;
+    let sim = |variant, params| Simulation::slab(spec, variant, params).expect("feasible vector");
+
     let seed = TuningParams::seed(&spec);
-    let seed_time = fft3_simulated(hopper(), spec, Variant::New, seed, false).time;
-    let fftw_time = fft3_simulated(hopper(), spec, Variant::Fftw, seed, false).time;
+    let seed_time = time(sim(Variant::New, seed));
+    let fftw_time = time(sim(Variant::Fftw, seed));
     println!("FFTW baseline : {fftw_time:.4}s");
     println!(
         "NEW @ seed    : {seed_time:.4}s  ({:.2}× over FFTW)",
@@ -29,7 +34,7 @@ fn main() {
     // The tuning objective excludes FFTz/Transpose (§4.4 technique 3).
     let result = tune_new(
         &spec,
-        |params| fft3_simulated(hopper(), spec, Variant::New, *params, true).time,
+        |params| time(sim(Variant::New, *params).skip_fixed_steps()),
         DEFAULT_MAX_EVALS,
     );
 
@@ -56,7 +61,7 @@ fn main() {
         result.executed, result.cache_hits, result.infeasible, result.requests
     );
 
-    let tuned_time = fft3_simulated(hopper(), spec, Variant::New, result.best, false).time;
+    let tuned_time = time(sim(Variant::New, result.best));
     println!("\nbest configuration: {:?}", result.best);
     println!(
         "NEW @ tuned   : {tuned_time:.4}s  ({:.2}× over FFTW)",

@@ -13,8 +13,7 @@
 
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
-use fft3d::real_env::fft3_dist;
-use fft3d::{ProblemSpec, TuningParams, Variant};
+use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
 use fft3d_repro::{extract_slab, gather_full, wavenumber};
 
 /// Deterministic particle cloud: `count` particles in the unit box.
@@ -77,15 +76,16 @@ fn main() {
         let delta = delta.clone();
         move |comm| {
             let slab = extract_slab(&delta, &spec, comm.rank());
-            let fwd = fft3_dist(
+            let fwd = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &slab,
-            );
+            )
+            .execute(&slab)
+            .expect("the seed vector is feasible");
             let mut spectrum = gather_full(&comm, &spec, &fwd);
             // φ̂(k) = −4πG δ̂(k)/|k|² with G = 1 and box length 1 → k = 2π m.
             for kx in 0..n {
@@ -106,15 +106,16 @@ fn main() {
                 }
             }
             let spec_slab = extract_slab(&spectrum, &spec, comm.rank());
-            let bwd = fft3_dist(
+            let bwd = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Backward,
                 Rigor::Estimate,
-                &spec_slab,
-            );
+            )
+            .execute(&spec_slab)
+            .expect("the seed vector is feasible");
             let mut phi = gather_full(&comm, &spec, &bwd);
             let scale = 1.0 / spec.len() as f64;
             for v in &mut phi {

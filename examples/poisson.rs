@@ -11,8 +11,7 @@
 
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
-use fft3d::real_env::fft3_dist;
-use fft3d::{ProblemSpec, TuningParams, Variant};
+use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
 use fft3d_repro::{extract_slab, gather_full, wavenumber};
 
 /// Right-hand side: f = 14·sin(x)·cos(2y)·sin(3z) so that the analytic
@@ -51,15 +50,16 @@ fn main() {
         }
 
         // Forward transform (overlapped NEW pipeline).
-        let fwd = fft3_dist(
+        let fwd = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &slab,
-        );
+        )
+        .execute(&slab)
+        .expect("the seed vector is feasible");
 
         // Divide by |k|² in spectral space. The examples keep this simple
         // by assembling the full spectrum; production codes scale their
@@ -84,15 +84,16 @@ fn main() {
 
         // Backward transform and 1/N³ normalisation.
         let spec_slab = extract_slab(&spectrum, &spec, comm.rank());
-        let bwd = fft3_dist(
+        let bwd = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Backward,
             Rigor::Estimate,
-            &spec_slab,
-        );
+        )
+        .execute(&spec_slab)
+        .expect("the seed vector is feasible");
         let u = gather_full(&comm, &spec, &bwd);
         let scale = 1.0 / (spec.len() as f64);
 

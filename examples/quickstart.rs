@@ -7,9 +7,9 @@
 
 use cfft::planner::Rigor;
 use cfft::Direction;
-use fft3d::real_env::{compare_with_serial, fft3_dist, local_test_slab};
+use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array};
-use fft3d::{ProblemSpec, TuningParams, Variant};
+use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
 
 fn main() {
     // 64³ complex points across 4 ranks (threads standing in for MPI
@@ -35,15 +35,16 @@ fn main() {
         move |comm| {
             // Each rank owns an x-slab of the input in x-y-z layout.
             let input = local_test_slab(&spec, comm.rank());
-            let out = fft3_dist(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
-            );
+            )
+            .execute(&input)
+            .expect("the seed vector is feasible");
             let err = compare_with_serial(&spec, comm.rank(), &out, &reference);
             (err, out.stats)
         }

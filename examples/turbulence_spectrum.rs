@@ -12,8 +12,7 @@
 
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
-use fft3d::real_env::fft3_dist;
-use fft3d::{ProblemSpec, TuningParams, Variant};
+use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
 use fft3d_repro::{gather_full, wavenumber};
 
 /// Deterministic hash-noise in [−1, 1).
@@ -80,15 +79,16 @@ fn main() {
                 }
             }
 
-            let out = fft3_dist(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &slab,
-            );
+            )
+            .execute(&slab)
+            .expect("the seed vector is feasible");
             let full = gather_full(&comm, &spec, &out);
 
             // Shell-binned energy spectrum E(k).

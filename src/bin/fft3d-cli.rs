@@ -9,10 +9,12 @@
 
 use cfft::planner::Rigor;
 use cfft::Direction;
-use fft3d::real_env::{compare_with_serial, local_test_slab, try_fft3_dist_traced};
+use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array};
+use fft3d::sim_env::Simulation;
 use fft3d::trace::NoopRecorder;
-use fft3d::{fft3_simulated, Error, ProblemSpec, Resilience, TuningParams, Variant};
+use fft3d::{Error, FftSession, ProblemSpec, Resilience, SimReport, TuningParams, Variant};
+use simnet::Platform;
 use tuner::driver::{tune_new, DEFAULT_MAX_EVALS};
 
 struct Args {
@@ -92,6 +94,18 @@ fn fault_exit_code(e: &Error) -> i32 {
     }
 }
 
+/// Prices `sim` once on `platform`; an infeasible configuration ends the
+/// process with its typed error.
+fn simulate(sim: Result<Simulation, Error>, platform: Platform) -> SimReport {
+    match sim.and_then(|sim| sim.run(platform)) {
+        Ok(mut runs) => runs.remove(0).report,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(fault_exit_code(&e))
+        }
+    }
+}
+
 fn main() {
     let (mode, args) = parse(std::env::args().skip(1));
     let spec = ProblemSpec::cube(args.n, args.p);
@@ -131,19 +145,10 @@ fn main() {
             };
             let results = mpisim::run_with_faults(spec.p, faults, move |comm| {
                 let input = local_test_slab(&spec, comm.rank());
-                let mut recorder = NoopRecorder;
                 let t0 = std::time::Instant::now();
-                let out = try_fft3_dist_traced(
-                    &comm,
-                    spec,
-                    variant,
-                    params,
-                    Direction::Forward,
-                    Rigor::Estimate,
-                    &input,
-                    &resilience,
-                    &mut recorder,
-                )?;
+                let (fwd, rigor) = (Direction::Forward, Rigor::Estimate);
+                let mut session = FftSession::new(&comm, spec, variant, params, fwd, rigor);
+                let out = session.execute_traced(&input, &resilience, &mut NoopRecorder)?;
                 let wall = t0.elapsed().as_secs_f64();
                 let err = reference
                     .as_ref()
@@ -192,7 +197,7 @@ fn main() {
                 "simulated run: {}³ on {} ranks of {}, {:?}",
                 args.n, args.p, platform.name, args.variant
             );
-            let rep = fft3_simulated(platform, spec, args.variant, params, false);
+            let rep = simulate(Simulation::slab(spec, args.variant, params), platform);
             println!("modeled time: {:.4}s", rep.time);
             println!("breakdown:\n{}", rep.steps);
         }
@@ -205,7 +210,10 @@ fn main() {
             );
             let result = tune_new(
                 &spec,
-                |p| fft3_simulated(platform.clone(), spec, Variant::New, *p, true).time,
+                |p| {
+                    let sim = Simulation::slab(spec, Variant::New, *p);
+                    simulate(sim.map(Simulation::skip_fixed_steps), platform.clone()).time
+                },
                 DEFAULT_MAX_EVALS,
             );
             println!("best configuration: {:?}", result.best);

@@ -89,9 +89,9 @@ mod tests {
     use super::*;
     use cfft::planner::Rigor;
     use cfft::Direction;
-    use fft3d::real_env::{fft3_dist, local_test_slab};
+    use fft3d::real_env::local_test_slab;
     use fft3d::serial::{fft3_serial, full_test_array};
-    use fft3d::{TuningParams, Variant};
+    use fft3d::{FftSession, TuningParams, Variant};
 
     #[test]
     fn gather_full_reassembles_the_reference() {
@@ -102,15 +102,16 @@ mod tests {
 
         let fulls = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = fft3_dist(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
-            );
+            )
+            .execute(&input)
+            .expect("clean run");
             gather_full(&comm, &spec, &out)
         });
         for full in fulls {

@@ -5,9 +5,9 @@
 
 use cfft::planner::Rigor;
 use cfft::Direction;
-use fft3d::real_env::{compare_with_serial, fft3_dist, local_test_slab};
+use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array};
-use fft3d::{ProblemSpec, TuningParams, Variant};
+use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
 use std::sync::Arc;
 
 fn reference(spec: &ProblemSpec, dir: Direction) -> Arc<Vec<cfft::Complex64>> {
@@ -20,7 +20,9 @@ fn check(spec: ProblemSpec, variant: Variant, params: TuningParams, dir: Directi
     let r = reference(&spec, dir);
     let errs = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let out = fft3_dist(&comm, spec, variant, params, dir, Rigor::Estimate, &input);
+        let out = FftSession::new(&comm, spec, variant, params, dir, Rigor::Estimate)
+            .execute(&input)
+            .expect("clean run");
         compare_with_serial(&spec, comm.rank(), &out, &r)
     });
     let tol = 1e-9 * spec.len() as f64;
@@ -173,26 +175,28 @@ fn backward_of_forward_is_identity_scaled() {
         let original = original.clone();
         move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let fwd = fft3_dist(
+            let fwd = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
-            );
+            )
+            .execute(&input)
+            .expect("clean run");
             let full_spectrum = fft3d_repro::gather_full(&comm, &spec, &fwd);
             let spec_slab = fft3d_repro::extract_slab(&full_spectrum, &spec, comm.rank());
-            let bwd = fft3_dist(
+            let bwd = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Backward,
                 Rigor::Estimate,
-                &spec_slab,
-            );
+            )
+            .execute(&spec_slab)
+            .expect("clean run");
             let full = fft3d_repro::gather_full(&comm, &spec, &bwd);
             let scale = 1.0 / spec.len() as f64;
             original
@@ -216,15 +220,9 @@ fn planner_rigor_does_not_change_results() {
         let r = r.clone();
         let errs = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = fft3_dist(
-                &comm,
-                spec,
-                Variant::New,
-                params,
-                Direction::Forward,
-                rigor,
-                &input,
-            );
+            let out = FftSession::new(&comm, spec, Variant::New, params, Direction::Forward, rigor)
+                .execute(&input)
+                .expect("clean run");
             compare_with_serial(&spec, comm.rank(), &out, &r)
         });
         for e in errs {

@@ -95,24 +95,18 @@ fn infeasible_parameters_are_rejected_before_running() {
         t: spec.nz + 5,
         ..TuningParams::seed(&spec)
     };
-    let msg = panic_message(|| {
-        mpisim::run(spec.p, move |comm| {
-            let input = fft3d::real_env::local_test_slab(&spec, comm.rank());
-            let _ = fft3d::real_env::fft3_dist(
-                &comm,
-                spec,
-                fft3d::Variant::New,
-                bad,
-                cfft::Direction::Forward,
-                cfft::planner::Rigor::Estimate,
-                &input,
-            );
-        });
+    // The session refuses on every rank alike, before any collective runs.
+    let errs = mpisim::run(spec.p, move |comm| {
+        let input = fft3d::real_env::local_test_slab(&spec, comm.rank());
+        let (new, fwd) = (fft3d::Variant::New, cfft::Direction::Forward);
+        let rigor = cfft::planner::Rigor::Estimate;
+        let mut session = fft3d::FftSession::new(&comm, spec, new, bad, fwd, rigor);
+        session.execute(&input).map(|_| ()).unwrap_err()
     });
-    assert!(
-        msg.contains("infeasible") || msg.contains("peer rank panicked"),
-        "{msg}"
-    );
+    for err in errs {
+        assert!(matches!(err, fft3d::Error::InfeasibleParams(_)), "{err}");
+        assert!(err.to_string().contains("infeasible"), "{err}");
+    }
 }
 
 #[test]
@@ -121,15 +115,15 @@ fn wrong_input_length_is_rejected() {
     let msg = panic_message(|| {
         mpisim::run(spec.p, move |comm| {
             let input = vec![cfft::Complex64::ZERO; 7]; // wrong size
-            let _ = fft3d::real_env::fft3_dist(
+            let _ = fft3d::FftSession::new(
                 &comm,
                 spec,
                 fft3d::Variant::New,
                 TuningParams::seed(&spec),
                 cfft::Direction::Forward,
                 cfft::planner::Rigor::Estimate,
-                &input,
-            );
+            )
+            .execute(&input);
         });
     });
     assert!(

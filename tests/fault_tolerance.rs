@@ -16,11 +16,10 @@ use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array};
-use fft3d::sim_env::fft3_simulated;
+use fft3d::sim_env::{fft3_simulated, Simulation};
 use fft3d::{
-    run_recoverable, try_fft3_dist, try_fft3_dist_traced, try_fft3_simulated, Error, EventKind,
-    FftSession, MemRecorder, NoopRecorder, ProblemSpec, RecoverConfig, ReplicaSource, Resilience,
-    SlabSource, TuningParams, Variant,
+    run_recoverable, Error, EventKind, FftSession, MemRecorder, NoopRecorder, ProblemSpec,
+    RecoverConfig, ReplicaSource, Resilience, SlabSource, TuningParams, Variant,
 };
 use mpisim::FaultPlan;
 use simnet::model::umd_cluster;
@@ -59,22 +58,19 @@ fn straggler_stall_recovers_and_matches_serial() {
     let plan = FaultPlan::seeded(fault_seed()).with_straggler(1, 30.0);
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(15)),
-        poll_boost: 4,
         max_strikes: 8,
     };
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let out = try_fft3_dist_traced(
+        let out = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &res,
-            &mut NoopRecorder,
         )
+        .execute_traced(&input, &res, &mut NoopRecorder)
         .unwrap_or_else(|e| panic!("rank {} failed to recover: {e}", comm.rank()));
         let err = compare_with_serial(&spec, comm.rank(), &out, &reference);
         (err, out.recovery)
@@ -107,17 +103,15 @@ fn transient_drops_retransmit_and_match_serial() {
     let res = Resilience::with_timeout(Duration::from_millis(500));
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let out = try_fft3_dist_traced(
+        let out = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &res,
-            &mut NoopRecorder,
         )
+        .execute_traced(&input, &res, &mut NoopRecorder)
         .unwrap_or_else(|e| panic!("rank {} failed: {e}", comm.rank()));
         compare_with_serial(&spec, comm.rank(), &out, &reference)
     });
@@ -141,23 +135,20 @@ fn blackholed_rank_surfaces_stalled_not_a_hang() {
     let plan = FaultPlan::seeded(fault_seed()).with_blackhole(1, 0);
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(100)),
-        poll_boost: 4,
         max_strikes: 2,
     };
     let started = Instant::now();
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let err = try_fft3_dist_traced(
+        let err = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &res,
-            &mut NoopRecorder,
         )
+        .execute_traced(&input, &res, &mut NoopRecorder)
         .map(|_| ())
         .expect_err("a blackholed peer cannot produce a complete spectrum");
         // Once every rank has erred (and cancelled), the world must hold no
@@ -194,22 +185,19 @@ fn fatal_drops_surface_typed_errors_on_every_rank() {
     let plan = FaultPlan::seeded(fault_seed()).with_fatal_drops(0.9, 1);
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(150)),
-        poll_boost: 4,
         max_strikes: 2,
     };
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        try_fft3_dist_traced(
+        FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &res,
-            &mut NoopRecorder,
         )
+        .execute_traced(&input, &res, &mut NoopRecorder)
         .map(|_| ())
         .expect_err("0.9 fatal drop probability cannot complete")
     });
@@ -240,19 +228,19 @@ fn infeasible_parameters_surface_typed_errors_on_both_backends() {
     ] {
         let errs = mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            try_fft3_dist(
+            FftSession::new(
                 &comm,
                 spec,
                 variant,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
             )
+            .execute(&input)
             .map(|_| ())
             .unwrap_err()
         });
-        let modelled = try_fft3_simulated(umd_cluster(), spec, variant, params, false)
+        let modelled = Simulation::slab(spec, variant, params)
             .map(|_| ())
             .unwrap_err();
         for err in errs {
@@ -265,7 +253,7 @@ fn infeasible_parameters_surface_typed_errors_on_both_backends() {
     let spec = ProblemSpec::cube(64, 8);
     let mut params = TuningParams::seed(&spec);
     params.w = spec.nz; // window larger than the tile count
-    let err = try_fft3_simulated(umd_cluster(), spec, Variant::New, params, false)
+    let err = Simulation::slab(spec, Variant::New, params)
         .map(|_| ())
         .unwrap_err();
     assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
@@ -325,17 +313,15 @@ fn crash_surfaces_rank_failed_naming_the_dead_rank() {
     let res = Resilience::with_timeout(Duration::from_millis(100));
     let out = mpisim::run_crashable(spec.p, plan, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        try_fft3_dist_traced(
+        FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &res,
-            &mut NoopRecorder,
         )
+        .execute_traced(&input, &res, &mut NoopRecorder)
         .map(|_| ())
         .expect_err("a dead peer cannot produce a complete spectrum")
     });
@@ -399,7 +385,6 @@ fn session_repeats_stay_exact_with_a_straggler_between_executions() {
     let plan = FaultPlan::seeded(fault_seed()).with_straggler(1, 30.0);
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(15)),
-        poll_boost: 4,
         max_strikes: 8,
     };
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
@@ -641,13 +626,15 @@ fn faulted_runs_are_deterministic_for_a_fixed_seed() {
         let plan = FaultPlan::seeded(seed).with_drops(0.3, 8);
         mpisim::run_with_faults(spec.p, plan, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            let out = try_fft3_dist_traced(
+            let out = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
+            )
+            .execute_traced(
                 &input,
                 &Resilience::with_timeout(Duration::from_millis(500)),
                 &mut NoopRecorder,

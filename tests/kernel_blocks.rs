@@ -7,7 +7,8 @@
 //! gather/execute/scatter of the same plans bit for bit.
 
 use cfft::batch::{
-    block_lines, execute_batch, execute_lines_threaded, execute_rows, BatchLayout, BatchScratch,
+    block_lines, execute_batch, execute_rows, fork_join, split_rows, BatchLayout, BatchScratch,
+    RowRun,
 };
 use cfft::complex::max_abs_diff;
 use cfft::dft::dft;
@@ -154,10 +155,19 @@ fn threaded_rows_equal_sequential_bitwise() {
     let len = starts[rows - 1] + n;
     let mut want = signal(len);
     per_line(&plan, &mut want, &starts, 1);
+    // What the executor runs: the sorted rows split into one contiguous run
+    // per worker, each run transformed on its own thread with its own scratch.
+    let run = |run: RowRun<'_>| {
+        let local: Vec<usize> = run.rows.map(|r| starts[r] - run.offset).collect();
+        execute_rows(&plan, run.data, &local, &mut BatchScratch::for_plan(&plan));
+    };
     for threads in [1, 2, 3, 8] {
         let mut got = signal(len);
-        let mut scratch = BatchScratch::for_plan(&plan);
-        execute_lines_threaded(&plan, &mut got, &starts, threads, &mut scratch);
+        fork_join(
+            split_rows(&mut got, n, rows, threads, |r| starts[r]),
+            run,
+            run,
+        );
         assert_bitwise(&got, &want, &format!("threads={threads}"));
     }
 }

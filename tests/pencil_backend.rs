@@ -3,7 +3,7 @@
 //! across swept grid shapes (square, `1×p`, `p×1`, non-divisible extents)
 //! and both transform directions, the simulated overlap win at 256 ranks,
 //! slab/pencil auto-selection on both sides of the crossover, the typed
-//! error contracts of the `try_` entry points (the two pinned regressions
+//! error contracts of the session constructor (the two pinned regressions
 //! of this sweep), stall recovery across the two exchange rounds, and the
 //! session properties (bit-identical repeats on reused staging, setups
 //! k-then-0, plans freed on drop).
@@ -11,13 +11,13 @@
 use cfft::{Complex64, Direction, Rigor};
 use fft3d::real_env::local_test_slab;
 use fft3d::serial::{fft3_serial, full_test_array};
+use fft3d::sim_env::Simulation;
 use fft3d::{
-    auto_select, compare_pencil_with_serial, pencil_overlap_simulated_params, pencil_seed,
-    pencil_simulated, pencil_test_input, try_fft3_pencil, try_fft3_pencil_overlapped,
-    try_fft3_pencil_overlapped_traced, Decomposition, Error, FftSession, NoopRecorder, PencilGrid,
-    PencilSession, ProblemSpec, Resilience, TuningParams, Variant,
+    auto_select, compare_pencil_with_serial, pencil_blocking, pencil_seed, pencil_test_input,
+    Decomposition, Error, FftSession, NoopRecorder, PencilGrid, PencilRunOutput, PencilSession,
+    ProblemSpec, Resilience, TuningParams, Variant,
 };
-use mpisim::{run_with_config, CheckConfig, FaultPlan, RunConfig};
+use mpisim::{run_with_config, CheckConfig, Comm, FaultPlan, RunConfig};
 use proptest::prelude::*;
 use simnet::model::umd_cluster;
 use std::sync::Arc;
@@ -45,6 +45,18 @@ fn bits(data: &[Complex64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// A session executed once and dropped.
+fn one_shot(
+    comm: &Comm,
+    spec: ProblemSpec,
+    grid: PencilGrid,
+    params: TuningParams,
+    dir: Direction,
+    input: &[Complex64],
+) -> Result<PencilRunOutput, Error> {
+    PencilSession::new(comm, spec, grid, params, dir)?.execute(input)
+}
+
 /// Small but varied pencil cases: every divisor-pair grid shape of up to
 /// eight ranks (including the degenerate `1×p` and `p×1` rows/columns)
 /// over extents that do not necessarily divide by the grid.
@@ -68,9 +80,9 @@ proptest! {
         prop_assert!(g.pr <= g.pc, "near_square({}) = {}x{}", p, g.pr, g.pc);
     }
 
-    /// Pencil = serial, bit for bit, for both entry points (blocking and
-    /// overlapped), across grid shapes and both directions. The two
-    /// distributed paths must also agree with *each other* exactly: the
+    /// Pencil = serial, bit for bit, at the blocking point and an
+    /// overlapped one, across grid shapes and both directions. The two
+    /// distributed runs must also agree with *each other* exactly: the
     /// overlap machinery may reorder communication, never arithmetic.
     #[test]
     fn pencil_matches_serial_across_grid_shapes_and_directions(
@@ -82,12 +94,11 @@ proptest! {
         let params = pencil_seed(&spec, grid);
         let results = mpisim::run(spec.p, move |comm| {
             let input = pencil_test_input(&spec, grid, comm.rank());
-            let blocking = try_fft3_pencil(&comm, spec, grid, dir, &input)
+            let blocking = one_shot(&comm, spec, grid, pencil_blocking(&spec, grid), dir, &input)
                 .unwrap_or_else(|e| panic!("blocking pencil failed: {e}"));
-            let overlapped =
-                try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
-                    .unwrap_or_else(|e| panic!("overlapped pencil failed: {e}"));
-            let exact = bits(&overlapped.output.data) == bits(&blocking.data);
+            let overlapped = one_shot(&comm, spec, grid, params, dir, &input)
+                .unwrap_or_else(|e| panic!("overlapped pencil failed: {e}"));
+            let exact = bits(&overlapped.output.data) == bits(&blocking.output.data);
             let err = compare_pencil_with_serial(
                 &spec,
                 grid,
@@ -120,9 +131,12 @@ fn overlapped_pencil_beats_blocking_at_256_ranks() {
     let spec = ProblemSpec::cube(256, 256);
     let grid = PencilGrid::near_square(256);
     assert_eq!((grid.pr, grid.pc), (16, 16));
-    let blocking = pencil_simulated(umd_cluster(), spec, grid);
-    let overlapped =
-        pencil_overlap_simulated_params(umd_cluster(), spec, grid, &pencil_seed(&spec, grid));
+    let time = |params: TuningParams| {
+        let sim = Simulation::pencil(spec, grid, params).expect("feasible point");
+        sim.run(umd_cluster()).expect("clean run")[0].report.time
+    };
+    let blocking = time(pencil_blocking(&spec, grid));
+    let overlapped = time(pencil_seed(&spec, grid));
     assert!(
         overlapped < blocking,
         "overlap {overlapped:.6}s does not beat blocking {blocking:.6}s at 256 ranks"
@@ -155,8 +169,9 @@ fn auto_select_picks_each_side_of_the_crossover() {
 }
 
 /// Pinned regression (ISSUE bugfix #1): a grid that disagrees with the
-/// communicator is a typed [`Error::GridMismatch`] from both `try_` entry
-/// points — never the old `assert_eq!` panic from inside a collective.
+/// communicator is a typed [`Error::GridMismatch`] from the session
+/// constructor at both points (blocking and overlapped) — never the old
+/// `assert_eq!` panic from inside a collective.
 #[test]
 fn grid_mismatch_is_a_typed_error_on_both_entry_points() {
     let spec = ProblemSpec::cube(8, 4);
@@ -164,9 +179,9 @@ fn grid_mismatch_is_a_typed_error_on_both_entry_points() {
         let bad = PencilGrid { pr: 2, pc: 3 };
         let input = vec![Complex64::ZERO; 4];
         let params = pencil_seed(&spec, bad);
-        let blocking = try_fft3_pencil(&comm, spec, bad, Direction::Forward, &input);
-        let overlapped =
-            try_fft3_pencil_overlapped(&comm, spec, bad, params, Direction::Forward, &input);
+        let dir = Direction::Forward;
+        let blocking = one_shot(&comm, spec, bad, pencil_blocking(&spec, bad), dir, &input);
+        let overlapped = one_shot(&comm, spec, bad, params, dir, &input);
         (blocking.err(), overlapped.err())
     });
     for (rank, (blocking, overlapped)) in results.into_iter().enumerate() {
@@ -209,22 +224,13 @@ fn pencil_straggler_stall_recovers_and_matches_serial() {
     let plan = FaultPlan::seeded(fault_seed()).with_straggler(1, 30.0);
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(15)),
-        poll_boost: 4,
         max_strikes: 8,
     };
     let results = mpisim::run_with_faults(spec.p, plan, move |comm| {
         let input = pencil_test_input(&spec, grid, comm.rank());
-        let out = try_fft3_pencil_overlapped_traced(
-            &comm,
-            spec,
-            grid,
-            params,
-            Direction::Forward,
-            &input,
-            &res,
-            &mut NoopRecorder,
-        )
-        .unwrap_or_else(|e| panic!("rank {} failed to recover: {e}", comm.rank()));
+        let out = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
+            .and_then(|mut session| session.execute_traced(&input, &res, &mut NoopRecorder))
+            .unwrap_or_else(|e| panic!("rank {} failed to recover: {e}", comm.rank()));
         let err = compare_pencil_with_serial(&spec, grid, comm.rank(), &out.output, &reference);
         (err, out.recovery)
     });
@@ -286,8 +292,8 @@ fn pencil_session_repeats_match_a_fresh_call_with_zero_setup_after_the_first() {
                 .rev()
                 .map(|c| Complex64::new(c.im - 0.25, 3.0 * c.re))
                 .collect();
-            let fresh = try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
-                .expect("one-shot transform");
+            let fresh =
+                one_shot(&comm, spec, grid, params, dir, &input).expect("one-shot transform");
             let mut session =
                 PencilSession::new(&comm, spec, grid, params, dir).expect("session setup");
             let what = format!("rank {} {spec:?} {grid:?}", comm.rank());

@@ -5,11 +5,11 @@
 
 use cfft::planner::Rigor;
 use cfft::Direction;
-use fft3d::pencil::{try_fft3_pencil, PencilGrid};
-use fft3d::real_env::{fft3_dist, local_test_slab, try_fft3_dist};
+use fft3d::real_env::local_test_slab;
+use fft3d::sim_env::Simulation;
 use fft3d::{
-    fft3_simulated, pencil_seed, pencil_test_input, try_fft3_pencil_overlapped, try_fft3_simulated,
-    Error, FftSession, ProblemSpec, TuningParams, Variant,
+    fft3_simulated, pencil_blocking, pencil_seed, pencil_test_input, Error, FftSession, PencilGrid,
+    PencilSession, ProblemSpec, TuningParams, Variant,
 };
 use simnet::model::umd_cluster;
 use std::time::Duration;
@@ -33,15 +33,16 @@ fn second_identical_transform_does_zero_planning() {
     let run = || {
         mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
-            fft3_dist(
+            FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &input,
             )
+            .execute(&input)
+            .expect("clean run")
             .planning
         })
     };
@@ -74,15 +75,16 @@ fn session_executions_after_the_first_do_zero_setup() {
     let reps = 4;
     let results = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let one_shot = fft3_dist(
+        let one_shot = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-        );
+        )
+        .execute(&input)
+        .expect("clean run");
         let mut session = FftSession::new(
             &comm,
             spec,
@@ -131,15 +133,16 @@ fn run_bits(spec: ProblemSpec, threads: usize) -> Vec<Vec<(u64, u64)>> {
     };
     mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
-        let out = fft3_dist(
+        let out = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-        );
+        )
+        .execute(&input)
+        .expect("clean run");
         out.data
             .iter()
             .map(|c| (c.re.to_bits(), c.im.to_bits()))
@@ -157,7 +160,8 @@ fn pencil_run_bits(spec: ProblemSpec, grid: PencilGrid, threads: usize) -> Vec<V
     mpisim::run(spec.p, move |comm| {
         let input = pencil_test_input(&spec, grid, comm.rank());
         let dir = Direction::Forward;
-        let out = try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
+        let out = PencilSession::new(&comm, spec, grid, params, dir)
+            .and_then(|mut session| session.execute(&input))
             .expect("pencil transform");
         let data = out.output.data.iter();
         data.map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
@@ -273,15 +277,15 @@ fn zero_extent_axes_are_rejected_everywhere() {
     ] {
         // Real distributed path.
         let msgs = mpisim::run(spec.p, move |comm| {
-            let Err(err) = try_fft3_dist(
+            let Err(err) = FftSession::new(
                 &comm,
                 spec,
                 Variant::New,
                 params,
                 Direction::Forward,
                 Rigor::Estimate,
-                &[],
-            ) else {
+            )
+            .execute(&[]) else {
                 panic!("zero-extent spec must not transform");
             };
             assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
@@ -292,7 +296,7 @@ fn zero_extent_axes_are_rejected_everywhere() {
         }
 
         // Simulator.
-        let err = try_fft3_simulated(umd_cluster(), spec, Variant::New, params, false)
+        let err = Simulation::slab(spec, Variant::New, params)
             .expect_err("zero-extent spec must not simulate");
         assert!(matches!(err, Error::InfeasibleParams(_)), "{err}");
         assert!(err.to_string().contains(axis), "{err}");
@@ -300,8 +304,10 @@ fn zero_extent_axes_are_rejected_everywhere() {
         // Pencil decomposition.
         let grid = PencilGrid::near_square(spec.p);
         let msgs = mpisim::run(spec.p, move |comm| {
-            let Err(err) = try_fft3_pencil(&comm, spec, grid, Direction::Forward, &[]) else {
-                panic!("zero-extent spec must not transform");
+            let blocking = pencil_blocking(&spec, grid);
+            let Err(err) = PencilSession::new(&comm, spec, grid, blocking, Direction::Forward)
+            else {
+                panic!("zero-extent spec must not set a session up");
             };
             err.to_string()
         });

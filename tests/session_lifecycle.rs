@@ -18,9 +18,9 @@ use fft3d::decomp::AxisSplit;
 use fft3d::real_env::{compare_with_serial, local_test_slab};
 use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::{
-    pencil_seed, pencil_test_input, run_recoverable, try_fft3_dist, try_fft3_dist_traced,
-    try_fft3_pencil_overlapped, Error, FftSession, NoopRecorder, PencilGrid, PencilSession,
-    ProblemSpec, RecoverConfig, ReplicaSource, Resilience, TuningParams, Variant,
+    pencil_seed, pencil_test_input, run_recoverable, try_fft3_dist, try_fft3_dist_traced, Error,
+    FftSession, NoopRecorder, PencilGrid, PencilSession, ProblemSpec, RecoverConfig, ReplicaSource,
+    Resilience, TuningParams, Variant,
 };
 use mpisim::{run_with_config, Backoff, CheckConfig, CheckOutcome, FaultPlan, RunConfig};
 use std::sync::Arc;
@@ -104,7 +104,8 @@ fn a_one_shot_pencil_call_is_the_first_execution_of_a_session() {
             let nxl = AxisSplit::new(spec.nx, grid.pr).count(row);
             let nzl = AxisSplit::new(spec.nz, grid.pc).count(col);
             let tiles = (nxl.div_ceil(params.t) + nzl.div_ceil(params.t)) as u64;
-            let once = try_fft3_pencil_overlapped(&comm, spec, grid, params, FORWARD, &input)
+            let once = PencilSession::new(&comm, spec, grid, params, FORWARD)
+                .and_then(|mut session| session.execute(&input))
                 .expect("one-shot call");
             let mut session =
                 PencilSession::new(&comm, spec, grid, params, FORWARD).expect("session setup");
@@ -163,7 +164,8 @@ fn every_way_a_transform_ends_frees_its_plans_and_drains_its_mailbox() {
         .expect("one-shot slab call");
         let pencil = pencil_test_input(&spec, grid, comm.rank());
         let pencil_params = pencil_seed(&spec, grid);
-        try_fft3_pencil_overlapped(&comm, spec, grid, pencil_params, FORWARD, &pencil)
+        PencilSession::new(&comm, spec, grid, pencil_params, FORWARD)
+            .and_then(|mut session| session.execute(&pencil))
             .expect("one-shot pencil call");
         // A session dropped without `free`, plans live.
         let mut session =
@@ -204,7 +206,6 @@ fn every_way_a_transform_ends_frees_its_plans_and_drains_its_mailbox() {
     };
     let res = Resilience {
         stall_timeout: Some(Duration::from_millis(100)),
-        poll_boost: 4,
         max_strikes: 2,
     };
     let outcome = run_with_config(spec.p, stalled, move |comm| {
@@ -221,6 +222,37 @@ fn every_way_a_transform_ends_frees_its_plans_and_drains_its_mailbox() {
         comm.pending_messages()
     });
     assert_nothing_leaked(outcome, "stalled one-shot call");
+}
+
+/// Pinned regression (ISSUE 23): a communicator that is not `spec.p` ranks
+/// wide refuses the session on both decompositions — the same typed
+/// [`Error::GridMismatch`] on every rank, from every execution, with no plan
+/// set up and nothing posted. `FftSession::new` used to `assert_eq!`.
+#[test]
+fn a_communicator_of_the_wrong_size_refuses_the_session_on_both_decompositions() {
+    let spec = ProblemSpec::cube(8, 6); // six ranks wanted, four given
+    let grid = PencilGrid { pr: 2, pc: 3 };
+    let checked = RunConfig::checked(CheckConfig::default());
+    let outcome = run_with_config(4, checked, move |comm| {
+        let input = [Complex64::ZERO; 4]; // a refused session never reads it
+        let params = TuningParams::seed(&spec);
+        // Checkpointing must not run its exchange on the wrong communicator.
+        let mut slab = FftSession::new(&comm, spec, Variant::New, params, FORWARD, Rigor::Estimate)
+            .checkpoint_every(1);
+        for _ in 0..2 {
+            let err = slab.execute(&input).map(|_| ()).expect_err("4 ranks ≠ 6");
+            let (pr, pc, expected) = (4, 1, 6);
+            assert_eq!(err, Error::GridMismatch { pr, pc, expected });
+        }
+        assert_eq!((slab.executions(), slab.live_plans()), (2, 0));
+        assert!(slab.checkpoint().is_none());
+        let pencil = PencilSession::new(&comm, spec, grid, pencil_seed(&spec, grid), FORWARD);
+        let (pr, pc, expected) = (2, 3, 4);
+        assert_eq!(pencil.err(), Some(Error::GridMismatch { pr, pc, expected }));
+        comm.barrier();
+        comm.pending_messages()
+    });
+    assert_nothing_leaked(outcome, "refused sessions");
 }
 
 #[test]

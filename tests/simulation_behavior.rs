@@ -3,13 +3,12 @@
 
 use cfft::Direction;
 use fft3d::{
-    fft3_simulated, fft3_simulated_repeated, fft3_simulated_traced,
-    pencil_overlap_simulated_params, pencil_seed, pencil_simulated, th_simulated,
-    try_multi_simulated, Decomposition, DegradeAction, JobSpec, PencilGrid, ProblemSpec,
-    Resilience, Service, ServiceConfig, SimReport, StepTimes, ThParams, TraceEvent, TuningParams,
-    Variant,
+    fft3_simulated, pencil_blocking, pencil_overlap_simulated_params, pencil_seed, th_simulated,
+    Decomposition, DegradeAction, Execution, JobSpec, PencilGrid, ProblemSpec, Resilience, Service,
+    ServiceConfig, SimReport, Simulation, StepTimes, ThParams, TraceEvent, TuningParams, Variant,
 };
-use simnet::model::{hopper, umd_cluster};
+use simnet::model::{hopper, umd_cluster, TransposeCost};
+use simnet::Platform;
 use std::time::Duration;
 use tuner::driver::{tune_new, tune_th};
 
@@ -190,6 +189,16 @@ fn determinism_across_repetitions() {
 // schedule exactly what they did, so these compare with `==`.
 // ---------------------------------------------------------------------------
 
+/// The slab pipeline of `variant` at `params`, for the setters under test.
+fn slab(spec: ProblemSpec, variant: Variant, params: TuningParams) -> Simulation {
+    Simulation::slab(spec, variant, params).expect("feasible parameters")
+}
+
+/// Every execution of `sim` on `platform`.
+fn run(sim: &Simulation, platform: Platform) -> Vec<Execution> {
+    sim.run(platform).expect("simulated run")
+}
+
 /// `[fftz, transpose, ffty, pack, unpack, fftx, ialltoall, wait, test]`.
 fn steps(v: [f64; 9]) -> StepTimes {
     StepTimes {
@@ -239,13 +248,14 @@ fn golden_slab_variants() {
             assert_eq!(rep.steps, steps(breakdown), "{spec:?} {variant:?}");
             // A single execution is the first of a repeated run, field for
             // field: there is no one-shot path of its own.
-            let reps = fft3_simulated_repeated(platform.clone(), spec, variant, seed, false, 1);
+            let reps = run(&slab(spec, variant, seed).repeated(1), platform.clone());
             assert_eq!(reps.len(), 1);
-            assert_eq!(reps[0].time, rep.time, "{spec:?} {variant:?}");
-            assert_eq!(reps[0].steps, rep.steps, "{spec:?} {variant:?}");
-            assert_eq!(reps[0].setup_charges, rep.setup_charges);
-            assert_eq!(reps[0].per_rank.len(), rep.per_rank.len());
-            for (a, b) in reps[0].per_rank.iter().zip(&rep.per_rank) {
+            let first = &reps[0].report;
+            assert_eq!(first.time, rep.time, "{spec:?} {variant:?}");
+            assert_eq!(first.steps, rep.steps, "{spec:?} {variant:?}");
+            assert_eq!(first.setup_charges, rep.setup_charges);
+            assert_eq!(first.per_rank.len(), rep.per_rank.len());
+            for (a, b) in first.per_rank.iter().zip(&rep.per_rank) {
                 assert_eq!((a.steps, a.elapsed, a.tests), (b.steps, b.elapsed, b.tests));
             }
         }
@@ -255,7 +265,8 @@ fn golden_slab_variants() {
     let spec = ProblemSpec::cube(256, 16);
     let seed = TuningParams::seed(&spec);
     let plain = fft3_simulated(umd_cluster(), spec, Variant::New, seed, false);
-    let (traced, events) = fft3_simulated_traced(umd_cluster(), spec, Variant::New, seed);
+    let traced = run(&slab(spec, Variant::New, seed).traced(), umd_cluster()).remove(0);
+    let (traced, events) = (traced.report, traced.events);
     assert_eq!(events.len(), spec.p);
     assert_eq!((traced.time, traced.steps), (plain.time, plain.steps));
     assert_eq!(traced.setup_charges, plain.setup_charges);
@@ -289,12 +300,16 @@ fn golden_pencil_model() {
             "{spec:?} {grid:?}"
         );
         assert_eq!(
-            pencil_simulated(platform.clone(), spec, grid),
+            pencil_overlap_simulated_params(
+                platform.clone(),
+                spec,
+                grid,
+                &pencil_blocking(&spec, grid)
+            ),
             blocking,
             "{spec:?} {grid:?}"
         );
-        // The blocking transform is the overlapped one at one tile per
-        // stage, no window and no polls.
+        // The blocking point is one tile per stage, no window and no polls.
         let one_tile = TuningParams {
             t: spec.nx.max(spec.nz),
             ..seed.without_overlap()
@@ -311,7 +326,10 @@ fn golden_pencil_model() {
 fn golden_repeated_executions() {
     let spec = ProblemSpec::cube(128, 8);
     let seed = TuningParams::seed(&spec);
-    let reps = fft3_simulated_repeated(umd_cluster(), spec, Variant::New, seed, false, 3);
+    let reps: Vec<SimReport> = run(&slab(spec, Variant::New, seed).repeated(3), umd_cluster())
+        .into_iter()
+        .map(|run| run.report)
+        .collect();
     // Execution 0 pays the 16 per-tile setups; the steady state pays none
     // and is otherwise identical.
     #[rustfmt::skip]
@@ -337,10 +355,11 @@ fn golden_multi_array_trains() {
         (3, 0.671466591, 0.717841665, [0.131072001, 0.065365776, 0.1310720160000001, 0.07203676800000001, 0.07203676800000001, 0.1310720160000001, 0.00026879999999999987, 0.065359432, 0.0027359999999999915]),
     ];
     for (arrays, fused, sequential, breakdown) in table {
-        let rep = try_multi_simulated(umd_cluster(), spec, seed, arrays, &Resilience::default())
-            .expect("multi-array train");
-        assert_eq!(rep.fused_time, fused, "{arrays} arrays");
-        assert_eq!(rep.sequential_time, sequential, "{arrays} arrays");
+        let single = slab(spec, Variant::New, seed);
+        let alone = run(&single, umd_cluster()).remove(0).report.time;
+        let rep = run(&single.arrays(arrays), umd_cluster()).remove(0).report;
+        assert_eq!(rep.time, fused, "{arrays} arrays");
+        assert_eq!(alone * arrays as f64, sequential, "{arrays} arrays");
         // Array 0's FFTz and Transpose run with nothing in flight and are
         // booked at their modeled cost, as the single-array pipeline books
         // them; the train used to book the nanosecond-rounded clock
@@ -447,7 +466,8 @@ fn golden_uneven_hand_off_orders() {
     for (what, platform, spec, variant, want) in table {
         let seed = TuningParams::seed(&spec);
         let rep = fft3_simulated(platform.clone(), spec, variant, seed, false);
-        let (traced, events) = fft3_simulated_traced(platform, spec, variant, seed);
+        let traced = run(&slab(spec, variant, seed).traced(), platform).remove(0);
+        let (traced, events) = (traced.report, traced.events);
         let tests: u64 = rep.per_rank.iter().map(|r| r.tests).sum();
         let got = (rep.time, tests, report_digest(&rep), events_digest(&events));
         assert_eq!(got, want, "{what} {spec:?} {variant:?}");
@@ -500,13 +520,92 @@ fn golden_ladder_climbs_on_some_ranks_only() {
     ];
     for (ms, digest, stalls, rungs) in table {
         let res = Resilience::with_timeout(Duration::from_millis(ms));
-        let rep = try_multi_simulated(platform.clone(), spec, seed, 3, &res).expect("train");
+        let train = slab(spec, Variant::New, seed).arrays(3).resilience(res);
+        let rep = run(&train, platform.clone()).remove(0);
         let mut d = Digest::new();
-        d.steps(&rep.steps);
-        assert_eq!(rep.fused_time, 2.413625988, "{ms} ms");
+        d.steps(&rep.report.steps);
+        assert_eq!(rep.report.time, 2.413625988, "{ms} ms");
         assert_eq!(d.0, digest, "{ms} ms");
         assert_eq!(rep.recovery.stalls_detected, stalls, "{ms} ms");
         assert_eq!(rep.recovery.actions, rungs, "{ms} ms");
+    }
+}
+
+/// What the ten free simulator functions removed in ISSUE 23 returned at
+/// 0a2dba1 (computed there through them, in a scratch copy), from the public
+/// [`Simulation`] that replaced them: the fallible slab run per variant, the
+/// Transpose-tier override, the skipped fixed steps, three repeated
+/// executions, a traced run, a three-array train behind a straggler with the
+/// virtual watchdog armed, and both pencil points.
+#[test]
+fn golden_public_simulation_runs() {
+    let spec = ProblemSpec::cube(128, 8);
+    let seed = TuningParams::seed(&spec);
+    let new = slab(spec, Variant::New, seed);
+    let pinned = |sim: &Simulation, platform: Platform| -> Vec<(f64, u64)> {
+        let runs = run(sim, platform).into_iter();
+        runs.map(|run| (run.report.time, report_digest(&run.report)))
+            .collect()
+    };
+    #[rustfmt::skip]
+    let table = [
+        ("NEW", new.clone(), vec![(0.049603126, 9292812477707108664u64)]),
+        ("TH", slab(spec, Variant::Th, seed), vec![(0.089353606, 14848210968020280221)]),
+        ("FFTW", slab(spec, Variant::Fftw, seed), vec![(0.072710195, 113590251174270299)]),
+        ("naive transpose", new.clone().transpose(TransposeCost::Naive), vec![(0.066231262, 18429747200931299479)]),
+        ("fixed steps skipped", new.clone().skip_fixed_steps(), vec![(0.034598645, 13293129577898193299)]),
+        ("TH ×3", slab(spec, Variant::Th, seed).repeated(3), vec![(0.089353606, 14848210968020280221), (0.089545615, 12961818776338257189), (0.089308806, 5742403447643114302)]),
+    ];
+    for (what, sim, want) in table {
+        assert_eq!(pinned(&sim, umd_cluster()), want, "{what}");
+    }
+
+    let traced = run(&new.clone().traced(), hopper()).remove(0);
+    assert_eq!(
+        (
+            traced.report.time,
+            report_digest(&traced.report),
+            events_digest(&traced.events)
+        ),
+        (0.018980666, 8716931770268489713, 2218923076915107441)
+    );
+
+    // Three arrays behind a straggler, each wait budgeted at 20 virtual ms;
+    // the sequential baseline is the single-array time × 3.
+    let slow = umd_cluster().with_straggler(2, 3.0);
+    let alone = run(&new, slow.clone()).remove(0).report.time;
+    let watched = Resilience::with_timeout(Duration::from_millis(20));
+    let train = run(&new.arrays(3).resilience(watched), slow).remove(0);
+    let mut d = Digest::new();
+    d.steps(&train.report.steps);
+    assert_eq!(
+        (train.report.time, alone * 3.0, d.0),
+        (0.555005679, 0.554890479, 11773969483826517236)
+    );
+    assert_eq!(train.recovery.stalls_detected, 2);
+    assert_eq!(
+        train.recovery.actions,
+        [DegradeAction::BoostPolls, DegradeAction::ShrinkWindow]
+    );
+
+    let ragged = ProblemSpec {
+        nx: 100,
+        ny: 72,
+        nz: 90,
+        p: 6,
+    };
+    #[rustfmt::skip]
+    let pencils = [
+        (spec, PencilGrid { pr: 2, pc: 4 }, 0.021164064, 0.024381965),
+        (ragged, PencilGrid { pr: 3, pc: 2 }, 0.008793037, 0.009690756),
+    ];
+    for (spec, grid, overlapped, blocking) in pencils {
+        let time = |params| {
+            let sim = Simulation::pencil(spec, grid, params).expect("feasible point");
+            run(&sim, hopper()).remove(0).report.time
+        };
+        assert_eq!(time(pencil_seed(&spec, grid)), overlapped, "{grid:?}");
+        assert_eq!(time(pencil_blocking(&spec, grid)), blocking, "{grid:?}");
     }
 }
 
@@ -520,7 +619,8 @@ fn every_rank_runs_on_the_callers_thread() {
         // Staggered clocks, so the ranks are suspended and resumed out of
         // rank order.
         sim.compute(1e-3 * ((sim.rank() * 7) % 16) as f64);
-        let op = sim.post_alltoall(1 << 16).await;
+        let plan = sim.alltoall_init_in_group(sim.size(), 1 << 16);
+        let op = sim.start(plan).await;
         sim.compute_with_polls(2e-3, 8, &[op]).await;
         sim.wait(op).await;
         sim.barrier().await;

@@ -11,8 +11,7 @@ use fft3d::decomp::AxisSplit;
 use fft3d::real_env::local_test_slab;
 use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::{
-    try_fft3_dist, try_fft3_pencil_overlapped, OutLayout, PencilGrid, ProblemSpec, RunOutput,
-    TuningParams, Variant,
+    FftSession, OutLayout, PencilGrid, PencilSession, ProblemSpec, RunOutput, TuningParams, Variant,
 };
 use std::sync::Arc;
 
@@ -105,20 +104,20 @@ fn the_degenerate_pencil_grid_is_the_slab_transform_bit_for_bit() {
                     let reference = Arc::clone(&reference);
                     mpisim::run(spec.p, move |comm| {
                         let input = local_test_slab(&spec, comm.rank());
-                        let slab = try_fft3_dist(
+                        let slab = FftSession::new(
                             &comm,
                             spec,
                             Variant::New,
                             params,
                             dir,
                             Rigor::Estimate,
-                            &input,
                         )
+                        .execute(&input)
                         .expect("slab transform");
-                        let pencil =
-                            try_fft3_pencil_overlapped(&comm, spec, grid, params, dir, &input)
-                                .expect("pencil transform on the p×1 grid")
-                                .output;
+                        let pencil = PencilSession::new(&comm, spec, grid, params, dir)
+                            .and_then(|mut session| session.execute(&input))
+                            .expect("pencil transform on the p×1 grid")
+                            .output;
                         let case = format!("{spec:?} {dir:?} t={t} w={w} rank {}", comm.rank());
                         assert_eq!(pencil.nzl, spec.nz, "{case}");
                         let slab = bits(&as_yzx(&spec, &slab));

@@ -5,11 +5,9 @@
 use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::real_env::local_test_slab;
-use fft3d::sim_env::fft3_simulated_traced;
+use fft3d::sim_env::{Execution, Simulation};
 use fft3d::trace::{derive_step_times, overlap_summary, EventKind, MemRecorder, TraceEvent};
-use fft3d::{
-    fft3_dist, try_fft3_dist_traced, ProblemSpec, Resilience, StepTimes, TuningParams, Variant,
-};
+use fft3d::{FftSession, ProblemSpec, Resilience, StepTimes, TuningParams, Variant};
 use simnet::model::umd_cluster;
 
 fn posts_and_waits(events: &[TraceEvent]) -> (Vec<usize>, Vec<usize>) {
@@ -43,27 +41,26 @@ fn mpisim_trace_reconstructs_step_times_and_matches_untraced_output() {
     let results = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
         let mut rec = MemRecorder::default();
-        let traced = try_fft3_dist_traced(
+        let traced = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &Resilience::default(),
-            &mut rec,
         )
+        .execute_traced(&input, &Resilience::default(), &mut rec)
         .expect("clean run");
-        let plain = fft3_dist(
+        let plain = FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-        );
+        )
+        .execute(&input)
+        .expect("clean run");
         (rec.take(), traced.stats, traced.data == plain.data)
     });
     for (rank, (events, stats, same_data)) in results.iter().enumerate() {
@@ -102,17 +99,15 @@ fn mpisim_trace_pairs_each_post_with_one_wait_in_window_order() {
     let all_events = mpisim::run(spec.p, move |comm| {
         let input = local_test_slab(&spec, comm.rank());
         let mut rec = MemRecorder::default();
-        try_fft3_dist_traced(
+        FftSession::new(
             &comm,
             spec,
             Variant::New,
             params,
             Direction::Forward,
             Rigor::Estimate,
-            &input,
-            &Resilience::default(),
-            &mut rec,
         )
+        .execute_traced(&input, &Resilience::default(), &mut rec)
         .expect("clean run");
         rec.take()
     });
@@ -149,7 +144,10 @@ fn mpisim_trace_pairs_each_post_with_one_wait_in_window_order() {
 fn simnet_trace_has_monotone_virtual_time_and_exact_breakdown() {
     let spec = ProblemSpec::cube(256, 8);
     let params = TuningParams::seed(&spec);
-    let (report, events) = fft3_simulated_traced(umd_cluster(), spec, Variant::New, params);
+    let traced = Simulation::slab(spec, Variant::New, params)
+        .expect("feasible seed")
+        .traced();
+    let Execution { report, events, .. } = traced.run(umd_cluster()).expect("clean run").remove(0);
     assert_eq!(events.len(), spec.p);
     for (rank, rank_events) in events.iter().enumerate() {
         assert!(!rank_events.is_empty(), "rank {rank}");
