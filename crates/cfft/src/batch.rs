@@ -8,17 +8,19 @@
 //! or by a list of row starts ([`execute_rows`]) — **a block of lines at a
 //! time**.
 //!
-//! A block is up to `B =` [`block_lines`]`(n)` lines gathered into a scratch
-//! buffer *interleaved*, line `l`'s element `j` at `buf[j·B + l]`; the
-//! Stockham stages of [`crate::mixed`] run over all `B` lanes at once,
-//! ping-ponging between two such buffers, and the result is scattered back
-//! from whichever buffer holds it. Whatever the layout, the transform itself
-//! therefore runs on the same cache-resident interleaved block, so a strided
-//! batch costs what a contiguous one does; when the lanes are neighbours in
-//! memory (`dist = 1`, the columns of a matrix) gather and scatter are one
-//! `B`-element copy per `j`. A block of one unit-stride line runs in place,
-//! and plans whose kernel is not Stockham (naive, Bluestein, Rader) take the
-//! same path with blocks of one line.
+//! A block is up to `B =` [`block_lines`]`(n)` lines gathered into a
+//! [`Block`]: *interleaved*, line `l`'s element `j` at index `j·B + l`, and
+//! *split-complex*, the real parts in one `f64` plane and the imaginary parts
+//! in another. The Stockham stages of [`crate::mixed`] run over all `B` lanes
+//! at once, ping-ponging between two such blocks, and the result is scattered
+//! back from whichever holds it. Whatever the layout, the transform itself
+//! therefore runs on the same cache-resident block of unit-stride `f64`
+//! lanes, so a strided batch costs what a contiguous one does; when the lanes
+//! are neighbours in memory (`dist = 1`, the columns of a matrix) gather and
+//! scatter move one `B`-element row per `j`. Plans whose kernel is not
+//! Stockham (naive, Bluestein, Rader) take the same path with blocks of one
+//! line, which leaves the block for the kernel's `Complex64` form and returns
+//! to it.
 //!
 //! One function runs stages over a block, [`run_blocks`], and **the caller
 //! supplies the gather and the scatter** as a [`BlockIo`]. The entry points
@@ -109,9 +111,9 @@ impl BatchLayout {
 /// Most lines one block holds.
 pub const MAX_BLOCK: usize = 16;
 
-/// Elements one block buffer may hold: two of them (the ping-pong pair,
-/// 16 bytes an element) are 64 KiB, which stays in L2 and — for the short
-/// lines, whose stages make the most passes per byte — mostly in L1.
+/// Elements one block may hold: two of them (the ping-pong pair, two `f64`
+/// planes each, 16 bytes an element) are 64 KiB, which stays in L2 and — for
+/// the short lines, whose stages make the most passes per byte — mostly in L1.
 const BLOCK_ELEMS: usize = 2048;
 
 /// Lines of length `n` transformed together as one block: as many as fit
@@ -127,39 +129,194 @@ fn block_of(plan: &Plan1d) -> usize {
     plan.stockham().map_or(1, |_| block_lines(plan.len()))
 }
 
-/// Scratch for the batch entry points. Grows to fit whichever plan it is
-/// used with, so one scratch can serve plans of several lengths in turn
-/// without reallocating once it has met the largest.
+/// `lanes` lines of one length, interleaved and split-complex: element `j` of
+/// lane `l` is `re[j·lanes + l] + i·im[j·lanes + l]`. The only form the
+/// Stockham stages know — two planes of unit-stride `f64` lanes are what the
+/// compiler vectorises at whatever width the target has, where an array of
+/// `Complex64` pairs needs a shuffle around every twiddle multiply.
+pub struct Block<'a> {
+    pub(crate) re: &'a mut [f64],
+    pub(crate) im: &'a mut [f64],
+    lanes: usize,
+}
+
+impl<'a> Block<'a> {
+    /// A block of `lanes` lines over the planes `re` and `im`.
+    ///
+    /// # Panics
+    /// If the planes differ in length or do not hold whole lines.
+    pub fn new(re: &'a mut [f64], im: &'a mut [f64], lanes: usize) -> Self {
+        assert_eq!(re.len(), im.len(), "planes of one block");
+        assert!(
+            lanes > 0 && re.len() % lanes == 0,
+            "a block holds whole lines"
+        );
+        Block { re, im, lanes }
+    }
+
+    /// Lines in the block.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Elements of each line.
+    #[inline]
+    pub fn line_len(&self) -> usize {
+        self.re.len() / self.lanes
+    }
+
+    /// The lanes `lanes` of the rows `rows` ← the rows of `data` that begin
+    /// at `start`, `start + stride`, …: how lanes that are neighbours in
+    /// memory arrive, one `lanes.len()`-element copy per `j`.
+    pub fn load_rows(
+        &mut self,
+        rows: Range<usize>,
+        lanes: Range<usize>,
+        data: &[Complex64],
+        start: usize,
+        stride: usize,
+    ) {
+        debug_assert!(lanes.end <= self.lanes);
+        let width = lanes.len();
+        for (k, j) in rows.enumerate() {
+            let at = j * self.lanes + lanes.start;
+            split(
+                &mut self.re[at..at + width],
+                &mut self.im[at..at + width],
+                &data[start + k * stride..][..width],
+            );
+        }
+    }
+
+    /// The rows of `data` that begin at `start`, `start + stride`, … ← the
+    /// lanes `lanes` of the rows `rows`.
+    pub fn store_rows(
+        &self,
+        rows: Range<usize>,
+        lanes: Range<usize>,
+        data: &mut [Complex64],
+        start: usize,
+        stride: usize,
+    ) {
+        debug_assert!(lanes.end <= self.lanes);
+        let width = lanes.len();
+        for (k, j) in rows.enumerate() {
+            let at = j * self.lanes + lanes.start;
+            join(
+                &mut data[start + k * stride..][..width],
+                &self.re[at..at + width],
+                &self.im[at..at + width],
+            );
+        }
+    }
+
+    /// Lane `lane` ← the line whose elements are `line[0]`, `line[stride]`, …
+    #[inline]
+    pub fn load_lane(&mut self, lane: usize, line: &[Complex64], stride: usize) {
+        let (n, lanes) = (self.line_len(), self.lanes);
+        let (re, im) = (&mut self.re[lane..], &mut self.im[lane..]);
+        for j in 0..n {
+            let v = line[j * stride];
+            re[j * lanes] = v.re;
+            im[j * lanes] = v.im;
+        }
+    }
+
+    /// The line `line[0]`, `line[stride]`, … ← lane `lane`.
+    #[inline]
+    pub fn store_lane(&self, lane: usize, line: &mut [Complex64], stride: usize) {
+        let (n, lanes) = (self.line_len(), self.lanes);
+        let (re, im) = (&self.re[lane..], &self.im[lane..]);
+        for j in 0..n {
+            line[j * stride] = Complex64::new(re[j * lanes], im[j * lanes]);
+        }
+    }
+
+    /// `acc[j] += Σ_l` element `j` of lane `l`: one lane reduction per `j`,
+    /// taken while the block is in cache (the ABFT checksum lines). The rows'
+    /// sums are independent chains, which is all the pipelining the adds need.
+    pub fn add_lane_sums(&self, acc: &mut [Complex64]) {
+        let rows = self
+            .re
+            .chunks_exact(self.lanes)
+            .zip(self.im.chunks_exact(self.lanes));
+        for (acc, (re, im)) in acc.iter_mut().zip(rows) {
+            let mut sum = Complex64::ZERO;
+            for (re, im) in re.iter().zip(im) {
+                sum += Complex64::new(*re, *im);
+            }
+            *acc += sum;
+        }
+    }
+}
+
+/// `row` de-interleaved into `re` and `im` (all of one length). A function
+/// so that the three are parameters: known to be disjoint, the copy
+/// vectorises (two `Complex64` in, a pair of reals and a pair of imaginaries
+/// out) with no overlap check per row.
+#[inline(always)]
+fn split(re: &mut [f64], im: &mut [f64], row: &[Complex64]) {
+    for ((re, im), v) in re.iter_mut().zip(im).zip(row) {
+        *re = v.re;
+        *im = v.im;
+    }
+}
+
+/// `re` and `im` interleaved into `row`: [`split`] backwards.
+#[inline(always)]
+fn join(row: &mut [Complex64], re: &[f64], im: &[f64]) {
+    for ((re, im), v) in re.iter().zip(im).zip(row) {
+        *v = Complex64::new(*re, *im);
+    }
+}
+
+/// The one scratch under every kernel: the ping-pong pair of blocks the
+/// stages run between. It grows to fit whatever it is asked for, so one
+/// scratch serves plans of any kernel and length in turn, without
+/// reallocating once it has met the largest — there is no length to get
+/// wrong.
 #[derive(Default)]
 pub struct BatchScratch {
-    /// The gathered block, lanes interleaved (for a block of one line: the
-    /// strided line's bounce buffer).
-    block: Vec<Complex64>,
-    /// Stockham plans: the block's ping-pong partner. Other kernels: the
-    /// plan's own scratch.
-    partner: Vec<Complex64>,
+    /// The planes of the pair: the first block's `re` and `im`, then its
+    /// partner's.
+    planes: [Vec<f64>; 4],
+    /// Where a lane waits as `Complex64`s while a kernel other than Stockham
+    /// transforms it.
+    line: Vec<Complex64>,
 }
 
 impl BatchScratch {
-    /// Sized for `plan`.
+    /// Sized for the blocks of `plan`.
     pub fn for_plan(plan: &Plan1d) -> Self {
         let mut scratch = BatchScratch::default();
-        scratch.fit(plan);
+        scratch.pair(plan.len(), block_of(plan));
         scratch
     }
 
-    fn fit(&mut self, plan: &Plan1d) {
-        let block = plan.len() * block_of(plan);
-        let partner = match plan.stockham() {
-            Some(_) => block,
-            None => plan.scratch_len(),
-        };
-        if self.block.len() < block {
-            self.block.resize(block, Complex64::ZERO);
+    /// The ping-pong pair as blocks of `lanes` lines of length `n`.
+    pub(crate) fn pair(&mut self, n: usize, lanes: usize) -> (Block<'_>, Block<'_>) {
+        let len = n * lanes;
+        for plane in &mut self.planes {
+            if plane.len() < len {
+                plane.resize(len, 0.0);
+            }
         }
-        if self.partner.len() < partner {
-            self.partner.resize(partner, Complex64::ZERO);
-        }
+        // Whole lines of one length by construction: no need for `Block::new`
+        // to check it again for every block of a batch.
+        let [re, im, partner_re, partner_im] = &mut self.planes;
+        (
+            Block {
+                re: &mut re[..len],
+                im: &mut im[..len],
+                lanes,
+            },
+            Block {
+                re: &mut partner_re[..len],
+                im: &mut partner_im[..len],
+                lanes,
+            },
+        )
     }
 }
 
@@ -174,19 +331,19 @@ fn line_span(start: usize, stride: usize, n: usize) -> Range<usize> {
     start..start + (n - 1) * stride + 1
 }
 
-/// How the lines of a batch reach the interleaved block and leave it again:
-/// the caller's half of [`run_blocks`]. Lines are numbered by the caller;
-/// a block is a run of consecutive numbers.
+/// How the lines of a batch reach the block and leave it again: the
+/// caller's half of [`run_blocks`]. Lines are numbered by the caller; a block
+/// is a run of consecutive numbers.
 pub trait BlockIo {
-    /// Interleaves `lines` into `block`: element `j` of the `l`-th of them at
-    /// `block[j·lanes + l]`, `lanes = lines.len()`.
-    fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]);
+    /// Loads `lines` into `block`, the `l`-th of them as lane `l`
+    /// (`block.lanes() = lines.len()`).
+    fn gather(&mut self, lines: Range<usize>, block: &mut Block<'_>);
 
     /// Stores the transformed `lines` out of `block` (laid out as gathered).
-    fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]);
+    fn scatter(&mut self, lines: Range<usize>, block: &Block<'_>);
 
-    /// `line` where it lies, when it is contiguous and may be transformed
-    /// there: a block of one such line then skips the block buffer.
+    /// `line` where it lies, when it is contiguous and may be handed to the
+    /// kernel there: a block of one such line then skips gather and scatter.
     fn in_place(&mut self, _line: usize) -> Option<&mut [Complex64]> {
         None
     }
@@ -226,40 +383,27 @@ impl<'d, F: Fn(usize) -> usize> InPlace<'d, F> {
 }
 
 impl<F: Fn(usize) -> usize> BlockIo for InPlace<'_, F> {
-    fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]) {
+    fn gather(&mut self, lines: Range<usize>, block: &mut Block<'_>) {
         let (at, lanes) = self.starts(lines);
         let (at, stride) = (&at[..lanes], self.stride);
         if adjacent(at) {
-            for (j, row) in block.chunks_exact_mut(lanes).enumerate() {
-                let s = at[0] + j * stride;
-                row.copy_from_slice(&self.data[s..s + lanes]);
-            }
+            block.load_rows(0..self.n, 0..lanes, self.data, at[0], stride);
         } else {
             for (l, &start) in at.iter().enumerate() {
-                let line = &self.data[line_span(start, stride, self.n)];
-                let lane = &mut block[l..];
-                for j in 0..self.n {
-                    lane[j * lanes] = line[j * stride];
-                }
+                block.load_lane(l, &self.data[line_span(start, stride, self.n)], stride);
             }
         }
     }
 
-    fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]) {
+    fn scatter(&mut self, lines: Range<usize>, block: &Block<'_>) {
         let (at, lanes) = self.starts(lines);
         let (at, stride) = (&at[..lanes], self.stride);
         if adjacent(at) {
-            for (j, row) in block.chunks_exact(lanes).enumerate() {
-                let s = at[0] + j * stride;
-                self.data[s..s + lanes].copy_from_slice(row);
-            }
+            block.store_rows(0..self.n, 0..lanes, self.data, at[0], stride);
         } else {
             for (l, &start) in at.iter().enumerate() {
                 let line = &mut self.data[line_span(start, stride, self.n)];
-                let lane = &block[l..];
-                for j in 0..self.n {
-                    line[j * stride] = lane[j * lanes];
-                }
+                block.store_lane(l, line, stride);
             }
         }
     }
@@ -272,44 +416,44 @@ impl<F: Fn(usize) -> usize> BlockIo for InPlace<'_, F> {
 
 /// The one block driver: transforms `lines` through `io`, a block of up to
 /// [`block_lines`] of them at a time — gather, the plan's stages over the
-/// interleaved block, scatter. Every batch entry point of the crate is this
-/// function over an [`InPlace`]; a caller with a gather or scatter of its own
-/// (lines assembled from another buffer, sums taken while the block is in
-/// cache) passes its own [`BlockIo`].
+/// block, scatter. Every batch entry point of the crate is this function
+/// over an [`InPlace`]; a caller with a gather or scatter of its own (lines
+/// assembled from another buffer, sums taken while the block is in cache)
+/// passes its own [`BlockIo`].
 pub fn run_blocks(
     plan: &Plan1d,
     lines: Range<usize>,
     io: &mut impl BlockIo,
     scratch: &mut BatchScratch,
 ) {
-    scratch.fit(plan);
     let (n, per) = (plan.len(), block_of(plan));
     for first in lines.clone().step_by(per) {
         let lines = first..(first + per).min(lines.end);
         let lanes = lines.len();
         if lanes == 1 {
             if let Some(line) = io.in_place(first) {
-                plan.execute(line, &mut scratch.partner);
+                plan.execute(line, scratch);
                 continue;
             }
         }
-        let block = &mut scratch.block[..n * lanes];
-        io.gather(lines.clone(), block);
-        let result = match plan.stockham() {
-            Some(stockham) => {
-                let partner = &mut scratch.partner[..n * lanes];
-                if stockham.execute_lanes(block, partner, lanes) {
-                    block
-                } else {
-                    partner
-                }
-            }
+        let (mut block, mut partner) = scratch.pair(n, lanes);
+        io.gather(lines.clone(), &mut block);
+        let in_block = match plan.stockham() {
+            Some(stockham) => stockham.execute_lanes(&mut block, &mut partner),
             None => {
-                plan.execute(block, &mut scratch.partner);
-                block
+                // The other kernels transform `Complex64`s: the lane leaves
+                // the block for them and returns to it.
+                let mut line = std::mem::take(&mut scratch.line);
+                line.resize(n, Complex64::ZERO);
+                scratch.pair(n, 1).0.store_lane(0, &mut line, 1);
+                plan.execute(&mut line, scratch);
+                scratch.pair(n, 1).0.load_lane(0, &line, 1);
+                scratch.line = line;
+                true
             }
         };
-        io.scatter(lines, result);
+        let (block, partner) = scratch.pair(n, lanes);
+        io.scatter(lines, if in_block { &block } else { &partner });
     }
 }
 
@@ -744,22 +888,16 @@ mod tests {
     }
 
     impl BlockIo for Across<'_> {
-        fn gather(&mut self, lines: Range<usize>, block: &mut [Complex64]) {
-            let lanes = lines.len();
+        fn gather(&mut self, lines: Range<usize>, block: &mut Block<'_>) {
             for (l, line) in lines.clone().enumerate() {
-                for j in 0..self.n {
-                    block[j * lanes + l] = self.from[line * self.n + j];
-                }
+                block.load_lane(l, &self.from[line * self.n..][..self.n], 1);
             }
             self.gathered.push(lines);
         }
 
-        fn scatter(&mut self, lines: Range<usize>, block: &[Complex64]) {
-            let lanes = lines.len();
+        fn scatter(&mut self, lines: Range<usize>, block: &Block<'_>) {
             for (l, line) in lines.enumerate() {
-                for j in 0..self.n {
-                    self.to[line * self.n + j] = block[j * lanes + l];
-                }
+                block.store_lane(l, &mut self.to[line * self.n..][..self.n], 1);
             }
         }
     }
@@ -828,7 +966,7 @@ mod tests {
     /// Per-line reference: gather, `Plan1d::execute`, scatter.
     fn per_line(plan: &Plan1d, data: &mut [Complex64], starts: &[usize], stride: usize) {
         let n = plan.len();
-        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        let mut scratch = BatchScratch::default();
         for &s in starts {
             let mut line: Vec<Complex64> = (0..n).map(|j| data[s + j * stride]).collect();
             plan.execute(&mut line, &mut scratch);
@@ -922,18 +1060,139 @@ mod tests {
         }
     }
 
+    /// No scratch can be too short for a plan: one default scratch serves
+    /// every kernel at mixed lengths in turn, growing as it goes, through the
+    /// per-line call and the batch alike.
     #[test]
     fn one_scratch_serves_plans_of_several_lengths() {
+        use crate::planner::Strategy::{Bluestein, MixedRadix, Naive};
         let mut planner = Planner::new(Rigor::Estimate);
         let mut scratch = BatchScratch::default();
-        for n in [8usize, 74, 128, 5, 96] {
-            let plan = planner.plan(n, Direction::Forward);
+        let mut kernels = std::collections::HashSet::new();
+        // Lengths that shrink and grow again. Rader is reached only by
+        // measuring, which guarantees no pick (at 17 and 257 it may lose to
+        // Bluestein, at 8 naive may win): any kernel must do.
+        let plans = [8usize, 74, 128, 3, 5, 2 * 997, 96, 4]
+            .map(|n| planner.plan(n, Direction::Forward))
+            .into_iter()
+            .chain([17, 8, 257].map(|n| Planner::new(Rigor::Measure).plan(n, Direction::Backward)));
+        for plan in plans {
+            let n = plan.len();
+            kernels.insert(plan.strategy());
             let layout = BatchLayout::contiguous(n, 20);
             let mut got = signal(20 * n);
             let mut want = got.clone();
             execute_batch(&plan, &mut got, layout, &mut scratch);
             execute_batch(&plan, &mut want, layout, &mut BatchScratch::for_plan(&plan));
-            assert_eq!(bits(&got), bits(&want), "n={n}");
+            assert_eq!(bits(&got), bits(&want), "batch n={n}");
+
+            let mut line = signal(n);
+            plan.execute(&mut line, &mut scratch);
+            let want = dft(&signal(n), plan.direction());
+            assert!(max_abs_diff(&line, &want) < 1e-8 * n as f64, "line n={n}");
+        }
+        for kernel in [Naive, MixedRadix, Bluestein] {
+            assert!(kernels.contains(&kernel), "{kernel:?} not exercised");
+        }
+    }
+
+    fn planes(len: usize) -> (Vec<f64>, Vec<f64>) {
+        (vec![f64::NAN; len], vec![f64::NAN; len])
+    }
+
+    #[test]
+    fn gather_then_scatter_is_the_identity_for_every_lane_count() {
+        let n = 7;
+        for lanes in 1..=MAX_BLOCK {
+            let (mut re, mut im) = planes(n * lanes);
+            // Neighbouring lanes (matrix columns, with columns to spare).
+            let cols = lanes + 2;
+            let src = signal(n * cols);
+            let mut dst = vec![Complex64::ZERO; src.len()];
+            let mut block = Block::new(&mut re, &mut im, lanes);
+            InPlace::new(&mut src.clone(), n, cols, |l| 1 + l).gather(0..lanes, &mut block);
+            for j in 0..n {
+                for l in 0..lanes {
+                    let at = j * lanes + l;
+                    let got = Complex64::new(block.re[at], block.im[at]);
+                    assert_eq!(bits(&[got]), bits(&[src[j * cols + 1 + l]]));
+                }
+            }
+            InPlace::new(&mut dst, n, cols, |l| 1 + l).scatter(0..lanes, &block);
+            for (i, (got, was)) in dst.iter().zip(&src).enumerate() {
+                let moved = (1..=lanes).contains(&(i % cols));
+                let want = if moved { *was } else { Complex64::ZERO };
+                assert_eq!(bits(&[*got]), bits(&[want]), "lanes={lanes} i={i}");
+            }
+
+            // Scattered lanes: every other row slot, visited backwards.
+            let slot = n + 3;
+            let start_of = |l: usize| 2 * (lanes - 1 - l) * slot;
+            let src = signal(2 * lanes * slot);
+            let mut dst = vec![Complex64::ZERO; src.len()];
+            let (mut re, mut im) = planes(n * lanes);
+            let mut block = Block::new(&mut re, &mut im, lanes);
+            InPlace::new(&mut src.clone(), n, 1, start_of).gather(0..lanes, &mut block);
+            InPlace::new(&mut dst, n, 1, start_of).scatter(0..lanes, &block);
+            for (i, (got, was)) in dst.iter().zip(&src).enumerate() {
+                let moved = i / slot % 2 == 0 && i % slot < n;
+                let want = if moved { *was } else { Complex64::ZERO };
+                assert_eq!(bits(&[*got]), bits(&[want]), "lanes={lanes} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_and_lanes_address_the_same_elements() {
+        let (n, lanes) = (5, 6);
+        let (mut re, mut im) = planes(n * lanes);
+        let mut block = Block::new(&mut re, &mut im, lanes);
+        assert_eq!((block.lanes(), block.line_len()), (lanes, n));
+        let lines = signal(n * lanes);
+        // Lanes 0..2 by strided line, lanes 2..6 by rows of four — the
+        // first two rows, then the rest.
+        for l in 0..2 {
+            block.load_lane(l, &lines[l..], lanes);
+        }
+        block.load_rows(0..2, 2..6, &lines, 2, lanes);
+        block.load_rows(2..n, 2..6, &lines, 2 * lanes + 2, lanes);
+        let mut rows = vec![Complex64::ZERO; n * lanes];
+        block.store_rows(0..n, 0..lanes, &mut rows, 0, lanes);
+        assert_eq!(bits(&rows), bits(&lines));
+        // A run of lanes of a run of rows, into rows three apart.
+        let mut part = vec![Complex64::ZERO; 3 * 3];
+        block.store_rows(1..4, 3..5, &mut part, 0, 3);
+        for (k, j) in (1..4).enumerate() {
+            let want = [lines[j * lanes + 3], lines[j * lanes + 4], Complex64::ZERO];
+            assert_eq!(bits(&part[3 * k..][..3]), bits(&want));
+        }
+        let mut by_lane = vec![Complex64::ZERO; n * lanes];
+        for l in 0..lanes {
+            block.store_lane(l, &mut by_lane[l..], lanes);
+        }
+        assert_eq!(bits(&by_lane), bits(&lines));
+    }
+
+    #[test]
+    fn lane_sums_add_the_lanes_in_order_to_the_bit() {
+        let n = 9;
+        for lanes in [1usize, 2, 7, MAX_BLOCK] {
+            let lines = signal(n * lanes);
+            let (mut re, mut im) = planes(n * lanes);
+            let mut block = Block::new(&mut re, &mut im, lanes);
+            for l in 0..lanes {
+                block.load_lane(l, &lines[l * n..][..n], 1);
+            }
+            // The slab sweep: every line added to the checksum line in turn.
+            let mut want = vec![Complex64::ZERO; n];
+            for line in lines.chunks_exact(n) {
+                for (acc, v) in want.iter_mut().zip(line) {
+                    *acc += *v;
+                }
+            }
+            let mut got = vec![Complex64::ZERO; n];
+            block.add_lane_sums(&mut got);
+            assert_eq!(bits(&got), bits(&want), "lanes={lanes}");
         }
     }
 

@@ -13,8 +13,9 @@
 //! plan time, so execution is two forward FFTs, a point-wise multiply, and
 //! one inverse FFT of length `M`.
 
+use crate::batch::BatchScratch;
 use crate::complex::Complex64;
-use crate::mixed::MixedRadixPlan;
+use crate::mixed::{convolve, MixedRadixPlan};
 use crate::Direction;
 
 /// A prepared Bluestein plan for one `(length, direction)` pair.
@@ -64,9 +65,8 @@ impl BluesteinPlan {
                 ext[m - j] = c;
             }
         }
-        let mut scratch = vec![Complex64::ZERO; m];
         let mut chirp_hat = ext;
-        fwd.execute(&mut chirp_hat, &mut scratch);
+        fwd.execute(&mut chirp_hat, &mut BatchScratch::default());
 
         BluesteinPlan {
             n,
@@ -85,7 +85,7 @@ impl BluesteinPlan {
         self.n
     }
 
-    /// Convolution length (power of two ≥ 2n−1); the scratch requirement.
+    /// Convolution length (power of two ≥ 2n−1).
     #[inline]
     pub fn conv_len(&self) -> usize {
         self.m
@@ -97,36 +97,25 @@ impl BluesteinPlan {
         self.dir
     }
 
-    /// Executes the transform in place (unnormalised). `scratch` must hold
-    /// at least `2 · conv_len()` elements.
-    pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
+    /// Executes the transform in place (unnormalised): the convolution runs
+    /// as a one-lane block of `conv_len()` elements in `scratch`.
+    pub fn execute(&self, data: &mut [Complex64], scratch: &mut BatchScratch) {
         assert_eq!(data.len(), self.n, "data length mismatch with plan");
-        assert!(
-            scratch.len() >= 2 * self.m,
-            "Bluestein scratch must be ≥ 2·conv_len ({} < {})",
-            scratch.len(),
-            2 * self.m
-        );
-        let (a, rest) = scratch.split_at_mut(self.m);
-        let ping = &mut rest[..self.m];
+        let (a, b) = scratch.pair(self.m, 1);
 
         // a = x ⊙ b*, zero padded to m.
-        for (slot, (x, c)) in a.iter_mut().zip(data.iter().zip(&self.chirp)) {
-            *slot = *x * c.conj();
+        for (j, (x, c)) in data.iter().zip(&self.chirp).enumerate() {
+            let v = *x * c.conj();
+            (a.re[j], a.im[j]) = (v.re, v.im);
         }
-        for slot in a[self.n..].iter_mut() {
-            *slot = Complex64::ZERO;
-        }
+        a.re[self.n..].fill(0.0);
+        a.im[self.n..].fill(0.0);
 
-        self.fwd.execute(a, ping);
-        for (ai, hi) in a.iter_mut().zip(&self.chirp_hat) {
-            *ai *= *hi;
-        }
-        self.bwd.execute(a, ping);
+        let a = convolve(&self.fwd, &self.bwd, &self.chirp_hat, a, b);
 
         let inv_m = 1.0 / self.m as f64;
-        for (y, (ai, c)) in data.iter_mut().zip(a.iter().zip(&self.chirp)) {
-            *y = (*ai * c.conj()).scale(inv_m);
+        for (j, (y, c)) in data.iter_mut().zip(&self.chirp).enumerate() {
+            *y = (Complex64::new(a.re[j], a.im[j]) * c.conj()).scale(inv_m);
         }
     }
 }
@@ -147,8 +136,7 @@ mod tests {
         let x = signal(n);
         let plan = BluesteinPlan::new(n, dir);
         let mut y = x.clone();
-        let mut scratch = vec![Complex64::ZERO; 2 * plan.conv_len()];
-        plan.execute(&mut y, &mut scratch);
+        plan.execute(&mut y, &mut BatchScratch::default());
         let want = dft(&x, dir);
         let err = max_abs_diff(&y, &want);
         assert!(err < tol, "n={n} dir={dir:?} err={err}");
@@ -181,7 +169,7 @@ mod tests {
         let x = signal(n);
         let f = BluesteinPlan::new(n, Direction::Forward);
         let b = BluesteinPlan::new(n, Direction::Backward);
-        let mut scratch = vec![Complex64::ZERO; 2 * f.conv_len().max(b.conv_len())];
+        let mut scratch = BatchScratch::default();
         let mut y = x.clone();
         f.execute(&mut y, &mut scratch);
         b.execute(&mut y, &mut scratch);

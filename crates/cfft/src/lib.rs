@@ -11,7 +11,10 @@
 //! * Kernels: naive [`dft`], Stockham [`mixed`] radix, [`rader`] for primes
 //!   and [`bluestein`] for arbitrary lengths.
 //! * [`batch`] runs a plan over many strided lines (FFTW's advanced
-//!   interface), which is how the 3-D steps consume it.
+//!   interface), which is how the 3-D steps consume it — a
+//!   [`batch::Block`] of lines at a time, split into a real and an
+//!   imaginary `f64` plane, the one form the Stockham stages know; its
+//!   [`batch::BatchScratch`] is the one scratch under every kernel.
 //! * [`transpose`] provides the blocked axis permutations used by the
 //!   Transpose step, including the `Nx = Ny` fast path of §3.5.
 //! * [`real`] implements the real-to-complex transform mentioned in §2.3.

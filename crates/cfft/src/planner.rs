@@ -77,7 +77,6 @@ pub struct Plan1d {
     dir: Direction,
     strategy: Strategy,
     kernel: Kernel,
-    scratch_len: usize,
 }
 
 impl std::fmt::Debug for Plan1d {
@@ -98,18 +97,11 @@ impl Plan1d {
             Strategy::Bluestein => Kernel::Bluestein(BluesteinPlan::new(n, dir)),
             Strategy::Rader => Kernel::Rader(RaderPlan::new(n, dir)?),
         };
-        let scratch_len = match &kernel {
-            Kernel::Naive => 0,
-            Kernel::Mixed(_) => n,
-            Kernel::Bluestein(b) => 2 * b.conv_len(),
-            Kernel::Rader(r) => r.scratch_len(),
-        };
         Some(Plan1d {
             n,
             dir,
             strategy,
             kernel,
-            scratch_len,
         })
     }
 
@@ -137,14 +129,8 @@ impl Plan1d {
         self.strategy
     }
 
-    /// Required scratch length for [`Self::execute`].
-    #[inline]
-    pub fn scratch_len(&self) -> usize {
-        self.scratch_len
-    }
-
     /// The Stockham kernel, when that is what this plan runs — the one
-    /// kernel [`crate::batch`] can push a block of interleaved lines through.
+    /// kernel [`crate::batch`] can push a block of several lines through.
     #[inline]
     pub(crate) fn stockham(&self) -> Option<&MixedRadixPlan> {
         match &self.kernel {
@@ -153,12 +139,12 @@ impl Plan1d {
         }
     }
 
-    /// Executes the (unnormalised) transform in place. `scratch` must hold
-    /// at least [`Self::scratch_len`] elements.
-    pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
+    /// Executes the (unnormalised) transform in place. Any `scratch` will
+    /// do: it grows to what the kernel needs.
+    pub fn execute(&self, data: &mut [Complex64], scratch: &mut BatchScratch) {
         match &self.kernel {
             Kernel::Naive => dft_in_place(data, self.dir),
-            Kernel::Mixed(p) => p.execute(data, &mut scratch[..self.n]),
+            Kernel::Mixed(p) => p.execute(data, scratch),
             Kernel::Bluestein(p) => p.execute(data, scratch),
             Kernel::Rader(p) => p.execute(data, scratch),
         }
@@ -166,8 +152,7 @@ impl Plan1d {
 
     /// Convenience wrapper that allocates its own scratch.
     pub fn execute_alloc(&self, data: &mut [Complex64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len];
-        self.execute(data, &mut scratch);
+        self.execute(data, &mut BatchScratch::default());
     }
 }
 
@@ -353,15 +338,6 @@ mod tests {
             planner.plan(2 * 997, Direction::Forward).strategy(),
             Strategy::Bluestein
         );
-    }
-
-    #[test]
-    fn scratch_len_is_sufficient_hint() {
-        let mut planner = Planner::new(Rigor::Estimate);
-        let plan = planner.plan(100, Direction::Forward);
-        let mut data = signal(100);
-        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        plan.execute(&mut data, &mut scratch); // must not panic
     }
 
     #[test]

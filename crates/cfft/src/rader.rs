@@ -13,8 +13,9 @@
 //! forward and one inverse FFT — an alternative to Bluestein that the
 //! planner can measure against it.
 
+use crate::batch::BatchScratch;
 use crate::complex::Complex64;
-use crate::mixed::MixedRadixPlan;
+use crate::mixed::{convolve, MixedRadixPlan};
 use crate::twiddle::shared_table;
 use crate::Direction;
 
@@ -142,9 +143,8 @@ impl RaderPlan {
                 }
             }
         }
-        let mut scratch = vec![Complex64::ZERO; pad];
         let mut kernel_hat = ext;
-        fwd.execute(&mut kernel_hat, &mut scratch);
+        fwd.execute(&mut kernel_hat, &mut BatchScratch::default());
 
         Some(RaderPlan {
             n,
@@ -174,42 +174,28 @@ impl RaderPlan {
         self.dir
     }
 
-    /// Scratch requirement for [`Self::execute`].
-    pub fn scratch_len(&self) -> usize {
-        2 * self.pad
-    }
-
-    /// Executes the (unnormalised) prime-length DFT in place.
-    pub fn execute(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
+    /// Executes the (unnormalised) prime-length DFT in place: the
+    /// convolution runs as a one-lane block in `scratch`.
+    pub fn execute(&self, data: &mut [Complex64], scratch: &mut BatchScratch) {
         assert_eq!(data.len(), self.n, "data length mismatch with plan");
-        assert!(
-            scratch.len() >= 2 * self.pad,
-            "scratch must hold 2·pad elements"
-        );
-        let (a, rest) = scratch.split_at_mut(self.pad);
-        let ping = &mut rest[..self.pad];
+        let (a, b) = scratch.pair(self.pad, 1);
 
         let x0 = data[0];
         let sum: Complex64 = data.iter().copied().sum();
 
         // Gather by powers of g, zero padded.
-        for (j, slot) in a[..self.m].iter_mut().enumerate() {
-            *slot = data[self.perm_in[j]];
+        for (j, &from) in self.perm_in.iter().enumerate() {
+            (a.re[j], a.im[j]) = (data[from].re, data[from].im);
         }
-        for slot in a[self.m..].iter_mut() {
-            *slot = Complex64::ZERO;
-        }
+        a.re[self.m..].fill(0.0);
+        a.im[self.m..].fill(0.0);
 
-        self.fwd.execute(a, ping);
-        for (ai, ki) in a.iter_mut().zip(&self.kernel_hat) {
-            *ai *= *ki;
-        }
-        self.bwd.execute(a, ping);
+        let a = convolve(&self.fwd, &self.bwd, &self.kernel_hat, a, b);
         let inv = 1.0 / self.pad as f64;
 
         data[0] = sum;
-        for mi in 0..self.m {
-            data[self.perm_out[mi]] = x0 + a[mi].scale(inv);
+        for (mi, &to) in self.perm_out.iter().enumerate() {
+            data[to] = x0 + Complex64::new(a.re[mi], a.im[mi]).scale(inv);
         }
     }
 }
@@ -249,8 +235,7 @@ mod tests {
             let x = signal(n);
             let plan = RaderPlan::new(n, Direction::Forward).unwrap();
             let mut y = x.clone();
-            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute(&mut y, &mut scratch);
+            plan.execute(&mut y, &mut BatchScratch::default());
             let want = dft(&x, Direction::Forward);
             let err = max_abs_diff(&y, &want);
             assert!(err < 1e-8 * n as f64, "n={n} err={err}");
@@ -263,8 +248,7 @@ mod tests {
             let x = signal(n);
             let plan = RaderPlan::new(n, Direction::Backward).unwrap();
             let mut y = x.clone();
-            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute(&mut y, &mut scratch);
+            plan.execute(&mut y, &mut BatchScratch::default());
             assert!(max_abs_diff(&y, &dft(&x, Direction::Backward)) < 1e-8 * n as f64);
         }
     }
@@ -284,11 +268,9 @@ mod tests {
         let r = RaderPlan::new(n, Direction::Forward).unwrap();
         let b = BluesteinPlan::new(n, Direction::Forward);
         let mut yr = x.clone();
-        let mut sr = vec![Complex64::ZERO; r.scratch_len()];
-        r.execute(&mut yr, &mut sr);
+        r.execute(&mut yr, &mut BatchScratch::default());
         let mut yb = x.clone();
-        let mut sb = vec![Complex64::ZERO; 2 * b.conv_len()];
-        b.execute(&mut yb, &mut sb);
+        b.execute(&mut yb, &mut BatchScratch::default());
         assert!(max_abs_diff(&yr, &yb) < 1e-8 * n as f64);
     }
 
@@ -299,7 +281,7 @@ mod tests {
         let f = RaderPlan::new(n, Direction::Forward).unwrap();
         let b = RaderPlan::new(n, Direction::Backward).unwrap();
         let mut y = x.clone();
-        let mut scratch = vec![Complex64::ZERO; f.scratch_len().max(b.scratch_len())];
+        let mut scratch = BatchScratch::default();
         f.execute(&mut y, &mut scratch);
         b.execute(&mut y, &mut scratch);
         let y: Vec<Complex64> = y.into_iter().map(|v| v / n as f64).collect();

@@ -66,8 +66,7 @@ impl RealFftPlan {
         let mut z: Vec<Complex64> = (0..h)
             .map(|j| Complex64::new(input[2 * j], input[2 * j + 1]))
             .collect();
-        let mut scratch = vec![Complex64::ZERO; self.half_fwd.scratch_len()];
-        self.half_fwd.execute(&mut z, &mut scratch);
+        self.half_fwd.execute_alloc(&mut z);
 
         // Disentangle: Z[k] = E[k] + i·O[k] where E/O are the FFTs of the
         // even/odd subsequences; then Y[k] = E[k] + ω^k·O[k].
@@ -100,8 +99,7 @@ impl RealFftPlan {
             let o = (yk - ync) * self.twiddle[k].conj();
             *slot = e + o.mul_i();
         }
-        let mut scratch = vec![Complex64::ZERO; self.half_bwd.scratch_len()];
-        self.half_bwd.execute(&mut z, &mut scratch);
+        self.half_bwd.execute_alloc(&mut z);
         for (j, zj) in z.iter().enumerate() {
             output[2 * j] = zj.re;
             output[2 * j + 1] = zj.im;

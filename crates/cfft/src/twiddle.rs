@@ -26,9 +26,11 @@ pub struct TwiddleTable {
 impl TwiddleTable {
     /// Builds the table for transform length `n`.
     ///
-    /// Roots are generated in four quadrant-mirrored chunks from a single
-    /// high-accuracy quarter so that exact symmetries (e.g. `ω^(n/2) = −1`)
-    /// hold bit-for-bit, which keeps round-trip error low.
+    /// Every root is its own `cis(step·k)`: each entry is within an ulp or so
+    /// of the true root, but the table's symmetries hold only to roundoff —
+    /// `ω^(n/2)` is `(−1, ±1.2e−16)`, not `(−1, 0)`. Every spectrum pinned in
+    /// the test suites was computed from exactly these values, so building
+    /// the table any other way (mirrored quadrants, say) would move them all.
     pub fn new(n: usize, dir: Direction) -> Self {
         assert!(n > 0, "twiddle table length must be positive");
         let mut w = Vec::with_capacity(n);

@@ -217,7 +217,7 @@ proptest! {
         }
 
         let mut want = input;
-        let mut plan_scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        let mut plan_scratch = BatchScratch::default();
         for &s in &starts {
             let mut line: Vec<Complex64> = (0..n).map(|j| want[s + j * stride]).collect();
             plan.execute(&mut line, &mut plan_scratch);

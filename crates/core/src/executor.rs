@@ -45,7 +45,7 @@ use crate::trace::{DegradeAction, EventKind, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
 use cfft::batch::{
     execute_batch, for_each_part_threaded, fork_join, run_blocks, split_rows, BatchLayout,
-    BatchScratch, BlockIo, InPlace, RowRun, MAX_BLOCK,
+    BatchScratch, Block, BlockIo, InPlace, RowRun, MAX_BLOCK,
 };
 use cfft::planner::Plan1d;
 use cfft::Complex64;
@@ -299,20 +299,6 @@ struct LineSums {
     post: Vec<Complex64>,
 }
 
-/// `acc[j] += Σ_l block[j·lanes + l]`: one lane reduction per `j`, taken
-/// while the interleaved block is in cache. The rows' sums are independent
-/// chains, which is all the pipelining the adds need (splitting a row over
-/// several partial sums measured the same ≈ 80 GB/s on a resident block).
-fn add_lanes(acc: &mut [Complex64], block: &[Complex64], lanes: usize) {
-    for (acc, row) in acc.iter_mut().zip(block.chunks_exact(lanes)) {
-        let mut sum = Complex64::ZERO;
-        for v in row {
-            sum += *v;
-        }
-        *acc += sum;
-    }
-}
-
 /// One worker's share of an FFT step over a sub-tile: its partial checksum
 /// lines, and how long it worked and how much of that it spent gathering
 /// from the receive block.
@@ -327,7 +313,7 @@ struct Share {
 /// transformed where they lie in the stage buffer; the post-FFT's gather
 /// reads them out of the receive block instead — Unpack is that gather, and
 /// the destination buffer is written once, by the scatter. Where the step
-/// arms ABFT, the checksum lines are taken on the interleaved block, between
+/// arms ABFT, the checksum lines are taken on the block, between
 /// gather and stages and between stages and scatter: that is the window a
 /// fault must fall in to break FFT(Σ lines) = Σ FFT(lines).
 struct StageIo<'a, F> {
@@ -342,8 +328,7 @@ struct StageIo<'a, F> {
 }
 
 impl<F: Fn(usize) -> usize> BlockIo for StageIo<'_, F> {
-    fn gather(&mut self, ks: Range<usize>, block: &mut [Complex64]) {
-        let lanes = ks.len();
+    fn gather(&mut self, ks: Range<usize>, block: &mut Block<'_>) {
         match self.recv {
             None => self.out.gather(ks, block),
             Some(from) => {
@@ -373,24 +358,21 @@ impl<F: Fn(usize) -> usize> BlockIo for StageIo<'_, F> {
                     let (o0, os) = (from.o.offset(s), from.o.count(s));
                     for run in &runs[..nruns] {
                         let base = displ + run.tl * os * from.n_w + run.w;
-                        for j in 0..os {
-                            let at = base + j * from.n_w;
-                            block[(o0 + j) * lanes + run.lane..][..run.len]
-                                .copy_from_slice(&from.block[at..at + run.len]);
-                        }
+                        let lanes = run.lane..run.lane + run.len;
+                        block.load_rows(o0..o0 + os, lanes, from.block, base, from.n_w);
                     }
                 }
                 self.gather += began.elapsed();
             }
         }
         if let Some(sums) = &mut self.sums {
-            add_lanes(&mut sums.pre, block, lanes);
+            block.add_lane_sums(&mut sums.pre);
         }
     }
 
-    fn scatter(&mut self, ks: Range<usize>, block: &[Complex64]) {
+    fn scatter(&mut self, ks: Range<usize>, block: &Block<'_>) {
         if let Some(sums) = &mut self.sums {
-            add_lanes(&mut sums.post, block, ks.len());
+            block.add_lane_sums(&mut sums.post);
         }
         self.out.scatter(ks, block);
     }
@@ -1100,7 +1082,8 @@ mod tests {
             };
             for first in run.rows.clone().step_by(lanes) {
                 let ks = first..(first + lanes).min(run.rows.end);
-                let mut block = vec![Complex64::ZERO; n * ks.len()];
+                let (mut re, mut im) = (vec![0.0; n * ks.len()], vec![0.0; n * ks.len()]);
+                let mut block = Block::new(&mut re, &mut im, ks.len());
                 io.gather(ks.clone(), &mut block);
                 io.out.scatter(ks, &block);
             }
@@ -1231,15 +1214,20 @@ mod tests {
     }
 
     impl<Io: BlockIo> BlockIo for Perturb<Io> {
-        fn gather(&mut self, ks: Range<usize>, block: &mut [Complex64]) {
+        fn gather(&mut self, ks: Range<usize>, block: &mut Block<'_>) {
             self.io.gather(ks, block);
         }
 
-        fn scatter(&mut self, ks: Range<usize>, block: &[Complex64]) {
+        fn scatter(&mut self, ks: Range<usize>, block: &Block<'_>) {
             match self.hit {
                 Some((first, lane)) if first == ks.start => {
-                    let mut bad = block.to_vec();
-                    bad[2 * ks.len() + lane].re += 1e-3;
+                    let (n, lanes) = (block.line_len(), block.lanes());
+                    let (mut re, mut im) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+                    let mut bad = Block::new(&mut re, &mut im, lanes);
+                    let mut rows = vec![Complex64::ZERO; n * lanes];
+                    block.store_rows(0..n, 0..lanes, &mut rows, 0, lanes);
+                    rows[2 * lanes + lane].re += 1e-3;
+                    bad.load_rows(0..n, 0..lanes, &rows, 0, lanes);
                     self.io.scatter(ks, &bad);
                 }
                 _ => self.io.scatter(ks, block),
@@ -1348,6 +1336,16 @@ mod tests {
                     abft_sum_rows(&mut post, &data, &rows, n);
                     assert_sums_close(&sums.pre, &pre, &format!("{case} pre"));
                     assert_sums_close(&sums.post, &post, &format!("{case} post"));
+                    // One block adds its lanes in the rows' order: the split
+                    // planes' sums are then the sweep's to the bit.
+                    if lines.len() <= per {
+                        let bits = |line: &[Complex64]| -> Vec<_> {
+                            let bits = |v: &Complex64| (v.re.to_bits(), v.im.to_bits());
+                            line.iter().map(bits).collect()
+                        };
+                        assert_eq!(bits(&sums.pre), bits(&pre), "{case} pre");
+                        assert_eq!(bits(&sums.post), bits(&post), "{case} post");
+                    }
 
                     // One lane of the first block, then of the last.
                     let last = (lines.len() - 1) / per * per;

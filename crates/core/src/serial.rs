@@ -2,11 +2,12 @@
 //!
 //! The executable specification every distributed variant is verified
 //! against: `d` 1-D transform sweeps along each axis (§2.1), performed
-//! directly — and in place — on an `x-y-z` row-major array. No axis is ever
-//! made contiguous by a reorder pass: the `y` and `x` lines are handed to
-//! [`cfft::batch`] as strided batches whose lines are neighbours in memory
-//! (`dist = 1`), which it gathers a block at a time and transforms at the
-//! contiguous speed.
+//! directly — and in place — on an `x-y-z` row-major array, the `z` and `y`
+//! sweeps in one walk over the x-planes and the `x` sweep in a second. No
+//! axis is ever made contiguous by a reorder pass: the `y` and `x` lines are
+//! handed to [`cfft::batch`] as strided batches whose lines are neighbours in
+//! memory (`dist = 1`), which it gathers a block at a time and transforms at
+//! the contiguous speed.
 
 use crate::params::ProblemSpec;
 use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
@@ -26,24 +27,20 @@ pub fn fft3_serial(data: &mut [Complex64], nx: usize, ny: usize, nz: usize, dir:
     let cache = PlanCache::global();
     let mut scratch = BatchScratch::default();
 
-    // z lines are contiguous, laid end to end.
+    // The z and y sweeps go plane by plane, so a plane's y lines are
+    // transformed while the z sweep has just left it in cache. z lines are
+    // contiguous, laid end to end; the `nz` y lines of an x-plane start at
+    // consecutive elements and step by a z-row.
     let plan_z = cache.plan(nz, dir, Rigor::Estimate);
-    execute_batch(
-        &plan_z,
-        data,
-        BatchLayout::contiguous(nz, nx * ny),
-        &mut scratch,
-    );
-
-    // y lines: within one x-plane, the `nz` lines start at consecutive
-    // elements and step by a z-row.
     let plan_y = cache.plan(ny, dir, Rigor::Estimate);
+    let z_lines = BatchLayout::contiguous(nz, ny);
     let y_lines = BatchLayout {
         howmany: nz,
         stride: nz,
         dist: 1,
     };
     for plane in data.chunks_exact_mut(ny * nz) {
+        execute_batch(&plan_z, plane, z_lines, &mut scratch);
         execute_batch(&plan_y, plane, y_lines, &mut scratch);
     }
 

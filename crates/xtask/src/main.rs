@@ -51,7 +51,9 @@
 //!   interleaving. Exit 1 on any MC finding, panic, re-negotiated plan
 //!   setup, or numerical deviation from either serial oracle.
 //! * `check` — `lint`, then `RUSTDOCFLAGS="-D warnings" cargo doc
-//!   --workspace --no-deps` (no dangling intra-doc link), then `explore`
+//!   --workspace --no-deps` (no dangling intra-doc link), then `cargo test
+//!   --release` over `kernel_blocks`, `stage_fusion` and `cfft` (the pinned
+//!   spectra, on the optimised kernel that ships), then `explore`
 //!   with the acceptance-gate defaults (≥ 200 schedules, 4 ranks, grid 8),
 //!   then compact `pencil`, `explore --executions 3`, `pencil --executions
 //!   3`, `recover`, `corrupt`, and `serve` sweeps.
@@ -162,7 +164,8 @@ fn usage() -> ExitCode {
         }
     }
     eprintln!(
-        "  check                     lint + doc links + explore + pencil\n\
+        "  check                     lint + doc links + release tests of\n\
+         \x20                           the pinned spectra + explore + pencil\n\
          \x20                           (1 and 3 executions) + recover +\n\
          \x20                           corrupt + serve (acceptance gate)"
     );
@@ -273,21 +276,46 @@ fn run_sweep(sweep: &Sweep, args: &[String]) -> bool {
     summarize(sweep.name, &report)
 }
 
-/// `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`: a deleted
-/// or renamed item must not leave an intra-doc link dangling.
-fn run_doc(root: &Path) -> bool {
+/// One `cargo` invocation at the workspace root as a gate of `check`:
+/// prints `what` with its verdict.
+fn run_cargo(root: &Path, what: &str, args: &[&str], env: &[(&str, &str)]) -> bool {
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
     let status = std::process::Command::new(cargo)
-        .args(["doc", "--workspace", "--no-deps", "--quiet"])
-        .env("RUSTDOCFLAGS", "-D warnings")
+        .args(args)
+        .envs(env.iter().copied())
         .current_dir(root)
         .status();
     let ok = status.is_ok_and(|s| s.success());
-    println!(
-        "doc: intra-doc links {}",
-        if ok { "clean" } else { "FAILED" }
-    );
+    println!("{what} {}", if ok { "clean" } else { "FAILED" });
     ok
+}
+
+/// `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`: a deleted
+/// or renamed item must not leave an intra-doc link dangling.
+fn run_doc(root: &Path) -> bool {
+    run_cargo(
+        root,
+        "doc: intra-doc links",
+        &["doc", "--workspace", "--no-deps", "--quiet"],
+        &[("RUSTDOCFLAGS", "-D warnings")],
+    )
+}
+
+/// The bit-identity suites on the code that ships: the kernel's vectorised
+/// stage loops exist only in optimised builds, which `cargo test` alone
+/// never runs.
+fn run_release_tests(root: &Path) -> bool {
+    let release = ["test", "--release", "--quiet"];
+    let gates = [
+        (
+            "release: pinned spectra",
+            &["--test", "kernel_blocks", "--test", "stage_fusion"][..],
+        ),
+        ("release: cfft", &["-p", "cfft"][..]),
+    ];
+    // Both run, whatever the first found.
+    let passed = gates.map(|(what, which)| run_cargo(root, what, &[&release, which].concat(), &[]));
+    passed.iter().all(|&ok| ok)
 }
 
 fn summarize(pass: &str, report: &ExploreReport) -> bool {
@@ -324,6 +352,7 @@ fn main() -> ExitCode {
         "check" => {
             let lint_ok = run_lint(&root, &[]);
             let doc_ok = run_doc(&root);
+            let release_ok = run_release_tests(&root);
             // The repeated-execution, recovery, and corruption gates each
             // multiply the per-schedule cost (3 executions / 3 crash
             // positions / 5 fault plans), so default them to a fraction of
@@ -348,7 +377,7 @@ fn main() -> ExitCode {
             ];
             // Every gate runs, whatever the earlier ones found.
             let passed = gates.map(|(sweep, args)| run_sweep(sweep, args));
-            let all = lint_ok && doc_ok && passed.iter().all(|&ok| ok);
+            let all = lint_ok && doc_ok && release_ok && passed.iter().all(|&ok| ok);
             if all {
                 println!("check: all gates passed");
             }
