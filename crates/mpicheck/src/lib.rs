@@ -9,14 +9,15 @@
 //!    virtual scheduler. A failing schedule is identified by a descriptor
 //!    (`random(seed=…)` / `systematic(mask=…)`) that reproduces it exactly.
 //! 2. **Happens-before verification**: runs inherit mpisim's checked mode —
-//!    vector clocks, wait-for-graph deadlock detection naming the cycle of
-//!    ranks, and the runtime lint catalogue `MC001`–`MC005`.
-//! 3. **Source lints** ([`srclint`]): a token-aware, path-sensitive static
-//!    analysis of the workspace's non-test code enforcing project
-//!    invariants `SL001`–`SL014` — a real [`lexer`] feeds per-function
-//!    collective-operation [`summary`]s and a workspace [`callgraph`], on
-//!    which interprocedural checks (rank-divergent collectives, leaked
-//!    posts/plans, static deadlock shapes) run at `cargo xtask lint` time.
+//!    vector clocks, wait-for-graph deadlock detection naming the ranks
+//!    (a cycle, or a chain to a rank that returned without joining a
+//!    collective), and the runtime lint catalogue `MC001`–`MC007`.
+//! 3. **Source lints** ([`srclint`]): token lints over the workspace's
+//!    non-test code, fed by a real [`lexer`] so comments and strings never
+//!    fire. Besides hygiene rules, `SL015` confines every mpisim exchange
+//!    and ULFM collective call to the one transport, which is what lets the
+//!    schedule sweeps stand for all of them; `#[must_use]` on mpisim's
+//!    request and plan handles rejects a discarded post at compile time.
 //!
 //! The exploration pass also sweeps *faulty* worlds: [`explore_crash_recovery`]
 //! kills one rank per run (at the first, middle, and last tile boundary,
@@ -28,11 +29,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod callgraph;
 pub mod explore;
 pub mod lexer;
 pub mod srclint;
-pub mod summary;
 
 pub use explore::{
     explore, explore_corruption, explore_crash_recovery, explore_pencil, explore_pipeline,
@@ -43,6 +42,6 @@ pub use mpisim::{
     Severity,
 };
 pub use srclint::{
-    lint_sources, lint_workspace, render_json, render_sarif, render_text, update_baseline,
-    LintReport, LintSeverity, SrcFinding, SrcLintId, ALL_LINTS,
+    lint_sources, render_sarif, render_text, LintReport, LintSeverity, SrcFinding, SrcLintId,
+    ALL_LINTS,
 };

@@ -4,6 +4,8 @@
 //! with the cycle of ranks).
 
 use mpisim::{run_with_config, CheckConfig, EvKind, LintId, RunConfig, SchedConfig, Severity};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// An injected unmatched post: rank 0 sends a message nobody ever receives.
 /// The teardown scan must report MC001 against the destination mailbox.
@@ -84,6 +86,65 @@ fn three_rank_cycle_is_reported_in_full() {
     let mut cycle = f.cycle.clone();
     cycle.sort_unstable();
     assert_eq!(cycle, vec![0, 1, 2]);
+}
+
+/// A collective only some ranks issue: rank 0 enters a barrier rank 1
+/// never joins, and rank 1 returns. Nothing is blocked on rank 0, so there
+/// is no cycle — but the wait-for chain ends at a rank that has returned,
+/// which is final. MC005 must name the chain and abort the world within
+/// 2 s instead of leaving a hung job.
+#[test]
+fn rank_divergent_barrier_is_mc005_not_a_hang() {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let outcome = run_with_config(2, RunConfig::checked(CheckConfig::default()), |comm| {
+            if comm.rank() == 0 {
+                comm.barrier(); // bug: rank 1 never joins
+            }
+        });
+        let _ = tx.send(outcome);
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("a verdict within 2 s, not a hang");
+    runner.join().expect("the checked run returned its outcome");
+    assert!(outcome.results.is_none(), "the checker aborted the world");
+    let f = outcome.report.deadlock().expect("MC005 must be reported");
+    assert_eq!(f.id.code(), "MC005");
+    assert_eq!(f.cycle, vec![0, 1], "the chain runs from rank 0 to rank 1");
+    assert!(f.message.contains("returned"), "{}", f.message);
+}
+
+/// The shape the retired source lint SL009 flagged — every rank posts, then
+/// enters a barrier, then waits — is legal: a non-blocking exchange never
+/// waits on a peer's barrier. No schedule may report anything.
+#[test]
+fn barrier_over_an_inflight_request_is_legal() {
+    for seed in 0..20 {
+        let outcome = run_with_config(
+            4,
+            RunConfig::checked(CheckConfig::with_sched(SchedConfig::random(seed))),
+            |comm| {
+                let send: Vec<u64> = (0..comm.size())
+                    .map(|d| (comm.rank() * 10 + d) as u64)
+                    .collect();
+                let req = comm.ialltoall(&send, 1, vec![0u64; comm.size()]);
+                comm.barrier();
+                req.wait(&comm)
+            },
+        );
+        let results = outcome.results.expect("no deadlock");
+        for (me, out) in results.iter().enumerate() {
+            for (s, &v) in out.iter().enumerate() {
+                assert_eq!(v, (s * 10 + me) as u64, "seed {seed}");
+            }
+        }
+        assert!(
+            outcome.report.is_clean(),
+            "seed {seed}: {:?}",
+            outcome.report.findings
+        );
+    }
 }
 
 /// No false positive: the same wait pattern, but the messages do arrive

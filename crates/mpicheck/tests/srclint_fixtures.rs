@@ -1,11 +1,11 @@
 //! Golden-fixture suite for the source lints.
 //!
-//! Every lint `SL001`–`SL012` is pinned by a pair of fixtures under
-//! `tests/fixtures/`: `slNNN_bad.rs` is a minimal program that must fire
-//! the lint at exactly the marked code/path/line, and `slNNN_good.rs` is
-//! its corrected twin that must stay silent. `regress_opaque.rs` locks in
-//! the token-stream upgrade: lint patterns inside comments and string
-//! literals never fire.
+//! Every live lint but the meta-lints SL013/SL014 (which the unit tests
+//! pin) has a pair of fixtures under `tests/fixtures/`: `slNNN_bad.rs` is a
+//! minimal program that must fire the lint at exactly the marked
+//! code/path/line, and `slNNN_good.rs` is its corrected twin that must stay
+//! silent. `regress_opaque.rs` locks in the token-stream upgrade: lint
+//! patterns inside comments and string literals never fire.
 //!
 //! Fixture format: the first line is `//@ path: <workspace-relative
 //! path>` (the virtual location the fixture is linted under — some lints
@@ -13,7 +13,7 @@
 //! expected on their own line. A fixture's findings must equal its
 //! markers exactly — no extras, no misses, no line drift.
 
-use mpicheck::lint_sources;
+use mpicheck::{lint_sources, SrcLintId, ALL_LINTS};
 use std::fs;
 use std::path::Path;
 
@@ -89,26 +89,6 @@ fn sl005_expect_in_recovery() {
 }
 
 #[test]
-fn sl006_rank_divergent_collective() {
-    assert_pair("sl006");
-}
-
-#[test]
-fn sl007_init_without_free() {
-    assert_pair("sl007");
-}
-
-#[test]
-fn sl008_post_not_dominated() {
-    assert_pair("sl008");
-}
-
-#[test]
-fn sl009_blocking_while_in_flight() {
-    assert_pair("sl009");
-}
-
-#[test]
 fn sl010_wall_clock_in_sim() {
     assert_pair("sl010");
 }
@@ -124,21 +104,29 @@ fn sl012_float_eq_on_spectrum() {
 }
 
 #[test]
+fn sl015_collective_outside_transport() {
+    assert_pair("sl015");
+}
+
+#[test]
 fn lint_patterns_in_strings_and_comments_stay_silent() {
     assert_fixture("regress_opaque.rs");
 }
 
 #[test]
 fn every_bad_fixture_marker_names_its_own_lint() {
-    // Guard against a fixture drifting to test the wrong code: the
-    // slNNN_bad fixture must include an SLnnn marker for its own N.
-    for n in 1..=12 {
-        let code = format!("SL{n:03}");
-        let name = format!("sl{n:03}_bad.rs");
-        let (expected, _) = run_fixture(&name);
+    // Every live lint has a fixture pair, and its bad half carries a marker
+    // for its own code — a fixture cannot drift to test the wrong lint, and
+    // a new lint cannot land without one.
+    let meta = [SrcLintId::UnjustifiedAllow, SrcLintId::DeadAllow];
+    for id in ALL_LINTS.iter().filter(|id| !meta.contains(id)) {
+        let code = id.code();
+        let stem = code.to_lowercase();
+        let (expected, _) = run_fixture(&format!("{stem}_bad.rs"));
         assert!(
-            expected.iter().any(|(c, _)| *c == code),
-            "{name} has no {code} marker"
+            expected.iter().any(|(c, _)| c == code),
+            "{stem}_bad.rs has no {code} marker"
         );
+        run_fixture(&format!("{stem}_good.rs"));
     }
 }

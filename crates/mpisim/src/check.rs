@@ -23,9 +23,10 @@
 //! 3. **Wait-for-graph deadlock detection**: blocking receives register the
 //!    peer (and tag) they are stuck on; a rank that has waited past the
 //!    configured threshold walks the graph, and a cycle in which no edge is
-//!    satisfiable by a queued or deferred message is reported as a
-//!    [`LintId::Deadlock`] finding *naming the cycle of ranks*, then the
-//!    world is aborted so the run terminates instead of hanging.
+//!    satisfiable by a queued or deferred message — or a chain that ends at
+//!    a rank whose closure has already returned, so will never send again —
+//!    is reported as a [`LintId::Deadlock`] finding *naming the ranks*, then
+//!    the world is aborted so the run terminates instead of hanging.
 //!
 //! Findings carry stable lint IDs (`MC001`–`MC005`); the source-level
 //! `SL0xx` lints live in the `mpicheck` crate. See DESIGN.md §12 for the
@@ -145,8 +146,10 @@ pub enum LintId {
     /// `MC004` — a wildcard (`recv_any`) receive matched one of several
     /// HB-concurrent candidates: the outcome is schedule-dependent.
     WildcardRace,
-    /// `MC005` — a cycle of ranks each blocked on the next with no
-    /// satisfiable message in flight: deadlock, reported with the cycle.
+    /// `MC005` — a cycle of ranks each blocked on the next, or a chain of
+    /// them ending at a rank that has returned, with no satisfiable message
+    /// in flight: deadlock, reported with the ranks. The chain is the shape
+    /// of a collective some ranks issue and their peers never join.
     Deadlock,
     /// `MC006` — a persistent collective plan was dropped without `free()`:
     /// its registration (and any in-flight execution's staged rounds) leaks.
@@ -178,7 +181,7 @@ impl LintId {
             LintId::RequestLeak => "request dropped without wait or cancel",
             LintId::CtxCollision => "communicator context/tag-space collision",
             LintId::WildcardRace => "wildcard receive with concurrent candidates",
-            LintId::Deadlock => "wait-for cycle of blocked ranks",
+            LintId::Deadlock => "wait-for cycle, or chain to a returned rank, of blocked ranks",
             LintId::PersistentLeak => "persistent plan dropped without free",
             LintId::StaleCheckpoint => "stale checkpoint consulted after membership change",
         }
@@ -205,8 +208,9 @@ pub struct Finding {
     pub severity: Severity,
     /// World rank the finding is attributed to, when meaningful.
     pub rank: Option<usize>,
-    /// For [`LintId::Deadlock`]: the cycle of world ranks, in wait-for
-    /// order (`cycle[i]` waits on `cycle[(i+1) % len]`).
+    /// For [`LintId::Deadlock`]: the world ranks in wait-for order —
+    /// a cycle (`cycle[i]` waits on `cycle[(i+1) % len]`), or a chain
+    /// (`cycle[i]` waits on `cycle[i+1]`) whose last rank has returned.
     pub cycle: Vec<usize>,
     /// Human-readable detail.
     pub message: String,
@@ -462,6 +466,14 @@ pub(crate) struct CheckState {
     clocks: Vec<Mutex<Vec<u64>>>,
     /// Wait-for edges of currently blocked ranks.
     blocked: Mutex<Vec<Option<WaitInfo>>>,
+    /// Ranks whose closure has returned normally: they send nothing more,
+    /// so a wait on one of them that no queued message satisfies is final.
+    /// A crashed rank is never marked (its peers take the typed
+    /// `RankFailed` route instead). The `Release` store in
+    /// [`Self::mark_returned`] pairs with the `Acquire` load in
+    /// `find_cycle`: a prober that sees the flag also sees every message
+    /// the rank delivered before returning.
+    returned: Vec<AtomicBool>,
     findings: Mutex<Vec<Finding>>,
     events: Mutex<Vec<EventRec>>,
     events_dropped: AtomicUsize,
@@ -481,6 +493,7 @@ impl CheckState {
             cfg,
             clocks: (0..size).map(|_| Mutex::new(vec![0; size])).collect(),
             blocked: Mutex::new(vec![None; size]),
+            returned: (0..size).map(|_| AtomicBool::new(false)).collect(),
             findings: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
             events_dropped: AtomicUsize::new(0),
@@ -591,20 +604,26 @@ impl CheckState {
         self.blocked.lock()[rank] = None;
     }
 
+    /// Records that `rank`'s closure returned normally.
+    pub fn mark_returned(&self, rank: usize) {
+        self.returned[rank].store(true, Ordering::Release);
+    }
+
     /// `true` once a deadlock has been reported (world is going down).
     pub fn deadlock_was_reported(&self) -> bool {
         self.deadlock_reported.load(Ordering::Acquire)
     }
 
-    /// Walks the wait-for graph from `me`. Returns the cycle of world ranks
-    /// if `me` is (transitively) part of one in which no edge can be
-    /// satisfied by a queued message. The caller must have force-released
-    /// all deferred deliveries first.
+    /// Walks the wait-for graph from `me`. Returns the world ranks of the
+    /// cycle `me` (transitively) feeds into, or of the chain from `me` to a
+    /// rank that has returned, when no edge on the way can be satisfied by a
+    /// queued message; the flag is `true` for a chain. The caller must have
+    /// force-released all deferred deliveries first.
     fn find_cycle(
         &self,
         me: usize,
         satisfiable: &dyn Fn(usize, &WaitInfo) -> bool,
-    ) -> Option<Vec<usize>> {
+    ) -> Option<(Vec<usize>, bool)> {
         let snap: Vec<Option<WaitInfo>> = self.blocked.lock().clone();
         let mut path = vec![me];
         let mut cur = me;
@@ -615,9 +634,12 @@ impl CheckState {
                 return None; // a message is already there; no deadlock
             }
             if let Some(pos) = path.iter().position(|&r| r == next) {
-                return Some(path[pos..].to_vec());
+                return Some((path[pos..].to_vec(), false));
             }
             path.push(next);
+            if self.returned[next].load(Ordering::Acquire) {
+                return Some((path, true));
+            }
             cur = next;
         }
     }
@@ -654,21 +676,27 @@ impl CheckState {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            let named = first
+            let (ranks, chain) = first;
+            let named = ranks
                 .iter()
                 .map(|r| format!("rank {r}"))
                 .collect::<Vec<_>>()
                 .join(" → ");
-            let closing = first
-                .first()
-                .map(|r| format!(" → rank {r}"))
-                .unwrap_or_default();
+            let message = if chain {
+                format!(
+                    "wait-for chain to a rank that has returned, with no satisfiable message: \
+                     {named} (returned) — a collective its peers never join"
+                )
+            } else {
+                let closing = ranks[0];
+                format!("wait-for cycle with no satisfiable message: {named} → rank {closing}")
+            };
             self.add_finding(Finding {
                 id: LintId::Deadlock,
                 severity: Severity::Error,
                 rank: Some(me),
-                cycle: first,
-                message: format!("wait-for cycle with no satisfiable message: {named}{closing}"),
+                cycle: ranks,
+                message,
             });
         }
         abort_world();
@@ -827,7 +855,8 @@ mod tests {
         st.set_blocked(0, w(1));
         st.set_blocked(1, w(2));
         st.set_blocked(2, w(0));
-        let cycle = st.find_cycle(0, &|_, _| false).expect("cycle");
+        let (cycle, chain) = st.find_cycle(0, &|_, _| false).expect("cycle");
+        assert!(!chain);
         assert_eq!(cycle.len(), 3);
         assert!(cycle.contains(&0) && cycle.contains(&1) && cycle.contains(&2));
         // Any satisfiable edge dissolves the deadlock.
@@ -837,7 +866,25 @@ mod tests {
         st.set_blocked(1, w(2));
         st.set_blocked(2, w(1));
         let cycle = st.find_cycle(0, &|_, _| false).expect("tail into cycle");
-        assert_eq!(cycle, vec![1, 2]);
+        assert_eq!(cycle, (vec![1, 2], false));
+    }
+
+    #[test]
+    fn find_cycle_ends_a_chain_at_a_returned_rank() {
+        let st = CheckState::new(3, CheckConfig::default());
+        let w = |peer: usize| WaitInfo {
+            peer_world: Some(peer),
+            src_key: peer,
+            tag: 1,
+        };
+        st.set_blocked(0, w(1));
+        st.set_blocked(1, w(2));
+        // Rank 2 is neither blocked nor gone: still live, no verdict.
+        assert!(st.find_cycle(0, &|_, _| false).is_none());
+        st.mark_returned(2);
+        assert_eq!(st.find_cycle(0, &|_, _| false), Some((vec![0, 1, 2], true)));
+        // A queued message on the way still dissolves it.
+        assert!(st.find_cycle(0, &|r, _| r == 1).is_none());
     }
 
     #[test]

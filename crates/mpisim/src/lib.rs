@@ -55,7 +55,8 @@
 //!
 //! [`run_with_config`] launches a *checked* world: vector clocks on every
 //! message, runtime MPI-usage lints (`MC001`–`MC004`), a wait-for-graph
-//! deadlock detector that names the cycle of ranks (`MC005`), and an
+//! deadlock detector that names the cycle of ranks, or the chain ending at a
+//! rank that returned without joining a collective (`MC005`), and an
 //! optional seeded virtual scheduler ([`SchedConfig`]) that perturbs
 //! delivery order deterministically so racy interleavings reproduce from
 //! their seed. The `mpicheck` crate drives this over many schedules; see
@@ -189,8 +190,9 @@ where
 ///   [`CheckReport`] (empty when `cfg.check` is `None`).
 /// * When the deadlock detector fires (lint `MC005`), the world is aborted
 ///   and the resulting rank panics are **swallowed**: `results` is `None`
-///   and the report carries the finding with the named cycle, instead of
-///   the process unwinding with an opaque panic.
+///   and the report carries the finding with the named ranks, instead of
+///   the process unwinding with an opaque panic (or, for a collective some
+///   ranks returned without joining, hanging).
 /// * An injected `RankCrash` fault kills its rank's thread *without*
 ///   aborting the world: survivors keep running, the dead rank is listed in
 ///   [`CheckOutcome::crashed`], and `results` holds the survivors' values in
@@ -250,7 +252,15 @@ where
                 s.spawn(move || {
                     let comm = Comm::world_comm(world.clone(), rank);
                     match std::panic::catch_unwind(AssertUnwindSafe(|| f(comm))) {
-                        Ok(v) => Ok(v),
+                        Ok(v) => {
+                            // A returned rank sends nothing more: the
+                            // deadlock probe may now end a wait-for chain
+                            // here (MC005).
+                            if let Some(check) = &world.check {
+                                check.mark_returned(rank);
+                            }
+                            Ok(v)
+                        }
                         Err(e) => {
                             // An *injected* crash (RankCrash fault) is a
                             // simulated process death, not a bug: the dead

@@ -122,6 +122,27 @@ pub(crate) fn displs(counts: &[usize]) -> Vec<usize> {
 /// Owns both the staged send blocks and the receive buffer; `wait` (or
 /// [`IAlltoall::take_recv`] after completion) hands the received data back,
 /// laid out as contiguous per-source blocks in rank order.
+///
+/// A request is `#[must_use]`: a post whose handle is discarded can never
+/// be completed, so it does not compile under `deny(unused_must_use)` (the
+/// workspace's `clippy -D warnings` gate). A handle that is kept but dropped
+/// incomplete is the runtime lint MC002.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]);
+/// });
+/// ```
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     let out = comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]).wait(&comm);
+///     assert_eq!(out.len(), 2);
+/// });
+/// ```
+#[must_use = "a discarded request can never be completed; wait, test it to completion or cancel it"]
 pub struct IAlltoall<T> {
     seq: u64,
     /// Per-destination staged send blocks (`None` once pushed, and always

@@ -37,6 +37,27 @@ use std::time::Duration;
 /// started at will. Created by [`Comm::alltoall_init`] /
 /// [`Comm::alltoallv_init`]; must be released with
 /// [`PersistentAlltoall::free`].
+///
+/// A plan is `#[must_use]`: one whose handle is discarded can never be
+/// started or freed, so it does not compile under `deny(unused_must_use)`
+/// (the workspace's `clippy -D warnings` gate). A plan that is kept but
+/// dropped unfreed is the runtime lint MC006.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     comm.alltoallv_init(&[1, 1], &[1, 1], vec![0u64; 2]);
+/// });
+/// ```
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     let plan = comm.alltoallv_init(&[1, 1], &[1, 1], vec![0u64; 2]);
+///     plan.free(&comm);
+/// });
+/// ```
+#[must_use = "a discarded plan can never be started or freed; keep it and free() it"]
 pub struct PersistentAlltoall<T> {
     send_counts: Arc<[usize]>,
     send_displs: Arc<[usize]>,

@@ -2,14 +2,11 @@
 //!
 //! Subcommands:
 //!
-//! * `lint [--format text|json|sarif] [--output FILE]
-//!   [--update-baseline]` — run the mpicheck static analysis
-//!   (`SL001`–`SL014`: token lints plus the interprocedural
-//!   collective-correctness checks) over the workspace's non-test code.
-//!   Exit 1 on any non-baseline finding or stale baseline entry.
-//!   `--output` writes the rendered report to a file (a one-line summary
-//!   still goes to stdout); `--update-baseline` regenerates
-//!   `mpicheck.baseline` from the current findings instead of linting.
+//! * `lint [--format text|sarif] [--output FILE]` — run the mpicheck
+//!   source lints (token lints, among them SL015: mpisim's exchanges and
+//!   ULFM calls only in the transport) over the workspace's non-test code.
+//!   Exit 1 on any finding. `--output` writes the rendered report to a file
+//!   (a one-line summary still goes to stdout).
 //! * `explore [--seed-base N] [--ranks N] [--grid N] [--schedules N]
 //!   [--executions N]` — sweep the overlapped pipeline (NEW variant) over
 //!   seeded random plus systematic delivery schedules under mpisim's
@@ -56,7 +53,13 @@
 //!   spectra, on the optimised kernel that ships), then `explore`
 //!   with the acceptance-gate defaults (≥ 200 schedules, 4 ranks, grid 8),
 //!   then compact `pencil`, `explore --executions 3`, `pencil --executions
-//!   3`, `recover`, `corrupt`, and `serve` sweeps.
+//!   3`, `recover`, `corrupt`, and `serve` sweeps. It takes the four
+//!   flags every sweep shares.
+//!
+//! Flags are parsed once per command into a validated struct: a value that
+//! is not a number, a `--victim` that is not a rank of the world, a zero
+//! count or a flag the command does not take prints the usage text and
+//! exits 1.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -64,6 +67,7 @@ use mpicheck::{srclint, ExploreConfig, ExploreReport};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -78,7 +82,8 @@ fn workspace_root() -> PathBuf {
 struct Sweep {
     name: &'static str,
     /// The count it takes besides the four flags every sweep shares
-    /// (default 1): executions per schedule, or the rank to hurt.
+    /// ([`SHARED_FLAGS`]; default 1): executions per schedule, or the rank
+    /// to hurt.
     flag: Option<&'static str>,
     /// What one schedule runs — the middle of the banner, `{}` the count.
     what: &'static str,
@@ -152,8 +157,9 @@ fn usage() -> ExitCode {
         "usage: cargo xtask <command>\n\
          \n\
          commands:\n\
-         \x20 lint [--format text|json|sarif] [--output FILE]\n\
-         \x20      [--update-baseline]  run static analysis (SL001–SL014)"
+         \x20 lint    [--format text|sarif] [--output FILE]\n\
+         \x20                           run the source lints (DESIGN.md §17;\n\
+         \x20                           SARIF 2.1.0 for code scanners)"
     );
     for sweep in &SWEEPS {
         let flag = sweep.flag.map(|f| format!(" [{f} N]")).unwrap_or_default();
@@ -167,83 +173,158 @@ fn usage() -> ExitCode {
         "  check                     lint + doc links + release tests of\n\
          \x20                           the pinned spectra + explore + pencil\n\
          \x20                           (1 and 3 executions) + recover +\n\
-         \x20                           corrupt + serve (acceptance gate)"
+         \x20                           corrupt + serve (acceptance gate);\n\
+         \x20                           takes the four shared flags"
     );
     ExitCode::FAILURE
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The flags every sweep (and `check`) takes.
+const SHARED_FLAGS: [&str; 4] = ["--seed-base", "--ranks", "--grid", "--schedules"];
+
+/// A sweep's flags, parsed and validated once.
+#[derive(Debug, Clone, PartialEq)]
+struct SweepArgs {
+    seed_base: u64,
+    ranks: usize,
+    grid: usize,
+    /// Total schedules; `None` keeps the acceptance-gate plan.
+    schedules: Option<u64>,
+    /// The sweep's own count ([`Sweep::flag`]).
+    count: usize,
 }
 
-fn parse_str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn run_lint(root: &Path, args: &[String]) -> bool {
-    if args.iter().any(|a| a == "--update-baseline") {
-        return match srclint::update_baseline(root) {
-            Ok(n) => {
-                println!(
-                    "baseline: {n} finding(s) written to {}",
-                    srclint::BASELINE_FILE
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("baseline: {e}");
-                false
-            }
-        };
+impl Default for SweepArgs {
+    fn default() -> Self {
+        SweepArgs {
+            seed_base: 0,
+            ranks: 4,
+            grid: 8,
+            schedules: None,
+            count: 1,
+        }
     }
+}
+
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{flag} {value}`: expected a non-negative integer"))
+}
+
+impl SweepArgs {
+    /// Parses `args` for a sweep whose own count flag is `own`.
+    fn parse(args: &[String], own: Option<&str>) -> Result<Self, String> {
+        let mut out = SweepArgs::default();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let flag = flag.as_str();
+            if !SHARED_FLAGS.contains(&flag) && own != Some(flag) {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            let value = rest
+                .next()
+                .ok_or_else(|| format!("`{flag}` needs a value"))?;
+            match flag {
+                "--seed-base" => out.seed_base = number(flag, value)?,
+                "--ranks" => out.ranks = number(flag, value)?,
+                "--grid" => out.grid = number(flag, value)?,
+                "--schedules" => out.schedules = Some(number(flag, value)?),
+                _ => out.count = number(flag, value)?,
+            }
+        }
+        out.validate(own)?;
+        Ok(out)
+    }
+
+    /// Rejects what a sweep cannot run: an empty world or grid, zero
+    /// executions, a victim that is not a rank of the world.
+    fn validate(&self, own: Option<&str>) -> Result<(), String> {
+        if self.ranks == 0 || self.grid == 0 {
+            return Err("`--ranks` and `--grid` must be at least 1".to_owned());
+        }
+        match own {
+            Some("--victim") if self.count >= self.ranks => Err(format!(
+                "`--victim {}` is not a rank of a {}-rank world",
+                self.count, self.ranks
+            )),
+            Some("--executions") if self.count == 0 => {
+                Err("`--executions` must be at least 1".to_owned())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The schedule plan: `schedules` resizes the random seed range (the
+    /// systematic mask sweep stays), `seed_base` then offsets it.
+    fn config(&self) -> ExploreConfig {
+        let mut cfg = ExploreConfig::quick();
+        cfg.ranks = self.ranks;
+        if let Some(n) = self.schedules {
+            let sys = cfg.schedules() - (cfg.random_seeds.end - cfg.random_seeds.start);
+            cfg.random_seeds = 0..n.saturating_sub(sys);
+        }
+        let seeds = &cfg.random_seeds;
+        cfg.random_seeds =
+            seeds.start.saturating_add(self.seed_base)..seeds.end.saturating_add(self.seed_base);
+        cfg
+    }
+}
+
+/// `lint`'s flags.
+#[derive(Debug, Default, PartialEq)]
+struct LintArgs {
+    /// `--format sarif` (default text).
+    sarif: bool,
+    /// `--output FILE`: write the report there, a summary to stdout.
+    output: Option<String>,
+}
+
+impl LintArgs {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut out = LintArgs::default();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let flag = flag.as_str();
+            if flag != "--format" && flag != "--output" {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            let value = rest
+                .next()
+                .ok_or_else(|| format!("`{flag}` needs a value"))?;
+            match (flag, value.as_str()) {
+                ("--output", _) => out.output = Some(value.clone()),
+                (_, "text") => out.sarif = false,
+                (_, "sarif") => out.sarif = true,
+                _ => return Err(format!("`--format {value}`: expected text or sarif")),
+            }
+        }
+        Ok(out)
+    }
+}
+
+fn run_lint(root: &Path, args: &LintArgs) -> bool {
     let report = srclint::run(root);
-    let rendered = match parse_str_flag(args, "--format").unwrap_or("text") {
-        "json" => srclint::render_json(&report),
-        "sarif" => srclint::render_sarif(&report),
-        _ => srclint::render_text(&report),
+    let rendered = if args.sarif {
+        srclint::render_sarif(&report)
+    } else {
+        srclint::render_text(&report)
     };
-    match parse_str_flag(args, "--output") {
+    match &args.output {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &rendered) {
                 eprintln!("lint: cannot write {path}: {e}");
                 return false;
             }
             println!(
-                "lint: {} active finding(s), {} baselined, {} stale baseline entr(ies) \
-                 over {} files / {} functions -> {path}",
+                "lint: {} finding(s) over {} files -> {path}",
                 report.findings.len(),
-                report.baselined.len(),
-                report.stale_baseline.len(),
-                report.files,
-                report.functions
+                report.files
             );
         }
         None => print!("{rendered}"),
     }
     report.is_clean()
-}
-
-/// Builds the sweep configuration shared by `explore` and `recover` from
-/// the command-line flags: `--schedules` resizes the random seed range
-/// (keeping the systematic mask sweep), `--seed-base` then offsets it.
-fn sweep_config(args: &[String]) -> (ExploreConfig, usize) {
-    let seed_base = parse_flag(args, "--seed-base").unwrap_or(0);
-    let ranks = parse_flag(args, "--ranks").unwrap_or(4) as usize;
-    let grid = parse_flag(args, "--grid").unwrap_or(8) as usize;
-    let mut cfg = ExploreConfig::quick();
-    cfg.ranks = ranks;
-    if let Some(n) = parse_flag(args, "--schedules") {
-        let sys = cfg.schedules() - (cfg.random_seeds.end - cfg.random_seeds.start);
-        cfg.random_seeds = 0..n.saturating_sub(sys);
-    }
-    cfg.random_seeds = (cfg.random_seeds.start + seed_base)..(cfg.random_seeds.end + seed_base);
-    (cfg, grid)
 }
 
 // `% 25 == 0` keeps the stated MSRV (1.85); `is_multiple_of` needs 1.87.
@@ -255,12 +336,8 @@ fn progress_bar(done: u64, total: u64) {
     }
 }
 
-fn run_sweep(sweep: &Sweep, args: &[String]) -> bool {
-    let (cfg, grid) = sweep_config(args);
-    let count = sweep
-        .flag
-        .and_then(|flag| parse_flag(args, flag))
-        .unwrap_or(1);
+fn run_sweep(sweep: &Sweep, args: &SweepArgs) -> bool {
+    let (cfg, grid, count) = (args.config(), args.grid, args.count);
     println!(
         "{}: {} schedules {}, grid {grid}^3, {} ranks (random seeds {:?} + {}-bit systematic \
          sweep)",
@@ -271,7 +348,7 @@ fn run_sweep(sweep: &Sweep, args: &[String]) -> bool {
         cfg.random_seeds,
         cfg.systematic_bits
     );
-    let report = (sweep.run)(&cfg, grid, count as usize, progress_bar);
+    let report = (sweep.run)(&cfg, grid, count, progress_bar);
     println!();
     summarize(sweep.name, &report)
 }
@@ -341,56 +418,152 @@ fn summarize(pass: &str, report: &ExploreReport) -> bool {
     report.is_clean()
 }
 
+/// `check`: every gate runs, whatever the earlier ones found.
+fn run_check(root: &Path, args: &SweepArgs) -> Result<bool, String> {
+    // The repeated-execution, recovery, and corruption gates each multiply
+    // the per-schedule cost (3 executions / 3 crash positions / 5 fault
+    // plans), so default them to a fraction of the explore plan: `check`
+    // stays under a few minutes while every schedule family still crosses
+    // every crash position, every session execution, and every corruption
+    // site.
+    let compact = SweepArgs {
+        schedules: args.schedules.or(Some(80)),
+        ..args.clone()
+    };
+    // The crash and bit-flip gates hurt rank 1.
+    compact.validate(Some("--victim"))?;
+    let repeated = SweepArgs {
+        count: 3,
+        ..compact.clone()
+    };
+    let lint_ok = run_lint(root, &LintArgs::default());
+    let doc_ok = run_doc(root);
+    let release_ok = run_release_tests(root);
+    let [explore, pencil, recover, corrupt, serve] = &SWEEPS;
+    let gates = [
+        (explore, args),
+        (pencil, &compact),
+        (explore, &repeated),
+        (pencil, &repeated),
+        (recover, &compact),
+        (corrupt, &compact),
+        (serve, &compact),
+    ];
+    let passed = gates.map(|(sweep, args)| run_sweep(sweep, args));
+    let all = lint_ok && doc_ok && release_ok && passed.iter().all(|&ok| ok);
+    if all {
+        println!("check: all gates passed");
+    }
+    Ok(all)
+}
+
+fn run_command(command: &str, rest: &[String]) -> Result<bool, String> {
+    let root = workspace_root();
+    match command {
+        "lint" => Ok(run_lint(&root, &LintArgs::parse(rest)?)),
+        "check" => run_check(&root, &SweepArgs::parse(rest, None)?),
+        name => {
+            let sweep = SWEEPS
+                .iter()
+                .find(|sweep| sweep.name == name)
+                .ok_or_else(|| format!("unknown command `{name}`"))?;
+            Ok(run_sweep(sweep, &SweepArgs::parse(rest, sweep.flag)?))
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = workspace_root();
     let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    let ok = match command.as_str() {
-        "lint" => run_lint(&root, rest),
-        "check" => {
-            let lint_ok = run_lint(&root, &[]);
-            let doc_ok = run_doc(&root);
-            let release_ok = run_release_tests(&root);
-            // The repeated-execution, recovery, and corruption gates each
-            // multiply the per-schedule cost (3 executions / 3 crash
-            // positions / 5 fault plans), so default them to a fraction of
-            // the explore plan: `check` stays under a few minutes while every
-            // schedule family still crosses every crash position, every
-            // session execution, and every corruption site.
-            let mut compact = rest.to_vec();
-            if parse_flag(&compact, "--schedules").is_none() {
-                compact.extend(["--schedules".to_owned(), "80".to_owned()]);
-            }
-            let mut repeated = compact.clone();
-            repeated.extend(["--executions".to_owned(), "3".to_owned()]);
-            let [explore, pencil, recover, corrupt, serve] = &SWEEPS;
-            let gates = [
-                (explore, rest),
-                (pencil, &compact[..]),
-                (explore, &repeated[..]),
-                (pencil, &repeated[..]),
-                (recover, &compact[..]),
-                (corrupt, &compact[..]),
-                (serve, &compact[..]),
-            ];
-            // Every gate runs, whatever the earlier ones found.
-            let passed = gates.map(|(sweep, args)| run_sweep(sweep, args));
-            let all = lint_ok && doc_ok && release_ok && passed.iter().all(|&ok| ok);
-            if all {
-                println!("check: all gates passed");
-            }
-            all
+    match run_command(command, rest) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("xtask: {e}\n");
+            usage()
         }
-        name => match SWEEPS.iter().find(|sweep| sweep.name == name) {
-            Some(sweep) => run_sweep(sweep, rest),
-            None => return usage(),
-        },
-    };
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn sweep_flags_parse_with_defaults() {
+        let parsed = SweepArgs::parse(&[], Some("--executions"));
+        assert_eq!(parsed, Ok(SweepArgs::default()));
+        let given = "--seed-base 1000 --ranks 3 --grid 6 --schedules 80 --executions 3";
+        let parsed = SweepArgs::parse(&args(given), Some("--executions"));
+        let want = SweepArgs {
+            seed_base: 1000,
+            ranks: 3,
+            grid: 6,
+            schedules: Some(80),
+            count: 3,
+        };
+        assert_eq!(parsed, Ok(want));
+    }
+
+    #[test]
+    fn bad_values_are_errors_not_defaults() {
+        for bad in ["--schedules abc", "--ranks x", "--grid -1", "--seed-base"] {
+            assert!(SweepArgs::parse(&args(bad), None).is_err(), "{bad}");
+        }
+        assert!(SweepArgs::parse(&args("--ranks 0"), None).is_err());
+        assert!(SweepArgs::parse(&args("--executions 0"), Some("--executions")).is_err());
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_take_is_an_error() {
+        assert!(SweepArgs::parse(&args("--victim 1"), Some("--executions")).is_err());
+        assert!(SweepArgs::parse(&args("--executions 3"), None).is_err());
+        assert!(SweepArgs::parse(&args("--bogus 1"), Some("--victim")).is_err());
+        assert!(LintArgs::parse(&args("--update-baseline")).is_err());
+    }
+
+    #[test]
+    fn the_victim_must_be_a_rank_of_the_world() {
+        let victim = Some("--victim");
+        assert!(SweepArgs::parse(&args("--victim 9"), victim).is_err());
+        assert!(SweepArgs::parse(&args("--victim 4"), victim).is_err());
+        assert!(SweepArgs::parse(&args("--victim 3"), victim).is_ok());
+        assert!(SweepArgs::parse(&args("--ranks 8 --victim 7"), victim).is_ok());
+        // `check`'s crash and bit-flip gates hurt rank 1.
+        let lone = SweepArgs::parse(&args("--ranks 1"), None).expect("a valid world");
+        assert!(lone.validate(victim).is_err());
+    }
+
+    #[test]
+    fn lint_formats_are_text_and_sarif() {
+        assert_eq!(LintArgs::parse(&[]), Ok(LintArgs::default()));
+        let sarif = LintArgs::parse(&args("--format sarif --output out.sarif"));
+        let want = LintArgs {
+            sarif: true,
+            output: Some("out.sarif".to_owned()),
+        };
+        assert_eq!(sarif, Ok(want));
+        assert!(LintArgs::parse(&args("--format json")).is_err());
+        assert!(LintArgs::parse(&args("--output")).is_err());
+    }
+
+    #[test]
+    fn schedules_resize_the_random_range_and_the_seed_base_offsets_it() {
+        let full = SweepArgs::default().config();
+        assert_eq!(full.schedules(), 200);
+        let compact = SweepArgs {
+            schedules: Some(80),
+            seed_base: 1000,
+            ..SweepArgs::default()
+        }
+        .config();
+        assert_eq!(compact.schedules(), 80);
+        assert_eq!(compact.random_seeds, 1000..1016);
     }
 }
