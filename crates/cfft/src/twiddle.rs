@@ -106,11 +106,6 @@ pub fn shared_table(n: usize, dir: Direction) -> Arc<TwiddleTable> {
         .clone()
 }
 
-/// Number of distinct tables currently cached (test/diagnostic hook).
-pub fn cached_table_count() -> usize {
-    cache().lock().expect("twiddle cache poisoned").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,6 @@
 //! memory (`dist = 1`), which it gathers a block at a time and transforms at
 //! the contiguous speed.
 
-use crate::params::ProblemSpec;
 use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction, PlanCache};
@@ -53,11 +52,6 @@ pub fn fft3_serial(data: &mut [Complex64], nx: usize, ny: usize, nz: usize, dir:
         dist: 1,
     };
     execute_batch(&plan_x, data, x_lines, &mut scratch);
-}
-
-/// Convenience: serial 3-D FFT of a [`ProblemSpec`]-shaped array.
-pub fn fft3_serial_spec(data: &mut [Complex64], spec: &ProblemSpec, dir: Direction) {
-    fft3_serial(data, spec.nx, spec.ny, spec.nz, dir);
 }
 
 /// Deterministic pseudo-random test field: value depends only on global

@@ -561,8 +561,9 @@ struct Emitter<'a> {
     out: JobProfile,
     compute_scale: f64,
     link_scale: f64,
-    /// Per-post exchange-setup cost (0 once the geometry's plan is shared).
-    setup: f64,
+    /// Whether every post pays the exchange-setup cost of its subgroup
+    /// (`false` once the geometry's plan is shared).
+    cold: bool,
     /// `(tile, rank)` of the job's injected crash; tiles count the job's
     /// posts, across stages and arrays.
     crash_tile: Option<(usize, usize)>,
@@ -657,7 +658,9 @@ impl OverlapEnv for StageProgram<'_, '_> {
             serial,
         });
         em.out.net_total += serial;
-        em.compute(em.setup);
+        if em.cold {
+            em.compute(em.net.post_overhead(group).as_secs_f64());
+        }
         if let Some((tile, rank)) = em.crash_tile {
             if em.posts == tile && em.out.crash.is_none() {
                 let step = em.out.steps.len();
@@ -721,18 +724,13 @@ fn build_profile(
         .crash
         .as_ref()
         .map(|FaultKind::RankCrash { rank, at_tile }| (*at_tile, *rank));
-    let setup = if reused {
-        0.0
-    } else {
-        net.post_overhead(cfg.ranks).as_secs_f64()
-    };
     let arrays = job.arrays.max(1);
     let mut em = Emitter {
         net,
         out: JobProfile::default(),
         compute_scale,
         link_scale,
-        setup,
+        cold: !reused,
         crash_tile,
         posts: 0,
     };
@@ -1679,6 +1677,7 @@ fn execute_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pencil::PencilGrid;
     use simnet::model::umd_cluster;
 
     fn cfg16() -> ServiceConfig {
@@ -1877,6 +1876,33 @@ mod tests {
         assert!(
             b <= a + 1e-12,
             "a warm plan cannot be slower than the cold one: {b} vs {a}"
+        );
+    }
+
+    #[test]
+    fn a_cold_pencil_post_pays_the_setup_of_its_subgroup() {
+        let cfg = ServiceConfig::new(umd_cluster(), 16);
+        let job = JobSpec::new(0, ProblemSpec::cube(64, 1), Direction::Forward);
+        let grid = PencilGrid { pr: 4, pc: 4 };
+        let profile = |reused| build_profile(&cfg, &job, Decomposition::Pencil(grid), reused);
+        let (cold, _) = profile(false).expect("cold profile");
+        let (warm, _) = profile(true).expect("warm profile");
+        let spec = cluster_spec(&cfg, &job);
+        let stages = stage::pencil(
+            &cfg.platform.machine,
+            &spec,
+            grid,
+            &pencil_seed(&spec, grid),
+        );
+        let net = &cfg.platform.net;
+        let setup: f64 = stages
+            .iter()
+            .map(|s| s.tiles as f64 * net.post_overhead(s.group).as_secs_f64())
+            .sum();
+        let charged = cold.compute_total - warm.compute_total;
+        assert!(
+            (charged - setup).abs() <= 1e-9 * cold.compute_total,
+            "cold minus warm charges {charged} s of setup, the subgroups' posts cost {setup} s"
         );
     }
 

@@ -131,10 +131,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Slow ranks.
     pub stragglers: Vec<Straggler>,
-    /// Delay before every rank's NBC sends (mpisim).
-    pub send_delay: Duration,
-    /// Delay charged when an NBC round message is consumed (mpisim).
-    pub recv_delay: Duration,
     /// Transient message loss.
     pub drop: Option<DropSpec>,
     /// Hard-stall injection.
@@ -174,18 +170,6 @@ impl FaultPlan {
     /// Adds a fully specified straggler.
     pub fn with_straggler_spec(mut self, s: Straggler) -> Self {
         self.stragglers.push(s);
-        self
-    }
-
-    /// Sets the global per-send delay (mpisim).
-    pub fn with_send_delay(mut self, d: Duration) -> Self {
-        self.send_delay = d;
-        self
-    }
-
-    /// Sets the global per-receive delay (mpisim).
-    pub fn with_recv_delay(mut self, d: Duration) -> Self {
-        self.recv_delay = d;
         self
     }
 
@@ -270,8 +254,6 @@ impl FaultPlan {
     /// `true` when the plan injects anything at all — the hot-path gate.
     pub fn is_active(&self) -> bool {
         !self.stragglers.is_empty()
-            || !self.send_delay.is_zero()
-            || !self.recv_delay.is_zero()
             || self.drop.is_some()
             || self.blackhole.is_some()
             || self.link_degradation > 1.0
@@ -302,16 +284,13 @@ impl FaultPlan {
             .unwrap_or(1.0)
     }
 
-    /// Delay to inject before one of `rank`'s NBC sends: the global send
-    /// delay plus the rank's straggler delay.
+    /// Delay to inject before one of `rank`'s NBC sends: its straggler
+    /// delay, if it straggles.
     pub fn send_delay_for(&self, rank: usize) -> Duration {
-        self.send_delay
-            + self
-                .stragglers
-                .iter()
-                .find(|s| s.rank == rank)
-                .map(|s| s.send_delay)
-                .unwrap_or(Duration::ZERO)
+        self.stragglers
+            .iter()
+            .find(|s| s.rank == rank)
+            .map_or(Duration::ZERO, |s| s.send_delay)
     }
 
     /// All-to-all round-time multiplier (≥ 1).

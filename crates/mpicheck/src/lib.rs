@@ -16,16 +16,17 @@
 //!    non-test code, fed by a real [`lexer`] so comments and strings never
 //!    fire. Besides hygiene rules, `SL015` confines every mpisim exchange
 //!    and ULFM collective call to the one transport, which is what lets the
-//!    schedule sweeps stand for all of them; `#[must_use]` on mpisim's
-//!    request and plan handles rejects a discarded post at compile time.
+//!    conformance table's runs stand for all of them; `#[must_use]` on
+//!    mpisim's request and plan handles rejects a discarded post at compile
+//!    time.
 //!
-//! The exploration pass also sweeps *faulty* worlds: [`explore_crash_recovery`]
-//! kills one rank per run (at the first, middle, and last tile boundary,
-//! across every schedule) and requires the survivors' ULFM-style
-//! revoke/shrink/agree recovery to come back serial-exact.
-//!
-//! Driven by `cargo xtask check` (see README); CI runs the exploration
-//! suite over a seed matrix.
+//! The exploration pass also runs *faulty* worlds: [`explore()`] pairs every
+//! schedule with each of the caller's fault plans, and a rank the plan
+//! crashes must be the only one that dies. mpicheck does not depend on the
+//! transform it checks: the workloads are the rows of the root package's
+//! conformance table (`fft3d_repro::conformance`), which `cargo xtask
+//! conform` and `check` run over schedule plans (see README) and CI over a
+//! seed matrix.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -33,10 +34,7 @@ pub mod explore;
 pub mod lexer;
 pub mod srclint;
 
-pub use explore::{
-    explore, explore_corruption, explore_crash_recovery, explore_pencil, explore_pipeline,
-    explore_service, ExploreConfig, ExploreReport, ScheduleFailure,
-};
+pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleFailure};
 pub use mpisim::{
     Backoff, CheckConfig, CheckOutcome, CheckReport, Finding, LintId, SchedConfig, SchedMode,
     Severity,

@@ -46,8 +46,9 @@
 //!   transport (`crates/core/src/transport.rs` and `recover.rs`).
 //!   Algorithm 1 is correct only if every rank posts, tests and waits each
 //!   tile's exchange in the same order; keeping every such call in two
-//!   files is what lets the schedule sweeps stand for all of them. The
-//!   mpisim/simnet runtimes, which implement the collectives, are exempt.
+//!   files is what lets the conformance table's runs stand for all of
+//!   them. The mpisim/simnet runtimes, which implement the collectives,
+//!   are exempt.
 //!
 //! SL006–SL009 are retired codes and, like any retired code, are never
 //! reused. A deliberate exception is suppressed in place with
@@ -838,7 +839,7 @@ mod tests {
         assert_eq!(codes(&lint_one("x.rs", bad)), vec!["SL002"]);
         let wrapped = "fn f() { std::thread::sleep(\n  Duration::from_millis(50)); }\n";
         assert_eq!(codes(&lint_one("x.rs", wrapped)), vec!["SL002"]);
-        let good = "fn f() { std::thread::sleep(plan.recv_delay); }\n";
+        let good = "fn f() { std::thread::sleep(plan.send_delay_for(me)); }\n";
         assert!(lint_one("x.rs", good).is_empty());
     }
 

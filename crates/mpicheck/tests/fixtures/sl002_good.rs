@@ -1,4 +1,4 @@
 //@ path: crates/demo/src/sl002.rs
-fn backoff(plan: &FaultPlan) {
-    std::thread::sleep(plan.recv_delay);
+fn backoff(plan: &FaultPlan, rank: usize) {
+    std::thread::sleep(plan.send_delay_for(rank));
 }

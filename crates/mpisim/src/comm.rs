@@ -385,15 +385,6 @@ impl Comm {
             .find(|&w| self.world.is_failed(w))
     }
 
-    /// World ranks of this communicator's members known dead, ascending.
-    pub fn failed_members(&self) -> Vec<usize> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&w| self.world.is_failed(w))
-            .collect()
-    }
-
     /// `true` once the world has aborted (a peer panicked). Cancellation
     /// paths consult this to avoid racing teardown.
     pub fn world_aborted(&self) -> bool {

@@ -167,9 +167,6 @@ pub struct IAlltoall<T> {
     /// A fault error this request hit; sticky, re-reported on every
     /// subsequent progression attempt.
     failed: Option<CollError>,
-    /// Number of `test` calls made on this request (diagnostics mirroring
-    /// the paper's Test-time accounting).
-    tests: u64,
     /// Set by [`IAlltoall::cancel`]; suppresses the request-leak lint.
     cancelled: bool,
     /// World rank of the owner (diagnostics in the leak lint).
@@ -288,7 +285,6 @@ impl Comm {
             send_attempts: 0,
             corrupt_attempts: 0,
             failed: None,
-            tests: 0,
             cancelled: false,
             world_rank: self.world_rank(me),
             check: self.world.check.clone(),
@@ -460,10 +456,6 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                         Some(comm.world_rank(src)),
                         &msg,
                     );
-                    let plan = comm.faults();
-                    if plan.is_active() && !plan.recv_delay.is_zero() {
-                        std::thread::sleep(plan.recv_delay);
-                    }
                     let frame = *msg
                         .data
                         .downcast::<Frame<T>>()
@@ -502,7 +494,6 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
     /// On a fault-plan error (exhausted retransmit budget); use
     /// [`Self::try_test`] for the typed error path.
     pub fn test(&mut self, comm: &Comm) -> bool {
-        self.tests += 1;
         self.progress(comm)
             .unwrap_or_else(|e| panic!("all-to-all failed: {e}"))
     }
@@ -510,18 +501,12 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
     /// Fallible `MPI_Test`: makes progress and reports completion, or the
     /// typed fault error.
     pub fn try_test(&mut self, comm: &Comm) -> Result<bool, CollError> {
-        self.tests += 1;
         self.progress(comm)
     }
 
     /// `true` once every round has completed (no progress attempt).
     pub fn is_complete(&self) -> bool {
         self.round == self.size
-    }
-
-    /// Number of `test` calls made so far.
-    pub fn test_count(&self) -> u64 {
-        self.tests
     }
 
     /// Rounds of the schedule completed locally so far — the request-level

@@ -196,12 +196,6 @@ impl SimRank {
         self.test_calls
     }
 
-    /// Number of posted, incomplete all-to-alls.
-    #[inline]
-    pub fn active_ops(&self) -> u32 {
-        self.active
-    }
-
     /// Spends `secs` of pure computation (no progression opportunities).
     /// Subject to the platform's execution noise and the fault plan's
     /// straggler factor for this rank.

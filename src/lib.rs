@@ -8,9 +8,12 @@
 //! * [`cfft`] — the serial FFT substrate;
 //! * [`mpisim`] — the MPI-semantics thread runtime (real data);
 //! * [`simnet`] — the calibrated cluster simulator;
-//! * [`tuner`] — the Nelder–Mead auto-tuner.
+//! * [`tuner`] — the Nelder–Mead auto-tuner;
+//! * [`conformance`] — the table of rows every check of the transform runs.
 //!
 //! See README.md for a tour and DESIGN.md for the paper-to-code map.
+
+pub mod conformance;
 
 pub use cfft;
 pub use fft3d;

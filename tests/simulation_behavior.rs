@@ -677,6 +677,8 @@ fn golden_service_trace_with_slab_and_pencil_jobs() {
             None => panic!("job {i} is feasible"),
         }
     }
+    // Re-pinned once, deliberately, when a cold pencil post began paying
+    // the exchange setup of its subgroup instead of the whole world's.
     assert_eq!(
         (
             rep.makespan,
@@ -685,8 +687,8 @@ fn golden_service_trace_with_slab_and_pencil_jobs() {
             rep.rejected(),
             rep.cancelled()
         ),
-        (1.5013699668623317, 0.24817480623972876, 8, 12, 4)
+        (1.500963593450429, 0.24817480623972887, 8, 12, 4)
     );
-    assert_eq!(rep.slowdown.p99, 1.4708738423317882);
-    assert_eq!(rep.jain, 0.9971322968932311);
+    assert_eq!(rep.slowdown.p99, 1.4700576971228123);
+    assert_eq!(rep.jain, 0.9971518867693746);
 }
