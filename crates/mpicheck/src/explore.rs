@@ -148,14 +148,12 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
 /// `tolerance` (pass `f64::INFINITY` for correctness-by-panic workloads). A
 /// run fails on an error-severity finding, a panic, a hang, an error above
 /// `tolerance`, or dead ranks other than the ones its plan crashes — so a
-/// planned crash that never fires fails too. `progress` is called after
-/// every run with `(done, total)`.
+/// planned crash that never fires fails too.
 pub fn explore<W>(
     cfg: &ExploreConfig,
     faults: &[(String, FaultPlan)],
     tolerance: f64,
     workload: W,
-    mut progress: impl FnMut(u64, u64),
 ) -> ExploreReport
 where
     W: Fn(Comm) -> Option<f64> + Send + Sync,
@@ -166,10 +164,9 @@ where
             (sched, plan.clone().scoped(i as u64), descriptor)
         })
     });
-    let total = cfg.schedules() * faults.len() as u64;
     let mut failures = Vec::new();
     let mut info_findings = 0usize;
-    for (i, (sched, faults, descriptor)) in runs.enumerate() {
+    for (sched, faults, descriptor) in runs {
         let expect_crashes: Vec<usize> = (0..cfg.ranks)
             .filter_map(|r| faults.crash_at(r).map(|_| r))
             .collect();
@@ -223,10 +220,9 @@ where
                 });
             }
         }
-        progress(i as u64 + 1, total);
     }
     ExploreReport {
-        schedules_run: total,
+        schedules_run: cfg.schedules() * faults.len() as u64,
         failures,
         info_findings,
     }
@@ -254,16 +250,10 @@ mod tests {
             defer_prob: 0.4,
             ..ExploreConfig::new(3, 0..6, 2)
         };
-        let report = explore(
-            &cfg,
-            &clean(),
-            1e-12,
-            |comm| {
-                let sum = comm.allreduce_sum(&[comm.rank() as f64]);
-                Some((sum[0] - 3.0).abs())
-            },
-            |_, _| {},
-        );
+        let report = explore(&cfg, &clean(), 1e-12, |comm| {
+            let sum = comm.allreduce_sum(&[comm.rank() as f64]);
+            Some((sum[0] - 3.0).abs())
+        });
         assert_eq!(report.schedules_run, 10);
         assert!(report.is_clean(), "{:?}", report.failures);
     }
@@ -272,7 +262,7 @@ mod tests {
     fn every_schedule_meets_every_fault_plan() {
         let cfg = ExploreConfig::new(2, 0..3, 1);
         let faults = [clean(), clean()].concat();
-        let report = explore(&cfg, &faults, 0.0, |_| None, |_, _| {});
+        let report = explore(&cfg, &faults, 0.0, |_| None);
         assert_eq!(report.schedules_run, 10);
         assert!(report.is_clean(), "{:?}", report.failures);
     }
@@ -283,7 +273,7 @@ mod tests {
         let crash = FaultPlan::none().with_rank_crash(1, 0);
         let faults = [("crash".to_owned(), crash)];
         // The workload never reaches a crash point.
-        let report = explore(&cfg, &faults, f64::INFINITY, |_| None, |_, _| {});
+        let report = explore(&cfg, &faults, f64::INFINITY, |_| None);
         assert_eq!(report.failures.len(), 1);
         let why = report.failures[0].panic.as_deref().unwrap_or_default();
         assert!(why.contains("injected-crash mismatch"), "{why}");
@@ -297,19 +287,13 @@ mod tests {
             max_hold: 1,
             ..ExploreConfig::new(2, 0..1, 0)
         };
-        let report = explore(
-            &cfg,
-            &clean(),
-            f64::INFINITY,
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(&[1u8], 1, 9); // deliberately never received
-                }
-                comm.barrier();
-                None
-            },
-            |_, _| {},
-        );
+        let report = explore(&cfg, &clean(), f64::INFINITY, |comm| {
+            if comm.rank() == 0 {
+                comm.send(&[1u8], 1, 9); // deliberately never received
+            }
+            comm.barrier();
+            None
+        });
         assert_eq!(report.failures.len(), 1);
         let f = &report.failures[0];
         assert!(f.findings.iter().any(|f| f.id.code() == "MC001"), "{f:?}");

@@ -222,12 +222,13 @@ fn report_failures(row: &str, report: &ExploreReport) {
             println!("    panic: {p}");
         }
         if let Some(e) = fail.max_err {
-            println!("    max numerical error: {e:.3e}");
+            println!("    max deviation from the serial spectrum: {e:.3e} × 1e-9·N");
         }
     }
 }
 
-/// Every row of the conformance table over its schedule plan.
+/// Every row of the conformance table over its schedule plan, with a
+/// progress line at every tenth of the rows.
 fn run_conform(args: &ConformArgs) -> bool {
     let rows = table();
     let started = std::time::Instant::now();
@@ -238,13 +239,21 @@ fn run_conform(args: &ConformArgs) -> bool {
         args.seed_base
     );
     for (i, row) in rows.iter().enumerate() {
-        let report = row.explore(&args.config(row.plan(args.seed_base)), |_, _| {});
+        let report = row.explore(&args.config(row.plan(args.seed_base)));
         runs += report.schedules_run;
         info += report.info_findings;
         if !report.is_clean() {
             report_failures(&format!("row {} ({row})", i + 1), &report);
             failing_runs += report.failures.len();
             failing_rows += 1;
+        }
+        if (i + 1) * 10 / rows.len() > i * 10 / rows.len() {
+            println!(
+                "conform: {}/{} rows, {runs} runs, {failing_rows} failing row(s), {:.0}s",
+                i + 1,
+                rows.len(),
+                started.elapsed().as_secs_f64()
+            );
         }
     }
     println!(

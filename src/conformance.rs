@@ -1,16 +1,17 @@
 //! The conformance table: every point of the transform's behaviour space a
 //! check must cover, as data, and the one workload that runs any row.
 //!
-//! A [`Row`] picks one value on each axis — decomposition (slab, or a 2×2
-//! pencil grid), variant, direction, shape, fault and use — and runs on
+//! A [`Row`] picks one value on each axis — [`Decomposition`] (slab, or a
+//! 2×2 pencil grid), variant, direction, shape, fault and use — and runs on
 //! [`RANKS`] ranks under [`mpicheck::explore()`], so every row also meets
 //! every delivery schedule of the plan it is run with. Each run holds
 //! three oracles:
 //!
 //! * **spectrum** — every rank's output is within `1e-9·N` of
-//!   [`fft3d::serial::fft3_serial`]; where the validating constructor
-//!   ([`Simulation::slab`]/[`Simulation::pencil`]) refuses the geometry, the
-//!   real transform must refuse it with the same typed [`Error`] instead;
+//!   [`fft3d::serial::fft3_serial`], `N` the size of the job's own array;
+//!   where the validating constructor ([`Simulation::slab`]/
+//!   [`Simulation::pencil`]) refuses the geometry, the real transform must
+//!   refuse it with the same typed [`Error`] instead;
 //! * **recovery record** — the bit-flip victim heals with a
 //!   [`DegradeAction::Retransmit`] and nobody else heals anything; a crash
 //!   leaves exactly `{VICTIM}` lost on `RANKS − 1` survivors; executions of
@@ -33,8 +34,8 @@ use fft3d::serial::{fft3_serial, full_test_array};
 use fft3d::sim_env::Simulation;
 use fft3d::{
     compare_pencil_with_serial, pencil_blocking, pencil_seed, pencil_test_input, run_recoverable,
-    DegradeAction, Error, FftSession, NoopRecorder, PencilGrid, PencilSession, ProblemSpec,
-    RecoverConfig, Recovery, ReplicaSource, TuningParams,
+    Decomposition, DegradeAction, Error, FftSession, NoopRecorder, PencilGrid, PencilSession,
+    ProblemSpec, RecoverConfig, Recovery, ReplicaSource, TuningParams,
 };
 use mpicheck::{ExploreConfig, ExploreReport};
 use mpisim::Comm;
@@ -46,18 +47,6 @@ pub const RANKS: usize = 4;
 
 /// The rank a bit-flip or crash row hurts.
 pub const VICTIM: usize = 1;
-
-/// The pencil rows' process grid.
-const GRID: PencilGrid = PencilGrid { pr: 2, pc: 2 };
-
-/// How the array is distributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decomposition {
-    /// One exchange over all ranks ([`FftSession`]).
-    Slab,
-    /// Two exchanges over a 2×2 grid's rows and columns ([`PencilSession`]).
-    Pencil,
-}
 
 /// The algorithm. On the pencil, NEW is [`pencil_seed`] with one plane per
 /// tile and FFTW is [`pencil_blocking`]; NEW-0 and TH are slab-only.
@@ -113,7 +102,8 @@ pub enum Use {
 /// One point of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Row {
-    /// Slab or pencil.
+    /// One exchange over all ranks ([`FftSession`]), or two over a pencil
+    /// grid's rows and columns ([`PencilSession`]).
     pub decomposition: Decomposition,
     /// The algorithm.
     pub variant: Variant,
@@ -131,13 +121,14 @@ pub struct Row {
 /// doc names and crashes outside one-shot runs.
 pub fn table() -> Vec<Row> {
     let mut rows = Vec::new();
-    for decomposition in [Decomposition::Slab, Decomposition::Pencil] {
+    let pencil = Decomposition::Pencil(PencilGrid { pr: 2, pc: 2 });
+    for decomposition in [Decomposition::Slab, pencil] {
         let (variants, faults): (&[Variant], &[Fault]) = match decomposition {
             Decomposition::Slab => (
                 &[Variant::New, Variant::New0, Variant::Th, Variant::Fftw],
                 &[Fault::None, Fault::Payload, Fault::Bitflip, Fault::Crash],
             ),
-            Decomposition::Pencil => (
+            Decomposition::Pencil(_) => (
                 &[Variant::New, Variant::Fftw],
                 &[Fault::None, Fault::Payload],
             ),
@@ -169,17 +160,14 @@ pub fn table() -> Vec<Row> {
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let spec = self.spec();
+        match self.decomposition {
+            Decomposition::Slab => write!(f, "Slab")?,
+            Decomposition::Pencil(g) => write!(f, "Pencil{}x{}", g.pr, g.pc)?,
+        }
         write!(
             f,
-            "{:?}/{:?}/{:?}/{}x{}x{}/{:?}/{:?}",
-            self.decomposition,
-            self.variant,
-            self.dir,
-            spec.nx,
-            spec.ny,
-            spec.nz,
-            self.fault,
-            self.usage
+            "/{:?}/{:?}/{}x{}x{}/{:?}/{:?}",
+            self.variant, self.dir, spec.nx, spec.ny, spec.nz, self.fault, self.usage
         )
     }
 }
@@ -196,6 +184,12 @@ struct Case {
 }
 
 impl Case {
+    /// `err`, the largest deviation from the serial spectrum, in units of
+    /// the spectrum oracle's bound `1e-9·N`.
+    fn deviation(&self, err: f64) -> f64 {
+        err / (1e-9 * self.spec.len() as f64)
+    }
+
     /// The oracle of a transform that returned `e`: the refusal the
     /// validating constructor predicts, on every rank.
     fn refused(&self, e: Error) -> f64 {
@@ -210,11 +204,12 @@ impl Case {
 /// One rank's session of a row's transform.
 enum Transform<'c> {
     Slab(FftSession<'c>),
-    Pencil(PencilSession),
+    Pencil(PencilSession, PencilGrid),
 }
 
 /// What one execution left for the oracles.
 struct Ran {
+    /// [`Case::deviation`] of the output.
     err: f64,
     recovery: Recovery,
     setups: u64,
@@ -231,13 +226,10 @@ impl<'c> Transform<'c> {
                 row.dir,
                 Rigor::Estimate,
             )),
-            Decomposition::Pencil => Transform::Pencil(PencilSession::new(
-                comm,
-                case.spec,
-                GRID,
-                case.params,
-                row.dir,
-            )?),
+            Decomposition::Pencil(grid) => Transform::Pencil(
+                PencilSession::new(comm, case.spec, grid, case.params, row.dir)?,
+                grid,
+            ),
         })
     }
 
@@ -247,15 +239,17 @@ impl<'c> Transform<'c> {
             Transform::Slab(session) => {
                 let out = session.execute(&local_test_slab(spec, rank))?;
                 Ran {
-                    err: compare_with_serial(spec, rank, &out, reference),
+                    err: case.deviation(compare_with_serial(spec, rank, &out, reference)),
                     recovery: out.recovery,
                     setups: out.exchange_setups,
                 }
             }
-            Transform::Pencil(session) => {
-                let out = session.execute(&pencil_test_input(spec, GRID, rank))?;
+            Transform::Pencil(session, grid) => {
+                let grid = *grid;
+                let out = session.execute(&pencil_test_input(spec, grid, rank))?;
+                let err = compare_pencil_with_serial(spec, grid, rank, &out.output, reference);
                 Ran {
-                    err: compare_pencil_with_serial(spec, GRID, rank, &out.output, reference),
+                    err: case.deviation(err),
                     recovery: out.recovery,
                     setups: out.exchange_setups,
                 }
@@ -297,7 +291,7 @@ impl Row {
             (true, Fault::None, Use::Serve) | (true, _, Use::OneShot) if slab => (16, 6),
             _ => (8, 3),
         };
-        ExploreConfig::new(RANKS, seed_base..seed_base + random, bits)
+        ExploreConfig::new(RANKS, seed_base..seed_base.saturating_add(random), bits)
     }
 
     /// The slab variant the row runs (NEW-0 is NEW at a non-overlapped
@@ -317,12 +311,12 @@ impl Row {
             (Decomposition::Slab, Variant::New) => TuningParams { threads: 2, ..seed },
             (Decomposition::Slab, Variant::New0) => seed.without_overlap(),
             (Decomposition::Slab, _) => seed,
-            (Decomposition::Pencil, Variant::New) => TuningParams {
+            (Decomposition::Pencil(grid), Variant::New) => TuningParams {
                 t: 1,
                 threads: 2,
-                ..pencil_seed(spec, GRID)
+                ..pencil_seed(spec, grid)
             },
-            (Decomposition::Pencil, _) => pencil_blocking(spec, GRID),
+            (Decomposition::Pencil(grid), _) => pencil_blocking(spec, grid),
         }
     }
 
@@ -332,7 +326,7 @@ impl Row {
         fft3_serial(&mut reference, spec.nx, spec.ny, spec.nz, self.dir);
         let refusal = match self.decomposition {
             Decomposition::Slab => Simulation::slab(spec, self.slab_variant(), params).err(),
-            Decomposition::Pencil => Simulation::pencil(spec, GRID, params).err(),
+            Decomposition::Pencil(grid) => Simulation::pencil(spec, grid, params).err(),
         };
         Case {
             spec,
@@ -367,32 +361,33 @@ impl Row {
     }
 
     /// Runs the row once per schedule of `cfg` and fault plan, every rank
-    /// held to the three oracles.
-    pub fn explore(&self, cfg: &ExploreConfig, progress: impl FnMut(u64, u64)) -> ExploreReport {
+    /// held to the three oracles. A run's reported error is its worst
+    /// deviation from the serial spectrum in units of its job's `1e-9·N`,
+    /// so it fails above 1.
+    pub fn explore(&self, cfg: &ExploreConfig) -> ExploreReport {
         let spec = self.spec();
-        let cases = [
-            self.case(spec),
-            self.case(ProblemSpec {
+        let mut cases = vec![self.case(spec)];
+        if self.usage == Use::Serve {
+            cases.push(self.case(ProblemSpec {
                 nz: 2 * spec.nz,
                 ..spec
-            }),
-        ];
-        let tolerance = 1e-9 * cases[1].spec.len() as f64;
+            }));
+        }
         let faults = self.faults(&cases[0]);
-        let replica = Arc::new(full_test_array(spec.nx, spec.ny, spec.nz));
-        let source = ReplicaSource::new(replica);
         let workload = |comm: Comm| {
             Some(match self.fault {
-                Fault::Crash => self.recover(&comm, &cases[0], &source),
+                Fault::Crash => self.recover(&comm, &cases[0]),
                 _ => self.sessions(&comm, &cases),
             })
         };
-        mpicheck::explore(cfg, &faults, tolerance, workload, progress)
+        mpicheck::explore(cfg, &faults, 1.0, workload)
     }
 
     /// One rank of a crash row: the survivors shrink, re-decompose and
-    /// recompute.
-    fn recover(&self, comm: &Comm, case: &Case, source: &ReplicaSource) -> f64 {
+    /// recompute, re-fetching lost input from a replica of the test field.
+    fn recover(&self, comm: &Comm, case: &Case) -> f64 {
+        let (nx, ny, nz) = (case.spec.nx, case.spec.ny, case.spec.nz);
+        let source = ReplicaSource::new(Arc::new(full_test_array(nx, ny, nz)));
         let outcome = run_recoverable(
             comm,
             case.spec,
@@ -400,7 +395,7 @@ impl Row {
             case.params,
             self.dir,
             Rigor::Estimate,
-            source,
+            &source,
             &RecoverConfig::default(),
             &mut NoopRecorder,
         );
@@ -410,18 +405,19 @@ impl Row {
         };
         assert_eq!(outcome.lost, [VICTIM], "the agreed failure set");
         assert_eq!(outcome.spec.p, RANKS - 1, "the world shrinks by one");
-        compare_with_serial(
+        let err = compare_with_serial(
             &outcome.spec,
             outcome.rank,
             &outcome.output,
             &case.reference,
-        )
+        );
+        case.deviation(err)
     }
 
     /// One rank of every other row: the row's executions of `cases[0]`,
     /// with `cases[1]` as the serve shape's foreign job; the worst
-    /// deviation from the serial spectrum.
-    fn sessions(&self, comm: &Comm, cases: &[Case; 2]) -> f64 {
+    /// [`Case::deviation`].
+    fn sessions(&self, comm: &Comm, cases: &[Case]) -> f64 {
         let rank = comm.rank();
         let victim = self.fault == Fault::Bitflip && rank == VICTIM;
         let jobs: &[usize] = match self.usage {

@@ -5,9 +5,8 @@
 
 use cfft::Direction;
 use fft3d::decomp::Decomp;
-use fft3d_repro::conformance::{
-    table, Decomposition, Fault, Row, Shape, Use, Variant, RANKS, VICTIM,
-};
+use fft3d::{Decomposition, PencilGrid};
+use fft3d_repro::conformance::{table, Fault, Row, Shape, Use, Variant, RANKS, VICTIM};
 use mpicheck::ExploreConfig;
 
 /// Runs `rows` on one schedule each; panics naming every failing run.
@@ -15,7 +14,7 @@ fn conforms(rows: impl Iterator<Item = Row>) {
     let one = ExploreConfig::new(RANKS, 0..1, 0);
     let mut failed = Vec::new();
     for row in rows {
-        for f in row.explore(&one, |_, _| {}).failures {
+        for f in row.explore(&one).failures {
             failed.push(format!("{row} {}: {f:?}", f.schedule));
         }
     }
@@ -36,7 +35,7 @@ fn every_pencil_row_conforms_on_one_schedule() {
     conforms(
         table()
             .into_iter()
-            .filter(|r| r.decomposition == Decomposition::Pencil),
+            .filter(|r| r.decomposition != Decomposition::Slab),
     );
 }
 
@@ -47,7 +46,8 @@ fn the_table_is_the_product_of_its_axes_less_the_named_gaps() {
     // one-shot crashes); pencil: 2 variants × 2 × 3 × (2 faults × 3 uses).
     assert_eq!(rows.len(), 4 * 2 * 3 * 10 + 2 * 2 * 3 * 6);
     for row in &rows {
-        if row.decomposition == Decomposition::Pencil {
+        if let Decomposition::Pencil(grid) = row.decomposition {
+            assert_eq!(grid, PencilGrid { pr: 2, pc: 2 }, "{row}");
             assert!(matches!(row.variant, Variant::New | Variant::Fftw), "{row}");
             assert!(matches!(row.fault, Fault::None | Fault::Payload), "{row}");
         }
@@ -76,7 +76,8 @@ fn rows_the_per_family_sweeps_ran_keep_their_schedule_counts() {
         fault,
         usage,
     };
-    let (slab, pencil) = (Decomposition::Slab, Decomposition::Pencil);
+    let slab = Decomposition::Slab;
+    let pencil = Decomposition::Pencil(PencilGrid { pr: 2, pc: 2 });
     let counts = [
         (gate(slab, Fault::None, Use::OneShot), 200),
         (gate(pencil, Fault::None, Use::OneShot), 200),
@@ -94,5 +95,10 @@ fn rows_the_per_family_sweeps_ran_keep_their_schedule_counts() {
         let moved = row.plan(1000);
         assert_eq!(moved.schedules(), schedules);
         assert_eq!(moved.random_seeds.start, 1000);
+        // A seed base near the top clamps the random range, never wraps it
+        // empty.
+        let top = row.plan(u64::MAX - 3);
+        assert_eq!(top.random_seeds, u64::MAX - 3..u64::MAX);
+        assert_eq!(top.schedules(), 3 + (1 << top.systematic_bits));
     }
 }
