@@ -6,6 +6,8 @@
 //! cargo run -p fft-bench --release --bin ablation [-- p N]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::sim_env::Simulation;
 use fft3d::{fft3_simulated, th_simulated, ProblemSpec, ThParams, TuningParams, Variant};
 use simnet::model::{umd_cluster, TransposeCost};

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p fft-bench --release --bin calibrate`
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{fft3_simulated, th_simulated, ProblemSpec, ThParams, TuningParams, Variant};
 use fft_bench::paper::TABLE2;
 use simnet::model::{hopper, umd_cluster, Platform};

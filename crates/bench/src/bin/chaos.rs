@@ -23,6 +23,8 @@
 //! cargo run -p fft-bench --release --bin chaos [-- seed]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::real_env::local_test_slab;

@@ -10,6 +10,8 @@
 //! cargo run -p fft-bench --release --bin decomp_crossover [-- N]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{
     auto_select, pencil_blocking, pencil_seed, Decomposition, Error, PencilGrid, ProblemSpec,
     Simulation, TuningParams, Variant,

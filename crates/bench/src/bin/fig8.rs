@@ -1,6 +1,8 @@
 //! Figure 8: per-step performance breakdown of NEW, NEW-0, TH, TH-0 for
 //! the paper's three settings.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft_bench::experiments::run_fig8_panel;
 use fft_bench::report::render_fig8_panel;
 

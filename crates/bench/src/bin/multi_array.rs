@@ -6,6 +6,8 @@
 //! cargo run -p fft-bench --release --bin multi_array [-- N p]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{ProblemSpec, Simulation, TuningParams, Variant};
 use simnet::model::umd_cluster;
 

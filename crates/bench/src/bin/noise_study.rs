@@ -10,6 +10,8 @@
 //! cargo run -p fft-bench --release --bin noise_study
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{fft3_simulated, ProblemSpec, Variant};
 use simnet::model::umd_cluster;
 use tuner::driver::tune_new;

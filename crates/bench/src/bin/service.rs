@@ -11,6 +11,8 @@
 //! `--smoke` runs a small fast configuration (32³ over 4 ranks, 8 jobs)
 //! suitable for CI.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::Direction;
 use fft3d::{JobSpec, ProblemSpec, Service, ServiceConfig};
 use simnet::model::umd_cluster;

@@ -7,6 +7,8 @@
 //! cargo run -p fft-bench --release --bin strategies [-- N p budget]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{fft3_simulated, ProblemSpec, TuningParams, Variant};
 use simnet::model::umd_cluster;
 use tuner::anneal::{anneal_new, coordinate_descent_new};

@@ -3,6 +3,8 @@
 //!
 //! Usage: `cargo run -p fft-bench --release --bin table2 -- [umd|hopper|hopper-large|all]`
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft_bench::experiments::{run_panel, HOPPER_CELLS, HOPPER_LARGE_CELLS, UMD_CELLS};
 use fft_bench::report::{render_table2, render_table3, render_table4};
 

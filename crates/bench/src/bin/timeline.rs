@@ -10,6 +10,8 @@
 //! With `--json PATH` the full per-rank event streams (and per-rank overlap
 //! summaries) are written as one JSON document for external plotting.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::sim_env::{Execution, Simulation};
 use fft3d::trace::{derive_step_times, overlap_summary, trace_to_json, EventKind, TraceEvent};
 use fft3d::{ProblemSpec, TuningParams, Variant};

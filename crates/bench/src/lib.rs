@@ -9,6 +9,8 @@
 //! * `fig9` — cross-platform test
 //! * `calibrate` — model-vs-paper calibration probe
 //! * `repro_all` — everything, rewriting EXPERIMENTS.md
+
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
 pub mod cells;
 pub mod experiments;
 pub mod paper;

@@ -119,6 +119,7 @@ impl PlanCache {
         // Miss: measure while holding the lock so concurrent requests for
         // the same geometry wait for this measurement instead of repeating
         // it. A transient Planner performs (and times) the measurement.
+        #[expect(clippy::disallowed_methods, reason = "the cache's miss path")]
         let mut planner = Planner::new(rigor);
         let plan = planner.plan(n, dir);
         let spent = planner.planning_time();

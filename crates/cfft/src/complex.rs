@@ -283,7 +283,6 @@ pub fn rel_l2_error(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "slices must have equal length");
     let num: f64 = a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
     let den: f64 = b.iter().map(|y| y.norm_sqr()).sum();
-    // mpicheck:allow(SL012): exact-zero guard before dividing by ‖b‖
     if den == 0.0 {
         num.sqrt()
     } else {

@@ -32,10 +32,9 @@
 //! assert!((data[0].re - 240.0).abs() < 1e-9); // DC bin holds the sum
 //! ```
 
-// `x % n == 0` keeps the stated MSRV (1.85); `is_multiple_of` needs 1.87.
-#![allow(clippy::manual_is_multiple_of)]
-// A plan's `len()` is its transform size; an `is_empty()` would be meaningless.
-#![allow(clippy::len_without_is_empty)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+#![expect(clippy::manual_is_multiple_of, reason = "is_multiple_of needs 1.87")]
+#![expect(clippy::len_without_is_empty, reason = "a plan's len is its size")]
 pub mod batch;
 pub mod bluestein;
 pub mod cache;

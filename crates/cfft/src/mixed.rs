@@ -304,7 +304,7 @@ fn butterflies<'a>(
 // that is what lets it vectorise the loop without a run-time overlap check it
 // could fail. Everything is inlined back into one loop nest.
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 fn stage2(
     m: usize,
     s: usize,
@@ -349,7 +349,7 @@ fn lanes2(
 
 /// `FWD` is the direction as a constant: which `ω_4` it is is not a question
 /// for the lane loop.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 fn stage4<const FWD: bool>(
     m: usize,
     s: usize,
@@ -387,7 +387,7 @@ fn stage4<const FWD: bool>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 #[inline(always)]
 fn lanes4<const FWD: bool>(
     [wp1, wp2, wp3]: [Complex64; 3],
@@ -423,7 +423,7 @@ fn lanes4<const FWD: bool>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 fn stage3(
     dir: Direction,
     m: usize,
@@ -461,7 +461,7 @@ fn stage3(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 #[inline(always)]
 fn lanes3(
     sign: f64,
@@ -490,7 +490,7 @@ fn lanes3(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 fn stage5(
     dir: Direction,
     m: usize,
@@ -537,7 +537,7 @@ fn stage5(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 #[inline(always)]
 fn lanes5(
     sign: f64,
@@ -581,7 +581,7 @@ fn lanes5(
 }
 
 /// Generic O(r²) butterfly for any remaining prime radix ≤ 31.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint slice parameters")]
 fn stage_generic(
     r: usize,
     m: usize,

@@ -266,6 +266,7 @@ impl Planner {
 }
 
 impl Default for Planner {
+    #[expect(clippy::disallowed_methods, reason = "the planner's own constructor")]
     fn default() -> Self {
         Planner::new(Rigor::Estimate)
     }

@@ -28,6 +28,7 @@ impl RealFftPlan {
             n >= 2 && n % 2 == 0,
             "real FFT length must be even and ≥ 2, got {n}"
         );
+        #[expect(clippy::disallowed_methods, reason = "its own half-length plans")]
         let mut planner = Planner::new(rigor);
         let half_fwd = planner.plan(n / 2, Direction::Forward);
         let half_bwd = planner.plan(n / 2, Direction::Backward);

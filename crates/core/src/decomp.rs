@@ -14,6 +14,8 @@
 //! no validation of its own: an infeasible geometry is the typed error
 //! their constructors return.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::{pencil_seed, PencilGrid};

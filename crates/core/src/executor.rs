@@ -35,6 +35,8 @@
 //! [`crate::PencilSession`] are constructors of it; a one-shot call is a
 //! session executed once (DESIGN.md §15).
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::breakdown::StepTimes;
 use crate::decomp::AxisSplit;
 use crate::error::{Error, IntegrityStage};

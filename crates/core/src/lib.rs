@@ -50,11 +50,8 @@
 //! # Ok::<(), fft3d::Error>(())
 //! ```
 
-// `x % n == 0` keeps the stated MSRV (1.85); `is_multiple_of` needs 1.87.
-#![allow(clippy::manual_is_multiple_of)]
-// Error-path hygiene (same policy as mpisim): non-test code surfaces typed
-// errors or panics with a diagnostic `expect`, never a bare `.unwrap()`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+#![expect(clippy::manual_is_multiple_of, reason = "is_multiple_of needs 1.87")]
 pub mod breakdown;
 pub mod decomp;
 pub mod error;

@@ -143,15 +143,14 @@ pub struct PencilOutput {
 /// Row communicator (same row, ranked by column) and column communicator
 /// (same column, ranked by row). Collective over `comm`; the grid must
 /// already be validated against `comm.size()`.
-fn split_pencil(comm: &Comm, grid: PencilGrid) -> (Comm, Comm) {
+fn split_pencil(comm: &Comm, grid: PencilGrid) -> Result<(Comm, Comm), Error> {
     let (row, col) = grid.coords(comm.rank());
-    let row_comm = comm
-        .split(row as i64, col as i64)
-        .expect("non-negative color");
+    let excluded = Error::Internal("a pencil split excluded its own rank");
+    let row_comm = comm.split(row as i64, col as i64).ok_or(excluded)?;
     let col_comm = comm
         .split((grid.pr + col) as i64, row as i64)
-        .expect("non-negative color");
-    (row_comm, col_comm)
+        .ok_or(excluded)?;
+    Ok((row_comm, col_comm))
 }
 
 /// Result of one overlapped pencil transform.
@@ -297,7 +296,7 @@ impl PencilSession {
         dir: Direction,
     ) -> Result<Self, Error> {
         validate_pencil(comm.size(), &spec, grid, &params)?;
-        let (row_comm, col_comm) = split_pencil(comm, grid);
+        let (row_comm, col_comm) = split_pencil(comm, grid)?;
         let [row, col] = stages(&spec, grid, &params, dir, comm.rank());
         let (ny2l, nzl) = (col.n_w(), col.n_tau);
         let stages = vec![
@@ -399,7 +398,7 @@ pub fn pencil_feasible(spec: &ProblemSpec, grid: PencilGrid, params: &TuningPara
 }
 
 // ---------------------------------------------------------------------------
-// Test/verification helpers (shared with mpicheck and the test suites)
+// Test/verification helpers (shared with the conformance table and the tests)
 // ---------------------------------------------------------------------------
 
 /// `rank`'s `(X_r, Y_c, Z_all)` pencil of the deterministic

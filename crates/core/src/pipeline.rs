@@ -43,8 +43,7 @@ pub(crate) fn block_on<F: Future>(driver: F) -> F::Output {
 /// whose all-to-all is outstanding, oldest first; the compute hooks poll
 /// them per the backend's `F*` parameters. The four per-tile steps are
 /// `async`: those are where a backend may suspend the schedule.
-// Drivers and backends share one thread, so no caller needs a `Send` bound.
-#[allow(async_fn_in_trait)]
+#[expect(async_fn_in_trait, reason = "drivers and backends share a thread")]
 pub trait OverlapEnv {
     /// Backend-specific request handle for one tile's all-to-all.
     type Req;

@@ -25,6 +25,8 @@
 //! unnormalised kernels, `Σ|X|² = N·Σ|x|²` must hold across the surviving
 //! world, or everyone returns [`Error::VerificationFailed`].
 
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use crate::decomp::Decomp;
 use crate::error::Error;
 use crate::params::{ProblemSpec, TuningParams};
@@ -502,7 +504,8 @@ fn classify(e: &Error) -> u64 {
 /// shrunk world; the caller learns the new geometry from the outcome. All
 /// error returns are symmetric across survivors except the per-rank typed
 /// error of a fatal (non-failure) attempt.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "inputs of one collective call")]
+#[expect(clippy::disallowed_methods, reason = "the ULFM steps live here")]
 pub fn run_recoverable(
     comm: &Comm,
     spec: ProblemSpec,

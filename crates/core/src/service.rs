@@ -30,7 +30,7 @@
 //!   returning bandwidth to everyone else.
 //! * **Retry with [`Backoff`]** — a job killed by its own injected
 //!   [`FaultPlan`] crash is retried after a deterministic, jittered pause
-//!   (the same pure [`Backoff::park`] arithmetic `mpicheck` uses), up to
+//!   (the same pure [`Backoff::park`] arithmetic mpisim's waits use), up to
 //!   `max_attempts`.
 //! * **Tenant isolation** — one tenant's faults are scoped to its own
 //!   jobs ([`FaultPlan::scoped`]); on the data layer
@@ -49,6 +49,8 @@
 //! Everything on the timing layer is a pure function of (jobs, config):
 //! no wall clock, no hash-map iteration, no thread scheduling — the same
 //! submission always yields the same [`ServiceReport`].
+
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::expect_used))]
 
 use crate::decomp::{auto_select, Decomposition};
 use crate::error::Error;

@@ -20,6 +20,8 @@
 //! first post (paying the setup charge there) and started on every post, so
 //! a single execution is the first of a repeated run, not a path of its own.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomposition;
 use crate::error::Error;

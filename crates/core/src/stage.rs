@@ -18,6 +18,11 @@
 //! [`StageCosts::before_post`]) — so the two interpreters differ only in
 //! what a phase, a post and a wait *do*.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::disallowed_types)
+)]
+
 use crate::decomp::Decomp;
 use crate::params::{ProblemSpec, TuningParams};
 use crate::pencil::PencilGrid;

@@ -12,6 +12,8 @@
 //! `enabled() == false` and every instrumentation site checks that flag
 //! before computing timestamps.
 
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unreachable))]
+
 use crate::breakdown::StepTimes;
 use std::fmt::Write as _;
 
@@ -212,28 +214,13 @@ impl MemRecorder {
 /// matching how both backends accumulate [`StepTimes`] directly.
 pub fn derive_step_times(events: &[TraceEvent]) -> StepTimes {
     let mut steps = StepTimes::default();
-    let mut compute: Vec<(f64, f64, &'static str)> = Vec::new();
+    let mut compute: Vec<(f64, f64, EventKind)> = Vec::new();
     for ev in events {
-        let d = ev.duration();
-        match ev.kind {
-            EventKind::Fftz => steps.fftz += d,
-            EventKind::Transpose => steps.transpose += d,
-            EventKind::Ffty { .. } => steps.ffty += d,
-            EventKind::Pack { .. } => steps.pack += d,
-            EventKind::PostA2a { .. } => steps.ialltoall += d,
-            EventKind::Test { .. } => steps.test += d,
-            EventKind::Wait { .. } => steps.wait += d,
-            EventKind::Unpack { .. } => steps.unpack += d,
-            EventKind::Fftx { .. } => steps.fftx += d,
-            // Recovery markers are instants, not time spent in a
-            // category; they do not contribute to the breakdown.
-            EventKind::Degrade { .. }
-            | EventKind::RankLost { .. }
-            | EventKind::Shrink { .. }
-            | EventKind::Corrupt { .. } => {}
+        if let Some(category) = category(&mut steps, ev.kind) {
+            *category += ev.duration();
         }
         if ev.kind.is_compute() {
-            compute.push((ev.start, ev.end, ev.kind.label()));
+            compute.push((ev.start, ev.end, ev.kind));
         }
     }
     // Subtract nested polls from their surrounding compute span's category.
@@ -244,22 +231,35 @@ pub fn derive_step_times(events: &[TraceEvent]) -> StepTimes {
             if idx == 0 {
                 continue;
             }
-            let (_, end, label) = compute[idx - 1];
+            let (_, end, kind) = compute[idx - 1];
             if ev.end <= end + 1e-12 {
-                let d = ev.duration();
-                match label {
-                    "FFTz" => steps.fftz -= d,
-                    "Transpose" => steps.transpose -= d,
-                    "FFTy" => steps.ffty -= d,
-                    "Pack" => steps.pack -= d,
-                    "Unpack" => steps.unpack -= d,
-                    "FFTx" => steps.fftx -= d,
-                    _ => unreachable!(),
+                if let Some(category) = category(&mut steps, kind) {
+                    *category -= ev.duration();
                 }
             }
         }
     }
     steps
+}
+
+/// The [`StepTimes`] entry a span of `kind` counts towards; `None` for the
+/// recovery markers, which are instants, not time spent in a category.
+fn category(steps: &mut StepTimes, kind: EventKind) -> Option<&mut f64> {
+    Some(match kind {
+        EventKind::Fftz => &mut steps.fftz,
+        EventKind::Transpose => &mut steps.transpose,
+        EventKind::Ffty { .. } => &mut steps.ffty,
+        EventKind::Pack { .. } => &mut steps.pack,
+        EventKind::PostA2a { .. } => &mut steps.ialltoall,
+        EventKind::Test { .. } => &mut steps.test,
+        EventKind::Wait { .. } => &mut steps.wait,
+        EventKind::Unpack { .. } => &mut steps.unpack,
+        EventKind::Fftx { .. } => &mut steps.fftx,
+        EventKind::Degrade { .. }
+        | EventKind::RankLost { .. }
+        | EventKind::Shrink { .. }
+        | EventKind::Corrupt { .. } => return None,
+    })
 }
 
 /// How well a rank's communication hid behind its compute.
@@ -454,34 +454,34 @@ fn write_event_json(s: &mut String, ev: &TraceEvent) {
         EventKind::RankLost { rank: r } => rank = Some(r),
         EventKind::Shrink { from, to } => shrink = Some((from, to)),
     };
-    write!(
+    // `fmt::Write` for `String` never fails: the results carry no error.
+    let _ = write!(
         s,
         "{{\"kind\":\"{}\",\"start\":{},\"end\":{}",
         ev.kind.label(),
         json_f64(ev.start),
         json_f64(ev.end)
-    )
-    .expect("write to String cannot fail");
+    );
     if let Some(t) = tile {
-        write!(s, ",\"tile\":{t}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"tile\":{t}");
     }
     if let Some(st) = subtile {
-        write!(s, ",\"subtile\":{st}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"subtile\":{st}");
     }
     if let Some(b) = bytes {
-        write!(s, ",\"bytes\":{b}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"bytes\":{b}");
     }
     if let Some(c) = completed {
-        write!(s, ",\"completed\":{c}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"completed\":{c}");
     }
     if let Some(a) = action {
-        write!(s, ",\"action\":\"{}\"", a.label()).expect("write to String cannot fail");
+        let _ = write!(s, ",\"action\":\"{}\"", a.label());
     }
     if let Some(r) = rank {
-        write!(s, ",\"rank\":{r}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"rank\":{r}");
     }
     if let Some((from, to)) = shrink {
-        write!(s, ",\"from\":{from},\"to\":{to}").expect("write to String cannot fail");
+        let _ = write!(s, ",\"from\":{from},\"to\":{to}");
     }
     s.push('}');
 }
@@ -495,7 +495,7 @@ pub fn trace_to_json(per_rank: &[Vec<TraceEvent>]) -> String {
         if rank > 0 {
             s.push(',');
         }
-        write!(s, "{{\"rank\":{rank},\"summary\":").expect("write to String cannot fail");
+        let _ = write!(s, "{{\"rank\":{rank},\"summary\":");
         s.push_str(&overlap_summary(events).to_json());
         s.push_str(",\"events\":[");
         for (i, ev) in events.iter().enumerate() {

@@ -17,6 +17,8 @@
 //! session-owned [`Staging`] pool at post time and gives it back after
 //! unpack, so an idle plan holds no staging.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::breakdown::StepTimes;
 use crate::error::{Error, IntegrityStage};
 use crate::trace::{EventKind, Recorder, TraceEvent};
@@ -319,6 +321,7 @@ impl<'a> Transport<'a> {
     /// block: the tile's first post inits its persistent plan, every later
     /// one lends it a pool buffer and starts it — zero per-execution
     /// negotiation.
+    #[expect(clippy::disallowed_methods, reason = "every tile is posted here")]
     pub(crate) fn post(&mut self, tile: usize, xg: &TileExchange) -> Req {
         let comm = self.comm;
         let t0 = Instant::now();

@@ -21,9 +21,7 @@
 //! is exactly repeatable — the property the chaos sweeps and CI fault
 //! matrix rely on.
 
-// Error-path hygiene shared with the runtime crates: typed errors or
-// diagnostic `expect`s, never a bare `.unwrap()` outside tests.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
 
 use std::time::Duration;
 
@@ -526,7 +524,7 @@ pub fn flip_seeded_bit<T: PayloadBits>(data: &mut [T], site: u64) -> Option<(usi
 /// SplitMix64 finalizer — the workspace's shared seeded-decision primitive.
 ///
 /// Public so every deterministic subsystem (fault injection here, the
-/// `mpisim` virtual scheduler, `mpicheck`'s schedule exploration) draws from
+/// `mpisim` virtual scheduler and its schedule exploration) draws from
 /// the *same* mixing function: a schedule descriptor plus a seed fully
 /// determines every decision, with no hidden RNG state anywhere.
 pub fn mix(mut z: u64) -> u64 {

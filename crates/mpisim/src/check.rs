@@ -1,4 +1,5 @@
-//! Dynamic verification instrumentation — the runtime half of `mpicheck`.
+//! Dynamic verification instrumentation: the checked mode
+//! [`crate::explore()`] runs every schedule under.
 //!
 //! Three cooperating mechanisms, all wired into the message path of
 //! `crate::world::World` and activated only when a run is launched with a
@@ -28,9 +29,10 @@
 //!    is reported as a [`LintId::Deadlock`] finding *naming the ranks*, then
 //!    the world is aborted so the run terminates instead of hanging.
 //!
-//! Findings carry stable lint IDs (`MC001`–`MC005`); the source-level
-//! `SL0xx` lints live in the `mpicheck` crate. See DESIGN.md §12 for the
-//! full catalogue and the exploration methodology.
+//! Findings carry stable lint IDs (`MC001`–`MC005`). See DESIGN.md §12 for
+//! the full catalogue and the exploration methodology.
+
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use faultplan::hash5;
 use parking_lot::Mutex;
@@ -665,6 +667,7 @@ impl CheckState {
         let Some(first) = self.find_cycle(me, satisfiable) else {
             return false;
         };
+        #[expect(clippy::disallowed_methods, reason = "a configured settle time")]
         std::thread::sleep(settle);
         force_release();
         match self.find_cycle(me, satisfiable) {

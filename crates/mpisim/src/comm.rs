@@ -535,6 +535,7 @@ impl Comm {
     /// of the agreed set, and mailboxes buffer any early traffic on the new
     /// context — so shrink cannot hang on the very failure it handles.
     pub fn shrink(&self) -> Comm {
+        #[expect(clippy::disallowed_methods, reason = "shrink starts with an agree")]
         let (_flags, failed) = self.agree(0);
         let members_world: Vec<usize> = self
             .members

@@ -51,7 +51,7 @@
 //! the failure set), and [`Comm::shrink`] (dense survivor communicator).
 //! See DESIGN.md §14.
 //!
-//! ## Verification (mpicheck)
+//! ## Verification
 //!
 //! [`run_with_config`] launches a *checked* world: vector clocks on every
 //! message, runtime MPI-usage lints (`MC001`–`MC004`), a wait-for-graph
@@ -59,16 +59,15 @@
 //! rank that returned without joining a collective (`MC005`), and an
 //! optional seeded virtual scheduler ([`SchedConfig`]) that perturbs
 //! delivery order deterministically so racy interleavings reproduce from
-//! their seed. The `mpicheck` crate drives this over many schedules; see
-//! DESIGN.md §12.
+//! their seed. [`explore()`] drives a workload over many schedules and
+//! fault plans; see DESIGN.md §12.
 
-// The error-path hygiene this runtime promises: non-test code must surface
-// typed errors (or panic with a diagnostic via expect), never `.unwrap()`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
 
 pub mod check;
 mod coll;
 mod comm;
+pub mod explore;
 mod nbc;
 mod persistent;
 mod world;
@@ -78,6 +77,7 @@ pub use check::{
     SchedConfig, SchedMode, Severity,
 };
 pub use comm::Comm;
+pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleFailure};
 pub use faultplan::{FaultKind, FaultPlan};
 pub use nbc::{CollError, IAlltoall};
 pub use persistent::PersistentAlltoall;

@@ -23,6 +23,8 @@
 //! retransmit budget). The legacy `test`/`wait` keep their infallible
 //! signatures and panic on a fault error, mirroring `MPI_Abort`.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::check::{CheckState, Finding, LintId, Severity, WaitInfo};
 use crate::comm::{encode_tag, Comm, Kind};
 use faultplan::{checksum, flip_seeded_bit, PayloadBits};
@@ -204,6 +206,7 @@ impl Comm {
     /// Starts a non-blocking all-to-all: block `d` of `send` (length
     /// `count`) goes to rank `d`. `recv` must have length `count · size` and
     /// is consumed into the returned request.
+    #[expect(clippy::disallowed_methods, reason = "the uniform post is the v post")]
     pub fn ialltoall<T: PayloadBits + Clone + Send + 'static>(
         &self,
         send: &[T],
@@ -339,6 +342,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
             }
             let delay = plan.send_delay_for(src_w);
             if !delay.is_zero() {
+                #[expect(clippy::disallowed_methods, reason = "the FaultPlan's straggler delay")]
                 std::thread::sleep(delay);
             }
             // Silent in-transit corruption: flip one seeded bit of a *copy*
@@ -689,6 +693,7 @@ impl<T> IAlltoall<T> {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "a post and its wait")]
 impl Comm {
     /// Blocking all-to-all, implemented as post + wait (what FFTW's
     /// transpose does with `MPI_Alltoall`).

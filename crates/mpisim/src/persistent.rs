@@ -26,6 +26,8 @@
 //! purges its staged rounds. Dropping an unfreed plan in a checked run
 //! records lint **MC006** ([`LintId::PersistentLeak`]).
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::check::{CheckState, Finding, LintId, Severity};
 use crate::comm::Comm;
 use crate::nbc::{displs, CollError, IAlltoall};
@@ -121,6 +123,7 @@ impl Comm {
     /// Sets up a persistent all-to-all with a uniform per-peer `count`.
     /// `recv` is the registered receive staging buffer (length
     /// `count · size`), recycled across every execution.
+    #[expect(clippy::disallowed_methods, reason = "the uniform plan is the v plan")]
     pub fn alltoall_init<T: PayloadBits + Clone + Send + 'static>(
         &self,
         count: usize,

@@ -36,6 +36,15 @@
 //! assert!(finish[0].as_secs_f64() < 0.035);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp
+    )
+)]
+
 pub mod engine;
 pub mod model;
 pub mod proc;

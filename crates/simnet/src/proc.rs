@@ -153,7 +153,6 @@ impl SimRank {
     /// disabled). Deterministic per rank and draw index.
     fn noise_factor(&mut self) -> f64 {
         let j = self.platform.jitter;
-        // mpicheck:allow(SL012): 0.0 is the exact disabled-jitter sentinel
         if j == 0.0 {
             return 1.0;
         }

@@ -17,6 +17,8 @@
 //! assert!(result.best_value <= ((TuningParams::seed(&spec).t as f64).log2() - 3.0).abs());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 pub mod anneal;
 pub mod driver;
 pub mod nelder_mead;

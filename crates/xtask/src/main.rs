@@ -2,11 +2,6 @@
 //!
 //! Subcommands:
 //!
-//! * `lint [--format text|sarif] [--output FILE]` — run the mpicheck
-//!   source lints (token lints, among them SL015: mpisim's exchanges and
-//!   ULFM calls only in the transport) over the workspace's non-test code.
-//!   Exit 1 on any finding. `--output` writes the rendered report to a file
-//!   (a one-line summary still goes to stdout).
 //! * `conform [--seed-base N] [--schedules N]` — run every row of the
 //!   conformance table (`fft3d_repro::conformance`: decomposition × variant
 //!   × direction × shape × fault × use) over its schedule plan under
@@ -16,7 +11,8 @@
 //!   `--seed-base` offsets every row's random seeds, so CI cells cover
 //!   disjoint seed ranges; `--schedules N` replaces every row's plan by `N`
 //!   random schedules. The rows fix the world (4 ranks) and the shapes.
-//! * `check [--seed-base N] [--schedules N]` — `lint`, then
+//! * `check [--seed-base N] [--schedules N]` — `cargo clippy --workspace
+//!   --all-targets -- -D warnings` (the source lints, DESIGN.md §17), then
 //!   `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps` (no
 //!   dangling intra-doc link), then `cargo test --release` over
 //!   `kernel_blocks`, `stage_fusion` and `cfft` (the pinned spectra, on the
@@ -26,10 +22,10 @@
 //! is not a number, a zero count or a flag the command does not take prints
 //! the usage text and exits 1.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
 
 use fft3d_repro::conformance::{table, RANKS};
-use mpicheck::{srclint, ExploreConfig, ExploreReport};
+use mpisim::{ExploreConfig, ExploreReport};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -47,15 +43,12 @@ fn usage() -> ExitCode {
         "usage: cargo xtask <command>\n\
          \n\
          commands:\n\
-         \x20 lint    [--format text|sarif] [--output FILE]\n\
-         \x20                           run the source lints (DESIGN.md §17;\n\
-         \x20                           SARIF 2.1.0 for code scanners)\n\
          \x20 conform [--seed-base N] [--schedules N]\n\
          \x20                           run every conformance-table row over\n\
          \x20                           its delivery-schedule plan (N random\n\
          \x20                           schedules per row with --schedules)\n\
          \x20 check   [--seed-base N] [--schedules N]\n\
-         \x20                           lint + doc links + release tests of\n\
+         \x20                           clippy + doc links + release tests of\n\
          \x20                           the pinned spectra + conform\n\
          \x20                           (acceptance gate)"
     );
@@ -113,62 +106,6 @@ impl ConformArgs {
     }
 }
 
-/// `lint`'s flags.
-#[derive(Debug, Default, PartialEq)]
-struct LintArgs {
-    /// `--format sarif` (default text).
-    sarif: bool,
-    /// `--output FILE`: write the report there, a summary to stdout.
-    output: Option<String>,
-}
-
-impl LintArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut out = LintArgs::default();
-        let mut rest = args.iter();
-        while let Some(flag) = rest.next() {
-            let flag = flag.as_str();
-            if flag != "--format" && flag != "--output" {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-            let value = rest
-                .next()
-                .ok_or_else(|| format!("`{flag}` needs a value"))?;
-            match (flag, value.as_str()) {
-                ("--output", _) => out.output = Some(value.clone()),
-                (_, "text") => out.sarif = false,
-                (_, "sarif") => out.sarif = true,
-                _ => return Err(format!("`--format {value}`: expected text or sarif")),
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn run_lint(root: &Path, args: &LintArgs) -> bool {
-    let report = srclint::run(root);
-    let rendered = if args.sarif {
-        srclint::render_sarif(&report)
-    } else {
-        srclint::render_text(&report)
-    };
-    match &args.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("lint: cannot write {path}: {e}");
-                return false;
-            }
-            println!(
-                "lint: {} finding(s) over {} files -> {path}",
-                report.findings.len(),
-                report.files
-            );
-        }
-        None => print!("{rendered}"),
-    }
-    report.is_clean()
-}
-
 /// One `cargo` invocation at the workspace root as a gate of `check`:
 /// prints `what` with its verdict.
 fn run_cargo(root: &Path, what: &str, args: &[&str], env: &[(&str, &str)]) -> bool {
@@ -181,6 +118,26 @@ fn run_cargo(root: &Path, what: &str, args: &[&str], env: &[(&str, &str)]) -> bo
     let ok = status.is_ok_and(|s| s.success());
     println!("{what} {}", if ok { "clean" } else { "FAILED" });
     ok
+}
+
+/// `cargo clippy --workspace --all-targets -- -D warnings`: the source
+/// lints, among them the confinement of mpisim's collectives to the
+/// transport.
+fn run_clippy(root: &Path) -> bool {
+    run_cargo(
+        root,
+        "clippy: source lints",
+        &[
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--quiet",
+            "--",
+            "-D",
+            "warnings",
+        ],
+        &[],
+    )
 }
 
 /// `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`: a deleted
@@ -267,11 +224,11 @@ fn run_conform(args: &ConformArgs) -> bool {
 
 /// `check`: every gate runs, whatever the earlier ones found.
 fn run_check(root: &Path, args: &ConformArgs) -> bool {
-    let lint_ok = run_lint(root, &LintArgs::default());
+    let clippy_ok = run_clippy(root);
     let doc_ok = run_doc(root);
     let release_ok = run_release_tests(root);
     let conform_ok = run_conform(args);
-    let all = lint_ok && doc_ok && release_ok && conform_ok;
+    let all = clippy_ok && doc_ok && release_ok && conform_ok;
     if all {
         println!("check: all gates passed");
     }
@@ -279,11 +236,9 @@ fn run_check(root: &Path, args: &ConformArgs) -> bool {
 }
 
 fn run_command(command: &str, rest: &[String]) -> Result<bool, String> {
-    let root = workspace_root();
     match command {
-        "lint" => Ok(run_lint(&root, &LintArgs::parse(rest)?)),
         "conform" => Ok(run_conform(&ConformArgs::parse(rest)?)),
-        "check" => Ok(run_check(&root, &ConformArgs::parse(rest)?)),
+        "check" => Ok(run_check(&workspace_root(), &ConformArgs::parse(rest)?)),
         name => Err(format!("unknown command `{name}`")),
     }
 }
@@ -340,20 +295,6 @@ mod tests {
             assert!(ConformArgs::parse(&args(fixed)).is_err(), "{fixed}");
         }
         assert!(ConformArgs::parse(&args("--bogus 1")).is_err());
-        assert!(LintArgs::parse(&args("--update-baseline")).is_err());
-    }
-
-    #[test]
-    fn lint_formats_are_text_and_sarif() {
-        assert_eq!(LintArgs::parse(&[]), Ok(LintArgs::default()));
-        let sarif = LintArgs::parse(&args("--format sarif --output out.sarif"));
-        let want = LintArgs {
-            sarif: true,
-            output: Some("out.sarif".to_owned()),
-        };
-        assert_eq!(sarif, Ok(want));
-        assert!(LintArgs::parse(&args("--format json")).is_err());
-        assert!(LintArgs::parse(&args("--output")).is_err());
     }
 
     #[test]

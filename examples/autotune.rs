@@ -6,6 +6,8 @@
 //! cargo run --release --example autotune [N] [p]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use fft3d::{ProblemSpec, Simulation, TuningParams, Variant};
 use simnet::model::hopper;
 use tuner::driver::{tune_new, DEFAULT_MAX_EVALS};

@@ -11,6 +11,8 @@
 //! cargo run --release --example nbody_pm
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
@@ -96,7 +98,6 @@ fn main() {
                                 + wavenumber(ky, n).powi(2)
                                 + wavenumber(kz, n).powi(2));
                         let idx = (kx * n + ky) * n + kz;
-                        // mpicheck:allow(SL012): exact-zero DC-mode guard before 1/k²
                         spectrum[idx] = if k2 == 0.0 {
                             Complex64::ZERO
                         } else {
@@ -141,7 +142,6 @@ fn main() {
                     * (wavenumber(kx, n).powi(2)
                         + wavenumber(ky, n).powi(2)
                         + wavenumber(kz, n).powi(2));
-                // mpicheck:allow(SL012): exact-zero DC-mode guard before 1/k²
                 if k2 == 0.0 {
                     continue;
                 }

@@ -9,6 +9,8 @@
 //! cargo run --release --example poisson
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};
@@ -72,7 +74,6 @@ fn main() {
                         + wavenumber(ky, n).powi(2)
                         + wavenumber(kz, n).powi(2);
                     let idx = (kx * n + ky) * n + kz;
-                    // mpicheck:allow(SL012): exact-zero DC-mode guard before 1/k²
                     spectrum[idx] = if k2 == 0.0 {
                         Complex64::ZERO // zero-mean gauge for the DC mode
                     } else {

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::real_env::{compare_with_serial, local_test_slab};

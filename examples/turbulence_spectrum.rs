@@ -10,6 +10,8 @@
 //! cargo run --release --example turbulence_spectrum
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use fft3d::{FftSession, ProblemSpec, TuningParams, Variant};

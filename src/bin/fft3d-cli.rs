@@ -7,6 +7,8 @@
 //! fft3d-cli tune --n 256 --p 16 --platform umd
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 use cfft::planner::Rigor;
 use cfft::Direction;
 use fft3d::real_env::{compare_with_serial, local_test_slab};

@@ -3,7 +3,7 @@
 //!
 //! A [`Row`] picks one value on each axis — [`Decomposition`] (slab, or a
 //! 2×2 pencil grid), variant, direction, shape, fault and use — and runs on
-//! [`RANKS`] ranks under [`mpicheck::explore()`], so every row also meets
+//! [`RANKS`] ranks under [`mpisim::explore()`], so every row also meets
 //! every delivery schedule of the plan it is run with. Each run holds
 //! three oracles:
 //!
@@ -37,8 +37,7 @@ use fft3d::{
     Decomposition, DegradeAction, Error, FftSession, NoopRecorder, PencilGrid, PencilSession,
     ProblemSpec, RecoverConfig, Recovery, ReplicaSource, TuningParams,
 };
-use mpicheck::{ExploreConfig, ExploreReport};
-use mpisim::Comm;
+use mpisim::{Comm, ExploreConfig, ExploreReport};
 use std::fmt;
 use std::sync::Arc;
 
@@ -380,7 +379,7 @@ impl Row {
                 _ => self.sessions(&comm, &cases),
             })
         };
-        mpicheck::explore(cfg, &faults, 1.0, workload)
+        mpisim::explore(cfg, &faults, 1.0, workload)
     }
 
     /// One rank of a crash row: the survivors shrink, re-decompose and

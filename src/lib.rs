@@ -13,6 +13,8 @@
 //!
 //! See README.md for a tour and DESIGN.md for the paper-to-code map.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
+
 pub mod conformance;
 
 pub use cfft;

@@ -7,7 +7,7 @@ use cfft::Direction;
 use fft3d::decomp::Decomp;
 use fft3d::{Decomposition, PencilGrid};
 use fft3d_repro::conformance::{table, Fault, Row, Shape, Use, Variant, RANKS, VICTIM};
-use mpicheck::ExploreConfig;
+use mpisim::ExploreConfig;
 
 /// Runs `rows` on one schedule each; panics naming every failing run.
 fn conforms(rows: impl Iterator<Item = Row>) {
@@ -63,6 +63,35 @@ fn the_table_is_the_product_of_its_axes_less_the_named_gaps() {
         assert!(rows
             .iter()
             .any(|r| r.shape == shape && r.fault == Fault::Crash));
+    }
+}
+
+/// The table's runs stand for every collective only because each one is
+/// issued from the transport: clippy (DESIGN.md §17) refuses mpisim's
+/// exchange and ULFM calls anywhere else, and `Planner::new` outside cfft.
+#[test]
+fn clippy_confines_the_collectives_to_the_transport() {
+    let config = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/clippy.toml"))
+        .expect("clippy.toml at the workspace root");
+    let collectives = [
+        "ialltoall",
+        "ialltoallv",
+        "alltoall_init",
+        "alltoallv_init",
+        "barrier",
+        "agree",
+        "shrink",
+        "revoke",
+    ];
+    let confined = collectives
+        .map(|name| format!("\"mpisim::Comm::{name}\""))
+        .into_iter()
+        .chain(["\"cfft::planner::Planner::new\"".to_owned()]);
+    for path in confined {
+        assert!(
+            config.contains(&path),
+            "clippy.toml does not disallow {path}"
+        );
     }
 }
 
