@@ -599,56 +599,6 @@ pub fn split_rows(
     runs
 }
 
-/// Splits `data` at `bounds` into the parts `data[bounds[i]..bounds[i + 1]]`
-/// and runs `f(i, part)` for each, spreading contiguous groups of parts over
-/// up to `threads` workers. This is the parallel backbone of the pipeline's
-/// Pack step: `bounds` are the per-destination-rank displacements into the
-/// send buffer, so each worker owns whole destination blocks.
-///
-/// # Panics
-/// If `bounds` is not sorted ascending or exceeds `data`.
-pub fn for_each_part_threaded(
-    data: &mut [Complex64],
-    bounds: &[usize],
-    threads: usize,
-    f: impl Fn(usize, &mut [Complex64]) + Sync,
-) {
-    let nparts = bounds.len().saturating_sub(1);
-    if nparts == 0 {
-        return;
-    }
-    for w in bounds.windows(2) {
-        assert!(w[0] <= w[1], "bounds must be sorted: {} > {}", w[0], w[1]);
-    }
-    assert!(
-        bounds[nparts] <= data.len(),
-        "bounds exceed buffer: {} > {}",
-        bounds[nparts],
-        data.len()
-    );
-    let per = nparts.div_ceil(threads.clamp(1, nparts));
-    let mut rest: &mut [Complex64] = data;
-    let mut consumed = 0usize;
-    let mut tasks: Vec<(&mut [Complex64], usize, usize)> = Vec::new();
-    for first in (0..nparts).step_by(per) {
-        let count = per.min(nparts - first);
-        let (lo, hi) = (bounds[first], bounds[first + count]);
-        let tail = std::mem::take(&mut rest);
-        let (_, tail) = tail.split_at_mut(lo - consumed);
-        let (mine, tail) = tail.split_at_mut(hi - lo);
-        rest = tail;
-        consumed = hi;
-        tasks.push((mine, first, count));
-    }
-    let run = |(slice, first, count): (&mut [Complex64], usize, usize)| {
-        let base = bounds[first];
-        for p in first..first + count {
-            f(p, &mut slice[bounds[p] - base..bounds[p + 1] - base]);
-        }
-    };
-    fork_join(tasks, run, run);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,26 +806,6 @@ mod tests {
         let mut planner = Planner::new(Rigor::Estimate);
         let plan = planner.plan(8, Direction::Forward);
         rows_threaded(&plan, &mut signal(16), &[0, 4], 2);
-    }
-
-    #[test]
-    fn for_each_part_threaded_matches_sequential() {
-        let mut seq: Vec<Complex64> = signal(40);
-        let mut par = seq.clone();
-        let bounds = [0usize, 7, 7, 19, 40];
-        let bump = |i: usize, part: &mut [Complex64]| {
-            for (j, v) in part.iter_mut().enumerate() {
-                *v = Complex64::new(v.re + i as f64, v.im + j as f64);
-            }
-        };
-        for i in 0..bounds.len() - 1 {
-            bump(i, &mut seq[bounds[i]..bounds[i + 1]]);
-        }
-        for_each_part_threaded(&mut par, &bounds, 3, bump);
-        assert!(seq
-            .iter()
-            .zip(&par)
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
     }
 
     /// An io whose gather reads one buffer and whose scatter writes another:

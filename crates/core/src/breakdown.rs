@@ -14,7 +14,7 @@ pub struct StepTimes {
     pub transpose: f64,
     /// 1-D FFTs along y (per tile).
     pub ffty: f64,
-    /// Packing tiles into send buffers.
+    /// Packing tiles into their per-peer send blocks.
     pub pack: f64,
     /// Unpacking receive buffers into the output layout.
     pub unpack: f64,

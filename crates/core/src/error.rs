@@ -99,7 +99,7 @@ pub enum IntegrityStage {
     /// The mpisim wire checksum: a round payload corrupted in transit,
     /// past the link-layer retransmit budget.
     Wire,
-    /// The resident hash over the packed staging buffer: the data changed
+    /// The resident hash over the packed send blocks: the data changed
     /// between pack and post (memory SDC at a tile boundary).
     Pack,
     /// The ABFT checksum line through the FFTy stage: the transformed

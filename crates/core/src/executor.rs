@@ -20,17 +20,19 @@
 //! columns (`crate::pencil`); DESIGN.md §18 has the table.
 //!
 //! [`StageExec`] runs one shape under [`crate::pipeline`]'s drivers and owns
-//! what is written once: Pack; the block io of both FFT steps ([`StageIo`]),
-//! whose gather for the post-FFT reads the receive block — Unpack is that
-//! gather, not a sweep of its own — and which takes the ABFT checksum lines
-//! on the cache-resident block where the shape arms them; the sub-tile loops
-//! with their poll schedules; the pack seal with its retransmit, and the
-//! fault plan's trigger points. Every tile moves through `crate::transport`.
+//! what is written once: Pack, straight into the per-peer blocks the
+//! exchange moves (the tile's one copy); the block io of both FFT steps
+//! ([`StageIo`]), whose gather for the post-FFT reads the received blocks —
+//! Unpack is that gather, not a sweep of its own — and which takes the ABFT
+//! checksum lines on the cache-resident block where the shape arms them;
+//! the sub-tile loops with their poll schedules; the pack seal with its
+//! retransmit, and the fault plan's trigger points. Every tile moves
+//! through `crate::transport`.
 //!
 //! [`Session`] owns a real transform: its stages' communicators, the stage
 //! list pinned once at construction (shapes, tile counts, the local phase),
-//! the per-tile persistent plans, the staging, the kept stage buffer and the
-//! compute scratch, one [`Session::execute`], and the only `Drop` in the
+//! the per-tile persistent plans, the block pool, the kept stage buffer and
+//! the compute scratch, one [`Session::execute`], and the only `Drop` in the
 //! crate that frees plans. [`crate::FftSession`] and
 //! [`crate::PencilSession`] are constructors of it; a one-shot call is a
 //! session executed once (DESIGN.md §15).
@@ -46,12 +48,12 @@ use crate::pipeline::{
 use crate::trace::{DegradeAction, EventKind, Recorder};
 use crate::transport::{PollSchedule, Req, Staging, TileExchange, TilePlans, Transport};
 use cfft::batch::{
-    execute_batch, for_each_part_threaded, fork_join, run_blocks, split_rows, BatchLayout,
-    BatchScratch, Block, BlockIo, InPlace, RowRun, MAX_BLOCK,
+    execute_batch, fork_join, run_blocks, split_rows, BatchLayout, BatchScratch, Block, BlockIo,
+    InPlace, RowRun, MAX_BLOCK,
 };
 use cfft::planner::Plan1d;
 use cfft::Complex64;
-use faultplan::{checksum, flip_seeded_bit};
+use faultplan::{checksum, flip_seeded_bit_in, mix};
 use mpisim::Comm;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -191,30 +193,37 @@ impl StageShape {
         usize::from(tile + 1 == self.tiles())
     }
 
-    /// Pack: copies the `v_q` runs of source lines `ts × os` into `send`'s
-    /// per-destination blocks, each laid out `[τ − t0][o][v_q]` — one
-    /// sub-tile's share of a tile that starts at plane `t0`, or (over the
-    /// whole tile) the re-pack of a retransmit. Workers own whole
-    /// destination blocks.
+    /// Pack: copies the `v_q` runs of source lines `ts × os` into block `q`
+    /// of `blocks`, each laid out `[τ − t0][o][v_q]` — one sub-tile's share
+    /// of a tile that starts at plane `t0`, or (over the whole tile) the
+    /// re-pack of a retransmit. Workers own whole destination blocks.
     fn pack(
         &self,
-        xg: &TileExchange,
         src: &[Complex64],
-        send: &mut [Complex64],
+        blocks: &mut [Vec<Complex64>],
         t0: usize,
         (ts, os): (Range<usize>, Range<usize>),
     ) {
         let n_o = self.n_o();
-        for_each_part_threaded(send, &xg.send_bounds, self.threads, |q, block| {
-            let (v0, vq) = (self.v.offset(q), self.v.count(q));
-            for tau in ts.clone() {
-                for o in os.clone() {
-                    let s = tau * self.src.0 + o * self.src.1 + v0;
-                    let d = ((tau - t0) * n_o + o) * vq;
-                    block[d..d + vq].copy_from_slice(&src[s..s + vq]);
+        let fill = |(first, chunk): (usize, &mut [Vec<Complex64>])| {
+            for (q, block) in (first..).zip(chunk) {
+                let (v0, vq) = (self.v.offset(q), self.v.count(q));
+                for tau in ts.clone() {
+                    for o in os.clone() {
+                        let s = tau * self.src.0 + o * self.src.1 + v0;
+                        let d = ((tau - t0) * n_o + o) * vq;
+                        block[d..d + vq].copy_from_slice(&src[s..s + vq]);
+                    }
                 }
             }
-        });
+        };
+        let per = blocks.len().div_ceil(self.threads.max(1)).max(1);
+        let tasks = blocks.chunks_mut(per).enumerate();
+        fork_join(
+            tasks.map(|(i, chunk)| (i * per, chunk)).collect(),
+            fill,
+            fill,
+        );
     }
 }
 
@@ -269,12 +278,10 @@ impl Lines {
     }
 }
 
-/// A waited tile's receive block, as the post-FFT's gather reads it: the
-/// per-source blocks, each laid out `[τ − t0][o_s][w]`.
+/// A waited tile's receive side, as the post-FFT's gather reads it: the
+/// per-source blocks in rank order, each laid out `[τ − t0][o_s][w]`.
 struct Recv<'a> {
-    block: &'a [Complex64],
-    /// Where each source's block starts.
-    displs: &'a [usize],
+    blocks: &'a [Vec<Complex64>],
     /// The group's split of o: source `s` sent `o.count(s)` elements of every
     /// destination line.
     o: &'a AxisSplit,
@@ -356,12 +363,12 @@ impl<F: Fn(usize) -> usize> BlockIo for StageIo<'_, F> {
                         }
                     }
                 }
-                for (s, &displ) in from.displs.iter().enumerate() {
+                for (s, sent) in from.blocks.iter().enumerate() {
                     let (o0, os) = (from.o.offset(s), from.o.count(s));
                     for run in &runs[..nruns] {
-                        let base = displ + run.tl * os * from.n_w + run.w;
+                        let base = run.tl * os * from.n_w + run.w;
                         let lanes = run.lane..run.lane + run.len;
-                        block.load_rows(o0..o0 + os, lanes, from.block, base, from.n_w);
+                        block.load_rows(o0..o0 + os, lanes, sent, base, from.n_w);
                     }
                 }
                 self.gather += began.elapsed();
@@ -481,7 +488,7 @@ struct StageExec<'a> {
     src: &'a mut [Complex64],
     dst: &'a mut [Complex64],
     ws: &'a mut Workspace,
-    /// Resident hash over the packed staging buffer, set by the pack and
+    /// Resident hash over the tile's packed blocks, set by the pack and
     /// re-verified at post time — memory SDC on the pack→post boundary is
     /// caught before the bytes reach any peer.
     send_hash: u64,
@@ -576,20 +583,31 @@ impl StageExec<'_> {
             .inspect_err(|_| self.net.mark(EventKind::Corrupt { tile }))
     }
 
-    /// Packs `part` of `tile` (see [`StageShape::pack`]) into the staging
-    /// buffer.
+    /// Packs `part` of `tile` (see [`StageShape::pack`]) into the tile's
+    /// staged blocks.
     fn pack(&mut self, tile: usize, part: (Range<usize>, Range<usize>)) {
-        let xg = &self.xg[self.shape.which(tile)];
-        let send = self.net.staged(xg.total_send);
+        let counts = &self.xg[self.shape.which(tile)].send_counts;
+        let blocks = self.net.staged(counts);
         let t0 = self.shape.tile_range(tile).start;
-        self.shape.pack(xg, self.src, send, t0, part);
+        self.shape.pack(self.src, blocks, t0, part);
+    }
+
+    /// The tile's staged blocks.
+    fn staged(&mut self, tile: usize) -> &mut [Vec<Complex64>] {
+        self.net
+            .staged(&self.xg[self.shape.which(tile)].send_counts)
     }
 
     /// Seals the staged payload: post time re-verifies this hash.
     fn seal(&mut self, tile: usize) {
-        let total_send = self.xg[self.shape.which(tile)].total_send;
-        self.send_hash = checksum(self.net.staged(total_send));
+        self.send_hash = seal_hash(self.staged(tile));
     }
+}
+
+/// The seal over a tile's blocks: their checksums folded in rank order, so
+/// a flipped bit in any block changes it.
+fn seal_hash(blocks: &[Vec<Complex64>]) -> u64 {
+    blocks.iter().fold(0, |h, block| mix(h ^ checksum(block)))
 }
 
 impl OverlapEnv for StageExec<'_> {
@@ -652,18 +670,18 @@ impl OverlapEnv for StageExec<'_> {
             // still be able to complete tiles that need nothing more from
             // us).
             self.comm.crash_point(tile);
-            let total_send = self.xg[self.shape.which(tile)].total_send;
             // Fault-plan memory-SDC injection: flip one seeded bit of the
-            // packed staging buffer on the same pack→post boundary.
+            // packed blocks, read as one sequence in rank order, on the
+            // same pack→post boundary.
             if let Some(site) = self.comm.bitflip_point(tile) {
-                flip_seeded_bit(self.net.staged(total_send), site);
+                flip_seeded_bit_in(self.staged(tile), site);
             }
             // Resident hash check: the staged payload must still be the
             // bytes the pack sealed, or the exchange is withheld — the
             // request surfaces the failure at wait time and the driver
             // re-packs from the pristine transformed source (no peer
             // sequenced anything).
-            if checksum(self.net.staged(total_send)) != self.send_hash {
+            if seal_hash(self.staged(tile)) != self.send_hash {
                 let tile = self.net.tile_id(tile);
                 self.net.mark(EventKind::Corrupt { tile });
                 return Req::Withheld(IntegrityStage::Pack);
@@ -690,8 +708,7 @@ impl OverlapEnv for StageExec<'_> {
         let mut sched_unpack = PollSchedule::new(subtiles, self.polls[2]);
         let mut sched_fft = PollSchedule::new(subtiles, self.polls[3]);
         let from = Recv {
-            block: &recv,
-            displs: &self.xg[shape.which(tile)].recv_displs,
+            blocks: &recv,
             o: &shape.o,
             n_w: shape.n_w(),
             t0: ts.start,
@@ -834,13 +851,19 @@ impl<'a> Session<'a> {
                 shape,
             })
             .collect();
-        // The windowed pipeline never has more than `W + 1` tiles between
-        // post and unpack; no tile packs or receives more than a full one of
-        // the largest stage.
+        // The windowed pipeline never has more than `W + 1` tiles packed and
+        // not yet unpacked, each one block per member of its group; no block
+        // is larger than the largest of a full tile.
+        let blocks = stages
+            .iter()
+            .map(|s| (s.shape.w + 1) * s.xg[0].send_counts.len());
         let staging = Staging::new(
-            stages.iter().map(|s| s.xg[0].total_send).max().unwrap_or(0),
-            stages.iter().map(|s| s.shape.w).max().unwrap_or(0) + 1,
-            stages.iter().map(|s| s.xg[0].total_recv).max().unwrap_or(0),
+            blocks.max().unwrap_or(0),
+            stages
+                .iter()
+                .map(|s| s.xg[0].largest_block())
+                .max()
+                .unwrap_or(0),
         );
         let mut session = Session {
             stages,
@@ -995,12 +1018,10 @@ impl Drop for Session<'_> {
 
 #[cfg(test)]
 impl Session<'_> {
-    /// The plan tables and the staging, for the crate's pooling tests.
+    /// The plan tables and the block pool, for the crate's pooling tests.
     pub(crate) fn transport_state(&self) -> (Vec<&TilePlans>, &Staging) {
-        (
-            self.stages.iter().map(|s| &s.plans).collect(),
-            &self.staging,
-        )
+        let plans = self.stages.iter().map(|s| &s.plans).collect();
+        (plans, &self.staging)
     }
 }
 
@@ -1142,26 +1163,23 @@ mod tests {
                         prop_assert_eq!(xg(a).send_counts[q], xg(q).recv_counts[a]);
                     }
                 }
-                let sends: Vec<Vec<Complex64>> = (0..group).map(|a| {
+                let sends: Vec<Vec<Vec<Complex64>>> = (0..group).map(|a| {
                     let s = &shapes[a];
                     let ts = s.tile_range(tile);
-                    let mut send = vec![Complex64::new(-2.0, -2.0); xg(a).total_send];
+                    let mut send: Vec<Vec<Complex64>> = xg(a).send_counts.iter()
+                        .map(|&count| vec![Complex64::new(-2.0, -2.0); count])
+                        .collect();
                     for part in sub_tiles(ts.clone(), s.n_o(), s.pack_sub).1 {
-                        s.pack(xg(a), &srcs[a], &mut send, ts.start, part);
+                        s.pack(&srcs[a], &mut send, ts.start, part);
                     }
                     send
                 }).collect();
                 for b in 0..group {
                     let s = &shapes[b];
                     let ts = s.tile_range(tile);
-                    let recv: Vec<Complex64> = (0..group).flat_map(|a| {
-                        let bounds = &xg(a).send_bounds;
-                        sends[a][bounds[b]..bounds[b + 1]].iter().copied()
-                    }).collect();
-                    prop_assert_eq!(recv.len(), xg(b).total_recv);
+                    let recv: Vec<Vec<Complex64>> = (0..group).map(|a| sends[a][b].clone()).collect();
                     let from = Recv {
-                        block: &recv,
-                        displs: &xg(b).recv_displs,
+                        blocks: &recv,
                         o: &s.o,
                         n_w: s.n_w(),
                         t0: ts.start,
@@ -1306,8 +1324,7 @@ mod tests {
                     .collect();
                 let o = AxisSplit::new(n, 1);
                 let from = Recv {
-                    block: &recv,
-                    displs: &[0],
+                    blocks: std::slice::from_ref(&recv),
                     o: &o,
                     n_w: nj,
                     t0: 0,

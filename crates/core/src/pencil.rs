@@ -259,9 +259,10 @@ fn stages(
 /// tile-window overlap on **both** exchanges, setup once and execute many:
 /// the row/column subcommunicators are split and both stages pinned once,
 /// every tile's exchange runs as a persistent plan (`alltoallv_init` on
-/// first use, `start`/`wait` afterwards) and the working memory (pack
-/// buffer, `W + 1` pooled receive blocks, the intermediate pencil, scratch)
-/// is kept, so repeated transforms of one geometry pay zero exchange setups
+/// first use, `start`/`wait` afterwards) and the working memory (the pool
+/// of exchange blocks that Pack fills and the exchange moves by ownership,
+/// the intermediate pencil, scratch) is
+/// kept, so repeated transforms of one geometry pay zero exchange setups
 /// and allocate nothing but their output after the first execution.
 /// Dropping the session frees every plan (so no MC006 lint fires);
 /// [`PencilSession::free`] does the same and reports how many. A one-shot
@@ -440,7 +441,8 @@ pub fn compare_pencil_with_serial(
 
 #[cfg(test)]
 impl PencilSession {
-    /// The session's plan tables and staging, for the crate's pooling tests.
+    /// The session's plan tables and block pool, for the crate's pooling
+    /// tests.
     pub(crate) fn transport_state(
         &self,
     ) -> (

@@ -330,8 +330,10 @@ fn pin_slab<'a>(
 /// constructor resolves the variant, draws the FFT plans and fixes the
 /// stage's geometry once, and it owns one persistent all-to-all plan per
 /// communication tile plus the pipeline's working memory (transposed slab,
-/// pack staging, scratch, and a pool of `W + 1` receive buffers the plans
-/// borrow while in flight). The first [`FftSession::execute`] initialises
+/// scratch, and a pool of `(W + 1) · p` exchange blocks: Pack fills them,
+/// the exchange moves them to the peers by ownership, and the blocks that
+/// arrive return to the pool once unpacked). The first
+/// [`FftSession::execute`] initialises
 /// each tile's plan as it is first posted; every execution after that does
 /// **zero planning and zero exchange setup** — [`RunOutput::planning`] is
 /// [`Duration::ZERO`] and [`RunOutput::exchange_setups`] is `0` — and
@@ -848,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn session_pools_receive_staging_and_idle_plans_hold_none() {
+    fn session_pools_blocks_and_idle_plans_hold_none() {
         use crate::pencil::{pencil_test_input, PencilGrid, PencilSession};
         let spec = ProblemSpec::cube(16, 2);
         let params = TuningParams {
@@ -857,21 +859,34 @@ mod tests {
         };
         assert!(
             params.tiles(&spec) > params.w + 1,
-            "more plans than buffers"
+            "more plans than tiles in the window"
         );
-        // After three executions: every plan idle and empty-handed, at most
-        // `W + 1` pooled blocks, none larger than the largest tile's.
-        let check = move |plans: &[&TilePlans], staging: &Staging, tile_recv: usize| {
+        // After each execution: every plan idle and empty-handed, and the
+        // pool within its bound — the `(W + 1)·group` blocks of the stage
+        // with the most, none of more capacity than the largest block.
+        // Returns the blocks created so far.
+        fn inspect(
+            (plans, staging): (Vec<&TilePlans>, &Staging),
+            bound: usize,
+            most: usize,
+        ) -> u64 {
             for stage in plans {
-                assert_eq!(stage.idle_staging(), 0, "an idle plan holds staging");
+                assert_eq!(stage.idle_blocks(), 0, "an idle plan holds blocks");
             }
-            let (buffers, capacity) = staging.pooled();
-            assert!(buffers <= params.w + 1, "{buffers} buffers");
-            assert!(
-                capacity <= (params.w + 1) * tile_recv,
-                "{capacity} elements"
-            );
-        };
+            let ((blocks, capacity), (created, pool_bound)) =
+                (staging.pooled(), staging.created_and_bound());
+            assert_eq!(pool_bound, bound);
+            assert!(blocks <= most, "{blocks} blocks");
+            assert!(capacity <= bound, "{capacity} elements, bound {bound}");
+            created
+        }
+        // From the second execution on no block is created: the pool holds
+        // every block the first one made.
+        fn steady(created: &[u64]) {
+            assert!(created[0] > 0);
+            assert!(created.iter().all(|&c| c == created[0]), "{created:?}");
+        }
+        let most = (params.w + 1) * spec.p;
         mpisim::run(spec.p, move |comm| {
             let input = local_test_slab(&spec, comm.rank());
             let mut session = FftSession::new(
@@ -882,27 +897,38 @@ mod tests {
                 Direction::Forward,
                 Rigor::Estimate,
             );
-            for _ in 0..3 {
-                session.execute(&input).expect("clean run");
-            }
+            // A full tile sends each of the two ranks `T·(nx/p)·(ny/p)`
+            // elements.
+            let bound = most * params.t * (spec.nx / spec.p) * (spec.ny / spec.p);
+            let created: Vec<u64> = (0..3)
+                .map(|_| {
+                    session.execute(&input).expect("clean run");
+                    inspect(session.core.transport_state(), bound, most)
+                })
+                .collect();
+            steady(&created);
             assert_eq!(session.live_plans(), params.tiles(&spec));
-            let tile_recv = params.t * spec.nx * (spec.ny / spec.p);
-            let (plans, staging) = session.core.transport_state();
-            check(&plans, staging, tile_recv);
             session.free();
 
-            // The pencil session, both stages through the same staging: 8
-            // row tiles of 2·16·8 and 4 column tiles of 16·16·2 elements.
+            // The pencil session, both stages through the one pool: 8 row
+            // tiles over the two ranks, blocks of 2·16·8 / 2 elements, and 4
+            // column tiles over one, a block of 16·16·2 elements.
             let grid = PencilGrid { pr: 1, pc: 2 };
             let input = pencil_test_input(&spec, grid, comm.rank());
             let mut session = PencilSession::new(&comm, spec, grid, params, Direction::Forward)
                 .expect("session setup");
-            for _ in 0..3 {
-                session.execute(&input).expect("clean run");
-            }
-            let (plans, staging) = session.transport_state();
+            let created: Vec<u64> = (0..3)
+                .map(|_| {
+                    session.execute(&input).expect("clean run");
+                    inspect(session.transport_state(), most * 16 * 16 * 2, most)
+                })
+                .collect();
+            steady(&created);
+            // The column stage reuses the row stage's blocks: no more are
+            // made than the row stage's window needs.
+            assert_eq!(created[0] as usize, most);
+            let (plans, _) = session.transport_state();
             assert_eq!(plans[0].live() + plans[1].live(), 8 + 4);
-            check(&plans, staging, 16 * 16 * 2);
             assert_eq!(session.free(), 8 + 4);
         });
     }
@@ -910,8 +936,9 @@ mod tests {
     #[test]
     fn memory_bitflip_on_a_reused_workspace_is_detected_and_healed() {
         // The fault plan flips a staged bit at the victim's tile 1 on every
-        // execution; from the second one on, the staging buffer, the slab
-        // it is re-packed from and the receive pool are all reused memory.
+        // execution; from the second one on, the staged blocks (recycled
+        // from the peers' allocations) and the slab they are re-packed from
+        // are all reused memory.
         let spec = ProblemSpec::cube(8, 2);
         let params = TuningParams::seed(&spec);
         let dir = Direction::Forward;

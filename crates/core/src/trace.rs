@@ -28,7 +28,7 @@ pub enum EventKind {
     Transpose,
     /// 1-D FFTs along y for one sub-tile block of a tile.
     Ffty { tile: usize, subtile: usize },
-    /// Packing one sub-tile block into the send buffer.
+    /// Packing one sub-tile into the tile's send blocks.
     Pack { tile: usize, subtile: usize },
     /// Posting the non-blocking all-to-all for a tile; `bytes` is the total
     /// payload this rank contributes to the exchange.

@@ -13,11 +13,17 @@
 //! A tile has one lifecycle: its persistent plan ([`TilePlans`]) is
 //! initialised when the tile is first posted, started on every post, and
 //! freed when its session drops (or when a fault path cancels it; the next
-//! post re-initialises). A plan borrows its receive block from the
-//! session-owned [`Staging`] pool at post time and gives it back after
-//! unpack, so an idle plan holds no staging.
+//! post re-initialises).
+//!
+//! A tile's data moves as owned per-peer blocks and is copied once, by
+//! Pack. [`Transport::staged`] lends Pack the tile's blocks from the
+//! session-owned [`Staging`] pool, [`Transport::post`] moves them into the
+//! plan — each peer block is its wire payload, the self block goes straight
+//! to the receive side — and the blocks that arrive, the peers'
+//! allocations, go back to the pool after unpack ([`Transport::recycle`]).
+//! An idle plan holds no block, and a steady-state execution creates none.
 
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::expect_used))]
 
 use crate::breakdown::StepTimes;
 use crate::error::{Error, IntegrityStage};
@@ -44,44 +50,31 @@ fn coll_to_error(tile: usize, e: CollError) -> Error {
     }
 }
 
-/// One tile's exchange counts: everything a persistent plan's init needs
-/// besides the receive block.
+/// One tile's exchange counts: everything a persistent plan's init needs.
 #[derive(Debug)]
 pub(crate) struct TileExchange {
-    /// Elements this rank sends to each destination rank.
+    /// Elements this rank sends to each destination rank: the lengths of
+    /// the tile's send blocks.
     pub send_counts: Vec<usize>,
-    /// Prefix sums of `send_counts`, total included: destination `q`'s block
-    /// of the pack buffer is `send_bounds[q]..send_bounds[q + 1]`.
-    pub send_bounds: Vec<usize>,
     /// Elements this rank receives from each source rank.
     pub recv_counts: Vec<usize>,
-    /// Exclusive prefix sums of `recv_counts`.
-    pub recv_displs: Vec<usize>,
     /// Total elements staged on the send side.
     pub total_send: usize,
-    /// Total elements arriving on the receive side.
-    pub total_recv: usize,
 }
 
 impl TileExchange {
     pub(crate) fn new(send_counts: Vec<usize>, recv_counts: Vec<usize>) -> Self {
-        let prefix = |counts: &[usize]| {
-            let mut sums = vec![0];
-            for count in counts {
-                sums.push(sums[sums.len() - 1] + count);
-            }
-            sums
-        };
-        let send_bounds = prefix(&send_counts);
-        let mut recv_displs = prefix(&recv_counts);
         TileExchange {
-            total_send: send_bounds[send_counts.len()],
-            total_recv: recv_displs.pop().expect("prefix sums start at 0"),
+            total_send: send_counts.iter().sum(),
             send_counts,
-            send_bounds,
             recv_counts,
-            recv_displs,
         }
+    }
+
+    /// Elements of the tile's largest block, sent or received.
+    pub(crate) fn largest_block(&self) -> usize {
+        let counts = self.send_counts.iter().chain(&self.recv_counts);
+        counts.copied().max().unwrap_or(0)
     }
 }
 
@@ -153,81 +146,98 @@ impl PollSchedule {
     }
 }
 
-/// Bounded recycle pool for all-to-all receive buffers.
-///
-/// Retains at most `max_buffers` buffers (the windowed pipeline never has
-/// more than `W + 1` tiles between post and unpack), and shrinks a returned
-/// buffer whose capacity exceeds `max_len` — e.g. one that served a larger
-/// earlier tile — before retaining it, so mixed tile sizes cannot pin
-/// peak-tile memory for the rest of the run.
-#[derive(Debug)]
-struct BufferPool {
-    max_buffers: usize,
-    max_len: usize,
-    bufs: Vec<Vec<Complex64>>,
-}
-
-impl BufferPool {
-    fn new(max_buffers: usize, max_len: usize) -> Self {
-        BufferPool {
-            max_buffers,
-            max_len,
-            bufs: Vec::new(),
-        }
-    }
-
-    /// Hands out a zero-filled buffer of exactly `len` elements, recycling
-    /// a retained one when available.
-    fn take(&mut self, len: usize) -> Vec<Complex64> {
-        let mut buf = self.bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, Complex64::ZERO);
-        buf
-    }
-
-    /// Returns a buffer to the pool; dropped if the pool is full, shrunk
-    /// first if its capacity exceeds the pool's per-buffer cap.
-    fn put(&mut self, mut buf: Vec<Complex64>) {
-        if self.bufs.len() >= self.max_buffers {
-            return;
-        }
-        if buf.capacity() > self.max_len {
-            buf.truncate(self.max_len);
-            buf.shrink_to(self.max_len);
-        }
-        self.bufs.push(buf);
-    }
-}
-
-/// Network staging of one rank: the pack buffer the current tile is posted
-/// from and the receive pool. A session owns one for its lifetime, so a
-/// steady-state execution allocates no staging. Both are fully rewritten
-/// before they are read (DESIGN.md §15).
+/// Network staging of one rank: one bounded pool of exchange blocks. A
+/// session owns one for its lifetime, shared by its stages. Pack fills the
+/// blocks the pool lends for the current tile, the post moves them to the
+/// peers, and the blocks that arrive come back after unpack, so a
+/// steady-state execution creates no block. A lent block is resized to its
+/// count but not cleared: Pack rewrites every element of it before anything
+/// reads it (DESIGN.md §15).
 pub(crate) struct Staging {
-    send: Vec<Complex64>,
-    /// Elements the largest tile's pack can need; `send` never retains more.
-    send_cap: usize,
-    pool: BufferPool,
+    /// The current tile's per-destination blocks, lent from the pool by the
+    /// first Pack of the tile and moved out by its post.
+    send: Vec<Vec<Complex64>>,
+    pool: Vec<Vec<Complex64>>,
+    /// Blocks the pool retains: what the windowed pipeline has packed and
+    /// not yet unpacked at most, in the stage with the most.
+    max_blocks: usize,
+    /// Capacity a retained block keeps: the largest block of any tile, so a
+    /// block that served a larger earlier tile cannot pin its memory.
+    block_cap: usize,
+    /// Blocks created because the pool was empty.
+    created: u64,
 }
 
 impl Staging {
-    /// Staging for a session none of whose tiles packs more than `send_cap`
-    /// elements or receives more than `recv_len`, with at most `buffers`
-    /// tiles between post and unpack.
-    pub(crate) fn new(send_cap: usize, buffers: usize, recv_len: usize) -> Self {
+    /// Staging for a session that never has more than `max_blocks` blocks
+    /// packed and not yet unpacked, none longer than `block_cap`.
+    pub(crate) fn new(max_blocks: usize, block_cap: usize) -> Self {
         Staging {
             send: Vec::new(),
-            send_cap,
-            pool: BufferPool::new(buffers, recv_len),
+            pool: Vec::new(),
+            max_blocks,
+            block_cap,
+            created: 0,
         }
+    }
+
+    /// The current tile's blocks, block `q` resized to `counts[q]`
+    /// elements: the ones already lent if the tile has them, otherwise
+    /// pooled (or new) blocks.
+    fn lend(&mut self, counts: &[usize]) -> &mut [Vec<Complex64>] {
+        while self.send.len() > counts.len() {
+            let spare = self.send.pop().unwrap_or_default();
+            self.put(spare);
+        }
+        while let Some(&count) = counts.get(self.send.len()) {
+            let block = self.take(count);
+            self.send.push(block);
+        }
+        for (block, &count) in self.send.iter_mut().zip(counts) {
+            // Grown to exactly the count, so a pooled block reaches the
+            // largest size once and is never reallocated again.
+            block.reserve_exact(count.saturating_sub(block.len()));
+            block.resize(count, Complex64::ZERO);
+        }
+        &mut self.send
+    }
+
+    /// The pooled block that fits `count` most tightly — the smallest that
+    /// holds it, else the largest — so the stages' different block sizes
+    /// keep their own allocations; a new block if the pool is empty.
+    fn take(&mut self, count: usize) -> Vec<Complex64> {
+        let fit = |(_, block): &(usize, &Vec<Complex64>)| match block.capacity() {
+            cap if cap >= count => (false, cap),
+            cap => (true, usize::MAX - cap),
+        };
+        match self.pool.iter().enumerate().min_by_key(fit) {
+            Some((at, _)) => self.pool.swap_remove(at),
+            None => {
+                self.created += 1;
+                Vec::new()
+            }
+        }
+    }
+
+    /// Returns a block to the pool: dropped if the pool is full, shrunk
+    /// first if its capacity exceeds the per-block cap.
+    fn put(&mut self, mut block: Vec<Complex64>) {
+        if self.pool.len() >= self.max_blocks {
+            return;
+        }
+        if block.capacity() > self.block_cap {
+            block.truncate(self.block_cap);
+            block.shrink_to(self.block_cap);
+        }
+        self.pool.push(block);
     }
 }
 
 /// One exchange stage's view of the network: the communicator, the
 /// session's plans for the stage, the staging, the watchdog, and the trace
-/// sink. The driver never holds more than one
-/// packed-unposted and one waited-unpacked tile, so one send buffer and one
-/// arrived slot carry every tile.
+/// sink. The driver never holds more than one packed-unposted and one
+/// waited-unpacked tile, so one set of lent blocks and one arrived slot
+/// carry every tile.
 pub(crate) struct Transport<'a> {
     comm: &'a Comm,
     plans: &'a mut TilePlans,
@@ -239,8 +249,8 @@ pub(crate) struct Transport<'a> {
     tile_base: usize,
     epoch: Instant,
     recorder: &'a mut dyn Recorder,
-    /// Receive block of the most recently waited tile, awaiting unpack.
-    arrived: Option<Vec<Complex64>>,
+    /// Per-source blocks of the most recently waited tile, awaiting unpack.
+    arrived: Option<Vec<Vec<Complex64>>>,
     /// Exchange schedule setups: one per plan init.
     pub(crate) setups: u64,
     /// `MPI_Test` calls issued.
@@ -297,47 +307,37 @@ impl<'a> Transport<'a> {
         self.span(now, now, kind);
     }
 
-    /// The first `len` elements of the pack buffer, grown on demand and
-    /// never retaining more than the largest tile needs.
-    pub(crate) fn staged(&mut self, len: usize) -> &mut [Complex64] {
-        let s = &mut *self.staging;
-        if s.send.len() < len {
-            s.send.resize(len, Complex64::ZERO);
-        }
-        if s.send.capacity() > s.send_cap {
-            s.send.truncate(s.send_cap);
-            s.send.shrink_to(s.send_cap);
-        }
-        &mut s.send[..len]
+    /// The current tile's per-destination blocks for Pack to fill, block
+    /// `q` of `counts[q]` elements: lent from the pool by the tile's first
+    /// call, the same blocks on every later one until the post moves them.
+    pub(crate) fn staged(&mut self, counts: &[usize]) -> &mut [Vec<Complex64>] {
+        self.staging.lend(counts)
     }
 
-    fn plan_mut(&mut self, tile: usize) -> &mut PersistentAlltoall<Complex64> {
-        self.plans.0[tile]
-            .as_mut()
-            .expect("in-flight persistent execution without its plan")
+    fn plan_mut(&mut self, tile: usize) -> Result<&mut PersistentAlltoall<Complex64>, Error> {
+        self.plans.0[tile].as_mut().ok_or(Error::Internal(
+            "in-flight persistent execution without its plan",
+        ))
     }
 
-    /// Posts `tile`'s exchange from the pack buffer into a pooled receive
-    /// block: the tile's first post inits its persistent plan, every later
-    /// one lends it a pool buffer and starts it — zero per-execution
-    /// negotiation.
+    /// Posts `tile`'s exchange: moves the staged blocks into the tile's
+    /// persistent plan — its first post inits the plan, every later one
+    /// just starts it, zero per-execution negotiation.
     #[expect(clippy::disallowed_methods, reason = "every tile is posted here")]
     pub(crate) fn post(&mut self, tile: usize, xg: &TileExchange) -> Req {
         let comm = self.comm;
         let t0 = Instant::now();
-        let recv = self.staging.pool.take(xg.total_recv);
-        let send = &self.staging.send[..xg.total_send];
+        self.staging.lend(&xg.send_counts);
+        let blocks = std::mem::take(&mut self.staging.send);
         let plan = match &mut self.plans.0[tile] {
-            Some(plan) => {
-                plan.restore_recv(recv);
-                plan
-            }
+            Some(plan) => plan,
             slot => {
                 self.setups += 1;
-                slot.insert(comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, recv))
+                let plan = comm.alltoallv_init(&xg.send_counts, &xg.recv_counts, Vec::new());
+                slot.insert(plan)
             }
         };
-        plan.start(comm, send);
+        plan.start(comm, blocks);
         let req = Req::Persistent(tile);
         let t1 = Instant::now();
         self.steps.ialltoall += (t1 - t0).as_secs_f64();
@@ -347,11 +347,15 @@ impl<'a> Transport<'a> {
         req
     }
 
-    /// One `MPI_Test` on `req`.
-    fn try_test(&mut self, req: &mut Req) -> Result<bool, CollError> {
+    /// One `MPI_Test` on `req`, a fault named after its tile.
+    fn try_test(&mut self, req: &mut Req) -> Result<bool, Error> {
         let comm = self.comm;
         match req {
-            Req::Persistent(tile) => self.plan_mut(*tile).try_test(comm),
+            Req::Persistent(tile) => {
+                let id = self.tile_id(*tile);
+                let plan = self.plan_mut(*tile)?;
+                plan.try_test(comm).map_err(|e| coll_to_error(id, e))
+            }
             // A withheld exchange never completes; the failure surfaces at
             // wait time, where the driver can heal it.
             Req::Withheld(_) => Ok(false),
@@ -375,8 +379,8 @@ impl<'a> Transport<'a> {
                     let t1 = Instant::now();
                     self.tests += 1;
                     self.steps.test += (t1 - t0).as_secs_f64();
+                    let completed = result?;
                     let tile = self.tile_id(*tile);
-                    let completed = result.map_err(|e| coll_to_error(tile, e))?;
                     self.span(t0, t1, EventKind::Test { tile, completed });
                 }
             }
@@ -386,10 +390,10 @@ impl<'a> Transport<'a> {
         let t0 = Instant::now();
         let mut outcome = Ok(());
         'polls: for _ in 0..times {
-            for (tile, req) in inflight.iter_mut() {
+            for (_, req) in inflight.iter_mut() {
                 self.tests += 1;
                 if let Err(e) = self.try_test(req) {
-                    outcome = Err(coll_to_error(self.tile_id(*tile), e));
+                    outcome = Err(e);
                     break 'polls;
                 }
             }
@@ -399,7 +403,7 @@ impl<'a> Transport<'a> {
     }
 
     /// `MPI_Wait` on `tile`'s exchange: blocking without a watchdog,
-    /// bounded by it otherwise. On success the receive block is ready for
+    /// bounded by it otherwise. On success the received blocks are ready for
     /// [`Self::take_recv`]; on a fault the live request is handed back with
     /// the error, for a retry after a degradation step or for
     /// [`Self::cancel`].
@@ -417,32 +421,29 @@ impl<'a> Transport<'a> {
                 ));
             }
             Req::Persistent(pt) => {
-                let plan = self.plan_mut(pt);
+                let plan = match self.plan_mut(pt) {
+                    Ok(plan) => plan,
+                    Err(e) => return Err((Req::Persistent(pt), e)),
+                };
                 let waited = match timeout {
                     // Spins (with parking) until complete, panics on an
                     // unrecoverable collective fault.
-                    None => {
-                        plan.wait(comm);
-                        Ok(())
-                    }
-                    Some(timeout) => plan.wait_timeout(comm, timeout),
+                    None => Ok(plan.wait(comm)),
+                    Some(timeout) => plan.wait_timeout(comm, timeout).map(|()| plan.take_recv()),
                 };
                 // On a fault the execution stays alive inside the plan.
-                waited
-                    .map(|()| plan.take_recv())
-                    .map_err(|e| (Req::Persistent(pt), e))
+                waited.map_err(|e| (Req::Persistent(pt), coll_to_error(id, e)))
             }
         };
         let t1 = Instant::now();
         self.steps.wait += (t1 - t0).as_secs_f64();
         self.span(t0, t1, EventKind::Wait { tile: id });
         match outcome {
-            Ok(recv) => {
-                self.arrived = Some(recv);
+            Ok(blocks) => {
+                self.arrived = Some(blocks);
                 Ok(())
             }
-            Err((req, e)) => {
-                let err = coll_to_error(id, e);
+            Err((req, err)) => {
                 if matches!(err, Error::IntegrityFailed { .. }) {
                     // Wire corruption past the link-layer retransmit budget:
                     // mark the detection in the timeline.
@@ -453,17 +454,19 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// The waited tile's receive block (per-source blocks in rank order);
-    /// give it back with [`Self::recycle`] once unpacked.
-    pub(crate) fn take_recv(&mut self) -> Result<Vec<Complex64>, Error> {
+    /// The waited tile's per-source blocks, in rank order; give them back
+    /// with [`Self::recycle`] once unpacked.
+    pub(crate) fn take_recv(&mut self) -> Result<Vec<Vec<Complex64>>, Error> {
         self.arrived
             .take()
             .ok_or(Error::Internal("unpack without a waited tile"))
     }
 
-    /// Returns an unpacked receive block to the pool.
-    pub(crate) fn recycle(&mut self, recv: Vec<Complex64>) {
-        self.staging.pool.put(recv);
+    /// Returns an unpacked tile's blocks to the pool.
+    pub(crate) fn recycle(&mut self, blocks: Vec<Vec<Complex64>>) {
+        for block in blocks {
+            self.staging.put(block);
+        }
     }
 
     /// Disposes of a request that will never be waited, reclaiming whatever
@@ -496,18 +499,23 @@ impl<'a> Transport<'a> {
 
 #[cfg(test)]
 impl TilePlans {
-    /// Receive elements idle plans are holding on to.
-    pub(crate) fn idle_staging(&self) -> usize {
+    /// Blocks idle plans are holding on to.
+    pub(crate) fn idle_blocks(&self) -> usize {
         self.0.iter().flatten().map(|p| p.recv().len()).sum()
     }
 }
 
 #[cfg(test)]
 impl Staging {
-    /// `(buffers, elements of capacity)` the receive pool retains.
+    /// `(blocks, elements of capacity)` the pool retains.
     pub(crate) fn pooled(&self) -> (usize, usize) {
-        let bufs = &self.pool.bufs;
-        (bufs.len(), bufs.iter().map(|b| b.capacity()).sum())
+        let capacity = self.pool.iter().map(Vec::capacity).sum();
+        (self.pool.len(), capacity)
+    }
+
+    /// Blocks created so far, and the pool's bound on its elements.
+    pub(crate) fn created_and_bound(&self) -> (u64, usize) {
+        (self.created, self.max_blocks * self.block_cap)
     }
 }
 
@@ -524,7 +532,7 @@ mod tests {
                 (secs(2), [secs(4), secs(5), secs(5)]),
                 (Duration::MAX - secs(1), [secs(5); 3]),
             ] {
-                let (mut plans, mut staging) = (TilePlans::new(0), Staging::new(0, 0, 0));
+                let (mut plans, mut staging) = (TilePlans::new(0), Staging::new(0, 0));
                 let mut recorder = NoopRecorder;
                 let mut net = Transport::new(
                     &comm,
@@ -544,37 +552,65 @@ mod tests {
     }
 
     #[test]
-    fn buffer_pool_caps_retained_buffers() {
-        // Regression: the recv pool used to be an unbounded Vec that only
-        // ever grew; returns beyond the pipeline's working set are dropped.
-        let mut pool = BufferPool::new(3, 100);
+    fn block_pool_caps_retained_blocks() {
+        // Returns beyond the pipeline's working set are dropped.
+        let mut staging = Staging::new(3, 100);
         for _ in 0..8 {
-            pool.put(vec![Complex64::ZERO; 10]);
+            staging.put(vec![Complex64::ZERO; 10]);
         }
-        assert_eq!(pool.bufs.len(), 3);
+        assert_eq!(staging.pooled(), (3, 30));
     }
 
     #[test]
-    fn buffer_pool_shrinks_oversized_returns() {
-        // Regression: a buffer sized for a peak tile used to keep its full
-        // capacity forever; now it is shrunk to the per-buffer cap.
-        let mut pool = BufferPool::new(4, 8);
-        pool.put(vec![Complex64::ZERO; 64]);
-        assert!(pool.bufs[0].capacity() <= 8, "{}", pool.bufs[0].capacity());
-        let b = pool.take(4);
-        assert_eq!(b.len(), 4);
-        assert!(b.capacity() < 64);
+    fn block_pool_shrinks_oversized_returns() {
+        // A block sized for a peak tile is shrunk to the per-block cap.
+        let mut staging = Staging::new(4, 8);
+        staging.put(vec![Complex64::ZERO; 64]);
+        let (_, capacity) = staging.pooled();
+        assert!(capacity <= 8, "{capacity}");
+        let lent = staging.lend(&[4]);
+        assert_eq!(lent[0].len(), 4);
+        assert!(lent[0].capacity() < 64);
     }
 
     #[test]
-    fn buffer_pool_recycles_and_zeroes() {
-        let mut pool = BufferPool::new(2, 16);
-        let mut b = pool.take(4);
-        b.fill(Complex64::new(7.0, 7.0));
-        pool.put(b);
-        let b = pool.take(8);
-        assert!(b.iter().all(|&c| c == Complex64::ZERO));
-        assert!(pool.bufs.is_empty());
+    fn block_pool_lends_resized_blocks_without_clearing_them() {
+        let mut staging = Staging::new(4, 16);
+        let seven = Complex64::new(7.0, 7.0);
+        staging.lend(&[0, 4])[1].fill(seven);
+        // Every Pack of a tile sees the same blocks.
+        assert!(staging.lend(&[0, 4])[1].iter().all(|&c| c == seven));
+        for block in std::mem::take(&mut staging.send) {
+            staging.put(block);
+        }
+        assert_eq!(staging.created_and_bound(), (2, 64));
+        // A recycled block keeps what it held (Pack rewrites all of it);
+        // only the elements it grows by are new.
+        let lent = &staging.lend(&[6])[0];
+        assert!(lent[..4].iter().all(|&c| c == seven));
+        assert!(lent[4..].iter().all(|&c| c == Complex64::ZERO));
+        assert_eq!(staging.created_and_bound().0, 2, "no block created");
+    }
+
+    #[test]
+    fn block_pool_lends_the_tightest_fit() {
+        // Two stages' block sizes through one pool: each count gets the
+        // smallest block that holds it, else the largest there is.
+        let mut staging = Staging::new(8, 64);
+        for len in [8, 32, 16] {
+            staging.put(Vec::with_capacity(len));
+        }
+        let capacities = |staging: &mut Staging, counts: &[usize]| -> Vec<usize> {
+            let lent = staging.lend(counts).iter().map(Vec::capacity).collect();
+            for block in std::mem::take(&mut staging.send) {
+                staging.put(block);
+            }
+            lent
+        };
+        assert_eq!(capacities(&mut staging, &[10]), [16]);
+        assert_eq!(capacities(&mut staging, &[16, 16]), [16, 32]);
+        assert_eq!(capacities(&mut staging, &[40]), [40]);
+        assert_eq!(staging.created_and_bound().0, 0);
     }
 
     #[test]

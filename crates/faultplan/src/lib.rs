@@ -512,13 +512,32 @@ pub fn checksum<T: PayloadBits>(data: &[T]) -> u64 {
 /// element and the bit within it. No-op on an empty slice. Returns the
 /// `(element, bit)` coordinates actually hit.
 pub fn flip_seeded_bit<T: PayloadBits>(data: &mut [T], site: u64) -> Option<(usize, u32)> {
-    if data.is_empty() {
+    flip_seeded_bit_in(&mut [data], site)
+}
+
+/// [`flip_seeded_bit`] over `blocks` read as one sequence: `site` flips the
+/// element and bit it would flip in the blocks laid end to end, and the
+/// element's index is returned in that sequence.
+pub fn flip_seeded_bit_in<T: PayloadBits, B: AsMut<[T]>>(
+    blocks: &mut [B],
+    site: u64,
+) -> Option<(usize, u32)> {
+    let len: usize = blocks.iter_mut().map(|block| block.as_mut().len()).sum();
+    if len == 0 {
         return None;
     }
-    let idx = (site % data.len() as u64) as usize;
+    let idx = (site % len as u64) as usize;
     let bit = ((site >> 32) % T::BITS as u64) as u32;
-    data[idx].flip_bit(bit);
-    Some((idx, bit))
+    let mut at = idx;
+    for block in blocks {
+        let block = block.as_mut();
+        if let Some(element) = block.get_mut(at) {
+            element.flip_bit(bit);
+            return Some((idx, bit));
+        }
+        at -= block.len();
+    }
+    None
 }
 
 /// SplitMix64 finalizer — the workspace's shared seeded-decision primitive.
@@ -718,6 +737,22 @@ mod tests {
             data[idx].flip_bit(bit); // restore
             assert_eq!(checksum(&data), clean);
         }
+    }
+
+    #[test]
+    fn a_site_flips_the_same_element_in_blocks_as_laid_end_to_end() {
+        let flat: Vec<u64> = (0..23).collect();
+        let cuts = [0, 5, 5, 12, 23];
+        for site in [1u64, 0x1234_5678_9abc_def1, u64::MAX, 22, 23] {
+            let mut want = flat.clone();
+            let hit = flip_seeded_bit(&mut want, site);
+            let mut blocks: Vec<Vec<u64>> =
+                cuts.windows(2).map(|w| flat[w[0]..w[1]].to_vec()).collect();
+            assert_eq!(flip_seeded_bit_in(&mut blocks, site), hit, "site {site:#x}");
+            assert_eq!(blocks.concat(), want, "site {site:#x}");
+        }
+        let mut empty: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        assert_eq!(flip_seeded_bit_in(&mut empty, 7), None);
     }
 
     #[test]

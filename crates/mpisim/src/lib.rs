@@ -79,7 +79,7 @@ pub use check::{
 pub use comm::Comm;
 pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleFailure};
 pub use faultplan::{FaultKind, FaultPlan};
-pub use nbc::{CollError, IAlltoall};
+pub use nbc::{CollError, IAlltoall, SendBlocks};
 pub use persistent::PersistentAlltoall;
 
 use check::CheckState;

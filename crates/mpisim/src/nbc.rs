@@ -12,6 +12,12 @@
 //! not to thread") that the paper's `Fy/Fp/Fu/Fx` parameters exist to
 //! manage.
 //!
+//! Every all-to-all moves owned per-peer blocks (`Exchange`, the one
+//! exchange form): a block handed in for a peer is that round's wire
+//! payload and the receiver keeps it. [`IAlltoall`] and the blocking
+//! `alltoall`/`alltoallv` are flat-buffer adaptors over it; a
+//! [`crate::PersistentAlltoall`] exposes the blocks themselves.
+//!
 //! ## Faults and the typed error path
 //!
 //! When the world carries a [`faultplan::FaultPlan`], every round send
@@ -96,65 +102,89 @@ impl std::fmt::Display for CollError {
 
 impl std::error::Error for CollError {}
 
-/// One round payload on the mpisim wire: the block plus a checksum of its
-/// bit pattern, computed by the sender from the pristine staged data. The
-/// checksum is verified twice — at the delivery point (the link-layer CRC
-/// model: a corrupt frame is discarded there and the sender's intact staged
-/// copy retries) and end-to-end by the receiver before the block is copied
-/// into the user buffer, so no corrupted payload can ever land silently.
+/// One round payload on the mpisim wire: the sender's block itself plus a
+/// checksum of its bit pattern, computed by the sender from the pristine
+/// block. The checksum is verified twice — at the delivery point (the
+/// link-layer CRC model: a corrupt frame is discarded there and the sender's
+/// intact block retries) and end-to-end by the receiver before it accepts
+/// the block, so no corrupted payload can ever land silently.
 pub(crate) struct Frame<T> {
     pub(crate) block: Vec<T>,
     pub(crate) sum: u64,
 }
 
-/// Block displacements implied by per-peer counts.
-pub(crate) fn displs(counts: &[usize]) -> Vec<usize> {
-    let mut d = Vec::with_capacity(counts.len());
-    let mut acc = 0;
-    for &c in counts {
-        d.push(acc);
-        acc += c;
-    }
-    d
+/// What an all-to-all sends: one block per destination rank, `counts[d]`
+/// elements for rank `d`. Owned blocks (`Vec<Vec<T>>`) move onto the wire as
+/// they are; a flat buffer — per-destination blocks packed contiguously in
+/// rank order, the MPI layout — is copied into blocks first.
+pub trait SendBlocks<T> {
+    /// The per-destination blocks.
+    ///
+    /// # Panics
+    /// If the data does not match `counts`.
+    fn into_blocks(self, counts: &[usize]) -> Vec<Vec<T>>;
 }
 
-/// An in-flight non-blocking all-to-all (vector variant). Created by
-/// [`Comm::ialltoallv`] / [`Comm::ialltoall`]; completed by `test`/`wait`.
-///
-/// Owns both the staged send blocks and the receive buffer; `wait` (or
-/// [`IAlltoall::take_recv`] after completion) hands the received data back,
-/// laid out as contiguous per-source blocks in rank order.
-///
-/// A request is `#[must_use]`: a post whose handle is discarded can never
-/// be completed, so it does not compile under `deny(unused_must_use)` (the
-/// workspace's `clippy -D warnings` gate). A handle that is kept but dropped
-/// incomplete is the runtime lint MC002.
-///
-/// ```compile_fail
-/// #![deny(unused_must_use)]
-/// mpisim::run(2, |comm| {
-///     comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]);
-/// });
-/// ```
-///
-/// ```
-/// #![deny(unused_must_use)]
-/// mpisim::run(2, |comm| {
-///     let out = comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]).wait(&comm);
-///     assert_eq!(out.len(), 2);
-/// });
-/// ```
-#[must_use = "a discarded request can never be completed; wait, test it to completion or cancel it"]
-pub struct IAlltoall<T> {
+impl<T> SendBlocks<T> for Vec<Vec<T>> {
+    fn into_blocks(self, counts: &[usize]) -> Vec<Vec<T>> {
+        assert_eq!(self.len(), counts.len(), "one send block per rank");
+        for (d, (block, &count)) in self.iter().zip(counts).enumerate() {
+            assert_eq!(block.len(), count, "send block {d} length mismatch");
+        }
+        self
+    }
+}
+
+impl<T: Clone> SendBlocks<T> for &[T] {
+    fn into_blocks(self, counts: &[usize]) -> Vec<Vec<T>> {
+        let total: usize = counts.iter().sum();
+        assert_eq!(self.len(), total, "send buffer length mismatch");
+        let mut rest = self;
+        let split = |&count: &usize| {
+            let (block, tail) = rest.split_at(count);
+            rest = tail;
+            block.to_vec()
+        };
+        counts.iter().map(split).collect()
+    }
+}
+
+impl<T: Clone> SendBlocks<T> for &Vec<T> {
+    fn into_blocks(self, counts: &[usize]) -> Vec<Vec<T>> {
+        self.as_slice().into_blocks(counts)
+    }
+}
+
+/// Copies per-source blocks into `out` back to back, in rank order: the flat
+/// receive side of [`IAlltoall`] and the blocking all-to-alls.
+fn flatten_into<T: Clone>(blocks: &[Vec<T>], out: &mut [T]) {
+    let total: usize = blocks.iter().map(Vec::len).sum();
+    assert_eq!(out.len(), total, "recv buffer length mismatch");
+    let mut rest = out;
+    for block in blocks {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(block.len());
+        head.clone_from_slice(block);
+        rest = tail;
+    }
+}
+
+/// One execution of an all-to-all over owned blocks: the one exchange form
+/// under [`IAlltoall`] and [`crate::PersistentAlltoall`]. The block a sender
+/// hands in for a peer becomes that round's frame payload, and the receiver
+/// keeps it — a block is written once by its producer and never copied on
+/// the way (a fault plan's corrupted frame is the one exception: it travels
+/// as a flipped copy and is discarded).
+pub(crate) struct Exchange<T> {
     seq: u64,
-    /// Per-destination staged send blocks (`None` once pushed, and always
-    /// for the self block, which never needs a wire copy).
-    send_blocks: Vec<Option<Vec<T>>>,
-    recv: Vec<T>,
+    /// Per-destination blocks still to send: a round's send takes its block
+    /// out, and the self block moved to `recv` at start.
+    send: Vec<Vec<T>>,
+    /// Per-source blocks received so far, in rank order; a source's entry
+    /// stays empty until its round arrives.
+    recv: Vec<Vec<T>>,
     /// Shared with a [`crate::PersistentAlltoall`] plan when this execution
     /// was started from one — the schedule is computed once, not per start.
     recv_counts: Arc<[usize]>,
-    recv_displs: Arc<[usize]>,
     /// Next round awaiting its receive.
     round: usize,
     /// Rounds whose sends have been posted (`round ≤ sent ≤ round+1`).
@@ -169,7 +199,7 @@ pub struct IAlltoall<T> {
     /// A fault error this request hit; sticky, re-reported on every
     /// subsequent progression attempt.
     failed: Option<CollError>,
-    /// Set by [`IAlltoall::cancel`]; suppresses the request-leak lint.
+    /// Set by `cancel`; suppresses the request-leak lint.
     cancelled: bool,
     /// World rank of the owner (diagnostics in the leak lint).
     world_rank: usize,
@@ -177,7 +207,7 @@ pub struct IAlltoall<T> {
     check: Option<Arc<CheckState>>,
 }
 
-impl<T> Drop for IAlltoall<T> {
+impl<T> Drop for Exchange<T> {
     fn drop(&mut self) {
         // MC002: an incomplete request dropped without `wait` or `cancel`
         // leaks its staged rounds in peers' mailboxes. Only *observed* in
@@ -200,6 +230,42 @@ impl<T> Drop for IAlltoall<T> {
             });
         }
     }
+}
+
+/// An in-flight non-blocking all-to-all (vector variant) over flat buffers.
+/// Created by [`Comm::ialltoallv`] / [`Comm::ialltoall`]; completed by
+/// `test`/`wait`.
+///
+/// The flat adaptor over the block exchange: the post copies the send
+/// buffer into per-destination blocks, and `wait` (or
+/// [`IAlltoall::take_recv`] after completion) copies the received blocks
+/// into the caller's receive buffer, contiguous per-source blocks in rank
+/// order.
+///
+/// A request is `#[must_use]`: a post whose handle is discarded can never
+/// be completed, so it does not compile under `deny(unused_must_use)` (the
+/// workspace's `clippy -D warnings` gate). A handle that is kept but dropped
+/// incomplete is the runtime lint MC002.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]);
+/// });
+/// ```
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// mpisim::run(2, |comm| {
+///     let out = comm.ialltoall(&[1u64, 2], 1, vec![0u64; 2]).wait(&comm);
+///     assert_eq!(out.len(), 2);
+/// });
+/// ```
+#[must_use = "a discarded request can never be completed; wait, test it to completion or cancel it"]
+pub struct IAlltoall<T> {
+    exchange: Exchange<T>,
+    /// The caller's receive buffer, filled on completion.
+    recv: Vec<T>,
 }
 
 impl Comm {
@@ -226,64 +292,49 @@ impl Comm {
         recv_counts: &[usize],
         recv: Vec<T>,
     ) -> IAlltoall<T> {
-        let p = self.size();
-        assert_eq!(
-            send_counts.len(),
-            p,
-            "send_counts must have one entry per rank"
-        );
+        let total_recv: usize = recv_counts.iter().sum();
+        assert_eq!(recv.len(), total_recv, "recv buffer length mismatch");
+        let exchange =
+            self.start_exchange(send.into_blocks(send_counts), recv_counts.to_vec().into());
+        IAlltoall { exchange, recv }
+    }
+
+    /// Kicks off one execution over owned per-destination blocks — the
+    /// common tail of every all-to-all. Moves the self block straight to the
+    /// receive side (round 0, done eagerly like real NBC implementations do,
+    /// and immune to faults) and draws a fresh collective sequence number so
+    /// concurrent (or repeated) executions can never cross-match.
+    ///
+    /// # Panics
+    /// If there is not one block per rank and one count per rank, or the
+    /// self block's length is not this rank's receive count from itself.
+    pub(crate) fn start_exchange<T: PayloadBits + Clone + Send + 'static>(
+        &self,
+        mut send: Vec<Vec<T>>,
+        recv_counts: Arc<[usize]>,
+    ) -> Exchange<T> {
+        let (p, me) = (self.size(), self.rank());
+        assert_eq!(send.len(), p, "one send block per rank");
         assert_eq!(
             recv_counts.len(),
             p,
             "recv_counts must have one entry per rank"
         );
-        let total_send: usize = send_counts.iter().sum();
-        let total_recv: usize = recv_counts.iter().sum();
-        assert_eq!(send.len(), total_send, "send buffer length mismatch");
-        assert_eq!(recv.len(), total_recv, "recv buffer length mismatch");
-
-        self.start_alltoall(
-            send,
-            &displs(send_counts),
-            send_counts,
-            recv,
-            displs(recv_counts).into(),
-            recv_counts.to_vec().into(),
-        )
-    }
-
-    /// Kicks off one execution over shared schedule vectors — the common
-    /// tail of [`Comm::ialltoallv`] and a persistent plan's `start()`.
-    /// Stages one wire copy per peer and copies the self block straight from
-    /// `send` into `recv` (round 0, done eagerly like real NBC
-    /// implementations do, and immune to faults). Draws a fresh collective
-    /// sequence number so concurrent (or repeated) executions can never
-    /// cross-match.
-    pub(crate) fn start_alltoall<T: PayloadBits + Clone + Send + 'static>(
-        &self,
-        send: &[T],
-        send_displs: &[usize],
-        send_counts: &[usize],
-        mut recv: Vec<T>,
-        recv_displs: Arc<[usize]>,
-        recv_counts: Arc<[usize]>,
-    ) -> IAlltoall<T> {
-        let me = self.rank();
-        let block = |d: usize| &send[send_displs[d]..send_displs[d] + send_counts[d]];
-        let send_blocks: Vec<Option<Vec<T>>> = (0..self.size())
-            .map(|d| (d != me).then(|| block(d).to_vec()))
-            .collect();
-        let off = recv_displs[me];
-        recv[off..off + send_counts[me]].clone_from_slice(block(me));
-        let mut req = IAlltoall {
+        assert_eq!(
+            send[me].len(),
+            recv_counts[me],
+            "the self block must match the receive count from self"
+        );
+        let mut recv: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        recv[me] = std::mem::take(&mut send[me]);
+        let mut req = Exchange {
             seq: self.next_coll_seq(),
-            send_blocks,
+            send,
             recv,
-            recv_displs,
             recv_counts,
             round: 1,
             sent: 1,
-            size: self.size(),
+            size: p,
             rank: me,
             send_attempts: 0,
             corrupt_attempts: 0,
@@ -299,7 +350,7 @@ impl Comm {
     }
 }
 
-impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
+impl<T: PayloadBits + Clone + Send + 'static> Exchange<T> {
     fn round_tag(&self, round: usize) -> u64 {
         // 30 bits of sequence, 10 bits of round index.
         (self.seq << 10) | round as u64
@@ -316,7 +367,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                 // Swallow the block but report success: this rank believes
                 // it sent and never retries — the hard-stall scenario whose
                 // detection falls to the peers' watchdogs.
-                let _ = self.send_blocks[dest].take().expect("block sent twice");
+                drop(std::mem::take(&mut self.send[dest]));
                 return Ok(true);
             }
             if plan.should_drop(
@@ -348,7 +399,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
             // Silent in-transit corruption: flip one seeded bit of a *copy*
             // of the staged block and run the delivery-point checksum — the
             // link-layer CRC model. A detected corrupt frame is discarded
-            // (the pristine staged copy retries, ARQ-style) within the
+            // (the pristine staged block retries, ARQ-style) within the
             // corrupt-retransmit budget; past the budget the typed error
             // surfaces. Corrupted data is never force-delivered.
             if let Some(h) = plan.should_corrupt(
@@ -358,11 +409,12 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                 r,
                 self.corrupt_attempts,
             ) {
-                let pristine = self.send_blocks[dest].as_deref().expect("block sent twice");
-                let sum = checksum(pristine);
-                let mut corrupted = pristine.to_vec();
+                let pristine = std::mem::take(&mut self.send[dest]);
+                let sum = checksum(&pristine);
+                let mut corrupted = pristine.clone();
                 let _ = flip_seeded_bit(&mut corrupted, h);
                 if checksum(&corrupted) != sum {
+                    self.send[dest] = pristine;
                     self.corrupt_attempts += 1;
                     if self.corrupt_attempts > plan.corrupt_retransmits() {
                         return Err(CollError::Corrupt {
@@ -378,22 +430,19 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                 // delivered; the receiver's end-to-end verify shares the
                 // same blind spot, which is exactly what the corruption
                 // sweep's numerical gate exists to rule out.
-                let _ = self.send_blocks[dest].take();
-                comm.deliver(
-                    dest,
-                    encode_tag(comm.ctx, Kind::Nbc, self.round_tag(r)),
-                    Box::new(Frame {
-                        block: corrupted,
-                        sum,
-                    }),
-                );
-                self.send_attempts = 0;
-                self.corrupt_attempts = 0;
+                self.deliver(comm, r, dest, corrupted, sum);
                 return Ok(true);
             }
         }
-        let block = self.send_blocks[dest].take().expect("block sent twice");
+        let block = std::mem::take(&mut self.send[dest]);
         let sum = checksum(&block);
+        self.deliver(comm, r, dest, block, sum);
+        Ok(true)
+    }
+
+    /// Puts round `r`'s frame in `dest`'s mailbox and resets the round's
+    /// retransmit counters.
+    fn deliver(&mut self, comm: &Comm, r: usize, dest: usize, block: Vec<T>, sum: u64) {
         comm.deliver(
             dest,
             encode_tag(comm.ctx, Kind::Nbc, self.round_tag(r)),
@@ -401,7 +450,6 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
         );
         self.send_attempts = 0;
         self.corrupt_attempts = 0;
-        Ok(true)
     }
 
     /// Records a sticky fault error and returns it.
@@ -424,7 +472,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
 
     /// Advances as many rounds as currently possible. Returns `Ok(true)`
     /// when the collective has completed; fault errors are sticky.
-    fn progress(&mut self, comm: &Comm) -> Result<bool, CollError> {
+    pub(crate) fn progress(&mut self, comm: &Comm) -> Result<bool, CollError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -444,10 +492,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                 match self.post_send(comm, r, dest) {
                     Ok(true) => self.sent = r + 1,
                     Ok(false) => return self.stuck(comm),
-                    Err(e) => {
-                        self.failed = Some(e);
-                        return Err(e);
-                    }
+                    Err(e) => return self.fail(e),
                 }
             }
             let src = (self.rank + p - r) % p;
@@ -465,25 +510,23 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
                         .downcast::<Frame<T>>()
                         .unwrap_or_else(|_| panic!("alltoall type mismatch in round {r}"));
                     // End-to-end integrity: re-verify the sender's checksum
-                    // before the block touches the user buffer. Catches any
-                    // corruption the delivery-point check did not (e.g. a
-                    // flip while queued in the mailbox).
+                    // before the block is accepted. Catches any corruption
+                    // the delivery-point check did not (e.g. a flip while
+                    // queued in the mailbox).
                     if checksum(&frame.block) != frame.sum {
                         return self.fail(CollError::Corrupt {
                             src: comm.world_rank(src),
                             seq: self.seq,
                         });
                     }
-                    let block = frame.block;
                     assert_eq!(
-                        block.len(),
+                        frame.block.len(),
                         self.recv_counts[src],
                         "alltoall count mismatch: rank {src} sent {}, we expected {}",
-                        block.len(),
+                        frame.block.len(),
                         self.recv_counts[src]
                     );
-                    let off = self.recv_displs[src];
-                    self.recv[off..off + block.len()].clone_from_slice(&block);
+                    self.recv[src] = frame.block;
                     self.round = r + 1;
                 }
                 None => return self.stuck(comm),
@@ -492,38 +535,9 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
         Ok(true)
     }
 
-    /// One `MPI_Test`: makes progress and reports completion.
-    ///
-    /// # Panics
-    /// On a fault-plan error (exhausted retransmit budget); use
-    /// [`Self::try_test`] for the typed error path.
-    pub fn test(&mut self, comm: &Comm) -> bool {
-        self.progress(comm)
-            .unwrap_or_else(|e| panic!("all-to-all failed: {e}"))
-    }
-
-    /// Fallible `MPI_Test`: makes progress and reports completion, or the
-    /// typed fault error.
-    pub fn try_test(&mut self, comm: &Comm) -> Result<bool, CollError> {
-        self.progress(comm)
-    }
-
     /// `true` once every round has completed (no progress attempt).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.round == self.size
-    }
-
-    /// Rounds of the schedule completed locally so far — the request-level
-    /// progression state a `test` transition advances. Tracing consumers
-    /// read this to see how far each poll pushed the collective.
-    pub fn rounds_done(&self) -> usize {
-        self.round
-    }
-
-    /// Total rounds in the schedule (one per rank, including the eager
-    /// self-copy round).
-    pub fn rounds_total(&self) -> usize {
-        self.size
     }
 
     /// Communicator rank whose block the first incomplete round is missing
@@ -556,14 +570,8 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
         }
     }
 
-    /// `MPI_Wait`: progresses (blocking between arrivals, with exponential
-    /// backoff up to the world's configured cap) until completion, then
-    /// returns the receive buffer (per-source blocks in rank order).
-    ///
-    /// # Panics
-    /// On a fault-plan error; use [`Self::wait_timeout`] for the typed
-    /// error path.
-    pub fn wait(mut self, comm: &Comm) -> Vec<T> {
+    /// [`IAlltoall::wait`] without the hand-over: blocks until complete.
+    pub(crate) fn wait(&mut self, comm: &Comm) {
         let bo = comm.world.backoff;
         let probe_after = self.check.as_ref().map(|c| c.config().deadlock_after);
         let mut slice = bo.first();
@@ -573,7 +581,7 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
             match self.progress(comm) {
                 Ok(true) => {
                     self.clear_blocked();
-                    return std::mem::take(&mut self.recv);
+                    return;
                 }
                 Ok(false) => {
                     // A round advance means the exchange is healthy: restart
@@ -600,17 +608,8 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
         }
     }
 
-    /// `MPI_Wait` with a stall watchdog: progresses until completion, but if
-    /// the round schedule advances by nothing for `timeout`, returns
-    /// [`CollError::Stalled`] naming the first incomplete round and the peer
-    /// it is missing. On success the receive buffer is available via
-    /// [`Self::take_recv`]; on error the request stays alive for a retry (a
-    /// later `wait_timeout` grants a fresh watchdog period) or for
-    /// [`Self::cancel`].
-    ///
-    /// Detection latency is `timeout` plus one mailbox park slice (bounded
-    /// by the world's backoff cap, 50 ms by default).
-    pub fn wait_timeout(&mut self, comm: &Comm, timeout: Duration) -> Result<(), CollError> {
+    /// See [`IAlltoall::wait_timeout`].
+    pub(crate) fn wait_timeout(&mut self, comm: &Comm, timeout: Duration) -> Result<(), CollError> {
         let bo = comm.world.backoff;
         let mut slice = bo.first();
         let mut last_progress = Instant::now();
@@ -641,13 +640,115 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
         }
     }
 
+    /// Takes the per-source blocks out of a completed execution.
+    ///
+    /// # Panics
+    /// If the collective has not completed.
+    pub(crate) fn take_recv(&mut self) -> Vec<Vec<T>> {
+        assert!(self.is_complete(), "take_recv on an incomplete all-to-all");
+        std::mem::take(&mut self.recv)
+    }
+
+    /// Cancels the execution, purging every round message of it still
+    /// queued in this rank's mailbox (see [`IAlltoall::cancel`]). Returns
+    /// the number of messages reclaimed here.
+    pub(crate) fn cancel(&mut self, comm: &Comm) -> usize {
+        self.cancelled = true;
+        if comm.world_aborted() {
+            return 0;
+        }
+        let mut purged = 0;
+        for r in 0..self.size {
+            let tag = encode_tag(comm.ctx, Kind::Nbc, self.round_tag(r));
+            purged += comm.my_mailbox().purge(|m| m.tag == tag);
+        }
+        purged
+    }
+}
+
+impl<T> Exchange<T> {
+    /// Disarms the MC002 request-leak lint without purging. Used by the
+    /// persistent-plan drop path, where the plan-level MC006 finding is the
+    /// single diagnostic for the whole unfreed plan (its in-flight execution
+    /// included) — two findings for one mistake would be noise.
+    pub(crate) fn disarm_leak_lint(&mut self) {
+        self.cancelled = true;
+    }
+
+    /// The sticky fault error this execution hit, if any.
+    pub(crate) fn failure(&self) -> Option<CollError> {
+        self.failed
+    }
+}
+
+impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
+    /// One `MPI_Test`: makes progress and reports completion.
+    ///
+    /// # Panics
+    /// On a fault-plan error (exhausted retransmit budget); use
+    /// [`Self::try_test`] for the typed error path.
+    pub fn test(&mut self, comm: &Comm) -> bool {
+        self.try_test(comm)
+            .unwrap_or_else(|e| panic!("all-to-all failed: {e}"))
+    }
+
+    /// Fallible `MPI_Test`: makes progress and reports completion, or the
+    /// typed fault error.
+    pub fn try_test(&mut self, comm: &Comm) -> Result<bool, CollError> {
+        self.exchange.progress(comm)
+    }
+
+    /// `true` once every round has completed (no progress attempt).
+    pub fn is_complete(&self) -> bool {
+        self.exchange.is_complete()
+    }
+
+    /// Rounds of the schedule completed locally so far — the request-level
+    /// progression state a `test` transition advances. Tracing consumers
+    /// read this to see how far each poll pushed the collective.
+    pub fn rounds_done(&self) -> usize {
+        self.exchange.round
+    }
+
+    /// Total rounds in the schedule (one per rank, including the eager
+    /// self-copy round).
+    pub fn rounds_total(&self) -> usize {
+        self.exchange.size
+    }
+
+    /// `MPI_Wait`: progresses (blocking between arrivals, with exponential
+    /// backoff up to the world's configured cap) until completion, then
+    /// returns the receive buffer (per-source blocks in rank order).
+    ///
+    /// # Panics
+    /// On a fault-plan error; use [`Self::wait_timeout`] for the typed
+    /// error path.
+    pub fn wait(mut self, comm: &Comm) -> Vec<T> {
+        self.exchange.wait(comm);
+        self.take_recv()
+    }
+
+    /// `MPI_Wait` with a stall watchdog: progresses until completion, but if
+    /// the round schedule advances by nothing for `timeout`, returns
+    /// [`CollError::Stalled`] naming the first incomplete round and the peer
+    /// it is missing. On success the receive buffer is available via
+    /// [`Self::take_recv`]; on error the request stays alive for a retry (a
+    /// later `wait_timeout` grants a fresh watchdog period) or for
+    /// [`Self::cancel`].
+    ///
+    /// Detection latency is `timeout` plus one mailbox park slice (bounded
+    /// by the world's backoff cap, 50 ms by default).
+    pub fn wait_timeout(&mut self, comm: &Comm, timeout: Duration) -> Result<(), CollError> {
+        self.exchange.wait_timeout(comm, timeout)
+    }
+
     /// Takes the receive buffer out of a completed request.
     ///
     /// # Panics
     /// If the collective has not completed.
     pub fn take_recv(mut self) -> Vec<T> {
-        assert!(self.is_complete(), "take_recv on an incomplete all-to-all");
-        std::mem::take(&mut self.recv)
+        flatten_into(&self.exchange.take_recv(), &mut self.recv);
+        self.recv
     }
 
     /// Cancels an incomplete collective, purging every round message of this
@@ -665,50 +766,25 @@ impl<T: PayloadBits + Clone + Send + 'static> IAlltoall<T> {
     /// observe the leftover messages. Idempotent in effect: already-complete
     /// or already-error requests cancel cleanly too.
     pub fn cancel(mut self, comm: &Comm) -> usize {
-        self.cancelled = true;
-        if comm.world_aborted() {
-            return 0;
-        }
-        let mut purged = 0;
-        for r in 0..self.size {
-            let tag = encode_tag(comm.ctx, Kind::Nbc, self.round_tag(r));
-            purged += comm.my_mailbox().purge(|m| m.tag == tag);
-        }
-        purged
+        self.exchange.cancel(comm)
     }
 }
 
-impl<T> IAlltoall<T> {
-    /// Disarms the MC002 request-leak lint without purging. Used by the
-    /// persistent-plan drop path, where the plan-level MC006 finding is the
-    /// single diagnostic for the whole unfreed plan (its in-flight execution
-    /// included) — two findings for one mistake would be noise.
-    pub(crate) fn disarm_leak_lint(&mut self) {
-        self.cancelled = true;
-    }
-
-    /// The sticky fault error this execution hit, if any.
-    pub(crate) fn failure(&self) -> Option<CollError> {
-        self.failed
-    }
-}
-
-#[expect(clippy::disallowed_methods, reason = "a post and its wait")]
 impl Comm {
-    /// Blocking all-to-all, implemented as post + wait (what FFTW's
-    /// transpose does with `MPI_Alltoall`).
+    /// Blocking all-to-all: the vector form with `count` elements per peer.
     pub fn alltoall<T: PayloadBits + Clone + Send + 'static>(
         &self,
         send: &[T],
         count: usize,
         recv: &mut [T],
     ) {
-        let staging = recv.to_vec();
-        let out = self.ialltoall(send, count, staging).wait(self);
-        recv.clone_from_slice(&out);
+        let counts = vec![count; self.size()];
+        self.alltoallv(send, &counts, &counts, recv);
     }
 
-    /// Blocking vector all-to-all.
+    /// Blocking vector all-to-all, implemented as post + wait (what FFTW's
+    /// transpose does with `MPI_Alltoallv`): the received blocks are copied
+    /// straight into `recv`.
     pub fn alltoallv<T: PayloadBits + Clone + Send + 'static>(
         &self,
         send: &[T],
@@ -716,11 +792,10 @@ impl Comm {
         recv_counts: &[usize],
         recv: &mut [T],
     ) {
-        let staging = recv.to_vec();
-        let out = self
-            .ialltoallv(send, send_counts, recv_counts, staging)
-            .wait(self);
-        recv.clone_from_slice(&out);
+        let mut exchange =
+            self.start_exchange(send.into_blocks(send_counts), recv_counts.to_vec().into());
+        exchange.wait(self);
+        flatten_into(&exchange.take_recv(), recv);
     }
 }
 

@@ -3,19 +3,21 @@
 //!
 //! Production FFT traffic is repetitive: the same `(communicator, counts)`
 //! exchange executes millions of times. The one-shot [`crate::IAlltoall`]
-//! re-derives its round schedule (counts, displacements, block table) and
-//! re-registers a receive buffer on every post. A [`PersistentAlltoall`]
-//! does that work **once** at [`Comm::alltoallv_init`] time and then
-//! supports repeated [`PersistentAlltoall::start`] /
-//! [`PersistentAlltoall::test`] / [`PersistentAlltoall::wait`] cycles with
-//! zero per-execution negotiation:
+//! re-derives its schedule and copies a flat buffer in and out on every
+//! post. A [`PersistentAlltoall`] fixes the counts **once** at
+//! [`Comm::alltoallv_init`] time and then supports repeated
+//! [`PersistentAlltoall::start`] / [`PersistentAlltoall::test`] /
+//! [`PersistentAlltoall::wait`] cycles with zero per-execution negotiation
+//! and zero copies:
 //!
 //! * the schedule vectors are shared (`Arc`) with every execution — never
 //!   recomputed, never cloned;
-//! * the receive buffer is registered at init and recycled across
-//!   executions — no per-execution allocation on the receive side (the
-//!   per-destination send blocks are the wire copy itself and are consumed
-//!   by the peers);
+//! * an execution moves owned per-peer blocks: `start` takes one block per
+//!   destination, each peer block *is* its round's wire payload, the self
+//!   block moves straight to the receive side, and
+//!   [`PersistentAlltoall::take_recv`] hands over the per-source blocks —
+//!   each the very allocation its sender filled. The caller recycles them
+//!   as its next send blocks, so a steady state allocates nothing;
 //! * each `start` draws a fresh collective sequence number, so round tags
 //!   of different executions (and of concurrent one-shot collectives) can
 //!   never cross-match — the generation tag MPI pins down with per-request
@@ -30,15 +32,14 @@
 
 use crate::check::{CheckState, Finding, LintId, Severity};
 use crate::comm::Comm;
-use crate::nbc::{displs, CollError, IAlltoall};
+use crate::nbc::{CollError, Exchange, SendBlocks};
 use faultplan::PayloadBits;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A persistent all-to-all plan: schedule computed at init, executions
-/// started at will. Created by [`Comm::alltoall_init`] /
-/// [`Comm::alltoallv_init`]; must be released with
-/// [`PersistentAlltoall::free`].
+/// A persistent all-to-all plan: counts fixed at init, executions started
+/// at will. Created by [`Comm::alltoall_init`] / [`Comm::alltoallv_init`];
+/// must be released with [`PersistentAlltoall::free`].
 ///
 /// A plan is `#[must_use]`: one whose handle is discarded can never be
 /// started or freed, so it does not compile under `deny(unused_must_use)`
@@ -61,18 +62,14 @@ use std::time::Duration;
 /// ```
 #[must_use = "a discarded plan can never be started or freed; keep it and free() it"]
 pub struct PersistentAlltoall<T> {
-    send_counts: Arc<[usize]>,
-    send_displs: Arc<[usize]>,
+    send_counts: Box<[usize]>,
     recv_counts: Arc<[usize]>,
-    recv_displs: Arc<[usize]>,
-    total_send: usize,
-    /// Pre-registered receive staging, recycled across executions; holds
-    /// the latest completed execution's blocks between executions.
-    recv: Vec<T>,
+    /// The latest completed execution's per-source blocks, until taken.
+    recv: Vec<Vec<T>>,
     /// The in-flight (or failed-but-retryable) execution, `None` between
     /// executions. Completed executions are reclaimed eagerly, so a `Some`
     /// here is never complete.
-    active: Option<IAlltoall<T>>,
+    active: Option<Exchange<T>>,
     /// Executions started over this plan's lifetime.
     executions: u64,
     freed: bool,
@@ -120,9 +117,8 @@ impl<T> Drop for PersistentAlltoall<T> {
 }
 
 impl Comm {
-    /// Sets up a persistent all-to-all with a uniform per-peer `count`.
-    /// `recv` is the registered receive staging buffer (length
-    /// `count · size`), recycled across every execution.
+    /// Sets up a persistent all-to-all with a uniform per-peer `count`
+    /// (see [`Self::alltoallv_init`] for `recv`).
     #[expect(clippy::disallowed_methods, reason = "the uniform plan is the v plan")]
     pub fn alltoall_init<T: PayloadBits + Clone + Send + 'static>(
         &self,
@@ -135,15 +131,19 @@ impl Comm {
 
     /// Sets up a persistent vector all-to-all: `send_counts[d]` elements
     /// will go to rank `d` on every execution, `recv_counts[s]` arrive from
-    /// rank `s`. All schedule state (displacements, block table, staging
-    /// registration) is computed here, once; [`PersistentAlltoall::start`]
-    /// does none of it.
+    /// rank `s`. The counts are fixed here, once; [`PersistentAlltoall::start`]
+    /// negotiates nothing.
+    ///
+    /// `recv` is dropped: the receive side of a plan is the blocks its peers
+    /// send, handed over by [`PersistentAlltoall::take_recv`]. The argument
+    /// stays so that callers written against the flat-buffer plan compile.
     pub fn alltoallv_init<T: PayloadBits + Clone + Send + 'static>(
         &self,
         send_counts: &[usize],
         recv_counts: &[usize],
         recv: Vec<T>,
     ) -> PersistentAlltoall<T> {
+        drop(recv);
         let p = self.size();
         assert_eq!(
             send_counts.len(),
@@ -155,15 +155,10 @@ impl Comm {
             p,
             "recv_counts must have one entry per rank"
         );
-        let total_recv: usize = recv_counts.iter().sum();
-        assert_eq!(recv.len(), total_recv, "recv buffer length mismatch");
         PersistentAlltoall {
-            send_displs: displs(send_counts).into(),
-            send_counts: send_counts.to_vec().into(),
-            recv_displs: displs(recv_counts).into(),
-            recv_counts: recv_counts.to_vec().into(),
-            total_send: send_counts.iter().sum(),
-            recv,
+            send_counts: send_counts.into(),
+            recv_counts: recv_counts.into(),
+            recv: Vec::new(),
             active: None,
             executions: 0,
             freed: false,
@@ -174,36 +169,25 @@ impl Comm {
 }
 
 impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
-    /// Starts one execution over `send` (`MPI_Start`): stages the
-    /// per-destination blocks (the wire copy) and kicks the eager self-copy
-    /// round. Everything else — schedule, displacements, receive staging —
-    /// was set up at init and is reused as-is.
+    /// Starts one execution (`MPI_Start`) over `blocks`, one per
+    /// destination with `send_counts[d]` elements for rank `d`: owned
+    /// blocks move onto the wire as they are, a flat buffer is copied into
+    /// blocks first (see [`SendBlocks`]). Kicks the eager self round; the
+    /// counts were fixed at init and are reused as-is. Blocks of an earlier
+    /// execution not taken with [`Self::take_recv`] are dropped.
     ///
     /// # Panics
     /// If the previous execution has not completed (persistent requests
     /// admit one outstanding execution), if the plan was freed, or if
-    /// `send` does not match the registered counts.
-    pub fn start(&mut self, comm: &Comm, send: &[T]) {
+    /// `blocks` does not match the registered counts.
+    pub fn start(&mut self, comm: &Comm, blocks: impl SendBlocks<T>) {
         assert!(!self.freed, "start on a freed persistent all-to-all");
         assert!(
             self.active.is_none(),
             "start before the previous execution completed — wait (or free) first"
         );
-        assert_eq!(send.len(), self.total_send, "send buffer length mismatch");
-        assert_eq!(
-            self.recv.len(),
-            self.recv_counts.iter().sum::<usize>(),
-            "receive staging taken (take_recv) but not restored before start"
-        );
-        let recv = std::mem::take(&mut self.recv);
-        let exec = comm.start_alltoall(
-            send,
-            &self.send_displs,
-            &self.send_counts,
-            recv,
-            self.recv_displs.clone(),
-            self.recv_counts.clone(),
-        );
+        let blocks = blocks.into_blocks(&self.send_counts);
+        let mut exec = comm.start_exchange(blocks, self.recv_counts.clone());
         self.executions += 1;
         // The post's eager progression may already have completed the
         // exchange (p = 1, or every peer's block already queued).
@@ -216,7 +200,7 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
 
     /// One `MPI_Test` on the current execution; `true` when it (or no
     /// execution at all) is complete. On completion the received blocks
-    /// become available via [`Self::recv`].
+    /// are ready for [`Self::take_recv`].
     ///
     /// # Panics
     /// On a fault-plan error; use [`Self::try_test`] for the typed path.
@@ -227,37 +211,38 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
 
     /// Fallible `MPI_Test`: progress the current execution, surfacing the
     /// typed fault error. Errors are sticky per execution, exactly as for
-    /// [`IAlltoall::try_test`].
+    /// [`crate::IAlltoall::try_test`].
     pub fn try_test(&mut self, comm: &Comm) -> Result<bool, CollError> {
         let Some(exec) = self.active.as_mut() else {
             return Ok(true);
         };
-        let done = exec.try_test(comm)?;
+        let done = exec.progress(comm)?;
         if done {
             self.reclaim();
         }
         Ok(done)
     }
 
-    /// `MPI_Wait`: blocks until the current execution completes and returns
-    /// the received blocks (per-source, in rank order). A no-op returning
-    /// the previous results when no execution is in flight.
+    /// `MPI_Wait`: blocks until the current execution completes and hands
+    /// over the received blocks (see [`Self::take_recv`]). With no
+    /// execution in flight, hands over whatever has not been taken yet.
     ///
     /// # Panics
     /// On a fault-plan error; use [`Self::wait_timeout`] for the typed path.
-    pub fn wait(&mut self, comm: &Comm) -> &[T] {
-        if let Some(exec) = self.active.take() {
-            // Reuses IAlltoall's backoff-managed wait (park slices reset on
-            // every round advance) and reclaims the staging buffer.
-            self.recv = exec.wait(comm);
+    pub fn wait(&mut self, comm: &Comm) -> Vec<Vec<T>> {
+        match self.active.take() {
+            Some(mut exec) => {
+                exec.wait(comm);
+                exec.take_recv()
+            }
+            None => std::mem::take(&mut self.recv),
         }
-        &self.recv
     }
 
     /// `MPI_Wait` with a stall watchdog, mirroring
-    /// [`IAlltoall::wait_timeout`]: on error the execution stays alive for
-    /// a retry or for [`Self::free`]. On success the blocks are available
-    /// via [`Self::recv`].
+    /// [`crate::IAlltoall::wait_timeout`]: on error the execution stays
+    /// alive for a retry or for [`Self::free`]. On success the blocks are
+    /// ready for [`Self::take_recv`].
     pub fn wait_timeout(&mut self, comm: &Comm, timeout: Duration) -> Result<(), CollError> {
         let Some(exec) = self.active.as_mut() else {
             return Ok(());
@@ -267,26 +252,20 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
         Ok(())
     }
 
-    /// The latest completed execution's received blocks.
-    ///
-    /// # Panics
-    /// While an execution is in flight (its staging is not yet coherent).
-    pub fn recv(&self) -> &[T] {
-        assert!(
-            self.active.is_none(),
-            "recv() while an execution is in flight"
-        );
+    /// The latest completed execution's per-source blocks, in rank order;
+    /// empty while an execution is in flight and once they are taken.
+    pub fn recv(&self) -> &[Vec<T>] {
         &self.recv
     }
 
-    /// Takes the completed execution's received blocks *out* of the plan,
-    /// for consumers that need an owned buffer (e.g. to read it while
-    /// mutating other state). The registration stays alive; the buffer must
-    /// come back via [`Self::restore_recv`] before the next [`Self::start`].
+    /// Hands over the completed execution's per-source blocks, in rank
+    /// order: block `s` holds `recv_counts[s]` elements from rank `s`, and
+    /// is the allocation rank `s` passed to its `start`. The plan keeps
+    /// nothing of them.
     ///
     /// # Panics
     /// While an execution is in flight.
-    pub fn take_recv(&mut self) -> Vec<T> {
+    pub fn take_recv(&mut self) -> Vec<Vec<T>> {
         assert!(
             self.active.is_none(),
             "take_recv() while an execution is in flight"
@@ -294,24 +273,9 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
         std::mem::take(&mut self.recv)
     }
 
-    /// Returns a buffer taken with [`Self::take_recv`] to the plan's
-    /// registered staging.
-    ///
-    /// # Panics
-    /// If `buf` does not match the registered receive counts.
-    pub fn restore_recv(&mut self, buf: Vec<T>) {
-        assert_eq!(
-            buf.len(),
-            self.recv_counts.iter().sum::<usize>(),
-            "restored buffer must match the registered receive counts"
-        );
-        self.recv = buf;
-    }
-
-    /// Moves a completed execution's buffer back into the plan.
+    /// Moves a completed execution's blocks into the plan.
     fn reclaim(&mut self) {
-        if let Some(exec) = self.active.take() {
-            debug_assert!(exec.is_complete(), "reclaim of an incomplete execution");
+        if let Some(mut exec) = self.active.take() {
             self.recv = exec.take_recv();
         }
     }
@@ -334,12 +298,12 @@ impl<T: PayloadBits + Clone + Send + 'static> PersistentAlltoall<T> {
     /// Releases the plan (`MPI_Request_free` for persistent requests):
     /// cancels any in-flight execution — purging its staged rounds from
     /// this rank's mailbox, with the same post-abort safety as
-    /// [`IAlltoall::cancel`] — and disarms the MC006 leak lint. Returns the
-    /// number of messages reclaimed.
+    /// [`crate::IAlltoall::cancel`] — and disarms the MC006 leak lint.
+    /// Returns the number of messages reclaimed.
     pub fn free(mut self, comm: &Comm) -> usize {
         self.freed = true;
         match self.active.take() {
-            Some(exec) => exec.cancel(comm),
+            Some(mut exec) => exec.cancel(comm),
             None => 0,
         }
     }
@@ -359,20 +323,19 @@ mod tests {
         let p = 4;
         run(p, move |comm| {
             let me = comm.rank();
-            let mut plan = comm.alltoall_init(2, vec![0i64; 2 * p]);
+            let mut plan = comm.alltoall_init(2, Vec::new());
             for gen in 0..3i64 {
-                let send: Vec<i64> = (0..p)
-                    .flat_map(|d| {
+                let send: Vec<Vec<i64>> = (0..p)
+                    .map(|d| {
                         let base = 1000 * gen + (me * 10 + d) as i64;
-                        [base, -base]
+                        vec![base, -base]
                     })
                     .collect();
-                plan.start(&comm, &send);
-                let out = plan.wait(&comm).to_vec();
-                for s in 0..p {
+                plan.start(&comm, send);
+                let out = plan.wait(&comm);
+                for (s, block) in out.iter().enumerate() {
                     let base = 1000 * gen + (s * 10 + me) as i64;
-                    assert_eq!(out[2 * s], base, "gen {gen} src {s}");
-                    assert_eq!(out[2 * s + 1], -base, "gen {gen} src {s}");
+                    assert_eq!(block, &[base, -base], "gen {gen} src {s}");
                 }
             }
             assert_eq!(plan.executions(), 3);
@@ -388,32 +351,72 @@ mod tests {
             // Rank i sends (d+1) elements valued i to rank d.
             let send_counts: Vec<usize> = (0..p).map(|d| d + 1).collect();
             let recv_counts = vec![me + 1; p];
-            let total_recv = recv_counts.iter().sum();
-            let mut plan = comm.alltoallv_init(&send_counts, &recv_counts, vec![0u8; total_recv]);
+            let mut plan = comm.alltoallv_init(&send_counts, &recv_counts, Vec::new());
             for _ in 0..2 {
+                // The flat form of the send side: packed in rank order.
                 let send: Vec<u8> = vec![me as u8; send_counts.iter().sum()];
                 plan.start(&comm, &send);
                 while !plan.test(&comm) {
                     std::thread::yield_now();
                 }
-                let out = plan.recv();
-                for s in 0..p {
-                    for j in 0..me + 1 {
-                        assert_eq!(out[s * (me + 1) + j], s as u8);
-                    }
+                let out = plan.take_recv();
+                for (s, block) in out.iter().enumerate() {
+                    assert_eq!(block, &vec![s as u8; me + 1]);
                 }
+                assert!(plan.recv().is_empty(), "taken blocks leave the plan");
             }
             plan.free(&comm);
         });
     }
 
     #[test]
+    fn blocks_travel_by_ownership_on_a_fault_free_plan() {
+        // Zero copy: on a clean network every block a rank takes out of the
+        // plan is the allocation its sender handed to `start` — the self
+        // block included — over a fresh and a recycled execution.
+        let p = 2;
+        let per_rank = run(p, move |comm| {
+            let me = comm.rank();
+            let mut plan = comm.alltoall_init(3, Vec::new());
+            let mut blocks: Vec<Vec<u64>> = vec![Vec::new(); p];
+            let mut log = Vec::new();
+            for gen in 0..2u64 {
+                for (d, block) in blocks.iter_mut().enumerate() {
+                    block.clear();
+                    block.resize(3, gen * 100 + (me * 10 + d) as u64);
+                }
+                let packed: Vec<usize> = blocks.iter().map(|b| b.as_ptr() as usize).collect();
+                plan.start(&comm, blocks);
+                blocks = plan.wait(&comm);
+                for (s, block) in blocks.iter().enumerate() {
+                    assert_eq!(block, &[gen * 100 + (s * 10 + me) as u64; 3]);
+                }
+                let received: Vec<usize> = blocks.iter().map(|b| b.as_ptr() as usize).collect();
+                log.push((packed, received));
+            }
+            plan.free(&comm);
+            log
+        });
+        for (me, log) in per_rank.iter().enumerate() {
+            for (gen, (_, received)) in log.iter().enumerate() {
+                for (s, &ptr) in received.iter().enumerate() {
+                    let packed = per_rank[s][gen].0[me];
+                    assert_eq!(
+                        ptr, packed,
+                        "rank {me} gen {gen}: block from {s} was copied"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_rank_plan_completes_at_start() {
         run(1, |comm| {
-            let mut plan = comm.alltoall_init(2, vec![0u64; 2]);
-            plan.start(&comm, &[42, 7]);
-            assert!(plan.is_complete(), "self-copy completes eagerly");
-            assert_eq!(plan.recv(), &[42, 7]);
+            let mut plan = comm.alltoall_init(2, Vec::new());
+            plan.start(&comm, vec![vec![42u64, 7]]);
+            assert!(plan.is_complete(), "the self round completes eagerly");
+            assert_eq!(plan.recv(), &[vec![42, 7]]);
             plan.free(&comm);
         });
     }
@@ -519,9 +522,9 @@ mod tests {
             for gen in 0..3i32 {
                 let send: Vec<i32> = (0..p).map(|d| 100 * gen + (me * 10 + d) as i32).collect();
                 pa.start(&comm, &send);
-                let out = pa.wait(&comm).to_vec();
-                for (s, &v) in out.iter().enumerate() {
-                    assert_eq!(v, 100 * gen + (s * 10 + me) as i32, "gen {gen}");
+                let out = pa.wait(&comm);
+                for (s, block) in out.iter().enumerate() {
+                    assert_eq!(block, &[100 * gen + (s * 10 + me) as i32], "gen {gen}");
                 }
             }
             pa.free(&comm);

@@ -134,4 +134,65 @@ proptest! {
             }
         });
     }
+
+    /// The persistent plan's owned blocks deliver exactly what the flat
+    /// `ialltoallv` delivers for the same data — ragged counts, ranks with
+    /// nothing to send included, on a clean network, a dropping one and a
+    /// corrupting one (both healing) — and a second execution that re-sends
+    /// the received blocks' allocations delivers its data too.
+    #[test]
+    fn block_exchange_delivers_what_the_flat_exchange_delivers(
+        p in 1usize..5,
+        salt in 0u64..1000,
+        fault in 0usize..3,
+    ) {
+        let plan = match fault {
+            0 => mpisim::FaultPlan::none(),
+            1 => mpisim::FaultPlan::seeded(salt).with_drops(0.3, 16),
+            _ => mpisim::FaultPlan::seeded(salt).with_payload_corruption(0.3, 16),
+        };
+        mpisim::run_with_faults(p, plan, move |comm| {
+            let me = comm.rank();
+            // counts(i, j): elements rank i sends rank j, zero for about a
+            // fifth of the pairs.
+            let cnt = |i: usize, j: usize| ((i * 7 + j * 3) as u64 + salt) as usize % 5;
+            let send_counts: Vec<usize> = (0..p).map(|j| cnt(me, j)).collect();
+            let recv_counts: Vec<usize> = (0..p).map(|i| cnt(i, me)).collect();
+            let value = |gen: u64, j: usize, k: usize| {
+                (gen << 40) ^ ((me as u64) << 20) ^ ((j as u64) << 10) ^ k as u64 ^ salt
+            };
+            let blocks = |gen: u64| -> Vec<Vec<u64>> {
+                (0..p).map(|j| (0..cnt(me, j)).map(|k| value(gen, j, k)).collect()).collect()
+            };
+            let total_recv: usize = recv_counts.iter().sum();
+            let mut plan = comm.alltoallv_init(&send_counts, &recv_counts, Vec::new());
+            let mut recycled: Option<Vec<Vec<u64>>> = None;
+            for gen in 0..2u64 {
+                let flat_send: Vec<u64> = blocks(gen).concat();
+                let flat = comm
+                    .ialltoallv(&flat_send, &send_counts, &recv_counts, vec![0; total_recv])
+                    .wait(&comm);
+                let send = match recycled.take() {
+                    None => blocks(gen),
+                    // The receive blocks' allocations, resized and refilled.
+                    Some(mut spare) => {
+                        spare.resize_with(p, Vec::new);
+                        for (block, fresh) in spare.iter_mut().zip(blocks(gen)) {
+                            block.clear();
+                            block.extend(fresh);
+                        }
+                        spare
+                    }
+                };
+                plan.start(&comm, send);
+                let got = plan.wait(&comm);
+                for (s, block) in got.iter().enumerate() {
+                    assert_eq!(block.len(), recv_counts[s], "gen {gen} source {s}");
+                }
+                assert_eq!(got.concat(), flat, "gen {gen}");
+                recycled = Some(got);
+            }
+            plan.free(&comm);
+        });
+    }
 }

@@ -16,7 +16,9 @@
 //!   `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps` (no
 //!   dangling intra-doc link), then `cargo test --release` over
 //!   `kernel_blocks`, `stage_fusion` and `cfft` (the pinned spectra, on the
-//!   optimised kernel that ships), then `conform`.
+//!   optimised kernel that ships) and over `mpisim` (the block exchange's
+//!   length and ownership checks, as the benchmark builds them), then
+//!   `conform`.
 //!
 //! Flags are parsed once per command into a validated struct: a value that
 //! is not a number, a zero count or a flag the command does not take prints
@@ -49,7 +51,7 @@ fn usage() -> ExitCode {
          \x20                           schedules per row with --schedules)\n\
          \x20 check   [--seed-base N] [--schedules N]\n\
          \x20                           clippy + doc links + release tests of\n\
-         \x20                           the pinned spectra + conform\n\
+         \x20                           the pinned spectra and mpisim + conform\n\
          \x20                           (acceptance gate)"
     );
     ExitCode::FAILURE
@@ -151,9 +153,10 @@ fn run_doc(root: &Path) -> bool {
     )
 }
 
-/// The bit-identity suites on the code that ships: the kernel's vectorised
-/// stage loops exist only in optimised builds, which `cargo test` alone
-/// never runs.
+/// The suites whose subject is the code that ships: the bit-identity
+/// suites (the kernel's vectorised stage loops exist only in optimised
+/// builds, which `cargo test` alone never runs) and mpisim's (the benchmark
+/// times the optimised exchange, so its checks must hold there).
 fn run_release_tests(root: &Path) -> bool {
     let release = ["test", "--release", "--quiet"];
     let gates = [
@@ -162,8 +165,9 @@ fn run_release_tests(root: &Path) -> bool {
             &["--test", "kernel_blocks", "--test", "stage_fusion"][..],
         ),
         ("release: cfft", &["-p", "cfft"][..]),
+        ("release: mpisim", &["-p", "mpisim"][..]),
     ];
-    // Both run, whatever the first found.
+    // All run, whatever the first found.
     let passed = gates.map(|(what, which)| run_cargo(root, what, &[&release, which].concat(), &[]));
     passed.iter().all(|&ok| ok)
 }

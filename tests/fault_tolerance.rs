@@ -439,8 +439,8 @@ fn persistent_plan_surfaces_rank_failed_and_outlives_a_shrink() {
             comm.crash_point(0);
         }
         let me = comm.rank() as i64;
-        let mut plan = comm.alltoall_init(1, vec![0i64; 4]);
-        plan.start(&comm, &[me; 4]);
+        let mut plan = comm.alltoall_init(1, Vec::new());
+        plan.start(&comm, vec![vec![me]; 4]);
         let err = plan
             .wait_timeout(&comm, Duration::from_secs(5))
             .expect_err("an execution over a dead member cannot complete");
@@ -454,13 +454,13 @@ fn persistent_plan_surfaces_rank_failed_and_outlives_a_shrink() {
         plan.free(&comm);
 
         let small = comm.shrink();
-        let mut plan = small.alltoall_init(1, vec![0i64; small.size()]);
+        let mut plan = small.alltoall_init(1, Vec::new());
+        let mut got = Vec::new();
         for _ in 0..3 {
-            plan.start(&small, &vec![me; small.size()]);
-            plan.wait(&small);
+            plan.start(&small, vec![vec![me]; small.size()]);
+            got = plan.wait(&small).concat();
         }
         assert_eq!(plan.executions(), 3);
-        let got = plan.recv().to_vec();
         plan.free(&small);
         got
     });
