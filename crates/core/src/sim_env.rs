@@ -77,18 +77,15 @@ impl SimEnv<'_> {
         }
     }
 
-    /// Converts the rank's freshly logged polls into `Test` events, mapping
-    /// each polled op back to its tile via the in-flight window.
+    /// Converts the rank's freshly logged polls into `Test` events. A
+    /// record's slot indexes the ops the phase polled, which are the
+    /// in-flight window's in order, so it names the tile directly.
     fn drain_polls(&mut self, inflight: &[(usize, OpId)]) {
         let Some(events) = &mut self.events else {
             return;
         };
         for rec in self.sim.take_poll_log() {
-            let tile = inflight
-                .iter()
-                .find(|&&(_, op)| op == rec.op)
-                .map(|&(t, _)| t)
-                .expect("polled op must be in the in-flight window");
+            let tile = inflight[rec.slot].0;
             events.push(TraceEvent {
                 start: rec.start.as_secs_f64(),
                 end: rec.end.as_secs_f64(),

@@ -17,6 +17,14 @@
 //! * each poll costs the platform's `t_test`, so polling too often burns
 //!   compute while polling too rarely leaves rounds stalled between polls —
 //!   the §3.3 trade-off the `F*` parameters tune.
+//!
+//! Most polls of a phase observe nothing: the op has completed, its peers
+//! cannot have posted yet, or its round is still in flight. Each op has a
+//! *horizon*, the earliest clock at which a test of it can change anything,
+//! and a run of polls that all test their ops before their horizons is
+//! charged in one step of integer arithmetic — the clock, the Test count and
+//! the poll log come out exactly as if every poll had been made. Only the
+//! polls that can start a round, end one or ask the engine are stepped.
 
 use crate::engine::{Engine, OpSeq, ReadyInfo};
 use crate::model::{A2aShape, Platform};
@@ -43,7 +51,7 @@ struct A2aPlan {
     executions: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ready {
     Unknown,
     /// Cannot be ready before this time (peers' clock lower bound); polls
@@ -66,12 +74,31 @@ struct LocalOp {
     completed: Option<SimTime>,
 }
 
+impl LocalOp {
+    /// The earliest clock at which a test of this op can change anything:
+    /// `None` once it has completed; `clock` itself while the rendezvous is
+    /// unresolved (only the engine can tell); the peers' lower bound; the
+    /// ready time until the first round starts, then the end of the round
+    /// in flight.
+    fn horizon(&self, clock: SimTime) -> Option<SimTime> {
+        if self.completed.is_some() {
+            return None;
+        }
+        Some(match self.ready {
+            Ready::Unknown => clock,
+            Ready::Bound(b) => b,
+            Ready::Known(t) => self.inflight_end.unwrap_or(t),
+        })
+    }
+}
+
 /// One recorded `MPI_Test` call, for tracing consumers: the virtual span
 /// the poll occupied and the request state it observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollRecord {
-    /// The polled operation.
-    pub op: OpId,
+    /// The polled op's index in the `ops` slice the phase's
+    /// [`SimRank::compute_with_polls`] was given.
+    pub slot: usize,
     /// Virtual time the poll started.
     pub start: SimTime,
     /// Virtual time the poll ended (`start` plus the platform's `t_test`).
@@ -103,7 +130,8 @@ pub struct SimRank {
     test_calls: u64,
     /// The platform's `t_test`, in clock units.
     t_test: SimTime,
-    /// When tracing, every `test()` appends a [`PollRecord`] here.
+    /// When tracing, every poll's test appends a [`PollRecord`] here,
+    /// made or charged in closed form alike.
     poll_log: Option<Vec<PollRecord>>,
     /// Deterministic per-rank noise state (xorshift64*).
     noise_state: u64,
@@ -234,7 +262,7 @@ impl SimRank {
     /// state machine added, and round 0 gets the free progression attempt
     /// real NBC implementations make at post time — but no `post_overhead`
     /// is charged: setup was paid at init. Returns the [`OpId`] that
-    /// `test`/`wait` drive.
+    /// [`Self::compute_with_polls`] and [`Self::wait`] drive.
     pub async fn start(&mut self, plan: PlanId) -> OpId {
         let p = self
             .plans
@@ -272,22 +300,70 @@ impl SimRank {
         self.setup_charges
     }
 
-    /// One `MPI_Test` on `op`: charges `t_test` and progresses the round
-    /// pipeline. Returns `true` when the collective has completed.
-    pub async fn test(&mut self, op: OpId) -> bool {
+    /// One `MPI_Test` on `op`, the `slot`-th op of its phase: charges
+    /// `t_test` and progresses the round pipeline. Returns `true` when the
+    /// collective has completed.
+    async fn test(&mut self, slot: usize, op: OpId) -> bool {
         self.test_calls += 1;
         let start = self.clock;
         self.clock += self.t_test;
         let completed = self.progress(op).await;
         if let Some(log) = &mut self.poll_log {
             log.push(PollRecord {
-                op,
+                slot,
                 start,
                 end: self.clock,
                 completed,
             });
         }
         completed
+    }
+
+    /// How many of the next polls of a phase observe nothing. Poll `k`
+    /// (from 0) tests `ops[j]` at `clock + k·per_poll + slice + (j+1)·t_test`,
+    /// and a test before the op's [`LocalOp::horizon`] changes nothing.
+    /// `u64::MAX` when no poll ever can (every op completed, or a zero-cost
+    /// poll below every horizon).
+    fn idle_polls(&self, slice: SimTime, per_poll: SimTime, ops: &[OpId]) -> u64 {
+        let mut idle = u64::MAX;
+        let mut at = self.clock + slice;
+        for &op in ops {
+            at += self.t_test;
+            let Some(horizon) = self.ops[op.0].horizon(self.clock) else {
+                continue;
+            };
+            if horizon <= at {
+                return 0;
+            }
+            if per_poll > SimTime::ZERO {
+                idle = idle.min((horizon - at).0.div_ceil(per_poll.0));
+            }
+        }
+        idle
+    }
+
+    /// Charges `n` polls that observe nothing, as if each had been made:
+    /// the clock, the Test count and, when tracing, one [`PollRecord`] per
+    /// test.
+    fn charge_idle_polls(&mut self, n: u64, slice: SimTime, per_poll: SimTime, ops: &[OpId]) {
+        if let Some(log) = &mut self.poll_log {
+            for k in 0..n {
+                let mut start = self.clock + per_poll * k + slice;
+                for (slot, &op) in ops.iter().enumerate() {
+                    let end = start + self.t_test;
+                    let completed = self.ops[op.0].completed.is_some();
+                    log.push(PollRecord {
+                        slot,
+                        start,
+                        end,
+                        completed,
+                    });
+                    start = end;
+                }
+            }
+        }
+        self.clock += per_poll * n;
+        self.test_calls += n * ops.len() as u64;
     }
 
     /// Starts recording every subsequent `MPI_Test` call into the poll log
@@ -320,6 +396,14 @@ impl SimRank {
     ///
     /// Returns the `t_test` overhead charged, so callers can account
     /// compute and Test time separately (Figure 8's breakdown).
+    ///
+    /// Every poll is charged, but only the polls that can change an op's
+    /// state are made: a maximal run of polls that each test every op
+    /// before its horizon (the earliest clock at which a test of it can
+    /// start or end a round, or learn of the rendezvous) is charged in
+    /// closed form, `n·(slice + |ops|·t_test)` of clock and `n·|ops|` Test
+    /// calls. The clock is integer nanoseconds, so the result is the one
+    /// poll-by-poll progression gives, poll log included.
     pub async fn compute_with_polls(&mut self, secs: f64, polls: u32, ops: &[OpId]) -> SimTime {
         let total = SimTime::from_secs_f64(secs * self.noise_factor() * self.compute_factor());
         if polls == 0 || ops.is_empty() {
@@ -328,10 +412,18 @@ impl SimRank {
         }
         let start_tests = self.test_calls;
         let slice = total / (polls as u64 + 1);
-        for _ in 0..polls {
-            self.clock += slice;
-            for &op in ops {
-                self.test(op).await;
+        let per_poll = slice + self.t_test * ops.len() as u64;
+        let mut left = polls as u64;
+        while left > 0 {
+            let idle = self.idle_polls(slice, per_poll, ops).min(left);
+            self.charge_idle_polls(idle, slice, per_poll, ops);
+            left -= idle;
+            if left > 0 {
+                self.clock += slice;
+                for (slot, &op) in ops.iter().enumerate() {
+                    self.test(slot, op).await;
+                }
+                left -= 1;
             }
         }
         // Remainder of the compute after the last poll.
@@ -457,8 +549,9 @@ impl SimRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::umd_cluster;
+    use crate::model::{hopper, umd_cluster};
     use crate::run_sim;
+    use proptest::prelude::*;
 
     /// A world-wide exchange of a plan of its own: init (paying the setup
     /// charge) and start.
@@ -790,5 +883,215 @@ mod tests {
         })[0];
         assert!(two > one);
         assert!(two < one * 2);
+    }
+
+    /// The oracle [`SimRank::compute_with_polls`] must agree with: every
+    /// poll of the phase made, one test at a time.
+    async fn compute_polling_each(
+        sim: &mut SimRank,
+        secs: f64,
+        polls: u32,
+        ops: &[OpId],
+    ) -> SimTime {
+        let total = SimTime::from_secs_f64(secs * sim.noise_factor() * sim.compute_factor());
+        if polls == 0 || ops.is_empty() {
+            sim.clock += total;
+            return SimTime::ZERO;
+        }
+        let start_tests = sim.test_calls;
+        let slice = total / (polls as u64 + 1);
+        for _ in 0..polls {
+            sim.clock += slice;
+            for (slot, &op) in ops.iter().enumerate() {
+                sim.test(slot, op).await;
+            }
+        }
+        sim.clock += total - slice * polls as u64;
+        SimTime::from_secs_f64((sim.test_calls - start_tests) as f64 * sim.platform.machine.t_test)
+    }
+
+    /// One step of a random rank program. Every rank runs the same steps
+    /// (collectives are posted in one order) with its own compute speed.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Post {
+            group: usize,
+            bytes: u64,
+        },
+        Compute {
+            secs: f64,
+        },
+        /// `picks` name posted ops modulo their count, repeats allowed. An
+        /// `aimed` phase sizes its compute so that its first poll makes its
+        /// earliest-due test exactly at that op's horizon.
+        Phase {
+            secs: f64,
+            polls: u32,
+            picks: Vec<usize>,
+            aimed: bool,
+        },
+        Wait {
+            pick: usize,
+        },
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A program of 1…16 steps on `p` ranks that starts with a post. A
+    /// tenth of the phases have no compute, so with a zero `t_test` their
+    /// polls cost nothing at all.
+    fn script(seed: u64, p: usize) -> Vec<Step> {
+        let mut rng = seed;
+        let mut next = move |n: u64| splitmix(&mut rng) % n;
+        let len = 1 + next(16);
+        let mut steps = vec![Step::Post {
+            group: p,
+            bytes: 1 + next(1 << 20),
+        }];
+        for _ in 0..len {
+            steps.push(match next(8) {
+                0 | 1 => Step::Post {
+                    group: [1, p, 1 + next(p as u64) as usize][next(3) as usize],
+                    bytes: 1 + next(1 << 20),
+                },
+                2 => Step::Compute {
+                    secs: next(2_000) as f64 * 1e-6,
+                },
+                3 => Step::Wait {
+                    pick: next(64) as usize,
+                },
+                _ => Step::Phase {
+                    secs: if next(10) == 0 {
+                        0.0
+                    } else {
+                        next(20_000) as f64 * 1e-6
+                    },
+                    polls: next(301) as u32,
+                    picks: (0..1 + next(8)).map(|_| next(64) as usize).collect(),
+                    aimed: next(3) == 0,
+                },
+            });
+        }
+        steps
+    }
+
+    /// Everything a phase leaves behind on a rank: the clock, the Test
+    /// count, the returned Test time, every op's progression state and the
+    /// polls logged.
+    type Snapshot = (
+        SimTime,
+        u64,
+        SimTime,
+        Vec<(Ready, u32, Option<SimTime>, Option<SimTime>)>,
+        Vec<PollRecord>,
+    );
+
+    /// Runs `steps` on every rank, each phase in closed form or, for the
+    /// oracle, poll by poll; one snapshot per phase.
+    fn replay(platform: Platform, p: usize, steps: &[Step], oracle: bool) -> Vec<Vec<Snapshot>> {
+        run_sim(platform, p, async |sim| {
+            sim.enable_poll_log();
+            // Ranks compute at different speeds, so a phase meets peers that
+            // have not posted yet as well as ones long ready.
+            let speed = 0.25 + (sim.rank() * 7 % 5) as f64 * 0.5;
+            let mut posted = Vec::new();
+            let mut snapshots = Vec::new();
+            for step in steps {
+                match *step {
+                    Step::Post { group, bytes } => {
+                        let plan = sim.alltoall_init_in_group(group, bytes);
+                        posted.push(sim.start(plan).await);
+                    }
+                    Step::Compute { secs } => sim.compute(secs * speed),
+                    Step::Wait { pick } => {
+                        sim.wait(posted[pick % posted.len()]).await;
+                    }
+                    Step::Phase {
+                        secs,
+                        polls,
+                        ref picks,
+                        aimed,
+                    } => {
+                        let ops: Vec<OpId> =
+                            picks.iter().map(|&i| posted[i % posted.len()]).collect();
+                        let mut secs = secs * speed;
+                        // The slice that brings slot j's test onto the next
+                        // clock at which it can change the op (a peer's
+                        // post, a round's start or end), independently of
+                        // `LocalOp::horizon`; exact only without jitter and
+                        // stragglers.
+                        let now = sim.now();
+                        let due = ops.iter().enumerate().filter_map(|(j, op)| {
+                            let test = now + sim.t_test * (j as u64 + 1);
+                            let o = &sim.ops[op.0];
+                            let h = match (o.completed, o.ready) {
+                                (Some(_), _) | (None, Ready::Unknown) => None,
+                                (None, Ready::Bound(b)) => Some(b),
+                                (None, Ready::Known(t)) => Some(o.inflight_end.unwrap_or(t)),
+                            };
+                            h.filter(|&h| h > test).map(|h| h - test)
+                        });
+                        if let Some(slice) = due.min().filter(|_| aimed) {
+                            secs = (slice * (polls as u64 + 1)).as_secs_f64();
+                        }
+                        let test = if oracle {
+                            compute_polling_each(sim, secs, polls, &ops).await
+                        } else {
+                            sim.compute_with_polls(secs, polls, &ops).await
+                        };
+                        let state = sim.ops.iter();
+                        let state =
+                            state.map(|o| (o.ready, o.rounds_done, o.inflight_end, o.completed));
+                        snapshots.push((
+                            sim.now(),
+                            sim.test_calls(),
+                            test,
+                            state.collect(),
+                            sim.take_poll_log(),
+                        ));
+                    }
+                }
+            }
+            for op in posted {
+                sim.wait(op).await;
+            }
+            snapshots
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Charging idle polls in closed form is exact: every phase of a
+        /// random program leaves each rank in the state poll-by-poll
+        /// progression leaves it in, on platforms with jitter, a free
+        /// `MPI_Test`, or degraded links and a straggler.
+        #[test]
+        fn closed_form_polls_match_polling_each(
+            seed in any::<u64>(),
+            p in 1usize..7,
+            platform in 0usize..4,
+        ) {
+            let platform = match platform {
+                0 => umd_cluster(),
+                1 => hopper().with_jitter(0.1),
+                2 => {
+                    let mut free = umd_cluster();
+                    free.machine.t_test = 0.0;
+                    free
+                }
+                _ => umd_cluster().with_degraded_links(1.7).with_straggler(0, 2.0),
+            };
+            let steps = script(seed, p);
+            let closed = replay(platform.clone(), p, &steps, false);
+            let each = replay(platform, p, &steps, true);
+            prop_assert_eq!(closed, each);
+        }
     }
 }

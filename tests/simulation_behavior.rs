@@ -692,3 +692,41 @@ fn golden_service_trace_with_slab_and_pencil_jobs() {
     assert_eq!(rep.slowdown.p99, 1.4700576971228123);
     assert_eq!(rep.jain, 0.9971518867693746);
 }
+
+/// The two points a `sim_tune` tuning run ends at on `umd_cluster` 256³,
+/// p = 16: NEW's optimum and TH's `{T 4, W 1, F 256}` (as the full vector
+/// TH's three knobs stand for). Captured at the commit before idle polls
+/// were charged in closed form, so a poll the model no longer steps must
+/// cost exactly what it did.
+#[test]
+fn golden_tuned_points() {
+    let spec = ProblemSpec::cube(256, 16);
+    #[rustfmt::skip]
+    let new = TuningParams { t: 8, w: 2, px: 16, pz: 2, uy: 16, uz: 2, fy: 32, fp: 8, fu: 16, fx: 8, threads: 1 };
+    #[rustfmt::skip]
+    let th = TuningParams { t: 4, w: 1, px: 1, pz: 1, uy: 1, uz: 1, fy: 128, fp: 128, fu: 0, fx: 0, threads: 1 };
+    // `(time, steps, per-rank tests, traced event-stream digest)`.
+    #[rustfmt::skip]
+    let table = [
+        (Variant::New, new, (0.211945794, [0.04369066666666667, 0.02178859220779221, 0.04369065599999997, 0.024012256000000006, 0.024012256000000006, 0.04369065600000003, 0.0001792, 0.0073679109999999996, 0.003513599999999997], [3904u64; 16], 15022578959409937333u64)),
+        (Variant::Th, th, (0.340859685, [0.04369066666666667, 0.08830113684210526, 0.043690687999999984, 0.02398982400000003, 0.02398982400000003, 0.043690687999999984, 0.00035839999999999944, 0.05863325699999995, 0.014515199999999971], [16128; 16], 13027183437625094725)),
+    ];
+    for (variant, params, (time, breakdown, tests, events)) in table {
+        let rep = fft3_simulated(umd_cluster(), spec, variant, params, false);
+        let traced = run(&slab(spec, variant, params).traced(), umd_cluster()).remove(0);
+        let per_rank: Vec<u64> = rep.per_rank.iter().map(|r| r.tests).collect();
+        assert_eq!(rep.time, time, "{variant:?}");
+        assert_eq!(rep.steps, steps(breakdown), "{variant:?}");
+        assert_eq!(per_rank, tests, "{variant:?}");
+        assert_eq!(events_digest(&traced.events), events, "{variant:?}");
+        assert_eq!(
+            report_digest(&traced.report),
+            report_digest(&rep),
+            "{variant:?}"
+        );
+    }
+    // TH's three knobs run exactly the widened vector above.
+    let th_point = th_simulated(umd_cluster(), spec, ThParams { t: 4, w: 1, f: 256 }, false);
+    let widened = fft3_simulated(umd_cluster(), spec, Variant::Th, th, false);
+    assert_eq!(report_digest(&th_point), report_digest(&widened));
+}
