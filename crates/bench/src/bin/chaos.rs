@@ -186,7 +186,6 @@ fn rank_kill_demo(seed: u64) {
                 Variant::New,
                 params,
                 Direction::Forward,
-                Rigor::Estimate,
                 &source,
                 &RecoverConfig::default(),
                 &mut NoopRecorder,

@@ -18,7 +18,7 @@
 //! lanes, so a strided batch costs what a contiguous one does; when the lanes
 //! are neighbours in memory (`dist = 1`, the columns of a matrix) gather and
 //! scatter move one `B`-element row per `j`. Plans whose kernel is not
-//! Stockham (naive, Bluestein, Rader) take the same path with blocks of one
+//! Stockham (naive, Bluestein) take the same path with blocks of one
 //! line, which leaves the block for the kernel's `Complex64` form and returns
 //! to it.
 //!
@@ -604,7 +604,7 @@ mod tests {
     use super::*;
     use crate::complex::max_abs_diff;
     use crate::dft::dft;
-    use crate::planner::{Planner, Rigor};
+    use crate::planner::Planner;
     use crate::Direction;
 
     fn signal(len: usize) -> Vec<Complex64> {
@@ -617,7 +617,7 @@ mod tests {
     fn contiguous_batch_matches_per_line_dft() {
         let n = 24;
         let howmany = 5;
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(n, Direction::Forward);
         let mut data = signal(n * howmany);
         let orig = data.clone();
@@ -638,7 +638,7 @@ mod tests {
     fn strided_batch_matches_gathered_dft() {
         // Lines are the columns of a 6×8 row-major matrix: stride 8, dist 1.
         let (rows, cols) = (6usize, 8usize);
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(rows, Direction::Forward);
         let mut data = signal(rows * cols);
         let orig = data.clone();
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch layout exceeds buffer")]
     fn short_buffer_is_rejected() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(16, Direction::Forward);
         let mut data = signal(16);
         let mut scratch = BatchScratch::for_plan(&plan);
@@ -686,7 +686,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alias")]
     fn aliasing_batch_is_rejected() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(4, Direction::Forward);
         let mut data = signal(4);
         let mut scratch = BatchScratch::for_plan(&plan);
@@ -747,7 +747,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alias")]
     fn interleaved_overlapping_batch_is_rejected() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(4, Direction::Forward);
         // required_len = 2·4 + 3·2 + 1 = 15; lines 0 and 1 share offset 4.
         let mut data = signal(15);
@@ -779,7 +779,7 @@ mod tests {
     fn split_rows_handles_gaps() {
         // Rows with a hole between them: untouched elements must survive.
         let n = 16;
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(n, Direction::Forward);
         let mut data = signal(3 * n);
         let orig = data.clone();
@@ -803,7 +803,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted and non-overlapping")]
     fn split_rows_rejects_overlapping_rows() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(8, Direction::Forward);
         rows_threaded(&plan, &mut signal(16), &[0, 4], 2);
     }
@@ -834,7 +834,7 @@ mod tests {
 
     #[test]
     fn a_callers_gather_and_scatter_see_the_same_blocks_and_bits() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         // 12 → Stockham (blocks of 16), 74 → Bluestein (blocks of one).
         for n in [12usize, 74] {
             let plan = planner.plan(n, Direction::Forward);
@@ -877,7 +877,7 @@ mod tests {
 
     #[test]
     fn zero_lines_is_a_no_op() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(8, Direction::Forward);
         let mut data: Vec<Complex64> = vec![];
         let mut scratch = BatchScratch::for_plan(&plan);
@@ -918,7 +918,7 @@ mod tests {
 
     #[test]
     fn blocks_equal_per_line_execution_bitwise_for_every_remainder() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         for (n, dir) in [(12usize, Direction::Forward), (64, Direction::Backward)] {
             let plan = planner.plan(n, dir);
             let b = block_lines(n);
@@ -956,7 +956,7 @@ mod tests {
     #[test]
     fn row_list_takes_unsorted_rows_with_gaps() {
         let n = 30;
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(n, Direction::Forward);
         let rows = 2 * block_lines(n) + 1;
         // Every other row slot, visited in a scrambled order.
@@ -971,7 +971,7 @@ mod tests {
 
     #[test]
     fn non_stockham_plans_go_line_by_line_through_the_same_entry() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         // 3 → naive, 74 → Bluestein.
         for n in [3usize, 74] {
             let plan = planner.plan(n, Direction::Forward);
@@ -996,16 +996,14 @@ mod tests {
     #[test]
     fn one_scratch_serves_plans_of_several_lengths() {
         use crate::planner::Strategy::{Bluestein, MixedRadix, Naive};
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let mut scratch = BatchScratch::default();
         let mut kernels = std::collections::HashSet::new();
-        // Lengths that shrink and grow again. Rader is reached only by
-        // measuring, which guarantees no pick (at 17 and 257 it may lose to
-        // Bluestein, at 8 naive may win): any kernel must do.
+        // Lengths that shrink and grow again.
         let plans = [8usize, 74, 128, 3, 5, 2 * 997, 96, 4]
             .map(|n| planner.plan(n, Direction::Forward))
             .into_iter()
-            .chain([17, 8, 257].map(|n| Planner::new(Rigor::Measure).plan(n, Direction::Backward)));
+            .chain([17, 8, 257].map(|n| planner.plan(n, Direction::Backward)));
         for plan in plans {
             let n = plan.len();
             kernels.insert(plan.strategy());
@@ -1129,7 +1127,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn row_past_the_buffer_is_rejected() {
-        let mut planner = Planner::new(Rigor::Estimate);
+        let mut planner = Planner::new();
         let plan = planner.plan(8, Direction::Forward);
         let mut data = signal(20);
         let mut scratch = BatchScratch::for_plan(&plan);

@@ -1,19 +1,18 @@
 //! Process-wide plan cache — FFTW's "wisdom" amortisation for this crate.
 //!
-//! A [`Planner`] creates a plan every time it is asked: a transform entry
-//! point that constructed its own would re-measure every kernel on every
-//! invocation, which at [`Rigor::Measure`]/[`Rigor::Patient`] costs orders
-//! of magnitude more than the transform itself. [`PlanCache`] is the crate's
-//! one memo, at process scope (a transient planner per miss): one
-//! thread-safe map keyed by `(n, direction, rigor)` that every
-//! caller — the distributed pipeline, the serial reference, the pencil
-//! path, many rank threads at once — draws [`Arc<Plan1d>`]s from.
+//! A [`Planner`] creates a plan every time it is asked, twiddle tables
+//! included: a transform entry point that constructed its own would rebuild
+//! them on every invocation. [`PlanCache`] is the crate's one memo, at
+//! process scope (a transient planner per miss): one thread-safe map keyed
+//! by `(n, direction)` that every caller — the distributed pipeline, the
+//! serial reference, the pencil path, many rank threads at once — draws
+//! [`Arc<Plan1d>`]s from.
 //!
 //! Concurrency discipline: the whole operation (lookup, and on a miss the
-//! kernel measurement) happens under one `parking_lot`-style mutex. Holding
-//! the lock across planning is deliberate — when `p` rank threads ask for
-//! the same geometry simultaneously, one measures and the rest block and
-//! then hit, rather than all `p` measuring redundantly. Plans execute
+//! plan's construction) happens under one `parking_lot`-style mutex.
+//! Holding the lock across planning is deliberate — when `p` rank threads
+//! ask for the same geometry simultaneously, one plans and the rest block
+//! and then hit, rather than all `p` planning redundantly. Plans execute
 //! through `&self`, so the lock is never held during a transform.
 
 use crate::planner::{Plan1d, Planner, Rigor};
@@ -35,7 +34,7 @@ struct Entry {
 }
 
 struct Inner {
-    map: HashMap<(usize, Direction, Rigor), Entry>,
+    map: HashMap<(usize, Direction), Entry>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -60,7 +59,7 @@ pub struct CacheStats {
 }
 
 /// A process-wide, thread-safe store of [`Plan1d`]s keyed by
-/// `(n, direction, rigor)`. See the module docs for the locking discipline.
+/// `(n, direction)`. See the module docs for the locking discipline.
 pub struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -95,32 +94,32 @@ impl PlanCache {
         GLOBAL.get_or_init(PlanCache::new)
     }
 
-    /// Returns the cached plan for `(n, dir, rigor)`, planning (and
-    /// caching) on first use.
+    /// Returns the cached plan for `(n, dir)`, planning (and caching) on
+    /// first use. [`Rigor::Estimate`] is the only rigor there is.
     pub fn plan(&self, n: usize, dir: Direction, rigor: Rigor) -> Arc<Plan1d> {
         self.plan_timed(n, dir, rigor).0
     }
 
     /// [`Self::plan`] plus the planning time this call actually incurred:
-    /// exactly [`Duration::ZERO`] on a hit, the measured planning cost on a
-    /// miss. Callers accumulate this into their per-run statistics, so a
-    /// run whose geometry is already cached reports zero planning work.
-    pub fn plan_timed(&self, n: usize, dir: Direction, rigor: Rigor) -> (Arc<Plan1d>, Duration) {
+    /// exactly [`Duration::ZERO`] on a hit, the planning cost on a miss.
+    /// Callers accumulate this into their per-run statistics, so a run whose
+    /// geometry is already cached reports zero planning work.
+    pub fn plan_timed(&self, n: usize, dir: Direction, _: Rigor) -> (Arc<Plan1d>, Duration) {
         assert!(n >= 1, "transform length must be ≥ 1");
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(e) = inner.map.get_mut(&(n, dir, rigor)) {
+        if let Some(e) = inner.map.get_mut(&(n, dir)) {
             e.last_used = clock;
             let plan = e.plan.clone();
             inner.hits += 1;
             return (plan, Duration::ZERO);
         }
-        // Miss: measure while holding the lock so concurrent requests for
-        // the same geometry wait for this measurement instead of repeating
-        // it. A transient Planner performs (and times) the measurement.
+        // Miss: plan while holding the lock so concurrent requests for the
+        // same geometry wait for this plan instead of repeating it. A
+        // transient Planner builds (and times) it.
         #[expect(clippy::disallowed_methods, reason = "the cache's miss path")]
-        let mut planner = Planner::new(rigor);
+        let mut planner = Planner::new();
         let plan = planner.plan(n, dir);
         let spent = planner.planning_time();
         inner.misses += 1;
@@ -139,7 +138,7 @@ impl PlanCache {
             }
         }
         inner.map.insert(
-            (n, dir, rigor),
+            (n, dir),
             Entry {
                 plan: plan.clone(),
                 last_used: clock,
@@ -184,14 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_direction_and_rigor() {
+    fn keys_separate_direction() {
         let cache = PlanCache::new();
         let f = cache.plan(64, Direction::Forward, Rigor::Estimate);
         let b = cache.plan(64, Direction::Backward, Rigor::Estimate);
-        let m = cache.plan(64, Direction::Forward, Rigor::Measure);
         assert!(!Arc::ptr_eq(&f, &b));
-        assert!(!Arc::ptr_eq(&f, &m));
-        assert_eq!(cache.stats().entries, 3);
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The serial-FFT substrate of this workspace: everything the paper obtains
 //! from FFTW is implemented here from scratch.
 //!
-//! * [`planner::Planner`] with [`planner::Rigor`] mirrors FFTW's
-//!   `ESTIMATE`/`MEASURE`/`PATIENT` planning (§4.1 of the paper).
+//! * [`planner::Planner`] mirrors FFTW's `ESTIMATE` planning: one static
+//!   rule picks the kernel from the length, so every plan is reproducible.
 //! * [`cache::PlanCache`] shares plans process-wide (FFTW's wisdom): the
 //!   transform entry points draw from [`cache::PlanCache::global`] so
 //!   repeated geometries never replan.
-//! * Kernels: naive [`dft`], Stockham [`mixed`] radix, [`rader`] for primes
-//!   and [`bluestein`] for arbitrary lengths.
+//! * Kernels: naive [`dft`], Stockham [`mixed`] radix and [`bluestein`] for
+//!   every other length.
 //! * [`batch`] runs a plan over many strided lines (FFTW's advanced
 //!   interface), which is how the 3-D steps consume it — a
 //!   [`batch::Block`] of lines at a time, split into a real and an
@@ -23,9 +23,9 @@
 //! forward followed by backward multiplies the data by `N`.
 //!
 //! ```
-//! use cfft::{Direction, planner::{Planner, Rigor}, Complex64};
+//! use cfft::{Direction, planner::Planner, Complex64};
 //!
-//! let mut planner = Planner::new(Rigor::Estimate);
+//! let mut planner = Planner::new();
 //! let plan = planner.plan(240, Direction::Forward);
 //! let mut data = vec![Complex64::new(1.0, 0.0); 240];
 //! plan.execute_alloc(&mut data);
@@ -43,7 +43,6 @@ pub mod dft;
 pub mod factor;
 pub mod mixed;
 pub mod planner;
-pub mod rader;
 pub mod real;
 pub mod transpose;
 pub mod twiddle;

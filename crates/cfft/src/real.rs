@@ -8,7 +8,7 @@
 //! The result is the non-redundant half-spectrum of `n/2 + 1` bins.
 
 use crate::complex::Complex64;
-use crate::planner::{Plan1d, Planner, Rigor};
+use crate::planner::{Plan1d, Planner};
 use crate::Direction;
 use std::sync::Arc;
 
@@ -23,13 +23,13 @@ pub struct RealFftPlan {
 
 impl RealFftPlan {
     /// Builds a plan for real length `n` (must be even and ≥ 2).
-    pub fn new(n: usize, rigor: Rigor) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(
             n >= 2 && n % 2 == 0,
             "real FFT length must be even and ≥ 2, got {n}"
         );
         #[expect(clippy::disallowed_methods, reason = "its own half-length plans")]
-        let mut planner = Planner::new(rigor);
+        let mut planner = Planner::new();
         let half_fwd = planner.plan(n / 2, Direction::Forward);
         let half_bwd = planner.plan(n / 2, Direction::Backward);
         let twiddle = (0..n / 2 + 1)
@@ -123,7 +123,7 @@ mod tests {
     fn forward_matches_complex_dft() {
         for n in [2usize, 4, 8, 12, 30, 64, 100, 256] {
             let x = real_signal(n);
-            let plan = RealFftPlan::new(n, Rigor::Estimate);
+            let plan = RealFftPlan::new(n);
             let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
             plan.forward(&x, &mut spec);
             let xc: Vec<Complex64> = x.iter().map(|&r| Complex64::new(r, 0.0)).collect();
@@ -140,7 +140,7 @@ mod tests {
         // full complex spectrum.
         let n = 16;
         let x = real_signal(n);
-        let plan = RealFftPlan::new(n, Rigor::Estimate);
+        let plan = RealFftPlan::new(n);
         let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
         plan.forward(&x, &mut spec);
         let xc: Vec<Complex64> = x.iter().map(|&r| Complex64::new(r, 0.0)).collect();
@@ -154,7 +154,7 @@ mod tests {
     fn round_trip_scales_by_n() {
         for n in [4usize, 20, 48, 128] {
             let x = real_signal(n);
-            let plan = RealFftPlan::new(n, Rigor::Estimate);
+            let plan = RealFftPlan::new(n);
             let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
             plan.forward(&x, &mut spec);
             let mut back = vec![0.0; n];
@@ -168,14 +168,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "even")]
     fn odd_lengths_rejected() {
-        RealFftPlan::new(9, Rigor::Estimate);
+        RealFftPlan::new(9);
     }
 
     #[test]
     fn dc_and_nyquist_are_real() {
         let n = 32;
         let x = real_signal(n);
-        let plan = RealFftPlan::new(n, Rigor::Estimate);
+        let plan = RealFftPlan::new(n);
         let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
         plan.forward(&x, &mut spec);
         assert!(spec[0].im.abs() < 1e-10);

@@ -1,11 +1,11 @@
 //! Property-based tests of the FFT kernels: the algebraic identities every
-//! DFT implementation must satisfy, checked over randomly drawn lengths,
-//! signals, and planner rigors.
+//! DFT implementation must satisfy, checked over randomly drawn lengths and
+//! signals.
 
 use cfft::batch::{execute_batch, execute_rows, BatchLayout, BatchScratch};
 use cfft::complex::{max_abs_diff, rel_l2_error};
 use cfft::dft::dft;
-use cfft::planner::{Planner, Rigor};
+use cfft::planner::Planner;
 use cfft::transpose::{permute3, permuted_dims, Dims3, XYZ_TO_XZY, XYZ_TO_ZXY};
 use cfft::{Complex64, Direction};
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ fn any_len() -> impl Strategy<Value = usize> {
 }
 
 fn plan_and_run(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
-    let mut planner = Planner::new(Rigor::Estimate);
+    let mut planner = Planner::new();
     let plan = planner.plan(x.len(), dir);
     let mut y = x.to_vec();
     plan.execute_alloc(&mut y);
@@ -176,7 +176,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let dir = if backward == 1 { Direction::Backward } else { Direction::Forward };
-        let plan = Planner::new(Rigor::Estimate).plan(n, dir);
+        let plan = Planner::new().plan(n, dir);
         // Line l, element j at starts[l] + j·stride.
         let (starts, stride): (Vec<usize>, usize) = match layout_pick {
             // Contiguous, end to end.

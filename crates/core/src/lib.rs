@@ -82,8 +82,8 @@ pub use real_env::{
     try_fft3_dist, try_fft3_dist_traced, FftSession, OutLayout, RunOutput, Variant,
 };
 pub use recover::{
-    run_recoverable, Checkpoint, ComputeSource, NoSource, ParitySource, RecoverConfig,
-    RecoverOutcome, ReplicaSource, SlabSource,
+    run_recoverable, Checkpoint, ComputeSource, ParitySource, RecoverConfig, RecoverOutcome,
+    ReplicaSource, SlabSource,
 };
 pub use service::{
     jain_index, Admission, CancelReason, FctStats, IsolatedRun, JobData, JobOutcome, JobRecord,

@@ -230,11 +230,6 @@ impl TuningParams {
         self.fx = 0;
         self
     }
-
-    /// Total `MPI_Test` budget per tile across all four phases.
-    pub fn polls_per_tile(&self) -> u32 {
-        self.fy + self.fp + self.fu + self.fx
-    }
 }
 
 impl Variant {
@@ -461,7 +456,7 @@ mod tests {
         let s = spec();
         let p = TuningParams::seed(&s).without_overlap();
         assert_eq!(p.w, 0);
-        assert_eq!(p.polls_per_tile(), 0);
+        assert_eq!([p.fy, p.fp, p.fu, p.fx], [0; 4]);
         assert_eq!(p.t, TuningParams::seed(&s).t);
     }
 

@@ -17,6 +17,8 @@
 //! service's program recorder) run a driver to completion with the
 //! crate's `block_on`, which polls it exactly once.
 
+#![cfg_attr(not(test), deny(clippy::unreachable))]
+
 use crate::error::{Error, IntegrityStage};
 use crate::trace::DegradeAction;
 use std::future::Future;
@@ -248,20 +250,23 @@ impl<'a> Ladder<'a> {
                     self.recovery.stalls_detected += 1;
                     env.escalate_watchdog();
                     if self.rung < 3 {
-                        let action = [
-                            DegradeAction::BoostPolls,
-                            DegradeAction::ShrinkWindow,
-                            DegradeAction::Fallback,
-                        ][self.rung];
+                        // The stall rungs, in order; Retransmit is
+                        // corruption healing, not a rung.
+                        let action = match self.rung {
+                            0 => {
+                                env.boost_polls();
+                                DegradeAction::BoostPolls
+                            }
+                            1 => {
+                                self.w_eff = (self.w_eff / 2).max(1);
+                                DegradeAction::ShrinkWindow
+                            }
+                            _ => {
+                                self.recovery.fell_back = true;
+                                DegradeAction::Fallback
+                            }
+                        };
                         self.rung += 1;
-                        match action {
-                            DegradeAction::BoostPolls => env.boost_polls(),
-                            DegradeAction::ShrinkWindow => self.w_eff = (self.w_eff / 2).max(1),
-                            DegradeAction::Fallback => self.recovery.fell_back = true,
-                            // Retransmit is corruption healing, not a stall
-                            // rung; it never appears in the climb array.
-                            DegradeAction::Retransmit => unreachable!(),
-                        }
                         env.on_degrade(tile, action);
                         self.recovery.actions.push(action);
                     }

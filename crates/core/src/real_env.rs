@@ -20,6 +20,8 @@
 //! [`crate::pipeline::OverlapEnv`], which the pencil transform's two stages
 //! run on as well.
 
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use crate::breakdown::{RunStats, StepTimes};
 use crate::decomp::Decomp;
 use crate::error::{Error, IntegrityStage};
@@ -29,7 +31,7 @@ use crate::pipeline::{Recovery, Resilience};
 use crate::serial::{block, test_field};
 use crate::trace::{EventKind, NoopRecorder, Recorder};
 use crate::transport::Transport;
-use cfft::batch::{execute_batch, BatchLayout, BatchScratch};
+use cfft::batch::{execute_batch, fork_join, BatchLayout, BatchScratch};
 use cfft::planner::{Plan1d, Rigor};
 use cfft::{Complex64, Direction, PlanCache};
 use mpisim::Comm;
@@ -87,6 +89,15 @@ pub struct RunOutput {
     pub exchange_setups: u64,
 }
 
+/// One worker's share of [`FftzTranspose::run`]: its number, its parts of
+/// the stage buffer, its plane scratch and its `(fftz, transpose)` slot.
+type Task<'a> = (
+    usize,
+    Vec<&'a mut [Complex64]>,
+    &'a mut [Complex64],
+    &'a mut (Duration, Duration),
+);
+
 /// The slab's local phase: FFTz and Transpose of the caller's slab (x-y-z)
 /// into the stage's source buffer, z-x-y (standard) or x-z-y (fast).
 struct FftzTranspose {
@@ -135,15 +146,14 @@ impl FftzTranspose {
                     }
                 }
             }
-            let work = |w: usize,
-                        mut dst: Vec<&mut [Complex64]>,
-                        plane: &mut [Complex64],
-                        scratch: &mut BatchScratch| {
+            // Each worker adds its `(fftz, transpose)` time to a slot of its
+            // own.
+            let mut shares = vec![(Duration::ZERO, Duration::ZERO); dsts.len()];
+            let work = |(w, mut dst, plane, spent): Task<'_>, scratch: &mut BatchScratch| {
                 let block = match style {
                     TransposeCost::Naive => ny.max(nz),
                     _ => TRANSPOSE_BLOCK,
                 };
-                let mut spent = (Duration::ZERO, Duration::ZERO);
                 let x0 = w * per;
                 for x in x0..(x0 + per).min(nxl) {
                     let a = Instant::now();
@@ -169,26 +179,20 @@ impl FftzTranspose {
                     spent.0 += b - a;
                     spent.1 += b.elapsed();
                 }
-                spent
             };
-            // This thread takes the first share, spawned workers the rest.
-            let mut tasks = dsts.into_iter().zip(ws.planes.chunks_mut(plane_len));
-            let (dst, plane) = tasks.next().expect("at least one plane");
-            let (work, scratch) = (&work, &mut ws.scratch);
-            spent = std::thread::scope(|s| {
-                let others: Vec<_> = (1..)
-                    .zip(tasks)
-                    .map(|(w, (dst, plane))| {
-                        s.spawn(move || work(w, dst, plane, &mut BatchScratch::for_plan(plan_z)))
-                    })
-                    .collect();
-                let mut spent = work(0, dst, plane, scratch);
-                for h in others {
-                    let (fz, tr) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                    spent = (spent.0 + fz, spent.1 + tr);
-                }
-                spent
-            });
+            let tasks = (0..)
+                .zip(dsts)
+                .zip(ws.planes.chunks_mut(plane_len).zip(&mut shares))
+                .map(|((w, dst), (plane, spent))| (w, dst, plane, spent));
+            let scratch = &mut ws.scratch;
+            fork_join(
+                tasks.collect(),
+                |task| work(task, scratch),
+                |task| work(task, &mut BatchScratch::for_plan(plan_z)),
+            );
+            for (fz, tr) in shares {
+                spent = (spent.0 + fz, spent.1 + tr);
+            }
         }
         // The two steps interleave plane by plane (and run concurrently
         // across workers), so each gets its measured share of the interval.
@@ -259,7 +263,6 @@ fn pin_slab<'a>(
     variant: Variant,
     params: TuningParams,
     dir: Direction,
-    rigor: Rigor,
 ) -> Result<(Session<'a>, OutLayout, Duration), Error> {
     variant.check(&spec, &params)?;
     let (params, transpose) = variant.resolve(&spec, params);
@@ -269,12 +272,12 @@ fn pin_slab<'a>(
     let (nxl, nyl) = (decomp.x.count(rank), decomp.y.count(rank));
 
     // Draw plans from the process-wide cache: any geometry this process has
-    // transformed before (at this rigor) costs zero planning here, and when
-    // all `p` rank threads arrive at once only one of them measures.
+    // transformed before costs zero planning here, and when all `p` rank
+    // threads arrive at once only one of them plans.
     let cache = PlanCache::global();
-    let (plan_z, spent_z) = cache.plan_timed(nz, dir, rigor);
-    let (plan_y, spent_y) = cache.plan_timed(ny, dir, rigor);
-    let (plan_x, spent_x) = cache.plan_timed(nx, dir, rigor);
+    let (plan_z, spent_z) = cache.plan_timed(nz, dir, Rigor::Estimate);
+    let (plan_y, spent_y) = cache.plan_timed(ny, dir, Rigor::Estimate);
+    let (plan_x, spent_x) = cache.plan_timed(nx, dir, Rigor::Estimate);
 
     // The one stage: z tiled, the y of every (z, x_l) line split across
     // the ranks, x completed — lines where the transpose style put them,
@@ -326,7 +329,7 @@ fn pin_slab<'a>(
 
 /// Setup-once / execute-many handle for a repeated distributed transform.
 ///
-/// A session pins `(comm, spec, variant, params, dir, rigor)`: its
+/// A session pins `(comm, spec, variant, params, dir)`: its
 /// constructor resolves the variant, draws the FFT plans and fixes the
 /// stage's geometry once, and it owns one persistent all-to-all plan per
 /// communication tile plus the pipeline's working memory (transposed slab,
@@ -362,18 +365,19 @@ impl<'a> FftSession<'a> {
     /// [`crate::PencilSession::new`] reports it). The exchange plans are
     /// initialised lazily during the first execution, so the
     /// first/steady-state split is observable per execution via
-    /// [`RunOutput::exchange_setups`].
+    /// [`RunOutput::exchange_setups`]. [`Rigor::Estimate`], the one rigor,
+    /// is an argument only because `fftperf/` passes it.
     pub fn new(
         comm: &'a Comm,
         spec: ProblemSpec,
         variant: Variant,
         params: TuningParams,
         dir: Direction,
-        rigor: Rigor,
+        _: Rigor,
     ) -> Self {
         // Every rank sees the same size, so every rank refuses alike.
         let pinned = if comm.size() == spec.p {
-            pin_slab(comm, spec, variant, params, dir, rigor)
+            pin_slab(comm, spec, variant, params, dir)
         } else {
             Err(Error::GridMismatch {
                 pr: comm.size(),

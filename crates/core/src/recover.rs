@@ -36,7 +36,7 @@ use crate::serial::block;
 use crate::trace::{EventKind, Recorder, TraceEvent};
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
-use mpisim::{Comm, LintId, Severity};
+use mpisim::{Comm, LintId};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -137,17 +137,6 @@ impl<F: Fn(usize, usize, usize) -> Complex64 + Sync> SlabSource for ComputeSourc
     fn slab(&self, spec: &ProblemSpec, rank: usize) -> Option<Vec<Complex64>> {
         let xs = slab_extent(spec, rank)?;
         Some(block(xs, 0..spec.ny, spec.nz, &self.f))
-    }
-}
-
-/// A source that can never produce a slab — models lost, unreplicated
-/// input. Recovery over this source deterministically returns
-/// [`Error::Unrecoverable`] on every survivor.
-pub struct NoSource;
-
-impl SlabSource for NoSource {
-    fn slab(&self, _spec: &ProblemSpec, _rank: usize) -> Option<Vec<Complex64>> {
-        None
     }
 }
 
@@ -424,7 +413,6 @@ impl SlabSource for ParitySource {
                 };
                 comm.report_finding(
                     LintId::StaleCheckpoint,
-                    Severity::Error,
                     format!(
                         "checkpoint generation {} (members {:?}) cannot serve \
                          membership {:?}: {}",
@@ -512,7 +500,6 @@ pub fn run_recoverable(
     variant: Variant,
     params: TuningParams,
     dir: Direction,
-    rigor: Rigor,
     source: &dyn SlabSource,
     cfg: &RecoverConfig,
     recorder: &mut dyn Recorder,
@@ -549,7 +536,7 @@ pub fn run_recoverable(
         let slab = slab.ok_or(Error::Internal("agreed-present slab missing"))?;
 
         // One attempt is one session executed once, freed before the vote.
-        let result = FftSession::new(cur, spec_cur, variant, params_cur, dir, rigor)
+        let result = FftSession::new(cur, spec_cur, variant, params_cur, dir, Rigor::Estimate)
             .execute_traced(&slab, &resilience, recorder);
 
         // Per-attempt consensus: ranks that finished cleanly must still
@@ -692,12 +679,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn no_source_never_produces() {
-        let spec = ProblemSpec::cube(4, 2);
-        assert!(NoSource.slab(&spec, 0).is_none());
     }
 
     #[test]
@@ -853,7 +834,6 @@ mod tests {
                 Variant::New,
                 params,
                 Direction::Forward,
-                Rigor::Estimate,
                 &src,
                 &RecoverConfig::default(),
                 &mut crate::trace::NoopRecorder,

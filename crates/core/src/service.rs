@@ -1606,7 +1606,6 @@ fn execute_job(
                     Variant::New,
                     params,
                     dir,
-                    Rigor::Estimate,
                     &ReplicaSource::new(Arc::clone(&full)),
                     &RecoverConfig::default(),
                     &mut NoopRecorder,

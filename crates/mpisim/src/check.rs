@@ -1,7 +1,7 @@
 //! Dynamic verification instrumentation: the checked mode
 //! [`crate::explore()`] runs every schedule under.
 //!
-//! Three cooperating mechanisms, all wired into the message path of
+//! Two cooperating mechanisms, both wired into the message path of
 //! `crate::world::World` and activated only when a run is launched with a
 //! [`CheckConfig`] (via [`crate::run_with_config`]):
 //!
@@ -16,12 +16,7 @@
 //!    [`SchedMode::Random`] (seeded probabilistic deferral) and
 //!    [`SchedMode::Systematic`] (a delay-bounded, DPOR-lite enumeration of
 //!    deferral masks over delivery-decision classes).
-//! 2. **Happens-before tracking**: a vector clock per rank, ticked on every
-//!    send and joined on every matched receive. Clock snapshots ride on the
-//!    messages and land in the (bounded) event log, which the analyses use
-//!    to prove ordering claims — e.g. the wildcard-receive race lint fires
-//!    exactly when two matchable messages are HB-*concurrent*.
-//! 3. **Wait-for-graph deadlock detection**: blocking receives register the
+//! 2. **Wait-for-graph deadlock detection**: blocking receives register the
 //!    peer (and tag) they are stuck on; a rank that has waited past the
 //!    configured threshold walks the graph, and a cycle in which no edge is
 //!    satisfiable by a queued or deferred message — or a chain that ends at
@@ -29,15 +24,19 @@
 //!    is reported as a [`LintId::Deadlock`] finding *naming the ranks*, then
 //!    the world is aborted so the run terminates instead of hanging.
 //!
-//! Findings carry stable lint IDs (`MC001`–`MC005`). See DESIGN.md §12 for
-//! the full catalogue and the exploration methodology.
+//! Every receive names its source (the transport moves data only through
+//! collectives), so no schedule can change which message a receive matches;
+//! the checks look for what a schedule *can* change — a hang, a leak, a
+//! message nobody takes. Findings carry stable lint IDs (`MC001`–`MC003`,
+//! `MC005`–`MC007`; `MC004` is retired and not reused). See DESIGN.md §12
+//! for the full catalogue and the exploration methodology.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use faultplan::hash5;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -145,9 +144,6 @@ pub enum LintId {
     /// `MC003` — two distinct communicator-creation events mapped to the
     /// same context id: their tag spaces collide and messages can cross.
     CtxCollision,
-    /// `MC004` — a wildcard (`recv_any`) receive matched one of several
-    /// HB-concurrent candidates: the outcome is schedule-dependent.
-    WildcardRace,
     /// `MC005` — a cycle of ranks each blocked on the next, or a chain of
     /// them ending at a rank that has returned, with no satisfiable message
     /// in flight: deadlock, reported with the ranks. The chain is the shape
@@ -169,7 +165,6 @@ impl LintId {
             LintId::UnmatchedSend => "MC001",
             LintId::RequestLeak => "MC002",
             LintId::CtxCollision => "MC003",
-            LintId::WildcardRace => "MC004",
             LintId::Deadlock => "MC005",
             LintId::PersistentLeak => "MC006",
             LintId::StaleCheckpoint => "MC007",
@@ -182,7 +177,6 @@ impl LintId {
             LintId::UnmatchedSend => "message posted but never received",
             LintId::RequestLeak => "request dropped without wait or cancel",
             LintId::CtxCollision => "communicator context/tag-space collision",
-            LintId::WildcardRace => "wildcard receive with concurrent candidates",
             LintId::Deadlock => "wait-for cycle, or chain to a returned rank, of blocked ranks",
             LintId::PersistentLeak => "persistent plan dropped without free",
             LintId::StaleCheckpoint => "stale checkpoint consulted after membership change",
@@ -190,24 +184,12 @@ impl LintId {
     }
 }
 
-/// How serious a finding is. Exploration fails a schedule on any
-/// `Error`-severity finding; `Info` findings are surfaced but non-fatal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Schedule-dependent behaviour worth knowing about, legal under MPI
-    /// semantics (e.g. wildcard nondeterminism).
-    Info,
-    /// A correctness hazard: the run is wrong, leaks, or hangs.
-    Error,
-}
-
-/// One verification finding.
+/// One verification finding: a correctness hazard — the run is wrong,
+/// leaks, or hangs. Exploration fails a schedule on any finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Catalogue entry.
     pub id: LintId,
-    /// Severity (see [`Severity`]).
-    pub severity: Severity,
     /// World rank the finding is attributed to, when meaningful.
     pub rank: Option<usize>,
     /// For [`LintId::Deadlock`]: the world ranks in wait-for order —
@@ -329,8 +311,6 @@ pub struct CheckConfig {
     /// How long a rank must be continuously blocked before it probes the
     /// wait-for graph for a deadlock cycle.
     pub deadlock_after: Duration,
-    /// Event-log capacity; events past the cap are counted, not stored.
-    pub event_cap: usize,
 }
 
 impl Default for CheckConfig {
@@ -338,7 +318,6 @@ impl Default for CheckConfig {
         CheckConfig {
             sched: None,
             deadlock_after: Duration::from_millis(250),
-            event_cap: 1 << 16,
         }
     }
 }
@@ -354,54 +333,14 @@ impl CheckConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Events and the report
+// The report
 // ---------------------------------------------------------------------------
-
-/// Kind of a logged happens-before event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvKind {
-    /// A message handed to the delivery path (sender side).
-    Send,
-    /// A message matched by a receive (receiver side).
-    Recv,
-    /// A communicator created (`peer` is unused, `tag` holds the ctx id).
-    CommCreate,
-}
-
-/// One happens-before event with its vector-clock snapshot.
-#[derive(Debug, Clone)]
-pub struct EventRec {
-    /// World rank the event occurred on.
-    pub rank: usize,
-    /// Event kind.
-    pub kind: EvKind,
-    /// Peer world rank (destination of a send, source of a receive).
-    pub peer: usize,
-    /// Raw mailbox tag (encodes context, kind and payload).
-    pub tag: u64,
-    /// The rank's vector clock *after* the event.
-    pub clock: Vec<u64>,
-}
-
-/// `true` iff `a ≤ b` component-wise (a happens-before-or-equals b).
-pub fn clock_le(a: &[u64], b: &[u64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x <= y)
-}
-
-/// `true` iff neither clock precedes the other: the events are concurrent.
-pub fn clocks_concurrent(a: &[u64], b: &[u64]) -> bool {
-    !clock_le(a, b) && !clock_le(b, a)
-}
 
 /// What a checked run observed.
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
     /// All findings, in discovery order.
     pub findings: Vec<Finding>,
-    /// Happens-before event log (bounded by [`CheckConfig::event_cap`]).
-    pub events: Vec<EventRec>,
-    /// Events dropped past the cap.
-    pub events_dropped: usize,
     /// Messages delivered (including released deferrals).
     pub delivered: u64,
     /// Deliveries the virtual scheduler deferred.
@@ -411,16 +350,9 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// Findings of `Error` severity.
-    pub fn errors(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-    }
-
-    /// `true` when no `Error`-severity finding was recorded.
+    /// `true` when no finding was recorded.
     pub fn is_clean(&self) -> bool {
-        self.errors().next().is_none()
+        self.findings.is_empty()
     }
 
     /// The deadlock finding, if one was reported.
@@ -452,9 +384,8 @@ pub struct CheckOutcome<R> {
 /// What a blocked rank is waiting on (one wait-for edge).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitInfo {
-    /// World rank of the peer this rank needs a message from; `None` for
-    /// wildcard waits (which cannot form deadlock edges).
-    pub peer_world: Option<usize>,
+    /// World rank of the peer this rank needs a message from.
+    pub peer_world: usize,
     /// Communicator-rank key the matcher uses (`Msg::src`).
     pub src_key: usize,
     /// Full mailbox tag the matcher uses.
@@ -464,8 +395,6 @@ pub(crate) struct WaitInfo {
 /// Per-world verification state, shared by every rank thread.
 pub(crate) struct CheckState {
     cfg: CheckConfig,
-    /// One vector clock per world rank.
-    clocks: Vec<Mutex<Vec<u64>>>,
     /// Wait-for edges of currently blocked ranks.
     blocked: Mutex<Vec<Option<WaitInfo>>>,
     /// Ranks whose closure has returned normally: they send nothing more,
@@ -477,8 +406,6 @@ pub(crate) struct CheckState {
     /// the rank delivered before returning.
     returned: Vec<AtomicBool>,
     findings: Mutex<Vec<Finding>>,
-    events: Mutex<Vec<EventRec>>,
-    events_dropped: AtomicUsize,
     delivered: AtomicU64,
     deferred: AtomicU64,
     /// Per-(src,dest,tag) delivery counters: the deterministic "nth message
@@ -493,12 +420,9 @@ impl CheckState {
     pub fn new(size: usize, cfg: CheckConfig) -> Self {
         CheckState {
             cfg,
-            clocks: (0..size).map(|_| Mutex::new(vec![0; size])).collect(),
             blocked: Mutex::new(vec![None; size]),
             returned: (0..size).map(|_| AtomicBool::new(false)).collect(),
             findings: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            events_dropped: AtomicUsize::new(0),
             delivered: AtomicU64::new(0),
             deferred: AtomicU64::new(0),
             edge_seq: Mutex::new(HashMap::new()),
@@ -509,38 +433,6 @@ impl CheckState {
 
     pub fn config(&self) -> &CheckConfig {
         &self.cfg
-    }
-
-    /// Ticks `rank`'s clock for a send and returns the stamped snapshot.
-    pub fn stamp_send(&self, rank: usize) -> Vec<u64> {
-        let mut c = self.clocks[rank].lock();
-        c[rank] += 1;
-        c.clone()
-    }
-
-    /// Joins a received message's clock into `rank`'s clock and ticks it.
-    pub fn join_recv(&self, rank: usize, msg_clock: &[u64]) -> Vec<u64> {
-        let mut c = self.clocks[rank].lock();
-        for (own, theirs) in c.iter_mut().zip(msg_clock) {
-            *own = (*own).max(*theirs);
-        }
-        c[rank] += 1;
-        c.clone()
-    }
-
-    pub fn record_event(&self, rank: usize, kind: EvKind, peer: usize, tag: u64, clock: Vec<u64>) {
-        let mut ev = self.events.lock();
-        if ev.len() >= self.cfg.event_cap {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        ev.push(EventRec {
-            rank,
-            kind,
-            peer,
-            tag,
-            clock,
-        });
     }
 
     pub fn add_finding(&self, f: Finding) {
@@ -576,15 +468,11 @@ impl CheckState {
         match ctxs.get(&ctx).copied() {
             None => {
                 ctxs.insert(ctx, creation);
-                drop(ctxs);
-                let clock = self.clocks[rank].lock().clone();
-                self.record_event(rank, EvKind::CommCreate, rank, ctx, clock);
             }
             Some(prev) if prev != creation => {
                 drop(ctxs);
                 self.add_finding(Finding {
                     id: LintId::CtxCollision,
-                    severity: Severity::Error,
                     rank: Some(rank),
                     cycle: Vec::new(),
                     message: format!(
@@ -631,7 +519,7 @@ impl CheckState {
         let mut cur = me;
         loop {
             let info = snap[cur]?;
-            let next = info.peer_world?;
+            let next = info.peer_world;
             if satisfiable(cur, &info) {
                 return None; // a message is already there; no deadlock
             }
@@ -696,7 +584,6 @@ impl CheckState {
             };
             self.add_finding(Finding {
                 id: LintId::Deadlock,
-                severity: Severity::Error,
                 rank: Some(me),
                 cycle: ranks,
                 message,
@@ -720,8 +607,6 @@ impl CheckState {
         }
         CheckReport {
             findings,
-            events: self.events.into_inner(),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
             delivered: self.delivered.load(Ordering::Relaxed),
             deferred: self.deferred.load(Ordering::Relaxed),
             schedule,
@@ -813,29 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_order_predicates() {
-        let a = vec![1, 2, 0];
-        let b = vec![2, 2, 1];
-        let c = vec![0, 3, 0];
-        assert!(clock_le(&a, &b));
-        assert!(!clock_le(&b, &a));
-        assert!(clocks_concurrent(&a, &c));
-        assert!(!clocks_concurrent(&a, &b));
-    }
-
-    #[test]
-    fn vector_clocks_tick_and_join() {
-        let st = CheckState::new(3, CheckConfig::default());
-        let sent = st.stamp_send(0);
-        assert_eq!(sent, vec![1, 0, 0]);
-        let joined = st.join_recv(1, &sent);
-        assert_eq!(joined, vec![1, 1, 0]);
-        // Receiver's next send carries the joined history.
-        let sent2 = st.stamp_send(1);
-        assert_eq!(sent2, vec![1, 2, 0]);
-    }
-
-    #[test]
     fn ctx_collision_is_flagged_only_for_distinct_creations() {
         let st = CheckState::new(2, CheckConfig::default());
         st.register_ctx(0xabc, (0, 1, 0), 0);
@@ -851,7 +713,7 @@ mod tests {
     fn find_cycle_names_the_loop_and_respects_satisfiability() {
         let st = CheckState::new(3, CheckConfig::default());
         let w = |peer: usize| WaitInfo {
-            peer_world: Some(peer),
+            peer_world: peer,
             src_key: peer,
             tag: 1,
         };
@@ -876,7 +738,7 @@ mod tests {
     fn find_cycle_ends_a_chain_at_a_returned_rank() {
         let st = CheckState::new(3, CheckConfig::default());
         let w = |peer: usize| WaitInfo {
-            peer_world: Some(peer),
+            peer_world: peer,
             src_key: peer,
             tag: 1,
         };
@@ -888,6 +750,37 @@ mod tests {
         assert_eq!(st.find_cycle(0, &|_, _| false), Some((vec![0, 1, 2], true)));
         // A queued message on the way still dissolves it.
         assert!(st.find_cycle(0, &|r, _| r == 1).is_none());
+    }
+
+    /// The catalogue's codes are stable: distinct, `MC001`–`MC003` and
+    /// `MC005`–`MC007`, and the retired `MC004` names nothing.
+    #[test]
+    fn lint_codes_are_distinct_and_skip_the_retired_mc004() {
+        let all = [
+            LintId::UnmatchedSend,
+            LintId::RequestLeak,
+            LintId::CtxCollision,
+            LintId::Deadlock,
+            LintId::PersistentLeak,
+            LintId::StaleCheckpoint,
+        ];
+        // A variant missing from `all` stops this match from compiling.
+        let _listed = |id: LintId| match id {
+            LintId::UnmatchedSend
+            | LintId::RequestLeak
+            | LintId::CtxCollision
+            | LintId::Deadlock
+            | LintId::PersistentLeak
+            | LintId::StaleCheckpoint => {}
+        };
+        let codes: Vec<&str> = all.iter().map(LintId::code).collect();
+        assert_eq!(
+            codes,
+            ["MC001", "MC002", "MC003", "MC005", "MC006", "MC007"]
+        );
+        let distinct: std::collections::HashSet<_> = codes.iter().collect();
+        assert_eq!(distinct.len(), all.len());
+        assert!(!codes.contains(&"MC004"));
     }
 
     #[test]

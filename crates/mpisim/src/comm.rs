@@ -1,6 +1,6 @@
 //! Communicators and point-to-point messaging.
 
-use crate::check::{clocks_concurrent, Finding, LintId, Severity, WaitInfo};
+use crate::check::{Finding, LintId, WaitInfo};
 use crate::world::{Msg, World};
 use std::any::Any;
 use std::cell::Cell;
@@ -138,8 +138,8 @@ impl Comm {
     // ------------------------------------------------------------------
 
     /// Sends `data` to communicator rank `dest` under a fully-encoded
-    /// mailbox tag, through the world's delivery choke point (vector-clock
-    /// stamping + virtual scheduler under checked runs).
+    /// mailbox tag, through the world's delivery choke point (the virtual
+    /// scheduler under checked runs).
     pub(crate) fn deliver(&self, dest: usize, tag: u64, data: Box<dyn Any + Send>) {
         self.world.deliver(
             self.world_rank(self.rank),
@@ -177,7 +177,6 @@ impl Comm {
         let mb = self.my_mailbox();
         // Fast path: already queued.
         if let Some(msg) = mb.try_take(src_key, tag) {
-            self.world.on_recv(me, Some(self.world_rank(src_key)), &msg);
             return msg;
         }
         let bo = self.world.backoff;
@@ -188,7 +187,7 @@ impl Comm {
             check.set_blocked(
                 me,
                 WaitInfo {
-                    peer_world: Some(self.world_rank(src_key)),
+                    peer_world: self.world_rank(src_key),
                     src_key,
                     tag,
                 },
@@ -227,53 +226,6 @@ impl Comm {
         if let Some(check) = &self.world.check {
             check.clear_blocked(me);
         }
-        self.world.on_recv(me, Some(self.world_rank(src_key)), &msg);
-        msg
-    }
-
-    /// Blocking wildcard receive (any source) under a raw mailbox `tag`.
-    /// Wildcard waits register no wait-for edge (they cannot deadlock on a
-    /// single peer); on a match under a checked run, any *other* queued
-    /// candidate whose send is happens-before-concurrent with the matched
-    /// one is reported as lint MC004 (schedule-dependent match).
-    pub(crate) fn blocking_take_any(&self, tag: u64) -> Msg {
-        let me = self.world_rank(self.rank);
-        let mb = self.my_mailbox();
-        let bo = self.world.backoff;
-        let mut slice = bo.first();
-        let msg = loop {
-            if let Some(m) = mb.take_any_or_wait(tag, slice) {
-                break m;
-            }
-            mb.check_abort();
-            slice = bo.next(slice);
-        };
-        if let Some(check) = &self.world.check {
-            if let Some(mc) = &msg.clock {
-                for (osrc, oclock) in mb.matching_clocks(tag) {
-                    let concurrent = osrc != msg.src
-                        && oclock
-                            .as_deref()
-                            .is_some_and(|oc| clocks_concurrent(mc, oc));
-                    if concurrent {
-                        check.add_finding(Finding {
-                            id: LintId::WildcardRace,
-                            severity: Severity::Info,
-                            rank: Some(me),
-                            cycle: Vec::new(),
-                            message: format!(
-                                "wildcard receive at rank {me} (tag {tag:#x}) matched src {} \
-                                 while a concurrent candidate from src {osrc} was queued — \
-                                 the match is schedule-dependent",
-                                msg.src
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-        self.world.on_recv(me, None, &msg);
         msg
     }
 
@@ -313,16 +265,6 @@ impl Comm {
         *msg.data
             .downcast::<Vec<T>>()
             .unwrap_or_else(|_| panic!("recv type mismatch from rank {src} tag {tag}"))
-    }
-
-    /// Blocking receive from any source; returns `(src, payload)`.
-    pub fn recv_any<T: Clone + Send + 'static>(&self, tag: u32) -> (usize, Vec<T>) {
-        let msg = self.blocking_take_any(encode_tag(self.ctx, Kind::P2p, tag as u64));
-        let data = *msg
-            .data
-            .downcast::<Vec<T>>()
-            .unwrap_or_else(|_| panic!("recv type mismatch (any source, tag {tag})"));
-        (msg.src, data)
     }
 
     // ------------------------------------------------------------------
@@ -435,11 +377,10 @@ impl Comm {
     /// Files a runtime-lint finding from a higher layer (recorded in
     /// checked runs, a no-op otherwise). The recovery layer uses this to
     /// report `MC007` when a stale checkpoint is consulted.
-    pub fn report_finding(&self, id: LintId, severity: Severity, message: String) {
+    pub fn report_finding(&self, id: LintId, message: String) {
         if let Some(check) = &self.world.check {
-            check.add_finding(crate::check::Finding {
+            check.add_finding(Finding {
                 id,
-                severity,
                 rank: Some(self.world_rank(self.rank)),
                 cycle: Vec::new(),
                 message,
@@ -464,7 +405,6 @@ impl Comm {
         // Distinct payload region (bit 39) keeps agree traffic out of the
         // ordinary collectives' `(seq << 8) | round` tag space.
         let tag = encode_tag(self.ctx, Kind::Coll, (1 << 39) | (aseq << 4));
-        let me = self.world_rank(self.rank);
         let words = self.world.size.div_ceil(64);
 
         let mut payload = vec![0u64; 1 + words];
@@ -492,7 +432,6 @@ impl Comm {
             let mut park = 0u64;
             loop {
                 if let Some(msg) = mb.try_take(src, tag) {
-                    self.world.on_recv(me, Some(src_w), &msg);
                     let v = *msg
                         .data
                         .downcast::<Vec<u64>>()
@@ -612,23 +551,6 @@ mod tests {
                 let b = comm.recv_vec::<u32>(0, 20);
                 let a = comm.recv_vec::<u32>(0, 10);
                 assert_eq!((a[0], b[0]), (1, 2));
-            }
-        });
-    }
-
-    #[test]
-    fn recv_any_reports_source() {
-        run(3, |comm| {
-            if comm.rank() > 0 {
-                comm.send(&[comm.rank() as u64], 0, 3);
-            } else {
-                let mut seen = [false; 3];
-                for _ in 0..2 {
-                    let (src, v) = comm.recv_any::<u64>(3);
-                    assert_eq!(v[0] as usize, src);
-                    seen[src] = true;
-                }
-                assert!(seen[1] && seen[2]);
             }
         });
     }

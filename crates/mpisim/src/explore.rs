@@ -25,7 +25,6 @@
 
 use crate::{
     run_with_config, Backoff, CheckConfig, Comm, FaultPlan, Finding, RunConfig, SchedConfig,
-    Severity,
 };
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -103,7 +102,7 @@ pub struct ScheduleFailure {
     /// Reproducible descriptor: the schedule (`random(seed=…)` /
     /// `systematic(mask=…)`), `+`, the fault plan's label.
     pub schedule: String,
-    /// Error-severity findings of the run.
+    /// The run's findings.
     pub findings: Vec<Finding>,
     /// Panic message, when the run panicked rather than reporting.
     pub panic: Option<String>,
@@ -117,12 +116,9 @@ pub struct ScheduleFailure {
 pub struct ExploreReport {
     /// Runs executed: schedules × fault plans.
     pub schedules_run: u64,
-    /// Runs that panicked, hung, reported an error-severity finding, lost
-    /// the wrong ranks, or exceeded the workload's numerical tolerance.
+    /// Runs that panicked, hung, reported a finding, lost the wrong ranks,
+    /// or exceeded the workload's numerical tolerance.
     pub failures: Vec<ScheduleFailure>,
-    /// Info-severity findings observed across clean schedules (surfaced,
-    /// not fatal — e.g. MC004 wildcard nondeterminism).
-    pub info_findings: usize,
 }
 
 impl ExploreReport {
@@ -146,7 +142,7 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
 /// plan's structure meets every schedule with fresh corruption sites. The
 /// workload returns an optional per-rank "numerical error", compared against
 /// `tolerance` (pass `f64::INFINITY` for correctness-by-panic workloads). A
-/// run fails on an error-severity finding, a panic, a hang, an error above
+/// run fails on a finding, a panic, a hang, an error above
 /// `tolerance`, or dead ranks other than the ones its plan crashes — so a
 /// planned crash that never fires fails too.
 pub fn explore<W>(
@@ -165,7 +161,6 @@ where
         })
     });
     let mut failures = Vec::new();
-    let mut info_findings = 0usize;
     for (sched, faults, descriptor) in runs {
         let expect_crashes: Vec<usize> = (0..cfg.ranks)
             .filter_map(|r| faults.crash_at(r).map(|_| r))
@@ -180,13 +175,7 @@ where
         }));
         match outcome {
             Ok(out) => {
-                let errors: Vec<Finding> = out.report.errors().cloned().collect();
-                info_findings += out
-                    .report
-                    .findings
-                    .iter()
-                    .filter(|f| f.severity == Severity::Info)
-                    .count();
+                let findings = out.report.findings;
                 let max_err = out.results.as_ref().and_then(|rs| {
                     rs.iter()
                         .flatten()
@@ -202,10 +191,10 @@ where
                         out.crashed
                     )
                 });
-                if !errors.is_empty() || numerically_bad || hung || wrong_deaths.is_some() {
+                if !findings.is_empty() || numerically_bad || hung || wrong_deaths.is_some() {
                     failures.push(ScheduleFailure {
                         schedule: descriptor,
-                        findings: errors,
+                        findings,
                         panic: wrong_deaths,
                         max_err,
                     });
@@ -224,7 +213,6 @@ where
     ExploreReport {
         schedules_run: cfg.schedules() * faults.len() as u64,
         failures,
-        info_findings,
     }
 }
 

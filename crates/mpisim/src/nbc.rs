@@ -31,7 +31,7 @@
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::check::{CheckState, Finding, LintId, Severity, WaitInfo};
+use crate::check::{CheckState, Finding, LintId, WaitInfo};
 use crate::comm::{encode_tag, Comm, Kind};
 use faultplan::{checksum, flip_seeded_bit, PayloadBits};
 use std::sync::Arc;
@@ -219,7 +219,6 @@ impl<T> Drop for Exchange<T> {
         if let Some(check) = &self.check {
             check.add_finding(Finding {
                 id: LintId::RequestLeak,
-                severity: Severity::Error,
                 rank: Some(self.world_rank),
                 cycle: Vec::new(),
                 message: format!(
@@ -500,11 +499,6 @@ impl<T: PayloadBits + Clone + Send + 'static> Exchange<T> {
             let tag = encode_tag(comm.ctx, Kind::Nbc, self.round_tag(r));
             match comm.my_mailbox().try_take(src, tag) {
                 Some(msg) => {
-                    comm.world.on_recv(
-                        comm.world_rank(self.rank),
-                        Some(comm.world_rank(src)),
-                        &msg,
-                    );
                     let frame = *msg
                         .data
                         .downcast::<Frame<T>>()
@@ -556,7 +550,7 @@ impl<T: PayloadBits + Clone + Send + 'static> Exchange<T> {
             check.set_blocked(
                 self.world_rank,
                 WaitInfo {
-                    peer_world: Some(comm.world_rank(src)),
+                    peer_world: comm.world_rank(src),
                     src_key: src,
                     tag: encode_tag(comm.ctx, Kind::Nbc, self.round_tag(self.round)),
                 },

@@ -30,7 +30,7 @@
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::check::{CheckState, Finding, LintId, Severity};
+use crate::check::{CheckState, Finding, LintId};
 use crate::comm::Comm;
 use crate::nbc::{CollError, Exchange, SendBlocks};
 use faultplan::PayloadBits;
@@ -97,7 +97,6 @@ impl<T> Drop for PersistentAlltoall<T> {
         if let Some(check) = &self.check {
             check.add_finding(Finding {
                 id: LintId::PersistentLeak,
-                severity: Severity::Error,
                 rank: Some(self.world_rank),
                 cycle: Vec::new(),
                 message: format!(

@@ -5,14 +5,14 @@
 //! barrier, and the bookkeeping used by communicator `split`.
 //!
 //! All deliveries route through [`World::deliver`], the single choke point
-//! where the optional verification layer ([`crate::check`]) stamps vector
-//! clocks and the virtual scheduler may *hold* a message back for a bounded
-//! number of receiver yield points. Held messages live in the destination
+//! where the optional verification layer's ([`crate::check`]) virtual
+//! scheduler may *hold* a message back for a bounded number of receiver
+//! yield points. Held messages live in the destination
 //! mailbox's side queue and are released by [`Mailbox::service_held`], which
 //! every receive path calls — so a deferral delays a delivery but can never
 //! lose it.
 
-use crate::check::{Backoff, CheckState, EvKind};
+use crate::check::{Backoff, CheckState};
 use faultplan::FaultPlan;
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -32,23 +32,16 @@ pub(crate) struct RankCrashed(pub usize);
 ///
 /// `src` is the *communicator* rank of the sender (what the receiver
 /// matches on); the sender's world rank is only known at the delivery call
-/// site, which is why clock stamping lives in [`World::deliver`].
+/// site, [`World::deliver`].
 pub(crate) struct Msg {
     pub src: usize,
     pub tag: u64,
     pub data: Box<dyn Any + Send>,
-    /// Sender's vector-clock snapshot (checked runs only).
-    pub clock: Option<Box<[u64]>>,
 }
 
 impl Msg {
     pub fn new(src: usize, tag: u64, data: Box<dyn Any + Send>) -> Self {
-        Msg {
-            src,
-            tag,
-            data,
-            clock: None,
-        }
+        Msg { src, tag, data }
     }
 }
 
@@ -169,17 +162,6 @@ impl Mailbox {
             .map(|pos| q.remove(pos))
     }
 
-    /// [`Mailbox::take_or_wait`] matching on tag alone (wildcard source).
-    pub fn take_any_or_wait(&self, tag: u64, dur: Duration) -> Option<Msg> {
-        self.service_held();
-        let mut q = self.queue.lock();
-        if let Some(pos) = q.iter().position(|m| m.tag == tag) {
-            return Some(q.remove(pos));
-        }
-        self.arrived.wait_for(&mut q, dur);
-        q.iter().position(|m| m.tag == tag).map(|pos| q.remove(pos))
-    }
-
     /// Waits up to `dur` for any arrival notification (used by `wait` on
     /// non-blocking collectives to avoid spinning). The caller re-checks
     /// its own completion condition and loops.
@@ -211,17 +193,6 @@ impl Mailbox {
         held.retain(|(m, _)| !pred(m));
         removed += before - held.len();
         removed
-    }
-
-    /// `(src, clock)` of every queued message matching `tag` — the
-    /// wildcard-race lint inspects these after a wildcard match.
-    pub fn matching_clocks(&self, tag: u64) -> Vec<(usize, Option<Box<[u64]>>)> {
-        self.queue
-            .lock()
-            .iter()
-            .filter(|m| m.tag == tag)
-            .map(|m| (m.src, m.clock.clone()))
-            .collect()
     }
 
     /// Snapshot of `(src, tag)` pairs still queued or held (teardown lint).
@@ -352,15 +323,11 @@ impl World {
 
     /// Delivers `msg` from world rank `src_world` into `dst_world`'s
     /// mailbox — the single send-side choke point. Under a checked run this
-    /// stamps the sender's vector clock onto the message, logs the send
-    /// event, and asks the virtual scheduler whether to hold the delivery
-    /// back for a bounded number of receiver yield points.
-    pub fn deliver(&self, src_world: usize, dst_world: usize, mut msg: Msg) {
+    /// asks the virtual scheduler whether to hold the delivery back for a
+    /// bounded number of receiver yield points.
+    pub fn deliver(&self, src_world: usize, dst_world: usize, msg: Msg) {
         let mb = &self.mailboxes[dst_world];
         if let Some(check) = &self.check {
-            let clock = check.stamp_send(src_world);
-            check.record_event(src_world, EvKind::Send, dst_world, msg.tag, clock.clone());
-            msg.clock = Some(clock.into_boxed_slice());
             if let Some(visits) = check.sched_decision(src_world, dst_world, msg.tag) {
                 check.count_deferred();
                 mb.hold(msg, visits);
@@ -369,26 +336,6 @@ impl World {
             check.count_delivered();
         }
         mb.push(msg);
-    }
-
-    /// Receive-side bookkeeping for a matched message: joins its clock into
-    /// the receiver's and logs the receive event. `src_world` is the
-    /// sender's world rank when the caller knows it (falls back to the
-    /// communicator-rank key on `msg.src` for the event's peer field).
-    pub fn on_recv(&self, dst_world: usize, src_world: Option<usize>, msg: &Msg) {
-        if let Some(check) = &self.check {
-            let joined = match &msg.clock {
-                Some(c) => check.join_recv(dst_world, c),
-                None => check.join_recv(dst_world, &[]),
-            };
-            check.record_event(
-                dst_world,
-                EvKind::Recv,
-                src_world.unwrap_or(msg.src),
-                msg.tag,
-                joined,
-            );
-        }
     }
 
     /// Releases every scheduler-held delivery in the world (deadlock probe
@@ -552,25 +499,6 @@ mod tests {
         mb.hold(msg(0, 8, 3), 1000);
         assert_eq!(mb.purge(|m| m.tag == 7), 2);
         assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
-    fn deliver_stamps_clock_and_take_joins_it() {
-        use crate::check::CheckConfig;
-        let check = Arc::new(CheckState::new(2, CheckConfig::default()));
-        let world = World::new(
-            2,
-            FaultPlan::none(),
-            Backoff::default(),
-            Some(check.clone()),
-        );
-        world.deliver(0, 1, msg(0, 5, 1));
-        let m = world.mailboxes[1].try_take(0, 5).expect("delivered");
-        assert_eq!(m.clock.as_deref(), Some(&[1u64, 0][..]));
-        world.on_recv(1, Some(0), &m);
-        // Receiver's next send must dominate the sender's stamp.
-        let next = check.stamp_send(1);
-        assert_eq!(next, vec![1, 2]);
     }
 
     #[test]

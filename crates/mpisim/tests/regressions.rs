@@ -3,7 +3,7 @@
 //! unmatched-post bug is reported with a lint ID, a deadlock with the cycle
 //! of ranks.
 
-use mpisim::{run_with_config, CheckConfig, EvKind, LintId, RunConfig, SchedConfig, Severity};
+use mpisim::{run_with_config, CheckConfig, LintId, RunConfig, SchedConfig};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -25,7 +25,6 @@ fn unmatched_post_is_caught_with_lint_id() {
         .find(|f| f.id == LintId::UnmatchedSend)
         .expect("MC001 must be reported");
     assert_eq!(f.id.code(), "MC001");
-    assert_eq!(f.severity, Severity::Error);
     assert_eq!(f.rank, Some(3), "finding names the destination rank");
     assert!(!outcome.report.is_clean());
 }
@@ -165,86 +164,6 @@ fn slow_but_live_run_is_not_a_deadlock() {
     });
     assert!(outcome.results.is_some(), "{:?}", outcome.report.findings);
     assert!(outcome.report.deadlock().is_none());
-}
-
-/// Vector clocks: a receive's clock must dominate the matching send's.
-#[test]
-fn recv_clock_dominates_send_clock() {
-    let outcome = run_with_config(2, RunConfig::checked(CheckConfig::default()), |comm| {
-        if comm.rank() == 0 {
-            comm.send(&[1u32], 1, 8);
-            comm.recv_vec::<u32>(1, 9)
-        } else {
-            let v = comm.recv_vec::<u32>(0, 8);
-            comm.send(&v, 0, 9);
-            v
-        }
-    });
-    assert!(outcome.results.is_some());
-    let events = &outcome.report.events;
-    let send0 = events
-        .iter()
-        .find(|e| e.rank == 0 && e.kind == EvKind::Send)
-        .expect("rank 0 sent");
-    let recv1 = events
-        .iter()
-        .find(|e| e.rank == 1 && e.kind == EvKind::Recv)
-        .expect("rank 1 received");
-    assert!(
-        mpisim::check::clock_le(&send0.clock, &recv1.clock),
-        "send {:?} must happen-before recv {:?}",
-        send0.clock,
-        recv1.clock
-    );
-    // And the reply's receive dominates everything rank 1 did.
-    let recv0 = events
-        .iter()
-        .find(|e| e.rank == 0 && e.kind == EvKind::Recv)
-        .expect("rank 0 received the reply");
-    assert!(mpisim::check::clock_le(&recv1.clock, &recv0.clock));
-}
-
-/// The wildcard-race lint (MC004, info severity): two concurrent senders
-/// race into one wildcard receive. Explored schedules must eventually
-/// observe the race without ever failing the run.
-#[test]
-fn wildcard_race_is_surfaced_as_info() {
-    let mut observed = false;
-    for seed in 0..24 {
-        let outcome = run_with_config(
-            3,
-            RunConfig::checked(CheckConfig::with_sched(SchedConfig::random(seed))),
-            |comm| {
-                if comm.rank() > 0 {
-                    comm.send(&[comm.rank() as u8], 0, 4);
-                    0
-                } else {
-                    let (_, a) = comm.recv_any::<u8>(4);
-                    let (_, b) = comm.recv_any::<u8>(4);
-                    a[0] + b[0]
-                }
-            },
-        );
-        let results = outcome.results.expect("no deadlock");
-        assert_eq!(results[0], 3, "both messages received, either order");
-        assert!(
-            outcome.report.is_clean(),
-            "MC004 is info, not an error: {:?}",
-            outcome.report.findings
-        );
-        if outcome
-            .report
-            .findings
-            .iter()
-            .any(|f| f.id == LintId::WildcardRace)
-        {
-            observed = true;
-        }
-    }
-    assert!(
-        observed,
-        "24 schedules of a 2-sender race must surface MC004 at least once"
-    );
 }
 
 /// Schedule determinism: the same descriptor produces the same

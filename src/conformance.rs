@@ -16,8 +16,8 @@
 //!   [`DegradeAction::Retransmit`] and nobody else heals anything; a crash
 //!   leaves exactly `{VICTIM}` lost on `RANKS − 1` survivors; executions of
 //!   a session after its first set up no exchange;
-//! * **checked mode** — no MC001–MC007 finding, panic or hang (the driver's
-//!   part).
+//! * **checked mode** — no finding (MC001–MC003, MC005–MC007), panic or
+//!   hang (the driver's part).
 //!
 //! `tests/conformance.rs` runs every row on one schedule; `cargo xtask
 //! conform` and `check` run each row over its [`Row::plan`]. Two
@@ -393,7 +393,6 @@ impl Row {
             self.slab_variant(),
             case.params,
             self.dir,
-            Rigor::Estimate,
             &source,
             &RecoverConfig::default(),
             &mut NoopRecorder,

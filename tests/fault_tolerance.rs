@@ -505,7 +505,6 @@ fn rank_crash_recovers_elastically_and_matches_serial() {
                     Variant::New,
                     params,
                     Direction::Forward,
-                    Rigor::Estimate,
                     &source,
                     &RecoverConfig::default(),
                     &mut rec,
@@ -593,7 +592,6 @@ fn crash_with_no_recoverable_input_returns_unrecoverable() {
             Variant::New,
             params,
             Direction::Forward,
-            Rigor::Estimate,
             &source,
             &RecoverConfig::default(),
             &mut NoopRecorder,

@@ -1,10 +1,10 @@
 //! The lane-blocked kernel's contract, pinned where tier-1 runs it: a batch
 //! executed a block of lines at a time (`cfft::batch`) equals per-line
 //! `Plan1d::execute` **bit for bit** — for every length class (Stockham of
-//! every radix, naive, Bluestein, and whatever a measuring planner picks at
-//! a prime or a power of two), direction, block remainder and layout — and
-//! the permute-free `fft3_serial` built on it equals a per-line
-//! gather/execute/scatter of the same plans bit for bit.
+//! every radix, naive, Bluestein), direction, block remainder and layout —
+//! and the permute-free `fft3_serial` built on it equals a per-line
+//! gather/execute/scatter of the same plans bit for bit. The planner's one
+//! rule is pinned for every length up to 512.
 
 use cfft::batch::{
     block_lines, execute_batch, execute_rows, fork_join, split_rows, BatchLayout, BatchScratch,
@@ -118,29 +118,25 @@ fn batches_equal_per_line_execution_bitwise() {
     }
 }
 
-/// Whatever kernel a measuring planner selects — Rader or Bluestein at the
-/// prime 97, in-place radix-2 or Stockham at a power of two, possibly naive
-/// at 8 — it runs through the same entry point with the same guarantee.
+/// The planner has one rule, so every plan is reproducible: naive up to 4,
+/// Stockham exactly at the smooth lengths, Bluestein everywhere else — in
+/// both directions, from the global cache and from a fresh one alike.
 #[test]
-fn measured_plans_go_through_the_block_entry_point() {
-    for (n, rigor) in [
-        (97usize, Rigor::Measure),
-        (64, Rigor::Measure),
-        (8, Rigor::Patient),
-    ] {
-        let measured = PlanCache::new();
-        for dir in DIRECTIONS {
-            let plan = measured.plan(n, dir, rigor);
-            let layout = BatchLayout {
-                howmany: 19,
-                stride: 19,
-                dist: 1,
-            };
-            let mut got = signal(layout.required_len(n));
-            let mut want = got.clone();
-            execute_batch(&plan, &mut got, layout, &mut BatchScratch::default());
-            per_line(&plan, &mut want, &(0..19).collect::<Vec<_>>(), 19);
-            assert_bitwise(&got, &want, &format!("n={n} {:?}", plan.strategy()));
+fn the_estimate_rule_picks_every_kernel_up_to_512() {
+    let fresh = PlanCache::new();
+    for n in 1..=512usize {
+        let want = if n <= 4 {
+            Strategy::Naive
+        } else if cfft::factor::is_smooth(n) {
+            Strategy::MixedRadix
+        } else {
+            Strategy::Bluestein
+        };
+        for cache in [PlanCache::global(), &fresh] {
+            for dir in DIRECTIONS {
+                let got = cache.plan(n, dir, Rigor::Estimate).strategy();
+                assert_eq!(got, want, "n={n} {dir:?}");
+            }
         }
     }
 }
@@ -362,28 +358,6 @@ fn batch_output_equals_the_recorded_digests() {
     assert!(moved.is_empty(), "spectra moved; computed: {moved:#?}");
 }
 
-/// Rader is reached only through a measuring planner, whose pick is not
-/// reproducible — pinned directly. `(n, [forward, backward])`.
-const RADER_GOLDEN: [(usize, [u64; 2]); 2] = [
-    (17, [0x0c42990b3c8fbdf7, 0x2f5d0053adf115e2]),
-    (37, [0x07102075735e302d, 0x730ed57153fc45da]),
-];
-
-#[test]
-fn rader_output_equals_the_recorded_digests() {
-    for (n, want) in RADER_GOLDEN {
-        let got = DIRECTIONS.map(|dir| {
-            let plan = cfft::rader::RaderPlan::new(n, dir).expect("odd prime");
-            let mut y = signal(n);
-            plan.execute(&mut y, &mut BatchScratch::default());
-            let mut h = FNV_OFFSET;
-            fold(&mut h, &y);
-            h
-        });
-        assert_eq!(got, want, "n={n}: computed {got:#018x?}");
-    }
-}
-
 /// The real transforms run one half-length complex plan: Stockham at 64 and
 /// 100, Bluestein at 148. `(n, [half spectrum, its inverse])`.
 const REAL_GOLDEN: [(usize, [u64; 2]); 3] = [
@@ -398,7 +372,7 @@ fn real_transforms_equal_the_recorded_digests() {
         let input: Vec<f64> = (0..n)
             .map(|j| (j as f64 * 0.19).sin() + 0.3 * (j as f64 * 0.05).cos())
             .collect();
-        let plan = cfft::real::RealFftPlan::new(n, Rigor::Estimate);
+        let plan = cfft::real::RealFftPlan::new(n);
         let mut spectrum = vec![Complex64::ZERO; plan.spectrum_len()];
         plan.forward(&input, &mut spectrum);
         let mut forward = FNV_OFFSET;

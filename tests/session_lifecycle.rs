@@ -285,7 +285,6 @@ fn a_killed_rank_unwinds_through_the_session_drop_and_survivors_recover() {
             Variant::New,
             params,
             FORWARD,
-            Rigor::Estimate,
             &source,
             &RecoverConfig::default(),
             &mut NoopRecorder,
