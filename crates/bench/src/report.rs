@@ -82,7 +82,7 @@ pub fn render_table3(cells: &[CellResult]) -> String {
             )
             .expect("write to String cannot fail");
         }
-        let q = &c.new_params;
+        let q = &c.new_tune.best;
         writeln!(
             s,
             "| {} | {} | {}³ | sim | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
@@ -115,11 +115,11 @@ pub fn render_table4(cells: &[CellResult]) -> String {
             fp,
             c.fftw_tuning,
             np,
-            c.new_tuning,
+            c.new_tuning(),
             tp,
-            c.th_tuning,
-            c.new_evals,
-            c.th_evals
+            c.th_tuning(),
+            c.new_tune.executed,
+            c.th_tune.executed
         )
         .expect("write to String cannot fail");
     }

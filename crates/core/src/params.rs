@@ -343,11 +343,12 @@ impl ThParams {
         self
     }
 
-    /// The full tuning vector TH's three parameters stand for, before
-    /// [`Variant::resolve`] pins what TH does not tune: its single `F` is
-    /// spent during the overlappable FFTy+Pack phases, split evenly as
-    /// Hoefler's kernel interleaves tests with both.
-    pub(crate) fn widen(self) -> TuningParams {
+    /// The full tuning vector TH's three parameters stand for, the one
+    /// [`Variant::Th`] is priced and run at, before the variant pins what
+    /// TH does not tune: its single `F` is spent during the overlappable
+    /// FFTy+Pack phases, split evenly as Hoefler's kernel interleaves tests
+    /// with both.
+    pub fn widen(self) -> TuningParams {
         TuningParams {
             t: self.t,
             w: self.w,

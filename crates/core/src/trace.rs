@@ -487,8 +487,8 @@ fn write_event_json(s: &mut String, ev: &TraceEvent) {
 }
 
 /// Serialises per-rank event streams (plus each rank's overlap summary) as
-/// a single JSON document — the timeline interchange format consumed by
-/// `fft-bench`'s `timeline` binary and external plotting scripts.
+/// a single JSON document — the timeline interchange format for external
+/// plotting scripts.
 pub fn trace_to_json(per_rank: &[Vec<TraceEvent>]) -> String {
     let mut s = String::from("{\"ranks\":[");
     for (rank, events) in per_rank.iter().enumerate() {

@@ -19,12 +19,10 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::float_cmp))]
 
-pub mod anneal;
 pub mod driver;
 pub mod nelder_mead;
 pub mod random;
 pub mod space;
 
-pub use anneal::{anneal_new, coordinate_descent_new, AnnealResult};
 pub use driver::{tune_new, tune_pencil, tune_th, TuneResult, DEFAULT_MAX_EVALS};
 pub use random::{percentile_rank, random_configs, random_search};

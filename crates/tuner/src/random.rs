@@ -86,6 +86,16 @@ mod tests {
     }
 
     #[test]
+    fn shorter_draws_are_prefixes_of_longer_ones() {
+        // Figure 5 compares NM with the first `executed` of its 200 draws.
+        let s = ProblemSpec::cube(256, 16);
+        let all = random_configs(&s, 200, 0xF1645);
+        for k in [1, 88, 100, 200] {
+            assert_eq!(random_configs(&s, k, 0xF1645), all[..k], "k = {k}");
+        }
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let s = spec();
         assert_ne!(random_configs(&s, 20, 1), random_configs(&s, 20, 2));
