@@ -7,9 +7,9 @@
 //! deterministic discrete-event scheduler co-schedules the resulting
 //! overlapped pipelines over one simulated cluster. Concurrent jobs
 //! contend for the same links — each in-flight all-to-all drains at
-//! [`simnet::model::NetModel::effective_bw`] with the *cluster-wide*
-//! number of active exchanges, so admitting one more job degrades every
-//! tenant's β_eff, exactly as §4 of the paper observes for co-scheduled
+//! [`simnet::model::Link::effective_bw`] of its group's link with the
+//! *cluster-wide* number of active exchanges, so admitting one more job
+//! degrades every tenant's β_eff, exactly as §4 of the paper observes for co-scheduled
 //! windows.
 //!
 //! The robustness core:
@@ -68,7 +68,7 @@ use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
 use faultplan::FaultKind;
 use mpisim::{Backoff, FaultPlan};
-use simnet::model::NetModel;
+use simnet::model::{Link, NetModel};
 use simnet::Platform;
 use std::sync::Arc;
 
@@ -520,8 +520,9 @@ struct FlowSpec {
     latency: f64,
     /// Unscaled wire bytes credited when the flow is consumed.
     logical: u64,
-    /// Communicator size of the exchange (sets its contention β_eff).
-    group: usize,
+    /// The link of the exchange's communicator (its contention β_eff),
+    /// priced once when the job is compiled.
+    link: Link,
     /// Seconds this flow needs alone on the link (for backlog prediction).
     serial: f64,
 }
@@ -586,6 +587,7 @@ impl Emitter<'_> {
     /// job-train shape of [`crate::sim_env::Simulation::arrays`]).
     fn emit(&mut self, stage: &StageCosts, arrays: usize) -> Result<(), Error> {
         let mut run = StageProgram {
+            link: self.net.link(stage.group),
             em: self,
             stage,
             arrays,
@@ -613,6 +615,8 @@ impl Emitter<'_> {
 struct StageProgram<'e, 'a> {
     em: &'e mut Emitter<'a>,
     stage: &'e StageCosts,
+    /// The link of the stage's subgroup.
+    link: Link,
     arrays: usize,
 }
 
@@ -651,12 +655,12 @@ impl OverlapEnv for StageProgram<'_, '_> {
         let wire = em.net.exchange_bytes(group, per_peer);
         let fluid = wire as f64 * em.link_scale;
         let latency = em.net.exchange_latency(group, per_peer) * em.link_scale;
-        let serial = fluid / em.net.effective_bw(group, 1) + latency;
+        let serial = fluid / self.link.effective_bw(1) + latency;
         em.out.flows.push(FlowSpec {
             fluid,
             latency,
             logical: wire,
-            group,
+            link: self.link,
             serial,
         });
         em.out.net_total += serial;
@@ -822,7 +826,7 @@ struct ActiveFlow {
     flow: usize,
     fluid: f64,
     latency: f64,
-    group: usize,
+    link: Link,
 }
 
 impl ActiveFlow {
@@ -890,10 +894,6 @@ impl<'a> Engine<'a> {
             geoms: Vec::new(),
             rejections: Vec::new(),
         }
-    }
-
-    fn bw(&self, group: usize, n_active: u32) -> f64 {
-        self.cfg.platform.net.effective_bw(group, n_active)
     }
 
     /// Cluster-wide count of in-flight exchanges, saturating at the model's
@@ -1055,7 +1055,7 @@ impl<'a> Engine<'a> {
             flow,
             fluid: fs.fluid,
             latency: fs.latency,
-            group: fs.group,
+            link: fs.link,
         });
     }
 
@@ -1186,7 +1186,7 @@ impl<'a> Engine<'a> {
 
     /// Advances the fluid network to `to`, completing every flow that
     /// drains on the way. Rates are constant between completions (each
-    /// flow gets `effective_bw(group, n_active)` with the cluster-wide
+    /// flow gets its link's `effective_bw(n_active)` with the cluster-wide
     /// active count), so the walk visits each completion instant exactly.
     fn advance_flows(&mut self, to: f64) {
         loop {
@@ -1197,7 +1197,7 @@ impl<'a> Engine<'a> {
             let mut first = f64::INFINITY;
             let mut argmin = 0;
             for (idx, f) in self.active.iter().enumerate() {
-                let eta = f.eta(self.bw(f.group, n));
+                let eta = f.eta(f.link.effective_bw(n));
                 if eta < first {
                     first = eta;
                     argmin = idx;
@@ -1206,17 +1206,15 @@ impl<'a> Engine<'a> {
             if self.now + first > to + EPS {
                 let dt = to - self.now;
                 if dt > EPS {
-                    for idx in 0..self.active.len() {
-                        let rate = self.bw(self.active[idx].group, n);
-                        self.active[idx].drain(dt, rate);
+                    for f in &mut self.active {
+                        f.drain(dt, f.link.effective_bw(n));
                     }
                 }
                 break;
             }
             let dt = first.max(0.0);
-            for idx in 0..self.active.len() {
-                let rate = self.bw(self.active[idx].group, n);
-                self.active[idx].drain(dt, rate);
+            for f in &mut self.active {
+                f.drain(dt, f.link.effective_bw(n));
             }
             self.now += dt;
             // Float residue must not stall the walk: the argmin flow is
@@ -1273,7 +1271,7 @@ impl<'a> Engine<'a> {
             if !self.active.is_empty() {
                 let n = self.active_windows();
                 for f in &self.active {
-                    t = t.min(self.now + f.eta(self.bw(f.group, n)));
+                    t = t.min(self.now + f.eta(f.link.effective_bw(n)));
                 }
             }
             if !t.is_finite() {

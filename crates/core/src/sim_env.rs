@@ -23,7 +23,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use crate::breakdown::{RunStats, StepTimes};
-use crate::decomp::Decomposition;
+use crate::decomp::{Decomp, Decomposition};
 use crate::error::Error;
 use crate::params::{ProblemSpec, ThParams, TuningParams};
 use crate::pencil::{validate_pencil, PencilGrid};
@@ -419,36 +419,59 @@ impl Simulation {
         self
     }
 
-    /// The exchange stages `rank` runs back to back, priced on `machine`:
-    /// one for the slab variants and the §7 train, the row and the column
-    /// stage for the pencil.
-    fn stages(&self, machine: &MachineModel, rank: usize) -> Vec<StageCosts> {
+    /// The exchange stages each rank runs back to back, priced on
+    /// `machine` once for the run: the distinct tables, and per rank the
+    /// index of its own. A table holds one stage for the slab variants and
+    /// the §7 train, the row and the column stage for the pencil. A slab
+    /// table depends on its rank only through the rank's block shape
+    /// `(x.count(r), y.count(r))`, so there is one per distinct shape (one
+    /// for an even split, up to four for a ragged one); `stage::pencil`
+    /// prices every rank at the largest block, so the pencil has one.
+    fn stages(&self, machine: &MachineModel) -> (Vec<Vec<StageCosts>>, Vec<usize>) {
         let (spec, params) = (&self.spec, &self.params);
         match self.decomp {
-            Decomposition::Slab => vec![stage::slab(machine, spec, params, rank, self.tier)],
-            Decomposition::Pencil(grid) => stage::pencil(machine, spec, grid, params).into(),
+            Decomposition::Slab => {
+                let d = Decomp::new(spec.nx, spec.ny, spec.p);
+                let (mut shapes, mut tables) = (Vec::new(), Vec::new());
+                let of_rank = (0..spec.p).map(|rank| {
+                    let shape = (d.x.count(rank), d.y.count(rank));
+                    shapes.iter().position(|&s| s == shape).unwrap_or_else(|| {
+                        shapes.push(shape);
+                        tables.push(vec![stage::slab(machine, spec, params, rank, self.tier)]);
+                        tables.len() - 1
+                    })
+                });
+                let of_rank = of_rank.collect();
+                (tables, of_rank)
+            }
+            Decomposition::Pencil(grid) => {
+                let table = stage::pencil(machine, spec, grid, params).into();
+                (vec![table], vec![0; spec.p])
+            }
         }
     }
 
     /// Runs the transform on every rank of `platform`, one [`Execution`]
-    /// per repetition: per rank the stage costs are built once and each
-    /// stage keeps one persistent-plan table across the executions; per
-    /// execution the ranks fold into one [`SimReport`] — the slowest rank's
-    /// time; rank 0's steps, setup charges and ladder record. A train of
-    /// zero arrays is [`Error::EmptyBatch`].
+    /// per repetition: the stage tables are priced once, before any rank
+    /// starts, and each rank borrows its own; per rank each stage keeps one
+    /// persistent-plan table across the executions; per execution the
+    /// ranks fold into one [`SimReport`] — the slowest rank's time; rank
+    /// 0's steps, setup charges and ladder record. A train of zero arrays
+    /// is [`Error::EmptyBatch`].
     pub fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
         if self.arrays == 0 {
             return Err(Error::EmptyBatch);
         }
+        let (tables, of_rank) = self.stages(&platform.machine);
         let mut per_rank = run_sim(platform, self.spec.p, async |sim| {
-            let costs = self.stages(&sim.platform().machine, sim.rank());
+            let costs = &tables[of_rank[sim.rank()]];
             let mut plans = vec![Vec::new(); costs.len()];
             if self.trace {
                 sim.enable_poll_log();
             }
             let mut runs = Vec::with_capacity(self.reps);
             for _ in 0..self.reps {
-                runs.push(self.execute(sim, &costs, &mut plans).await?);
+                runs.push(self.execute(sim, costs, &mut plans).await?);
             }
             Ok::<_, Error>(runs)
         })

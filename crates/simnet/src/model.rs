@@ -7,11 +7,13 @@
 //! * The compute model makes the loop-tiling parameters (`Px, Pz, Uy, Uz`)
 //!   matter through an L2-residency term and a short-stride penalty (§3.4).
 //! * The network model makes `T` matter through per-round latency α versus
-//!   pipelining, `W` through concurrent-window bandwidth sharing, and the
-//!   `F*` parameters through progression-gated rounds (§3.2–3.3).
+//!   pipelining, `W` through concurrent-window bandwidth sharing — fair:
+//!   `n` open windows each get `1/n` of the link — and the `F*` parameters
+//!   through progression-gated rounds (§3.2–3.3). A group size's
+//!   contention is priced once, into a [`Link`]; rounds are priced from it.
 //!
 //! Absolute constants were calibrated against the FFTW column of Table 2
-//! (see `crates/bench/src/bin/calibrate.rs`); shapes are emergent.
+//! (the `calibrate` row of `repro_all`); shapes are emergent.
 
 use crate::time::SimTime;
 use faultplan::FaultPlan;
@@ -178,28 +180,25 @@ impl NetModel {
         }
     }
 
-    /// Effective per-rank bandwidth with `p` ranks participating and
-    /// `active_windows` concurrent all-to-alls sharing this rank's link.
-    /// Sharing is fair: the aggregate across concurrent windows never
-    /// exceeds the (contention-degraded) link bandwidth.
-    pub fn effective_bw(&self, p: usize, active_windows: u32) -> f64 {
-        let contention = 1.0 + (p as f64 / self.contention_p0).powf(self.contention_gamma);
-        self.link_bw / contention / active_windows.max(1) as f64
-    }
-
-    /// Duration of one schedule round.
-    pub fn round_time(&self, p: usize, shape: A2aShape, active_windows: u32) -> SimTime {
-        SimTime::from_secs_f64(
-            self.alpha + shape.round_bytes as f64 / self.effective_bw(p, active_windows),
-        )
+    /// The link a rank of a `group`-rank all-to-all sees: the per-rank
+    /// bandwidth divided by the contention term `1 + (group / p0)^γ`. The
+    /// one place the contention power is taken; price a group's rounds from
+    /// the value, not from the model.
+    pub fn link(&self, group: usize) -> Link {
+        let contention = 1.0 + (group as f64 / self.contention_p0).powf(self.contention_gamma);
+        Link {
+            alpha: self.alpha,
+            bw: self.link_bw / contention,
+        }
     }
 
     /// Duration of a fully progressed (blocking) all-to-all after all ranks
     /// have arrived.
     pub fn blocking_duration(&self, p: usize, bytes_per_peer: u64) -> SimTime {
         let shape = self.shape(p, bytes_per_peer);
+        let link = self.link(p);
         SimTime::from_secs_f64(
-            shape.rounds as f64 * (self.alpha + shape.round_bytes as f64 / self.effective_bw(p, 1)),
+            shape.rounds as f64 * (link.alpha + shape.round_bytes as f64 / link.effective_bw(1)),
         )
     }
 
@@ -222,6 +221,37 @@ impl NetModel {
     /// bandwidth sharing.
     pub fn exchange_latency(&self, p: usize, bytes_per_peer: u64) -> f64 {
         self.shape(p, bytes_per_peer).rounds as f64 * self.alpha
+    }
+}
+
+/// One group size's view of the network: the round latency and the
+/// contention-degraded bandwidth of [`NetModel::link`], priced once so a
+/// round costs a division, not a power.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    /// Per-message latency α (seconds).
+    pub alpha: f64,
+    /// Per-rank bandwidth (bytes/s) after contention, before window sharing.
+    pub bw: f64,
+}
+
+impl Link {
+    /// Bandwidth with `active_windows` concurrent all-to-alls sharing the
+    /// link. Sharing is fair — each window gets `1/n` of the contended
+    /// bandwidth — so the aggregate across concurrent windows never exceeds
+    /// the link.
+    #[inline]
+    pub fn effective_bw(&self, active_windows: u32) -> f64 {
+        self.bw / active_windows.max(1) as f64
+    }
+
+    /// Duration of one schedule round of `shape` while `active_windows`
+    /// all-to-alls share the link.
+    #[inline]
+    pub fn round_time(&self, shape: A2aShape, active_windows: u32) -> SimTime {
+        SimTime::from_secs_f64(
+            self.alpha + shape.round_bytes as f64 / self.effective_bw(active_windows),
+        )
     }
 }
 
@@ -373,7 +403,7 @@ mod tests {
         let net = umd_cluster().net;
         for p in [2usize, 3, 8, 16, 64, 257] {
             for bpp in [64u64, 4096, 1 << 20] {
-                let rebuilt = net.exchange_bytes(p, bpp) as f64 / net.effective_bw(p, 1)
+                let rebuilt = net.exchange_bytes(p, bpp) as f64 / net.link(p).effective_bw(1)
                     + net.exchange_latency(p, bpp);
                 let blocking = net.blocking_duration(p, bpp).as_secs_f64();
                 // `SimTime` quantizes to whole nanoseconds; allow that.
@@ -399,8 +429,8 @@ mod tests {
     fn concurrent_windows_share_without_creating_bandwidth() {
         let net = umd_cluster().net;
         for n in [1u32, 2, 3, 8] {
-            let shared = net.effective_bw(16, n);
-            let alone = net.effective_bw(16, 1);
+            let shared = net.link(16).effective_bw(n);
+            let alone = net.link(16).effective_bw(1);
             assert!(
                 (shared * n as f64 - alone).abs() <= 1e-9 * alone,
                 "n={n}: aggregate {} vs link {alone}",
@@ -465,8 +495,8 @@ mod tests {
     #[test]
     fn contention_reduces_effective_bandwidth() {
         let n = hopper().net;
-        assert!(n.effective_bw(256, 1) < n.effective_bw(16, 1));
-        assert!(n.effective_bw(16, 4) < n.effective_bw(16, 1));
+        assert!(n.link(256).bw < n.link(16).bw);
+        assert!(n.link(16).effective_bw(4) < n.link(16).effective_bw(1));
     }
 
     #[test]

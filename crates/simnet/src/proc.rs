@@ -25,9 +25,16 @@
 //! charged in one step of integer arithmetic — the clock, the Test count and
 //! the poll log come out exactly as if every poll had been made. Only the
 //! polls that can start a round, end one or ask the engine are stepped.
+//!
+//! A round's duration is priced once per run, not once per round: each
+//! persistent plan names the round prices of its `(group, shape)` — the
+//! group's [`Link`] and the fault plan's link factor, taken at init, and a
+//! table of round durations indexed by the number of windows sharing the
+//! link (`α + m / (β_link / n)`, fair sharing), filled on first use. An op
+//! names its plan, and `progress` and `wait` read the table.
 
 use crate::engine::{Engine, OpSeq, ReadyInfo};
-use crate::model::{A2aShape, Platform};
+use crate::model::{A2aShape, Link, Platform};
 use crate::time::SimTime;
 use std::rc::Rc;
 
@@ -46,9 +53,44 @@ pub struct PlanId(usize);
 
 #[derive(Debug, Clone, Copy)]
 struct A2aPlan {
-    shape: A2aShape,
-    group: usize,
+    /// Index of the plan's [`RoundPrices`] among the rank's.
+    prices: usize,
     executions: u64,
+}
+
+/// The rounds of one schedule over one group, priced for the run: the
+/// group's link and the fault plan's stretch are fixed when the first plan
+/// of that `(group, shape)` is initialised, and each round duration is
+/// computed once per active-window count, on first use. Every plan of the
+/// pair shares it (a stage's tiles are one or two such pairs).
+#[derive(Debug, Clone)]
+struct RoundPrices {
+    group: usize,
+    shape: A2aShape,
+    link: Link,
+    /// The fault plan's link degradation (≥ 1).
+    link_factor: f64,
+    /// `rounds[n − 1]`: one round's duration while `n` windows are open,
+    /// filled up to the largest `n` asked for so far.
+    rounds: Vec<SimTime>,
+}
+
+impl RoundPrices {
+    /// Duration of one round while `active` windows share this rank's
+    /// link, stretched by the fault plan's link degradation.
+    fn round_time(&mut self, active: u32) -> SimTime {
+        let n = active.max(1) as usize;
+        while self.rounds.len() < n {
+            let open = self.rounds.len() as u32 + 1;
+            let rt = self.link.round_time(self.shape, open);
+            self.rounds.push(if self.link_factor > 1.0 {
+                SimTime::from_secs_f64(rt.as_secs_f64() * self.link_factor)
+            } else {
+                rt
+            });
+        }
+        self.rounds[n - 1]
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +106,8 @@ enum Ready {
 struct LocalOp {
     /// The collective's sequence number on the communicator.
     seq: OpSeq,
-    shape: A2aShape,
-    /// Participant count the round model uses (≤ `size`; subgroup
-    /// collectives of symmetric process grids use their group size).
-    group: usize,
+    /// The plan this is an execution of, which names its round prices.
+    plan: PlanId,
     ready: Ready,
     rounds_done: u32,
     inflight_end: Option<SimTime>,
@@ -120,6 +160,8 @@ pub struct SimRank {
     ops: Vec<LocalOp>,
     /// Persistent plans created by [`Self::alltoall_init_in_group`].
     plans: Vec<A2aPlan>,
+    /// The round prices of every distinct `(group, shape)` among the plans.
+    prices: Vec<RoundPrices>,
     /// Times this rank paid the per-collective setup charge
     /// (`post_overhead`). Persistent executions after init never bump it —
     /// the counter is the observable "zero per-execution setup" proof.
@@ -137,19 +179,6 @@ pub struct SimRank {
     noise_state: u64,
 }
 
-/// Duration of one round of an all-to-all of `shape` among `group` ranks
-/// while this rank has `active` windows open, stretched by the fault plan's
-/// link degradation.
-fn faulted_round_time(platform: &Platform, group: usize, shape: A2aShape, active: u32) -> SimTime {
-    let rt = platform.net.round_time(group, shape, active);
-    let lf = platform.faults.link_factor();
-    if lf > 1.0 {
-        SimTime::from_secs_f64(rt.as_secs_f64() * lf)
-    } else {
-        rt
-    }
-}
-
 impl SimRank {
     pub(crate) fn new(engine: Rc<Engine>, platform: Rc<Platform>, rank: usize) -> Self {
         SimRank {
@@ -162,6 +191,7 @@ impl SimRank {
             next_seq: 0,
             ops: Vec::new(),
             plans: Vec::new(),
+            prices: Vec::new(),
             setup_charges: 0,
             active: 0,
             test_calls: 0,
@@ -240,18 +270,33 @@ impl SimRank {
     /// subgroup's executions is still global — valid for the symmetric
     /// schedules this simulator targets, where every subgroup runs the same
     /// program — but the round structure and bandwidth model use the
-    /// subgroup size.
+    /// subgroup size. The plan's rounds are priced on the subgroup's
+    /// [`Link`], each duration once per run.
     pub fn alltoall_init_in_group(&mut self, group: usize, bytes_per_peer: u64) -> PlanId {
         assert!(
             group >= 1 && group <= self.size,
             "group must be within the world"
         );
-        self.clock += self.platform.net.post_overhead(group);
+        let net = &self.platform.net;
+        self.clock += net.post_overhead(group);
         self.setup_charges += 1;
-        let shape = self.platform.net.shape(group, bytes_per_peer);
+        let shape = net.shape(group, bytes_per_peer);
+        let known = self
+            .prices
+            .iter()
+            .position(|r| (r.group, r.shape) == (group, shape));
+        let prices = known.unwrap_or_else(|| {
+            self.prices.push(RoundPrices {
+                group,
+                shape,
+                link: net.link(group),
+                link_factor: self.platform.faults.link_factor(),
+                rounds: Vec::new(),
+            });
+            self.prices.len() - 1
+        });
         self.plans.push(A2aPlan {
-            shape,
-            group,
+            prices,
             executions: 0,
         });
         PlanId(self.plans.len() - 1)
@@ -269,15 +314,13 @@ impl SimRank {
             .get_mut(plan.0)
             .expect("start on unknown persistent plan");
         p.executions += 1;
-        let (shape, group) = (p.shape, p.group);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.engine.post(self.rank, self.clock, seq).await;
         let op = OpId(self.ops.len());
         self.ops.push(LocalOp {
             seq,
-            shape,
-            group,
+            plan,
             ready: Ready::Unknown,
             rounds_done: 0,
             inflight_end: None,
@@ -394,8 +437,10 @@ impl SimRank {
     /// paper's Algorithms 2–3: "call `MPI_Test` on the `W` previous tiles
     /// `F` times in total during this algorithm").
     ///
-    /// Returns the `t_test` overhead charged, so callers can account
-    /// compute and Test time separately (Figure 8's breakdown).
+    /// Returns the `t_test` overhead charged — the clock's whole-nanosecond
+    /// `t_test` times the tests made — so callers can account compute and
+    /// Test time separately (Figure 8's breakdown): it plus the compute
+    /// charged is exactly the clock's advance.
     ///
     /// Every poll is charged, but only the polls that can change an op's
     /// state are made: a maximal run of polls that each test every op
@@ -428,9 +473,7 @@ impl SimRank {
         }
         // Remainder of the compute after the last poll.
         self.clock += total - slice * polls as u64;
-        SimTime::from_secs_f64(
-            (self.test_calls - start_tests) as f64 * self.platform.machine.t_test,
-        )
+        self.t_test * (self.test_calls - start_tests)
     }
 
     /// `MPI_Wait`: progresses continuously until `op` completes; advances
@@ -457,10 +500,11 @@ impl SimRank {
         }
         // The remaining rounds run back to back, all at this moment's
         // bandwidth share.
-        if rd < o.shape.rounds {
-            let rt = faulted_round_time(&self.platform, o.group, o.shape, self.active);
-            t += rt * (o.shape.rounds - rd) as u64;
-            rd = o.shape.rounds;
+        let prices = &mut self.prices[self.plans[o.plan.0].prices];
+        let rounds = prices.shape.rounds;
+        if rd < rounds {
+            t += prices.round_time(self.active) * (rounds - rd) as u64;
+            rd = rounds;
         }
         o.rounds_done = rd;
         o.inflight_end = None;
@@ -522,7 +566,8 @@ impl SimRank {
             return false;
         }
         // Zero-round collectives (p = 1) complete at readiness.
-        if o.shape.rounds == 0 {
+        let prices = &mut self.prices[self.plans[o.plan.0].prices];
+        if prices.shape.rounds == 0 {
             o.completed = Some(ready);
             self.active -= 1;
             return true;
@@ -533,15 +578,14 @@ impl SimRank {
             }
             o.rounds_done += 1;
             o.inflight_end = None;
-            if o.rounds_done == o.shape.rounds {
+            if o.rounds_done == prices.shape.rounds {
                 o.completed = Some(end);
                 self.active -= 1;
                 return true;
             }
         }
         // Start the next round at this progression opportunity.
-        let rt = faulted_round_time(&self.platform, o.group, o.shape, self.active);
-        o.inflight_end = Some(clock.max(ready) + rt);
+        o.inflight_end = Some(clock.max(ready) + prices.round_time(self.active));
         false
     }
 }
@@ -583,7 +627,7 @@ mod tests {
         });
         let plat = umd_cluster();
         let shape = plat.net.shape(p, bytes);
-        let rt = plat.net.round_time(p, shape, 1);
+        let rt = plat.net.link(p).round_time(shape, 1);
         for (end, now) in &times {
             assert_eq!(end, now);
             // At most the round kicked at post time (only the last poster is
@@ -792,6 +836,69 @@ mod tests {
         assert!((1.8..2.2).contains(&ratio), "ratio {ratio}");
     }
 
+    /// A plan prices a round as its group's link does, stretched by the
+    /// fault plan's link degradation, for every window count.
+    #[test]
+    fn plan_rounds_are_the_links_stretched_by_the_fault_plan() {
+        let p = 8;
+        for base in [umd_cluster(), hopper()] {
+            for lf in [1.0, 1.7] {
+                let platform = base.clone().with_degraded_links(lf);
+                // Below the Bruck threshold, and a pairwise exchange, each
+                // over the world and over a subgroup.
+                let cases = [(p, 512), (p, 1 << 20), (3, 512), (3, 1 << 20)];
+                let priced = run_sim(platform.clone(), p, async |sim| {
+                    let mut priced = Vec::new();
+                    for (group, bytes) in cases {
+                        let plan = sim.alltoall_init_in_group(group, bytes);
+                        for active in 1..=8 {
+                            let prices = sim.plans[plan.0].prices;
+                            priced.push(sim.prices[prices].round_time(active));
+                        }
+                    }
+                    priced
+                });
+                let net = &platform.net;
+                let mut want = Vec::new();
+                for (group, bytes) in cases {
+                    let shape = net.shape(group, bytes);
+                    for active in 1..=8 {
+                        let rt = net.link(group).round_time(shape, active);
+                        want.push(SimTime::from_secs_f64(rt.as_secs_f64() * lf));
+                    }
+                }
+                let shapes = cases.map(|(group, bytes)| net.shape(group, bytes).rounds);
+                assert_eq!(shapes, [3, 7, 2, 2], "Bruck and pairwise both covered");
+                for got in &priced {
+                    assert_eq!(got, &want, "{} lf={lf}", platform.name);
+                }
+            }
+        }
+    }
+
+    /// The Test time a phase reports is what the clock was charged: with a
+    /// `t_test` that is not a whole number of nanoseconds, the tests plus
+    /// the compute are the clock's advance to the nanosecond.
+    #[test]
+    fn reported_test_time_is_the_charged_test_time() {
+        let mut platform = umd_cluster();
+        platform.machine.t_test = 1e-6 / 3.0;
+        let secs = 0.002;
+        let out = run_sim(platform, 2, async |sim| {
+            let op = post(sim, 1 << 16).await;
+            let (t0, tests0) = (sim.now(), sim.test_calls());
+            let test = sim.compute_with_polls(secs, 1_000, &[op]).await;
+            let advance = sim.now() - t0;
+            sim.wait(op).await;
+            (test, advance, sim.test_calls() - tests0)
+        });
+        for (test, advance, tests) in out {
+            assert_eq!(tests, 1_000);
+            assert_eq!(test, SimTime::from_nanos(333_000));
+            assert_eq!(test + SimTime::from_secs_f64(secs), advance);
+        }
+    }
+
     #[test]
     fn faulted_runs_stay_deterministic() {
         let plat = || {
@@ -907,7 +1014,7 @@ mod tests {
             }
         }
         sim.clock += total - slice * polls as u64;
-        SimTime::from_secs_f64((sim.test_calls - start_tests) as f64 * sim.platform.machine.t_test)
+        sim.t_test * (sim.test_calls - start_tests)
     }
 
     /// One step of a random rank program. Every rank runs the same steps

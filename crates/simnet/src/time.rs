@@ -33,15 +33,15 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Constructs from (possibly fractional) seconds; negative inputs clamp
-    /// to zero.
+    /// Constructs from (possibly fractional) seconds, rounded to the nearest
+    /// nanosecond with halves away from zero; negative inputs and NaN clamp
+    /// to zero, values past `u64::MAX` ns saturate.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
-            SimTime(0)
-        } else {
-            SimTime((s * 1e9).round() as u64)
+            return SimTime(0);
         }
+        SimTime(nearest(s * 1e9))
     }
 
     /// Nanosecond count.
@@ -73,6 +73,17 @@ impl SimTime {
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
+}
+
+/// `x` to the nearest `u64`, halves away from zero — libm's `round` and a
+/// cast, in integer arithmetic: below 2⁵² the truncation `i` is exact in
+/// `f64`, so `x − i` is the exact fraction; from 2⁵² on `x` is already
+/// whole and the fraction is zero. NaN maps to 0 and values past
+/// `u64::MAX` saturate, as the cast after `round` does.
+#[inline]
+fn nearest(x: f64) -> u64 {
+    let i = x as u64;
+    i.saturating_add(u64::from(x - i as f64 >= 0.5))
 }
 
 impl Add for SimTime {
@@ -154,6 +165,7 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn conversions_round_trip() {
@@ -195,5 +207,91 @@ mod tests {
     fn sum_of_spans() {
         let total: SimTime = [1u64, 2, 3].iter().map(|&n| SimTime::from_nanos(n)).sum();
         assert_eq!(total, SimTime::from_nanos(6));
+    }
+
+    /// The libm rounding [`nearest`] replaces, kept as its oracle.
+    fn libm_nearest(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    /// `from_secs_f64` as it was written over [`libm_nearest`].
+    fn rounded(s: f64) -> SimTime {
+        if s <= 0.0 {
+            SimTime(0)
+        } else {
+            SimTime(libm_nearest(s * 1e9))
+        }
+    }
+
+    #[test]
+    fn integer_rounding_matches_libm_on_the_edges() {
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            5e-324,
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        for s in specials {
+            assert_eq!(SimTime::from_secs_f64(s), rounded(s), "s = {s:e}");
+        }
+        // Around 2⁵¹…2⁵³ ns the spacing of `f64` passes ½ and 1; around
+        // 2⁶⁴ ns the cast saturates. Each neighbour, and its ±½, as a
+        // nanosecond count and as seconds.
+        for e in [51, 52, 53, 63, 64, 65] {
+            let ns = 2f64.powi(e);
+            for ulps in -4i64..=4 {
+                let x = f64::from_bits(ns.to_bits().wrapping_add_signed(ulps));
+                for x in [x, x + 0.5, x - 0.5] {
+                    assert_eq!(nearest(x), libm_nearest(x), "x = {x:e}");
+                    let s = x / 1e9;
+                    assert_eq!(SimTime::from_secs_f64(s), rounded(s), "s = {s:e}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Integer rounding is libm's `round` on finite inputs of every
+        /// magnitude, from subnormal to past `u64::MAX` ns, of either sign.
+        #[test]
+        fn integer_rounding_matches_libm(
+            mantissa in 0.0f64..1.0,
+            exp in -330i32..20,
+            negative in any::<bool>(),
+        ) {
+            let s = mantissa * 10f64.powi(exp);
+            let s = if negative { -s } else { s };
+            prop_assert_eq!(SimTime::from_secs_f64(s), rounded(s));
+        }
+
+        /// Exact halves `k + ½` ns up to 2⁵² (past it none is representable)
+        /// round away from zero, as `round` does.
+        #[test]
+        fn halves_round_away_from_zero(k in 0u64..(1 << 52)) {
+            let x = k as f64 + 0.5;
+            prop_assert_eq!(nearest(x), k + 1);
+            prop_assert_eq!(nearest(x), libm_nearest(x));
+        }
+
+        /// Whatever `f64` a bit pattern is, NaNs and infinities included,
+        /// the two agree.
+        #[test]
+        fn any_bit_pattern(bits in any::<u64>()) {
+            let s = f64::from_bits(bits);
+            prop_assert_eq!(SimTime::from_secs_f64(s), rounded(s));
+        }
     }
 }

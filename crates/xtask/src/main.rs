@@ -19,9 +19,10 @@
 //!   `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps` (no
 //!   dangling intra-doc link), then `cargo test --release` over
 //!   `kernel_blocks`, `stage_fusion` and `cfft` (the pinned spectra, on the
-//!   optimised kernel that ships) and over `mpisim` (the block exchange's
-//!   length and ownership checks, as the benchmark builds them), then
-//!   `conform`.
+//!   optimised kernel that ships), over `mpisim` (the block exchange's
+//!   length and ownership checks, as the benchmark builds them) and over
+//!   `simnet` (closed-form polls and integer rounding against their
+//!   oracles, as the benchmark builds them), then `conform`.
 //!
 //! Flags are parsed once per command into a validated struct: a value that
 //! is not a number, a zero count or a flag the command does not take prints
@@ -54,8 +55,8 @@ fn usage() -> ExitCode {
          \x20                           schedules per row with --schedules)\n\
          \x20 check   [--seed-base N] [--schedules N]\n\
          \x20                           clippy + doc links + release tests of\n\
-         \x20                           the pinned spectra and mpisim + conform\n\
-         \x20                           (acceptance gate)"
+         \x20                           the pinned spectra, mpisim and simnet +\n\
+         \x20                           conform (acceptance gate)"
     );
     ExitCode::FAILURE
 }
@@ -158,8 +159,9 @@ fn run_doc(root: &Path) -> bool {
 
 /// The suites whose subject is the code that ships: the bit-identity
 /// suites (the kernel's vectorised stage loops exist only in optimised
-/// builds, which `cargo test` alone never runs) and mpisim's (the benchmark
-/// times the optimised exchange, so its checks must hold there).
+/// builds, which `cargo test` alone never runs), mpisim's and simnet's
+/// (the benchmark times the optimised exchange and simulator, so their
+/// checks must hold there).
 fn run_release_tests(root: &Path) -> bool {
     let release = ["test", "--release", "--quiet"];
     let gates = [
@@ -169,6 +171,7 @@ fn run_release_tests(root: &Path) -> bool {
         ),
         ("release: cfft", &["-p", "cfft"][..]),
         ("release: mpisim", &["-p", "mpisim"][..]),
+        ("release: simnet", &["-p", "simnet"][..]),
     ];
     // All run, whatever the first found.
     let passed = gates.map(|(what, which)| run_cargo(root, what, &[&release, which].concat(), &[]));
