@@ -85,6 +85,15 @@ pub enum Error {
     /// The post-recovery self-verification (Parseval energy check) did not
     /// hold within tolerance: the recomputed result is not trusted.
     VerificationFailed,
+    /// An execution was handed an input that is not this rank's block of
+    /// the problem (the slab's x-slab, the pencil's `(X_r, Y_c, Z_all)`
+    /// pencil). Nothing was posted; the session stays usable.
+    InputLength {
+        /// Elements of this rank's block.
+        expected: usize,
+        /// Elements the caller passed.
+        got: usize,
+    },
     /// A batched entry point was handed zero work items (`narrays == 0`,
     /// an empty job train): there is nothing to transform.
     EmptyBatch,
@@ -149,6 +158,10 @@ impl std::fmt::Display for Error {
             Error::IntegrityFailed { tile, stage } => write!(
                 f,
                 "tile {tile} failed its {stage} — silent corruption detected"
+            ),
+            Error::InputLength { expected, got } => write!(
+                f,
+                "input has {got} element(s), expected this rank's block of {expected}"
             ),
             Error::EmptyBatch => write!(f, "empty batch: zero arrays to transform"),
             Error::Unrecoverable(why) => write!(f, "unrecoverable failure: {why}"),
@@ -221,6 +234,16 @@ mod tests {
             .to_string()
             .contains("no input source"));
         assert!(Error::VerificationFailed.to_string().contains("energy"));
+    }
+
+    #[test]
+    fn input_length_names_both_lengths() {
+        let s = Error::InputLength {
+            expected: 512,
+            got: 7,
+        }
+        .to_string();
+        assert!(s.contains("512") && s.contains("7 element"), "{s}");
     }
 
     #[test]

@@ -29,13 +29,18 @@
 //! retransmit, and the fault plan's trigger points. Every tile moves
 //! through `crate::transport`.
 //!
+//! A stage whose destination lines are its source lines
+//! ([`StageShape::in_place`]: every cube, on both decompositions) writes
+//! each tile over the lines the same tile packed, so it needs no buffer of
+//! its own.
+//!
 //! [`Session`] owns a real transform: its stages' communicators, the stage
 //! list pinned once at construction (shapes, tile counts, the local phase),
-//! the per-tile persistent plans, the block pool, the kept stage buffer and
-//! the compute scratch, one [`Session::execute`], and the only `Drop` in the
-//! crate that frees plans. [`crate::FftSession`] and
-//! [`crate::PencilSession`] are constructors of it; a one-shot call is a
-//! session executed once (DESIGN.md §15).
+//! the per-tile persistent plans, the block pool, the compute scratch and,
+//! where some stage cannot run in place, the one stage buffer it keeps; one
+//! [`Session::execute`], and the only `Drop` in the crate that frees plans.
+//! [`crate::FftSession`] and [`crate::PencilSession`] are constructors of
+//! it; a one-shot call is a session executed once (DESIGN.md §15).
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
@@ -173,6 +178,24 @@ impl StageShape {
 
     fn dst_len(&self) -> usize {
         self.n_tau * self.n_w() * self.line()
+    }
+
+    /// Whether the stage runs in place: its destination buffer is its source
+    /// buffer. It does when destination line `(τ, j)` is source line
+    /// `(τ, j)` — same strides, as many lines per τ-plane, the same length —
+    /// so tile `k`'s destination lines are exactly its source lines.
+    ///
+    /// That is safe under every schedule. A tile's source lines are read
+    /// only by its [`OverlapEnv::ffty_pack`] and by
+    /// [`OverlapEnv::retransmit`], which runs only from the ladder's post
+    /// recovery; both come before the tile's wait. Its destination lines
+    /// are written only by its [`OverlapEnv::unpack_fftx`], after the wait.
+    /// The NEW and TH drivers, the shrunk window and the blocking fallback
+    /// all keep that order per tile, an error ends the stage, and tiles
+    /// are disjoint τ-ranges, so no tile's destination lines are another
+    /// tile's source lines.
+    pub(crate) fn in_place(&self) -> bool {
+        self.src == self.dst && self.n_o() == self.n_w() && self.n_v == self.line()
     }
 
     /// The counts of a tile of `planes` τ-planes.
@@ -485,7 +508,8 @@ struct StageExec<'a> {
     net: Transport<'a>,
     /// The session's local phase with the caller's input (first stage only).
     local: Option<(&'a Local, &'a [Complex64])>,
-    src: &'a mut [Complex64],
+    /// The source buffer; `None` when the stage runs in place in `dst`.
+    src: Option<&'a mut [Complex64]>,
     dst: &'a mut [Complex64],
     ws: &'a mut Workspace,
     /// Resident hash over the tile's packed blocks, set by the pack and
@@ -496,6 +520,17 @@ struct StageExec<'a> {
     polls: [u32; 4],
     /// The compute steps' shares; the transport keeps the network steps'.
     steps: StepTimes,
+}
+
+/// A stage's source buffer: its own, or the destination it runs in place in.
+fn source<'b>(
+    src: &'b mut Option<&mut [Complex64]>,
+    dst: &'b mut [Complex64],
+) -> &'b mut [Complex64] {
+    match src {
+        Some(src) => src,
+        None => dst,
+    }
 }
 
 impl StageExec<'_> {
@@ -520,7 +555,7 @@ impl StageExec<'_> {
         let armed = fft.abft.is_some();
         let data = match recv {
             Some(_) => &mut *self.dst,
-            None => &mut *self.src,
+            None => source(&mut self.src, self.dst),
         };
         let Workspace {
             scratch, shares, ..
@@ -589,7 +624,8 @@ impl StageExec<'_> {
         let counts = &self.xg[self.shape.which(tile)].send_counts;
         let blocks = self.net.staged(counts);
         let t0 = self.shape.tile_range(tile).start;
-        self.shape.pack(self.src, blocks, t0, part);
+        self.shape
+            .pack(source(&mut self.src, self.dst), blocks, t0, part);
     }
 
     /// The tile's staged blocks.
@@ -623,7 +659,8 @@ impl OverlapEnv for StageExec<'_> {
 
     fn fftz_transpose(&mut self) {
         if let Some((local, input)) = self.local.take() {
-            local(input, self.src, self.ws, &mut self.net, &mut self.steps);
+            let src = source(&mut self.src, self.dst);
+            local(input, src, self.ws, &mut self.net, &mut self.steps);
         }
     }
 
@@ -829,7 +866,8 @@ pub(crate) struct Session<'a> {
     /// Length of stage buffer `k` (stage `k` reads `k` and writes `k + 1`).
     lens: Vec<usize>,
     staging: Staging,
-    /// The stage buffer the session keeps (see [`Self::execute`]).
+    /// The stage buffers the session keeps (see [`Self::execute`]); empty,
+    /// and never allocated, when every stage runs in place.
     mid: Vec<Complex64>,
     ws: Workspace,
     executions: u64,
@@ -889,16 +927,30 @@ impl<'a> Session<'a> {
     }
 
     /// Whether stage buffer `k` lives in the allocation an execution
-    /// returns — it does when it is an even number of stages before the end
-    /// — rather than in the one the session keeps.
+    /// returns rather than in the one the session keeps: buffer `k` shares
+    /// buffer `k + 1`'s allocation when stage `k` runs in place and uses the
+    /// other one when it does not, and the last buffer is the result.
     fn returned(&self, k: usize) -> bool {
-        (self.stages.len() - k) % 2 == 0
+        let moves = self.stages[k..].iter().filter(|s| !s.shape.in_place());
+        moves.count() % 2 == 0
     }
 
     /// The longest stage buffer in the kept (or the returned) allocation.
     fn longest(&self, kept: bool) -> usize {
         let buffers = (0..self.lens.len()).filter(|&k| self.returned(k) != kept);
         buffers.map(|k| self.lens[k]).max().unwrap_or(0)
+    }
+
+    /// [`Error::InputLength`] unless `input` is as long as the first stage's
+    /// source.
+    pub(crate) fn check_input(&self, input: &[Complex64]) -> Result<(), Error> {
+        match self.lens.first() {
+            Some(&expected) if expected != input.len() => Err(Error::InputLength {
+                expected,
+                got: input.len(),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Executions attempted.
@@ -920,18 +972,22 @@ impl<'a> Session<'a> {
 
     /// One transform of `input`, this rank's block of the first stage's
     /// source (the slab's x-slab in x-y-z layout, the pencil's
-    /// `(X_r, Y_c, Z_all)` block). Counts as an attempt whatever the outcome.
+    /// `(X_r, Y_c, Z_all)` block). Counts as an attempt whatever the outcome;
+    /// an input of any other length is [`Error::InputLength`].
     ///
     /// Stage `i` reads buffer `i` and writes buffer `i + 1`, and only those
-    /// two are live while it runs, so two allocations carry them all: the
-    /// buffers an even number of stages before the end (the last of them the
-    /// result) share the one this execution allocates and returns, the others
-    /// the one the session keeps. A steady-state execution therefore
-    /// allocates nothing but its output. The kept buffer is the older
-    /// allocation: a one-shot call frees it on return while its caller still
-    /// holds the output, and the allocator hands the hole to the next call
-    /// only if it is not the top of the heap (the other order re-faults the
-    /// buffer on every call: fftperf `slab64_tiles` 7.1 → 8.6 ms).
+    /// two are live while it runs, so two allocations carry them all. The
+    /// last buffer, the result, lives in the one this execution allocates
+    /// and returns; buffer `i` shares buffer `i + 1`'s when stage `i` runs in
+    /// place ([`StageShape::in_place`]) and the other one, which the session
+    /// keeps, when it does not. A steady-state execution therefore allocates
+    /// nothing but its output, and a session whose stages all run in place
+    /// (every cube) keeps no stage buffer at all. Where a session keeps one,
+    /// it is the older allocation: a one-shot call frees it on return while
+    /// its caller still holds the output, and the allocator hands the hole
+    /// to the next call only if it is not the top of the heap (the other
+    /// order re-faults the buffer on every call: fftperf `slab64_tiles`
+    /// 7.1 → 8.6 ms).
     pub(crate) fn execute(
         &mut self,
         input: &[Complex64],
@@ -943,12 +999,7 @@ impl<'a> Session<'a> {
         if let Some(error) = self.refused {
             return Err(error);
         }
-        assert_eq!(
-            input.len(),
-            self.lens[0],
-            "input must be this rank's block of the problem (the slab's x-slab, the pencil's \
-             (X_r, Y_c, Z_all) pencil)"
-        );
+        self.check_input(input)?;
         let n = self.stages.len();
         let mut out = vec![Complex64::ZERO; self.longest(false)];
         let mut ran = Ran {
@@ -960,7 +1011,8 @@ impl<'a> Session<'a> {
         };
         let mut tile_base = 0;
         for i in 0..n {
-            let (src, dst) = if self.returned(i) {
+            let in_place = self.stages[i].shape.in_place();
+            let (dst, other) = if self.returned(i + 1) {
                 (&mut out, &mut self.mid)
             } else {
                 (&mut self.mid, &mut out)
@@ -981,7 +1033,7 @@ impl<'a> Session<'a> {
                     &mut *recorder,
                 ),
                 local: (i == 0).then_some((&self.local, input)),
-                src: &mut src[..self.lens[i]],
+                src: (!in_place).then(|| &mut other[..self.lens[i]]),
                 dst: &mut dst[..self.lens[i + 1]],
                 ws: &mut self.ws,
                 send_hash: 0,
@@ -1121,7 +1173,9 @@ mod tests {
         /// `(τ, w)` of member `b` holds the elements `(τ, ·, v_b + w)` in o
         /// order — sub-tile by sub-tile, tile by tile, whatever the layouts,
         /// however ragged the splits (members without a share included),
-        /// wherever the blocks and the workers' runs are cut.
+        /// wherever the blocks and the workers' runs are cut. A member whose
+        /// shape runs in place packs each tile from the buffer the earlier
+        /// tiles' gathers wrote to.
         #[test]
         fn pack_exchange_gather_is_the_redistribution(
             dims in (1usize..6, 1usize..7, 1usize..7),
@@ -1148,8 +1202,13 @@ mod tests {
                 }
                 src
             }).collect();
-            let mut dsts: Vec<Vec<Complex64>> =
-                shapes.iter().map(|s| vec![Complex64::new(-1.0, -1.0); s.dst_len()]).collect();
+            let mut dsts: Vec<Vec<Complex64>> = shapes.iter().zip(&srcs).map(|(s, src)| {
+                if s.in_place() {
+                    src.clone()
+                } else {
+                    vec![Complex64::new(-1.0, -1.0); s.dst_len()]
+                }
+            }).collect();
 
             let tiles = shapes[0].tiles();
             for tile in 0..tiles {
@@ -1169,8 +1228,9 @@ mod tests {
                     let mut send: Vec<Vec<Complex64>> = xg(a).send_counts.iter()
                         .map(|&count| vec![Complex64::new(-2.0, -2.0); count])
                         .collect();
+                    let src = if s.in_place() { &dsts[a] } else { &srcs[a] };
                     for part in sub_tiles(ts.clone(), s.n_o(), s.pack_sub).1 {
-                        s.pack(&srcs[a], &mut send, ts.start, part);
+                        s.pack(src, &mut send, ts.start, part);
                     }
                     send
                 }).collect();

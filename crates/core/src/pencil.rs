@@ -261,7 +261,9 @@ fn stages(
 /// every tile's exchange runs as a persistent plan (`alltoallv_init` on
 /// first use, `start`/`wait` afterwards) and the working memory (the pool
 /// of exchange blocks that Pack fills and the exchange moves by ownership,
-/// the intermediate pencil, scratch) is
+/// scratch, and a stage buffer only where a stage cannot run in place:
+/// the row stage runs in place iff `Ny = Nz`, the column stage iff
+/// `Nx = Ny`, so a cube keeps none) is
 /// kept, so repeated transforms of one geometry pay zero exchange setups
 /// and allocate nothing but their output after the first execution.
 /// Dropping the session frees every plan (so no MC006 lint fires);

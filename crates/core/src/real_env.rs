@@ -332,10 +332,12 @@ fn pin_slab<'a>(
 /// A session pins `(comm, spec, variant, params, dir)`: its
 /// constructor resolves the variant, draws the FFT plans and fixes the
 /// stage's geometry once, and it owns one persistent all-to-all plan per
-/// communication tile plus the pipeline's working memory (transposed slab,
-/// scratch, and a pool of `(W + 1) · p` exchange blocks: Pack fills them,
-/// the exchange moves them to the peers by ownership, and the blocks that
-/// arrive return to the pool once unpacked). The first
+/// communication tile plus the pipeline's working memory (scratch, and a
+/// pool of `(W + 1) · p` exchange blocks: Pack fills them, the exchange
+/// moves them to the peers by ownership, and the blocks that arrive return
+/// to the pool once unpacked). Where `Nx = Ny` the stage writes each tile
+/// over its own source lines and keeps no slab; otherwise the session also
+/// keeps the transposed slab. The first
 /// [`FftSession::execute`] initialises
 /// each tile's plan as it is first posted; every execution after that does
 /// **zero planning and zero exchange setup** — [`RunOutput::planning`] is
@@ -448,7 +450,9 @@ impl<'a> FftSession<'a> {
     ) -> Result<RunOutput, Error> {
         let execution = self.core.executions() + 1;
         if let Some(k) = self.checkpoint_interval {
-            if (execution - 1) % k == 0 {
+            // A wrong-length input is refused below and must not become the
+            // checkpoint recovery would restart from.
+            if (execution - 1) % k == 0 && self.core.check_input(input).is_ok() {
                 self.checkpoint = Some(crate::recover::Checkpoint::capture_tagged(
                     self.comm, &self.spec, input, execution,
                 ));

@@ -159,9 +159,9 @@ fn run_doc(root: &Path) -> bool {
 
 /// The suites whose subject is the code that ships: the bit-identity
 /// suites (the kernel's vectorised stage loops exist only in optimised
-/// builds, which `cargo test` alone never runs), mpisim's and simnet's
-/// (the benchmark times the optimised exchange and simulator, so their
-/// checks must hold there).
+/// builds, which `cargo test` alone never runs), mpisim's, simnet's and
+/// fft3d's unit tests (the benchmark times the optimised exchange,
+/// simulator, executor and sessions, so their checks must hold there).
 fn run_release_tests(root: &Path) -> bool {
     let release = ["test", "--release", "--quiet"];
     let gates = [
@@ -172,6 +172,7 @@ fn run_release_tests(root: &Path) -> bool {
         ("release: cfft", &["-p", "cfft"][..]),
         ("release: mpisim", &["-p", "mpisim"][..]),
         ("release: simnet", &["-p", "simnet"][..]),
+        ("release: fft3d unit tests", &["-p", "fft3d", "--lib"][..]),
     ];
     // All run, whatever the first found.
     let passed = gates.map(|(what, which)| run_cargo(root, what, &[&release, which].concat(), &[]));

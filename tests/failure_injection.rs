@@ -112,24 +112,23 @@ fn infeasible_parameters_are_rejected_before_running() {
 #[test]
 fn wrong_input_length_is_rejected() {
     let spec = ProblemSpec::cube(8, 2);
-    let msg = panic_message(|| {
-        mpisim::run(spec.p, move |comm| {
-            let input = vec![cfft::Complex64::ZERO; 7]; // wrong size
-            let _ = fft3d::FftSession::new(
-                &comm,
-                spec,
-                fft3d::Variant::New,
-                TuningParams::seed(&spec),
-                cfft::Direction::Forward,
-                cfft::planner::Rigor::Estimate,
-            )
-            .execute(&input);
-        });
+    let errs = mpisim::run(spec.p, move |comm| {
+        let input = vec![cfft::Complex64::ZERO; 7]; // wrong size
+        fft3d::FftSession::new(
+            &comm,
+            spec,
+            fft3d::Variant::New,
+            TuningParams::seed(&spec),
+            cfft::Direction::Forward,
+            cfft::planner::Rigor::Estimate,
+        )
+        .execute(&input)
+        .map(|_| ())
     });
-    assert!(
-        msg.contains("x-slab") || msg.contains("peer rank panicked"),
-        "{msg}"
-    );
+    let expected = 4 * 8 * 8; // each rank's x-slab
+    for err in errs {
+        assert_eq!(err, Err(fft3d::Error::InputLength { expected, got: 7 }));
+    }
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! * A rank killed at a tile boundary unwinds through the session's `Drop`
 //!   (a second panic there would abort the process) and the survivors
 //!   recover serial-exact.
+//! * A wrong-length input is a typed error that leaves the session usable.
 
 use cfft::planner::Rigor;
 use cfft::{Complex64, Direction};
@@ -253,6 +254,65 @@ fn a_communicator_of_the_wrong_size_refuses_the_session_on_both_decompositions()
         comm.pending_messages()
     });
     assert_nothing_leaked(outcome, "refused sessions");
+}
+
+/// A wrong-length input is a typed error, not a panic in the rank thread:
+/// on both decompositions a short and a long input each return
+/// [`Error::InputLength`], count as attempts and capture no checkpoint, and
+/// the next correctly sized execution of the same session is a fresh
+/// session's spectrum.
+#[test]
+fn a_wrong_length_input_is_a_typed_error_and_the_session_stays_usable() {
+    let spec = ProblemSpec::cube(8, 4);
+    let grid = PencilGrid { pr: 2, pc: 2 };
+    let wrong = |input: &[Complex64]| {
+        let (short, long) = (input[1..].to_vec(), [input, &[Complex64::ZERO]].concat());
+        let expected = input.len();
+        [short, long].map(|bad| {
+            (
+                Error::InputLength {
+                    expected,
+                    got: bad.len(),
+                },
+                bad,
+            )
+        })
+    };
+    mpisim::run(spec.p, move |comm| {
+        let input = local_test_slab(&spec, comm.rank());
+        let params = TuningParams::seed(&spec);
+        let slab = || FftSession::new(&comm, spec, Variant::New, params, FORWARD, Rigor::Estimate);
+        let fresh = slab().execute(&input).expect("a fresh slab session");
+        let mut session = slab().checkpoint_every(1);
+        for (err, bad) in wrong(&input) {
+            assert_eq!(session.execute(&bad).map(|_| ()), Err(err));
+        }
+        assert!(session.checkpoint().is_none());
+        let again = session.execute(&input).expect("a correctly sized input");
+        assert_eq!(session.checkpoint().map(|c| c.generation()), Some(3));
+        assert!(
+            bits(&again.data) == bits(&fresh.data),
+            "slab rank {}",
+            comm.rank()
+        );
+        assert_eq!(session.executions(), 3);
+
+        let input = pencil_test_input(&spec, grid, comm.rank());
+        let params = pencil_seed(&spec, grid);
+        let pencil = || PencilSession::new(&comm, spec, grid, params, FORWARD).expect("pins");
+        let fresh = pencil().execute(&input).expect("a fresh pencil session");
+        let mut session = pencil();
+        for (err, bad) in wrong(&input) {
+            assert_eq!(session.execute(&bad).map(|_| ()), Err(err));
+        }
+        let again = session.execute(&input).expect("a correctly sized input");
+        let what = format!("pencil rank {}", comm.rank());
+        assert!(
+            bits(&again.output.data) == bits(&fresh.output.data),
+            "{what}"
+        );
+        assert_eq!(session.executions(), 3);
+    });
 }
 
 #[test]

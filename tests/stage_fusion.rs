@@ -10,6 +10,8 @@
 //!
 //! * slab NEW / TH / FFTW and three pencil grids,
 //! * divisible, ragged and more-ranks-than-planes geometries,
+//! * stages that run in place (every slab `-sq` group, the pencil cubes,
+//!   the pencil's column stage where `Nx = Ny`) and stages that do not,
 //! * both output layouts (`Zyx`; `Yzx` where `Nx = Ny`),
 //! * sub-tiles that stop mid-τ (`Uz` not dividing `T`, a short last tile)
 //!   and mid-block (`Uy` not a multiple of the block's 16 lines, `Uy` wider
@@ -169,6 +171,11 @@ fn computed() -> Vec<(String, String, u64)> {
         ("div", spec(8, 36, 40, 4)),
         ("rag", spec(7, 35, 38, 4)),
         ("few", spec(3, 2, 3, 4)),
+        // Cubes: both stages write each tile over its own source lines.
+        ("cube", spec(12, 12, 12, 4)),
+        ("cube-rag", spec(11, 11, 11, 4)),
+        // Nx = Ny ≠ Nz: only the column stage runs in place.
+        ("col-sq", spec(12, 12, 10, 4)),
     ];
     let grids = [(2, 2), (4, 1), (1, 4)];
     for (name, spec) in pencils {
@@ -208,7 +215,8 @@ fn every_spectrum_is_bitwise_what_the_unfused_executor_produced() {
 }
 
 /// One digest per group, recorded at the parent of the fusing change
-/// (commit af1b81e), where all 132 cases of the matrix reproduced them.
+/// (commit af1b81e), where all 132 cases of the matrix reproduced them —
+/// but for the pencil cube and `col-sq` groups, added later (see below).
 const RECORDED: &[(&str, u64)] = &[
     ("slab div Zyx", 0x60486e65afc86809),
     ("slab div inverse Zyx", 0x4fa2b2e166ee76b1),
@@ -234,4 +242,15 @@ const RECORDED: &[(&str, u64)] = &[
     ("pencil few 2x2", 0x2b25f3285882b137),
     ("pencil few 4x1", 0x070f9f943cee3403),
     ("pencil few 1x4", 0xf3a485dad3c995a1),
+    // Recorded at commit cd9f99d, the parent of the in-place stages, where
+    // all 54 cases of these groups reproduced them in debug and release.
+    ("pencil cube 2x2", 0x96fb31c35be3894a),
+    ("pencil cube 4x1", 0x78c50e6d84570ede),
+    ("pencil cube 1x4", 0x8b256f4cb9626c4a),
+    ("pencil cube-rag 2x2", 0xca4b05ad60506290),
+    ("pencil cube-rag 4x1", 0xbe95e24dfeb1636d),
+    ("pencil cube-rag 1x4", 0x2aa1db6214c4e861),
+    ("pencil col-sq 2x2", 0x37b81c714858b253),
+    ("pencil col-sq 4x1", 0xf73fe4ab932a0c13),
+    ("pencil col-sq 1x4", 0x764d0d5c00de4953),
 ];
