@@ -128,7 +128,7 @@ impl fmt::Display for StepTimes {
 }
 
 /// Result of one distributed 3-D FFT execution on one rank.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunStats {
     /// Per-step breakdown.
     pub steps: StepTimes,

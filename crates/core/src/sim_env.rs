@@ -7,7 +7,7 @@
 //! model, all-to-alls run the manual-progression round model, and the
 //! breakdown accounting mirrors Figure 8's categories. One object,
 //! [`Simulation`], owns a modelled transform the way `executor::Session`
-//! owns a real one, holds the file's one `run_sim` launch and is the
+//! owns a real one, holds the file's one launch of a simulated world and is the
 //! model's entry point: the slab variants (one stage over all ranks), the
 //! fused multi-array train of §7 (the same stage with the tile stream
 //! spanning several arrays), and the pencil decomposition (two stages over
@@ -32,7 +32,7 @@ use crate::real_env::Variant;
 use crate::stage::{self, Phase, StageCosts, Step};
 use crate::trace::{EventKind, TraceEvent};
 use simnet::model::{MachineModel, TransposeCost};
-use simnet::{run_sim, OpId, PlanId, Platform, SimRank, SimTime};
+use simnet::{run_interchangeable, run_sim, OpId, PlanId, Platform, SimRank, SimTime};
 
 /// One rank's view of one simulated exchange stage.
 struct SimEnv<'a> {
@@ -264,12 +264,14 @@ impl OverlapEnv for SimEnv<'_> {
 }
 
 /// Aggregated result of one simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// 3-D FFT time: the slowest rank's completion (what the paper's
     /// tables report).
     pub time: f64,
-    /// Rank-0 per-step breakdown (ranks are symmetric under the model).
+    /// Rank-0 per-step breakdown: every rank's when the ranks are
+    /// interchangeable (see [`Simulation::run`]), while a ragged split, a
+    /// straggler or jitter makes the ranks' breakdowns differ.
     pub steps: StepTimes,
     /// Per-rank statistics.
     pub per_rank: Vec<RunStats>,
@@ -312,7 +314,7 @@ pub struct Simulation {
 }
 
 /// One execution of a [`Simulation`], folded over its ranks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Execution {
     /// Timing: the slowest rank's completion, rank 0's breakdown and setup
     /// charges, every rank's statistics.
@@ -458,12 +460,30 @@ impl Simulation {
     /// ranks fold into one [`SimReport`] — the slowest rank's time; rank
     /// 0's steps, setup charges and ladder record. A train of zero arrays
     /// is [`Error::EmptyBatch`].
+    ///
+    /// When the ranks are interchangeable — one stage table for all of them
+    /// (every even slab split, every pencil), no jitter, the same compute
+    /// factor on every rank, and an `MPI_Test` that costs at least a clock
+    /// tick — they run one program in lockstep, and
+    /// [`simnet::run_interchangeable`] runs it once for all `p`: each
+    /// execution's per-rank statistics and timelines are that program's,
+    /// `p` times over, exactly what `p` programs give. A free test is left
+    /// out: it can poll at the very instant every rank posts, and a rank
+    /// sees the others' posts at that instant only if the stepper resumed
+    /// them first, so the `p` programs stop being alike.
     pub fn run(&self, platform: Platform) -> Result<Vec<Execution>, Error> {
+        self.run_as(platform, true)
+    }
+
+    /// [`Self::run`], with `one_for_all` false forcing one program per rank
+    /// even where the ranks are interchangeable: the oracle the one-program
+    /// run is held to.
+    fn run_as(&self, platform: Platform, one_for_all: bool) -> Result<Vec<Execution>, Error> {
         if self.arrays == 0 {
             return Err(Error::EmptyBatch);
         }
         let (tables, of_rank) = self.stages(&platform.machine);
-        let mut per_rank = run_sim(platform, self.spec.p, async |sim| {
+        let program = async |sim: &mut SimRank| {
             let costs = &tables[of_rank[sim.rank()]];
             let mut plans = vec![Vec::new(); costs.len()];
             if self.trace {
@@ -474,8 +494,17 @@ impl Simulation {
                 runs.push(self.execute(sim, costs, &mut plans).await?);
             }
             Ok::<_, Error>(runs)
-        })
-        .into_iter();
+        };
+        let p = self.spec.p;
+        if one_for_all && interchangeable(p, &tables, &platform) {
+            let mut runs = run_interchangeable(platform, p, program)?;
+            for run in &mut runs {
+                run.report.per_rank = vec![run.report.per_rank[0]; p];
+                run.events = vec![run.events.pop().unwrap_or_default(); p];
+            }
+            return Ok(runs);
+        }
+        let mut per_rank = run_sim(platform, p, program).into_iter();
         let mut runs = per_rank.next().transpose()?.unwrap_or_default();
         for later in per_rank {
             for (run, other) in runs.iter_mut().zip(later?) {
@@ -543,6 +572,18 @@ impl Simulation {
         let first = self.run(platform)?.into_iter().next();
         first.ok_or(Error::Internal("a simulation with no execution"))
     }
+}
+
+/// Whether the `p` ranks of a run over the stage `tables` on `platform`
+/// are interchangeable (see [`Simulation::run`]): one table, no jitter, one
+/// compute factor, and a test that advances the clock.
+fn interchangeable(p: usize, tables: &[Vec<StageCosts>], platform: &Platform) -> bool {
+    let faults = &platform.faults;
+    let speed = faults.compute_factor(0).to_bits();
+    tables.len() == 1
+        && platform.jitter == 0.0
+        && SimTime::from_secs_f64(platform.machine.t_test) > SimTime::ZERO
+        && (1..p).all(|r| faults.compute_factor(r).to_bits() == speed)
 }
 
 /// **Shim for `fftperf/`**, which a code PR may not edit: the slab
@@ -919,6 +960,95 @@ mod tests {
             overlapped < blocking,
             "overlap must help the pencil path too: {overlapped:.3} vs {blocking:.3}"
         );
+    }
+
+    /// A feasible tuning vector for `spec`, drawn from `draw(n)` ∈ `0..n`.
+    fn feasible(spec: &ProblemSpec, draw: &mut impl FnMut(usize) -> usize) -> TuningParams {
+        let (nxl, nyl, polls) = (spec.nx / spec.p, spec.ny / spec.p, 2 * spec.p + 1);
+        let t = 1 + draw(spec.nz);
+        TuningParams {
+            t,
+            w: 1 + draw(spec.nz.div_ceil(t)),
+            px: 1 + draw(nxl),
+            pz: 1 + draw(t),
+            uy: 1 + draw(nyl),
+            uz: 1 + draw(t),
+            fy: draw(polls) as u32,
+            fp: draw(polls) as u32,
+            fu: draw(polls) as u32,
+            fx: draw(polls) as u32,
+            threads: 1 + draw(4),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+
+        /// One program standing for the interchangeable ranks of an even
+        /// split gives every field of every execution the p-program run
+        /// gives: slabs of NEW, FFTW and TH and pencils over any grid, on
+        /// both presets. With a free `MPI_Test` the ranks do not count as
+        /// interchangeable, so there is nothing to compare.
+        #[test]
+        fn one_program_run_matches_every_rank_run(
+            seed: u64,
+            p_at in 0usize..10,
+            shape in 0usize..4,
+            platform in 0usize..3,
+            reps in 1usize..4,
+            arrays in 1usize..3,
+            skip: bool,
+            trace: bool,
+        ) {
+            let mut rng = seed;
+            let mut draw = |n: usize| {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                ((rng >> 33) % n as u64) as usize
+            };
+            let p = [1, 2, 3, 4, 6, 8, 12, 16, 32, 64][p_at];
+            let spec = ProblemSpec {
+                nx: p * (1 + draw(3)),
+                ny: p * (1 + draw(3)),
+                nz: 1 + draw(48),
+                p,
+            };
+            let params = feasible(&spec, &mut draw);
+            let sim = match shape {
+                0 => Simulation::slab(spec, Variant::New, params),
+                1 => Simulation::slab(spec, Variant::Fftw, params),
+                2 => Simulation::slab(spec, Variant::Th, params),
+                _ => {
+                    let pr = (1..=p).filter(|d| p % d == 0).nth(draw(p)).unwrap_or(1);
+                    let grid = PencilGrid { pr, pc: p / pr };
+                    Simulation::pencil(spec, grid, params)
+                }
+            };
+            let mut sim = sim.expect("a feasible vector").repeated(reps).arrays(arrays);
+            if skip {
+                sim = sim.skip_fixed_steps();
+            }
+            if trace {
+                sim = sim.traced();
+            }
+            let free = platform == 2;
+            let platform = match platform {
+                0 => umd_cluster(),
+                1 => hopper(),
+                _ => {
+                    let mut free = umd_cluster();
+                    free.machine.t_test = 0.0;
+                    free
+                }
+            };
+            let (tables, _) = sim.stages(&platform.machine);
+            proptest::prop_assert_eq!(interchangeable(p, &tables, &platform), !free);
+            if free {
+                return Ok(());
+            }
+            let one = sim.run_as(platform.clone(), true).expect("no watchdog");
+            let each = sim.run_as(platform, false).expect("no watchdog");
+            proptest::prop_assert_eq!(one, each);
+        }
     }
 
     #[test]

@@ -120,13 +120,30 @@ pub type Program<'a, R> = Pin<Box<dyn Future<Output = R> + 'a>>;
 /// The shared engine. One per simulation run.
 pub struct Engine {
     state: RefCell<State>,
+    /// The ranks of the simulated world: the number of programs, or — for
+    /// a world of interchangeable ranks run as one program — `world` ranks
+    /// behind a single program, whose post counts as `world` simultaneous
+    /// posts.
+    world: usize,
 }
 
 impl Engine {
-    /// Creates an engine for `size` ranks. Rank 0 runs first.
+    /// Creates an engine for `size` ranks, one program each. Rank 0 runs
+    /// first.
     pub fn new(size: usize) -> Self {
-        assert!(size >= 1, "simulation needs at least one rank");
-        let ranks = (0..size).map(|_| RankState {
+        Self::with_programs(size, size)
+    }
+
+    /// Creates an engine whose one program stands for all `world` ranks:
+    /// every rank runs what it runs, so one post is every rank's post, made
+    /// at the same instant.
+    pub fn standing_for(world: usize) -> Self {
+        Self::with_programs(1, world)
+    }
+
+    fn with_programs(programs: usize, world: usize) -> Self {
+        assert!(programs >= 1, "simulation needs at least one rank");
+        let ranks = (0..programs).map(|_| RankState {
             clock: SimTime::ZERO,
             status: Status::Ready,
         });
@@ -136,11 +153,18 @@ impl Engine {
                 next: Some(0),
                 ops: Vec::new(),
             }),
+            world,
         }
     }
 
-    /// Number of ranks.
+    /// Number of ranks in the simulated world.
     pub fn size(&self) -> usize {
+        self.world
+    }
+
+    /// Number of rank programs [`Self::run`] takes: [`Self::size`], or one
+    /// when a program stands for the whole world.
+    pub fn programs(&self) -> usize {
         self.state.borrow().ranks.len()
     }
 
@@ -152,7 +176,7 @@ impl Engine {
     /// On deadlock: no rank is runnable while some still wait on a
     /// collective.
     pub fn run<R>(&self, mut programs: Vec<Program<'_, R>>) -> Vec<R> {
-        assert_eq!(programs.len(), self.size(), "one program per rank");
+        assert_eq!(programs.len(), self.programs(), "one program per rank");
         let mut cx = Context::from_waker(Waker::noop());
         let mut results: Vec<Option<R>> = programs.iter().map(|_| None).collect();
         loop {
@@ -192,19 +216,33 @@ impl Engine {
     /// Records that `rank` posted collective `seq` at `clock`. When the last
     /// rank posts, the ready time freezes and ranks blocked on the collective
     /// are released.
-    pub async fn post(&self, rank: usize, clock: SimTime, seq: OpSeq) {
+    ///
+    /// Returns whether this post completes the rendezvous with every other
+    /// rank having posted *strictly earlier* — the one post that knows, as
+    /// it is made, that the collective is ready at `clock`. A post tied with
+    /// another at `clock` is never such a post, whichever of the two is
+    /// stepped last, and neither is the post of a program standing for
+    /// more than one rank. The answer does not depend on the order in which
+    /// the stepper resumes ranks: under min-`(clock, rank)` stepping every
+    /// post made before `clock` is recorded before any rank acts at
+    /// `clock`, and a post made at `clock` makes the answer `false` whether
+    /// it is recorded before this one or after.
+    pub async fn post(&self, rank: usize, clock: SimTime, seq: OpSeq) -> bool {
         self.turn(rank, clock).await;
         let mut s = self.state.borrow_mut();
-        let size = s.ranks.len();
+        let programs = s.ranks.len();
+        let one_each = programs == self.world;
         let op = s.op_mut(seq);
         assert!(
             !op.posted[rank],
             "rank {rank} posted collective {seq} twice"
         );
+        let unique =
+            one_each && op.nposted + 1 == programs && (op.nposted == 0 || op.post_max < clock);
         op.posted[rank] = true;
         op.nposted += 1;
         op.post_max = op.post_max.max(clock);
-        if op.nposted == size {
+        if op.nposted == programs {
             op.ready = Some(op.post_max);
             // Release ranks parked in block_on_ready.
             for r in &mut s.ranks {
@@ -213,6 +251,7 @@ impl Engine {
                 }
             }
         }
+        unique
     }
 
     /// Asks, at `clock`, whether collective `seq` — which `rank` has posted —
@@ -330,6 +369,47 @@ mod tests {
                 clock = ready + SimTime::from_micros(1);
             }
         });
+    }
+
+    /// Only a post that finds every other rank posted strictly earlier
+    /// learns the ready time as it is made; a tie at the last post gives no
+    /// rank that head start, whichever the stepper resumes last.
+    #[test]
+    fn only_a_strictly_last_post_is_unique() {
+        let unique = |posts: Vec<u64>| {
+            let p = posts.len();
+            let eng = Engine::new(p);
+            let posts = &posts;
+            let programs = (0..p).map(|r| {
+                let eng = &eng;
+                Box::pin(async move {
+                    let t = SimTime::from_micros(posts[r]);
+                    let unique = eng.post(r, t, 0).await;
+                    eng.block_on_ready(r, t, 0).await;
+                    unique
+                }) as Program<'_, bool>
+            });
+            eng.run(programs.collect())
+        };
+        assert_eq!(unique(vec![3]), [true]);
+        assert_eq!(unique(vec![1, 5, 2]), [false, true, false]);
+        assert_eq!(unique(vec![5, 1, 5]), [false; 3]);
+        assert_eq!(unique(vec![4, 4, 4, 4]), [false; 4]);
+    }
+
+    #[test]
+    fn one_program_standing_for_many_ranks_is_never_unique() {
+        for (world, want) in [(1, true), (2, false), (16, false)] {
+            let eng = Engine::standing_for(world);
+            assert_eq!((eng.size(), eng.programs()), (world, 1));
+            let program = Box::pin(async {
+                let unique = eng.post(0, SimTime::from_micros(7), 0).await;
+                let ready = eng.query(0, SimTime::from_micros(7), 0).await;
+                (unique, ready)
+            }) as Program<'_, _>;
+            let ready = ReadyInfo::Ready(SimTime::from_micros(7));
+            assert_eq!(eng.run(vec![program]), [(want, ready)], "world {world}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   concurrent-window bandwidth sharing (what makes `T` and `W` tunable).
 //! * [`engine::Engine`] — a conservative virtual-time stepper: it always
 //!   resumes the runnable rank with the minimum clock, so runs are exactly
-//!   reproducible.
+//!   reproducible. When every rank runs the same program at the same speed,
+//!   [`run_interchangeable`] runs that program once for all of them.
 //! * [`proc::SimRank`] — the per-rank API: `compute`,
 //!   `alltoall_init_in_group` + `start` (a persistent plan and its
 //!   executions), `compute_with_polls` (manual progression), `wait`,
@@ -64,10 +65,39 @@ pub fn run_sim<F, R>(platform: Platform, size: usize, f: F) -> Vec<R>
 where
     F: AsyncFn(&mut SimRank) -> R,
 {
-    let engine = Rc::new(Engine::new(size));
+    launch(Engine::new(size), platform, f)
+}
+
+/// Runs `f` once, as the program of every one of `size` interchangeable
+/// ranks of `platform`, and returns its result: what [`run_sim`] returns
+/// for each rank when all of them run the same program at the same speed.
+/// The program's [`SimRank::rank`] is 0 and its [`SimRank::size`] is
+/// `size`; each of its posts stands for `size` posts made at the same
+/// instant, so none of them finds the others strictly earlier.
+///
+/// It gives what `run_sim` gives every rank only when the ranks really are
+/// interchangeable: `f` must not branch on its rank, and the platform must
+/// have no jitter, the same compute factor for every rank and a `t_test` of
+/// at least a nanosecond (a free test can poll at the instant every rank
+/// posts, where `p` programs see the others' posts only if the stepper
+/// resumed them first).
+pub fn run_interchangeable<F, R>(platform: Platform, size: usize, f: F) -> R
+where
+    F: AsyncFn(&mut SimRank) -> R,
+{
+    let mut results = launch(Engine::standing_for(size), platform, f);
+    results.pop().expect("one program")
+}
+
+/// Runs `f` as each of the engine's programs, rank `i` the `i`-th.
+fn launch<F, R>(engine: Engine, platform: Platform, f: F) -> Vec<R>
+where
+    F: AsyncFn(&mut SimRank) -> R,
+{
+    let engine = Rc::new(engine);
     let platform = Rc::new(platform);
     let f = &f;
-    let programs = (0..size).map(|rank| {
+    let programs = (0..engine.programs()).map(|rank| {
         let mut sim = SimRank::new(engine.clone(), platform.clone(), rank);
         Box::pin(async move { f(&mut sim).await }) as Program<'_, R>
     });
@@ -94,6 +124,12 @@ mod tests {
             }
             sim.barrier().await;
         });
+    }
+
+    #[test]
+    fn one_program_stands_for_the_world() {
+        let out = run_interchangeable(hopper(), 6, async |sim| (sim.rank(), sim.size()));
+        assert_eq!(out, (0, 6));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! state. The manual-progression model lives here:
 //!
 //! * a collective becomes *ready* when every rank has posted it (the
-//!   engine's one piece of shared state);
+//!   engine's one piece of shared state); only a post that finds every
+//!   other rank posted strictly earlier learns this as it is made and
+//!   starts round 0 at once, so ranks that tie at the last post are
+//!   interchangeable;
 //! * after readiness, the schedule's rounds execute one at a time, and a
 //!   round may **start only at a progression opportunity** — an
 //!   `MPI_Test` poll ([`SimRank::compute_with_polls`]) or a blocking
@@ -270,7 +273,10 @@ impl SimRank {
     /// subgroup's executions is still global — valid for the symmetric
     /// schedules this simulator targets, where every subgroup runs the same
     /// program — but the round structure and bandwidth model use the
-    /// subgroup size. The plan's rounds are priced on the subgroup's
+    /// subgroup size. So the free round at post goes only to a rank whose
+    /// post is the world's strictly last, and in a run of interchangeable
+    /// ranks ([`crate::run_interchangeable`]) to none: every subgroup posts
+    /// at the same instant. The plan's rounds are priced on the subgroup's
     /// [`Link`], each duration once per run.
     pub fn alltoall_init_in_group(&mut self, group: usize, bytes_per_peer: u64) -> PlanId {
         assert!(
@@ -303,11 +309,19 @@ impl SimRank {
     }
 
     /// Starts one execution of a persistent plan (`MPI_Start`): the
-    /// rendezvous is posted at the current clock, the execution's round
-    /// state machine added, and round 0 gets the free progression attempt
-    /// real NBC implementations make at post time — but no `post_overhead`
-    /// is charged: setup was paid at init. Returns the [`OpId`] that
-    /// [`Self::compute_with_polls`] and [`Self::wait`] drive.
+    /// rendezvous is posted at the current clock and the execution's round
+    /// state machine added — but no `post_overhead` is charged: setup was
+    /// paid at init. Returns the [`OpId`] that [`Self::compute_with_polls`]
+    /// and [`Self::wait`] drive.
+    ///
+    /// The post that completes the rendezvous with every other rank having
+    /// posted strictly earlier (see [`Engine::post`]) knows the collective
+    /// is ready at its own clock, and round 0 gets the free progression
+    /// attempt real NBC implementations make at post time. Any other post
+    /// leaves readiness unknown, and its first test asks the engine — so
+    /// ranks that tie at the last post all start round 0 at a test, and
+    /// which of them the stepper resumes last changes nothing ([`Engine::post`]
+    /// says why the answer does not depend on the stepping order).
     pub async fn start(&mut self, plan: PlanId) -> OpId {
         let p = self
             .plans
@@ -316,18 +330,24 @@ impl SimRank {
         p.executions += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.engine.post(self.rank, self.clock, seq).await;
+        let last = self.engine.post(self.rank, self.clock, seq).await;
         let op = OpId(self.ops.len());
         self.ops.push(LocalOp {
             seq,
             plan,
-            ready: Ready::Unknown,
+            ready: if last {
+                Ready::Known(self.clock)
+            } else {
+                Ready::Unknown
+            },
             rounds_done: 0,
             inflight_end: None,
             completed: None,
         });
         self.active += 1;
-        self.progress(op).await;
+        if last {
+            self.progress(op).await;
+        }
         op
     }
 
@@ -522,7 +542,8 @@ impl SimRank {
         self.next_seq += 1;
         self.clock += self.platform.net.post_overhead(self.size);
         self.setup_charges += 1;
-        self.engine.post(self.rank, self.clock, seq).await;
+        // A blocking collective waits for readiness whoever posts last.
+        let _ = self.engine.post(self.rank, self.clock, seq).await;
         let ready = self.engine.block_on_ready(self.rank, self.clock, seq).await;
         let end = ready
             + self
@@ -630,9 +651,9 @@ mod tests {
         let rt = plat.net.link(p).round_time(shape, 1);
         for (end, now) in &times {
             assert_eq!(end, now);
-            // At most the round kicked at post time (only the last poster is
-            // "ready" then) overlaps the compute; the rest serialize inside
-            // wait.
+            // At most the round kicked at post time (only a strictly last
+            // poster is "ready" then; these posts tie, so none is) overlaps
+            // the compute; the rest serialize inside wait.
             let lower = SimTime::from_secs_f64(0.01) + rt * (shape.rounds as u64 - 1);
             let upper =
                 SimTime::from_secs_f64(0.01) + rt * shape.rounds as u64 + SimTime::from_millis(1);

@@ -22,7 +22,9 @@
 //!   optimised kernel that ships), over `mpisim` (the block exchange's
 //!   length and ownership checks, as the benchmark builds them) and over
 //!   `simnet` (closed-form polls and integer rounding against their
-//!   oracles, as the benchmark builds them), then `conform`.
+//!   oracles, as the benchmark builds them) and `simulation_behavior` (the
+//!   pinned simulated numbers, on the simulator the benchmark times), then
+//!   `conform`.
 //!
 //! Flags are parsed once per command into a validated struct: a value that
 //! is not a number, a zero count or a flag the command does not take prints
@@ -55,7 +57,8 @@ fn usage() -> ExitCode {
          \x20                           schedules per row with --schedules)\n\
          \x20 check   [--seed-base N] [--schedules N]\n\
          \x20                           clippy + doc links + release tests of\n\
-         \x20                           the pinned spectra, mpisim and simnet +\n\
+         \x20                           the pinned spectra and simulated\n\
+         \x20                           numbers, mpisim and simnet +\n\
          \x20                           conform (acceptance gate)"
     );
     ExitCode::FAILURE
@@ -166,8 +169,15 @@ fn run_release_tests(root: &Path) -> bool {
     let release = ["test", "--release", "--quiet"];
     let gates = [
         (
-            "release: pinned spectra",
-            &["--test", "kernel_blocks", "--test", "stage_fusion"][..],
+            "release: pinned spectra and simulated numbers",
+            &[
+                "--test",
+                "kernel_blocks",
+                "--test",
+                "stage_fusion",
+                "--test",
+                "simulation_behavior",
+            ][..],
         ),
         ("release: cfft", &["-p", "cfft"][..]),
         ("release: mpisim", &["-p", "mpisim"][..]),
